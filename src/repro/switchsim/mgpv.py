@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from itertools import islice
 from time import perf_counter_ns
 from typing import Iterable, Iterator, Union
@@ -40,6 +41,12 @@ from repro.streaming.hyperloglog import hash_key, hash_key_columns
 #: cache is wiped.  The route is a pure function of the FG key, so the
 #: cache never needs invalidation — the cap only bounds memory.
 _KEY_CACHE_CAP = 1 << 17
+
+#: Fig 14 buffer-efficiency accounting: occupancy is sampled every
+#: ``_OCC_STRIDE`` packets, and a resident group counts as *active* when
+#: it was last accessed within ``_OCC_WINDOW_NS`` of the running clock.
+_OCC_STRIDE = 64
+_OCC_WINDOW_NS = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -156,7 +163,7 @@ class _Entry:
     """One CG group resident in the cache."""
 
     __slots__ = ("cg_key", "hash32", "short", "long", "long_idx",
-                 "last_access", "fg_indices")
+                 "last_access", "fg_indices", "qkey")
 
     def __init__(self, cg_key: tuple, hash32: int, now: int) -> None:
         self.cg_key = cg_key
@@ -166,6 +173,9 @@ class _Entry:
         self.long_idx: int | None = None
         self.last_access = now
         self.fg_indices: set[int] = set()
+        # The group's live key in the cache's lazy-expiry heap; None
+        # until first touched and again once its active window lapsed.
+        self.qkey: int | None = None
 
 
 class MGPVCache:
@@ -207,10 +217,16 @@ class MGPVCache:
         self._aging_cursor = 0
         self._long_allowed: int | None = None   # fault-injected squeeze
         self._now = 0
-        # Occupancy-time integrals for buffer-efficiency reporting (Fig 14).
-        self._occ_samples = 0
+        # Occupancy-time integrals for buffer-efficiency reporting (Fig 14)
+        # and the incremental active-group accounting behind them: the
+        # count of entries holding a qkey, and a min-heap of plain-int
+        # keys ``last_access * n_short + slot`` (never _Entry references,
+        # so an evicted group is garbage at once) expired lazily at the
+        # sample points.
         self._occ_occupied = 0
         self._occ_active = 0
+        self._n_active = 0
+        self._expiry: list[int] = []
         # Telemetry instruments (attach_telemetry); None = not attached.
         # Only amortized paths (_emit/_resolve_fg/_evict/_aging_scan) are
         # instrumented — the per-packet insert body is untouched.
@@ -233,6 +249,7 @@ class MGPVCache:
                                              DEFAULT_COUNT_BOUNDS)
         reg.gauge_source("mgpv.resident_groups",
                          lambda: len(self._occupied))
+        reg.gauge_source("mgpv.active_groups", lambda: self._n_active)
         reg.gauge_source("mgpv.long_buffers_in_use",
                          lambda: self.long_buffers_in_use)
 
@@ -261,34 +278,9 @@ class MGPVCache:
         route = self._key_cache.get(fg_key)
         if route is None:
             route = self._compute_route(fg_key)
-        cg_key, hash32, slot_idx, fg_idx = route
-
-        slots = self._slots
-        entry = slots[slot_idx]
-        if entry is not None and entry.cg_key != cg_key:
-            # Case 1: hash collision — evict the older group (LRU-like).
-            events.append(self._evict(slot_idx, "collision"))
-            entry = None
-        if entry is None:
-            entry = _Entry(cg_key, hash32, pkt.tstamp)
-            slots[slot_idx] = entry
-            self._occupied.add(slot_idx)
-
-        if self._fg_keys[fg_idx] != fg_key:
-            self._resolve_fg(fg_key, fg_idx, slot_idx, events)
-            # The FG collision path may have evicted our own entry (when
-            # the displaced FG key belonged to this CG group); re-create.
-            entry = slots[slot_idx]
-            if entry is None or entry.cg_key != cg_key:
-                entry = _Entry(cg_key, hash32, pkt.tstamp)
-                slots[slot_idx] = entry
-                self._occupied.add(slot_idx)
-        entry.fg_indices.add(fg_idx)
-        entry.last_access = pkt.tstamp
-
-        cell = (fg_idx, self._meta_accessor(pkt))
-        self._append_cell(slot_idx, entry, cell, events)
-        if not self.stats.pkts_in % 64:    # stride guard inlined
+        self._insert_routed(fg_key, route, pkt.tstamp,
+                            self._meta_accessor(pkt), events)
+        if not self.stats.pkts_in % _OCC_STRIDE:
             self._sample_occupancy()
         return events
 
@@ -380,14 +372,14 @@ class MGPVCache:
                 self._aging_scan(events)
                 self._insert_routed(fg_keys[i], rr[i], ts, meta_rows[i],
                                     events)
-                if not stats.pkts_in % 64:
+                if not stats.pkts_in % _OCC_STRIDE:
                     self._sample_occupancy()
             return events
 
         # Hot loop: nothing below reads pkts_in/bytes_in or the clock
         # mid-row (eviction and emission account their own fields), so
-        # the rows run in chunks delimited by the 64-packet occupancy
-        # sample stride — the stride check, the packet/byte totals, and
+        # the rows run in chunks delimited by the occupancy sample
+        # stride — the stride check, the packet/byte totals, and
         # the clock running-max leave the per-row body entirely and
         # resolve in C over each chunk's slices.  The `is not` guards
         # shortcut the tuple comparisons — routes are interned, so a
@@ -401,7 +393,7 @@ class MGPVCache:
         rows = zip(tstamps, rr, fg_keys, meta_rows)
         start = 0
         while start < n:
-            chunk = 64 - (pkts_in % 64)
+            chunk = _OCC_STRIDE - (pkts_in % _OCC_STRIDE)
             if start + chunk > n:
                 chunk = n - start
             for ts, route, fg_key, meta in islice(rows, chunk):
@@ -429,6 +421,8 @@ class MGPVCache:
                         slots[slot_idx] = entry
                         occupied.add(slot_idx)
                 entry.fg_indices.add(fg_idx)
+                if entry.qkey is None or ts < entry.last_access:
+                    self._activate(entry, slot_idx, ts)
                 entry.last_access = ts
 
                 # _append_cell inlined (same transitions, accounting).
@@ -462,7 +456,7 @@ class MGPVCache:
                 now = mx
             pkts_in += chunk
             start = end
-            if not pkts_in % 64:
+            if not pkts_in % _OCC_STRIDE:
                 stats.pkts_in = pkts_in
                 self._now = now
                 self._sample_occupancy()
@@ -473,13 +467,14 @@ class MGPVCache:
 
     def _insert_routed(self, fg_key: tuple, route: tuple, ts: int,
                        meta: tuple, events: list[Event]) -> None:
-        """One pre-routed row of :meth:`insert_batch`'s aging loop —
-        exactly the slot/FG/cell transitions of :meth:`insert` after
-        route resolution."""
+        """The slot/FG/cell transitions of one packet whose route is
+        resolved: the body of :meth:`insert` and of one row of
+        :meth:`insert_batch`'s aging loop."""
         cg_key, hash32, slot_idx, fg_idx = route
         slots = self._slots
         entry = slots[slot_idx]
         if entry is not None and entry.cg_key != cg_key:
+            # Case 1: hash collision — evict the older group (LRU-like).
             events.append(self._evict(slot_idx, "collision"))
             entry = None
         if entry is None:
@@ -489,12 +484,16 @@ class MGPVCache:
 
         if self._fg_keys[fg_idx] != fg_key:
             self._resolve_fg(fg_key, fg_idx, slot_idx, events)
+            # The FG collision path may have evicted our own entry (when
+            # the displaced FG key belonged to this CG group); re-create.
             entry = slots[slot_idx]
             if entry is None or entry.cg_key != cg_key:
                 entry = _Entry(cg_key, hash32, ts)
                 slots[slot_idx] = entry
                 self._occupied.add(slot_idx)
         entry.fg_indices.add(fg_idx)
+        if entry.qkey is None or ts < entry.last_access:
+            self._activate(entry, slot_idx, ts)
         entry.last_access = ts
         self._append_cell(slot_idx, entry, (fg_idx, meta), events)
 
@@ -535,11 +534,14 @@ class MGPVCache:
                 self._slots[slot_idx] = entry
                 self._occupied.add(slot_idx)
         entry.fg_indices.add(fg_idx)
+        if entry.qkey is None or pkt.tstamp < entry.last_access:
+            self._activate(entry, slot_idx, pkt.tstamp)
         entry.last_access = pkt.tstamp
 
         cell = (fg_idx, tuple(pkt.field(f) for f in self.metadata_fields))
         self._append_cell(slot_idx, entry, cell, events)
-        self._sample_occupancy()
+        if not self.stats.pkts_in % _OCC_STRIDE:
+            self._sample_occupancy()
         return events
 
     def process(self, packets: Iterable[Packet],
@@ -562,6 +564,7 @@ class MGPVCache:
                 events.append(self._evict(idx, "flush"))
             elif entry is not None:
                 self._remove(idx)
+        self._expiry.clear()    # nothing resident: every key is stale
         return events
 
     def consume(self, pkt: Packet) -> list[Event]:
@@ -588,10 +591,10 @@ class MGPVCache:
     def long_buffers_in_use(self) -> int:
         return self.config.n_long - len(self._long_stack)
 
-    def buffer_efficiency(self, active_window_ns: int = 100_000_000
-                          ) -> float:
+    def buffer_efficiency(self) -> float:
         """Time-averaged fraction of occupied buffer slots whose group was
-        recently active (Fig 14's buffer-efficiency metric)."""
+        active within the last ``_OCC_WINDOW_NS`` (Fig 14's
+        buffer-efficiency metric), sampled every ``_OCC_STRIDE`` packets."""
         if self._occ_occupied == 0:
             return 1.0
         return self._occ_active / self._occ_occupied
@@ -731,6 +734,8 @@ class MGPVCache:
             if self._fg_owner_slot[fg_idx] == slot_idx:
                 self._fg_keys[fg_idx] = None
                 self._fg_owner_slot[fg_idx] = None
+        if entry.qkey is not None:
+            self._n_active -= 1     # its heap key goes stale in place
         self._slots[slot_idx] = None
         self._occupied.discard(slot_idx)
 
@@ -761,18 +766,49 @@ class MGPVCache:
             self._t_tracer.record("mgpv.recirculate", start,
                                   perf_counter_ns())
 
-    def _sample_occupancy(self, active_window_ns: int = 100_000_000,
-                          stride: int = 64) -> None:
-        # Sample every `stride` packets to keep accounting cheap.
-        if self.stats.pkts_in % stride:
-            return
+    def _activate(self, entry: _Entry, slot_idx: int, ts: int) -> None:
+        """Active-group accounting hook of every insert path, reached
+        when ``entry`` holds no heap key (new, or expired) or is being
+        refreshed to an *older* timestamp — and of the sampler's re-key:
+        key it at ``ts``, so its live key never postdates its
+        ``last_access``."""
+        if entry.qkey is None:
+            self._n_active += 1
+        entry.qkey = key = ts * self.config.n_short + slot_idx
+        heappush(self._expiry, key)
+
+    def _sample_occupancy(self) -> None:
+        """Take one Fig 14 sample (callers gate on ``_OCC_STRIDE``).
+
+        Heap keys older than the active window are popped: a key that is
+        no longer its slot's live ``qkey`` is stale (group evicted or
+        re-keyed); a group refreshed since is re-keyed at its
+        ``last_access``; otherwise the group expires.  The clock only
+        moves forward, so afterwards every keyed group is inside the
+        window and every unkeyed one outside — ``_n_active`` equals a
+        full rescan of the resident groups, at O(expired) cost."""
+        n_short = self.config.n_short
         slots = self._slots
-        threshold = self._now - active_window_ns
-        occupied = len(self._occupied)
-        self._occ_occupied += occupied
-        active = 0
-        for idx in self._occupied:
-            if slots[idx].last_access >= threshold:
-                active += 1
-        self._occ_active += active
-        self._occ_samples += 1
+        heap = self._expiry
+        threshold = self._now - _OCC_WINDOW_NS
+        limit = threshold * n_short
+        while heap and heap[0] < limit:
+            key = heappop(heap)
+            slot_idx = key % n_short
+            entry = slots[slot_idx]
+            if entry is None or entry.qkey != key:
+                continue
+            if entry.last_access >= threshold:
+                self._activate(entry, slot_idx, entry.last_access)
+            else:
+                entry.qkey = None
+                self._n_active -= 1
+        resident = len(self._occupied)
+        if len(heap) > 2 * resident + 64:
+            # Eviction churn left mostly stale keys: rebuild from the
+            # live ones (amortised over the pushes that got us here).
+            heap[:] = [k for k in (slots[idx].qkey for idx in self._occupied)
+                       if k is not None]
+            heapify(heap)
+        self._occ_occupied += resident
+        self._occ_active += self._n_active

@@ -2,15 +2,21 @@
 preservation, eviction cases, FG-table consistency, long-buffer stack
 accounting, aging."""
 
+import gc
 import os
+import weakref
+from itertools import cycle
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.switchsim.mgpv as mgpv_mod
 from repro.core.granularity import FLOW, HOST, SOCKET
-from repro.net.packet import PROTO_TCP, Packet
+from repro.net.packet import PROTO_TCP, Packet, PacketBatch
 from repro.net.trace import generate_trace
+from repro.switchsim.aging import sweep_aging_timeouts
 from repro.switchsim.mgpv import FGSync, MGPVCache, MGPVConfig, MGPVRecord
 
 
@@ -295,3 +301,151 @@ class TestAging:
         aging = [e for e in events
                  if isinstance(e, MGPVRecord) and e.reason == "aging"]
         assert not aging
+
+
+def recount_active(cache):
+    """The O(resident) rescan the cache used to run at every sample
+    point, kept here as the brute-force oracle for ``_n_active``."""
+    threshold = cache.now_ns - mgpv_mod._OCC_WINDOW_NS
+    return sum(1 for e in cache._slots
+               if e is not None and e.last_access >= threshold)
+
+
+def replay(cache, packets, controls, batch_sizes=None):
+    """Drive ``packets`` through ``insert`` (or, given ``batch_sizes``,
+    ``insert_batch`` over batches of those sizes, cycled), calling
+    cache method ``controls[i] = (name, *args)`` before packet ``i``.
+    Whenever the cache stands at a sample point, ``_n_active`` must
+    equal the recount."""
+    cuts = sorted(set(controls) | {0, len(packets)})
+    sizes = iter(()) if batch_sizes is None else cycle(batch_sizes)
+    for lo, hi in zip(cuts, cuts[1:]):
+        if lo in controls:
+            name, *args = controls[lo]
+            getattr(cache, name)(*args)
+        while lo < hi:
+            if batch_sizes is None:
+                cache.insert(packets[lo])
+                lo += 1
+            else:
+                step = min(next(sizes), hi - lo)
+                cache.insert_batch(
+                    PacketBatch.from_packets(packets[lo:lo + step]))
+                lo += step
+            if not cache.stats.pkts_in % mgpv_mod._OCC_STRIDE:
+                assert cache._n_active == recount_active(cache)
+
+
+MS = 1_000_000
+
+
+class TestActiveGroupAccounting:
+    """The Fig 14 active-group count is maintained incrementally; it
+    must equal a full rescan at every sample point, on every insert
+    path."""
+
+    @given(
+        spec=st.lists(
+            st.tuples(st.integers(0, 11),            # host (CG key)
+                      st.integers(0, 3),             # port (FG key)
+                      st.integers(0, 40),            # clock advance, ms
+                      st.sampled_from((0, 0, 0, 60, 150, 300))),  # lag
+            min_size=130, max_size=400),
+        n_short=st.integers(4, 64),
+        fg_table_size=st.integers(1, 4),
+        aging_ms=st.sampled_from((None, 30, 200)),
+        control_at=st.tuples(st.integers(1, 129), st.integers(1, 129)),
+        batch_sizes=st.lists(st.integers(1, 90), min_size=1, max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_incremental_count_equals_recount(self, spec, n_short,
+                                              fg_table_size, aging_ms,
+                                              control_at, batch_sizes):
+        packets, clock = [], 0
+        for host, port, advance, lag in spec:
+            clock += advance * MS
+            packets.append(pkt(t=max(0, clock - lag * MS), src=host,
+                               sport=port))
+        # squeeze early, flush mid-trace, release late; a control index
+        # drawn twice keeps the last method, which is fine.
+        squeeze, release = control_at
+        controls = {squeeze: ("squeeze_long_buffers", 0.25),
+                    len(packets) // 2: ("flush",),
+                    len(packets) - release: ("release_long_buffers",)}
+        cfg = MGPVConfig(
+            n_short=n_short, short_size=2, n_long=3, long_size=6,
+            fg_table_size=fg_table_size,
+            aging_timeout_ns=None if aging_ms is None else aging_ms * MS)
+
+        def fresh():
+            return MGPVCache(HOST, SOCKET, cfg)
+
+        per_packet = fresh()
+        replay(per_packet, packets, controls)
+        batched = fresh()
+        replay(batched, packets, controls, batch_sizes)
+        with mock.patch.dict(os.environ, {"SUPERFE_REFERENCE_PATH": "1"}):
+            reference = fresh()
+        replay(reference, packets, controls)
+
+        want = (per_packet._occ_occupied, per_packet._occ_active)
+        assert want[0] > 0
+        assert (batched._occ_occupied, batched._occ_active) == want
+        assert (reference._occ_occupied, reference._occ_active) == want
+
+    def test_expiry_heap_bounded_and_holds_no_entries(self, monkeypatch):
+        """Guard for the benchmark's peak_rss_mb bound: under eviction
+        churn inside one active window the heap stays O(resident) and
+        never keeps an evicted entry alive."""
+        class WeakEntry(mgpv_mod._Entry):
+            __slots__ = ("__weakref__",)
+
+        monkeypatch.setattr(mgpv_mod, "_Entry", WeakEntry)
+        cache = MGPVCache(FLOW, FLOW, small_config(n_short=1024,
+                                                   fg_table_size=1024))
+        # Two packets per flow, 1 us apart: every flow is "active" for
+        # the whole run, so only compaction can shed its stale key.
+        n, step = 100_032, 64 * 50
+        packets = [pkt(t=i * 1000, src=i // 2) for i in range(n)]
+        refs = []
+        for lo in range(0, n, step):
+            cache.insert_batch(PacketBatch.from_packets(
+                packets[lo:lo + step]))
+            assert (len(cache._expiry)
+                    <= 2 * cache.resident_groups + 64)
+            assert cache._n_active == recount_active(cache)
+            if lo == step:
+                refs = [weakref.ref(e) for e in cache._slots
+                        if e is not None]
+        assert cache.stats.evictions["collision"] >= 20_000
+        gc.collect()
+        resident = {id(e) for e in cache._slots if e is not None}
+        assert all(r() is None or id(r()) in resident for r in refs)
+        assert sum(r() is None for r in refs) > len(refs) // 2 > 100
+
+    def test_aging_sweep_buffer_efficiency_golden(self):
+        """Fig 14's numbers as the rescanning implementation (the commit
+        before the incremental accounting) computed them."""
+        trace = generate_trace("MAWI-IXP", n_flows=300, seed=5)
+        cfg = MGPVConfig(n_short=2048, short_size=4, n_long=256,
+                         long_size=20, fg_table_size=2048,
+                         aging_scan_per_pkt=1)
+        points = sweep_aging_timeouts(
+            trace, FLOW, FLOW, [None, 20 * MS, 100 * MS, 400 * MS],
+            config=cfg, metadata_fields=("direction",))
+        assert [p.buffer_efficiency for p in points] == [
+            0.4657732819676522, 0.9964635209766496,
+            0.9277677520596312, 0.6036922825576408]
+        assert [p.aging_evictions for p in points] == [0, 288, 279, 278]
+
+    def test_active_groups_gauge(self):
+        from repro.core.telemetry import Telemetry
+        telemetry = Telemetry()
+        cache = MGPVCache(FLOW, FLOW, small_config())
+        cache.attach_telemetry(telemetry)
+        for i in range(64):
+            cache.insert(pkt(t=i * 10 * MS, src=i))
+        gauges = telemetry.registry.snapshot()["gauges"]
+        assert gauges["mgpv.resident_groups"] == cache.resident_groups
+        # 64 flows 10 ms apart: only the tail is inside the 100 ms window.
+        assert (0 < gauges["mgpv.active_groups"] == recount_active(cache)
+                < cache.resident_groups)
