@@ -9,10 +9,9 @@ trace data.  The paper's accuracy budget (Fig 10's <4%) bounds it.
 import numpy as np
 from conftest import run_once
 
+import repro.api as api
 from repro.bench.tables import Table
-from repro.core.pipeline import SuperFE
 from repro.core.policy import pktstream
-from repro.core.software import SoftwareExtractor
 
 
 def stats_policy():
@@ -27,9 +26,9 @@ def relative_error(traces, division_free: bool) -> dict:
     policy = stats_policy()
     errors: dict[str, list] = {}
     for packets in traces.values():
-        hw = SuperFE(policy, division_free=division_free) \
+        hw = api.compile(policy, division_free=division_free) \
             .run(packets).by_key()
-        ref_result = SoftwareExtractor(policy).run(packets)
+        ref_result = api.compile(policy, software=True).run(packets)
         names = ref_result.feature_names
         ref = ref_result.by_key()
         for key in set(hw) & set(ref):
@@ -56,5 +55,5 @@ def test_ablation_division_free_accuracy(benchmark, traces, report):
     report("ablation_division_free", table.render())
 
     packets = traces["ENTERPRISE"]
-    run_once(benchmark, lambda: SuperFE(stats_policy()).run(
+    run_once(benchmark, lambda: api.compile(stats_policy()).run(
         packets[:2000]))

@@ -34,7 +34,7 @@ Quickstart::
 from repro import api
 from repro.api import Extractor
 from repro.core.policy import Policy, PolicyError, pktstream
-from repro.core.pipeline import SuperFE, ExtractionResult
+from repro.core.pipeline import ExtractionResult
 from repro.core.compiler import PolicyCompiler, CompiledPolicy
 from repro.core.dataplane import Dataplane, LinkConfig
 from repro.core.parallel import ExecutionConfig
@@ -45,7 +45,6 @@ __all__ = [
     "ExecutionConfig",
     "Policy",
     "pktstream",
-    "SuperFE",
     "ExtractionResult",
     "PolicyCompiler",
     "CompiledPolicy",

@@ -13,10 +13,10 @@ executor, software baseline — is built the same way::
     ref = ex.baseline().run(packets)  # the software oracle, same policy
 
 :func:`compile` resolves the deployment shape once and returns an
-:class:`Extractor`; the underlying :class:`~repro.core.pipeline.SuperFE`
-/ :class:`~repro.core.software.SoftwareExtractor` /
-:class:`~repro.core.runtime.SuperFERuntime` classes are implementation
-detail (direct construction is deprecated).
+:class:`Extractor`, which owns it: the compiled policy and the one set
+of :meth:`Dataplane.build <repro.core.dataplane.Dataplane.build>`
+arguments every run, stream session and runtime deployment is wired
+from.
 """
 
 from __future__ import annotations
@@ -27,13 +27,17 @@ import time
 from typing import Iterable, Iterator
 
 from repro.core import flightrec
-from repro.core.parallel import BACKENDS, ExecutionConfig
-from repro.core.pipeline import ExtractionResult, FeatureFrame, SuperFE
+from repro.core.compiler import PolicyCompiler
+from repro.core.dataplane import Dataplane
+from repro.core.functions import ExecContext
+from repro.core.parallel import BACKENDS, ExecutionConfig, WorkerPool
+from repro.core.pipeline import ExtractionResult, FeatureFrame
 from repro.core.policy import Policy
-from repro.core.software import SoftwareExtractor
+from repro.core.runtime import SuperFERuntime
 from repro.core.telemetry import Telemetry, TelemetryConfig
 from repro.net.packet import PacketBatch
 from repro.nicsim.engine import FeatureVector
+from repro.nicsim.placement import PlacementProblem, solve_ilp
 
 __all__ = ["Extractor", "FeatureFrame", "OpsServer", "PacketBatch",
            "compile", "serve_ops", "OVERLOAD_POLICIES"]
@@ -100,7 +104,10 @@ def compile(policy: Policy, *,
     the graph in the hash-steered NIC cluster; adding ``workers`` /
     ``backend`` (or a full :class:`ExecutionConfig`) runs the cluster
     shards on the parallel executor.  ``division_free`` defaults to the
-    path's native arithmetic (integer on hardware, float in software).
+    path's native arithmetic (integer on hardware — it is how the real
+    FE-NIC computes — float in software; turn it off on hardware for
+    bit-exact float results).  ``use_placement`` solves the §6.2 ILP so
+    the NIC group tables land in the right memory levels.
     ``telemetry`` attaches the typed metrics/span layer: pass a
     :class:`~repro.core.telemetry.Telemetry`, a ``TelemetryConfig``, a
     bare span sample rate, or ``True`` for metrics-only collection.
@@ -109,7 +116,6 @@ def compile(policy: Policy, *,
         raise TypeError(f"policy must be a Policy, got "
                         f"{type(policy).__name__}")
     exec_cfg = _resolve_execution(execution, backend, workers)
-    tel = _resolve_telemetry(telemetry)
     if software:
         if n_nics != 1:
             raise ValueError("software=True is the single-host baseline "
@@ -117,32 +123,24 @@ def compile(policy: Policy, *,
         if exec_cfg is not None and exec_cfg.is_parallel:
             raise ValueError("software=True has no shard-parallel "
                              "executor (drop workers=/backend=)")
-        impl = SoftwareExtractor(
-            policy,
-            division_free=(False if division_free is None
-                           else division_free),
-            table_indices=(65536 if table_indices is None
-                           else table_indices),
-            table_width=64 if table_width is None else table_width,
-            telemetry=tel,
-            _internal=True)
-    else:
-        impl = SuperFE(
-            policy,
-            mgpv_config=mgpv_config,
-            division_free=(True if division_free is None
-                           else division_free),
-            use_placement=use_placement,
-            table_indices=(4096 if table_indices is None
-                           else table_indices),
-            table_width=4 if table_width is None else table_width,
-            n_nics=n_nics,
-            link_config=link_config,
-            fault_plan=fault_plan,
-            execution=exec_cfg,
-            telemetry=tel,
-            _internal=True)
-    return Extractor(impl, policy, software=software)
+    if division_free is None:
+        division_free = not software
+    if table_indices is None:
+        table_indices = 65536 if software else 4096
+    if table_width is None:
+        table_width = 64 if software else 4
+    build = dict(
+        software=software,
+        ctx=ExecContext(division_free=division_free),
+        table_indices=table_indices,
+        table_width=table_width,
+        telemetry=_resolve_telemetry(telemetry))
+    if not software:
+        build.update(mgpv_config=mgpv_config, n_nics=n_nics,
+                     link_config=link_config, fault_plan=fault_plan,
+                     execution=exec_cfg)
+    return Extractor(policy, build,
+                     use_placement=use_placement and not software)
 
 
 class _StreamSession:
@@ -163,7 +161,7 @@ class _StreamSession:
 
     _SENTINEL = object()
 
-    def __init__(self, impl, telemetry, batch_size: int,
+    def __init__(self, dataplane: Dataplane, telemetry, batch_size: int,
                  queue_batches: int, overload: str,
                  deadline_s: float | None, degrade_stride: int) -> None:
         self.batch_size = batch_size
@@ -182,7 +180,7 @@ class _StreamSession:
         self.degraded_packets = 0
         self.deadline_missed = 0
         self.feed_error: BaseException | None = None
-        self.dataplane = impl.dataplane()
+        self.dataplane = dataplane
         self._queue: queue_mod.Queue = queue_mod.Queue(
             maxsize=queue_batches)
         self._stop = threading.Event()
@@ -205,7 +203,7 @@ class _StreamSession:
         try:
             if isinstance(packets, PacketBatch):
                 # Columnar source: stage array slices, not Packet lists —
-                # each chunk rides the dataplane's batch tier end to end.
+                # each chunk rides the dataplane's columnar path end to end.
                 for lo in range(0, len(packets), self.batch_size):
                     if self._stop.is_set():
                         return
@@ -354,8 +352,9 @@ class _StreamSession:
 class Extractor:
     """A compiled, deployable feature extractor.
 
-    Built by :func:`compile`; wraps whichever pipeline the configuration
-    selected and exposes one uniform surface:
+    Built by :func:`compile`; owns the compiled policy and the
+    dataplane build arguments the configuration selected, and exposes
+    one uniform surface:
 
     - :meth:`run` — one-shot batch extraction;
     - :meth:`stream` — incremental extraction over a (possibly endless)
@@ -374,44 +373,91 @@ class Extractor:
     unclosed extractor's pool is reclaimed on garbage collection.
     """
 
-    def __init__(self, impl, policy: Policy, *, software: bool) -> None:
-        self._impl = impl
+    def __init__(self, policy: Policy, build: dict, *,
+                 use_placement: bool) -> None:
         self.policy = policy
-        self.software = software
+        self.compiled = PolicyCompiler().compile(policy)
+        #: The Dataplane.build arguments of this deployment.
+        self._build = dict(build)
+        self._use_placement = use_placement
+        if not self.software:
+            self._build["mgpv_config"] = self.compiled.sized_mgpv_config(
+                build.get("mgpv_config"))
+        # The §6.2 ILP placement: which NIC memory level each state's
+        # group table lands in.
+        self._build["placement"] = None
+        if use_placement:
+            states = self.compiled.state_requirements()
+            if states:
+                self._build["placement"] = solve_ilp(PlacementProblem(
+                    states=tuple(states),
+                    n_groups=(build["table_indices"]
+                              * build["table_width"])))
+        # Persistent process-worker pool, spawned lazily on the first
+        # parallel dataplane and reused by every later run()/stream
+        # (spawn once, reset per run).  Released by close().
+        self._pool: WorkerPool | None = None
         self._session: _StreamSession | None = None
+
+    def _twin(self, policy: Policy, **changes) -> "Extractor":
+        """A separately owned deployment of ``policy`` with this one's
+        knobs (``changes`` override build arguments) — its own pool and
+        session, so a runtime can swap and close it freely."""
+        return Extractor(policy, {**self._build, **changes},
+                         use_placement=self._use_placement)
 
     # -- introspection -----------------------------------------------------
 
     @property
-    def compiled(self):
-        return self._impl.compiled
+    def software(self) -> bool:
+        return self._build["software"]
 
     @property
     def feature_names(self) -> list[str]:
-        return self._impl.compiled.feature_names
+        return self.compiled.feature_names
 
     @property
     def mgpv_config(self):
         """The sized MGPV cache configuration (None on the software
         path, which has no switch cache)."""
-        return getattr(self._impl, "mgpv_config", None)
+        return self._build.get("mgpv_config")
 
     @property
     def telemetry(self) -> Telemetry | None:
         """The attached telemetry layer (None unless ``compile`` was
         given ``telemetry=``).  Registry/spans accumulate across
         :meth:`run` / :meth:`stream` calls on this extractor."""
-        return self._impl.telemetry
+        return self._build["telemetry"]
 
     def manifests(self) -> tuple[str, str]:
         """The generated FE-Switch / FE-NIC program summaries."""
-        return (self._impl.compiled.switch_manifest(),
-                self._impl.compiled.nic_manifest())
+        return (self.compiled.switch_manifest(),
+                self.compiled.nic_manifest())
 
-    def dataplane(self):
+    def _lease_pool(self) -> WorkerPool | None:
+        """The persistent pool for this deployment's parallel runs, or
+        None when the deployment is not process-parallel (or the pool
+        is mid-lease — a concurrent second dataplane falls back to
+        per-run workers rather than sharing a leased pool)."""
+        build = self._build
+        execution = build.get("execution") or ExecutionConfig.from_env()
+        if (execution is None or execution.backend != "process"
+                or build.get("n_nics", 1) < 2):
+            return None
+        if self._pool is not None and self._pool.closed:
+            self._pool = None
+        if self._pool is None:
+            self._pool = WorkerPool(
+                self.compiled, execution, ctx=build["ctx"],
+                engine_kwargs={k: build[k] for k in (
+                    "placement", "table_indices", "table_width")})
+        return None if self._pool.leased else self._pool
+
+    def dataplane(self) -> Dataplane:
         """Wire (and return) a fresh dataplane graph for this
         deployment; callers own its lifecycle (call ``close()``)."""
-        return self._impl.dataplane()
+        return Dataplane.build(self.compiled, pool=self._lease_pool(),
+                               **self._build)
 
     # -- execution ---------------------------------------------------------
 
@@ -420,9 +466,24 @@ class Extractor:
 
         ``trace`` is an iterable of :class:`~repro.net.packet.Packet`
         or a :class:`~repro.net.packet.PacketBatch` — the batch form
-        runs the columnar dataplane tier (same vectors, bit for bit;
+        runs the columnar dataplane path (same vectors, bit for bit;
         see ``ExtractionResult.frame()`` for the typed output)."""
-        return self._impl.run(trace)
+        dataplane = self.dataplane()
+        dataplane.process(trace)
+        vectors = dataplane.flush()
+        # Release the run's workers (back into the persistent pool on
+        # the process backend); stats and counters stay readable from
+        # their cached last state.
+        dataplane.close()
+        return ExtractionResult(
+            vectors=vectors,
+            feature_names=self.compiled.feature_names,
+            switch_stats=dataplane.switch.stats,
+            engine=(dataplane.cluster if dataplane.cluster is not None
+                    else dataplane.engine),
+            compiled=self.compiled,
+            dataplane=dataplane,
+        )
 
     def stream(self, packets: Iterable,
                batch_size: int = 1024, *,
@@ -462,7 +523,7 @@ class Extractor:
         if degrade_stride < 1:
             raise ValueError("degrade_stride must be >= 1")
         session = _StreamSession(
-            self._impl, self.telemetry, batch_size, queue_batches,
+            self.dataplane(), self.telemetry, batch_size, queue_batches,
             overload, deadline_s, degrade_stride)
         self._session = session
         return session.run(packets)
@@ -510,30 +571,16 @@ class Extractor:
             return self
         return compile(self.policy, software=True)
 
-    def deploy(self, **overrides):
+    def deploy(self) -> SuperFERuntime:
         """A continuously running deployment (control-plane verbs:
         ``process`` / ``poll_counters`` / ``hot_swap`` ...).  Hardware
-        path only; the cluster and executor shape (``n_nics``,
-        ``execution``) carries over, so hot swaps rebuild the same
+        path only; every knob of this extractor carries over — cluster
+        and executor shape included, so hot swaps rebuild the same
         supervised worker pool."""
         if self.software:
             raise ValueError("software baseline has no runtime "
                              "deployment")
-        from repro.core.runtime import SuperFERuntime
-        impl = self._impl
-        kwargs = dict(
-            mgpv_config=impl.mgpv_config,
-            division_free=impl.ctx.division_free,
-            table_indices=impl._table_indices,
-            table_width=impl._table_width,
-            link_config=impl.link_config,
-            fault_plan=impl.fault_plan,
-            telemetry=impl.telemetry,
-            n_nics=impl.n_nics,
-            execution=impl.execution,
-        )
-        kwargs.update(overrides)
-        return SuperFERuntime(self.policy, _internal=True, **kwargs)
+        return SuperFERuntime(self._twin(self.policy))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -541,9 +588,9 @@ class Extractor:
         """Release the persistent worker pool (no-op for in-process
         backends).  Idempotent; the extractor stays usable — a later
         run simply respawns the pool."""
-        close = getattr(self._impl, "close", None)
-        if close is not None:
-            close()
+        if self._pool is not None:
+            self._pool.close()
+            self._pool = None
 
     def __enter__(self) -> "Extractor":
         return self

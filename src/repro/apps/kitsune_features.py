@@ -4,11 +4,11 @@ Fig 10 compares the per-packet feature vectors of
 
 - **standard** — the exact damped-window definitions (full-precision
   decayed-Welford statistics).  Produced here by running the Kitsune
-  policy through :class:`~repro.core.software.SoftwareExtractor`
+  policy through the software baseline, ``Extractor.baseline()``
   (floating-point path).
 - **SuperFE** — the hardware pipeline: MGPV batching plus the NIC's
   division-free arithmetic and shift-table decay.  Produced by
-  :class:`~repro.core.pipeline.SuperFE` on the same policy.
+  :func:`repro.api.compile` on the same policy.
 - **original Kitsune** — the published implementation's approximations:
   SS-form variance (``SS/w - mean^2``) in single precision, which loses
   accuracy when the mean dominates the spread.  Produced by
@@ -27,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import api
 from repro.apps.policies import KITSUNE_LAMBDAS, kitsune_policy
-from repro.core.pipeline import SuperFE
-from repro.core.software import SoftwareExtractor
 from repro.net.packet import Packet
 from repro.streaming.damped import DampedCovariance, DampedStat
 
@@ -184,12 +183,9 @@ def _vectors_by_key(vectors) -> dict:
 def extract_three_ways(packets: list[Packet]) -> tuple[dict, dict, dict]:
     """Run the Kitsune feature extractor through all three paths;
     returns (standard, superfe, original) per-group vector sequences."""
-    policy = kitsune_policy()
-    standard = _vectors_by_key(
-        SoftwareExtractor(policy, division_free=False, _internal=True)
-        .run(packets).vectors)
-    superfe = _vectors_by_key(
-        SuperFE(policy, _internal=True).run(packets).vectors)
+    ex = api.compile(kitsune_policy())
+    standard = _vectors_by_key(ex.baseline().run(packets).vectors)
+    superfe = _vectors_by_key(ex.run(packets).vectors)
     original = OriginalKitsuneExtractor().run(packets)
     return standard, superfe, original
 

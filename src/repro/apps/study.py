@@ -12,13 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import api
 from repro.apps.detectors.kitnet import KitNET
 from repro.apps.detectors.metrics import (
     accuracy,
     precision_recall_f1,
     roc_auc,
 )
-from repro.core.pipeline import SuperFE
 from repro.core.policy import Policy
 from repro.net.packet import Packet
 from repro.net.scenarios import ScenarioTrace
@@ -42,10 +42,9 @@ def extract_aligned_features(policy: Policy, packets: list[Packet],
     small number of cells).
     """
     if extractor == "superfe":
-        fe = SuperFE(policy, n_nics=n_nics, _internal=True)
+        fe = api.compile(policy, n_nics=n_nics)
     elif extractor == "software":
-        from repro.core.software import SoftwareExtractor
-        fe = SoftwareExtractor(policy, _internal=True)
+        fe = api.compile(policy, software=True)
     else:
         raise ValueError(f"unknown extractor {extractor!r}")
     result = fe.run(packets)

@@ -274,7 +274,7 @@ def _reference_checksum(policy, packets, n_nics: int) -> str:
     """Checksum of the pre-optimization oracle's vectors.
 
     ``SUPERFE_REFERENCE_PATH`` is read when the pipeline stages are
-    constructed, which ``SuperFE.run`` does per call — so the
+    constructed, which ``Extractor.run`` does per call — so the
     environment window must cover the run, not just ``api.compile``.
     """
     before = os.environ.get("SUPERFE_REFERENCE_PATH")

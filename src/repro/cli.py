@@ -142,7 +142,7 @@ def _cmd_extract(args) -> int:
             policy, n_nics=args.nics, fault_plan=fault_plan,
             workers=args.workers if args.workers > 1 else None,
             backend=args.exec_backend, telemetry=telemetry)
-    # The hardware path takes the columnar tier; the software baseline
+    # The hardware path takes the columnar path; the software baseline
     # stays per-record (it is the unbatched oracle by definition).
     trace = (packets if args.software
              else api.PacketBatch.from_packets(packets))
@@ -530,7 +530,7 @@ def _cmd_bench_hotpath(args) -> int:
     print(f"checksum {marker} reference oracle; "
           f"{record['speedup_vs_baseline']:.2f}x vs "
           f"{record['baseline_pps']:,.1f} pps pre-optimization baseline")
-    print(f"columnar batch tier: {record['columnar_speedup']:.2f}x "
+    print(f"columnar batch path: {record['columnar_speedup']:.2f}x "
           f"over per-packet serial")
     print(f"wrote {args.out} (cpu_count={record['cpu_count']})")
     if not record["equivalent"]:

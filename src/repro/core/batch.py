@@ -5,8 +5,8 @@ analyzing a large capture offline doesn't need that fidelity.
 :class:`BatchExtractor` evaluates a supported subset of policies with
 numpy group-by kernels (bincount / ufunc.at over group indices), orders
 of magnitude faster than the event-driven path, with *identical*
-results — the tests cross-check against :class:`~repro.core.software.
-SoftwareExtractor`.
+results — the tests cross-check against the software baseline
+(``repro.api.compile(policy, software=True)``).
 
 Supported: single-granularity per-group policies whose maps are
 ``f_one`` / ``f_ipt`` / ``f_direction`` and whose reducers are

@@ -1,12 +1,11 @@
 """The composable dataplane graph behind every extraction path (Fig 1).
 
-Historically the repo had three hand-wired assemblies of the paper's
-pipeline — :class:`~repro.core.pipeline.SuperFE` (one-shot),
-:class:`~repro.core.runtime.SuperFERuntime` (continuous, §7) and
-:class:`~repro.nicsim.loadbalance.NICCluster` (§8.5 multi-NIC) — each
-duplicating the filter → MGPV → engine wiring.  This module is the one
-place that wiring lives now.  A :class:`Dataplane` is an ordered chain
-of *stages*::
+This module is the one place the paper's filter → MGPV → link →
+engine wiring lives: one-shot runs and stream sessions
+(:class:`repro.api.Extractor`), the continuous §7 runtime
+(:class:`~repro.core.runtime.SuperFERuntime`) and §8.5 multi-NIC
+scale-out all execute through it.  A :class:`Dataplane` is an ordered
+chain of *stages*::
 
     FilterStage -> MGPVCache -> SwitchNICLink -> FeatureEngine | NICCluster
                    (or PerfectSwitch, the software baseline's channel)
@@ -16,13 +15,12 @@ Every stage follows one protocol — ``consume(event) -> events``,
 packets through the graph, drain it at end-of-trace, and export uniform
 per-stage counters for :mod:`repro.core.observe` pollers.
 
-:class:`SwitchNICLink` is new: the paper's switch→NIC record channel
-(PCIe or Ethernet, §8.1's 2×40 GbE) was previously implicit — aggregation
-ratios were recomputed from cache counters in every bench.  The link
-stage does the per-record + per-batch byte accounting itself, models a
-configurable bandwidth and DMA batch size, and can inject message loss
-or backpressure drops for robustness tests, so Fig 12's metrics come
-from the component that physically carries them.
+:class:`SwitchNICLink` models the paper's switch→NIC record channel
+(PCIe or Ethernet, §8.1's 2×40 GbE).  The link stage does the
+per-record + per-batch byte accounting itself, models a configurable
+bandwidth and DMA batch size, and can inject message loss or
+backpressure drops for robustness tests, so Fig 12's metrics come from
+the component that physically carries them.
 """
 
 from __future__ import annotations
@@ -305,7 +303,7 @@ class SwitchNICLink:
 
     def consume_batch(self, events) -> list:
         """Carry a whole event slice across the channel, returning every
-        delivered event in order (the dataplane batch tier's one call per
+        delivered event in order (the columnar path's one call per
         slice; accounting is per event, exactly as :meth:`consume`)."""
         consume = self.consume
         delivered: list = []
@@ -681,8 +679,8 @@ class Dataplane:
 
     Build one with :meth:`build` (the only place in the repo that
     assembles filter → switch → link → sink), then drive it with
-    :meth:`process` and :meth:`flush`.  All facades — ``SuperFE``,
-    ``SuperFERuntime``, ``SoftwareExtractor``, multi-NIC runs — execute
+    :meth:`process` and :meth:`flush`.  Every deployment shape —
+    hardware, software baseline, multi-NIC, the §7 runtime — executes
     through here.
     """
 
@@ -719,9 +717,9 @@ class Dataplane:
     def attach_telemetry(self, telemetry: Telemetry) -> None:
         """Attach one :class:`~repro.core.telemetry.Telemetry` bundle to
         the whole graph: every stage that knows how registers its typed
-        instruments in the shared registry, and :meth:`process` switches
-        to its instrumented tier (span-sampled when the tracer is
-        active, counter-only otherwise)."""
+        instruments in the shared registry, and :meth:`process` counts
+        packets and batches (and, when the tracer is active, records
+        ``stage.*`` spans for sampled packets and batches)."""
         self.telemetry = telemetry
         reg = telemetry.registry
         self._t_packets = reg.counter("pipeline.packets")
@@ -833,76 +831,60 @@ class Dataplane:
 
     # -- data path ------------------------------------------------------------
 
-    def _push(self, event, start: int = 0) -> None:
-        """Propagate one event from ``stages[start]`` to the sink."""
-        frontier = (event,)
-        for stage in self.stages[start:]:
-            produced: list = []
-            for ev in frontier:
-                if self.trace is not None:
-                    self.trace(stage.name, ev)
-                out = stage.consume(ev)
-                if out:
-                    produced.extend(out)
-            if not produced:
-                return
-            frontier = tuple(produced)
-
     def process(self, packets: Iterable[Packet]) -> list[FeatureVector]:
         """Feed a batch of packets through the graph; returns the
         per-packet vectors the batch produced (empty for per-group
         policies, which emit at :meth:`snapshot` / :meth:`flush`).
 
-        Four tiers: the columnar fast path (a
-        :class:`~repro.net.packet.PacketBatch` input with every stage
-        batch-capable), the generic traced fan-out (``trace=`` hook),
-        the span-sampling loop (telemetry attached with an active
-        tracer), and the PR-4 inlined hot loop — which also serves
-        telemetry in its unsampled mode, paying only one batch-level
+        Two code paths, chosen from what the call can observe: a
+        :class:`~repro.net.packet.PacketBatch` whose switch and filter
+        are batch-capable takes the columnar path
+        (:meth:`_process_packet_batch`); everything else takes the one
+        per-packet loop below.  Observers never select a path — an
+        event tap (``trace=``) or a sampled packet is a branch inside
+        the loop (:meth:`_process_observed`), and with telemetry
+        attached but nothing sampled the loop pays one batch-level
         counter update (the <3% overhead budget the
         ``telemetry-overhead`` CI job enforces).
         """
         if isinstance(packets, PacketBatch):
             return self._process_packet_batch(packets)
+        # The graph shape is static (filter -> switch -> link -> sink,
+        # with the sink absorbing), so run it as one inlined loop with
+        # bound methods and a reused switch event buffer.  Fault
+        # actions mutate stage *state*, never the stage objects, so
+        # binding is safe.
         tel = self.telemetry
-        if self.trace is not None:
-            # Observability path: the generic fan-out traces every event
-            # at every stage boundary.
-            for pkt in packets:
-                if self.faults is not None:
-                    self.faults.on_packet(self._pkt_index)
-                self._pkt_index += 1
-                self._push(pkt)
-        elif tel is not None and tel.tracer.active:
-            self._process_sampled(packets, tel.tracer)
-        else:
-            # Hot path: the graph shape is static (filter -> switch ->
-            # link -> sink, with the sink absorbing), so run it as one
-            # inlined loop with bound methods and a reused switch event
-            # buffer instead of the generic per-event fan-out.  Fault
-            # actions mutate stage *state*, never the stage objects, so
-            # binding is safe.
-            faults = self.faults
-            admit = self.filter.admit
-            insert = self.switch.insert
-            link_consume = self.link.consume
-            sink_consume = self.sink.consume
-            buf: list = []
-            start_index = self._pkt_index
-            for pkt in packets:
-                if faults is not None:
-                    faults.on_packet(self._pkt_index)
-                self._pkt_index += 1
-                if not admit(pkt):
+        faults = self.faults
+        tap = self.trace
+        should_sample = (tel.tracer.should_sample
+                         if tel is not None and tel.tracer.active else None)
+        observed = tap is not None or should_sample is not None
+        admit = self.filter.admit
+        insert = self.switch.insert
+        link_consume = self.link.consume
+        sink_consume = self.sink.consume
+        buf: list = []
+        start_index = self._pkt_index
+        for pkt in packets:
+            if faults is not None:
+                faults.on_packet(self._pkt_index)
+            self._pkt_index += 1
+            if observed:
+                sampled = should_sample is not None and should_sample()
+                if sampled or tap is not None:
+                    self._process_observed(pkt, buf, sampled)
                     continue
-                buf.clear()
-                insert(pkt, buf)
-                for event in buf:
-                    for delivered in link_consume(event):
-                        sink_consume(delivered)
-            if tel is not None:
-                self._t_packets.inc(self._pkt_index - start_index)
-                self._t_batches.inc()
+            if not admit(pkt):
+                continue
+            buf.clear()
+            insert(pkt, buf)
+            for event in buf:
+                for delivered in link_consume(event):
+                    sink_consume(delivered)
+        if tel is not None:
+            self._t_packets.inc(self._pkt_index - start_index)
+            self._t_batches.inc()
         # Keep the NIC clock moving even for policies whose cells carry
         # no timestamp (idle eviction relies on it).
         self.sink.advance_clock(self.switch.now_ns)
@@ -910,22 +892,63 @@ class Dataplane:
             return self.sink.take_packet_vectors()
         return []
 
+    def _process_observed(self, pkt: Packet, buf: list,
+                          sampled: bool) -> None:
+        """One packet through the loop body under observation: the
+        event tap sees every event at every stage boundary, and a
+        sampled packet has its switch, link and sink hops timed (FG
+        syncs separately from records)."""
+        tap = self.trace
+        if tap is not None:
+            tap(self.filter.name, pkt)
+        if not self.filter.admit(pkt):
+            return
+        if tap is not None:
+            tap(self.switch.name, pkt)
+        link, sink = self.link, self.sink
+        record = self.telemetry.tracer.record if sampled else None
+        buf.clear()
+        t0 = perf_counter_ns()
+        self.switch.insert(pkt, buf)
+        if record is not None:
+            record("stage.switch", t0, perf_counter_ns())
+        for event in buf:
+            if tap is not None:
+                tap(link.name, event)
+            t1 = perf_counter_ns()
+            delivered = link.consume(event)
+            if record is not None:
+                record("stage.fg_sync" if isinstance(event, FGSync)
+                       else "stage.link", t1, perf_counter_ns())
+            if not delivered:
+                continue
+            if tap is not None:
+                for ev in delivered:
+                    tap(sink.name, ev)
+            t2 = perf_counter_ns()
+            for ev in delivered:
+                sink.consume(ev)
+            if record is not None:
+                record("stage.sink", t2, perf_counter_ns())
+
     def _process_packet_batch(self, batch: PacketBatch
                               ) -> list[FeatureVector]:
-        """The columnar tier: vectorized admission mask, one
+        """The columnar path: vectorized admission mask, one
         :meth:`MGPVCache.insert_batch` call, and batched link/sink
-        delivery.  Falls back to the per-packet tiers (iterating the
-        batch) whenever an observer or stage needs per-packet hooks —
-        an event trace, a chaos schedule, span sampling, a switch
-        without a batch insert, or a non-vectorizable filter rule.  The
-        fallback and the fast path produce identical events, counters
-        and vectors; only the call shape differs.
+        delivery.  Falls back to the per-packet loop (iterating the
+        batch) only for what is per-packet by definition — an event
+        tap, a chaos schedule — or a stage without a batch method (a
+        switch without ``insert_batch``, a non-vectorizable filter
+        rule).  Both paths produce identical events, counters and
+        vectors; only the call shape differs.  Span sampling is a
+        decision about the batch, not another path: the tracer is
+        asked once, and a sampled batch has its three stage calls
+        recorded as ``stage.switch`` / ``stage.link`` / ``stage.sink``.
         """
         tel = self.telemetry
         insert_batch = getattr(self.switch, "insert_batch", None)
         if (self.trace is not None or self.faults is not None
-                or insert_batch is None
-                or (tel is not None and tel.tracer.active)):
+                or insert_batch is None):
             return self.process(iter(batch))
         mask = self.filter.admit_batch(batch)
         if mask is None:
@@ -933,11 +956,21 @@ class Dataplane:
         n = len(batch)
         self._pkt_index += n
         admitted = batch if mask.all() else batch.compress(mask)
+        record = (tel.tracer.record
+                  if tel is not None and tel.tracer.should_sample(n)
+                  else None)
         if len(admitted):
+            t0 = perf_counter_ns()
             events = insert_batch(admitted)
+            t1 = perf_counter_ns()
             delivered = self.link.consume_batch(events)
+            t2 = perf_counter_ns()
             if delivered:
                 self.sink.consume_batch(delivered)
+            if record is not None:
+                record("stage.switch", t0, t1)
+                record("stage.link", t1, t2)
+                record("stage.sink", t2, perf_counter_ns())
         if tel is not None:
             self._t_packets.inc(n)
             self._t_batches.inc()
@@ -946,84 +979,35 @@ class Dataplane:
             return self.sink.take_packet_vectors()
         return []
 
-    def _process_sampled(self, packets: Iterable[Packet], tracer) -> None:
-        """The hot loop with stride-sampled per-stage spans: every
-        ``tracer.stride``-th packet is timed across its switch, link and
-        sink hops (FG syncs separately from records); the rest take the
-        plain inlined body."""
-        faults = self.faults
-        admit = self.filter.admit
-        insert = self.switch.insert
-        link_consume = self.link.consume
-        sink_consume = self.sink.consume
-        should_sample = tracer.should_sample
-        record = tracer.record
-        buf: list = []
-        start_index = self._pkt_index
-        for pkt in packets:
-            if faults is not None:
-                faults.on_packet(self._pkt_index)
-            self._pkt_index += 1
-            if not should_sample():
-                if not admit(pkt):
-                    continue
-                buf.clear()
-                insert(pkt, buf)
-                for event in buf:
-                    for delivered in link_consume(event):
-                        sink_consume(delivered)
-                continue
-            if not admit(pkt):
-                continue
-            buf.clear()
-            t0 = perf_counter_ns()
-            insert(pkt, buf)
-            record("stage.switch", t0, perf_counter_ns())
-            for event in buf:
-                name = ("stage.fg_sync" if isinstance(event, FGSync)
-                        else "stage.link")
-                t1 = perf_counter_ns()
-                delivered = link_consume(event)
-                record(name, t1, perf_counter_ns())
-                if delivered:
-                    t2 = perf_counter_ns()
-                    for ev in delivered:
-                        sink_consume(ev)
-                    record("stage.sink", t2, perf_counter_ns())
-        self._t_packets.inc(self._pkt_index - start_index)
-        self._t_batches.inc()
-
     def flush(self) -> list[FeatureVector]:
         """Drain every stage in order (switch residency through the
-        link, then the link's queue) and emit final vectors."""
+        link, then the link's queue) and emit final vectors.
+
+        Each stage's flush output crosses the remaining stages as one
+        slice per hop (the link and sinks expose ``consume_batch``);
+        every stage preserves order, so downstream state transitions —
+        and what an event tap sees at each stage — match a per-event
+        walk."""
         span = (self.telemetry.tracer.span("pipeline.flush")
                 if self.telemetry is not None else nullcontext())
+        tap = self.trace
         with span:
-            if self.trace is None:
-                # Batched drain: each stage's flush output crosses the
-                # remaining stages as one slice per hop (the link and
-                # sinks expose consume_batch), instead of one full
-                # _push walk per event.  Event order — and therefore
-                # every downstream state transition — matches the
-                # per-event walk, because each stage preserves order.
-                for i, stage in enumerate(self.stages):
-                    frontier = list(stage.flush())
-                    for nxt in self.stages[i + 1:]:
-                        if not frontier:
-                            break
-                        batch_consume = getattr(nxt, "consume_batch",
-                                                None)
-                        if batch_consume is not None:
-                            frontier = list(batch_consume(frontier))
-                        else:
-                            produced: list = []
-                            for event in frontier:
-                                produced.extend(nxt.consume(event))
-                            frontier = produced
-                return self.sink.finalize()
             for i, stage in enumerate(self.stages):
-                for event in stage.flush():
-                    self._push(event, i + 1)
+                frontier = list(stage.flush())
+                for nxt in self.stages[i + 1:]:
+                    if not frontier:
+                        break
+                    if tap is not None:
+                        for event in frontier:
+                            tap(nxt.name, event)
+                    batch_consume = getattr(nxt, "consume_batch", None)
+                    if batch_consume is not None:
+                        frontier = list(batch_consume(frontier))
+                    else:
+                        produced: list = []
+                        for event in frontier:
+                            produced.extend(nxt.consume(event))
+                        frontier = produced
             return self.sink.finalize()
 
     def snapshot(self) -> list[FeatureVector]:

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro import api
 from repro.core.granularity import split_into_chains
-from repro.core.pipeline import ExtractionResult, SuperFE
+from repro.core.pipeline import ExtractionResult
 from repro.core.policy import (
     CollectOp,
     FilterOp,
@@ -88,10 +89,10 @@ class MultiChainSuperFE:
     """SuperFE over a policy whose granularities span several dependency
     chains: one MGPV pipeline per chain."""
 
-    def __init__(self, policy: Policy, **superfe_kwargs) -> None:
+    def __init__(self, policy: Policy, **compile_kwargs) -> None:
         self.policy = policy
         self.sub_policies = partition_policy(policy)
-        self.pipelines = [SuperFE(p, _internal=True, **superfe_kwargs)
+        self.pipelines = [api.compile(p, **compile_kwargs)
                           for p in self.sub_policies]
 
     def run(self, packets) -> MultiChainResult:

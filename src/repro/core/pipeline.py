@@ -1,22 +1,13 @@
-"""The end-to-end SuperFE pipeline (Fig 1).
+"""The output shapes of an extraction run (Fig 1's right-hand edge).
 
-``SuperFE`` wires the compiled policy through the full system: the
-FE-Switch filter stage and MGPV cache batch feature metadata, the ordered
-event stream crosses the modeled switch->NIC link, and the FE-NIC feature
-engine computes the final feature vectors::
+:class:`ExtractionResult` is what :meth:`repro.api.Extractor.run`
+returns — the emitted feature vectors plus the switch statistics, the
+NIC-side engine (or cluster) and the closed dataplane they came from::
 
-    fe = SuperFE(policy)
-    result = fe.run(packets)
-    X = result.to_matrix()
+    result = api.compile(policy).run(packets)
+    X = result.frame().matrix
 
-The assembly itself lives in :class:`~repro.core.dataplane.Dataplane`;
-``SuperFE`` is the one-shot facade over it.  The constructor solves the
-§6.2 ILP placement for the policy's states so the NIC group tables land
-in the right memory levels; ``division_free`` selects the NFP integer
-arithmetic (on by default — it is how the real FE-NIC computes; turn it
-off to get bit-exact float results for debugging); ``n_nics > 1``
-terminates the graph in the §8.5 hash-steered NIC cluster instead of a
-single engine.
+:class:`FeatureFrame` is its typed tabular view, the ML-facing shape.
 """
 
 from __future__ import annotations
@@ -25,19 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.compiler import CompiledPolicy, PolicyCompiler
-from repro.core.dataplane import Dataplane, LinkConfig
-from repro.core.deprecation import warn_direct_construction
-from repro.core.functions import ExecContext
-from repro.core.parallel import ExecutionConfig
-from repro.core.policy import Policy
+from repro.core.compiler import CompiledPolicy
+from repro.core.dataplane import Dataplane
 from repro.nicsim.engine import FeatureVector
-from repro.nicsim.placement import (
-    PlacementProblem,
-    PlacementResult,
-    solve_ilp,
-)
-from repro.switchsim.mgpv import CacheStats, MGPVConfig
+from repro.switchsim.mgpv import CacheStats
 
 
 @dataclass(frozen=True)
@@ -138,119 +120,3 @@ class ExtractionResult:
 
     def by_key(self) -> dict:
         return {v.key: v.values for v in self.vectors}
-
-
-class SuperFE:
-    """Feature extraction as a service: policy in, feature vectors out."""
-
-    def __init__(self, policy: Policy,
-                 mgpv_config: MGPVConfig | None = None,
-                 division_free: bool = True,
-                 use_placement: bool = True,
-                 table_indices: int = 4096,
-                 table_width: int = 4,
-                 n_nics: int = 1,
-                 link_config: LinkConfig | None = None,
-                 fault_plan=None,
-                 execution: ExecutionConfig | None = None,
-                 telemetry=None,
-                 _internal: bool = False) -> None:
-        if not _internal:
-            warn_direct_construction("SuperFE")
-        self.policy = policy
-        self.compiled = PolicyCompiler().compile(policy)
-        self.mgpv_config = self.compiled.sized_mgpv_config(mgpv_config)
-        self.ctx = ExecContext(division_free=division_free)
-        self.placement: PlacementResult | None = None
-        if use_placement:
-            states = self.compiled.state_requirements()
-            if states:
-                problem = PlacementProblem(
-                    states=tuple(states),
-                    n_groups=table_indices * table_width)
-                self.placement = solve_ilp(problem)
-        self._table_indices = table_indices
-        self._table_width = table_width
-        self.n_nics = n_nics
-        self.link_config = link_config
-        self.fault_plan = fault_plan
-        self.execution = execution
-        self.telemetry = telemetry
-        # Persistent process-worker pool, spawned lazily on the first
-        # parallel dataplane and reused by every later run()/stream
-        # (spawn once, reset per run).  Released by close().
-        self._pool = None
-
-    def _lease_pool(self):
-        """The persistent pool for this deployment's parallel runs, or
-        None when the deployment is not process-parallel (or the pool
-        is mid-lease — a concurrent second dataplane falls back to
-        per-run workers rather than sharing a leased pool)."""
-        execution = self.execution
-        if execution is None:
-            from repro.core.parallel import ExecutionConfig
-            execution = ExecutionConfig.from_env()
-        if (execution is None or execution.backend != "process"
-                or self.n_nics < 2):
-            return None
-        if self._pool is not None and self._pool.closed:
-            self._pool = None
-        if self._pool is None:
-            from repro.core.parallel import WorkerPool
-            engine_kwargs = dict(placement=self.placement,
-                                 table_indices=self._table_indices,
-                                 table_width=self._table_width)
-            self._pool = WorkerPool(self.compiled, execution,
-                                    ctx=self.ctx,
-                                    engine_kwargs=engine_kwargs)
-        if self._pool.leased:
-            return None
-        return self._pool
-
-    def dataplane(self) -> Dataplane:
-        """Wire a fresh dataplane graph for this deployment."""
-        return Dataplane.build(
-            self.compiled,
-            mgpv_config=self.mgpv_config,
-            ctx=self.ctx,
-            placement=self.placement,
-            table_indices=self._table_indices,
-            table_width=self._table_width,
-            n_nics=self.n_nics,
-            link_config=self.link_config,
-            fault_plan=self.fault_plan,
-            execution=self.execution,
-            pool=self._lease_pool(),
-            telemetry=self.telemetry)
-
-    def run(self, packets) -> ExtractionResult:
-        """Extract feature vectors from a packet stream."""
-        dataplane = self.dataplane()
-        dataplane.process(packets)
-        vectors = dataplane.flush()
-        sink = (dataplane.cluster if dataplane.cluster is not None
-                else dataplane.engine)
-        # Release the run's workers (back into the persistent pool on
-        # the process backend); stats and counters stay readable from
-        # their cached last state.
-        dataplane.close()
-        return ExtractionResult(
-            vectors=vectors,
-            feature_names=self.compiled.feature_names,
-            switch_stats=dataplane.switch.stats,
-            engine=sink,
-            compiled=self.compiled,
-            dataplane=dataplane,
-        )
-
-    def close(self) -> None:
-        """Shut down the persistent worker pool (idempotent; a fresh
-        pool respawns lazily if the deployment runs again)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def manifests(self) -> tuple[str, str]:
-        """The generated FE-Switch / FE-NIC program summaries."""
-        return (self.compiled.switch_manifest(),
-                self.compiled.nic_manifest())

@@ -3,8 +3,8 @@
 The prototype pairs its data-plane programs with a control plane (~4K
 lines of C) that installs rules, synchronizes the FG table, polls
 counters, and manages aging.  :class:`SuperFERuntime` is that layer for
-the simulated deployment: unlike the one-shot :class:`~repro.core.
-pipeline.SuperFE`, it runs *continuously* —
+the simulated deployment: unlike the one-shot :meth:`Extractor.run
+<repro.api.Extractor.run>`, it runs *continuously* —
 
 - :meth:`process` feeds packet batches as they arrive and returns
   feature vectors for groups completed so far (per-packet policies) or
@@ -19,23 +19,21 @@ pipeline.SuperFE`, it runs *continuously* —
   the NIC (no metadata loss), final vectors are emitted, and the new
   program is installed.
 
-The data path itself is one :class:`~repro.core.dataplane.Dataplane`;
-the runtime only adds the control-plane verbs around it.
+The data path itself is one :class:`~repro.core.dataplane.Dataplane`
+wired by the :class:`~repro.api.Extractor` the runtime was deployed
+from (:meth:`Extractor.deploy <repro.api.Extractor.deploy>` is the only
+constructor); the runtime only adds the control-plane verbs around it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as dc_replace
 
-from repro.core.compiler import PolicyCompiler, PolicyError
-from repro.core.deprecation import warn_direct_construction
-from repro.core.dataplane import Dataplane, LinkConfig
-from repro.core.functions import ExecContext
+from repro.core.compiler import FILTERABLE_FIELDS, PolicyError
 from repro.core.observe import DeltaPoller
 from repro.core.pipeline import ExtractionResult
 from repro.core.policy import Policy, Predicate
 from repro.nicsim.engine import FeatureVector
-from repro.switchsim.mgpv import MGPVConfig
 
 #: hot_swap sentinel: "keep the currently installed fault plan".
 _KEEP = object()
@@ -62,61 +60,34 @@ class CounterSnapshot:
 class SuperFERuntime:
     """A continuously running SuperFE deployment."""
 
-    def __init__(self, policy: Policy,
-                 mgpv_config: MGPVConfig | None = None,
-                 division_free: bool = True,
-                 table_indices: int = 4096,
-                 table_width: int = 4,
-                 link_config: LinkConfig | None = None,
-                 fault_plan=None,
-                 telemetry=None,
-                 n_nics: int = 1,
-                 execution=None,
-                 _internal: bool = False) -> None:
-        if not _internal:
-            warn_direct_construction("SuperFERuntime")
-        self._division_free = division_free
-        self._table_indices = table_indices
-        self._table_width = table_width
-        self._link_config = link_config
-        self._fault_plan = fault_plan
-        self._telemetry = telemetry
-        self._n_nics = n_nics
-        self._execution = execution
+    def __init__(self, extractor) -> None:
         self.dataplane = None
         self._poller = DeltaPoller(self._absolute_counters)
-        self._install(policy, mgpv_config)
+        self._install(extractor)
 
     # -- installation --------------------------------------------------------
 
-    def _install(self, policy: Policy,
-                 mgpv_config: MGPVConfig | None) -> None:
-        self.policy = policy
-        self.compiled = PolicyCompiler().compile(policy)
-        self.mgpv_config = self.compiled.sized_mgpv_config(mgpv_config)
-        if self._telemetry is not None:
+    def _install(self, extractor) -> None:
+        """Make ``extractor`` (a privately owned
+        :class:`~repro.api.Extractor`) the running deployment."""
+        if extractor.telemetry is not None:
             # The gauge sources of the outgoing graph reference stages
             # about to be replaced; the new graph re-registers its own.
             # Counters/histograms persist across swaps (monotonic, as a
             # control plane expects).
-            self._telemetry.registry.clear_gauge_sources()
-        # Release the outgoing graph's worker pool before forking the
-        # replacement; install is exception-safe — a failed build leaves
-        # no half-dead pool behind.
-        old = self.dataplane
-        if old is not None:
-            old.close()
-        self.dataplane = Dataplane.build(
-            self.compiled,
-            mgpv_config=self.mgpv_config,
-            ctx=ExecContext(division_free=self._division_free),
-            table_indices=self._table_indices,
-            table_width=self._table_width,
-            n_nics=self._n_nics,
-            link_config=self._link_config,
-            fault_plan=self._fault_plan,
-            execution=self._execution,
-            telemetry=self._telemetry)
+            extractor.telemetry.registry.clear_gauge_sources()
+        # Release the outgoing graph's workers before forking the
+        # replacement; the incoming policy is already compiled, so a
+        # rejected policy never reaches this point and a failed build
+        # leaves no half-dead pool behind.
+        if self.dataplane is not None:
+            self.dataplane.close()
+            self._extractor.close()
+        self._extractor = extractor
+        self.policy = extractor.policy
+        self.compiled = extractor.compiled
+        self.mgpv_config = extractor.mgpv_config
+        self.dataplane = extractor.dataplane()
 
     # -- dataplane views ------------------------------------------------------
 
@@ -209,7 +180,6 @@ class SuperFERuntime:
         """Add a match-action rule at runtime; applies to subsequent
         packets only (as a table write would)."""
         pred = Predicate.parse(predicate)
-        from repro.core.compiler import FILTERABLE_FIELDS
         for cond in pred.conditions:
             if cond.field not in FILTERABLE_FIELDS:
                 raise PolicyError(
@@ -229,9 +199,12 @@ class SuperFERuntime:
         ``faults`` stage disappear, surfaced by ``counter_delta`` as a
         ``faults.removed`` marker)."""
         final = self.drain()
+        # The live cache config carries over (a retuned aging T
+        # survives the swap); everything else is the deployment's own.
+        changes = {"mgpv_config": self.mgpv_config}
         if fault_plan is not _KEEP:
-            self._fault_plan = fault_plan
-        self._install(new_policy, self.mgpv_config)
+            changes["fault_plan"] = fault_plan
+        self._install(self._extractor._twin(new_policy, **changes))
         self._poller.reset()
         return final
 

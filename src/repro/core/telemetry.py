@@ -507,13 +507,18 @@ class Tracer:
         """True when spans are being collected at all."""
         return self.stride >= 1
 
-    def should_sample(self) -> bool:
-        """Deterministic stride sampler for per-packet call sites."""
+    def should_sample(self, n: int = 1) -> bool:
+        """Deterministic stride sampler: True when the next ``n``
+        packets include a stride boundary.  Per-packet call sites ask
+        with ``n=1`` (every ``stride``-th packet is sampled); columnar
+        call sites ask once per batch with its length, so a batch is
+        sampled exactly when a per-packet sampler would have picked
+        one of its packets."""
         if not self.stride:
             return False
-        self._tick += 1
+        self._tick += n
         if self._tick >= self.stride:
-            self._tick = 0
+            self._tick %= self.stride
             return True
         return False
 

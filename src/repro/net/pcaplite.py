@@ -173,7 +173,7 @@ def read_batches(path: str, batch_size: int = 4096
     ``batch_size`` packets (the last may be shorter; non-IPv4 records
     are skipped).  Frames go straight into structured-array rows — no
     intermediate :class:`Packet` objects — so a capture can feed
-    ``Extractor.run``/``stream`` on the columnar dataplane tier
+    ``Extractor.run``/``stream`` on the columnar dataplane path
     end to end.
     """
     if batch_size < 1:

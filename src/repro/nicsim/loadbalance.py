@@ -135,7 +135,7 @@ class NICCluster:
             raise TypeError(f"unknown event {event!r}")
 
     def consume_batch(self, events) -> None:
-        """Route a whole delivered event slice (dataplane batch tier):
+        """Route a whole delivered event slice (dataplane columnar path):
         events partition per engine in arrival order and each engine
         reduces its subsequence as one columnar block.  Routing is
         per-event exactly as :meth:`consume`; engines hold disjoint

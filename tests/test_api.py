@@ -1,16 +1,11 @@
 """repro.api — the single entry point: compile() configuration
-resolution, the Extractor surface (run/stream/baseline/deploy), and the
-deprecation shims on the old direct-construction classes."""
+resolution and the Extractor surface (run/stream/baseline/deploy)."""
 
 import numpy as np
 import pytest
 
 import repro.api as api
-from repro.core.deprecation import reset_warned
 from repro.core.parallel import ExecutionConfig
-from repro.core.pipeline import SuperFE
-from repro.core.runtime import SuperFERuntime
-from repro.core.software import SoftwareExtractor
 from repro.core.policy import pktstream
 from repro.net.trace import generate_trace
 
@@ -51,12 +46,12 @@ class TestCompile:
 
     def test_workers_imply_process_backend(self, policy):
         ex = api.compile(policy, n_nics=2, workers=2)
-        assert ex._impl.execution.backend == "process"
+        assert ex._build["execution"].backend == "process"
 
     def test_explicit_execution_config(self, policy):
         cfg = ExecutionConfig(workers=2, backend="thread")
         ex = api.compile(policy, n_nics=2, execution=cfg)
-        assert ex._impl.execution is cfg
+        assert ex._build["execution"] is cfg
 
     def test_execution_and_workers_conflict(self, policy):
         with pytest.raises(ValueError, match="not both"):
@@ -115,6 +110,23 @@ class TestExtractor:
         runtime = api.compile(policy).deploy()
         runtime.process(packets)
         assert len(runtime.drain()) > 0
+
+    def test_deploy_carries_every_knob(self, packets):
+        """deploy() builds from the extractor's own arguments — the
+        solved placement included, so the runtime's group tables sit in
+        the same memory levels (same access cycles) as a one-shot run."""
+        ex = api.compile(pktstream().groupby("flow")
+                         .reduce("size", ["f_sum", "f_max"])
+                         .collect("flow"))
+        runtime = ex.deploy()
+        runtime.process(packets)
+        runtime.drain()
+
+        def cycles(engine):
+            return {name: stats.access_cycles
+                    for name, stats in engine.table_stats().items()}
+
+        assert cycles(runtime.engine) == cycles(ex.run(packets).engine)
 
     def test_software_has_no_deploy(self, policy):
         with pytest.raises(ValueError, match="no runtime"):
@@ -235,39 +247,3 @@ class TestStreamIngestion:
             pass
         second = ex.health()["ingest"]
         assert first["packets_in"] == second["packets_in"]
-
-
-class TestDeprecationShims:
-    @pytest.fixture(autouse=True)
-    def _fresh_warn_registry(self):
-        reset_warned()
-        yield
-        reset_warned()
-
-    def test_superfe_direct_construction_warns(self, policy):
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            SuperFE(policy)
-
-    def test_software_direct_construction_warns(self, policy):
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            SoftwareExtractor(policy)
-
-    def test_runtime_direct_construction_warns(self, policy):
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            SuperFERuntime(policy)
-
-    def test_warns_once_per_class(self, policy, recwarn):
-        with pytest.warns(DeprecationWarning, match="SuperFE"):
-            SuperFE(policy)
-        recwarn.clear()
-        SuperFE(policy)     # second construction: already warned
-        assert not [w for w in recwarn
-                    if issubclass(w.category, DeprecationWarning)]
-        # ...but a different class still gets its own warning.
-        with pytest.warns(DeprecationWarning, match="SoftwareExtractor"):
-            SoftwareExtractor(policy)
-
-    def test_deprecated_path_still_works(self, policy, packets):
-        with pytest.warns(DeprecationWarning):
-            fe = SuperFE(policy)
-        assert len(fe.run(packets).vectors) > 0

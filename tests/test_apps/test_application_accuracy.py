@@ -5,6 +5,7 @@ detector do its job."""
 import numpy as np
 import pytest
 
+import repro.api as api
 from repro.apps import build_policy
 from repro.apps.detectors import (
     DecisionTree,
@@ -13,7 +14,6 @@ from repro.apps.detectors import (
     precision_recall_f1,
 )
 from repro.apps.policies import direction_sequence_policy
-from repro.core.pipeline import SuperFE
 from repro.net.scenarios import (
     covert_channel_scenario,
     p2p_botnet_scenario,
@@ -25,7 +25,7 @@ def _wf_dataset(policy, visits):
     features, labels = [], []
     packets = [p for visit in visits for p in visit.packets]
     by_key = {tuple(v.key): v.values
-              for v in SuperFE(policy).run(packets).vectors}
+              for v in api.compile(policy).run(packets).vectors}
     for visit in visits:
         ft = visit.packets[0].flow_key
         key = (ft.src_ip, ft.dst_ip, ft.src_port, ft.dst_port, ft.proto)
@@ -72,7 +72,7 @@ class TestCovertChannel:
             key = (ft.src_ip, ft.dst_ip, ft.src_port, ft.dst_port,
                    ft.proto)
             flow_label[key] = max(flow_label.get(key, 0), int(lab))
-        result = SuperFE(build_policy("NPOD")).run(scenario.packets)
+        result = api.compile(build_policy("NPOD")).run(scenario.packets)
         x = np.vstack([v.values for v in result.vectors])
         y = np.asarray([flow_label[tuple(v.key)]
                         for v in result.vectors])
@@ -88,7 +88,7 @@ class TestBotnet:
         scenario = p2p_botnet_scenario(seed=8, n_benign_flows=200,
                                        n_bots=10)
         bots = set(scenario.meta["bots"])
-        result = SuperFE(build_policy("PeerShark")).run(scenario.packets)
+        result = api.compile(build_policy("PeerShark")).run(scenario.packets)
         x = np.vstack([v.values for v in result.vectors])
         y = np.asarray([1 if v.key[0] in bots and v.key[1] in bots
                         else 0 for v in result.vectors])

@@ -4,9 +4,9 @@ remaining scripted fault kinds, and the issue's acceptance scenario."""
 import numpy as np
 import pytest
 
+import repro.api as api
 from repro.core.dataplane import LinkConfig
 from repro.core.faults import FaultAction, FaultPlan
-from repro.core.pipeline import SuperFE
 
 pytestmark = pytest.mark.chaos
 
@@ -17,8 +17,8 @@ class TestFaultFreeEquivalence:
         """No FaultPlan vs empty FaultPlan with the default lossless
         LinkConfig: identical vectors and identical Fig 12 link-byte
         accounting."""
-        plain = SuperFE(flow_policy).run(enterprise_trace)
-        planned = SuperFE(flow_policy,
+        plain = api.compile(flow_policy).run(enterprise_trace)
+        planned = api.compile(flow_policy,
                           fault_plan=FaultPlan()).run(enterprise_trace)
 
         assert plain.by_key().keys() == planned.by_key().keys()
@@ -38,8 +38,8 @@ class TestFaultFreeEquivalence:
 
     def test_retransmit_knobs_inert_without_loss(self, flow_policy,
                                                  enterprise_trace):
-        base = SuperFE(flow_policy).run(enterprise_trace)
-        armed = SuperFE(flow_policy, link_config=LinkConfig(
+        base = api.compile(flow_policy).run(enterprise_trace)
+        armed = api.compile(flow_policy, link_config=LinkConfig(
             retransmit_retries=8, retransmit_backoff_ns=500.0)) \
             .run(enterprise_trace)
         assert armed.dataplane.link.retransmit_requests == 0
@@ -48,8 +48,8 @@ class TestFaultFreeEquivalence:
 
     def test_cluster_empty_plan_equivalent(self, flow_policy,
                                            enterprise_trace):
-        plain = SuperFE(flow_policy, n_nics=3).run(enterprise_trace)
-        planned = SuperFE(flow_policy, n_nics=3,
+        plain = api.compile(flow_policy, n_nics=3).run(enterprise_trace)
+        planned = api.compile(flow_policy, n_nics=3,
                           fault_plan=FaultPlan()).run(enterprise_trace)
         assert plain.by_key().keys() == planned.by_key().keys()
         assert not any(v.degraded for v in planned.vectors)
@@ -62,10 +62,10 @@ class TestOtherFaultKinds:
         plan = FaultPlan(actions=(
             FaultAction(kind="mgpv_squeeze", at_packet=0,
                         keep_fraction=0.0),))
-        squeezed = SuperFE(flow_policy,
+        squeezed = api.compile(flow_policy,
                            fault_plan=plan).run(enterprise_trace)
         chaos_dump(squeezed.dataplane.counters())
-        clean = SuperFE(flow_policy).run(enterprise_trace)
+        clean = api.compile(flow_policy).run(enterprise_trace)
         assert clean.switch_stats.long_allocs > 0
         assert squeezed.switch_stats.long_allocs == 0
         # Pressure, not loss: the flows still come out the other end.
@@ -76,7 +76,7 @@ class TestOtherFaultKinds:
         plan = FaultPlan(actions=(
             FaultAction(kind="mgpv_squeeze", at_packet=0,
                         until_packet=100, keep_fraction=0.0),))
-        result = SuperFE(flow_policy,
+        result = api.compile(flow_policy,
                          fault_plan=plan).run(enterprise_trace)
         faults = result.dataplane.counters()["faults"]
         assert faults["applied"] == {"mgpv_squeeze": 1}
@@ -91,7 +91,7 @@ class TestOtherFaultKinds:
             FaultAction(kind="queue_clamp", at_packet=0,
                         until_packet=400, capacity=1),))
         cfg = LinkConfig(batch_records=8, batch_header_bytes=16)
-        result = SuperFE(flow_policy, link_config=cfg,
+        result = api.compile(flow_policy, link_config=cfg,
                          fault_plan=plan).run(enterprise_trace)
         chaos_dump(result.dataplane.counters())
         link = result.dataplane.link
@@ -115,7 +115,7 @@ class TestAcceptanceScenario:
         ))
         cfg = LinkConfig(retransmit_retries=self.RETRIES,
                          retransmit_backoff_ns=200.0)
-        return SuperFE(flow_policy, n_nics=3, mgpv_config=small_mgpv,
+        return api.compile(flow_policy, n_nics=3, mgpv_config=small_mgpv,
                        link_config=cfg, fault_plan=plan).run(trace)
 
     def test_zero_silently_lost_flows(self, flow_policy,
@@ -123,7 +123,7 @@ class TestAcceptanceScenario:
                                       chaos_dump):
         chaos = self._run(flow_policy, enterprise_trace, small_mgpv)
         chaos_dump(chaos.dataplane.counters())
-        clean = SuperFE(flow_policy, n_nics=3,
+        clean = api.compile(flow_policy, n_nics=3,
                         mgpv_config=small_mgpv).run(enterprise_trace)
 
         # Every flow of the clean run is accounted for: recovered with

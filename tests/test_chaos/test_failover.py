@@ -3,8 +3,8 @@ resync, residual-state reconciliation, restarts, and the guard rails."""
 
 import pytest
 
+import repro.api as api
 from repro.core.faults import FaultAction, FaultPlan
-from repro.core.pipeline import SuperFE
 from repro.nicsim.loadbalance import NICCluster
 
 pytestmark = pytest.mark.chaos
@@ -23,7 +23,7 @@ class TestFailover:
         """100% of the dead NIC's shard re-routes: the dead engine's
         event counters freeze at the kill point."""
         half = len(enterprise_trace) // 2
-        fe = SuperFE(flow_policy, n_nics=3, mgpv_config=small_mgpv,
+        fe = api.compile(flow_policy, n_nics=3, mgpv_config=small_mgpv,
                      fault_plan=_kill_plan(half))
         dp = fe.dataplane()
         dp.process(enterprise_trace[:half])
@@ -48,10 +48,10 @@ class TestFailover:
         """Every flow of the clean run appears in the chaos run —
         recovered on a survivor or demoted to a degraded vector."""
         half = len(enterprise_trace) // 2
-        chaos = SuperFE(flow_policy, n_nics=3, mgpv_config=small_mgpv,
+        chaos = api.compile(flow_policy, n_nics=3, mgpv_config=small_mgpv,
                         fault_plan=_kill_plan(half)).run(enterprise_trace)
         chaos_dump(chaos.dataplane.counters())
-        clean = SuperFE(flow_policy, n_nics=3,
+        clean = api.compile(flow_policy, n_nics=3,
                         mgpv_config=small_mgpv).run(enterprise_trace)
         assert chaos.by_key().keys() == clean.by_key().keys()
         counters = chaos.dataplane.counters()["cluster"]
@@ -64,7 +64,7 @@ class TestFailover:
             FaultAction(kind="nic_kill", at_packet=third, nic=1),
             FaultAction(kind="nic_restart", at_packet=2 * third, nic=1),
         ))
-        fe = SuperFE(flow_policy, n_nics=3, fault_plan=plan)
+        fe = api.compile(flow_policy, n_nics=3, fault_plan=plan)
         result = fe.run(enterprise_trace)
         cluster = result.dataplane.cluster
         assert cluster.failovers == 1
@@ -80,7 +80,7 @@ class TestFailover:
         half = len(enterprise_trace) // 2
 
         def run():
-            result = SuperFE(flow_policy, n_nics=4,
+            result = api.compile(flow_policy, n_nics=4,
                              fault_plan=_kill_plan(half)) \
                 .run(enterprise_trace)
             return result.dataplane.cluster.cells_per_nic()
@@ -115,6 +115,6 @@ class TestGuards:
                                         enterprise_trace):
         plan = FaultPlan(actions=(
             FaultAction(kind="nic_restart", at_packet=0, nic=1),))
-        fe = SuperFE(flow_policy, n_nics=2, fault_plan=plan)
+        fe = api.compile(flow_policy, n_nics=2, fault_plan=plan)
         with pytest.raises(ValueError, match="already alive"):
             fe.run(enterprise_trace)

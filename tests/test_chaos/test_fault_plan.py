@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import repro.api as api
 from repro.cli import main
 from repro.core.dataplane import Dataplane
 from repro.core.faults import (
@@ -13,7 +14,6 @@ from repro.core.faults import (
     FaultPlan,
     FaultPlanError,
 )
-from repro.core.pipeline import SuperFE
 
 pytestmark = pytest.mark.chaos
 
@@ -108,14 +108,14 @@ class TestInjectorTargets:
     def test_nic_kill_needs_cluster(self, flow_policy, enterprise_trace):
         plan = FaultPlan(actions=(
             FaultAction(kind="nic_kill", at_packet=0, nic=0),))
-        fe = SuperFE(flow_policy, fault_plan=plan)     # n_nics=1
+        fe = api.compile(flow_policy, fault_plan=plan)     # n_nics=1
         with pytest.raises(FaultPlanError, match="n_nics"):
             fe.run(enterprise_trace)
 
     def test_nic_index_bounds(self, flow_policy, enterprise_trace):
         plan = FaultPlan(actions=(
             FaultAction(kind="nic_kill", at_packet=0, nic=5),))
-        fe = SuperFE(flow_policy, n_nics=2, fault_plan=plan)
+        fe = api.compile(flow_policy, n_nics=2, fault_plan=plan)
         with pytest.raises(FaultPlanError, match="cluster"):
             fe.run(enterprise_trace)
 

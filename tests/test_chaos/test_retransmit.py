@@ -4,9 +4,9 @@ recovery accounting, seeded determinism, and the exact orphan oracle."""
 import numpy as np
 import pytest
 
+import repro.api as api
 from repro.core.dataplane import Dataplane, LinkConfig, SwitchNICLink
 from repro.core.faults import FaultAction, FaultPlan
-from repro.core.pipeline import SuperFE
 from repro.switchsim.mgpv import FGSync, MGPVRecord
 
 pytestmark = pytest.mark.chaos
@@ -86,7 +86,7 @@ class TestRecoveryEndToEnd:
     def test_recovered_syncs_leave_no_orphans(self, flow_policy,
                                               enterprise_trace,
                                               chaos_dump):
-        result = SuperFE(flow_policy,
+        result = api.compile(flow_policy,
                          link_config=self.CFG).run(enterprise_trace)
         chaos_dump(result.dataplane.counters())
         link = result.dataplane.link
@@ -102,7 +102,7 @@ class TestRecoveryEndToEnd:
         assert link.seqs_lost == 0
         assert result.dataplane.engine.stats.orphan_cells == 0
 
-        clean = SuperFE(flow_policy).run(enterprise_trace)
+        clean = api.compile(flow_policy).run(enterprise_trace)
         assert result.by_key().keys() == clean.by_key().keys()
         for key, values in clean.by_key().items():
             np.testing.assert_allclose(result.by_key()[key], values)
@@ -115,7 +115,7 @@ class TestRecoveryEndToEnd:
         orphans its cells, and every orphan is demoted (zero silently
         lost), flagged on the emitted vector."""
         cfg = LinkConfig(drop_rate=0.3, drop_kind="sync", seed=3)
-        result = SuperFE(flow_policy, link_config=cfg) \
+        result = api.compile(flow_policy, link_config=cfg) \
             .run(enterprise_trace)
         chaos_dump(result.dataplane.counters())
         link = result.dataplane.link
@@ -128,7 +128,7 @@ class TestRecoveryEndToEnd:
                                       + stats.unrecoverable_cells)
         assert any(v.degraded for v in result.vectors)
         # No flow disappears: sync loss costs granularity, not groups.
-        clean = SuperFE(flow_policy).run(enterprise_trace)
+        clean = api.compile(flow_policy).run(enterprise_trace)
         assert result.by_key().keys() == clean.by_key().keys()
 
     def test_orphan_accounting_exact(self, flow_policy,
@@ -172,7 +172,7 @@ class TestDeterminism:
                         until_packet=600, rate=0.3, drop_kind="sync"),))
 
         def run():
-            return SuperFE(flow_policy, link_config=cfg,
+            return api.compile(flow_policy, link_config=cfg,
                            fault_plan=plan).run(enterprise_trace)
 
         a, b = run(), run()
@@ -189,7 +189,7 @@ class TestDeterminism:
             plan = FaultPlan(seed=seed, actions=(
                 FaultAction(kind="link_loss", at_packet=0, rate=0.2,
                             drop_kind="any"),))
-            fe = SuperFE(flow_policy, fault_plan=plan)
+            fe = api.compile(flow_policy, fault_plan=plan)
             return fe.run(enterprise_trace).dataplane.link.drops_fault
 
         assert run(1) != run(2)

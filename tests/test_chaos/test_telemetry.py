@@ -7,9 +7,9 @@ import os
 import numpy as np
 import pytest
 
+import repro.api as api
 from repro.core.dataplane import LinkConfig
 from repro.core.faults import FaultAction, FaultPlan
-from repro.core.pipeline import SuperFE
 from repro.core.telemetry import (
     Telemetry,
     TelemetryConfig,
@@ -32,7 +32,7 @@ def run_acceptance(flow_policy, trace, small_mgpv, telemetry=None):
     ))
     cfg = LinkConfig(retransmit_retries=RETRIES,
                      retransmit_backoff_ns=200.0)
-    return SuperFE(flow_policy, n_nics=3, mgpv_config=small_mgpv,
+    return api.compile(flow_policy, n_nics=3, mgpv_config=small_mgpv,
                    link_config=cfg, fault_plan=plan,
                    telemetry=telemetry).run(trace)
 

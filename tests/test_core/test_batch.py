@@ -4,9 +4,9 @@ rejection of unsupported policies."""
 import numpy as np
 import pytest
 
+import repro.api as api
 from repro.core.batch import BatchExtractor, UnsupportedPolicy
 from repro.core.policy import pktstream
-from repro.core.software import SoftwareExtractor
 from repro.net.trace import generate_trace
 
 
@@ -30,7 +30,7 @@ def packets():
 class TestExactness:
     def test_matches_software_reference(self, packets):
         batch = BatchExtractor(stats_policy()).run(packets)
-        ref = SoftwareExtractor(stats_policy()).run(packets)
+        ref = api.compile(stats_policy(), software=True).run(packets)
         batch_map, ref_map = batch.by_key(), ref.by_key()
         assert batch_map.keys() == ref_map.keys()
         for key in ref_map:
@@ -42,7 +42,7 @@ class TestExactness:
         policy = (pktstream().groupby(gran)
                   .reduce("size", ["f_sum", "f_max"]).collect(gran))
         batch = BatchExtractor(policy).run(packets).by_key()
-        ref = SoftwareExtractor(policy).run(packets).by_key()
+        ref = api.compile(policy, software=True).run(packets).by_key()
         assert batch.keys() == ref.keys()
         for key in ref:
             assert np.allclose(batch[key], ref[key])
@@ -52,7 +52,7 @@ class TestExactness:
                   .map("signed", "size", "f_direction")
                   .reduce("signed", ["f_sum"]).collect("flow"))
         batch = BatchExtractor(policy).run(packets).by_key()
-        ref = SoftwareExtractor(policy).run(packets).by_key()
+        ref = api.compile(policy, software=True).run(packets).by_key()
         for key in ref:
             assert np.allclose(batch[key], ref[key])
 
@@ -106,7 +106,7 @@ class TestPerformance:
         BatchExtractor(policy).run(packets)
         batch_time = time.perf_counter() - t0
         t0 = time.perf_counter()
-        SoftwareExtractor(policy).run(packets)
+        api.compile(policy, software=True).run(packets)
         engine_time = time.perf_counter() - t0
         # Key extraction is per-packet Python either way; the reducer
         # kernels are what vectorize.

@@ -5,6 +5,7 @@ counters, the trace hook, and multi-NIC pipeline equivalence."""
 import numpy as np
 import pytest
 
+import repro.api as api
 from repro.core.dataplane import Dataplane, LinkConfig, SwitchNICLink
 from repro.core.observe import (
     DeltaPoller,
@@ -12,7 +13,6 @@ from repro.core.observe import (
     degradation_report,
     render_counters,
 )
-from repro.core.pipeline import SuperFE
 from repro.core.policy import pktstream
 from repro.net.trace import generate_trace
 from repro.switchsim.mgpv import FGSync, MGPVRecord
@@ -36,8 +36,8 @@ def packets():
 
 
 def run_dataplane(policy, packets, **build_kwargs):
-    fe = SuperFE(policy)
-    dataplane = Dataplane.build(fe.compiled, ctx=fe.ctx, **build_kwargs)
+    fe = api.compile(policy)
+    dataplane = Dataplane.build(fe.compiled, ctx=fe._build["ctx"], **build_kwargs)
     dataplane.process(packets)
     vectors = dataplane.flush()
     return dataplane, vectors
@@ -47,7 +47,7 @@ class TestWiring:
     def test_single_engine_matches_superfe_run(self, packets):
         """The composed graph is exactly what SuperFE.run executes."""
         dataplane, vectors = run_dataplane(flow_policy(), packets)
-        reference = SuperFE(flow_policy()).run(packets)
+        reference = api.compile(flow_policy()).run(packets)
         got = {tuple(v.key): v.values for v in vectors}
         want = reference.by_key()
         assert got.keys() == {tuple(k) for k in want.keys()}
@@ -198,7 +198,7 @@ class TestSwitchNICLink:
             LinkConfig(retransmit_request_bytes=-1)
 
     def test_unattached_link_reports_zero_ratio(self):
-        link = SwitchNICLink(SuperFE(flow_policy()).mgpv_config)
+        link = SwitchNICLink(api.compile(flow_policy()).mgpv_config)
         assert link.aggregation_ratio_bytes == 0.0
         assert link.aggregation_ratio_rate == 0.0
 
@@ -209,8 +209,8 @@ class TestMultiNICEquivalence:
 
     @pytest.mark.parametrize("n_nics", [1, 2, 3, 4])
     def test_cluster_matches_single_engine(self, packets, n_nics):
-        single = SuperFE(multi_gran_policy()).run(packets)
-        cluster = SuperFE(multi_gran_policy(), n_nics=n_nics).run(packets)
+        single = api.compile(multi_gran_policy()).run(packets)
+        cluster = api.compile(multi_gran_policy(), n_nics=n_nics).run(packets)
         want = {tuple(k): v for k, v in single.by_key().items()}
         got = {tuple(k): v for k, v in cluster.by_key().items()}
         assert want.keys() == got.keys()
@@ -218,7 +218,7 @@ class TestMultiNICEquivalence:
             assert np.array_equal(want[key], got[key])
 
     def test_load_balanced_within_tolerance(self, packets):
-        result = SuperFE(multi_gran_policy(), n_nics=4).run(packets)
+        result = api.compile(multi_gran_policy(), n_nics=4).run(packets)
         cluster = result.engine
         loads = cluster.cells_per_nic()
         mean = sum(loads) / len(loads)
@@ -226,7 +226,7 @@ class TestMultiNICEquivalence:
         assert all(load > 0.35 * mean for load in loads)
 
     def test_cluster_counters_exported(self, packets):
-        result = SuperFE(multi_gran_policy(), n_nics=2).run(packets)
+        result = api.compile(multi_gran_policy(), n_nics=2).run(packets)
         counters = result.dataplane.counters()
         assert counters["cluster"]["n_nics"] == 2
         assert set(counters["cluster"]["cells_per_nic"]) == {"0", "1"}

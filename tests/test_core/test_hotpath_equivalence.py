@@ -9,7 +9,7 @@ between the two — for randomly composed policies, on all three
 execution backends, and under a ``nic_kill`` chaos schedule.
 
 The flag is read when the pipeline stages are constructed, which
-``SuperFE.run`` does per call — so the oracle's environment window
+``Extractor.run`` does per call — so the oracle's environment window
 covers the whole compile+run.
 """
 

@@ -4,8 +4,8 @@ extraction across chains."""
 import numpy as np
 import pytest
 
+import repro.api as api
 from repro.core.multichain import MultiChainSuperFE, partition_policy
-from repro.core.pipeline import SuperFE
 from repro.core.policy import pktstream
 from repro.net.trace import generate_trace
 
@@ -76,7 +76,7 @@ class TestEndToEnd:
         combined = fe.run(packets)
         for sub_policy, sub_result in zip(fe.sub_policies,
                                           combined.results):
-            solo = SuperFE(sub_policy).run(packets)
+            solo = api.compile(sub_policy).run(packets)
             assert solo.by_key().keys() == sub_result.by_key().keys()
             for key, vec in solo.by_key().items():
                 assert np.array_equal(vec, sub_result.by_key()[key])

@@ -4,14 +4,14 @@ handling, and the hardware path's error bounds."""
 import numpy as np
 import pytest
 
-from repro import SuperFE, pktstream
-from repro.core.software import SoftwareExtractor
+import repro.api as api
+from repro import pktstream
 from repro.net.trace import generate_trace
 
 
 def compare_hw_sw(policy, packets, rel_tol=0.02):
-    hw = SuperFE(policy).run(packets)
-    sw = SoftwareExtractor(policy).run(packets)
+    hw = api.compile(policy).run(packets)
+    sw = api.compile(policy, software=True).run(packets)
     hw_map, sw_map = hw.by_key(), sw.by_key()
     assert set(hw_map) == set(sw_map)
     for key in sw_map:
@@ -34,8 +34,8 @@ class TestEquivalence:
                   .reduce("ipt", ["ft_hist{1000000, 32}"])
                   .reduce("size", ["ft_hist{100, 16}"])
                   .collect("flow"))
-        hw = SuperFE(policy).run(enterprise_trace)
-        sw = SoftwareExtractor(policy).run(enterprise_trace)
+        hw = api.compile(policy).run(enterprise_trace)
+        sw = api.compile(policy, software=True).run(enterprise_trace)
         hw_map, sw_map = hw.by_key(), sw.by_key()
         assert set(hw_map) == set(sw_map)
         for key in sw_map:
@@ -58,15 +58,15 @@ class TestEquivalence:
                   .reduce("size", ["f_sum"]).collect("pkt")
                   .groupby("socket")
                   .reduce("size", ["f_sum"]).collect("pkt"))
-        hw = SuperFE(policy).run(campus_trace)
-        sw = SoftwareExtractor(policy).run(campus_trace)
+        hw = api.compile(policy).run(campus_trace)
+        sw = api.compile(policy, software=True).run(campus_trace)
         # Per-packet vectors: same count, and per-group sequences match.
         assert hw.engine.stats.cells == sw.engine.stats.cells
 
 
 class TestResultHandling:
     def test_to_matrix(self, basic_flow_policy, enterprise_trace):
-        result = SuperFE(basic_flow_policy).run(enterprise_trace)
+        result = api.compile(basic_flow_policy).run(enterprise_trace)
         mat = result.to_matrix()
         assert mat.shape == (len(result), 9)
         assert list(result.feature_names)[0] == "f_sum(one)"
@@ -74,12 +74,12 @@ class TestResultHandling:
     def test_to_matrix_varying_width_raises(self, enterprise_trace):
         policy = (pktstream().groupby("flow")
                   .reduce("size", ["f_array"]).collect("flow"))
-        result = SuperFE(policy).run(enterprise_trace[:500])
+        result = api.compile(policy).run(enterprise_trace[:500])
         with pytest.raises(ValueError, match="varying widths"):
             result.to_matrix()
 
     def test_empty_input(self, basic_flow_policy):
-        result = SuperFE(basic_flow_policy).run([])
+        result = api.compile(basic_flow_policy).run([])
         assert len(result) == 0
         # Empty results keep the feature dimension so they compose with
         # detector code expecting (n, d) input.
@@ -88,41 +88,41 @@ class TestResultHandling:
     def test_filter_drops_everything(self, basic_flow_policy):
         udp_only = [p for p in generate_trace("ENTERPRISE", 50, seed=1)
                     if p.is_udp]
-        result = SuperFE(basic_flow_policy).run(udp_only)
+        result = api.compile(basic_flow_policy).run(udp_only)
         assert len(result) == 0
 
 
 class TestConfiguration:
     def test_mgpv_config_derived_from_policy(self, basic_flow_policy):
-        fe = SuperFE(basic_flow_policy)
+        fe = api.compile(basic_flow_policy)
         assert fe.mgpv_config.cell_bytes == \
             fe.compiled.metadata_bytes_per_pkt
         assert fe.mgpv_config.fg_key_bytes == 13
 
     def test_placement_solved(self, basic_flow_policy):
-        fe = SuperFE(basic_flow_policy)
-        assert fe.placement is not None
-        assert set(fe.placement.placement) == set(
+        fe = api.compile(basic_flow_policy)
+        assert fe._build["placement"] is not None
+        assert set(fe._build["placement"].placement) == set(
             f.name for s in fe.compiled.sections for f in s.features)
 
     def test_division_free_toggle(self, basic_flow_policy,
                                   enterprise_trace):
-        exact = SuperFE(basic_flow_policy, division_free=False)
-        sw = SoftwareExtractor(basic_flow_policy)
+        exact = api.compile(basic_flow_policy, division_free=False)
+        sw = api.compile(basic_flow_policy, software=True)
         hw_map = exact.run(enterprise_trace).by_key()
         sw_map = sw.run(enterprise_trace).by_key()
         for key in sw_map:
             assert np.allclose(hw_map[key], sw_map[key], rtol=1e-12)
 
     def test_manifests(self, basic_flow_policy):
-        switch, nic = SuperFE(basic_flow_policy).manifests()
+        switch, nic = api.compile(basic_flow_policy).manifests()
         assert "FE-Switch" in switch and "FE-NIC" in nic
 
 
 class TestAggregation:
     def test_switch_reduces_traffic(self, basic_flow_policy,
                                     enterprise_trace):
-        result = SuperFE(basic_flow_policy).run(enterprise_trace)
+        result = api.compile(basic_flow_policy).run(enterprise_trace)
         # Fig 12's headline: >80% reduction.
         assert result.switch_stats.aggregation_ratio_bytes < 0.2
         assert result.switch_stats.aggregation_ratio_rate < 1.0

@@ -4,10 +4,9 @@ reconfiguration, hot swap."""
 import numpy as np
 import pytest
 
+import repro.api as api
 from repro.core.compiler import PolicyError
-from repro.core.pipeline import SuperFE
 from repro.core.policy import pktstream
-from repro.core.runtime import SuperFERuntime
 from repro.net.trace import generate_trace
 
 
@@ -28,18 +27,18 @@ def packets():
 
 class TestIncremental:
     def test_batched_equals_oneshot(self, packets):
-        runtime = SuperFERuntime(flow_policy())
+        runtime = api.compile(flow_policy()).deploy()
         for start in range(0, len(packets), 100):
             runtime.process(packets[start:start + 100])
         incremental = {tuple(v.key): v.values
                        for v in runtime.drain()}
-        oneshot = SuperFE(flow_policy()).run(packets).by_key()
+        oneshot = api.compile(flow_policy()).run(packets).by_key()
         assert incremental.keys() == oneshot.keys()
         for key in oneshot:
             assert np.array_equal(incremental[key], oneshot[key])
 
     def test_per_packet_vectors_returned_per_batch(self, packets):
-        runtime = SuperFERuntime(pkt_policy())
+        runtime = api.compile(pkt_policy()).deploy()
         total = 0
         for start in range(0, 400, 100):
             vectors = runtime.process(packets[start:start + 100])
@@ -50,7 +49,7 @@ class TestIncremental:
         runtime.drain()
 
     def test_snapshot_non_destructive(self, packets):
-        runtime = SuperFERuntime(flow_policy())
+        runtime = api.compile(flow_policy()).deploy()
         runtime.process(packets[:300])
         a = runtime.snapshot()
         b = runtime.snapshot()
@@ -60,7 +59,7 @@ class TestIncremental:
 
 class TestControlPlane:
     def test_poll_counters_deltas(self, packets):
-        runtime = SuperFERuntime(flow_policy())
+        runtime = api.compile(flow_policy()).deploy()
         runtime.process(packets[:200])
         first = runtime.poll_counters()
         assert first.pkts_in > 0
@@ -71,7 +70,7 @@ class TestControlPlane:
         assert 0 < third.pkts_in <= 60
 
     def test_live_aging_retune(self, packets):
-        runtime = SuperFERuntime(flow_policy())
+        runtime = api.compile(flow_policy()).deploy()
         runtime.process(packets[:100])
         runtime.set_aging_timeout(1_000)     # aggressive
         runtime.process(packets[100:])
@@ -81,7 +80,7 @@ class TestControlPlane:
         runtime.set_aging_timeout(None)      # disable again
 
     def test_install_filter_at_runtime(self, packets):
-        runtime = SuperFERuntime(flow_policy())
+        runtime = api.compile(flow_policy()).deploy()
         runtime.process(packets[:100])
         before = runtime.filter_stage.misses
         runtime.install_filter("size > 100000")    # drops everything
@@ -90,7 +89,7 @@ class TestControlPlane:
         assert runtime.poll_counters().pkts_in < 200
 
     def test_install_invalid_filter(self):
-        runtime = SuperFERuntime(flow_policy())
+        runtime = api.compile(flow_policy()).deploy()
         with pytest.raises(PolicyError):
             runtime.install_filter("payload == 1")
 
@@ -101,7 +100,7 @@ class TestCountersViaObserve:
     CounterSnapshot arithmetic it replaced."""
 
     def test_deltas_sum_to_absolutes(self, packets):
-        runtime = SuperFERuntime(flow_policy())
+        runtime = api.compile(flow_policy()).deploy()
         polled = []
         for start in range(0, 600, 200):
             runtime.process(packets[start:start + 200])
@@ -114,7 +113,7 @@ class TestCountersViaObserve:
             runtime.engine.stats.cells
 
     def test_eviction_deltas_are_per_reason(self, packets):
-        runtime = SuperFERuntime(flow_policy())
+        runtime = api.compile(flow_policy()).deploy()
         runtime.set_aging_timeout(1_000)
         runtime.process(packets[:300])
         first = runtime.poll_counters()
@@ -126,7 +125,7 @@ class TestCountersViaObserve:
                 == total[reason]
 
     def test_counters_sourced_from_link_stage(self, packets):
-        runtime = SuperFERuntime(flow_policy())
+        runtime = api.compile(flow_policy()).deploy()
         runtime.process(packets[:300])
         runtime.drain()
         snap = runtime.poll_counters()
@@ -137,7 +136,7 @@ class TestCountersViaObserve:
 
 class TestHotSwap:
     def test_swap_emits_final_vectors_and_installs(self, packets):
-        runtime = SuperFERuntime(flow_policy())
+        runtime = api.compile(flow_policy()).deploy()
         runtime.process(packets[:400])
         final = runtime.hot_swap(pkt_policy())
         assert len(final) > 10
@@ -150,18 +149,18 @@ class TestHotSwap:
     def test_swap_drains_exactly_the_old_policy_vectors(self, packets):
         """The swap's final vectors are the old deployment's complete
         output: identical to a one-shot run of the old policy."""
-        runtime = SuperFERuntime(flow_policy())
+        runtime = api.compile(flow_policy()).deploy()
         for start in range(0, len(packets), 150):
             runtime.process(packets[start:start + 150])
         final = {tuple(v.key): v.values
                  for v in runtime.hot_swap(pkt_policy())}
-        oneshot = SuperFE(flow_policy()).run(packets).by_key()
+        oneshot = api.compile(flow_policy()).run(packets).by_key()
         assert final.keys() == {tuple(k) for k in oneshot}
         for key, values in oneshot.items():
             assert np.array_equal(final[tuple(key)], values)
 
     def test_counters_reset_across_swap(self, packets):
-        runtime = SuperFERuntime(flow_policy())
+        runtime = api.compile(flow_policy()).deploy()
         runtime.process(packets[:200])
         runtime.hot_swap(pkt_policy())
         fresh = runtime.poll_counters()
@@ -174,7 +173,7 @@ class TestHotSwap:
         assert 0 < after.pkts_in <= 60
 
     def test_result_view(self, packets):
-        runtime = SuperFERuntime(flow_policy())
+        runtime = api.compile(flow_policy()).deploy()
         runtime.process(packets[:200])
         result = runtime.result()
         assert result.feature_names == ["f_sum(size)", "f_max(size)"]
@@ -191,7 +190,7 @@ class TestSwapObservability:
 
         plan = FaultPlan(actions=(
             FaultAction(kind="queue_clamp", at_packet=0, capacity=64),))
-        runtime = SuperFERuntime(flow_policy(), fault_plan=plan)
+        runtime = api.compile(flow_policy(), fault_plan=plan).deploy()
         runtime.process(packets[:200])
         poller = DeltaPoller(lambda: runtime.dataplane.counters())
         first = poller.poll()
@@ -208,7 +207,7 @@ class TestSwapObservability:
 
         plan = FaultPlan(actions=(
             FaultAction(kind="queue_clamp", at_packet=0, capacity=64),))
-        runtime = SuperFERuntime(flow_policy(), fault_plan=plan)
+        runtime = api.compile(flow_policy(), fault_plan=plan).deploy()
         runtime.process(packets[:100])
         runtime.hot_swap(pkt_policy())
         runtime.process(packets[100:200])
@@ -219,7 +218,7 @@ class TestSwapObservability:
         from repro.core.telemetry import Telemetry, TelemetryConfig
 
         tel = Telemetry(TelemetryConfig(sample_rate=0.0))
-        runtime = SuperFERuntime(flow_policy(), telemetry=tel)
+        runtime = api.compile(flow_policy(), telemetry=tel).deploy()
         runtime.process(packets[:200])
         before = tel.registry.snapshot()["counters"]["pipeline.packets"]
         runtime.hot_swap(pkt_policy())

@@ -4,8 +4,8 @@ accounting, and FG index stability."""
 import numpy as np
 import pytest
 
+import repro.api as api
 from repro.core.policy import pktstream
-from repro.core.software import SoftwareExtractor
 from repro.net.packet import PROTO_TCP, Packet
 from repro.net.trace import generate_trace
 
@@ -20,7 +20,7 @@ def pkt(t, src=1, dst=2, sport=10, dport=20, size=100):
 
 
 def test_one_record_per_packet():
-    sw = SoftwareExtractor(policy())
+    sw = api.compile(policy(), software=True)
     result = sw.run([pkt(0), pkt(1), pkt(2)])
     assert result.switch_stats.records_out == 3
     assert result.switch_stats.cells_out == 3
@@ -31,7 +31,7 @@ def test_fg_indices_stable_per_key():
     """Unlike the real switch's hash table, the perfect stream never
     reuses an index for a different key — each unique FG key gets its
     own slot forever."""
-    sw = SoftwareExtractor(policy())
+    sw = api.compile(policy(), software=True)
     packets = generate_trace("ENTERPRISE", n_flows=60, seed=2)
     result = sw.run(packets)
     assert result.engine.stats.orphan_cells == 0
@@ -40,9 +40,9 @@ def test_fg_indices_stable_per_key():
 
 
 def test_filter_accounted():
-    sw = SoftwareExtractor(
+    sw = api.compile(
         pktstream().filter("size > 50").groupby("flow")
-        .reduce("size", ["f_sum"]).collect("flow"))
+        .reduce("size", ["f_sum"]).collect("flow"), software=True)
     result = sw.run([pkt(0, size=10), pkt(1, size=100)])
     assert result.switch_stats.pkts_in == 1
     assert len(result) == 1
@@ -52,8 +52,8 @@ def test_division_free_option_changes_arithmetic():
     packets = generate_trace("ENTERPRISE", n_flows=40, seed=3)
     p = (pktstream().groupby("flow")
          .reduce("size", ["f_mean"]).collect("flow"))
-    exact = SoftwareExtractor(p, division_free=False).run(packets)
-    integer = SoftwareExtractor(p, division_free=True).run(packets)
+    exact = api.compile(p, software=True, division_free=False).run(packets)
+    integer = api.compile(p, software=True, division_free=True).run(packets)
     diffs = [abs(exact.by_key()[k][0] - integer.by_key()[k][0])
              for k in exact.by_key()]
     assert max(diffs) <= 1.0            # integer mean within one unit
@@ -63,6 +63,6 @@ def test_division_free_option_changes_arithmetic():
 
 
 def test_empty_stream():
-    result = SoftwareExtractor(policy()).run([])
+    result = api.compile(policy(), software=True).run([])
     assert len(result) == 0
     assert result.switch_stats.pkts_in == 0

@@ -5,9 +5,8 @@ and the system-level invariants hold under stress configurations."""
 import numpy as np
 import pytest
 
+import repro.api as api
 from repro.apps import APP_POLICIES, build_policy
-from repro.core.pipeline import SuperFE
-from repro.core.software import SoftwareExtractor
 from repro.net.trace import generate_trace
 from repro.switchsim.mgpv import MGPVConfig
 
@@ -23,7 +22,7 @@ def trace():
 @pytest.mark.parametrize("app", PER_GROUP_APPS)
 def test_per_group_apps_end_to_end(app, trace):
     spec = APP_POLICIES[app]
-    result = SuperFE(spec.build()).run(trace)
+    result = api.compile(spec.build()).run(trace)
     assert len(result) > 0
     mat = result.to_matrix()
     assert mat.shape[1] == spec.expected_dim
@@ -33,7 +32,7 @@ def test_per_group_apps_end_to_end(app, trace):
 @pytest.mark.parametrize("app", PER_PKT_APPS)
 def test_per_packet_apps_end_to_end(app, trace):
     spec = APP_POLICIES[app]
-    result = SuperFE(spec.build()).run(trace[:800])
+    result = api.compile(spec.build()).run(trace[:800])
     assert len(result.vectors) == result.engine.stats.cells \
         - result.engine.stats.orphan_cells
     assert len(result.vectors[0].values) == spec.expected_dim
@@ -42,8 +41,8 @@ def test_per_packet_apps_end_to_end(app, trace):
 @pytest.mark.parametrize("app", ["NPOD", "PeerShark"])
 def test_hw_matches_sw_per_group(app, trace):
     policy = build_policy(app)
-    hw = SuperFE(policy).run(trace).by_key()
-    sw = SoftwareExtractor(policy).run(trace).by_key()
+    hw = api.compile(policy).run(trace).by_key()
+    sw = api.compile(policy, software=True).run(trace).by_key()
     assert set(hw) == set(sw)
     for key in sw:
         ref, got = sw[key], hw[key]
@@ -55,10 +54,10 @@ def test_tiny_cache_still_correct(trace):
     """Heavy eviction pressure (collisions, no long buffers) must not
     change per-group results — only the batching efficiency."""
     policy = build_policy("NPOD")
-    stressed = SuperFE(policy, mgpv_config=MGPVConfig(
+    stressed = api.compile(policy, mgpv_config=MGPVConfig(
         n_short=32, short_size=2, n_long=2, long_size=4,
         fg_table_size=32))
-    roomy = SuperFE(policy)
+    roomy = api.compile(policy)
     a = stressed.run(trace).by_key()
     b = roomy.run(trace).by_key()
     shared = set(a) & set(b)
@@ -70,8 +69,8 @@ def test_tiny_cache_still_correct(trace):
 def test_amplified_traffic_scales_groups(trace):
     from repro.net.replay import amplify
     policy = build_policy("NPOD")
-    base = SuperFE(policy).run(trace)
-    amped = SuperFE(policy).run(amplify(trace, 3))
+    base = api.compile(policy).run(trace)
+    amped = api.compile(policy).run(amplify(trace, 3))
     assert len(amped) > 2.5 * len(base)
 
 
@@ -80,8 +79,8 @@ def test_kitsune_full_stack_against_reference(trace):
     must track the exact software reference within the paper's 4%."""
     policy = build_policy("Kitsune")
     packets = trace[:600]
-    hw = SuperFE(policy).run(packets)
-    sw = SoftwareExtractor(policy, division_free=False).run(packets)
+    hw = api.compile(policy).run(packets)
+    sw = api.compile(policy, software=True, division_free=False).run(packets)
     hw_by, sw_by = {}, {}
     for v in hw.vectors:
         hw_by.setdefault(tuple(v.key), []).append(v.values)

@@ -13,9 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pipeline import SuperFE
+import repro.api as api
 from repro.core.policy import pktstream
-from repro.core.software import SoftwareExtractor
 from repro.net.trace import generate_trace
 from repro.switchsim.mgpv import MGPVConfig
 
@@ -60,8 +59,8 @@ def packets():
 @settings(max_examples=25, deadline=None)
 def test_hw_sw_equivalence_random_policies(spec, packets):
     policy = build(*spec)
-    hw = SuperFE(policy, division_free=False).run(packets).by_key()
-    sw = SoftwareExtractor(policy).run(packets).by_key()
+    hw = api.compile(policy, division_free=False).run(packets).by_key()
+    sw = api.compile(policy, software=True).run(packets).by_key()
     assert hw.keys() == sw.keys()
     for key in sw:
         assert np.allclose(hw[key], sw[key], rtol=1e-9, atol=1e-6), key
@@ -79,9 +78,9 @@ def test_equivalence_invariant_to_cache_sizing(spec, n_short, n_long,
     policy = build(*spec)
     config = MGPVConfig(n_short=n_short, short_size=2, n_long=n_long,
                         long_size=4, fg_table_size=4096)
-    stressed = SuperFE(policy, mgpv_config=config,
+    stressed = api.compile(policy, mgpv_config=config,
                        division_free=False).run(packets).by_key()
-    reference = SoftwareExtractor(policy).run(packets).by_key()
+    reference = api.compile(policy, software=True).run(packets).by_key()
     shared = set(stressed) & set(reference)
     assert len(shared) >= 0.95 * len(reference)
     for key in shared:
