@@ -20,6 +20,8 @@ Registration is idempotent: :func:`install` may be called repeatedly.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.core.functions import (
@@ -27,6 +29,7 @@ from repro.core.functions import (
     MAP_FNS,
     REDUCE_FNS,
     SYNTH_FNS,
+    declare_shared_accumulator,
     register_map_fn,
     register_reduce_fn,
     register_synth_fn,
@@ -52,16 +55,28 @@ class _DirectionGate:
         return None
 
 
+@lru_cache(maxsize=256)
+def _damped_lam(spec: FnSpec) -> float:
+    """The decay factor of a damped-reducer spec, parsed once per spec
+    instead of once per group instance."""
+    lam = float(spec.kwargs_dict.get("lam", spec.args[0]
+                                     if spec.args else 1.0))
+    if lam < 0:
+        raise ValueError(f"{spec}: decay factor must be non-negative")
+    return lam
+
+
 class _DampedReduce1D:
     """Base for the damped 1D reducers: maintains one decayed-Welford
     state keyed by the member's timestamp (converted to seconds, the unit
     of Kitsune's lambda)."""
 
+    __slots__ = ("_d",)
+
     def __init__(self, spec: FnSpec, ctx) -> None:
-        lam = float(spec.kwargs_dict.get("lam", spec.args[0]
-                                         if spec.args else 1.0))
-        quant = NIC_DECAY_QUANT_BITS if ctx.division_free else None
-        self._d = DampedWelford(lam, decay_quant_bits=quant)
+        self._d = DampedWelford(
+            _damped_lam(spec),
+            NIC_DECAY_QUANT_BITS if ctx.division_free else None)
 
     state_bytes = DampedWelford.state_bytes
 
@@ -70,16 +85,19 @@ class _DampedReduce1D:
 
 
 class _FDw(_DampedReduce1D):
+    __slots__ = ()
     def finalize(self) -> float:
         return self._d.w
 
 
 class _FDmean(_DampedReduce1D):
+    __slots__ = ()
     def finalize(self) -> float:
         return self._d.mean
 
 
 class _FDstd(_DampedReduce1D):
+    __slots__ = ()
     def finalize(self) -> float:
         return self._d.std
 
@@ -87,12 +105,12 @@ class _FDstd(_DampedReduce1D):
 class _DampedReduce2D:
     """Base for the damped 2D reducers over the two directions."""
 
+    __slots__ = ("_d",)
+
     state_bytes = DampedCovariance.state_bytes
 
     def __init__(self, spec: FnSpec, ctx) -> None:
-        lam = float(spec.kwargs_dict.get("lam", spec.args[0]
-                                         if spec.args else 1.0))
-        self._d = DampedCovariance(lam)
+        self._d = DampedCovariance(_damped_lam(spec))
 
     def update(self, value, member) -> None:
         self._d.update(value, member.get("tstamp") / NS_PER_S,
@@ -100,21 +118,25 @@ class _DampedReduce2D:
 
 
 class _FDmag(_DampedReduce2D):
+    __slots__ = ()
     def finalize(self) -> float:
         return self._d.magnitude
 
 
 class _FDradius(_DampedReduce2D):
+    __slots__ = ()
     def finalize(self) -> float:
         return self._d.radius
 
 
 class _FDcov(_DampedReduce2D):
+    __slots__ = ()
     def finalize(self) -> float:
         return self._d.covariance
 
 
 class _FDpcc(_DampedReduce2D):
+    __slots__ = ()
     def finalize(self) -> float:
         return self._d.pcc
 
@@ -163,6 +185,9 @@ def install() -> None:
         register_reduce_fn(
             name, (lambda c: lambda spec, ctx: c(spec, ctx))(cls),
             implicit_fields=fields)
+        # One DampedWelford / DampedCovariance per (source, lam) serves
+        # the whole family (Kitsune: 35 accumulators, not 115).
+        declare_shared_accumulator(cls, "_d")
 
     if "f_cumsum" not in SYNTH_FNS:
         register_synth_fn("f_cumsum", _f_cumsum)

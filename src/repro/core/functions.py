@@ -617,61 +617,51 @@ def make_reduce_factory(spec, ctx: ExecContext | None = None):
     return partial(factory, spec, ctx)
 
 
-#: Builtin reducer families whose whole per-group state is one parameter-
-#: free streaming accumulator fed only by ``update(value)``: every member
-#: of a family over the same source key maintains a bit-identical copy,
-#: so one accumulator can serve them all.  Exact-type keyed — user
-#: registrations (which may override ``update``) never participate.
-_SHARED_STATE_ATTRS: dict[type, str] = {
-    _FMean: "_w", _FVar: "_w", _FStd: "_w",
-    _FSkew: "_m", _FKur: "_m",
-    _FMag: "_b", _FRadius: "_b", _FCov: "_b", _FPcc: "_b",
-}
+#: Reducer class -> attribute holding its one streaming accumulator;
+#: filled only through :func:`declare_shared_accumulator`.
+SHARED_ACCUMULATORS: dict[type, str] = {}
 
 
-def share_reducer_states(reducers) -> set[int]:
-    """Deduplicate redundant streaming accumulators across reducers of
-    one group: given ``(src_key, reducer)`` pairs, rewire every family
-    follower (e.g. ``f_var`` after ``f_mean`` over the same source) onto
-    the leader's accumulator and return the follower ids.  Callers must
-    then drive ``update`` only on the leaders — the followers' finalize
-    reads the shared state.
-    """
-    pools: dict = {}
-    followers: set[int] = set()
-    for src, reducer in reducers:
-        attr = _SHARED_STATE_ATTRS.get(type(reducer))
-        if attr is None:
-            continue
-        inner = getattr(reducer, attr)
-        key = (src, attr, type(inner))
-        leader_state = pools.get(key)
-        if leader_state is None:
-            pools[key] = inner
-        else:
-            setattr(reducer, attr, leader_state)
-            followers.add(id(reducer))
-    return followers
+def declare_shared_accumulator(cls: type, attr: str) -> None:
+    """Declare that ``cls``'s whole per-group state is the streaming
+    accumulator it stores at ``attr``, fed only by ``cls.update``.
+    Declared reducers over one source key whose accumulators have the
+    same type and the same ``params`` tuple (the accumulator must expose
+    one) maintain bit-identical copies, so the engine keeps a single
+    accumulator for them.  Opt-in is per exact class and never
+    inherited: a subclass (which may override ``update``) keeps a
+    private state unless it is declared itself."""
+    SHARED_ACCUMULATORS[cls] = attr
+
+
+for _cls in (_FMean, _FVar, _FStd):
+    declare_shared_accumulator(_cls, "_w")
+for _cls in (_FSkew, _FKur):
+    declare_shared_accumulator(_cls, "_m")
+for _cls in (_FMag, _FRadius, _FCov, _FPcc):
+    declare_shared_accumulator(_cls, "_b")
+for _cls in (_FtHist, _FPdf, _FCdf, _FtPercent):
+    declare_shared_accumulator(_cls, "_h")
 
 
 def reducer_share_plan(reducers) -> tuple:
-    """Index-based twin of :func:`share_reducer_states` for precompiled
-    section plans: probe one ``(src_key, reducer)`` instance list and
-    return ``((follower_idx, leader_idx, attr), ...)`` — valid for every
-    group built from the same factories, so per-group wiring is three
-    attribute operations per follower instead of a type-table walk."""
+    """Probe one section's ``(src_key, reducer)`` instance list and
+    return ``((follower_idx, leader_idx, attr), ...)``: every declared
+    reducer after the first with the same ``(source, attr, accumulator
+    type, accumulator params)`` is a follower of that first one.  The
+    plan holds for every group built from the same factories; callers
+    rewire each follower's ``attr`` onto its leader's accumulator and
+    must then drive ``update`` only on the leaders — the followers'
+    ``finalize`` reads the shared state."""
     pools: dict = {}
     plan = []
     for i, (src, reducer) in enumerate(reducers):
-        attr = _SHARED_STATE_ATTRS.get(type(reducer))
+        attr = SHARED_ACCUMULATORS.get(type(reducer))
         if attr is None:
             continue
         inner = getattr(reducer, attr)
-        key = (src, attr, type(inner))
-        leader = pools.get(key)
-        if leader is None:
-            pools[key] = i
-        else:
+        leader = pools.setdefault((src, attr, type(inner), inner.params), i)
+        if leader != i:
             plan.append((i, leader, attr))
     return tuple(plan)
 

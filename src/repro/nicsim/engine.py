@@ -144,15 +144,13 @@ _MISSING = object()
 _CELLS, _CLOCK = 0, 1
 
 
-def _shell_class(factory, attr: str):
-    """The reducer class behind ``factory`` iff its *entire* per-object
-    state is the single slot ``attr`` (the accumulator the share plan
-    overwrites) — such followers can skip ``__init__`` and be allocated
-    bare, since construction would only build an accumulator the share
-    wiring immediately discards.  None means \"construct normally\"."""
-    cls = factory_class(factory)
-    if cls is None:
-        return None
+def _shell_class(cls: type, attr: str):
+    """``cls`` (a share-plan follower's class) iff its *entire*
+    per-object state is the single slot ``attr`` (the accumulator the
+    share plan overwrites) — such followers can skip ``__init__`` and be
+    allocated bare, since construction would only build an accumulator
+    the share wiring immediately discards.  None means \"construct
+    normally\"."""
     slots: set[str] = set()
     for klass in cls.__mro__:
         s = klass.__dict__.get("__slots__")
@@ -208,13 +206,15 @@ class _SectionPlan:
                 kind = _POS
             reds.append((feat, kind, feat.src, pos,
                          make_reduce_factory(feat.reduce_fn, ctx)))
-        # Family followers (f_var after f_mean over the same source, …)
-        # can share the leader's accumulator; the structure is fixed by
-        # the factories, so probe it once and replay the index-based
-        # wiring per group (reference mode keeps independent copies).
-        self.share_plan = (reducer_share_plan(
-            (feat.src, factory()) for feat, _k, _s, _p, factory in reds)
-            if share_states else ())
+        # Followers of a declared family (f_var after f_mean, f_dstd
+        # after f_dw with the same lam, … over the same source) share
+        # the leader's accumulator; the structure is fixed by the
+        # factories, so probe it once and replay the index-based wiring
+        # per group (reference mode keeps independent copies).
+        probes = ([factory() for _f, _k, _s, _p, factory in reds]
+                  if share_states else [])
+        self.share_plan = reducer_share_plan(
+            (feat.src, probe) for (feat, *_), probe in zip(reds, probes))
         followers = frozenset(f for f, _l, _a in self.share_plan)
         self.reds = tuple(
             (feat, kind, src, pos, factory, i in followers)
@@ -228,12 +228,10 @@ class _SectionPlan:
                                in self.reds)
         self.red_followers = tuple(fol for _f, _k, _s, _p, _fac, fol
                                    in self.reds)
-        shell_attr = {f_idx: attr for f_idx, _l, attr in self.share_plan}
-        self.red_shells = tuple(
-            _shell_class(factory, shell_attr[i]) if i in shell_attr
-            else None
-            for i, (_f, _k, _s, _p, factory, _fol)
-            in enumerate(self.reds))
+        shells = [None] * len(reds)
+        for f_idx, _l, attr in self.share_plan:
+            shells[f_idx] = _shell_class(type(probes[f_idx]), attr)
+        self.red_shells = tuple(shells)
         self.columnar = self._build_columnar(index)
 
     # Columnar map-source modes (cmaps entries below).
@@ -463,6 +461,9 @@ class FeatureEngine:
                 for i, f in enumerate(plan.red_feats)
                 if f.name in collected)
             self._final_plans.append((names, finals))
+        # Per-packet vectors concatenate every collected section.
+        self._pkt_names = tuple(n for fp in self._final_plans if fp
+                                for n in fp[0])
 
         # Telemetry instruments (attach_telemetry); None = not attached.
         self._t_tracer = None
@@ -1137,12 +1138,23 @@ class FeatureEngine:
                         tuple(a.shape[0] for a in arrs))
         return np.array(parts, dtype=np.float64), None
 
+    def _parts_vector(self, parts: list) -> tuple[np.ndarray, tuple | None]:
+        """:meth:`_vector_parts` behind a type-stable probe: whether a
+        policy's features are all scalars is fixed by its functions, so
+        decide on the first vector, then build the all-scalar case in
+        one C call instead of one ``isinstance`` per feature."""
+        if self._scalar_parts is None:
+            self._scalar_parts = not any(
+                isinstance(p, (np.ndarray, list, tuple)) for p in parts)
+        if self._scalar_parts:
+            return np.array(parts, dtype=np.float64), None
+        return self._vector_parts(parts)
+
     def _emit_packet_vector(self, fg_key: tuple,
                             states: list | None = None) -> None:
-        names: list[str] = []
-        parts: list[np.ndarray] = []
-        for pos, (section, table) in enumerate(self._tables):
-            fp = self._final_plans[pos]
+        parts: list = []
+        append = parts.append
+        for pos, fp in enumerate(self._final_plans):
             if fp is None:
                 continue
             if states is not None:
@@ -1150,23 +1162,19 @@ class FeatureEngine:
                 # the per-section re-hash of table.get().
                 state = states[pos][0]
             else:
-                key = section.granularity.project(fg_key)
-                state = table.get(key)
-            if state is None:
-                continue
-            sec_names, finals = fp
+                section, table = self._tables[pos]
+                state = table.get(section.granularity.project(fg_key))
             red_all = state.red_all
-            names.extend(sec_names)
-            for idx, synths in finals:
+            for idx, synths in fp[1]:
                 value = red_all[idx].finalize()
                 for fn in synths:
                     value = fn(value)
-                parts.append(value)
+                append(value)
         if parts:
             self._stats.vectors_emitted += 1
-            values, widths = self._vector_parts(parts)
+            values, widths = self._parts_vector(parts)
             self._pkt_vectors.append(FeatureVector(
-                key=fg_key, names=tuple(names), values=values,
+                key=fg_key, names=self._pkt_names, values=values,
                 degraded=self._vector_degraded(fg_key),
                 widths=widths))
 
@@ -1274,15 +1282,7 @@ class FeatureEngine:
                 append(value)
         if not parts:
             return None
-        # Shape of the parts is type-stable per policy: probe the first
-        # vector, then build the all-scalar case in one C call.
-        if self._scalar_parts is None:
-            self._scalar_parts = not any(
-                isinstance(p, (np.ndarray, list, tuple)) for p in parts)
-        if self._scalar_parts:
-            values, widths = np.array(parts, dtype=np.float64), None
-        else:
-            values, widths = self._vector_parts(parts)
+        values, widths = self._parts_vector(parts)
         return FeatureVector(key=key, names=tuple(names), values=values,
                              degraded=self._vector_degraded(key),
                              widths=widths)

@@ -25,6 +25,7 @@ class BidirectionalStats:
     """Joint statistics over two directional value streams."""
 
     __slots__ = ("a", "b", "sr", "n_joint", "_last_res_a", "_last_res_b")
+    params = ()     # parameter-free (reducer-sharing key)
 
     def __init__(self) -> None:
         self.a = Welford()

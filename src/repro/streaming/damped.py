@@ -15,6 +15,10 @@ the last-update timestamp.  The 2D variant adds a residual-product sum
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 
 class DampedStat:
     """1D damped incremental statistics (Kitsune incStat).
@@ -51,7 +55,6 @@ class DampedStat:
     def _round(self, value: float) -> float:
         if not self.single_precision:
             return value
-        import numpy as np
         return float(np.float32(value))
 
     def _decay(self, t: float) -> None:
@@ -120,6 +123,12 @@ class DampedWelford:
         self.last_t = None
         self.decay_quant_bits = decay_quant_bits
 
+    @property
+    def params(self) -> tuple:
+        """Constructor parameters: equal tuples mean interchangeable
+        accumulators (the reducer-sharing key)."""
+        return (self.lam, self.decay_quant_bits)
+
     def _decay_factor(self, dt: float) -> float:
         factor = 2.0 ** (-self.lam * dt)
         if self.decay_quant_bits is None:
@@ -129,7 +138,6 @@ class DampedWelford:
         if factor <= 0.0:
             return 0.0
         scale = 1 << self.decay_quant_bits
-        import math
         k = math.floor(math.log2(factor))
         mantissa = factor / (2.0 ** k)         # in [1, 2)
         mantissa = math.floor(mantissa * scale) / scale
@@ -181,6 +189,11 @@ class DampedCovariance:
         self._last_res_b = 0.0
 
     state_bytes = 2 * DampedStat.state_bytes + 16
+
+    @property
+    def params(self) -> tuple:
+        """Constructor parameters (the reducer-sharing key)."""
+        return (self.a.lam, self.a.single_precision, self.a.decay_exp_step)
 
     def _decay_joint(self, t: float) -> None:
         lam = self.a.lam

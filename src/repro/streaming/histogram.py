@@ -41,6 +41,12 @@ class FixedWidthHistogram:
     def state_bytes(self) -> int:
         return 8 * self.n_bins
 
+    @property
+    def params(self) -> tuple:
+        """Constructor parameters: equal tuples mean interchangeable
+        accumulators (the reducer-sharing key)."""
+        return (self.width, self.n_bins, self.origin)
+
     def update(self, x: float) -> None:
         idx = int((x - self.origin) // self.width)
         if idx < 0:
@@ -89,8 +95,7 @@ class FixedWidthHistogram:
         return float(self.counts[:idx].sum() / self.total)
 
     def merge(self, other: "FixedWidthHistogram") -> None:
-        if (other.width, other.n_bins, other.origin) != (
-                self.width, self.n_bins, self.origin):
+        if other.params != self.params:
             raise ValueError("histogram shapes differ")
         self.counts += other.counts
         self.total += other.total

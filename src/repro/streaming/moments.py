@@ -21,6 +21,7 @@ class StreamingMoments:
     __slots__ = ("n", "mean", "m2", "m3", "m4")
 
     state_bytes = 40
+    params = ()     # parameter-free (reducer-sharing key)
 
     def __init__(self) -> None:
         self.n = 0

@@ -28,6 +28,7 @@ class Welford:
     #: n (8 B) + mean (8 B) + M2 (8 B) — the "small amount of storage"
     #: of §6.1.
     state_bytes = 24
+    params = ()     # parameter-free (reducer-sharing key)
 
     def __init__(self) -> None:
         self.n = 0
@@ -100,6 +101,7 @@ class WelfordDivisionFree:
     __slots__ = ("n", "mean", "m2", "_rem")
 
     state_bytes = 32  # n, mean, M2, remainder accumulator
+    params = ()
 
     def __init__(self) -> None:
         self.n = 0

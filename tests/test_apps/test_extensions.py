@@ -89,3 +89,14 @@ def test_install_idempotent():
     from repro.apps.extensions import install
     install()
     install()
+
+
+def test_negative_lambda_fails_at_compile_naming_the_spec():
+    import repro.api as api
+    from repro.core.policy import pktstream
+    policy = (pktstream().groupby("host")
+              .reduce("size", ["f_dw{lam=1}", "f_dmean{lam=-1}"])
+              .collect("pkt"))
+    with pytest.raises(ValueError,
+                       match=r"f_dmean\{lam=-1\}.*non-negative"):
+        api.compile(policy)

@@ -14,12 +14,14 @@ covers the whole compile+run.
 """
 
 import os
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.api as api
+from repro.apps import APP_POLICIES, build_policy
 from repro.bench.parallel import vectors_checksum
 from repro.core.faults import FaultAction, FaultPlan
 from repro.core.policy import pktstream
@@ -59,18 +61,24 @@ def build(gran, reduces, with_filter, with_ipt):
     return policy.collect(gran)
 
 
-def reference_run(policy, packets, **kw):
-    """Compile and run with the pre-optimization oracle paths
-    installed (the window must span run(): stages are built there)."""
+@contextmanager
+def reference_path():
+    """Install the pre-optimization oracle paths (the window must span
+    run()/stream(): stages are built there)."""
     before = os.environ.get("SUPERFE_REFERENCE_PATH")
     os.environ["SUPERFE_REFERENCE_PATH"] = "1"
     try:
-        return api.compile(policy, **kw).run(packets)
+        yield
     finally:
         if before is None:
             del os.environ["SUPERFE_REFERENCE_PATH"]
         else:
             os.environ["SUPERFE_REFERENCE_PATH"] = before
+
+
+def reference_run(policy, packets, **kw):
+    with reference_path():
+        return api.compile(policy, **kw).run(packets)
 
 
 def checksum(result) -> str:
@@ -140,3 +148,51 @@ def test_reference_flag_actually_switches_paths(packets):
     ref_cache = ref_run.dataplane.stages[1]
     assert not getattr(opt_cache, "_reference", False)
     assert getattr(ref_cache, "_reference", False)
+
+
+# -- Table 3 applications: the reference path is the *unshared* mode (one
+# private accumulator per feature), so it is the oracle for declared
+# accumulator sharing across the damped and histogram families.
+
+@pytest.fixture(scope="module")
+def campus():
+    return generate_trace("CAMPUS", n_flows=150, seed=23)
+
+
+@pytest.mark.parametrize("software", [False, True],
+                         ids=["hardware", "software"])
+@pytest.mark.parametrize("app", sorted(APP_POLICIES))
+def test_table3_apps_match_reference(campus, app, software):
+    optimized = api.compile(build_policy(app),
+                            software=software).run(campus)
+    reference = reference_run(build_policy(app), campus,
+                              software=software)
+    assert optimized.vectors
+    assert checksum(optimized) == checksum(reference)
+    assert optimized.feature_names == reference.feature_names
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_kitsune_backends_match_reference(campus, backend):
+    policy = build_policy("Kitsune")
+    reference = reference_run(policy, campus, n_nics=2)
+    with api.compile(policy, n_nics=2, workers=2,
+                     backend=backend) as ex:
+        optimized = ex.run(campus)
+    assert checksum(optimized) == checksum(reference)
+    assert optimized.feature_names == reference.feature_names
+
+
+def test_kitsune_stream_matches_reference(campus):
+    """The yielded sequence — chunk boundaries, order and the final
+    flush included — not just the vector set."""
+    def streamed():
+        with api.compile(build_policy("Kitsune")) as ex:
+            return [[(v.key, v.names, v.values.tobytes(), v.degraded)
+                     for v in chunk]
+                    for chunk in ex.stream(campus, batch_size=256)]
+    optimized = streamed()
+    with reference_path():
+        reference = streamed()
+    assert sum(map(len, optimized)) >= len(campus)
+    assert optimized == reference
