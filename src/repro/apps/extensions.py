@@ -29,6 +29,7 @@ from repro.core.functions import (
     MAP_FNS,
     REDUCE_FNS,
     SYNTH_FNS,
+    declare_columnar_kernel,
     declare_shared_accumulator,
     register_map_fn,
     register_reduce_fn,
@@ -53,6 +54,12 @@ class _DirectionGate:
         if member.get("direction") == self.wanted:
             return src_value
         return None
+
+
+def _direction_gate_batch(fn, src, ts, dirs, n):
+    """``_DirectionGate.apply`` over a group's cells (columnar twin)."""
+    wanted = fn.wanted
+    return [v if d == wanted else None for v, d in zip(src, dirs)]
 
 
 @lru_cache(maxsize=256)
@@ -171,6 +178,11 @@ def install() -> None:
         register_map_fn("f_egress_only",
                         lambda spec, ctx: _DirectionGate(1),
                         implicit_fields=("direction",))
+        # The gate has an exact batch twin, so CUMUL takes the engine's
+        # columnar path like any builtin-only policy.
+        declare_columnar_kernel(_DirectionGate, _direction_gate_batch,
+                                reads=("src", "direction"),
+                                maybe_none=True)
 
     damped = {
         "f_dw": _FDw, "f_dmean": _FDmean, "f_dstd": _FDstd,

@@ -33,14 +33,18 @@ from repro.core.parallel import BACKENDS
 from repro.net.packet import int_to_ip
 from repro.net.pcaplite import read_pcap, write_pcap
 from repro.net.trace import TRACE_PROFILES, generate_trace
+from repro.nicsim.engine import FeatureEngine
 
 
 def _cmd_apps(args) -> int:
-    print(f"{'Application':12s} {'Objective':26s} {'Dim':>5s} {'LOC':>4s}")
+    print(f"{'Application':12s} {'Objective':26s} {'Dim':>5s} {'LOC':>4s}"
+          f"  Engine path")
     for name, spec in APP_POLICIES.items():
         policy = spec.build()
+        path, why = FeatureEngine(api.compile(policy).compiled).path()
         print(f"{name:12s} {spec.objective:26s} "
-              f"{spec.expected_dim:5d} {policy.loc:4d}")
+              f"{spec.expected_dim:5d} {policy.loc:4d}  {path}"
+              + (f" ({why})" if why else ""))
     return 0
 
 

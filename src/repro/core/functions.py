@@ -200,13 +200,48 @@ def register_map_fn(name: str, factory, override: bool = False,
         FN_IMPLICIT_FIELDS[name] = tuple(implicit_fields)
 
 
-#: Registered factory object -> cheaper constructor for the per-group
-#: instantiation path: the builtin factories ignore ``spec`` (and some
-#: ignore ``ctx``), so ``make_*_factory`` can hand groups the class (or
-#: a ctx-bound partial) directly instead of two nested lambda frames.
-#: Keyed by factory identity, so user re-registrations never match.
-_ZERO_ARG_FACTORIES: dict = {}
-_CTX_ARG_FACTORIES: dict = {}
+#: Registered builtin factory -> ``(cls, bind)``: the builtin factories
+#: only forward ``bind(spec, ctx)`` (constructor arguments; None = no
+#: arguments) to ``cls``, so ``make_*_factory`` hands groups the class
+#: or ``partial(cls, *args)`` with the spec parsed once, instead of two
+#: nested lambda frames per group.  Keyed by factory identity, so user
+#: re-registrations never match.
+_BUILTIN_FACTORIES: dict = {}
+
+
+def _register_builtin(register, name: str, cls: type, bind=None,
+                      implicit_fields: tuple[str, ...] = ()) -> None:
+    if bind is None:
+        def factory(spec, ctx):
+            return cls()
+    else:
+        def factory(spec, ctx):
+            return cls(*bind(spec, ctx))
+    register(name, factory, implicit_fields=implicit_fields)
+    _BUILTIN_FACTORIES[factory] = (cls, bind)
+
+
+def _lookup(table: dict, kind: str, spec) -> tuple:
+    """``(parsed spec, registered factory)`` for a function reference."""
+    spec = parse_fn_spec(spec)
+    try:
+        return spec, table[spec.name]
+    except KeyError:
+        raise KeyError(f"unknown {kind} function {spec.name!r} "
+                       f"(have {sorted(table)})") from None
+
+
+def _make_factory(table: dict, kind: str, spec, ctx):
+    """Resolve a fn spec once and return a zero-arg constructor of fresh
+    instances — the per-new-group path skips re-parsing."""
+    spec, factory = _lookup(table, kind, spec)
+    ctx = ctx or ExecContext()
+    entry = _BUILTIN_FACTORIES.get(factory)
+    if entry is None:
+        return partial(factory, spec, ctx)
+    cls, bind = entry
+    return cls if bind is None else partial(cls, *bind(spec, ctx))
+
 
 for _name, _cls, _fields in [
         ("f_one", _FOne, ()),
@@ -215,36 +250,18 @@ for _name, _cls, _fields in [
         ("f_direction", _FDirection, ("direction",)),
         ("f_burst", _FBurst, ("direction",)),
         ("f_identity", _FIdentity, ())]:
-    _factory = (lambda cls: lambda spec, ctx: cls())(_cls)
-    register_map_fn(_name, _factory, implicit_fields=_fields)
-    _ZERO_ARG_FACTORIES[_factory] = _cls
+    _register_builtin(register_map_fn, _name, _cls,
+                      implicit_fields=_fields)
 
 
 def make_map_fn(spec, ctx: ExecContext | None = None):
-    spec = parse_fn_spec(spec)
-    ctx = ctx or ExecContext()
-    try:
-        factory = MAP_FNS[spec.name]
-    except KeyError:
-        raise KeyError(f"unknown mapping function {spec.name!r} "
-                       f"(have {sorted(MAP_FNS)})") from None
-    return factory(spec, ctx)
+    spec, factory = _lookup(MAP_FNS, "mapping", spec)
+    return factory(spec, ctx or ExecContext())
 
 
 def make_map_factory(spec, ctx: ExecContext | None = None):
-    """Resolve a mapping-fn spec once and return a zero-arg constructor
-    of fresh instances — the per-new-group path skips re-parsing."""
-    spec = parse_fn_spec(spec)
-    ctx = ctx or ExecContext()
-    try:
-        factory = MAP_FNS[spec.name]
-    except KeyError:
-        raise KeyError(f"unknown mapping function {spec.name!r} "
-                       f"(have {sorted(MAP_FNS)})") from None
-    cls = _ZERO_ARG_FACTORIES.get(factory)
-    if cls is not None:
-        return cls
-    return partial(factory, spec, ctx)
+    """A zero-arg constructor of fresh instances (see ``_make_factory``)."""
+    return _make_factory(MAP_FNS, "mapping", spec, ctx)
 
 
 # --------------------------------------------------------------------------
@@ -362,9 +379,7 @@ class _MomentsReduce:
         self._m.update(value)
 
     def update_many(self, values, directions=None) -> None:
-        update = self._m.update
-        for value in values:
-            update(value)
+        self._m.update_many(values)
 
 
 class _FSkew(_MomentsReduce):
@@ -486,9 +501,7 @@ class _HistReduce:
         self._h.update(value)
 
     def update_many(self, values, directions=None) -> None:
-        update = self._h.update
-        for value in values:
-            update(value)
+        self._h.update_many(values)
 
 
 class _FtHist(_HistReduce):
@@ -538,83 +551,47 @@ def register_reduce_fn(name: str, factory, override: bool = False,
 _DEFAULT_HIST = (1000.0, 32)    # width, bins when f_pdf/f_cdf omit params
 
 
-def _hist_params(spec: FnSpec) -> tuple[float, int]:
-    if len(spec.args) >= 2:
-        return float(spec.args[0]), int(spec.args[1])
+def _hist_params(args: tuple) -> tuple[float, int]:
+    if len(args) >= 2:
+        return float(args[0]), int(args[1])
     return _DEFAULT_HIST
 
 
-register_reduce_fn("f_sum", lambda spec, ctx: _FSum())
-register_reduce_fn("f_max", lambda spec, ctx: _FMax())
-register_reduce_fn("f_min", lambda spec, ctx: _FMin())
-register_reduce_fn("f_mean", lambda spec, ctx: _FMean(ctx))
-register_reduce_fn("f_var", lambda spec, ctx: _FVar(ctx))
-register_reduce_fn("f_std", lambda spec, ctx: _FStd(ctx))
-register_reduce_fn("f_skew", lambda spec, ctx: _FSkew())
-register_reduce_fn("f_kur", lambda spec, ctx: _FKur())
-register_reduce_fn("f_mag", lambda spec, ctx: _FMag(),
-                   implicit_fields=("direction",))
-register_reduce_fn("f_radius", lambda spec, ctx: _FRadius(),
-                   implicit_fields=("direction",))
-register_reduce_fn("f_cov", lambda spec, ctx: _FCov(),
-                   implicit_fields=("direction",))
-register_reduce_fn("f_pcc", lambda spec, ctx: _FPcc(),
-                   implicit_fields=("direction",))
-register_reduce_fn(
-    "f_card",
-    lambda spec, ctx: _FCard(int(spec.kwargs_dict.get("k", 6))))
-register_reduce_fn("f_array", lambda spec, ctx: _FArray())
-register_reduce_fn(
-    "ft_hist", lambda spec, ctx: _FtHist(float(spec.args[0]),
-                                         int(spec.args[1])))
-register_reduce_fn("f_pdf", lambda spec, ctx: _FPdf(*_hist_params(spec)))
-register_reduce_fn("f_cdf", lambda spec, ctx: _FCdf(*_hist_params(spec)))
-register_reduce_fn(
-    "ft_percent",
-    lambda spec, ctx: _FtPercent(
-        float(spec.args[0]),
-        *( (float(spec.args[1]), int(spec.args[2]))
-           if len(spec.args) >= 3 else _DEFAULT_HIST )))
-
-for _name, _cls in (("f_sum", _FSum), ("f_max", _FMax), ("f_min", _FMin),
-                    ("f_skew", _FSkew), ("f_kur", _FKur),
-                    ("f_mag", _FMag), ("f_radius", _FRadius),
-                    ("f_cov", _FCov), ("f_pcc", _FPcc),
-                    ("f_array", _FArray)):
-    _ZERO_ARG_FACTORIES[REDUCE_FNS[_name]] = _cls
-for _name, _cls in (("f_mean", _FMean), ("f_var", _FVar),
-                    ("f_std", _FStd)):
-    _CTX_ARG_FACTORIES[REDUCE_FNS[_name]] = _cls
+_DIRECTION = ("direction",)
+for _name, _cls, _bind, _fields in [
+        ("f_sum", _FSum, None, ()),
+        ("f_max", _FMax, None, ()),
+        ("f_min", _FMin, None, ()),
+        ("f_mean", _FMean, lambda spec, ctx: (ctx,), ()),
+        ("f_var", _FVar, lambda spec, ctx: (ctx,), ()),
+        ("f_std", _FStd, lambda spec, ctx: (ctx,), ()),
+        ("f_skew", _FSkew, None, ()),
+        ("f_kur", _FKur, None, ()),
+        ("f_mag", _FMag, None, _DIRECTION),
+        ("f_radius", _FRadius, None, _DIRECTION),
+        ("f_cov", _FCov, None, _DIRECTION),
+        ("f_pcc", _FPcc, None, _DIRECTION),
+        ("f_card", _FCard,
+         lambda spec, ctx: (int(spec.kwargs_dict.get("k", 6)),), ()),
+        ("f_array", _FArray, None, ()),
+        ("ft_hist", _FtHist,
+         lambda spec, ctx: (float(spec.args[0]), int(spec.args[1])), ()),
+        ("f_pdf", _FPdf, lambda spec, ctx: _hist_params(spec.args), ()),
+        ("f_cdf", _FCdf, lambda spec, ctx: _hist_params(spec.args), ()),
+        ("ft_percent", _FtPercent,
+         lambda spec, ctx: (float(spec.args[0]),
+                            *_hist_params(spec.args[1:])), ())]:
+    _register_builtin(register_reduce_fn, _name, _cls, _bind, _fields)
 
 
 def make_reduce_fn(spec, ctx: ExecContext | None = None):
-    spec = parse_fn_spec(spec)
-    ctx = ctx or ExecContext()
-    try:
-        factory = REDUCE_FNS[spec.name]
-    except KeyError:
-        raise KeyError(f"unknown reducing function {spec.name!r} "
-                       f"(have {sorted(REDUCE_FNS)})") from None
-    return factory(spec, ctx)
+    spec, factory = _lookup(REDUCE_FNS, "reducing", spec)
+    return factory(spec, ctx or ExecContext())
 
 
 def make_reduce_factory(spec, ctx: ExecContext | None = None):
-    """Resolve a reducing-fn spec once and return a zero-arg constructor
-    of fresh instances — the per-new-group path skips re-parsing."""
-    spec = parse_fn_spec(spec)
-    ctx = ctx or ExecContext()
-    try:
-        factory = REDUCE_FNS[spec.name]
-    except KeyError:
-        raise KeyError(f"unknown reducing function {spec.name!r} "
-                       f"(have {sorted(REDUCE_FNS)})") from None
-    cls = _ZERO_ARG_FACTORIES.get(factory)
-    if cls is not None:
-        return cls
-    cls = _CTX_ARG_FACTORIES.get(factory)
-    if cls is not None:
-        return partial(cls, ctx)
-    return partial(factory, spec, ctx)
+    """A zero-arg constructor of fresh instances (see ``_make_factory``)."""
+    return _make_factory(REDUCE_FNS, "reducing", spec, ctx)
 
 
 #: Reducer class -> attribute holding its one streaming accumulator;
@@ -667,13 +644,49 @@ def reducer_share_plan(reducers) -> tuple:
 
 
 # --------------------------------------------------------------------------
-# Columnar kernels — batch twins of the builtin map/reduce functions for
-# the vectorized engine path (:meth:`FeatureEngine.consume_batch`).  Every
-# kernel replicates its scalar function's arithmetic and None-emission
-# semantics exactly; the engine's equivalence gate depends on it.  All
-# tables are exact-type keyed so user registrations (including subclasses
-# that override ``update``/``apply``) never take the columnar path.
+# Columnar kernels — batch twins of the map/reduce functions for the
+# vectorized engine path (:meth:`FeatureEngine.consume_batch`).  A
+# function class is batch-eligible only when it is *declared* so through
+# :func:`declare_columnar_kernel`; every kernel replicates its scalar
+# function's arithmetic and None-emission semantics exactly — the
+# engine's equivalence gate depends on it.
 # --------------------------------------------------------------------------
+
+#: Function class -> ``(kernel, reads, maybe_none)``; filled only through
+#: :func:`declare_columnar_kernel`.
+COLUMNAR_KERNELS: dict[type, tuple] = {}
+
+_KERNEL_READS = frozenset(("src", "tstamp", "direction"))
+
+
+def declare_columnar_kernel(cls: type, kernel=None,
+                            reads: tuple[str, ...] = (),
+                            maybe_none: bool = False) -> None:
+    """Declare that ``cls`` has an exact batch twin, so sections using
+    it can take the engine's columnar path.
+
+    For a *mapping* class pass ``kernel(fn, src_values, tstamps,
+    directions, n)``: it returns the list ``fn.apply`` would have
+    produced over a group's ``n`` cells in order (None marks "no
+    emission") and leaves ``fn``'s state as those calls would.  For a
+    *reducing* class pass no kernel: its ``update_many(values,
+    directions=None)`` must equal ``update`` per value in order.
+    ``reads`` names what the twin reads beyond that — ``"src"`` (the
+    source-value column; maps only), ``"tstamp"`` / ``"direction"``
+    (the member's metadata, which the per-cell path resolves through
+    ``member.get``; a column the function does not declare may arrive
+    as None).  ``maybe_none`` says a map's ``apply`` can return None.
+
+    Like :func:`declare_shared_accumulator`, the declaration is per
+    exact class and never inherited: a subclass (which may override
+    ``apply``/``update``) and any undeclared registration stay on the
+    per-cell path."""
+    unknown = set(reads) - _KERNEL_READS
+    if unknown:
+        raise ValueError(f"unknown kernel reads {sorted(unknown)} "
+                         f"(have {sorted(_KERNEL_READS)})")
+    COLUMNAR_KERNELS[cls] = (kernel, frozenset(reads), maybe_none)
+
 
 def _map_one_batch(fn, src, ts, dirs, n):
     return [1] * n
@@ -727,74 +740,20 @@ def _map_burst_batch(fn, src, ts, dirs, n):
     return out
 
 
-#: map class -> kernel(fn, src_values, tstamps, directions, n) returning
-#: the mapped-value list (None marks "no emission", as in apply()).
-_COLUMNAR_MAP_KERNELS: dict[type, object] = {
-    _FOne: _map_one_batch,
-    _FIdentity: _map_identity_batch,
-    _FDirection: _map_direction_batch,
-    _FIpt: _map_ipt_batch,
-    _FSpeed: _map_speed_batch,
-    _FBurst: _map_burst_batch,
-}
-
-#: Map classes whose kernel reads the source-value column.
-_MAP_NEEDS_SRC: frozenset = frozenset((_FIdentity, _FDirection, _FSpeed))
-
-#: Map classes whose kernel reads the timestamp / direction columns.
-_MAP_NEEDS_TS: frozenset = frozenset((_FIpt, _FSpeed))
-_MAP_NEEDS_DIR: frozenset = frozenset((_FDirection, _FBurst))
-
-#: Reducer classes with an exact batch path (update_many).
-_COLUMNAR_REDUCERS: frozenset = frozenset((
-    _FSum, _FMax, _FMin, _FMean, _FVar, _FStd, _FSkew, _FKur,
-    _FMag, _FRadius, _FCov, _FPcc, _FCard, _FArray,
-    _FtHist, _FPdf, _FCdf, _FtPercent))
-
-#: Reducer classes whose update reads the member's direction.
-_DIRECTION_REDUCERS: frozenset = frozenset((_FMag, _FRadius, _FCov, _FPcc))
-
-
-#: Map classes that can emit None ("no value for this member"); every
-#: other builtin emits a value for every member.
-_MAP_MAYBE_NONE: frozenset = frozenset((_FIpt, _FSpeed))
-
-
-def factory_class(factory):
-    """The concrete function class a resolved factory instantiates, or
-    None for opaque (user-registered) factories.  ``make_*_factory``
-    returns the class itself for zero-arg builtins and a ctx-bound
-    partial for the Welford family; anything else is opaque."""
-    if isinstance(factory, type):
-        return factory
-    if isinstance(factory, partial) and isinstance(factory.func, type):
-        return factory.func
-    return None
-
-
-def columnar_map_kernel_for(cls):
-    """The batch kernel for a map class, or None (no exact twin)."""
-    return _COLUMNAR_MAP_KERNELS.get(cls)
-
-
-def map_class_needs(cls) -> tuple[bool, bool, bool]:
-    """(needs_src, needs_tstamp, needs_direction) for a map class."""
-    return (cls in _MAP_NEEDS_SRC, cls in _MAP_NEEDS_TS,
-            cls in _MAP_NEEDS_DIR)
-
-
-def map_class_maybe_none(cls) -> bool:
-    """True when the class's apply() can return None mid-group."""
-    return cls in _MAP_MAYBE_NONE
-
-
-def columnar_reduce_class_ok(cls) -> bool:
-    """True when the reducer class has an exact batch update path."""
-    return cls in _COLUMNAR_REDUCERS
-
-
-def reduce_class_needs_directions(cls) -> bool:
-    return cls in _DIRECTION_REDUCERS
+declare_columnar_kernel(_FOne, _map_one_batch)
+declare_columnar_kernel(_FIdentity, _map_identity_batch, reads=("src",))
+declare_columnar_kernel(_FDirection, _map_direction_batch,
+                        reads=("src", "direction"))
+declare_columnar_kernel(_FIpt, _map_ipt_batch, reads=("tstamp",),
+                        maybe_none=True)
+declare_columnar_kernel(_FSpeed, _map_speed_batch,
+                        reads=("src", "tstamp"), maybe_none=True)
+declare_columnar_kernel(_FBurst, _map_burst_batch, reads=("direction",))
+for _cls in (_FSum, _FMax, _FMin, _FMean, _FVar, _FStd, _FSkew, _FKur,
+             _FCard, _FArray, _FtHist, _FPdf, _FCdf, _FtPercent):
+    declare_columnar_kernel(_cls)
+for _cls in (_FMag, _FRadius, _FCov, _FPcc):
+    declare_columnar_kernel(_cls, reads=_DIRECTION)
 
 
 # --------------------------------------------------------------------------
@@ -875,11 +834,5 @@ register_synth_fn("f_marker", _f_marker)
 
 
 def make_synth_fn(spec, ctx: ExecContext | None = None):
-    spec = parse_fn_spec(spec)
-    ctx = ctx or ExecContext()
-    try:
-        factory = SYNTH_FNS[spec.name]
-    except KeyError:
-        raise KeyError(f"unknown synthesizing function {spec.name!r} "
-                       f"(have {sorted(SYNTH_FNS)})") from None
-    return factory(spec, ctx)
+    spec, factory = _lookup(SYNTH_FNS, "synthesizing", spec)
+    return factory(spec, ctx or ExecContext())

@@ -28,16 +28,11 @@ import numpy as np
 
 from repro.core.compiler import CompiledPolicy, PolicyError, Section
 from repro.core.functions import (
+    COLUMNAR_KERNELS,
     ExecContext,
-    columnar_map_kernel_for,
-    columnar_reduce_class_ok,
-    factory_class,
     make_map_factory,
     make_reduce_factory,
     make_synth_fn,
-    map_class_maybe_none,
-    map_class_needs,
-    reduce_class_needs_directions,
     reducer_share_plan,
 )
 from repro.nicsim.grouptable import GroupTable
@@ -144,13 +139,17 @@ _MISSING = object()
 _CELLS, _CLOCK = 0, 1
 
 
-def _shell_class(cls: type, attr: str):
-    """``cls`` (a share-plan follower's class) iff its *entire*
-    per-object state is the single slot ``attr`` (the accumulator the
-    share plan overwrites) — such followers can skip ``__init__`` and be
-    allocated bare, since construction would only build an accumulator
-    the share wiring immediately discards.  None means \"construct
-    normally\"."""
+_IMMUTABLE = (int, float, bool, str, type(None))
+
+
+def _shell_plan(probe, attr: str):
+    """How to allocate a share-plan follower bare: ``(cls, extras)``
+    when the object's entire state is slots — ``attr`` (the accumulator
+    the share wiring overwrites) plus immutable parameters, returned as
+    ``((slot, value), ...)`` copied from ``probe``.  Such followers skip
+    ``__init__``, which would only build an accumulator the wiring
+    immediately discards.  None means "construct normally"."""
+    cls = type(probe)
     slots: set[str] = set()
     for klass in cls.__mro__:
         s = klass.__dict__.get("__slots__")
@@ -159,7 +158,21 @@ def _shell_class(cls: type, attr: str):
                 return None
             continue
         slots.update((s,) if isinstance(s, str) else s)
-    return cls if slots == {attr} else None
+    if attr not in slots:
+        return None
+    extras = tuple((name, getattr(probe, name, _MISSING))
+                   for name in sorted(slots - {attr}))
+    if any(type(value) not in _IMMUTABLE for _n, value in extras):
+        return None
+    return cls, extras
+
+
+class _PerCell(Exception):
+    """Raised while compiling a section's columnar recipe: names the
+    function that keeps the section on the per-cell path, and why."""
+
+    def __init__(self, fn, why: str) -> None:
+        super().__init__(f"{fn}: {why}")
 
 
 class _SectionPlan:
@@ -177,9 +190,9 @@ class _SectionPlan:
     else positional), ``_MAPPED`` (mapped else skip).
     """
 
-    __slots__ = ("maps", "reds", "share_plan", "columnar",
+    __slots__ = ("maps", "reds", "share_plan", "columnar", "blocker",
                  "map_factories", "red_factories", "red_feats",
-                 "red_followers", "red_shells")
+                 "red_followers", "red_shells", "shell_extras")
 
     def __init__(self, section: Section, ctx: ExecContext,
                  meta_index: dict | None = None,
@@ -206,15 +219,17 @@ class _SectionPlan:
                 kind = _POS
             reds.append((feat, kind, feat.src, pos,
                          make_reduce_factory(feat.reduce_fn, ctx)))
-        # Followers of a declared family (f_var after f_mean, f_dstd
-        # after f_dw with the same lam, … over the same source) share
-        # the leader's accumulator; the structure is fixed by the
-        # factories, so probe it once and replay the index-based wiring
-        # per group (reference mode keeps independent copies).
-        probes = ([factory() for _f, _k, _s, _p, factory in reds]
-                  if share_states else [])
+        # What a section's groups look like is fixed by the factories,
+        # so probe one instance of each function once: the exact classes
+        # decide columnar eligibility, and followers of a declared
+        # family (f_var after f_mean, f_dstd after f_dw with the same
+        # lam, … over the same source) share the leader's accumulator —
+        # the index-based wiring is replayed per group (reference mode
+        # keeps independent copies).
+        probes = [factory() for _f, _k, _s, _p, factory in reds]
         self.share_plan = reducer_share_plan(
-            (feat.src, probe) for (feat, *_), probe in zip(reds, probes))
+            (feat.src, probe) for (feat, *_), probe in zip(reds, probes)
+        ) if share_states else ()
         followers = frozenset(f for f, _l, _a in self.share_plan)
         self.reds = tuple(
             (feat, kind, src, pos, factory, i in followers)
@@ -229,74 +244,96 @@ class _SectionPlan:
         self.red_followers = tuple(fol for _f, _k, _s, _p, _fac, fol
                                    in self.reds)
         shells = [None] * len(reds)
+        extras = []
         for f_idx, _l, attr in self.share_plan:
-            shells[f_idx] = _shell_class(type(probes[f_idx]), attr)
+            shell = _shell_plan(probes[f_idx], attr)
+            if shell is not None:
+                shells[f_idx] = shell[0]
+                extras.extend((f_idx, name, value)
+                              for name, value in shell[1])
         self.red_shells = tuple(shells)
-        self.columnar = self._build_columnar(index)
+        self.shell_extras = tuple(extras)
+        try:
+            self.columnar = self._build_columnar(
+                index, section, [f() for f in self.map_factories], probes)
+            self.blocker = None
+        except _PerCell as blocker:
+            self.columnar, self.blocker = None, str(blocker)
 
     # Columnar map-source modes (cmaps entries below).
     _SRC_NONE, _SRC_POS, _SRC_MAPPED = 0, 1, 2
 
-    def _build_columnar(self, index: dict):
-        """Precompile the section's columnar recipe, or None when any
-        function lacks an exact batch kernel (user registrations, shadowed
-        metadata names, unreadable sources) — those sections stay on the
-        per-cell path, whose semantics the kernels must match bit for bit.
+    def _build_columnar(self, index: dict, section: Section,
+                        map_probes: list, red_probes: list):
+        """Precompile the section's columnar recipe, or raise
+        :class:`_PerCell` at the first disqualifying function — such
+        sections stay on the per-cell path, whose semantics the kernels
+        must match bit for bit.  A function qualifies when its exact
+        class declared a batch twin (``declare_columnar_kernel``) whose
+        reads the block can serve.
 
         Returns ``(cmaps, creds, ts_pos, dir_pos)`` where each cmaps
         entry is ``(map_idx, dst, kernel, src_mode, src_arg, fallback)``
         and each creds entry is ``(kind, src, pos, red_idx, needs_dir)``.
         """
-        ts_pos = index.get("tstamp")
-        dir_pos = index.get("direction")
-        # A map writing "tstamp"/"direction" would shadow the metadata
-        # the kernels and direction-reducers read positionally.
-        if any(dst in ("tstamp", "direction") for dst, _s, _p, _f
-               in self.maps):
-            return None
+        positions = {"tstamp": index.get("tstamp"),
+                     "direction": index.get("direction")}
+        used: set = set()
+        # Metadata names a map has overwritten: the per-cell path would
+        # hand a later reader the *mapped* value through the member,
+        # while kernels read the metadata column.
+        shadowed: set = set()
+
+        def declared(fn, probe):
+            decl = COLUMNAR_KERNELS.get(type(probe))
+            if decl is None:
+                raise _PerCell(fn, "no declared batch kernel")
+            for name in decl[1] - {"src"}:
+                if positions[name] is None:
+                    raise _PerCell(fn, f"reads {name!r}, which the "
+                                   f"cells do not carry")
+                if name in shadowed:
+                    raise _PerCell(fn, f"reads {name!r} after a map "
+                                   f"overwrote it")
+            used.update(decl[1])
+            return decl
+
         cmaps = []
         valid_dsts: dict[str, bool] = {}   # dst -> always emits a value
-        for i, (dst, src, src_pos, factory) in enumerate(self.maps):
-            cls = factory_class(factory)
-            kernel = (columnar_map_kernel_for(cls)
-                      if cls is not None else None)
+        for i, ((dst, src, src_pos, _factory), m) in enumerate(
+                zip(self.maps, section.maps)):
+            kernel, reads, maybe_none = declared(m.fn, map_probes[i])
             if kernel is None:
-                return None
-            needs_src, needs_ts, needs_dir = map_class_needs(cls)
-            if (needs_ts and ts_pos is None) or \
-                    (needs_dir and dir_pos is None):
-                return None
-            if not needs_src:
+                raise _PerCell(m.fn, "declared without a map kernel")
+            if "src" not in reads:
                 entry = (i, dst, kernel, self._SRC_NONE, None, None)
-                out_valid = not map_class_maybe_none(cls)
             elif src_pos is not None:
                 entry = (i, dst, kernel, self._SRC_POS, src_pos, None)
-                out_valid = not map_class_maybe_none(cls)
             elif src in valid_dsts:
                 fallback = index.get(src)
                 if not valid_dsts[src] and fallback is None:
                     # The source can be absent for a member and has no
                     # positional fallback — the per-cell path raises
                     # KeyError there; keep that behavior.
-                    return None
+                    raise _PerCell(m.fn, f"source {src!r} can be absent")
                 entry = (i, dst, kernel, self._SRC_MAPPED, src, fallback)
-                out_valid = not map_class_maybe_none(cls)
             else:
-                return None
+                raise _PerCell(m.fn, f"unreadable source {src!r}")
             cmaps.append(entry)
-            prior = valid_dsts.get(dst)
-            valid_dsts[dst] = out_valid or bool(prior)
+            valid_dsts[dst] = not maybe_none or bool(valid_dsts.get(dst))
+            if dst in positions:
+                shadowed.add(dst)
         creds = []
-        for red_idx, (feat, kind, src, pos, factory, _follower) \
+        for red_idx, (feat, kind, src, pos, _factory, _follower) \
                 in enumerate(self.reds):
-            cls = factory_class(factory)
-            if cls is None or not columnar_reduce_class_ok(cls):
-                return None
-            needs_dir = reduce_class_needs_directions(cls)
-            if needs_dir and dir_pos is None:
-                return None
-            creds.append((kind, src, pos, red_idx, needs_dir))
-        return (tuple(cmaps), tuple(creds), ts_pos, dir_pos)
+            reads = declared(feat.reduce_fn, red_probes[red_idx])[1]
+            if reads - {"direction"}:
+                raise _PerCell(feat.reduce_fn, "update_many is only "
+                               "handed values and directions")
+            creds.append((kind, src, pos, red_idx, bool(reads)))
+        return (tuple(cmaps), tuple(creds),
+                positions["tstamp"] if "tstamp" in used else None,
+                positions["direction"] if "direction" in used else None)
 
 
 class _GroupState:
@@ -328,6 +365,8 @@ class _GroupState:
             for f_idx, l_idx, attr in share:
                 setattr(red_all[f_idx], attr,
                         getattr(red_all[l_idx], attr))
+            for f_idx, name, value in plan.shell_extras:
+                setattr(red_all[f_idx], name, value)
             self.red_objs = [None if fol else r for r, fol
                              in zip(red_all, plan.red_followers)]
         else:
@@ -382,6 +421,7 @@ class _GroupState:
 class EngineStats:
     records: int = 0
     cells: int = 0
+    cells_columnar: int = 0         # of cells: reduced as block slices
     syncs: int = 0
     orphan_cells: int = 0
     degraded_cells: int = 0         # orphans recovered at CG granularity
@@ -407,7 +447,7 @@ class FeatureEngine:
         self._pending: list = []
         self._clock = 0     # ns; advanced by cell tstamps or externally
         self._fg_mirror: dict[int, tuple] = {}
-        self._scalar_parts: bool | None = None
+        self._row_layout = None     # see _parts_vector
         self._synth_cache: dict = {}
         self._pkt_vectors: list[FeatureVector] = []
         self._degraded_cg_keys: set[tuple] = set()
@@ -470,6 +510,8 @@ class FeatureEngine:
         self._t_records = None
         self._t_syncs = None
         self._t_record_cells = None
+        self._t_cells_columnar = None
+        self._t_cells_per_cell = None
 
     def attach_telemetry(self, telemetry) -> None:
         """Register the engine's typed instruments: record/sync counts,
@@ -488,6 +530,8 @@ class FeatureEngine:
         self._t_syncs = reg.counter("engine.syncs")
         self._t_record_cells = reg.histogram("engine.record.cells",
                                              DEFAULT_COUNT_BOUNDS)
+        self._t_cells_columnar = reg.counter("engine.cells.columnar")
+        self._t_cells_per_cell = reg.counter("engine.cells.per_cell")
         for section, table in self._tables:
             reg.gauge_source(
                 f"engine.table.{section.granularity.name}.groups",
@@ -743,10 +787,12 @@ class FeatureEngine:
         self.consume(MGPVRecord(cg_key, cg_hash32, cells, reason))
 
     def _process_record(self, record: MGPVRecord) -> None:
-        if self._reference:
-            return self._process_record_reference(record)
         if self._columnar and self._process_record_columnar(record):
             return
+        if self._t_cells_per_cell is not None:
+            self._t_cells_per_cell.inc(len(record.cells))
+        if self._reference:
+            return self._process_record_reference(record)
         # Per-cell path: replay any deferred columnar work first so the
         # cells still process in stream order.
         if self._pending:
@@ -892,6 +938,9 @@ class FeatureEngine:
         n = len(keys)
         stats = self._stats
         stats.cells += n
+        stats.cells_columnar += n
+        if self._t_cells_columnar is not None:
+            self._t_cells_columnar.inc(n)
         cols = tuple(zip(*metas))
         # Clock prefix maximum: the scalar loop advances the clock per
         # cell before stamping last_update, so a group's final stamp is
@@ -1138,16 +1187,56 @@ class FeatureEngine:
                         tuple(a.shape[0] for a in arrs))
         return np.array(parts, dtype=np.float64), None
 
+    @staticmethod
+    def _compile_row_layout(parts: list):
+        """The row layout of a policy's vectors, from its first one
+        (see :meth:`_parts_vector`)."""
+        arrays = [isinstance(p, (np.ndarray, list, tuple)) for p in parts]
+        if not any(arrays):
+            return True
+        if any(np.ndim(p) != 1 for p, arr in zip(parts, arrays) if arr):
+            return False
+        widths = tuple(len(p) if arr else 1
+                       for p, arr in zip(parts, arrays))
+        segments = []
+        off = i = 0
+        while i < len(parts):
+            j = i + 1
+            if not arrays[i]:
+                while j < len(parts) and not arrays[j]:
+                    j += 1
+            end = off + sum(widths[i:j])
+            segments.append((arrays[i], i, j, off, end))
+            off, i = end, j
+        return len(parts), widths, off, tuple(segments)
+
     def _parts_vector(self, parts: list) -> tuple[np.ndarray, tuple | None]:
-        """:meth:`_vector_parts` behind a type-stable probe: whether a
-        policy's features are all scalars is fixed by its functions, so
-        decide on the first vector, then build the all-scalar case in
-        one C call instead of one ``isinstance`` per feature."""
-        if self._scalar_parts is None:
-            self._scalar_parts = not any(
-                isinstance(p, (np.ndarray, list, tuple)) for p in parts)
-        if self._scalar_parts:
+        """:meth:`_vector_parts` behind a type-stable probe: which of a
+        policy's features are scalars and which arrays is fixed by its
+        functions, so the first vector compiles a row layout — True
+        (all scalars: one C call), False (odd shapes: always the
+        general path) or ``(n_parts, widths, total, segments)``, after
+        which a vector is one preallocated row filled per segment (a
+        run of scalars or one array) instead of one ``asarray`` per
+        feature.  A vector that does not fit (another part count, an
+        unbounded array of another length) takes the general path."""
+        layout = self._row_layout
+        if layout is None:
+            layout = self._row_layout = self._compile_row_layout(parts)
+        if layout is True:
             return np.array(parts, dtype=np.float64), None
+        if layout and len(parts) == layout[0]:
+            _n, widths, total, segments = layout
+            row = np.empty(total)
+            for is_array, lo, hi, start, end in segments:
+                if not is_array:
+                    row[start:end] = parts[lo:hi]
+                elif len(parts[lo]) == end - start:
+                    row[start:end] = parts[lo]
+                else:
+                    break
+            else:
+                return row, widths
         return self._vector_parts(parts)
 
     def _emit_packet_vector(self, fg_key: tuple,
@@ -1327,6 +1416,8 @@ class FeatureEngine:
         return {
             "records": s.records,
             "cells": s.cells,
+            "cells_columnar": s.cells_columnar,
+            "cells_per_cell": s.cells - s.cells_columnar,
             "syncs": s.syncs,
             "orphan_cells": s.orphan_cells,
             "degraded_cells": s.degraded_cells,
@@ -1335,6 +1426,20 @@ class FeatureEngine:
             "skipped_updates": s.skipped_updates,
             "vectors_emitted": s.vectors_emitted,
         }
+
+    def path(self) -> tuple[str, str | None]:
+        """Which record path the policy's cells take: ``("columnar",
+        None)``, or ``("per-cell", why)`` naming the first thing that
+        disqualifies it (orphan records fall back per record either
+        way — ``cells_per_cell`` counts those)."""
+        if self._columnar:
+            return "columnar", None
+        if self._reference:
+            return "per-cell", "SUPERFE_REFERENCE_PATH=1"
+        if self._pkt_mode:
+            return "per-cell", "collect(pkt) emits a vector per cell"
+        return "per-cell", next(p.blocker for p in self._plans
+                                if p.columnar is None)
 
     def total_state_bytes(self) -> int:
         """Bytes of live reducer state across all group tables (Fig 15's

@@ -151,8 +151,8 @@ class GroupTable:
 
     def get(self, key):
         bucket = self._buckets.get(self._bucket_idx(key))
-        return ((bucket.get(key) if bucket is not None else None)
-                or self._overflow.get(key))
+        state = bucket.get(key) if bucket is not None else None
+        return state if state is not None else self._overflow.get(key)
 
     def items(self):
         for idx in sorted(self._buckets):

@@ -36,6 +36,9 @@ class FixedWidthHistogram:
         self.origin = origin
         self.counts = np.zeros(n_bins, dtype=np.int64)
         self.total = 0
+        # (total, cdf) memo for percentile(): several quantiles read off
+        # one histogram between updates (every update moves ``total``).
+        self._cdf = (0, None)
 
     @property
     def state_bytes(self) -> int:
@@ -55,6 +58,21 @@ class FixedWidthHistogram:
             idx = self.n_bins - 1
         self.counts[idx] += 1
         self.total += 1
+
+    def update_many(self, values) -> None:
+        """Batch update, bit-identical to :meth:`update` per value: the
+        same ``int((x - origin) // width)`` per value, then one clip and
+        one ``np.bincount`` (integer bin counts commute)."""
+        origin = self.origin
+        width = self.width
+        idx = [int((x - origin) // width) for x in values]
+        if not idx:
+            return
+        top = self.n_bins - 1
+        if min(idx) < 0 or max(idx) > top:
+            idx = [0 if i < 0 else top if i > top else i for i in idx]
+        self.counts += np.bincount(idx, minlength=self.n_bins)
+        self.total += len(idx)
 
     def result(self) -> np.ndarray:
         return self.counts.copy()
@@ -78,10 +96,11 @@ class FixedWidthHistogram:
             raise ValueError("q must be in [0, 100]")
         if self.total == 0:
             return self.origin
-        target = q / 100.0
-        cdf = self.cdf()
-        idx = int(np.searchsorted(cdf, target, side="left"))
-        idx = min(idx, self.n_bins - 1)
+        total, cdf = self._cdf
+        if total != self.total:
+            cdf = self.cdf()
+            self._cdf = (self.total, cdf)
+        idx = min(int(cdf.searchsorted(q / 100.0)), self.n_bins - 1)
         return self.origin + (idx + 1) * self.width
 
     def fraction_below(self, x: float) -> float:

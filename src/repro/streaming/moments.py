@@ -43,6 +43,33 @@ class StreamingMoments:
         self.m3 += term1 * delta_n * (self.n - 2) - 3 * delta_n * self.m2
         self.m2 += term1
 
+    def update_many(self, values) -> None:
+        """Batch update: the :meth:`update` recurrence with the state
+        held in locals for the slice (bit-identical — same operations in
+        the same order; the recurrence is order-sensitive)."""
+        n = self.n
+        mean = self.mean
+        m2 = self.m2
+        m3 = self.m3
+        m4 = self.m4
+        for x in values:
+            n1 = n
+            n += 1
+            delta = x - mean
+            delta_n = delta / n
+            delta_n2 = delta_n * delta_n
+            term1 = delta * delta_n * n1
+            mean += delta_n
+            m4 += (term1 * delta_n2 * (n * n - 3 * n + 3)
+                   + 6 * delta_n2 * m2 - 4 * delta_n * m3)
+            m3 += term1 * delta_n * (n - 2) - 3 * delta_n * m2
+            m2 += term1
+        self.n = n
+        self.mean = mean
+        self.m2 = m2
+        self.m3 = m3
+        self.m4 = m4
+
     @property
     def variance(self) -> float:
         return self.m2 / self.n if self.n > 0 else 0.0

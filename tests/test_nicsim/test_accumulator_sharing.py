@@ -26,7 +26,8 @@ from repro.core.functions import (
 )
 from repro.core.policy import pktstream
 from repro.net.trace import generate_trace
-from repro.nicsim.engine import FeatureEngine, _GroupState
+from repro.nicsim.engine import FeatureEngine, _GroupState, _shell_plan
+from repro.streaming.histogram import FixedWidthHistogram
 
 
 def section_states(policy):
@@ -71,6 +72,55 @@ class TestStructure:
         shells = [shell for s in states.values()
                   for shell in s.plan.red_shells if shell is not None]
         assert len(shells) == 80
+
+    def test_parameterised_followers_are_shells_too(self, monkeypatch):
+        """``_FtPercent`` carries ``q`` beside its histogram: the shell
+        plan copies such immutable parameter slots from the probe, so a
+        new MPTD flow constructs its 4 leader histograms and nothing
+        for the 16 followers."""
+        engine = FeatureEngine(PolicyCompiler().compile(
+            build_policy("MPTD")))
+        plan = engine._plans[0]
+        followers = [i for i, fol in enumerate(plan.red_followers) if fol]
+        assert all(plan.red_shells[i] is not None for i in followers)
+        built = []
+        init = FixedWidthHistogram.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(FixedWidthHistogram, "__init__", counting_init)
+        state = _GroupState(plan)
+        assert len(built) == 4
+        # The shells are complete objects: own q, the leader's histogram.
+        deciles = [r for r in state.red_all if hasattr(r, "q")]
+        assert [r.q for r in deciles] == 2 * [float(q)
+                                              for q in range(10, 100, 10)]
+        assert len({id(r._h) for r in deciles}) == 2
+
+    def test_mutable_parameter_slot_is_constructed_normally(self):
+        """Copying a probe's slot by reference is only safe for
+        immutable values; anything else falls back to ``__init__``."""
+        class Acc:
+            params = ()
+
+        class WithList:
+            __slots__ = ("_a", "seen")
+
+            def __init__(self):
+                self._a = Acc()
+                self.seen = []
+
+        class WithFloat:
+            __slots__ = ("_a", "q")
+
+            def __init__(self):
+                self._a = Acc()
+                self.q = 0.5
+
+        assert _shell_plan(WithList(), "_a") is None
+        assert _shell_plan(WithFloat(), "_a") == (WithFloat, (("q", 0.5),))
 
     def test_mptd_flow_group_holds_4_histograms_not_20(self):
         state = section_states(build_policy("MPTD"))["flow"]

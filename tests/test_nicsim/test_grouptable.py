@@ -87,3 +87,20 @@ def test_items_iterates_all():
 def test_memory_bytes():
     t = make_table(n_indices=16, width=4, entry_bytes=16)
     assert t.memory_bytes() == 16 * 4 * 16
+
+
+def test_get_returns_falsy_states():
+    """A falsy state (an empty container, row index 0) is a resident
+    entry, not a miss: ``get`` must not fall through to the overflow
+    table on it."""
+    states = iter([[], 0, {}])
+    t = GroupTable(1, 2, 16, CTM, lambda: next(states))
+    for key in (("a",), ("b",), ("c",)):       # third one overflows
+        t.lookup_or_insert(key)
+    assert t.get(("a",)) == [] and t.get(("a",)) is not None
+    assert t.get(("b",)) == 0 and t.get(("b",)) is not None
+    assert t.get(("c",)) == {} and t.get(("c",)) is not None
+    # A key shadowed in the overflow table must not win over a falsy
+    # bucket entry.
+    t._overflow[("a",)] = "stale"
+    assert t.get(("a",)) == []
