@@ -27,6 +27,7 @@ import numpy as np
 from repro.core.functions import (
     FnSpec,
     MAP_FNS,
+    NS_PER_S,
     REDUCE_FNS,
     SYNTH_FNS,
     declare_columnar_kernel,
@@ -40,8 +41,6 @@ from repro.streaming.damped import DampedCovariance, DampedWelford
 #: Decay-factor mantissa bits of the NIC's shift-table model (division-free
 #: path); None means exact floating-point decay.
 NIC_DECAY_QUANT_BITS = 8
-
-NS_PER_S = 1e9
 
 
 class _DirectionGate:
@@ -185,11 +184,12 @@ def install() -> None:
                                 maybe_none=True)
 
     damped = {
-        "f_dw": _FDw, "f_dmean": _FDmean, "f_dstd": _FDstd,
-        "f_dmag": _FDmag, "f_dradius": _FDradius,
-        "f_dcov": _FDcov, "f_dpcc": _FDpcc,
+        "f_dw": (_FDw, "w"), "f_dmean": (_FDmean, "mean"),
+        "f_dstd": (_FDstd, "std"), "f_dmag": (_FDmag, "magnitude"),
+        "f_dradius": (_FDradius, "radius"),
+        "f_dcov": (_FDcov, "covariance"), "f_dpcc": (_FDpcc, "pcc"),
     }
-    for name, cls in damped.items():
+    for name, (cls, stat) in damped.items():
         if name in REDUCE_FNS:
             continue
         fields = (("tstamp", "direction")
@@ -198,8 +198,10 @@ def install() -> None:
             name, (lambda c: lambda spec, ctx: c(spec, ctx))(cls),
             implicit_fields=fields)
         # One DampedWelford / DampedCovariance per (source, lam) serves
-        # the whole family (Kitsune: 35 accumulators, not 115).
+        # the whole family (Kitsune: 35 accumulators, not 115), and its
+        # run kernel emits the family's columns under collect(pkt).
         declare_shared_accumulator(cls, "_d")
+        declare_columnar_kernel(cls, reads=fields, run_stat=stat)
 
     if "f_cumsum" not in SYNTH_FNS:
         register_synth_fn("f_cumsum", _f_cumsum)

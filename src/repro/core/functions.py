@@ -652,16 +652,20 @@ def reducer_share_plan(reducers) -> tuple:
 # engine's equivalence gate depends on it.
 # --------------------------------------------------------------------------
 
-#: Function class -> ``(kernel, reads, maybe_none)``; filled only through
-#: :func:`declare_columnar_kernel`.
+#: Function class -> ``(kernel, reads, maybe_none, run_stat)``; filled
+#: only through :func:`declare_columnar_kernel`.
 COLUMNAR_KERNELS: dict[type, tuple] = {}
 
 _KERNEL_READS = frozenset(("src", "tstamp", "direction"))
 
+#: Run kernels take ``tstamp`` in seconds, the unit of Kitsune's lambda.
+NS_PER_S = 1e9
+
 
 def declare_columnar_kernel(cls: type, kernel=None,
                             reads: tuple[str, ...] = (),
-                            maybe_none: bool = False) -> None:
+                            maybe_none: bool = False,
+                            run_stat: str | None = None) -> None:
     """Declare that ``cls`` has an exact batch twin, so sections using
     it can take the engine's columnar path.
 
@@ -677,6 +681,16 @@ def declare_columnar_kernel(cls: type, kernel=None,
     ``member.get``; a column the function does not declare may arrive
     as None).  ``maybe_none`` says a map's ``apply`` can return None.
 
+    ``run_stat`` makes a reducing class eligible under ``collect(pkt)``,
+    where a vector is snapshotted after every cell: the class must be a
+    :func:`declare_shared_accumulator` one whose accumulator has a *run
+    kernel* (``update_run`` beside a ``RUN_STATS`` tuple, see
+    :class:`repro.streaming.damped.DampedWelford`), and ``run_stat``
+    names the ``RUN_STATS`` entry that ``finalize()`` returns.  The
+    engine calls the kernel once per group run for the whole family,
+    with ``tstamp / NS_PER_S`` as the time column and a None value
+    wherever the per-cell path would skip the update.
+
     Like :func:`declare_shared_accumulator`, the declaration is per
     exact class and never inherited: a subclass (which may override
     ``apply``/``update``) and any undeclared registration stay on the
@@ -685,7 +699,7 @@ def declare_columnar_kernel(cls: type, kernel=None,
     if unknown:
         raise ValueError(f"unknown kernel reads {sorted(unknown)} "
                          f"(have {sorted(_KERNEL_READS)})")
-    COLUMNAR_KERNELS[cls] = (kernel, frozenset(reads), maybe_none)
+    COLUMNAR_KERNELS[cls] = (kernel, frozenset(reads), maybe_none, run_stat)
 
 
 def _map_one_batch(fn, src, ts, dirs, n):

@@ -21,6 +21,7 @@ tables whose memory level comes from the ILP placement (§6.2).
 from __future__ import annotations
 
 import os
+from array import array
 from dataclasses import dataclass, field as dc_field
 from time import perf_counter_ns
 
@@ -29,6 +30,8 @@ import numpy as np
 from repro.core.compiler import CompiledPolicy, PolicyError, Section
 from repro.core.functions import (
     COLUMNAR_KERNELS,
+    NS_PER_S,
+    SHARED_ACCUMULATORS,
     ExecContext,
     make_map_factory,
     make_reduce_factory,
@@ -138,6 +141,10 @@ _MISSING = object()
 # Deferred-work queue tags (FeatureEngine._pending / _drain).
 _CELLS, _CLOCK = 0, 1
 
+# Row cap of one collect(pkt) block: its vectors are row views of one
+# buffer, so this bounds both the allocation and what a kept vector pins.
+_PKT_BLOCK_ROWS = 2048
+
 
 _IMMUTABLE = (int, float, bool, str, type(None))
 
@@ -196,7 +203,8 @@ class _SectionPlan:
 
     def __init__(self, section: Section, ctx: ExecContext,
                  meta_index: dict | None = None,
-                 share_states: bool = False) -> None:
+                 share_states: bool = False,
+                 pkt_col0: int | None = None) -> None:
         index = meta_index or {}
         map_dsts: set = set()
         maps = []
@@ -255,7 +263,8 @@ class _SectionPlan:
         self.shell_extras = tuple(extras)
         try:
             self.columnar = self._build_columnar(
-                index, section, [f() for f in self.map_factories], probes)
+                index, section, [f() for f in self.map_factories], probes,
+                pkt_col0)
             self.blocker = None
         except _PerCell as blocker:
             self.columnar, self.blocker = None, str(blocker)
@@ -264,7 +273,8 @@ class _SectionPlan:
     _SRC_NONE, _SRC_POS, _SRC_MAPPED = 0, 1, 2
 
     def _build_columnar(self, index: dict, section: Section,
-                        map_probes: list, red_probes: list):
+                        map_probes: list, red_probes: list,
+                        pkt_col0: int | None):
         """Precompile the section's columnar recipe, or raise
         :class:`_PerCell` at the first disqualifying function — such
         sections stay on the per-cell path, whose semantics the kernels
@@ -274,7 +284,14 @@ class _SectionPlan:
 
         Returns ``(cmaps, creds, ts_pos, dir_pos)`` where each cmaps
         entry is ``(map_idx, dst, kernel, src_mode, src_arg, fallback)``
-        and each creds entry is ``(kind, src, pos, red_idx, needs_dir)``.
+        and each creds entry — one per accumulator *leader*, standing
+        for ``weight`` reducers — is ``(kind, src, pos, red_idx,
+        needs_dir, weight, run)``.  ``run`` is None for a per-group
+        policy (``update_many``); under ``collect(pkt)``, where this
+        section's vector columns start at ``pkt_col0``, it is ``(attr,
+        cols)``: the attribute holding the accumulator with the run
+        kernel, and the vector column of each of its ``RUN_STATS`` (-1,
+        a row's scratch slot, when no collected feature wants it).
         """
         positions = {"tstamp": index.get("tstamp"),
                      "direction": index.get("direction")}
@@ -302,7 +319,7 @@ class _SectionPlan:
         valid_dsts: dict[str, bool] = {}   # dst -> always emits a value
         for i, ((dst, src, src_pos, _factory), m) in enumerate(
                 zip(self.maps, section.maps)):
-            kernel, reads, maybe_none = declared(m.fn, map_probes[i])
+            kernel, reads, maybe_none, _ = declared(m.fn, map_probes[i])
             if kernel is None:
                 raise _PerCell(m.fn, "declared without a map kernel")
             if "src" not in reads:
@@ -323,15 +340,41 @@ class _SectionPlan:
             valid_dsts[dst] = not maybe_none or bool(valid_dsts.get(dst))
             if dst in positions:
                 shadowed.add(dst)
-        creds = []
+        leader_of = {f: l for f, l, _attr in self.share_plan}
+        collected = {f.name for f in section.collected}
+        creds: dict = {}        # leader red_idx -> its (mutable) entry
+        col = pkt_col0
         for red_idx, (feat, kind, src, pos, _factory, _follower) \
                 in enumerate(self.reds):
-            reads = declared(feat.reduce_fn, red_probes[red_idx])[1]
-            if reads - {"direction"}:
-                raise _PerCell(feat.reduce_fn, "update_many is only "
-                               "handed values and directions")
-            creds.append((kind, src, pos, red_idx, bool(reads)))
-        return (tuple(cmaps), tuple(creds),
+            probe = red_probes[red_idx]
+            _k, reads, _m, stat = declared(feat.reduce_fn, probe)
+            entry = creds.setdefault(
+                leader_of.get(red_idx, red_idx),
+                [kind, src, pos, red_idx, "direction" in reads, 0, None])
+            entry[5] += 1
+            if pkt_col0 is None:
+                if reads - {"direction"}:
+                    raise _PerCell(feat.reduce_fn, "update_many is only "
+                                   "handed values and directions")
+                continue
+            attr = SHARED_ACCUMULATORS.get(type(probe))
+            if stat is None or attr is None:
+                raise _PerCell(feat.reduce_fn, "no declared run kernel "
+                               "to emit a vector per cell")
+            if feat.synth_fns:
+                raise _PerCell(feat.synth_fns[0],
+                               "synthesizes a per-packet feature")
+            stats = getattr(probe, attr).RUN_STATS
+            if entry[6] is None:
+                entry[6] = (attr, [-1] * len(stats))
+            if feat.name in collected:
+                cols, k = entry[6][1], stats.index(stat)
+                if cols[k] >= 0:
+                    raise _PerCell(feat.reduce_fn, "repeats a statistic "
+                                   "its accumulator already emits")
+                cols[k] = col
+                col += 1
+        return (tuple(cmaps), tuple(map(tuple, creds.values())),
                 positions["tstamp"] if "tstamp" in used else None,
                 positions["direction"] if "direction" in used else None)
 
@@ -465,10 +508,15 @@ class FeatureEngine:
 
         self._tables: list[tuple[Section, GroupTable]] = []
         self._plans: list[_SectionPlan] = []
+        self._pkt_mode = compiled.collect_unit == "pkt"
+        pkt_col = 0 if self._pkt_mode else None
         for section in compiled.sections:
             level = self._section_level(section, placement)
             plan = _SectionPlan(section, self.ctx, self._meta_index,
-                                share_states=not self._reference)
+                                share_states=not self._reference,
+                                pkt_col0=pkt_col)
+            if self._pkt_mode:
+                pkt_col += len(section.collected)
             entry_bytes = self._entry_bytes(section, plan)
             table = GroupTable(
                 n_indices=table_indices, width=table_width,
@@ -477,11 +525,10 @@ class FeatureEngine:
             self._tables.append((section, table))
             self._plans.append(plan)
         # Columnar fast path eligibility: every section has an exact
-        # batch recipe and the policy is per-group (per-pkt emission is
-        # inherently per-cell).  Orphan cells still force the per-cell
-        # path per record — checked at record time.
-        self._pkt_mode = compiled.collect_unit == "pkt"
-        self._columnar = (not self._reference and not self._pkt_mode
+        # batch recipe (for a per-packet policy, run kernels that emit a
+        # row per cell).  Orphan cells still force the per-cell path per
+        # record — checked at record time.
+        self._columnar = (not self._reference
                           and all(p.columnar is not None
                                   for p in self._plans))
         # Vector-assembly plan, one entry per table: collected feature
@@ -504,6 +551,7 @@ class FeatureEngine:
         # Per-packet vectors concatenate every collected section.
         self._pkt_names = tuple(n for fp in self._final_plans if fp
                                 for n in fp[0])
+        self._pkt_dims = len(self._pkt_names) if self._pkt_mode else 0
 
         # Telemetry instruments (attach_telemetry); None = not attached.
         self._t_tracer = None
@@ -713,7 +761,7 @@ class FeatureEngine:
         deferred-work list, and :meth:`_drain` (finalize / snapshot /
         stats / any per-cell fallback) replays the whole run as one
         merged grouped pass.  Any record the block can't express exactly
-        (orphan cells, per-pkt emission, reference mode) drains the
+        (orphan cells, an undeclared function, reference mode) drains the
         queue and takes the ordered per-event path.
         """
         if not self._columnar:
@@ -803,7 +851,7 @@ class FeatureEngine:
         tables = self._tables
         ts_idx = self._ts_idx
         view = self._view
-        pkt_mode = self.compiled.collect_unit == "pkt"
+        pkt_mode = self._pkt_mode
         # One group lookup per (record, FG index, section): cells of the
         # same group within a record reuse the memoized states, with the
         # table accounting a located repeat hit instead of re-hashing.
@@ -934,8 +982,28 @@ class FeatureEngine:
         ``stamps`` is the precomputed per-cell ``last_update`` array
         (:meth:`_drain` passes it, having already advanced the clock);
         without it the block computes the clock prefix max itself.
+
+        A ``collect(pkt)`` policy takes the same walk with run kernels
+        in place of ``update_many``: each accumulator replays its
+        group's run and writes its statistics into the run's rows of
+        one per-block buffer.  Sections are independent, so row ``i``
+        ends up holding every section's state right after cell ``i``:
+        the rows are the vectors, in cell order.
         """
         n = len(keys)
+        dims = self._pkt_dims
+        if dims:
+            if n > _PKT_BLOCK_ROWS:
+                for lo in range(0, n, _PKT_BLOCK_ROWS):
+                    hi = lo + _PKT_BLOCK_ROWS
+                    self._process_cells_block(
+                        keys[lo:hi], metas[lo:hi], cgs[lo:hi],
+                        stamps and stamps[lo:hi])
+                return
+            # Rows of 1 + dims slots: column -1 of a row is the scratch
+            # slot that unwanted statistics are written to.
+            buf = array("d", (0.0,)) * (n * (dims + 1))
+            offsets = range(1, len(buf), dims + 1)
         stats = self._stats
         stats.cells += n
         stats.cells_columnar += n
@@ -1049,33 +1117,53 @@ class FeatureEngine:
                         mapped[dst] = [v if v is not None else p
                                        for v, p in zip(out, prev)]
                 red_objs = state.red_objs
-                for kind, src, pos, red_idx, needs_dir in creds:
-                    reducer = red_objs[red_idx]
-                    if kind == _POS:
-                        if reducer is not None:
+                if dims:
+                    at = offsets if whole else [offsets[i] for i in idxs]
+                    secs = ts_g and [t / NS_PER_S for t in ts_g]
+                    memo: dict = {}
+                    for kind, src, pos, red_idx, _d, weight, run in creds:
+                        if kind == _MAPPED:
+                            # None = "skip the update, snapshot anyway".
+                            vals = mapped.get(src) or [None] * k
+                            skips += vals.count(None) * weight
+                        else:
                             vals = csl.get(pos)
                             if vals is None:
                                 c = cols[pos]
                                 vals = csl[pos] = (
                                     c if whole else [c[i] for i in idxs])
-                            reducer.update_many(
-                                vals, dir_g if needs_dir else None)
+                            if kind == _MAPPED_OR_POS:
+                                fb = vals
+                                vals = [m if m is not None else fb[j]
+                                        for j, m in enumerate(mapped[src])]
+                        getattr(red_objs[red_idx], run[0]).update_run(
+                            vals, secs, dir_g, buf, at, run[1], memo)
+                    continue
+                for kind, src, pos, red_idx, needs_dir, weight, _r in creds:
+                    reducer = red_objs[red_idx]
+                    if kind == _POS:
+                        vals = csl.get(pos)
+                        if vals is None:
+                            c = cols[pos]
+                            vals = csl[pos] = (
+                                c if whole else [c[i] for i in idxs])
+                        reducer.update_many(
+                            vals, dir_g if needs_dir else None)
                     elif kind == _MAPPED_OR_POS:
-                        if reducer is not None:
-                            base = mapped[src]
-                            fb = csl.get(pos)
-                            if fb is None:
-                                c = cols[pos]
-                                fb = csl[pos] = (
-                                    c if whole else [c[i] for i in idxs])
-                            vals = [m if m is not None else fb[j]
-                                    for j, m in enumerate(base)]
-                            reducer.update_many(
-                                vals, dir_g if needs_dir else None)
+                        base = mapped[src]
+                        fb = csl.get(pos)
+                        if fb is None:
+                            c = cols[pos]
+                            fb = csl[pos] = (
+                                c if whole else [c[i] for i in idxs])
+                        vals = [m if m is not None else fb[j]
+                                for j, m in enumerate(base)]
+                        reducer.update_many(
+                            vals, dir_g if needs_dir else None)
                     else:
                         base = mapped.get(src)
                         if base is None:
-                            skips += k
+                            skips += k * weight
                         elif needs_dir:
                             vals = []
                             dirs = []
@@ -1083,15 +1171,22 @@ class FeatureEngine:
                                 if m is not None:
                                     vals.append(m)
                                     dirs.append(d)
-                            skips += k - len(vals)
-                            if reducer is not None and vals:
+                            skips += (k - len(vals)) * weight
+                            if vals:
                                 reducer.update_many(vals, dirs)
                         else:
                             vals = [m for m in base if m is not None]
-                            skips += k - len(vals)
-                            if reducer is not None and vals:
+                            skips += (k - len(vals)) * weight
+                            if vals:
                                 reducer.update_many(vals)
         stats.skipped_updates += skips
+        if dims:
+            rows = np.frombuffer(buf).reshape(n, dims + 1)[:, 1:]
+            self._pkt_vectors.extend(
+                FeatureVector(key, self._pkt_names, row,
+                              self._vector_degraded(key))
+                for key, row in zip(keys, rows))
+            stats.vectors_emitted += n
 
     def _process_record_reference(self, record: MGPVRecord) -> None:
         """The pre-optimization per-cell path (``SUPERFE_REFERENCE_PATH=1``
@@ -1276,7 +1371,11 @@ class FeatureEngine:
 
     @property
     def packet_vectors(self) -> list[FeatureVector]:
-        """Per-packet vectors accumulated so far (per-pkt policies)."""
+        """Per-packet vectors accumulated so far (per-pkt policies).
+        Like :attr:`stats`, reading drains any deferred work first —
+        callers slice this list with a cursor."""
+        if self._pending:
+            self._drain()
         return self._pkt_vectors
 
     def finalize(self) -> list[FeatureVector]:
@@ -1436,8 +1535,6 @@ class FeatureEngine:
             return "columnar", None
         if self._reference:
             return "per-cell", "SUPERFE_REFERENCE_PATH=1"
-        if self._pkt_mode:
-            return "per-cell", "collect(pkt) emits a vector per cell"
         return "per-cell", next(p.blocker for p in self._plans
                                 if p.columnar is None)
 

@@ -2,24 +2,30 @@
 
 Eligibility is a declared property of each function class
 (``declare_columnar_kernel``), decided once per section from probed
-instances.  All seven per-group Table 3 policies must take the columnar
-path and none of their cells the per-cell loop; everything the
-declaration contract excludes — ``collect(pkt)``, a subclass overriding
-``apply``/``update``, an undeclared registration, a later reader of a
-map-shadowed metadata field — must stay per-cell *and* still match the
-reference oracle.
+instances.  All ten Table 3 policies must take the columnar path and,
+on a fault-free run, none of their cells the per-cell loop — the three
+``collect(pkt)`` ones through their accumulators' run kernels;
+everything the declaration contract excludes — a subclass overriding
+``apply``/``update``/``finalize``, an undeclared registration, a later
+reader of a map-shadowed metadata field, a synth chain under
+``collect(pkt)`` — must stay per-cell *and* still match the reference
+oracle.
 """
 
 import os
+import tracemalloc
+from contextlib import contextmanager
 
 import pytest
 
 import repro.api as api
 from repro.apps import APP_POLICIES, build_policy
-from repro.apps.extensions import _DirectionGate
+from repro.apps.extensions import _DirectionGate, _FDmean
 from repro.bench.parallel import vectors_checksum
 from repro.cli import main
 from repro.core.compiler import PolicyCompiler
+from repro.core.faults import FaultAction, FaultPlan
+from repro.core.parallel import ExecutionConfig
 from repro.core.functions import (
     COLUMNAR_KERNELS,
     FN_IMPLICIT_FIELDS,
@@ -34,10 +40,15 @@ from repro.core.functions import (
 from repro.core.policy import pktstream
 from repro.net.packet import PacketBatch
 from repro.net.trace import generate_trace
+from repro.nicsim import engine as engine_mod
 from repro.nicsim.engine import FeatureEngine
+from repro.switchsim.mgpv import FGSync, MGPVRecord
 
 PER_GROUP = ["CUMUL", "AWF", "DF", "TF", "PeerShark", "MPTD", "NPOD"]
 PER_PACKET = ["Kitsune", "HELAD", "N-BaIoT"]
+#: Packets the per-packet comparisons run on: the reference oracle
+#: costs ~0.4 ms/packet on these policies.
+PKT_PREFIX = 1000
 
 
 def engine_for(policy) -> FeatureEngine:
@@ -49,12 +60,29 @@ def campus():
     return generate_trace("CAMPUS", n_flows=120, seed=5)
 
 
-def reference_checksum(policy, trace) -> str:
+@contextmanager
+def reference_path():
     os.environ["SUPERFE_REFERENCE_PATH"] = "1"
     try:
-        return vectors_checksum(api.compile(policy).run(trace).vectors)
+        yield
     finally:
         del os.environ["SUPERFE_REFERENCE_PATH"]
+
+
+@pytest.fixture(scope="module")
+def pkt_trace(campus):
+    return campus[:PKT_PREFIX]
+
+
+def reference_checksum(policy, trace) -> str:
+    with reference_path():
+        return vectors_checksum(api.compile(policy).run(trace).vectors)
+
+
+def emitted(vectors) -> list:
+    """Per-packet vectors as emitted: order, value bits and flags."""
+    return [(tuple(v.key), v.names, v.values.tobytes(), v.degraded,
+             v.widths) for v in vectors]
 
 
 def run_batch(policy, trace):
@@ -80,20 +108,28 @@ class TestManifest:
         assert checksum == reference_checksum(build_policy(app), campus)
 
     @pytest.mark.parametrize("app", PER_PACKET)
-    def test_per_packet_policy_is_per_cell_because_collect_pkt(self, app):
+    def test_per_packet_is_columnar(self, app, pkt_trace):
         engine = engine_for(build_policy(app))
-        assert not engine._columnar
-        path, why = engine.path()
-        assert path == "per-cell" and "collect(pkt)" in why
+        assert engine.path() == ("columnar", None)
+        # Leaders only: one run-kernel entry per shared accumulator.
+        assert (sum(len(p.columnar[1]) for p in engine._plans)
+                < sum(len(p.reds) for p in engine._plans))
+        with reference_path():
+            ref = api.compile(build_policy(app)).run(pkt_trace)
+        for trace in (pkt_trace, PacketBatch.from_packets(pkt_trace)):
+            result = api.compile(build_policy(app)).run(trace)
+            counters = result.dataplane.counters()["engine"]
+            assert counters["cells_per_cell"] == 0
+            assert counters["cells_columnar"] == counters["cells"] > 0
+            assert emitted(result.vectors) == emitted(ref.vectors)
 
     def test_cli_apps_prints_the_path(self, capsys):
         assert main(["apps"]) == 0
         rows = {line.split()[0]: line
                 for line in capsys.readouterr().out.splitlines()[1:]}
-        for app in PER_GROUP:
+        assert sorted(rows) == sorted(APP_POLICIES)
+        for app in APP_POLICIES:
             assert rows[app].rstrip().endswith("columnar")
-        for app in PER_PACKET:
-            assert "per-cell (collect(pkt)" in rows[app]
 
 
 class _GateLoud(_DirectionGate):
@@ -173,7 +209,7 @@ class TestOpaqueStaysPerCell:
         self.check_per_cell(policy, campus, "f_user_ipt")
         # Declaring the class — exactly what apps/extensions.py does for
         # its direction gate — is all it takes.
-        kernel, reads, maybe_none = COLUMNAR_KERNELS[_FIpt]
+        kernel, reads, maybe_none, _stat = COLUMNAR_KERNELS[_FIpt]
         declare_columnar_kernel(_UserIpt, kernel, reads=tuple(reads),
                                 maybe_none=maybe_none)
         assert engine_for(policy)._columnar
@@ -219,3 +255,210 @@ class TestShadowRule:
         # AWF itself: f_direction reads the metadata *before* its own
         # write lands, f_array reads the mapped value as a source.
         assert engine_for(build_policy("AWF"))._columnar
+
+
+class _DmeanLoud(_FDmean):
+    """Overrides ``finalize``: the parent's declared run statistic no
+    longer describes it."""
+
+    __slots__ = ()
+
+    def finalize(self) -> float:
+        return 2 * super().finalize()
+
+
+class _UserLast:
+    """A user reducer nobody declared."""
+
+    state_bytes = 8
+
+    def __init__(self) -> None:
+        self.last = 0.0
+
+    def update(self, value, member) -> None:
+        self.last = float(value)
+
+    def finalize(self) -> float:
+        return self.last
+
+
+@pytest.fixture()
+def user_reducers():
+    register_reduce_fn("f_dmean_loud",
+                       lambda spec, ctx: _DmeanLoud(spec, ctx),
+                       implicit_fields=("tstamp",))
+    register_reduce_fn("f_user_last", lambda spec, ctx: _UserLast())
+    try:
+        yield
+    finally:
+        del REDUCE_FNS["f_dmean_loud"], REDUCE_FNS["f_user_last"]
+        FN_IMPLICIT_FIELDS.pop("f_dmean_loud")
+
+
+def pkt_policy(*fns, synth=None):
+    # ``size`` is mapped *and* a metadata field: where the gate emits
+    # nothing, the reducer falls back to the packet's own size.
+    policy = (pktstream().groupby("host")
+              .map("size", "size", "f_egress_only")
+              .reduce("size", ["f_dw{lam=1}", "f_dstd{lam=1}"])
+              .collect("pkt")
+              .groupby("channel")
+              .map("ipt", "tstamp", "f_ipt")
+              .reduce("ipt", ["f_dmean{lam=0.1}", *fns]))
+    if synth:
+        policy = policy.synthesize(synth)
+    return policy.collect("pkt")
+
+
+class TestPerPacketBlock:
+    """``collect(pkt)`` on the block path: what stays per-cell, orphan
+    records interleaved with clean ones, and the emit buffer's bound."""
+
+    def check_per_cell(self, policy, trace, blocker):
+        engine = engine_for(policy)
+        assert engine.path() == ("per-cell", blocker)
+        with reference_path():
+            ref = api.compile(policy).run(trace)
+        result = api.compile(policy).run(PacketBatch.from_packets(trace))
+        counters = result.dataplane.counters()["engine"]
+        assert counters["cells_columnar"] == 0
+        assert counters["cells_per_cell"] == counters["cells"] > 0
+        assert emitted(result.vectors) == emitted(ref.vectors)
+
+    def test_declared_damped_policy_is_columnar(self, pkt_trace):
+        policy = pkt_policy("f_dw{lam=0.1}")
+        assert engine_for(policy).path() == ("columnar", None)
+        with reference_path():
+            ref = api.compile(policy).run(pkt_trace)
+        result = api.compile(policy).run(pkt_trace)
+        assert emitted(result.vectors) == emitted(ref.vectors)
+        assert (result.dataplane.counters()["engine"]
+                == {**ref.dataplane.counters()["engine"],
+                    "cells_columnar": PKT_PREFIX, "cells_per_cell": 0})
+
+    def test_subclass_overriding_finalize(self, user_reducers, pkt_trace):
+        self.check_per_cell(
+            pkt_policy("f_dmean_loud{lam=0.1}"), pkt_trace,
+            "f_dmean_loud{lam=0.1}: no declared batch kernel")
+
+    def test_undeclared_user_reducer(self, user_reducers, pkt_trace):
+        self.check_per_cell(pkt_policy("f_user_last"), pkt_trace,
+                            "f_user_last: no declared batch kernel")
+
+    def test_builtin_without_a_run_kernel(self, pkt_trace):
+        self.check_per_cell(
+            pkt_policy("f_mean"), pkt_trace,
+            "f_mean: no declared run kernel to emit a vector per cell")
+
+    def test_synth_chain(self, pkt_trace):
+        self.check_per_cell(
+            pkt_policy(synth="f_norm"), pkt_trace,
+            "f_norm: synthesizes a per-packet feature")
+
+    def test_repeated_statistic(self, pkt_trace):
+        self.check_per_cell(
+            pkt_policy("f_dmean{lam=0.1}"), pkt_trace,
+            "f_dmean{lam=0.1}: repeats a statistic its accumulator "
+            "already emits")
+
+    def test_orphan_records_interleave_with_blocks(self, campus):
+        """Sync loss: orphan records take the per-cell degradation path
+        between deferred clean blocks — vectors, their order, degraded
+        flags and every counter match the oracle, whatever the input
+        form."""
+        trace = campus[:1500]
+        plan = FaultPlan(seed=3, actions=(
+            FaultAction(kind="link_loss", at_packet=0, rate=0.08,
+                        drop_kind="sync"),))
+        policy = build_policy("Kitsune")
+
+        def outcome(drive):
+            ex = api.compile(policy, fault_plan=plan, telemetry=True)
+            vectors, dataplane = drive(ex)
+            counters = dataplane.counters()["engine"]
+            # The registry counts each cell on the path it took too.
+            registry = ex.telemetry.snapshot()["counters"]
+            assert (registry["engine.cells.columnar"],
+                    registry["engine.cells.per_cell"]) == (
+                counters["cells_columnar"], counters["cells_per_cell"])
+            return emitted(vectors), counters
+
+        def run_as(form):
+            def drive(ex):
+                result = ex.run(form(trace))
+                return result.vectors, result.dataplane
+            return drive
+
+        def streamed(ex):
+            # The final flush re-yields every per-packet vector.
+            seen = {id(v): v for chunk in ex.stream(trace, batch_size=200)
+                    for v in chunk}
+            return list(seen.values()), ex._session.dataplane
+
+        with reference_path():
+            ref_vectors, ref_counters = outcome(run_as(list))
+        assert ref_counters["orphan_cells"] > 0
+        assert any(flag for *_v, flag, _w in ref_vectors)
+        assert not all(flag for *_v, flag, _w in ref_vectors)
+        for drive in (run_as(list), run_as(PacketBatch.from_packets),
+                      streamed):
+            vectors, counters = outcome(drive)
+            assert vectors == ref_vectors
+            assert 0 < counters["cells_per_cell"] < counters["cells"]
+            assert counters == {
+                **ref_counters,
+                "cells_columnar": counters["cells_columnar"],
+                "cells_per_cell": counters["cells_per_cell"]}
+
+    def test_packet_vectors_drains_deferred_work(self):
+        """``consume_batch`` only queues; the property the sinks slice
+        with a cursor must not read past the queue."""
+        engine = engine_for(pkt_policy())
+        key = (1, 2, 10, 20, 6)
+        meta = {"size": 100, "tstamp": 5_000, "direction": 1}
+        cell = (0, tuple(meta[f] for f in engine.compiled.metadata_fields))
+        engine.consume_batch([FGSync(0, key),
+                              MGPVRecord(key[:1], 0, (cell,) * 3, "test")])
+        assert engine._pending
+        assert len(engine.packet_vectors) == 3
+        assert engine.counters()["cells_columnar"] == 3
+
+    def test_process_backend_takes_vectors_per_chunk(self, campus):
+        """The same through a worker's ``take_pkt``: every ``process``
+        call returns its own chunk's vectors, not the final flush."""
+        chunks = [campus[i:i + 150] for i in range(0, 600, 150)]
+
+        def per_chunk(**kw):
+            with api.compile(build_policy("N-BaIoT"), n_nics=2, **kw) as ex:
+                dataplane = ex.dataplane()
+                try:
+                    return [emitted(dataplane.process(c)) for c in chunks]
+                finally:
+                    dataplane.close()
+
+        sharded = per_chunk(execution=ExecutionConfig(workers=2,
+                                                      backend="process"))
+        assert sharded == per_chunk()
+        assert sum(map(len, sharded)) > 0
+
+    def test_emit_buffer_is_capped_per_block(self, campus, monkeypatch):
+        """``run(PacketBatch)`` never allocates cells x dims at once:
+        emit buffers are per block, each under the row cap.  (A cap of
+        64 rows over 1k packets stands in for the default over 50k —
+        tracemalloc costs ~1 ms per traced packet.)"""
+        cap, n = 64, 1000
+        monkeypatch.setattr(engine_mod, "_PKT_BLOCK_ROWS", cap)
+        batch = PacketBatch.from_packets(campus[:n])
+        ex = api.compile(build_policy("N-BaIoT"))
+        cap_bytes = cap * len(ex.feature_names) * 8
+        tracemalloc.start()
+        try:
+            result = ex.run(batch)
+            traces = tracemalloc.take_snapshot().traces
+        finally:
+            tracemalloc.stop()
+        assert len(result.vectors) == n
+        sizes = [t.size for t in traces
+                 if t.traceback[0].filename == engine_mod.__file__]
+        assert sum(size >= cap_bytes // 2 for size in sizes) >= n // cap
+        assert max(sizes) <= 2 * cap_bytes
