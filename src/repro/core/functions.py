@@ -21,6 +21,7 @@ from functools import partial
 
 import numpy as np
 
+from repro.streaming import folds
 from repro.streaming.bidirectional import BidirectionalStats
 from repro.streaming.histogram import FixedWidthHistogram
 from repro.streaming.hyperloglog import HyperLogLog
@@ -309,13 +310,12 @@ class _FMax(_ScalarReduce):
         self.value = value if self.value is None else max(self.value, value)
 
     def update_many(self, values, directions=None) -> None:
-        # max() keeps the earliest maximal element, exactly like the
-        # sequential fold (ties — including the -0.0/0.0 float tie —
-        # resolve to the same object either way).
-        if not values:
-            return
-        best = max(values)
-        self.value = best if self.value is None else max(self.value, best)
+        # max() over (state, *values) is the sequential fold itself: it
+        # keeps the earliest maximal element (ties, the -0.0/0.0 float
+        # tie and NaN resolve as per-value updates would).
+        if values:
+            self.value = max(values if self.value is None
+                             else (self.value, *values))
 
 
 class _FMin(_ScalarReduce):
@@ -324,10 +324,9 @@ class _FMin(_ScalarReduce):
         self.value = value if self.value is None else min(self.value, value)
 
     def update_many(self, values, directions=None) -> None:
-        if not values:
-            return
-        best = min(values)
-        self.value = best if self.value is None else min(self.value, best)
+        if values:
+            self.value = min(values if self.value is None
+                             else (self.value, *values))
 
 
 class _WelfordReduce:
@@ -652,8 +651,8 @@ def reducer_share_plan(reducers) -> tuple:
 # engine's equivalence gate depends on it.
 # --------------------------------------------------------------------------
 
-#: Function class -> ``(kernel, reads, maybe_none, run_stat)``; filled
-#: only through :func:`declare_columnar_kernel`.
+#: Function class -> ``(kernel, reads, maybe_none, run_stat, fold)``;
+#: filled only through :func:`declare_columnar_kernel`.
 COLUMNAR_KERNELS: dict[type, tuple] = {}
 
 _KERNEL_READS = frozenset(("src", "tstamp", "direction"))
@@ -665,7 +664,8 @@ NS_PER_S = 1e9
 def declare_columnar_kernel(cls: type, kernel=None,
                             reads: tuple[str, ...] = (),
                             maybe_none: bool = False,
-                            run_stat: str | None = None) -> None:
+                            run_stat: str | None = None,
+                            fold=None) -> None:
     """Declare that ``cls`` has an exact batch twin, so sections using
     it can take the engine's columnar path.
 
@@ -691,6 +691,22 @@ def declare_columnar_kernel(cls: type, kernel=None,
     with ``tstamp / NS_PER_S`` as the time column and a None value
     wherever the per-cell path would skip the update.
 
+    ``fold`` gives the function *columnar state* under a per-group
+    ``collect``: the engine then keeps no object per group for it, only
+    the fold's numpy columns indexed by group row, and updates every
+    group of a block in one call (:mod:`repro.streaming.folds` has the
+    contract and the builtin folds).  For a mapping class pass a
+    :class:`~repro.streaming.folds.Fold` subclass with ``apply(seg,
+    src, tstamps, directions)``; for a reducing class pass ``(factory,
+    stat)``: ``factory(accumulator)`` builds the fold from a fresh
+    instance's accumulator (the instance itself unless the class is a
+    :func:`declare_shared_accumulator` one — every member of a sharing
+    family must name the same factory) and ``fold.stat(stat, rows,
+    probe)`` is what ``finalize()`` returns.  Without a fold the
+    function rides the default object column: one instance per group
+    row, driven segment by segment through ``kernel`` /
+    ``update_many``.
+
     Like :func:`declare_shared_accumulator`, the declaration is per
     exact class and never inherited: a subclass (which may override
     ``apply``/``update``) and any undeclared registration stay on the
@@ -699,7 +715,8 @@ def declare_columnar_kernel(cls: type, kernel=None,
     if unknown:
         raise ValueError(f"unknown kernel reads {sorted(unknown)} "
                          f"(have {sorted(_KERNEL_READS)})")
-    COLUMNAR_KERNELS[cls] = (kernel, frozenset(reads), maybe_none, run_stat)
+    COLUMNAR_KERNELS[cls] = (kernel, frozenset(reads), maybe_none, run_stat,
+                             fold)
 
 
 def _map_one_batch(fn, src, ts, dirs, n):
@@ -754,17 +771,35 @@ def _map_burst_batch(fn, src, ts, dirs, n):
     return out
 
 
-declare_columnar_kernel(_FOne, _map_one_batch)
-declare_columnar_kernel(_FIdentity, _map_identity_batch, reads=("src",))
+declare_columnar_kernel(_FOne, _map_one_batch, fold=folds.OneMap)
+declare_columnar_kernel(_FIdentity, _map_identity_batch, reads=("src",),
+                        fold=folds.IdentityMap)
 declare_columnar_kernel(_FDirection, _map_direction_batch,
-                        reads=("src", "direction"))
+                        reads=("src", "direction"), fold=folds.DirectionMap)
 declare_columnar_kernel(_FIpt, _map_ipt_batch, reads=("tstamp",),
-                        maybe_none=True)
+                        maybe_none=True, fold=folds.IptMap)
 declare_columnar_kernel(_FSpeed, _map_speed_batch,
-                        reads=("src", "tstamp"), maybe_none=True)
-declare_columnar_kernel(_FBurst, _map_burst_batch, reads=("direction",))
-for _cls in (_FSum, _FMax, _FMin, _FMean, _FVar, _FStd, _FSkew, _FKur,
-             _FCard, _FArray, _FtHist, _FPdf, _FCdf, _FtPercent):
+                        reads=("src", "tstamp"), maybe_none=True,
+                        fold=folds.SpeedMap)
+declare_columnar_kernel(_FBurst, _map_burst_batch, reads=("direction",),
+                        fold=folds.BurstMap)
+for _cls, _fold, _stat in [
+        (_FSum, folds.SumFold, None),
+        (_FMax, folds.MaxFold, None),
+        (_FMin, folds.MinFold, None),
+        (_FMean, folds.welford_fold, "mean"),
+        (_FVar, folds.welford_fold, "variance"),
+        (_FStd, folds.welford_fold, "std"),
+        (_FSkew, folds.MomentsFold, "skewness"),
+        (_FKur, folds.MomentsFold, "kurtosis"),
+        (_FtHist, folds.HistogramFold, "result"),
+        (_FPdf, folds.HistogramFold, "pdf"),
+        (_FCdf, folds.HistogramFold, "cdf"),
+        (_FtPercent, folds.HistogramFold, "percentile")]:
+    declare_columnar_kernel(_cls, fold=(_fold, _stat))
+# Object columns: the sketch and the unbounded array have no fixed-width
+# state, and no per-group Table 3 policy reduces the 2D statistics.
+for _cls in (_FCard, _FArray):
     declare_columnar_kernel(_cls)
 for _cls in (_FMag, _FRadius, _FCov, _FPcc):
     declare_columnar_kernel(_cls, reads=_DIRECTION)

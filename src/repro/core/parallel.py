@@ -108,7 +108,11 @@ from repro.core.transport import (
     resolve_transport,
 )
 from repro.nicsim.engine import EngineStats, FeatureEngine, FeatureVector
-from repro.nicsim.loadbalance import reconcile_residual, route_shard
+from repro.nicsim.loadbalance import (
+    reconcile_residual,
+    route_shard,
+    route_syncs,
+)
 from repro.switchsim.mgpv import Event, FGSync, MGPVRecord
 
 BACKENDS = ("serial", "thread", "process")
@@ -1514,6 +1518,14 @@ class ShardedCluster:
         if chunk is not None:
             self._dispatch(worker, chunk)
 
+    def consume_batch(self, events) -> None:
+        """:meth:`consume` per event, with the slice's new-flow sync
+        routes resolved in one vectorised hash sweep first."""
+        route_syncs(events, self.compiled.cg.project, self._route_cache,
+                    self.alive)
+        for event in events:
+            self.consume(event)
+
     def run(self, events) -> "ShardedCluster":
         for event in events:
             self.consume(event)
@@ -2232,9 +2244,7 @@ class ParallelSink:
         return ()
 
     def consume_batch(self, events) -> tuple:
-        consume = self.cluster.consume
-        for event in events:
-            consume(event)
+        self.cluster.consume_batch(events)
         return ()
 
     def flush(self) -> tuple:

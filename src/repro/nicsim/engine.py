@@ -22,7 +22,10 @@ from __future__ import annotations
 
 import os
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
+from itertools import repeat
+from operator import itemgetter
 from time import perf_counter_ns
 
 import numpy as np
@@ -41,6 +44,14 @@ from repro.core.functions import (
 from repro.nicsim.grouptable import GroupTable
 from repro.nicsim.memory import EMEM, level_by_name
 from repro.nicsim.placement import PlacementResult
+from repro.streaming.folds import (
+    Fold,
+    ObjectFold,
+    ObjectMap,
+    Segments,
+    as_column,
+    overlay,
+)
 from repro.switchsim.mgpv import Event, FGSync, MGPVRecord
 
 
@@ -199,7 +210,8 @@ class _SectionPlan:
 
     __slots__ = ("maps", "reds", "share_plan", "columnar", "blocker",
                  "map_factories", "red_factories", "red_feats",
-                 "red_followers", "red_shells", "shell_extras")
+                 "red_followers", "red_shells", "shell_extras",
+                 "map_fns", "map_probes", "probes", "leader_of")
 
     def __init__(self, section: Section, ctx: ExecContext,
                  meta_index: dict | None = None,
@@ -261,10 +273,16 @@ class _SectionPlan:
                               for name, value in shell[1])
         self.red_shells = tuple(shells)
         self.shell_extras = tuple(extras)
+        # What a slab is built from: the probed instances (a follower's
+        # probe later stands in for it on every row), the functions'
+        # names, and each follower's leader.
+        self.map_fns = tuple(m.fn for m in section.maps)
+        self.map_probes = [f() for f in self.map_factories]
+        self.probes = probes
+        self.leader_of = {f: l for f, l, _attr in self.share_plan}
         try:
             self.columnar = self._build_columnar(
-                index, section, [f() for f in self.map_factories], probes,
-                pkt_col0)
+                index, section, self.map_probes, probes, pkt_col0)
             self.blocker = None
         except _PerCell as blocker:
             self.columnar, self.blocker = None, str(blocker)
@@ -319,7 +337,7 @@ class _SectionPlan:
         valid_dsts: dict[str, bool] = {}   # dst -> always emits a value
         for i, ((dst, src, src_pos, _factory), m) in enumerate(
                 zip(self.maps, section.maps)):
-            kernel, reads, maybe_none, _ = declared(m.fn, map_probes[i])
+            kernel, reads, maybe_none, *_ = declared(m.fn, map_probes[i])
             if kernel is None:
                 raise _PerCell(m.fn, "declared without a map kernel")
             if "src" not in reads:
@@ -340,14 +358,14 @@ class _SectionPlan:
             valid_dsts[dst] = not maybe_none or bool(valid_dsts.get(dst))
             if dst in positions:
                 shadowed.add(dst)
-        leader_of = {f: l for f, l, _attr in self.share_plan}
+        leader_of = self.leader_of
         collected = {f.name for f in section.collected}
         creds: dict = {}        # leader red_idx -> its (mutable) entry
         col = pkt_col0
         for red_idx, (feat, kind, src, pos, _factory, _follower) \
                 in enumerate(self.reds):
             probe = red_probes[red_idx]
-            _k, reads, _m, stat = declared(feat.reduce_fn, probe)
+            _k, reads, _m, stat, _fold = declared(feat.reduce_fn, probe)
             entry = creds.setdefault(
                 leader_of.get(red_idx, red_idx),
                 [kind, src, pos, red_idx, "direction" in reads, 0, None])
@@ -460,6 +478,119 @@ class _GroupState:
                    for r in self.red_all)
 
 
+class _Stamps(Fold):
+    """Every group's ``last_update`` clock stamp."""
+
+    COLUMNS = (("last_update", None, np.int64),)
+
+
+class _Slab:
+    """One section's resident groups as a struct of arrays — the
+    bus-wide hash-table entry of §6.2 with one numpy column per state
+    word instead of one Python object graph per group.  The section's
+    :class:`GroupTable` stores a *row* per key (``alloc`` is its state
+    factory; freed rows are reused, zeroed); every stateful map and
+    every accumulator leader of the share plan is a
+    :mod:`~repro.streaming.folds` fold over those rows.  A function
+    that declared no fold rides an object column — ``objects`` names
+    the first such function."""
+
+    def __init__(self, plan: _SectionPlan) -> None:
+        self.plan = plan
+        self.objects: str | None = None
+        cmaps, creds, _ts, _dir = plan.columnar
+        self.maps = []
+        for m_idx, _dst, kernel, *_ in cmaps:
+            probe = plan.map_probes[m_idx]
+            fold = COLUMNAR_KERNELS[type(probe)][4]
+            self.maps.append(fold(probe) if fold is not None
+                             else self._object_map(m_idx, kernel))
+        self.reds: dict = {}        # leader red_idx -> its fold
+        self.stats: dict = {}       # red_idx -> the stat finalize() reads
+        family: dict = {}
+        for idx in range(len(plan.probes)):
+            family.setdefault(plan.leader_of.get(idx, idx), []).append(idx)
+        for leader, members in family.items():
+            decls = [COLUMNAR_KERNELS[type(plan.probes[i])][4]
+                     for i in members]
+            factory = decls[0] and decls[0][0]
+            odd = next((i for i, decl in zip(members, decls)
+                        if not decl or decl[0] is not factory), None)
+            if odd is None:
+                self.stats.update((i, decl[1])
+                                  for i, decl in zip(members, decls))
+                self.reds[leader] = factory(self._holder(leader))
+            else:
+                self._object_fold(leader, odd)
+        self.stamps = _Stamps(None)
+        self.used = self.cap = 0
+        self.free: list[int] = []
+        self.fresh: list[int] = []      # allocated, columns not yet reset
+
+    def _holder(self, leader: int, reducer=None):
+        """The object holding a (fresh) reducer's state: its declared
+        shared accumulator, else the reducer itself."""
+        reducer = reducer or self.plan.red_factories[leader]()
+        attr = SHARED_ACCUMULATORS.get(type(reducer))
+        return reducer if attr is None else getattr(reducer, attr)
+
+    def _object_map(self, m_idx: int, kernel) -> ObjectMap:
+        self.objects = self.objects or str(self.plan.map_fns[m_idx])
+        return ObjectMap(self.plan.map_factories[m_idx], kernel)
+
+    def _object_fold(self, leader: int, named: int) -> ObjectFold:
+        plan = self.plan
+        self.objects = self.objects or str(plan.red_feats[named].reduce_fn)
+        fold = self.reds[leader] = ObjectFold(
+            plan.red_factories[leader],
+            SHARED_ACCUMULATORS.get(type(plan.probes[leader])))
+        return fold
+
+    def folds(self) -> list:
+        return [*self.maps, *self.reds.values(), self.stamps]
+
+    def alloc(self) -> int:
+        if self.free:
+            row = self.free.pop()
+        else:
+            row = self.used
+            self.used += 1
+        self.fresh.append(row)
+        return row
+
+    def settle(self) -> None:
+        """Make the columns cover every allocated row (doubling) and
+        reset the rows allocated since the last call."""
+        if self.used > self.cap:
+            self.cap = max(2 * self.cap, self.used, 64)
+            for fold in self.folds():
+                fold.grow(self.cap)
+        if self.fresh:
+            rows = np.array(self.fresh, np.intp)
+            for fold in self.folds():
+                fold.clear(rows)
+            self.fresh = []
+
+    def to_objects(self, slot: int | None = None,
+                   leader: int | None = None):
+        """Move one native fold's rows into an object column — a block
+        left the range the fold is exact in — and return that column."""
+        if leader is None:
+            old = self.maps[slot]
+            m_idx, _dst, kernel, *_ = self.plan.columnar[0][slot]
+            new = self.maps[slot] = self._object_map(m_idx, kernel)
+        else:
+            old = self.reds[leader]
+            new = self._object_fold(leader, leader)
+        new.grow(self.cap)
+        new.clear(range(self.used))
+        for row in range(self.used):
+            fn = new.col[row]
+            old.export(row, fn if leader is None
+                       else self._holder(leader, fn))
+        return new
+
+
 @dataclass
 class EngineStats:
     records: int = 0
@@ -490,7 +621,6 @@ class FeatureEngine:
         self._pending: list = []
         self._clock = 0     # ns; advanced by cell tstamps or externally
         self._fg_mirror: dict[int, tuple] = {}
-        self._row_layout = None     # see _parts_vector
         self._synth_cache: dict = {}
         self._pkt_vectors: list[FeatureVector] = []
         self._degraded_cg_keys: set[tuple] = set()
@@ -506,31 +636,35 @@ class FeatureEngine:
         self._view = _CellView(self._meta_index)
         self._reference = os.environ.get("SUPERFE_REFERENCE_PATH") == "1"
 
-        self._tables: list[tuple[Section, GroupTable]] = []
-        self._plans: list[_SectionPlan] = []
         self._pkt_mode = compiled.collect_unit == "pkt"
         pkt_col = 0 if self._pkt_mode else None
+        self._plans: list[_SectionPlan] = []
         for section in compiled.sections:
-            level = self._section_level(section, placement)
-            plan = _SectionPlan(section, self.ctx, self._meta_index,
-                                share_states=not self._reference,
-                                pkt_col0=pkt_col)
+            self._plans.append(_SectionPlan(
+                section, self.ctx, self._meta_index,
+                share_states=not self._reference, pkt_col0=pkt_col))
             if self._pkt_mode:
                 pkt_col += len(section.collected)
-            entry_bytes = self._entry_bytes(section, plan)
-            table = GroupTable(
-                n_indices=table_indices, width=table_width,
-                entry_bytes=entry_bytes, level=level,
-                state_factory=(lambda p=plan: _GroupState(p)))
-            self._tables.append((section, table))
-            self._plans.append(plan)
         # Columnar fast path eligibility: every section has an exact
         # batch recipe (for a per-packet policy, run kernels that emit a
-        # row per cell).  Orphan cells still force the per-cell path per
+        # row per cell).  Orphan cells still leave the block path per
         # record — checked at record time.
         self._columnar = (not self._reference
                           and all(p.columnar is not None
                                   for p in self._plans))
+        # A columnar per-group policy keeps its group state in slabs:
+        # the tables then map a key to a slab row, not to a state object.
+        self._slabs = ([_Slab(plan) for plan in self._plans]
+                       if self._columnar and not self._pkt_mode else None)
+        self._tables: list[tuple[Section, GroupTable]] = []
+        for i, (section, plan) in enumerate(zip(compiled.sections,
+                                                self._plans)):
+            self._tables.append((section, GroupTable(
+                n_indices=table_indices, width=table_width,
+                entry_bytes=self._entry_bytes(section, plan),
+                level=self._section_level(section, placement),
+                state_factory=(self._slabs[i].alloc if self._slabs
+                               else lambda p=plan: _GroupState(p)))))
         # Vector-assembly plan, one entry per table: collected feature
         # names and (red_all index, compiled synth chain) pairs in
         # reducer order — what _group_vector/_emit_packet_vector would
@@ -644,9 +778,10 @@ class FeatureEngine:
         depend on where the run was split into blocks — slices preserve
         cell-stream order and the table accounting is per-cell-total —
         so the blocks concatenate; only ``last_update`` stamps see the
-        clock, and the piecewise prefix-max computed here (cell
-        timestamps within a block, ``advance_clock`` values between
-        blocks) reproduces the eager per-block stamps bit for bit.
+        clock.  A clock advance is a floor under every later cell's
+        stamp, so the merged block carries ``(first cell, floor)`` pairs
+        and :meth:`_process_cells_block` computes the piecewise prefix
+        maximum in numpy — bit for bit the eager per-block stamps.
         """
         pending = self._pending
         if not pending:
@@ -656,73 +791,32 @@ class FeatureEngine:
         # must not strand that alias on a dead list.
         entries = pending[:]
         pending.clear()
-        # Common shape: cell blocks with clock markers only at the
-        # edges (the dataplane advances the clock once after its batch
-        # tier).  Leading markers fold into the clock floor and trailing
-        # ones apply after the merged pass, so the per-cell stamp array
-        # is skipped and _process_cells_block computes the prefix max
-        # itself; only a marker *between* cell blocks forces the
-        # stamped path.
-        first_cell = last_cell = None
-        for i, entry in enumerate(entries):
-            if entry[0] is _CELLS:
-                if first_cell is None:
-                    first_cell = i
-                last_cell = i
-        clock = self._clock
-        if first_cell is None:
-            for _tag, now in entries:
-                if now > clock:
-                    clock = now
-            self._clock = clock
-            return
-        if not any(entry[0] is _CLOCK
-                   for entry in entries[first_cell:last_cell]):
-            for entry in entries[:first_cell]:
-                if entry[1] > clock:
-                    clock = entry[1]
-            self._clock = clock
-            if first_cell == last_cell:
-                _tag, keys, metas, cgs = entries[first_cell]
-            else:
-                keys, metas, cgs = [], [], []
-                for entry in entries[first_cell:last_cell + 1]:
-                    keys.extend(entry[1])
-                    metas.extend(entry[2])
-                    cgs.extend(entry[3])
-            self._process_cells_block(keys, metas, cgs)
-            clock = self._clock
-            for entry in entries[last_cell + 1:]:
-                if entry[1] > clock:
-                    clock = entry[1]
-            self._clock = clock
-            return
-        ts_idx = self._ts_idx
-        keys = []
-        metas = []
-        cgs = []
-        stamps: list = []
-        append = stamps.append
+        keys: list = []
+        metas: list = []
+        offs: list = []
+        cgs: list = []
+        floors: list = []
+        floor = 0
         for entry in entries:
             if entry[0] is _CLOCK:
-                if entry[1] > clock:
-                    clock = entry[1]
+                if entry[1] > floor:
+                    floor = entry[1]
                 continue
-            _tag, bkeys, bmetas, bcgs = entry
+            _tag, bkeys, bmetas, boffs, bcgs = entry
+            if floor and (not floors or floor > floors[-1][1]):
+                floors.append((len(keys), floor))
+            if keys:
+                base = len(keys)
+                offs.extend([off + base for off in boffs])
+            else:
+                offs.extend(boffs)
             keys.extend(bkeys)
             metas.extend(bmetas)
             cgs.extend(bcgs)
-            if ts_idx is None:
-                stamps.extend([clock] * len(bmetas))
-            else:
-                for meta in bmetas:
-                    ts = meta[ts_idx]
-                    if ts > clock:
-                        clock = ts
-                    append(clock)
-        self._clock = clock
         if keys:
-            self._process_cells_block(keys, metas, cgs, stamps)
+            self._process_cells_block(keys, metas, offs, cgs, floors)
+        if floor > self._clock:
+            self._clock = floor
 
     def consume(self, event: Event) -> None:
         if isinstance(event, FGSync):
@@ -775,10 +869,12 @@ class FeatureEngine:
         t_records = self._t_records
         t_syncs = self._t_syncs
         t_cells = self._t_record_cells
-        # Per-cell block columns: resolved FG key, metadata tuple, and
-        # the owning record's CG identity (for the hash shortcut).
+        # Per-cell block columns — resolved FG key, metadata tuple — and
+        # per record its first cell's offset and CG identity (the hash
+        # shortcut of a group's first lookup).
         keys: list = []
         metas: list = []
+        offs: list = []
         cgs: list = []
         mirror_get = mirror.get
         for event in events:
@@ -796,18 +892,18 @@ class FeatureEngine:
                     # Orphan cell(s): flush what accumulated and take
                     # the ordered per-event degradation path.
                     if keys:
-                        pending.append((_CELLS, keys, metas, cgs))
-                        keys, metas, cgs = [], [], []
+                        pending.append((_CELLS, keys, metas, offs, cgs))
+                        keys, metas, offs, cgs = [], [], [], []
                     self.consume(event)
                     continue
+                offs.append(len(keys))
+                cgs.append((event.cg_key, event.cg_hash32))
                 keys.extend(kk)
                 metas.extend(ms)
                 stats.records += 1
                 if t_records is not None:
                     t_records.inc()
                     t_cells.observe(len(cells))
-                cg = (event.cg_key, event.cg_hash32)
-                cgs.extend([cg] * len(cells))
             elif type(event) is FGSync:
                 stats.syncs += 1
                 mirror[event.index] = event.key
@@ -815,11 +911,11 @@ class FeatureEngine:
                     t_syncs.inc()
             else:
                 if keys:
-                    pending.append((_CELLS, keys, metas, cgs))
-                    keys, metas, cgs = [], [], []
+                    pending.append((_CELLS, keys, metas, offs, cgs))
+                    keys, metas, offs, cgs = [], [], [], []
                 self.consume(event)
         if keys:
-            pending.append((_CELLS, keys, metas, cgs))
+            pending.append((_CELLS, keys, metas, offs, cgs))
 
     def consume_block(self, cg_key: tuple, cg_hash32: int, fg_col: tuple,
                       meta_cols: tuple, reason: str) -> None:
@@ -837,6 +933,8 @@ class FeatureEngine:
     def _process_record(self, record: MGPVRecord) -> None:
         if self._columnar and self._process_record_columnar(record):
             return
+        if self._slabs is not None:
+            return self._process_record_orphaned(record)
         if self._t_cells_per_cell is not None:
             self._t_cells_per_cell.inc(len(record.cells))
         if self._reference:
@@ -870,9 +968,7 @@ class FeatureEngine:
                 # coarse section instead of dropping it (§graceful
                 # degradation) and flag the group.
                 stats.orphan_cells += 1
-                self._demote_cell(
-                    record.cg_key,
-                    dict(zip(self.compiled.metadata_fields, meta)))
+                self._demote_cell(record.cg_key, meta)
                 continue
             if ts_idx is not None:
                 ts = meta[ts_idx]
@@ -955,80 +1051,230 @@ class FeatureEngine:
                 return False
             keys.append(fg_key)
         self._stats.records += 1
-        cg = (record.cg_key, record.cg_hash32)
-        self._pending.append((_CELLS, keys,
-                              [meta for _fg, meta in cells],
-                              [cg] * len(cells)))
+        self._pending.append((_CELLS, keys, [meta for _fg, meta in cells],
+                              [0], [(record.cg_key, record.cg_hash32)]))
         return True
 
-    def _process_cells_block(self, keys: list, metas: list,
-                             cgs: list, stamps: list | None = None
-                             ) -> None:
-        """Reduce a block of cells (possibly spanning records) as
-        per-group array slices: one table lookup plus a bulk repeat-hit
-        account per (group, section), map kernels over the group's
-        metadata columns, and one ``update_many`` per reducer instead of
-        one call per cell.
+    def _process_record_orphaned(self, record: MGPVRecord) -> None:
+        """A record with orphan cells, over slab state: runs of
+        attributed cells fold as blocks and every orphan demotes through
+        a one-cell fold, in cell order — what the per-cell loop does to
+        group objects."""
+        if self._pending:
+            self._drain()
+        stats = self._stats
+        stats.records += 1
+        mirror = self._fg_mirror
+        cg = [(record.cg_key, record.cg_hash32)]
+        keys: list = []
+        metas: list = []
+        for fg_idx, meta in record.cells:
+            fg_key = mirror.get(fg_idx)
+            if fg_key is not None:
+                keys.append(fg_key)
+                metas.append(meta)
+                continue
+            if keys:
+                self._process_cells_block(keys, metas, [0], cg)
+                keys, metas = [], []
+            stats.cells += 1
+            stats.orphan_cells += 1
+            if self._t_cells_per_cell is not None:
+                self._t_cells_per_cell.inc()
+            self._demote_cell(record.cg_key, meta)
+        if keys:
+            self._process_cells_block(keys, metas, [0], cg)
+
+    def _process_cells_block(self, keys: list, metas: list, offs: list,
+                             cgs: list, floors=()) -> None:
+        """Reduce a block of cells (possibly spanning records) group by
+        group instead of cell by cell.  ``keys`` holds each cell's
+        resolved FG key (orphans are excluded by the callers), ``metas``
+        its metadata tuple; record ``r`` starts at cell ``offs[r]`` and
+        ``cgs[r]`` is its ``(cg_key, cg_hash32)`` hash shortcut.
+        ``floors`` lists ``(first cell, clock)`` advances that arrived
+        between the block's cells (see :meth:`_drain`).
 
         Bit-identical to the per-cell loop by construction: each section
         groups cells by its own *projected* key — states shared across
         fine groups (a coarse section under a finer FG) still see their
-        updates in exact cell-stream order — slices preserve cell order
-        within a group, first-appearance order preserves table insertion
-        order, and ``last_update``/clock reproduce the per-cell prefix
-        maximum.  ``keys`` holds each cell's resolved FG key (orphans
-        are excluded by the callers), ``metas`` its metadata tuple, and
-        ``cgs`` its record's ``(cg_key, cg_hash32)`` hash shortcut.
-        ``stamps`` is the precomputed per-cell ``last_update`` array
-        (:meth:`_drain` passes it, having already advanced the clock);
-        without it the block computes the clock prefix max itself.
+        updates in exact cell-stream order — cell order is kept within a
+        group, first-appearance order preserves table insertion order,
+        and ``last_update`` is the clock's prefix maximum at the group's
+        last cell (the scalar loop advances the clock per cell before
+        stamping).
 
-        A ``collect(pkt)`` policy takes the same walk with run kernels
-        in place of ``update_many``: each accumulator replays its
-        group's run and writes its statistics into the run's rows of
-        one per-block buffer.  Sections are independent, so row ``i``
-        ends up holding every section's state right after cell ``i``:
-        the rows are the vectors, in cell order.
+        A per-group policy folds all of a section's groups at once into
+        its slab (:meth:`_fold_section`); a ``collect(pkt)`` policy
+        walks the groups with run kernels (:meth:`_run_block`).
         """
         n = len(keys)
-        dims = self._pkt_dims
-        if dims:
-            if n > _PKT_BLOCK_ROWS:
-                for lo in range(0, n, _PKT_BLOCK_ROWS):
-                    hi = lo + _PKT_BLOCK_ROWS
-                    self._process_cells_block(
-                        keys[lo:hi], metas[lo:hi], cgs[lo:hi],
-                        stamps and stamps[lo:hi])
-                return
-            # Rows of 1 + dims slots: column -1 of a row is the scratch
-            # slot that unwanted statistics are written to.
-            buf = array("d", (0.0,)) * (n * (dims + 1))
-            offsets = range(1, len(buf), dims + 1)
         stats = self._stats
         stats.cells += n
         stats.cells_columnar += n
         if self._t_cells_columnar is not None:
             self._t_cells_columnar.inc(n)
-        cols = tuple(zip(*metas))
-        # Clock prefix maximum: the scalar loop advances the clock per
-        # cell before stamping last_update, so a group's final stamp is
-        # the prefix max at its last cell.
-        ts_idx = self._ts_idx
-        clock = self._clock
-        if stamps is not None:
-            prefix = stamps
-        elif ts_idx is not None:
-            # Running max over the timestamp column in C; the prior
-            # clock is the floor for every position.
-            arr = np.fromiter(cols[ts_idx], dtype=np.int64, count=n)
-            np.maximum.accumulate(arr, out=arr)
-            if clock:
-                np.maximum(arr, clock, out=arr)
-            prefix = arr.tolist()
-            clock = prefix[-1]
-            self._clock = clock
+        if self._ts_idx is None:
+            stamps = np.zeros(n, dtype=np.int64)
         else:
-            prefix = None
+            stamps = np.fromiter(map(itemgetter(self._ts_idx), metas),
+                                 dtype=np.int64, count=n)
+            np.maximum.accumulate(stamps, out=stamps)
+        if self._clock:
+            np.maximum(stamps, self._clock, out=stamps)
+        for first, floor in floors:
+            np.maximum(stamps[first:], floor, out=stamps[first:])
+        self._clock = int(stamps[-1])
+        if self._slabs is None:
+            # Capped: a block's vectors are row views of one buffer.
+            cols = tuple(zip(*metas))
+            prefix = stamps.tolist()
+            for lo in range(0, n, _PKT_BLOCK_ROWS):
+                hi = lo + _PKT_BLOCK_ROWS
+                self._run_block(keys[lo:hi], [c[lo:hi] for c in cols],
+                                offs, cgs, lo, prefix[lo:hi])
+            return
+        # Every section sorts the block by its own groups; they share
+        # the FG grouping (first-appearance ordinals; a group's first
+        # cell is where the running maximum ordinal steps up) and the
+        # metadata columns, cut from the cell tuples on first use.
+        ordinal: dict = {}
+        number = ordinal.setdefault
+        cells = np.array([number(key, len(ordinal)) for key in keys],
+                         np.intp)
+        top = np.maximum.accumulate(cells)
+        heads = np.flatnonzero(np.diff(top, prepend=-1)).tolist()
+        arrays: dict = {}
+        fg_name = self.compiled.fg.name
+        skips = 0
+        for i, (section, _table) in enumerate(self._tables):
+            if section.granularity.name == fg_name:
+                skips += self._fold_section(i, ordinal, heads, cells, metas,
+                                            arrays, offs, cgs, stamps)
+                continue
+            # Coarser groups, still in first-appearance order: the
+            # projection is a pure function of the FG key.
+            project = section.granularity.project
+            coarse: dict = {}
+            of_fine = []
+            for fg_key, head in zip(ordinal, heads):
+                at = coarse.setdefault(project(fg_key), (len(coarse), head))
+                of_fine.append(at[0])
+            skips += self._fold_section(
+                i, coarse, [head for _at, head in coarse.values()],
+                np.array(of_fine, np.intp)[cells], metas, arrays, offs, cgs,
+                stamps)
+        stats.skipped_updates += skips
+
+    def _fold_section(self, i: int, group_keys, heads, cells: np.ndarray,
+                      metas: list, arrays: dict, offs, cgs,
+                      stamps: np.ndarray) -> int:
+        """Fold one section's share of a block into its slab: cell ``c``
+        belongs to the ``cells[c]``-th of ``group_keys`` (in
+        first-appearance order; ``heads`` are their first cells, None
+        for a demoted orphan, which has no hash shortcut).  One located
+        table lookup per group with the repeats accounted in bulk, one
+        stable sort by group, then every map and every accumulator
+        family takes all segments in one call.  Returns the skipped
+        updates."""
+        table = self._tables[i][1]
+        slab = self._slabs[i]
+        cmaps, creds, ts_pos, dir_pos = self._plans[i].columnar
+        lens = np.bincount(cells, minlength=len(group_keys))
+        if heads is None:
+            shortcuts = repeat((None, None))
+        else:
+            shortcuts = map(cgs.__getitem__, (np.searchsorted(
+                offs, heads, "right") - 1).tolist())
+        lookup = table.lookup_or_insert_located
+        rows = []
+        homed = []
+        for key, (cg_key, cg_hash32) in zip(group_keys, shortcuts):
+            row, _created, in_bucket = lookup(
+                key, cg_hash32 if key == cg_key else None)
+            rows.append(row)
+            homed.append(in_bucket)
+        homed = np.array(homed)
+        table.account_hits(True, int((lens - 1)[homed].sum()))
+        table.account_hits(False, int((lens - 1)[~homed].sum()))
+        slab.settle()
+        seg = Segments(np.array(rows, np.intp), lens)
+        order = np.argsort(cells, kind="stable")
+        slab.stamps.last_update[seg.rows] = stamps[order[seg.ends]]
+        sorted_cols: dict = {}
+
+        def column(pos):
+            col = sorted_cols.get(pos)
+            if col is None:
+                raw = arrays.get(pos)
+                if raw is None:
+                    items = list(map(itemgetter(pos), metas))
+                    raw = np.array(items)
+                    if raw.dtype != np.int64 and raw.dtype != np.float64:
+                        raw = as_column(items)[0]
+                    arrays[pos] = raw
+                col = sorted_cols[pos] = raw[order]
+            return col
+
+        ts = None if ts_pos is None else column(ts_pos)
+        dirs = None if dir_pos is None else column(dir_pos)
+        mapped: dict = {}       # dst -> (values, valid mask or None)
+        for slot, (_m, dst, _k, mode, arg, fallback) in enumerate(cmaps):
+            if mode == _SectionPlan._SRC_NONE:
+                src = None
+            elif mode == _SectionPlan._SRC_POS:
+                src = column(arg)
+            elif fallback is None:
+                src = mapped[arg][0]
+            else:
+                src = overlay(mapped[arg], (column(fallback), None))[0]
+            out = (slab.maps[slot].apply(seg, src, ts, dirs)
+                   or slab.to_objects(slot=slot).apply(seg, src, ts, dirs))
+            under = mapped.get(dst)
+            mapped[dst] = out if under is None else overlay(out, under)
+        skips = 0
+        packed: dict = {}       # src -> its emitted cells only
+        for kind, src, pos, red_idx, needs_dir, weight, _run in creds:
+            part, rdirs = seg, dirs
+            if kind == _POS:
+                values = column(pos)
+            elif kind == _MAPPED_OR_POS:
+                values = overlay(mapped[src], (column(pos), None))[0]
+            elif src not in mapped:
+                skips += seg.n * weight
+                continue
+            else:
+                values, valid = mapped[src]
+                if valid is not None:
+                    if src not in packed:
+                        packed[src] = (seg.select(valid), values[valid],
+                                       None if dirs is None else dirs[valid])
+                    part, values, rdirs = packed[src]
+                    skips += (seg.n - part.n) * weight
+                    if not part.n:
+                        continue
+            args = part, values, rdirs if needs_dir else None
+            if not slab.reds[red_idx].update(*args):
+                slab.to_objects(leader=red_idx).update(*args)
+        return skips
+
+    def _run_block(self, keys: list, cols: list, offs: list, cgs: list,
+                   cell0: int, prefix: list) -> None:
+        """One ``collect(pkt)`` block (cells ``cell0`` onwards of the
+        merged block): per group, one table lookup plus a bulk
+        repeat-hit account per section, map kernels over the group's
+        metadata columns, and each accumulator's run kernel, which
+        replays the group's run and writes its statistics into the
+        run's rows of one per-block buffer.  Sections are independent,
+        so row ``i`` ends up holding every section's state right after
+        cell ``i``: the rows are the vectors, in cell order."""
+        n = len(keys)
+        dims = self._pkt_dims
+        stats = self._stats
+        # Rows of 1 + dims slots: column -1 of a row is the scratch
+        # slot that unwanted statistics are written to.
+        buf = array("d", (0.0,)) * (n * (dims + 1))
+        offsets = range(1, len(buf), dims + 1)
         skips = 0
         src_none = _SectionPlan._SRC_NONE
         src_pos = _SectionPlan._SRC_POS
@@ -1065,13 +1311,13 @@ class FeatureEngine:
             for key, idxs in groups.items():
                 k = len(idxs)
                 whole = k == n
-                cg_key, cg_hash32 = cgs[idxs[0]]
+                cg_key, cg_hash32 = cgs[
+                    bisect_right(offs, cell0 + idxs[0]) - 1]
                 state, _created, in_bucket = lookup(
                     key, cg_hash32 if key == cg_key else None)
                 if k > 1:
                     account(in_bucket, k - 1)
-                state.last_update = (clock if prefix is None
-                                     else prefix[idxs[-1]])
+                state.last_update = prefix[idxs[-1]]
                 # Per-group column-slice memo: several consumers (map
                 # sources, sibling reducers over one source) slice the
                 # same column; cut the list comp to once per column.
@@ -1117,76 +1363,33 @@ class FeatureEngine:
                         mapped[dst] = [v if v is not None else p
                                        for v, p in zip(out, prev)]
                 red_objs = state.red_objs
-                if dims:
-                    at = offsets if whole else [offsets[i] for i in idxs]
-                    secs = ts_g and [t / NS_PER_S for t in ts_g]
-                    memo: dict = {}
-                    for kind, src, pos, red_idx, _d, weight, run in creds:
-                        if kind == _MAPPED:
-                            # None = "skip the update, snapshot anyway".
-                            vals = mapped.get(src) or [None] * k
-                            skips += vals.count(None) * weight
-                        else:
-                            vals = csl.get(pos)
-                            if vals is None:
-                                c = cols[pos]
-                                vals = csl[pos] = (
-                                    c if whole else [c[i] for i in idxs])
-                            if kind == _MAPPED_OR_POS:
-                                fb = vals
-                                vals = [m if m is not None else fb[j]
-                                        for j, m in enumerate(mapped[src])]
-                        getattr(red_objs[red_idx], run[0]).update_run(
-                            vals, secs, dir_g, buf, at, run[1], memo)
-                    continue
-                for kind, src, pos, red_idx, needs_dir, weight, _r in creds:
-                    reducer = red_objs[red_idx]
-                    if kind == _POS:
+                at = offsets if whole else [offsets[i] for i in idxs]
+                secs = ts_g and [t / NS_PER_S for t in ts_g]
+                memo: dict = {}
+                for kind, src, pos, red_idx, _d, weight, run in creds:
+                    if kind == _MAPPED:
+                        # None = "skip the update, snapshot anyway".
+                        vals = mapped.get(src) or [None] * k
+                        skips += vals.count(None) * weight
+                    else:
                         vals = csl.get(pos)
                         if vals is None:
                             c = cols[pos]
                             vals = csl[pos] = (
                                 c if whole else [c[i] for i in idxs])
-                        reducer.update_many(
-                            vals, dir_g if needs_dir else None)
-                    elif kind == _MAPPED_OR_POS:
-                        base = mapped[src]
-                        fb = csl.get(pos)
-                        if fb is None:
-                            c = cols[pos]
-                            fb = csl[pos] = (
-                                c if whole else [c[i] for i in idxs])
-                        vals = [m if m is not None else fb[j]
-                                for j, m in enumerate(base)]
-                        reducer.update_many(
-                            vals, dir_g if needs_dir else None)
-                    else:
-                        base = mapped.get(src)
-                        if base is None:
-                            skips += k * weight
-                        elif needs_dir:
-                            vals = []
-                            dirs = []
-                            for m, d in zip(base, dir_g):
-                                if m is not None:
-                                    vals.append(m)
-                                    dirs.append(d)
-                            skips += (k - len(vals)) * weight
-                            if vals:
-                                reducer.update_many(vals, dirs)
-                        else:
-                            vals = [m for m in base if m is not None]
-                            skips += (k - len(vals)) * weight
-                            if vals:
-                                reducer.update_many(vals)
+                        if kind == _MAPPED_OR_POS:
+                            fb = vals
+                            vals = [m if m is not None else fb[j]
+                                    for j, m in enumerate(mapped[src])]
+                    getattr(red_objs[red_idx], run[0]).update_run(
+                        vals, secs, dir_g, buf, at, run[1], memo)
         stats.skipped_updates += skips
-        if dims:
-            rows = np.frombuffer(buf).reshape(n, dims + 1)[:, 1:]
-            self._pkt_vectors.extend(
-                FeatureVector(key, self._pkt_names, row,
-                              self._vector_degraded(key))
-                for key, row in zip(keys, rows))
-            stats.vectors_emitted += n
+        rows = np.frombuffer(buf).reshape(n, dims + 1)[:, 1:]
+        self._pkt_vectors.extend(
+            FeatureVector(key, self._pkt_names, row,
+                          self._vector_degraded(key))
+            for key, row in zip(keys, rows))
+        stats.vectors_emitted += n
 
     def _process_record_reference(self, record: MGPVRecord) -> None:
         """The pre-optimization per-cell path (``SUPERFE_REFERENCE_PATH=1``
@@ -1200,7 +1403,7 @@ class FeatureEngine:
             fg_key = self._fg_mirror.get(fg_idx)
             if fg_key is None:
                 self._stats.orphan_cells += 1
-                self._demote_cell(record.cg_key, fields)
+                self._demote_cell(record.cg_key, meta)
                 continue
             self._process_cell(fg_key, fields)
 
@@ -1241,23 +1444,28 @@ class FeatureEngine:
         if self.compiled.collect_unit == "pkt":
             self._emit_packet_vector(fg_key)
 
-    def _demote_cell(self, cg_key: tuple, fields: dict) -> None:
+    def _demote_cell(self, cg_key: tuple, meta: tuple) -> None:
         """Graceful degradation for an orphaned cell: its FG key is
         unknown, but the record's CG key still attributes it to the
         coarsest section.  Update that section only and mark the CG
         group degraded, so its vectors carry the flag instead of the
         cell silently vanishing.  Per-packet emission is skipped — a
         CG-only snapshot would have a different width."""
-        tstamp = fields.get("tstamp")
-        if tstamp is not None:
-            self._clock = max(self._clock, tstamp)
+        if self._ts_idx is not None:
+            self._clock = max(self._clock, meta[self._ts_idx])
         cg_name = self.compiled.cg.name
         updated = False
-        for section, table in self._tables:
+        for i, (section, table) in enumerate(self._tables):
             if section.granularity.name != cg_name:
                 continue
-            state, _ = table.lookup_or_insert(cg_key)
-            self._update_section(state, fields)
+            if self._slabs is None:
+                state, _ = table.lookup_or_insert(cg_key)
+                self._update_section(
+                    state, dict(zip(self.compiled.metadata_fields, meta)))
+            else:
+                self._stats.skipped_updates += self._fold_section(
+                    i, [cg_key], None, np.zeros(1, np.intp), [meta], {},
+                    None, None, np.array([self._clock]))
             updated = True
         if updated:
             self._stats.degraded_cells += 1
@@ -1282,58 +1490,6 @@ class FeatureEngine:
                         tuple(a.shape[0] for a in arrs))
         return np.array(parts, dtype=np.float64), None
 
-    @staticmethod
-    def _compile_row_layout(parts: list):
-        """The row layout of a policy's vectors, from its first one
-        (see :meth:`_parts_vector`)."""
-        arrays = [isinstance(p, (np.ndarray, list, tuple)) for p in parts]
-        if not any(arrays):
-            return True
-        if any(np.ndim(p) != 1 for p, arr in zip(parts, arrays) if arr):
-            return False
-        widths = tuple(len(p) if arr else 1
-                       for p, arr in zip(parts, arrays))
-        segments = []
-        off = i = 0
-        while i < len(parts):
-            j = i + 1
-            if not arrays[i]:
-                while j < len(parts) and not arrays[j]:
-                    j += 1
-            end = off + sum(widths[i:j])
-            segments.append((arrays[i], i, j, off, end))
-            off, i = end, j
-        return len(parts), widths, off, tuple(segments)
-
-    def _parts_vector(self, parts: list) -> tuple[np.ndarray, tuple | None]:
-        """:meth:`_vector_parts` behind a type-stable probe: which of a
-        policy's features are scalars and which arrays is fixed by its
-        functions, so the first vector compiles a row layout — True
-        (all scalars: one C call), False (odd shapes: always the
-        general path) or ``(n_parts, widths, total, segments)``, after
-        which a vector is one preallocated row filled per segment (a
-        run of scalars or one array) instead of one ``asarray`` per
-        feature.  A vector that does not fit (another part count, an
-        unbounded array of another length) takes the general path."""
-        layout = self._row_layout
-        if layout is None:
-            layout = self._row_layout = self._compile_row_layout(parts)
-        if layout is True:
-            return np.array(parts, dtype=np.float64), None
-        if layout and len(parts) == layout[0]:
-            _n, widths, total, segments = layout
-            row = np.empty(total)
-            for is_array, lo, hi, start, end in segments:
-                if not is_array:
-                    row[start:end] = parts[lo:hi]
-                elif len(parts[lo]) == end - start:
-                    row[start:end] = parts[lo]
-                else:
-                    break
-            else:
-                return row, widths
-        return self._vector_parts(parts)
-
     def _emit_packet_vector(self, fg_key: tuple,
                             states: list | None = None) -> None:
         parts: list = []
@@ -1356,7 +1512,7 @@ class FeatureEngine:
                 append(value)
         if parts:
             self._stats.vectors_emitted += 1
-            values, widths = self._parts_vector(parts)
+            values, widths = self._vector_parts(parts)
             self._pkt_vectors.append(FeatureVector(
                 key=fg_key, names=self._pkt_names, values=values,
                 degraded=self._vector_degraded(fg_key),
@@ -1392,16 +1548,21 @@ class FeatureEngine:
         if unit == "pkt":
             return list(self._pkt_vectors)
 
-        unit_entry = next((sec, tbl) for sec, tbl in self._tables
-                          if sec.granularity.name == unit)
-        unit_section, unit_table = unit_entry
-        vectors = []
-        for key, state in unit_table.items():
-            vec = self._group_vector(key, unit_section, state)
-            if vec is not None:
-                vectors.append(vec)
+        vectors = self._resident_vectors()
         self._stats.vectors_emitted += len(vectors)
         return vectors
+
+    def _resident_vectors(self) -> list[FeatureVector]:
+        """The current vector of every group of the collect
+        granularity, in table order."""
+        unit = self.compiled.collect_unit
+        section, table = next((sec, tbl) for sec, tbl in self._tables
+                              if sec.granularity.name == unit)
+        if self._slabs is not None:
+            return self._slab_vectors(list(table.items()))
+        return [vec for key, state in table.items()
+                if (vec := self._group_vector(key, section, state))
+                is not None]
 
     def evict_idle(self, now_ns: int, timeout_ns: int
                    ) -> list[FeatureVector]:
@@ -1420,26 +1581,127 @@ class FeatureEngine:
             self._drain()
         unit = self.compiled.collect_unit
         vectors: list[FeatureVector] = []
-        if unit != "pkt":
-            unit_section, unit_table = next(
-                (sec, tbl) for sec, tbl in self._tables
-                if sec.granularity.name == unit)
-            idle = [key for key, state in unit_table.items()
-                    if now_ns - state.last_update > timeout_ns]
-            for key in idle:
-                vec = self._group_vector(key, unit_section)
-                if vec is not None:
-                    vectors.append(vec)
-                unit_table.remove(key)
-            self._stats.vectors_emitted += len(vectors)
-        for section, table in self._tables:
-            if unit != "pkt" and section.granularity.name == unit:
-                continue
-            idle = [key for key, state in table.items()
-                    if now_ns - state.last_update > timeout_ns]
-            for key in idle:
+
+        # The collect granularity first: its vectors read the enclosing
+        # coarser groups, which are reaped after it.
+        tables = sorted(enumerate(self._tables),
+                        key=lambda e: e[1][0].granularity.name != unit)
+        for i, (section, table) in tables:
+            items = list(table.items())
+            if self._slabs is None:
+                stamps = [state.last_update for _key, state in items]
+            else:
+                stamps = self._slabs[i].stamps.last_update[
+                    [row for _key, row in items]]
+            reaped = [items[j] for j in np.flatnonzero(
+                now_ns - np.asarray(stamps, np.int64) > timeout_ns)]
+            if section.granularity.name == unit and self._slabs is not None:
+                vectors = self._slab_vectors(reaped)
+            elif section.granularity.name == unit:
+                vectors = [vec for key, _state in reaped
+                           if (vec := self._group_vector(key, section))
+                           is not None]
+            for key, state in reaped:
                 table.remove(key)
+                if self._slabs is not None:
+                    self._slabs[i].free.append(state)
+        self._stats.vectors_emitted += len(vectors)
         return vectors
+
+    def _slab_vectors(self, items: list) -> list[FeatureVector]:
+        """The vectors of collect-granularity groups ``items`` (``(key,
+        slab row)`` pairs), in that order: one expression per feature
+        over all rows, written into one (groups x dims) matrix whose
+        rows are the vectors' values; a coarser section's features are
+        gathered by the projected key's row, and a vector whose coarser
+        group is gone omits that section."""
+        if not items:
+            return []
+        unit = self.compiled.collect_unit
+        sec_rows = []
+        for (section, table), fp in zip(self._tables, self._final_plans):
+            if fp is None:
+                rows = None
+            elif section.granularity.name == unit:
+                rows = [row for _key, row in items]
+            else:
+                project = section.granularity.project
+                rows = [table.get(project(key)) for key, _row in items]
+            sec_rows.append(rows)
+        keys = [key for key, _row in items]
+        if all(rows is None or None not in rows for rows in sec_rows):
+            return self._matrix_vectors(keys, sec_rows)
+        # evict_idle reaped a coarser group under live finer ones:
+        # vectors with the same sections present share a matrix.
+        shapes: dict = {}
+        for j in range(len(keys)):
+            have = tuple(rows is not None and rows[j] is not None
+                         for rows in sec_rows)
+            shapes.setdefault(have, []).append(j)
+        out: list = [None] * len(keys)
+        for have, members in shapes.items():
+            vectors = self._matrix_vectors(
+                [keys[j] for j in members],
+                [[rows[j] for j in members] if here else None
+                 for rows, here in zip(sec_rows, have)])
+            for j, vec in zip(members, vectors):
+                out[j] = vec
+        return [vec for vec in out if vec is not None]
+
+    def _matrix_vectors(self, keys: list, sec_rows: list) -> list:
+        """:meth:`_slab_vectors` for groups with the same sections
+        present: ``sec_rows[i]`` holds section ``i``'s slab row per
+        group (None: the section contributes nothing)."""
+        names: list[str] = []
+        blocks: list = []   # per feature: (groups,) or (groups, width)
+        for i, rows in enumerate(sec_rows):
+            if rows is None:
+                continue
+            plan, slab = self._plans[i], self._slabs[i]
+            sec_names, finals = self._final_plans[i]
+            names.extend(sec_names)
+            rows = np.array(rows, np.intp)
+            for idx, synths in finals:
+                fold = slab.reds[plan.leader_of.get(idx, idx)]
+                block = fold.stat(slab.stats.get(idx), rows,
+                                  plan.probes[idx])
+                if synths and not isinstance(block, list):
+                    block = (block.tolist() if block.ndim == 1
+                             else list(block))
+                for fn in synths:
+                    block = [fn(value) for value in block]
+                if isinstance(block, list):
+                    # Object values: a column when their shapes agree.
+                    try:
+                        column = np.array(block, dtype=np.float64)
+                    except (ValueError, TypeError):
+                        column = None
+                    if column is not None and 1 <= column.ndim <= 2:
+                        block = column
+                blocks.append(block)
+        if not blocks:
+            return []
+        names = tuple(names)
+        degraded = [self._vector_degraded(key) for key in keys]
+        if any(isinstance(block, list) for block in blocks):
+            # Ragged (an unbounded array feature): per-vector assembly.
+            parts = [self._vector_parts([block[j] for block in blocks])
+                     for j in range(len(keys))]
+            return [FeatureVector(key, names, values, flag, widths)
+                    for key, (values, widths), flag
+                    in zip(keys, parts, degraded)]
+        widths = tuple(1 if block.ndim == 1 else block.shape[1]
+                       for block in blocks)
+        matrix = np.empty((len(keys), sum(widths)))
+        at = 0
+        for block, width in zip(blocks, widths):
+            matrix[:, at:at + width] = (block if block.ndim == 2
+                                        else block[:, None])
+            at += width
+        if all(block.ndim == 1 for block in blocks):
+            widths = None
+        return [FeatureVector(key, names, values, flag, widths)
+                for key, values, flag in zip(keys, matrix, degraded)]
 
     def _group_vector(self, key: tuple, unit_section: Section,
                       unit_state=None) -> FeatureVector | None:
@@ -1470,7 +1732,7 @@ class FeatureEngine:
                 append(value)
         if not parts:
             return None
-        values, widths = self._parts_vector(parts)
+        values, widths = self._vector_parts(parts)
         return FeatureVector(key=key, names=tuple(names), values=values,
                              degraded=self._vector_degraded(key),
                              widths=widths)
@@ -1492,17 +1754,13 @@ class FeatureEngine:
             self._drain()
         residual: list[FeatureVector] = []
         if self.compiled.collect_unit != "pkt":
-            unit = self.compiled.collect_unit
-            unit_section, unit_table = next(
-                (sec, tbl) for sec, tbl in self._tables
-                if sec.granularity.name == unit)
-            for key, state in unit_table.items():
-                vec = self._group_vector(key, unit_section, state)
-                if vec is not None:
-                    vec.degraded = True
-                    residual.append(vec)
+            residual = self._resident_vectors()
+            for vec in residual:
+                vec.degraded = True
         for _, table in self._tables:
             table.clear()
+        for slab in self._slabs or ():
+            slab.__init__(slab.plan)    # empty again; tables keep alloc
         self._fg_mirror.clear()
         self._degraded_cg_keys.clear()
         return residual
@@ -1527,10 +1785,19 @@ class FeatureEngine:
         }
 
     def path(self) -> tuple[str, str | None]:
-        """Which record path the policy's cells take: ``("columnar",
-        None)``, or ``("per-cell", why)`` naming the first thing that
-        disqualifies it (orphan records fall back per record either
-        way — ``cells_per_cell`` counts those)."""
+        """Which record path the policy's cells take, named by where
+        the group state lives: ``("slab", None)`` — a per-group policy
+        on the block path with every function's state in numpy columns;
+        ``("slab+objects", fn)`` — the same with ``fn`` the first
+        function that declared no fold and rides an object column;
+        ``("columnar", None)`` — ``collect(pkt)`` run kernels over
+        per-group objects; or ``("per-cell", why)`` naming the first
+        thing that disqualifies the block path (orphan cells leave it
+        per record either way — ``cells_per_cell`` counts those)."""
+        if self._slabs is not None:
+            fn = next((slab.objects for slab in self._slabs
+                       if slab.objects), None)
+            return ("slab+objects", fn) if fn else ("slab", None)
         if self._columnar:
             return "columnar", None
         if self._reference:
@@ -1543,9 +1810,23 @@ class FeatureEngine:
         memory axis)."""
         if self._pending:
             self._drain()
-        return sum(state.state_bytes()
-                   for _, table in self._tables
-                   for _, state in table.items())
+        if self._slabs is None:
+            return sum(state.state_bytes()
+                       for _, table in self._tables
+                       for _, state in table.items())
+        total = 0
+        for (_, table), plan, slab in zip(self._tables, self._plans,
+                                          self._slabs):
+            rows = [row for _key, row in table.items()]
+            for idx, probe in enumerate(plan.probes):
+                fold = slab.reds[plan.leader_of.get(idx, idx)]
+                if isinstance(fold, ObjectFold):
+                    total += sum(
+                        int(getattr(fold.view(row, probe), "state_bytes", 8))
+                        for row in rows)
+                else:
+                    total += len(rows) * int(getattr(probe, "state_bytes", 8))
+        return total
 
     def table_stats(self) -> dict:
         if self._pending:

@@ -36,10 +36,12 @@ class GroupTableStats:
 class GroupTable:
     """Fixed-length-chained hash table for per-group state objects.
 
-    ``state_factory`` builds a fresh state for a new group (the engine
-    passes a closure instantiating the section's map/reduce function
-    objects).  Lookups return ``(state, created)`` and account the memory
-    cycles of the access against ``stats``.
+    ``state_factory`` builds a fresh state for a new group: the engine
+    passes its slab's row allocator (the state is then a row index into
+    the section's state columns — 0 is a valid state) or, on the
+    per-cell paths, a closure instantiating the section's map/reduce
+    function objects.  Lookups return ``(state, created)`` and account
+    the memory cycles of the access against ``stats``.
     """
 
     def __init__(self, n_indices: int, width: int, entry_bytes: int,

@@ -22,7 +22,7 @@ from __future__ import annotations
 from repro.core.compiler import CompiledPolicy
 from repro.core.functions import ExecContext
 from repro.nicsim.engine import EngineStats, FeatureEngine, FeatureVector
-from repro.streaming.hyperloglog import hash_key
+from repro.streaming.hyperloglog import hash_key, hash_key_columns
 from repro.switchsim.mgpv import Event, FGSync, MGPVRecord
 
 
@@ -46,6 +46,26 @@ def route_shard(cg_key: tuple, alive: list[bool],
         return shard, False
     survivors = [i for i, up in enumerate(alive) if up]
     return survivors[hash32 % len(survivors)], True
+
+
+def route_syncs(events, project, cache: dict, alive: list[bool]) -> None:
+    """Resolve the routes of a batch's FG syncs ahead of its event loop:
+    a new flow's sync arrives before any record has cached the route,
+    so the CG keys ``cache`` lacks are hashed in one
+    :func:`hash_key_columns` sweep (bit-identical to :func:`hash_key`)
+    instead of one scalar murmur per flow.  Shared by both clusters'
+    ``consume_batch``; ``cache`` keeps the callers' bound."""
+    missing = dict.fromkeys(
+        cg_key for cg_key in (project(event.key) for event in events
+                              if type(event) is FGSync)
+        if cg_key not in cache)
+    if not missing:
+        return
+    if len(cache) + len(missing) >= 1 << 17:
+        cache.clear()
+    hashes = hash_key_columns(list(zip(*missing))).tolist()
+    for cg_key, hash32 in zip(missing, hashes):
+        cache[cg_key] = route_shard(cg_key, alive, hash32)
 
 
 def reconcile_residual(vectors: list[FeatureVector],
@@ -143,6 +163,7 @@ class NICCluster:
         preserved."""
         project = self.compiled.cg.project
         route = self._route_key
+        route_syncs(events, project, self._route_cache, self.alive)
         slices: dict[int, list] = {}
         for event in events:
             if isinstance(event, FGSync):

@@ -73,3 +73,26 @@ def test_unknown_event(setup):
     compiled, _ = setup
     with pytest.raises(TypeError):
         NICCluster(compiled, 2).consume(42)
+
+
+def test_batch_routes_equal_per_event_routes(setup, monkeypatch):
+    """``consume_batch`` resolves a slice's new-flow sync routes in one
+    vectorised hash sweep: same routes, same partition, and no scalar
+    key hash left for the syncs — also with a dead NIC in the bank."""
+    from repro.nicsim import loadbalance
+
+    compiled, events = setup
+    one_by_one = NICCluster(compiled, 4)
+    batched = NICCluster(compiled, 4)
+    for cluster in (one_by_one, batched):
+        cluster.fail_nic(2)
+    one_by_one.run(events)
+    scalar_hashes = []
+    monkeypatch.setattr(
+        loadbalance, "hash_key",
+        lambda key: scalar_hashes.append(key) or 0)
+    batched.consume_batch(events)
+    assert not scalar_hashes
+    assert batched._route_cache == one_by_one._route_cache
+    assert batched.cells_per_nic() == one_by_one.cells_per_nic()
+    assert batched.rerouted_events == one_by_one.rerouted_events > 0
