@@ -37,7 +37,6 @@ from repro.core.functions import (
     register_synth_fn,
 )
 from repro.streaming.damped import DampedCovariance, DampedWelford
-from repro.streaming.folds import Fold
 
 #: Decay-factor mantissa bits of the NIC's shift-table model (division-free
 #: path); None means exact floating-point decay.
@@ -60,14 +59,6 @@ def _direction_gate_batch(fn, src, ts, dirs, n):
     """``_DirectionGate.apply`` over a group's cells (columnar twin)."""
     wanted = fn.wanted
     return [v if d == wanted else None for v, d in zip(src, dirs)]
-
-
-class _GateFold(Fold):
-    """The gate over every group of a block at once: stateless, so no
-    columns — the source column with the wanted direction's mask."""
-
-    def apply(self, seg, src, ts, dirs):
-        return src, dirs == self.fn.wanted
 
 
 @lru_cache(maxsize=256)
@@ -186,12 +177,11 @@ def install() -> None:
         register_map_fn("f_egress_only",
                         lambda spec, ctx: _DirectionGate(1),
                         implicit_fields=("direction",))
-        # The gate has an exact batch twin and a stateless fold, so
-        # CUMUL takes the engine's columnar path like any builtin-only
-        # policy.
+        # The gate has an exact batch twin, so CUMUL takes the engine's
+        # columnar path like any builtin-only policy.
         declare_columnar_kernel(_DirectionGate, _direction_gate_batch,
                                 reads=("src", "direction"),
-                                maybe_none=True, fold=_GateFold)
+                                maybe_none=True)
 
     damped = {
         "f_dw": (_FDw, "w"), "f_dmean": (_FDmean, "mean"),

@@ -24,7 +24,7 @@ import os
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
-from itertools import repeat
+from itertools import groupby, repeat
 from operator import itemgetter
 from time import perf_counter_ns
 
@@ -498,13 +498,8 @@ class _Slab:
     def __init__(self, plan: _SectionPlan) -> None:
         self.plan = plan
         self.objects: str | None = None
-        cmaps, creds, _ts, _dir = plan.columnar
-        self.maps = []
-        for m_idx, _dst, kernel, *_ in cmaps:
-            probe = plan.map_probes[m_idx]
-            fold = COLUMNAR_KERNELS[type(probe)][4]
-            self.maps.append(fold(probe) if fold is not None
-                             else self._object_map(m_idx, kernel))
+        self.maps = [self._map_fold(slot)
+                     for slot in range(len(plan.columnar[0]))]
         self.reds: dict = {}        # leader red_idx -> its fold
         self.stats: dict = {}       # red_idx -> the stat finalize() reads
         family: dict = {}
@@ -519,9 +514,7 @@ class _Slab:
             if odd is None:
                 self.stats.update((i, decl[1])
                                   for i, decl in zip(members, decls))
-                self.reds[leader] = factory(self._holder(leader))
-            else:
-                self._object_fold(leader, odd)
+            self.reds[leader] = self._red_fold(leader, odd)
         self.stamps = _Stamps(None)
         self.used = self.cap = 0
         self.free: list[int] = []
@@ -534,17 +527,26 @@ class _Slab:
         attr = SHARED_ACCUMULATORS.get(type(reducer))
         return reducer if attr is None else getattr(reducer, attr)
 
-    def _object_map(self, m_idx: int, kernel) -> ObjectMap:
-        self.objects = self.objects or str(self.plan.map_fns[m_idx])
-        return ObjectMap(self.plan.map_factories[m_idx], kernel)
-
-    def _object_fold(self, leader: int, named: int) -> ObjectFold:
+    def _map_fold(self, slot: int, native: bool = True):
+        """Map ``slot``'s declared fold, else an object column."""
         plan = self.plan
-        self.objects = self.objects or str(plan.red_feats[named].reduce_fn)
-        fold = self.reds[leader] = ObjectFold(
-            plan.red_factories[leader],
-            SHARED_ACCUMULATORS.get(type(plan.probes[leader])))
-        return fold
+        m_idx, _dst, kernel, *_ = plan.columnar[0][slot]
+        fold = COLUMNAR_KERNELS[type(plan.map_probes[m_idx])][4]
+        if native and fold is not None:
+            return fold(plan.map_probes[m_idx])
+        self.objects = self.objects or str(plan.map_fns[m_idx])
+        return ObjectMap(plan.map_factories[m_idx], kernel)
+
+    def _red_fold(self, leader: int, odd: int | None):
+        """The family's declared fold; an object column when member
+        ``odd`` declared none (or another one)."""
+        plan = self.plan
+        if odd is None:
+            factory = COLUMNAR_KERNELS[type(plan.probes[leader])][4][0]
+            return factory(self._holder(leader))
+        self.objects = self.objects or str(plan.red_feats[odd].reduce_fn)
+        return ObjectFold(plan.red_factories[leader],
+                          SHARED_ACCUMULATORS.get(type(plan.probes[leader])))
 
     def folds(self) -> list:
         return [*self.maps, *self.reds.values(), self.stamps]
@@ -577,11 +579,10 @@ class _Slab:
         left the range the fold is exact in — and return that column."""
         if leader is None:
             old = self.maps[slot]
-            m_idx, _dst, kernel, *_ = self.plan.columnar[0][slot]
-            new = self.maps[slot] = self._object_map(m_idx, kernel)
+            new = self.maps[slot] = self._map_fold(slot, native=False)
         else:
             old = self.reds[leader]
-            new = self._object_fold(leader, leader)
+            new = self.reds[leader] = self._red_fold(leader, leader)
         new.grow(self.cap)
         new.clear(range(self.used))
         for row in range(self.used):
@@ -667,7 +668,7 @@ class FeatureEngine:
                                else lambda p=plan: _GroupState(p)))))
         # Vector-assembly plan, one entry per table: collected feature
         # names and (red_all index, compiled synth chain) pairs in
-        # reducer order — what _group_vector/_emit_packet_vector would
+        # reducer order — what _vectors/_emit_packet_vector would
         # rediscover per group via name-set membership.
         self._final_plans: list = []
         for (section, _table), plan in zip(self._tables, self._plans):
@@ -1066,24 +1067,20 @@ class FeatureEngine:
         stats.records += 1
         mirror = self._fg_mirror
         cg = [(record.cg_key, record.cg_hash32)]
-        keys: list = []
-        metas: list = []
-        for fg_idx, meta in record.cells:
-            fg_key = mirror.get(fg_idx)
-            if fg_key is not None:
-                keys.append(fg_key)
-                metas.append(meta)
+        for orphans, run in groupby(record.cells,
+                                    lambda cell: cell[0] not in mirror):
+            run = list(run)
+            if not orphans:
+                self._process_cells_block([mirror[fg] for fg, _m in run],
+                                          [meta for _fg, meta in run],
+                                          [0], cg)
                 continue
-            if keys:
-                self._process_cells_block(keys, metas, [0], cg)
-                keys, metas = [], []
-            stats.cells += 1
-            stats.orphan_cells += 1
+            stats.cells += len(run)
+            stats.orphan_cells += len(run)
             if self._t_cells_per_cell is not None:
-                self._t_cells_per_cell.inc()
-            self._demote_cell(record.cg_key, meta)
-        if keys:
-            self._process_cells_block(keys, metas, [0], cg)
+                self._t_cells_per_cell.inc(len(run))
+            for _fg, meta in run:
+                self._demote_cell(record.cg_key, meta)
 
     def _process_cells_block(self, keys: list, metas: list, offs: list,
                              cgs: list, floors=()) -> None:
@@ -1210,7 +1207,11 @@ class FeatureEngine:
                 if raw is None:
                     items = list(map(itemgetter(pos), metas))
                     raw = np.array(items)
-                    if raw.dtype != np.int64 and raw.dtype != np.float64:
+                    # int64 can only come from ints (a bool among them
+                    # counts as one in every function, too); what numpy
+                    # may have rounded — a float beside ints, an int past
+                    # int64 — is typed by the values themselves.
+                    if raw.dtype != np.int64:
                         raw = as_column(items)[0]
                     arrays[pos] = raw
                 col = sorted_cols[pos] = raw[order]
@@ -1556,13 +1557,9 @@ class FeatureEngine:
         """The current vector of every group of the collect
         granularity, in table order."""
         unit = self.compiled.collect_unit
-        section, table = next((sec, tbl) for sec, tbl in self._tables
-                              if sec.granularity.name == unit)
-        if self._slabs is not None:
-            return self._slab_vectors(list(table.items()))
-        return [vec for key, state in table.items()
-                if (vec := self._group_vector(key, section, state))
-                is not None]
+        return self._vectors(list(next(
+            table.items() for section, table in self._tables
+            if section.granularity.name == unit)))
 
     def evict_idle(self, now_ns: int, timeout_ns: int
                    ) -> list[FeatureVector]:
@@ -1588,83 +1585,75 @@ class FeatureEngine:
                         key=lambda e: e[1][0].granularity.name != unit)
         for i, (section, table) in tables:
             items = list(table.items())
-            if self._slabs is None:
-                stamps = [state.last_update for _key, state in items]
-            else:
-                stamps = self._slabs[i].stamps.last_update[
-                    [row for _key, row in items]]
+            states = [state for _key, state in items]
+            stamps = (self._slabs[i].stamps.last_update[states]
+                      if self._slabs is not None else
+                      np.array([state.last_update for state in states]))
             reaped = [items[j] for j in np.flatnonzero(
-                now_ns - np.asarray(stamps, np.int64) > timeout_ns)]
-            if section.granularity.name == unit and self._slabs is not None:
-                vectors = self._slab_vectors(reaped)
-            elif section.granularity.name == unit:
-                vectors = [vec for key, _state in reaped
-                           if (vec := self._group_vector(key, section))
-                           is not None]
+                now_ns - stamps > timeout_ns)]
+            if section.granularity.name == unit:
+                vectors = self._vectors(reaped)
             for key, state in reaped:
                 table.remove(key)
-                if self._slabs is not None:
-                    self._slabs[i].free.append(state)
+            if self._slabs is not None:
+                self._slabs[i].free.extend(row for _key, row in reaped)
         self._stats.vectors_emitted += len(vectors)
         return vectors
 
-    def _slab_vectors(self, items: list) -> list[FeatureVector]:
+    def _vectors(self, items: list) -> list[FeatureVector]:
         """The vectors of collect-granularity groups ``items`` (``(key,
-        slab row)`` pairs), in that order: one expression per feature
-        over all rows, written into one (groups x dims) matrix whose
-        rows are the vectors' values; a coarser section's features are
-        gathered by the projected key's row, and a vector whose coarser
-        group is gone omits that section."""
+        state)`` pairs, a state being a slab row or a
+        :class:`_GroupState`), in that order, each with the features of
+        its enclosing coarser groups; a vector whose coarser group is
+        gone omits that section."""
         if not items:
             return []
         unit = self.compiled.collect_unit
-        sec_rows = []
+        keys = [key for key, _state in items]
+        sec_states = []
         for (section, table), fp in zip(self._tables, self._final_plans):
             if fp is None:
-                rows = None
+                states = None
             elif section.granularity.name == unit:
-                rows = [row for _key, row in items]
+                states = [state for _key, state in items]
             else:
                 project = section.granularity.project
-                rows = [table.get(project(key)) for key, _row in items]
-            sec_rows.append(rows)
-        keys = [key for key, _row in items]
-        if all(rows is None or None not in rows for rows in sec_rows):
-            return self._matrix_vectors(keys, sec_rows)
-        # evict_idle reaped a coarser group under live finer ones:
-        # vectors with the same sections present share a matrix.
-        shapes: dict = {}
-        for j in range(len(keys)):
-            have = tuple(rows is not None and rows[j] is not None
-                         for rows in sec_rows)
-            shapes.setdefault(have, []).append(j)
-        out: list = [None] * len(keys)
-        for have, members in shapes.items():
-            vectors = self._matrix_vectors(
-                [keys[j] for j in members],
-                [[rows[j] for j in members] if here else None
-                 for rows, here in zip(sec_rows, have)])
-            for j, vec in zip(members, vectors):
-                out[j] = vec
-        return [vec for vec in out if vec is not None]
+                states = [table.get(project(key)) for key in keys]
+            sec_states.append(states)
+        if all(states is None or None not in states
+               for states in sec_states):
+            return self._matrix_vectors(keys, sec_states)
+        # evict_idle reaped a coarser group under live finer ones: the
+        # vectors differ in shape, so one at a time.
+        return [vec for j, key in enumerate(keys)
+                for vec in self._matrix_vectors(
+                    [key], [None if states is None or states[j] is None
+                            else [states[j]] for states in sec_states])]
 
-    def _matrix_vectors(self, keys: list, sec_rows: list) -> list:
-        """:meth:`_slab_vectors` for groups with the same sections
-        present: ``sec_rows[i]`` holds section ``i``'s slab row per
-        group (None: the section contributes nothing)."""
+    def _matrix_vectors(self, keys: list, sec_states: list) -> list:
+        """:meth:`_vectors` for groups with the same sections present
+        (``sec_states[i]`` is None where section ``i`` contributes
+        nothing): one expression per feature over all groups, written
+        into one (groups x dims) matrix whose rows are the vectors'
+        values."""
         names: list[str] = []
         blocks: list = []   # per feature: (groups,) or (groups, width)
-        for i, rows in enumerate(sec_rows):
-            if rows is None:
+        for i, states in enumerate(sec_states):
+            if states is None:
                 continue
-            plan, slab = self._plans[i], self._slabs[i]
             sec_names, finals = self._final_plans[i]
             names.extend(sec_names)
-            rows = np.array(rows, np.intp)
+            if self._slabs is not None:
+                plan, slab = self._plans[i], self._slabs[i]
+                rows = np.array(states, np.intp)
             for idx, synths in finals:
-                fold = slab.reds[plan.leader_of.get(idx, idx)]
-                block = fold.stat(slab.stats.get(idx), rows,
-                                  plan.probes[idx])
+                if self._slabs is None:
+                    block = [state.red_all[idx].finalize()
+                             for state in states]
+                else:
+                    fold = slab.reds[plan.leader_of.get(idx, idx)]
+                    block = fold.stat(slab.stats.get(idx), rows,
+                                      plan.probes[idx])
                 if synths and not isinstance(block, list):
                     block = (block.tolist() if block.ndim == 1
                              else list(block))
@@ -1702,40 +1691,6 @@ class FeatureEngine:
             widths = None
         return [FeatureVector(key, names, values, flag, widths)
                 for key, values, flag in zip(keys, matrix, degraded)]
-
-    def _group_vector(self, key: tuple, unit_section: Section,
-                      unit_state=None) -> FeatureVector | None:
-        """Assemble one collect-unit group's vector (with enclosing
-        coarser-group features), as finalize() does per group.
-        ``unit_state`` short-cuts the unit section's own table lookup
-        when the caller is already iterating that table."""
-        names: list[str] = []
-        parts: list[np.ndarray] = []
-        append = parts.append
-        for (section, table), fp in zip(self._tables, self._final_plans):
-            if fp is None:
-                continue
-            if section is unit_section:
-                state = unit_state if unit_state is not None \
-                    else table.get(key)
-            else:
-                state = table.get(section.granularity.project(key))
-            if state is None:
-                continue
-            sec_names, finals = fp
-            red_all = state.red_all
-            names.extend(sec_names)
-            for idx, synths in finals:
-                value = red_all[idx].finalize()
-                for fn in synths:
-                    value = fn(value)
-                append(value)
-        if not parts:
-            return None
-        values, widths = self._vector_parts(parts)
-        return FeatureVector(key=key, names=tuple(names), values=values,
-                             degraded=self._vector_degraded(key),
-                             widths=widths)
 
     # -- failure handling -------------------------------------------------------
 

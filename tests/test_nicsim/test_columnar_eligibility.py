@@ -46,9 +46,11 @@ from repro.switchsim.mgpv import FGSync, MGPVRecord
 
 PER_GROUP = ["CUMUL", "AWF", "DF", "TF", "PeerShark", "MPTD", "NPOD"]
 #: Where each policy's group state lives (``FeatureEngine.path()``): the
-#: fingerprinting policies keep their unbounded ``f_array`` as objects.
-LAYOUT = {app: ("slab+objects", "f_array")
-          for app in ("CUMUL", "AWF", "DF", "TF")}
+#: fingerprinting policies keep their unbounded ``f_array`` as objects
+#: (CUMUL's direction gate, which declares no fold, comes first).
+LAYOUT = {"CUMUL": ("slab+objects", "f_ingress_only"),
+          **{app: ("slab+objects", "f_array")
+             for app in ("AWF", "DF", "TF")}}
 PER_PACKET = ["Kitsune", "HELAD", "N-BaIoT"]
 #: Packets the per-packet comparisons run on: the reference oracle
 #: costs ~0.4 ms/packet on these policies.
@@ -109,9 +111,7 @@ class TestManifest:
         assert counters["cells"] > 0
         assert counters["cells_per_cell"] == 0
         assert counters["cells_columnar"] == counters["cells"]
-        # Equality with the reference path, order and ledgers included,
-        # is test_slab_state.py's sweep.
-        assert checksum
+        assert checksum == reference_checksum(build_policy(app), campus)
 
     @pytest.mark.parametrize("app", PER_PACKET)
     def test_per_packet_is_columnar(self, app, pkt_trace):

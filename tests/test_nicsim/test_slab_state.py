@@ -113,7 +113,8 @@ def test_per_group_policies_keep_state_in_slabs():
         in POLICIES.items()}
     for name in ("MPTD", "NPOD", "PeerShark", "flow-stats"):
         assert layouts[name] == ("slab", None)
-    for name in ("CUMUL", "AWF", "DF", "TF"):
+    assert layouts["CUMUL"] == ("slab+objects", "f_ingress_only")
+    for name in ("AWF", "DF", "TF"):
         assert layouts[name] == ("slab+objects", "f_array")
     for name in PER_PACKET:
         assert layouts[name] == ("columnar", None)
@@ -250,17 +251,26 @@ def test_crash_demotes_and_restarts_empty():
     assert len(final) == 1
 
 
-def test_out_of_range_block_moves_the_family_to_objects():
-    """A value no int64 column can hold: the fold hands its rows to an
-    object column and the bits stay those of the per-value path."""
+@pytest.mark.parametrize("sizes", [
+    (1 << 62, 3, 1 << 70),          # an object column for numpy, too
+    ((1 << 63) + 1, 3),             # numpy alone would round to float64
+    ((1 << 53) + 1, 1, 0.0),        # int sum exact, float sum is not
+    (3, 2.5, 7)], ids=str)
+def test_out_of_range_block_moves_the_family_to_objects(sizes):
+    """Values no int64 / float64 column holds exactly (an int past
+    int64, ints beside floats): the fold hands its rows to an object
+    column and the bits stay those of the per-value path."""
     def session(engine):
         key = SOCKETS[0]
         fields = engine.compiled.metadata_fields
         cells = tuple(
             (0, tuple({"size": size, "tstamp": 30_000 + j,
                        "direction": 1}[f] for f in fields))
-            for j, size in enumerate((1 << 62, 3, 1 << 70)))
+            for j, size in enumerate(sizes))
         engine.consume_batch([MGPVRecord(key[:1], 0, cells, "t")])
-        return emitted(engine.finalize()), engine.total_state_bytes()
+        return (emitted(engine.finalize()), engine.total_state_bytes(),
+                engine.path()[0])
 
-    both(session)
+    with reference_path():
+        reference = session(fed_engine())
+    assert session(fed_engine()) == (*reference[:2], "slab+objects")

@@ -35,6 +35,7 @@ N_GROUPS = 5
 REDUCERS = ["f_sum", "f_min", "f_max", "f_mean", "f_var", "f_std",
             "f_skew", "f_kur", "ft_hist{7, 6}", "f_pdf{7, 6}",
             "f_cdf{7, 6}", "ft_percent{50, 7, 6}", "ft_percent{90, 7, 6}"]
+#: ``f_ingress_only`` declares a kernel but no fold: the object column.
 MAPS = ["f_one", "f_identity", "f_direction", "f_ipt", "f_speed",
         "f_burst", "f_ingress_only"]
 
@@ -138,10 +139,12 @@ def check(spec, ctx, blocks):
 #: What a value column can hold: ints with skipped cells (a first
 #: packet's ``f_ipt``), floats (order-sensitive sums; ``int(x)``
 #: truncation into the division-free recurrence), ints no int64 holds,
-#: and NaN / inf, where the scalar code may raise (``int(nan)``).
+#: NaN / inf, where the scalar code may raise (``int(nan)``), and ints
+#: beside floats (no single dtype holds both exactly).
 columns = st.one_of(
     blocks_of(small_ints, skips=True), blocks_of(floats),
-    blocks_of(st.one_of(small_ints, huge_ints)), blocks_of(any_floats))
+    blocks_of(st.one_of(small_ints, huge_ints)), blocks_of(any_floats),
+    blocks_of(st.one_of(small_ints, floats)))
 
 
 @pytest.mark.parametrize("spec", REDUCERS)
@@ -173,6 +176,29 @@ def test_mixed_types_across_blocks_step_aside():
         check(spec, SW, blocks[::-1])
 
 
+def test_column_dtype_comes_from_the_python_types():
+    """numpy alone would round these into float64 and the native folds
+    would run on the rounded values."""
+    for items in ([(1 << 63) + 1, 3], [(1 << 53) + 1, 0.5], [1, None, 2.0]):
+        assert as_column(items)[0].dtype == object
+    check("f_sum", SW, [[(0, (1 << 53) + 1), (0, 1), (0, 0.0)], [(0, 2)]])
+    check("f_mean", HW, [[(0, (1 << 63) + 1), (0, 3)], [(1, -4)]])
+
+
+def test_histogram_steps_aside_before_an_int_origin_can_wrap():
+    """``values - origin`` on int64 wraps past ±2^63 where the scalar
+    ``int((x - origin) // width)`` does not."""
+    from repro.streaming.histogram import FixedWidthHistogram
+    fold = folds.HistogramFold(FixedWidthHistogram(7, 6, origin=5))
+    fold.grow(1)
+    seg = Segments(np.array([0], np.intp), np.array([3]))
+    values = np.array([-(1 << 63), 3, (1 << 63) - 1], np.int64)
+    assert not fold.update(seg, values, None)
+    assert not fold.counts.any() and not fold.total.any()
+    assert fold.update(seg, np.array([-9, 3, 400], np.int64), None)
+    assert fold.counts[0].tolist() == [2, 0, 0, 0, 0, 1]
+
+
 # -- mapping folds -----------------------------------------------------------
 
 cells_of = st.lists(
@@ -184,7 +210,16 @@ cells_of = st.lists(
 def mapped_by_fold(spec, blocks):
     probe = make_map_fn(spec, HW)
     kernel, _reads, _none, _stat, fold = COLUMNAR_KERNELS[type(probe)]
-    fold = fold(probe)
+
+    def object_map(native=None):
+        objects = ObjectMap(lambda: make_map_fn(spec, HW), kernel)
+        objects.grow(N_GROUPS)
+        objects.clear(range(N_GROUPS))
+        for row in range(N_GROUPS if native else 0):
+            native.export(row, objects.col[row])
+        return objects
+
+    fold = fold(probe) if fold else object_map()
     fold.grow(N_GROUPS)
     out = []
     for block in blocks:
@@ -193,12 +228,7 @@ def mapped_by_fold(spec, blocks):
                          for i in (1, 2, 3))
         got = fold.apply(seg, src, ts, dirs)
         if not got:
-            objects = ObjectMap(lambda: make_map_fn(spec, HW), kernel)
-            objects.grow(N_GROUPS)
-            objects.clear(range(N_GROUPS))
-            for row in range(N_GROUPS):
-                fold.export(row, objects.col[row])
-            fold = objects
+            fold = object_map(fold)
             got = fold.apply(seg, src, ts, dirs)
         values, valid = got
         valid = [True] * seg.n if valid is None else valid.tolist()
