@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import groupby, repeat
 from operator import itemgetter
 from time import perf_counter_ns
@@ -104,48 +104,8 @@ class MemberView:
         return key in self._mapped or key in self._fields
 
 
-class _CellView:
-    """A reusable member view over one *positional* metadata tuple.
-
-    The hot path rebinds one instance per cell instead of building a
-    ``dict(zip(...))`` plus a fresh :class:`MemberView` per section:
-    metadata keys resolve through a name->position index shared by every
-    cell, mapped keys through a per-section-scratch dict cleared between
-    section updates.  Interface-compatible with :class:`MemberView` (the
-    map/reduce functions only call ``get``/``set``/``has``).
-    """
-
-    __slots__ = ("_index", "_meta", "_mapped")
-
-    def __init__(self, index: dict) -> None:
-        self._index = index
-        self._meta: tuple = ()
-        self._mapped: dict = {}
-
-    def rebind(self, meta: tuple) -> None:
-        self._meta = meta
-        self._mapped.clear()
-
-    def reset_mapped(self) -> None:
-        self._mapped.clear()
-
-    def get(self, key: str):
-        if key in self._mapped:
-            return self._mapped[key]
-        pos = self._index.get(key)
-        if pos is None:
-            raise KeyError(f"member has no key {key!r}")
-        return self._meta[pos]
-
-    def set(self, key: str, value) -> None:
-        self._mapped[key] = value
-
-    def has(self, key: str) -> bool:
-        return key in self._mapped or key in self._index
-
-
-# Reducer-source dispatch kinds (see _SectionPlan) and the mapped-dict
-# miss sentinel of the hot update loop.
+# Reducer-source dispatch kinds (see _SectionPlan) and the unset-slot
+# sentinel of _shell_plan.
 _POS, _MAPPED_OR_POS, _MAPPED = 0, 1, 2
 _MISSING = object()
 
@@ -199,13 +159,14 @@ class _SectionPlan:
     keys to their positions in the metadata tuple once — a new group
     only instantiates fresh function objects.
 
-    Positional plan semantics: a source that is a metadata field no map
-    overwrites (declared ``dst``) reads straight from the cell tuple;
-    a map-written source checks the mapped dict and falls back to the
-    cell tuple when the field also exists there — the original member
-    resolution order.  Reducer entries carry the dispatch kind:
-    ``_POS`` (always present, positional), ``_MAPPED_OR_POS`` (mapped
-    else positional), ``_MAPPED`` (mapped else skip).
+    Positional plan semantics, as the block kernels read them: a
+    source that is a metadata field no map overwrites (declared
+    ``dst``) reads straight from the cell tuple; a map-written source
+    takes the mapped value and falls back to the cell tuple when the
+    field also exists there — the member's resolution order.  Reducer
+    entries carry the dispatch kind: ``_POS`` (always present,
+    positional), ``_MAPPED_OR_POS`` (mapped else positional),
+    ``_MAPPED`` (mapped else skip).
     """
 
     __slots__ = ("maps", "reds", "share_plan", "columnar", "blocker",
@@ -401,14 +362,14 @@ class _GroupState:
     """Per-group function instances for one section.
 
     Construction is on the hot path (one per new group), so it only
-    instantiates the function objects; the per-cell dispatch views
-    (``map_plan``/``red_plan``/``map_fns``/``upd_reducers``) are
-    derived from the shared section plan on first use and cached — the columnar path indexes ``map_objs``/``red_objs``
-    directly and never builds them.
+    instantiates the function objects; the per-cell loop's dispatch
+    views (``map_fns``/``upd_reducers``) are derived from the shared
+    section plan on first use and cached — the run kernels index
+    ``map_objs``/``red_objs`` directly and never build them.
     """
 
     __slots__ = ("plan", "map_objs", "red_all", "red_objs", "last_update",
-                 "_map_plan", "_red_plan", "_map_fns", "_upd_reducers")
+                 "_map_fns", "_upd_reducers")
 
     def __init__(self, plan: _SectionPlan) -> None:
         self.plan = plan
@@ -433,18 +394,7 @@ class _GroupState:
         else:
             self.red_objs = red_all
         self.last_update = 0
-        self._map_plan = self._red_plan = None
         self._map_fns = self._upd_reducers = None
-
-    @property
-    def map_plan(self) -> tuple:
-        mp = self._map_plan
-        if mp is None:
-            mp = self._map_plan = tuple(
-                (dst, src, src_pos, fn)
-                for (dst, src, src_pos, _f), fn
-                in zip(self.plan.maps, self.map_objs))
-        return mp
 
     @property
     def map_fns(self) -> list:
@@ -454,16 +404,6 @@ class _GroupState:
                 (dst, src, fn) for (dst, src, _p, _f), fn
                 in zip(self.plan.maps, self.map_objs)]
         return mf
-
-    @property
-    def red_plan(self) -> tuple:
-        rp = self._red_plan
-        if rp is None:
-            rp = self._red_plan = tuple(
-                (kind, src, src_pos, lead)
-                for (_f, kind, src, src_pos, _fac, _fol), lead
-                in zip(self.plan.reds, self.red_objs))
-        return rp
 
     @property
     def upd_reducers(self) -> tuple:
@@ -603,7 +543,6 @@ class EngineStats:
     unrecoverable_cells: int = 0    # orphans with no CG section to demote to
     skipped_updates: int = 0
     vectors_emitted: int = 0
-    extra: dict = dc_field(default_factory=dict)
 
 
 class FeatureEngine:
@@ -627,14 +566,13 @@ class FeatureEngine:
         self._degraded_cg_keys: set[tuple] = set()
         self._validate_collect_unit()
 
-        # Hot-path precompilation (see _process_record): positional
-        # metadata resolution, one reusable cell view, and the clock
-        # field's position.  SUPERFE_REFERENCE_PATH=1 keeps the original
-        # dict-per-cell path as the equivalence oracle.
+        # Block-path precompilation: positional metadata resolution and
+        # the clock field's position.  SUPERFE_REFERENCE_PATH=1 keeps
+        # every policy on the per-cell loop, with unshared accumulators,
+        # as the equivalence oracle.
         meta = compiled.metadata_fields
         self._meta_index = {name: i for i, name in enumerate(meta)}
         self._ts_idx = self._meta_index.get("tstamp")
-        self._view = _CellView(self._meta_index)
         self._reference = os.environ.get("SUPERFE_REFERENCE_PATH") == "1"
 
         self._pkt_mode = compiled.collect_unit == "pkt"
@@ -648,8 +586,8 @@ class FeatureEngine:
                 pkt_col += len(section.collected)
         # Columnar fast path eligibility: every section has an exact
         # batch recipe (for a per-packet policy, run kernels that emit a
-        # row per cell).  Orphan cells still leave the block path per
-        # record — checked at record time.
+        # row per cell); any other policy runs the per-cell loop.  Only
+        # orphan cells leave the block path — checked at record time.
         self._columnar = (not self._reference
                           and all(p.columnar is not None
                                   for p in self._plans))
@@ -751,9 +689,8 @@ class FeatureEngine:
         return max((level_by_name(n) for n in names),
                    key=lambda l: l.latency_cycles)
 
-    def _entry_bytes(self, section: Section,
-                     plan: _SectionPlan | None = None) -> int:
-        probe = _GroupState(plan or _SectionPlan(section, self.ctx))
+    def _entry_bytes(self, section: Section, plan: _SectionPlan) -> int:
+        probe = _GroupState(plan)
         return section.granularity.key_bytes + probe.state_bytes()
 
     def _synth(self, spec):
@@ -854,10 +791,10 @@ class FeatureEngine:
         stream, so deferring the reduce work never changes which group a
         cell lands in.  Blocks are not reduced here: they queue on the
         deferred-work list, and :meth:`_drain` (finalize / snapshot /
-        stats / any per-cell fallback) replays the whole run as one
-        merged grouped pass.  Any record the block can't express exactly
-        (orphan cells, an undeclared function, reference mode) drains the
-        queue and takes the ordered per-event path.
+        stats / an orphan record) replays the whole run as one merged
+        grouped pass.  A record with orphan cells closes the block and
+        takes the ordered per-event path; so does every event of a
+        policy on the per-cell loop.
         """
         if not self._columnar:
             consume = self.consume
@@ -867,56 +804,54 @@ class FeatureEngine:
         stats = self._stats
         mirror = self._fg_mirror
         pending = self._pending
+        admit = self._admit
         t_records = self._t_records
         t_syncs = self._t_syncs
         t_cells = self._t_record_cells
-        # Per-cell block columns — resolved FG key, metadata tuple — and
-        # per record its first cell's offset and CG identity (the hash
-        # shortcut of a group's first lookup).
         keys: list = []
         metas: list = []
         offs: list = []
         cgs: list = []
-        mirror_get = mirror.get
         for event in events:
-            if type(event) is MGPVRecord:
-                cells = event.cells
-                if not cells:
-                    stats.records += 1
-                    if t_records is not None:
-                        t_records.inc()
-                        t_cells.observe(0)
-                    continue
-                fgs, ms = zip(*cells)
-                kk = list(map(mirror_get, fgs))
-                if None in kk:
-                    # Orphan cell(s): flush what accumulated and take
-                    # the ordered per-event degradation path.
-                    if keys:
-                        pending.append((_CELLS, keys, metas, offs, cgs))
-                        keys, metas, offs, cgs = [], [], [], []
-                    self.consume(event)
-                    continue
-                offs.append(len(keys))
-                cgs.append((event.cg_key, event.cg_hash32))
-                keys.extend(kk)
-                metas.extend(ms)
-                stats.records += 1
+            if (type(event) is MGPVRecord
+                    and admit(event, keys, metas, offs, cgs)):
                 if t_records is not None:
                     t_records.inc()
-                    t_cells.observe(len(cells))
+                    t_cells.observe(len(event.cells))
             elif type(event) is FGSync:
                 stats.syncs += 1
                 mirror[event.index] = event.key
                 if t_syncs is not None:
                     t_syncs.inc()
             else:
+                # Orphan cell(s) or an unknown event: close the block
+                # and take the ordered per-event path.
                 if keys:
                     pending.append((_CELLS, keys, metas, offs, cgs))
                     keys, metas, offs, cgs = [], [], [], []
                 self.consume(event)
         if keys:
             pending.append((_CELLS, keys, metas, offs, cgs))
+
+    def _admit(self, record: MGPVRecord, keys: list, metas: list,
+               offs: list, cgs: list) -> bool:
+        """Append one record to an open block — per cell its resolved FG
+        key and metadata tuple, per record its first cell's offset and
+        CG identity (the hash shortcut of a group's first lookup).
+        False, with nothing touched, when a cell is orphaned: its FG
+        sync never arrived, so the block cannot attribute it."""
+        cells = record.cells
+        if cells:
+            fgs, ms = zip(*cells)
+            kk = list(map(self._fg_mirror.get, fgs))
+            if None in kk:
+                return False
+            offs.append(len(keys))
+            cgs.append((record.cg_key, record.cg_hash32))
+            keys.extend(kk)
+            metas.extend(ms)
+        self._stats.records += 1
+        return True
 
     def consume_block(self, cg_key: tuple, cg_hash32: int, fg_col: tuple,
                       meta_cols: tuple, reason: str) -> None:
@@ -932,135 +867,21 @@ class FeatureEngine:
         self.consume(MGPVRecord(cg_key, cg_hash32, cells, reason))
 
     def _process_record(self, record: MGPVRecord) -> None:
-        if self._columnar and self._process_record_columnar(record):
-            return
-        if self._slabs is not None:
-            return self._process_record_orphaned(record)
-        if self._t_cells_per_cell is not None:
-            self._t_cells_per_cell.inc(len(record.cells))
-        if self._reference:
+        if not self._columnar:
+            if self._t_cells_per_cell is not None:
+                self._t_cells_per_cell.inc(len(record.cells))
             return self._process_record_reference(record)
-        # Per-cell path: replay any deferred columnar work first so the
-        # cells still process in stream order.
-        if self._pending:
-            self._drain()
-        stats = self._stats
-        stats.records += 1
-        mirror = self._fg_mirror
-        tables = self._tables
-        ts_idx = self._ts_idx
-        view = self._view
-        pkt_mode = self._pkt_mode
-        # One group lookup per (record, FG index, section): cells of the
-        # same group within a record reuse the memoized states, with the
-        # table accounting a located repeat hit instead of re-hashing.
-        # Nothing can evict or move a group mid-record, so the memo needs
-        # no invalidation; cells still process strictly in order (the
-        # clock / last_update sequence is observable via evict_idle).
-        mapped = view._mapped
-        skips = 0
-        memo: dict[int, list] = {}
-        for fg_idx, meta in record.cells:
-            stats.cells += 1
-            fg_key = mirror.get(fg_idx)
-            if fg_key is None:
-                # The FG sync never arrived (lost and unrecovered): the
-                # cell keeps its record's CG key, so demote it to the
-                # coarse section instead of dropping it (§graceful
-                # degradation) and flag the group.
-                stats.orphan_cells += 1
-                self._demote_cell(record.cg_key, meta)
-                continue
-            if ts_idx is not None:
-                ts = meta[ts_idx]
-                if ts > self._clock:
-                    self._clock = ts
-            states = memo.get(fg_idx)
-            if states is None:
-                states = []
-                cg_key = record.cg_key
-                cg_hash32 = record.cg_hash32
-                for section, table in tables:
-                    key = section.granularity.project(fg_key)
-                    state, _created, in_bucket = (
-                        table.lookup_or_insert_located(
-                            key,
-                            cg_hash32 if key == cg_key else None))
-                    states.append((state, table, in_bucket))
-                memo[fg_idx] = states
-            else:
-                for _state, table, in_bucket in states:
-                    table.account_hit(in_bucket)
-            # Per-state update, inlined from _update_section via the
-            # precompiled positional plans (see _SectionPlan).
-            view.rebind(meta)
-            clock = self._clock
-            first = True
-            for state, _table, _in_bucket in states:
-                if first:
-                    first = False      # rebind already cleared mapped
-                else:
-                    mapped.clear()
-                state.last_update = clock
-                for dst, src, src_pos, fn in state.map_plan:
-                    if src_pos is not None:
-                        src_value = meta[src_pos]
-                    else:
-                        src_value = (view.get(src) if src is not None
-                                     else None)
-                    value = fn.apply(view, src_value)
-                    if value is not None:
-                        mapped[dst] = value
-                for kind, src, src_pos, reducer in state.red_plan:
-                    if kind == _POS:
-                        if reducer is not None:
-                            reducer.update(meta[src_pos], view)
-                    elif kind == _MAPPED_OR_POS:
-                        value = mapped.get(src, _MISSING)
-                        if reducer is not None:
-                            reducer.update(
-                                meta[src_pos] if value is _MISSING
-                                else value, view)
-                    else:
-                        value = mapped.get(src, _MISSING)
-                        if value is _MISSING:
-                            skips += 1
-                        elif reducer is not None:
-                            reducer.update(value, view)
-            if pkt_mode:
-                self._emit_packet_vector(fg_key, states)
-        stats.skipped_updates += skips
-
-    def _process_record_columnar(self, record: MGPVRecord) -> bool:
-        """Queue one record's cells on the deferred-work list (drained
-        as one merged grouped pass).  Returns False (leaving all state
-        untouched) for records the block kernels can't express exactly:
-        any orphan cell takes the degradation path, which is inherently
-        per-cell."""
-        cells = record.cells
-        if not cells:
-            self._stats.records += 1
-            return True
-        mirror = self._fg_mirror
-        # Orphan precheck before any mutation: one lost FG sync sends
-        # the whole record down the per-cell path (exact degradation
-        # semantics matter more than speed there).
-        keys = []
-        for fg_idx, _meta in cells:
-            fg_key = mirror.get(fg_idx)
-            if fg_key is None:
-                return False
-            keys.append(fg_key)
-        self._stats.records += 1
-        self._pending.append((_CELLS, keys, [meta for _fg, meta in cells],
-                              [0], [(record.cg_key, record.cg_hash32)]))
-        return True
+        keys, metas, offs, cgs = [], [], [], []
+        if not self._admit(record, keys, metas, offs, cgs):
+            self._process_record_orphaned(record)
+        elif keys:
+            self._pending.append((_CELLS, keys, metas, offs, cgs))
 
     def _process_record_orphaned(self, record: MGPVRecord) -> None:
-        """A record with orphan cells, over slab state: runs of
-        attributed cells fold as blocks and every orphan demotes through
-        a one-cell fold, in cell order — what the per-cell loop does to
-        group objects."""
+        """A record with orphan cells on the block path: runs of
+        attributed cells reduce as blocks and every orphan demotes to
+        its record's CG group (:meth:`_demote_cell`), in cell order —
+        what the per-cell loop does."""
         if self._pending:
             self._drain()
         stats = self._stats
@@ -1393,9 +1214,10 @@ class FeatureEngine:
         stats.vectors_emitted += n
 
     def _process_record_reference(self, record: MGPVRecord) -> None:
-        """The pre-optimization per-cell path (``SUPERFE_REFERENCE_PATH=1``
-        oracle): a fields dict and fresh member views per cell, one table
-        lookup per cell per section."""
+        """The per-cell loop — the ``SUPERFE_REFERENCE_PATH=1`` oracle
+        and the one fallback of a policy :meth:`path` reports as
+        ``per-cell``: a fields dict and fresh member views per cell, one
+        table lookup per cell per section."""
         self._stats.records += 1
         fields_order = self.compiled.metadata_fields
         for fg_idx, meta in record.cells:
@@ -1491,21 +1313,13 @@ class FeatureEngine:
                         tuple(a.shape[0] for a in arrs))
         return np.array(parts, dtype=np.float64), None
 
-    def _emit_packet_vector(self, fg_key: tuple,
-                            states: list | None = None) -> None:
+    def _emit_packet_vector(self, fg_key: tuple) -> None:
         parts: list = []
         append = parts.append
-        for pos, fp in enumerate(self._final_plans):
+        for (section, table), fp in zip(self._tables, self._final_plans):
             if fp is None:
                 continue
-            if states is not None:
-                # Hot path: the caller just updated these states — skip
-                # the per-section re-hash of table.get().
-                state = states[pos][0]
-            else:
-                section, table = self._tables[pos]
-                state = table.get(section.granularity.project(fg_key))
-            red_all = state.red_all
+            red_all = table.get(section.granularity.project(fg_key)).red_all
             for idx, synths in fp[1]:
                 value = red_all[idx].finalize()
                 for fn in synths:
@@ -1746,9 +1560,10 @@ class FeatureEngine:
         ``("slab+objects", fn)`` — the same with ``fn`` the first
         function that declared no fold and rides an object column;
         ``("columnar", None)`` — ``collect(pkt)`` run kernels over
-        per-group objects; or ``("per-cell", why)`` naming the first
-        thing that disqualifies the block path (orphan cells leave it
-        per record either way — ``cells_per_cell`` counts those)."""
+        per-group objects; or ``("per-cell", why)`` — the reference
+        loop — naming the first thing that disqualifies the block path
+        (an orphan cell leaves it either way, alone: ``cells_per_cell``
+        counts those)."""
         if self._slabs is not None:
             fn = next((slab.objects for slab in self._slabs
                        if slab.objects), None)

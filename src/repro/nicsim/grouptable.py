@@ -38,8 +38,8 @@ class GroupTable:
 
     ``state_factory`` builds a fresh state for a new group: the engine
     passes its slab's row allocator (the state is then a row index into
-    the section's state columns — 0 is a valid state) or, on the
-    per-cell paths, a closure instantiating the section's map/reduce
+    the section's state columns — 0 is a valid state) or, for group
+    objects, a closure instantiating the section's map/reduce
     function objects.  Lookups return ``(state, created)`` and account
     the memory cycles of the access against ``stats``.
     """
@@ -94,8 +94,8 @@ class GroupTable:
                                  ) -> tuple[object, bool, bool]:
         """As :meth:`lookup_or_insert`, additionally reporting whether the
         entry lives in its home bucket (False: DRAM overflow).  The
-        engine's per-record group memo uses the location to account
-        repeat accesses via :meth:`account_hit` without re-hashing.
+        engine's block path looks a group up once per block and accounts
+        its other cells via :meth:`account_hits` without re-hashing.
         ``hash32`` short-cuts the key hash when the caller already holds
         it (records carry the CG hash the switch computed)."""
         self.stats.lookups += 1
@@ -124,22 +124,10 @@ class GroupTable:
             self.stats.dram_entries_peak, len(self._overflow))
         return state, True, False
 
-    def account_hit(self, in_bucket: bool) -> None:
-        """Account one repeat access to an entry whose location is already
-        known, with exactly the counters/cycles a fresh
-        :meth:`lookup_or_insert` hit would record."""
-        self.stats.lookups += 1
-        self.stats.access_cycles += self.level.latency_cycles
-        if in_bucket:
-            self.stats.bucket_hits += 1
-        else:
-            self.stats.dram_hits += 1
-            self.stats.access_cycles += self.dram.latency_cycles
-
     def account_hits(self, in_bucket: bool, count: int) -> None:
-        """Bulk :meth:`account_hit`: ``count`` repeat accesses in one
-        counter update (the columnar engine path accounts a whole group
-        slice at once; totals match ``count`` single calls exactly)."""
+        """Account ``count`` repeat accesses to an entry whose location
+        is already known, with exactly the counters/cycles that many
+        fresh :meth:`lookup_or_insert` hits would record."""
         if count <= 0:
             return
         stats = self.stats

@@ -1,9 +1,30 @@
 """Shared fixtures: small deterministic traces and common policies."""
 
+import os
+from dataclasses import asdict
+from unittest import mock
+
 import pytest
 
 from repro import pktstream
 from repro.net.trace import generate_trace
+
+
+def reference_path():
+    """``with reference_path():`` builds what is constructed inside as
+    the ``SUPERFE_REFERENCE_PATH=1`` oracle (the flag is read at stage
+    construction, so the window must span ``run()`` / ``stream()``),
+    then restores the variable to what it found."""
+    return mock.patch.dict(os.environ, {"SUPERFE_REFERENCE_PATH": "1"})
+
+
+def engine_ledger(sink) -> list:
+    """Per engine of ``sink`` (a ``FeatureEngine`` or a cluster of
+    them): every counter, and every field of every section's
+    ``GroupTableStats``."""
+    return [(engine.counters(), {name: asdict(stats) for name, stats
+                                 in engine.table_stats().items()})
+            for engine in getattr(sink, "engines", [sink])]
 
 
 @pytest.fixture(scope="session")

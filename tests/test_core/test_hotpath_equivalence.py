@@ -14,7 +14,6 @@ covers the whole compile+run.
 """
 
 import os
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +26,7 @@ from repro.core.faults import FaultAction, FaultPlan
 from repro.core.policy import pktstream
 from repro.net.trace import generate_trace
 from repro.switchsim.mgpv import MGPVConfig
+from tests.conftest import reference_path
 
 #: Reducers whose results are bit-exact regardless of update batching
 #: (same set as tests/test_parallel_equivalence.py).
@@ -59,21 +59,6 @@ def build(gran, reduces, with_filter, with_ipt):
     for src, fn in reduces:
         policy = policy.reduce(src, [fn])
     return policy.collect(gran)
-
-
-@contextmanager
-def reference_path():
-    """Install the pre-optimization oracle paths (the window must span
-    run()/stream(): stages are built there)."""
-    before = os.environ.get("SUPERFE_REFERENCE_PATH")
-    os.environ["SUPERFE_REFERENCE_PATH"] = "1"
-    try:
-        yield
-    finally:
-        if before is None:
-            del os.environ["SUPERFE_REFERENCE_PATH"]
-        else:
-            os.environ["SUPERFE_REFERENCE_PATH"] = before
 
 
 def reference_run(policy, packets, **kw):

@@ -8,14 +8,13 @@ on a fault-free run, none of their cells the per-cell loop — the three
 everything the declaration contract excludes — a subclass overriding
 ``apply``/``update``/``finalize``, an undeclared registration, a later
 reader of a map-shadowed metadata field, a synth chain under
-``collect(pkt)`` — must stay per-cell *and* still match the reference
-oracle.
+``collect(pkt)`` — runs the engine's one per-cell loop, the reference
+oracle's own, and must match it in everything observable; an orphan
+cell leaves the block path alone, not with its record.
 """
 
 import os
 import tracemalloc
-from contextlib import contextmanager
-
 import pytest
 
 import repro.api as api
@@ -43,6 +42,7 @@ from repro.net.trace import generate_trace
 from repro.nicsim import engine as engine_mod
 from repro.nicsim.engine import FeatureEngine
 from repro.switchsim.mgpv import FGSync, MGPVRecord
+from tests.conftest import engine_ledger, reference_path
 
 PER_GROUP = ["CUMUL", "AWF", "DF", "TF", "PeerShark", "MPTD", "NPOD"]
 #: Where each policy's group state lives (``FeatureEngine.path()``): the
@@ -66,15 +66,6 @@ def campus():
     return generate_trace("CAMPUS", n_flows=120, seed=5)
 
 
-@contextmanager
-def reference_path():
-    os.environ["SUPERFE_REFERENCE_PATH"] = "1"
-    try:
-        yield
-    finally:
-        del os.environ["SUPERFE_REFERENCE_PATH"]
-
-
 @pytest.fixture(scope="module")
 def pkt_trace(campus):
     return campus[:PKT_PREFIX]
@@ -96,6 +87,33 @@ def run_batch(policy, trace):
     result = api.compile(policy).run(PacketBatch.from_packets(trace))
     return (vectors_checksum(result.vectors),
             result.dataplane.counters()["engine"])
+
+
+def ledger(vectors, sink) -> tuple:
+    """Everything observable of a run: the vectors as emitted and, per
+    engine, every counter and every ``GroupTableStats`` field."""
+    return emitted(vectors), engine_ledger(sink)
+
+
+def check_fallback_is_oracle(policy, trace, blocker):
+    """A policy ``path()`` reports as per-cell runs the reference loop
+    (with shared accumulators): nothing observable tells them apart."""
+    assert engine_for(policy).path() == ("per-cell", blocker)
+    with reference_path():
+        ref = api.compile(policy).run(trace)
+    result = api.compile(policy).run(PacketBatch.from_packets(trace))
+    counters = result.dataplane.counters()["engine"]
+    assert counters["cells_columnar"] == 0
+    assert counters["cells_per_cell"] == counters["cells"] > 0
+    assert (ledger(result.vectors, result.engine)
+            == ledger(ref.vectors, ref.engine))
+
+
+def test_reference_path_restores_a_preset_variable(monkeypatch):
+    monkeypatch.setenv("SUPERFE_REFERENCE_PATH", "1")
+    with reference_path():
+        pass
+    assert os.environ["SUPERFE_REFERENCE_PATH"] == "1"
 
 
 class TestManifest:
@@ -192,30 +210,29 @@ def flow_policy(map_fn="f_ipt", src="tstamp", reduce_fn="f_sum"):
 
 
 class TestOpaqueStaysPerCell:
-    def check_per_cell(self, policy, campus, fn_name):
-        engine = engine_for(policy)
-        assert not engine._columnar
-        path, why = engine.path()
-        assert path == "per-cell" and why.startswith(fn_name)
-        checksum, counters = run_batch(policy, campus)
-        assert counters["cells_columnar"] == 0
-        assert counters["cells_per_cell"] == counters["cells"] > 0
-        assert checksum == reference_checksum(policy, campus)
-
     def test_builtin_twin_is_columnar(self, campus):
         assert engine_for(flow_policy())._columnar
 
     def test_subclass_overriding_apply(self, user_fns, campus):
-        self.check_per_cell(flow_policy("f_gate_loud", "size"), campus,
-                            "f_gate_loud")
+        check_fallback_is_oracle(
+            flow_policy("f_gate_loud", "size"), campus,
+            "f_gate_loud: no declared batch kernel")
 
     def test_subclass_overriding_update(self, user_fns, campus):
-        self.check_per_cell(flow_policy(reduce_fn="f_sum_twice"), campus,
-                            "f_sum_twice")
+        check_fallback_is_oracle(
+            flow_policy(reduce_fn="f_sum_twice"), campus,
+            "f_sum_twice: no declared batch kernel")
+
+    def test_reducer_update_reading_tstamp(self, campus):
+        check_fallback_is_oracle(
+            flow_policy(reduce_fn="f_dmean{lam=0.1}"), campus,
+            "f_dmean{lam=0.1}: update_many is only handed values and "
+            "directions")
 
     def test_undeclared_registration_then_declared(self, user_fns, campus):
         policy = flow_policy("f_user_ipt")
-        self.check_per_cell(policy, campus, "f_user_ipt")
+        check_fallback_is_oracle(policy, campus,
+                                 "f_user_ipt: no declared batch kernel")
         # Declaring the class — exactly what apps/extensions.py does for
         # its direction gate — is all it takes.
         kernel, reads, maybe_none, *_ = COLUMNAR_KERNELS[_FIpt]
@@ -251,14 +268,9 @@ class TestShadowRule:
     @pytest.mark.parametrize("app", ["CUMUL", "AWF"])
     def test_later_reader_of_shadowed_direction_stays_per_cell(
             self, app, campus):
-        policy = self.shadowing_policy(app)
-        engine = engine_for(policy)
-        assert not engine._columnar
-        assert engine.path() == (
-            "per-cell", "f_mag: reads 'direction' after a map overwrote it")
-        checksum, counters = run_batch(policy, campus)
-        assert counters["cells_per_cell"] == counters["cells"] > 0
-        assert checksum == reference_checksum(policy, campus)
+        check_fallback_is_oracle(
+            self.shadowing_policy(app), campus,
+            "f_mag: reads 'direction' after a map overwrote it")
 
     def test_shadow_without_later_reader_is_columnar(self):
         # AWF itself: f_direction reads the metadata *before* its own
@@ -321,18 +333,7 @@ def pkt_policy(*fns, synth=None):
 
 class TestPerPacketBlock:
     """``collect(pkt)`` on the block path: what stays per-cell, orphan
-    records interleaved with clean ones, and the emit buffer's bound."""
-
-    def check_per_cell(self, policy, trace, blocker):
-        engine = engine_for(policy)
-        assert engine.path() == ("per-cell", blocker)
-        with reference_path():
-            ref = api.compile(policy).run(trace)
-        result = api.compile(policy).run(PacketBatch.from_packets(trace))
-        counters = result.dataplane.counters()["engine"]
-        assert counters["cells_columnar"] == 0
-        assert counters["cells_per_cell"] == counters["cells"] > 0
-        assert emitted(result.vectors) == emitted(ref.vectors)
+    cells between the runs of a block, and the emit buffer's bound."""
 
     def test_declared_damped_policy_is_columnar(self, pkt_trace):
         policy = pkt_policy("f_dw{lam=0.1}")
@@ -346,35 +347,35 @@ class TestPerPacketBlock:
                     "cells_columnar": PKT_PREFIX, "cells_per_cell": 0})
 
     def test_subclass_overriding_finalize(self, user_reducers, pkt_trace):
-        self.check_per_cell(
+        check_fallback_is_oracle(
             pkt_policy("f_dmean_loud{lam=0.1}"), pkt_trace,
             "f_dmean_loud{lam=0.1}: no declared batch kernel")
 
     def test_undeclared_user_reducer(self, user_reducers, pkt_trace):
-        self.check_per_cell(pkt_policy("f_user_last"), pkt_trace,
-                            "f_user_last: no declared batch kernel")
+        check_fallback_is_oracle(pkt_policy("f_user_last"), pkt_trace,
+                                 "f_user_last: no declared batch kernel")
 
     def test_builtin_without_a_run_kernel(self, pkt_trace):
-        self.check_per_cell(
+        check_fallback_is_oracle(
             pkt_policy("f_mean"), pkt_trace,
             "f_mean: no declared run kernel to emit a vector per cell")
 
     def test_synth_chain(self, pkt_trace):
-        self.check_per_cell(
+        check_fallback_is_oracle(
             pkt_policy(synth="f_norm"), pkt_trace,
             "f_norm: synthesizes a per-packet feature")
 
     def test_repeated_statistic(self, pkt_trace):
-        self.check_per_cell(
+        check_fallback_is_oracle(
             pkt_policy("f_dmean{lam=0.1}"), pkt_trace,
             "f_dmean{lam=0.1}: repeats a statistic its accumulator "
             "already emits")
 
     def test_orphan_records_interleave_with_blocks(self, campus):
-        """Sync loss: orphan records take the per-cell degradation path
+        """Sync loss: only the orphan cells leave the block path,
         between deferred clean blocks — vectors, their order, degraded
-        flags and every counter match the oracle, whatever the input
-        form."""
+        flags, table stats and every counter match the oracle, whatever
+        the input form."""
         trace = campus[:1500]
         plan = FaultPlan(seed=3, actions=(
             FaultAction(kind="link_loss", at_packet=0, rate=0.08,
@@ -390,7 +391,8 @@ class TestPerPacketBlock:
             assert (registry["engine.cells.columnar"],
                     registry["engine.cells.per_cell"]) == (
                 counters["cells_columnar"], counters["cells_per_cell"])
-            return emitted(vectors), counters
+            (_counters, tables), = ledger(vectors, dataplane.engine)[1]
+            return emitted(vectors), counters, tables
 
         def run_as(form):
             def drive(ex):
@@ -405,19 +407,48 @@ class TestPerPacketBlock:
             return list(seen.values()), ex._session.dataplane
 
         with reference_path():
-            ref_vectors, ref_counters = outcome(run_as(list))
-        assert ref_counters["orphan_cells"] > 0
+            ref_vectors, ref_counters, ref_tables = outcome(run_as(list))
+        orphans = ref_counters["orphan_cells"]
+        assert orphans > 0
         assert any(flag for *_v, flag, _w in ref_vectors)
         assert not all(flag for *_v, flag, _w in ref_vectors)
         for drive in (run_as(list), run_as(PacketBatch.from_packets),
                       streamed):
-            vectors, counters = outcome(drive)
+            vectors, counters, tables = outcome(drive)
             assert vectors == ref_vectors
-            assert 0 < counters["cells_per_cell"] < counters["cells"]
+            assert tables == ref_tables
             assert counters == {
                 **ref_counters,
-                "cells_columnar": counters["cells_columnar"],
-                "cells_per_cell": counters["cells_per_cell"]}
+                "cells_columnar": counters["cells"] - orphans,
+                "cells_per_cell": orphans}
+
+    def test_orphan_in_the_middle_of_a_record(self):
+        """The runs around an orphan stay on the block path: the vector
+        emitted before the demotion is unflagged, the one after it
+        flagged, and only the orphan counts as per-cell."""
+        key = (1, 2, 10, 20, 6)
+
+        def session(feed):
+            engine = engine_for(pkt_policy())
+            fields = engine.compiled.metadata_fields
+            cells = tuple(
+                (fg, tuple({"size": 100 + j, "tstamp": 5_000 + j,
+                            "direction": 1}[f] for f in fields))
+                for j, fg in enumerate((0, 0, 9, 0)))
+            getattr(engine, feed)([FGSync(0, key),
+                                   MGPVRecord(key[:1], 0, cells, "test")])
+            return engine, ledger(engine.finalize(), engine)
+
+        with reference_path():
+            _engine, (ref_vectors, [(ref_counters, ref_tables)]) = session(
+                "run")
+        assert [flag for *_v, flag, _w in ref_vectors] == [False, False, True]
+        for feed in ("run", "consume_batch"):
+            engine, (vectors, [(counters, tables)]) = session(feed)
+            assert engine.path() == ("columnar", None)
+            assert (vectors, tables) == (ref_vectors, ref_tables)
+            assert counters == {**ref_counters, "cells_columnar": 3,
+                                "cells_per_cell": 1}
 
     def test_packet_vectors_drains_deferred_work(self):
         """``consume_batch`` only queues; the property the sinks slice

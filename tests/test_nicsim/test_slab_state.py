@@ -11,10 +11,6 @@ policies and the benchmark's ``flow_stats_policy`` on hardware
 benchmark does not take.
 """
 
-import os
-from contextlib import contextmanager
-from dataclasses import asdict
-
 import pytest
 
 import repro.api as api
@@ -26,6 +22,7 @@ from repro.net.packet import PacketBatch
 from repro.net.trace import generate_trace
 from repro.nicsim.engine import FeatureEngine
 from repro.switchsim.mgpv import FGSync, MGPVRecord
+from tests.conftest import engine_ledger, reference_path
 
 PER_PACKET = ("Kitsune", "HELAD", "N-BaIoT")
 #: Counters that name the path a cell took, not what it computed.
@@ -57,15 +54,6 @@ POLICIES = {**{app: spec.build for app, spec in APP_POLICIES.items()},
             "flow-stats": flow_stats_policy}
 
 
-@contextmanager
-def reference_path():
-    os.environ["SUPERFE_REFERENCE_PATH"] = "1"
-    try:
-        yield
-    finally:
-        del os.environ["SUPERFE_REFERENCE_PATH"]
-
-
 @pytest.fixture(scope="module")
 def campus():
     return generate_trace("CAMPUS", n_flows=60, seed=9)
@@ -76,19 +64,12 @@ def emitted(vectors) -> list:
              v.widths) for v in vectors]
 
 
-def engines_of(sink) -> list[FeatureEngine]:
-    return list(getattr(sink, "engines", [sink]))
-
-
 def ledger(sink) -> tuple:
     """Per engine: its counters (path counters aside) and every field of
     every section's table statistics."""
     return tuple(
-        ({k: v for k, v in engine.counters().items()
-          if k not in PATH_COUNTERS},
-         {name: asdict(stats)
-          for name, stats in engine.table_stats().items()})
-        for engine in engines_of(sink))
+        ({k: v for k, v in counters.items() if k not in PATH_COUNTERS},
+         tables) for counters, tables in engine_ledger(sink))
 
 
 def outcome(policy, trace, **kw) -> tuple:

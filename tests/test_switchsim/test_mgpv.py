@@ -6,7 +6,6 @@ import gc
 import os
 import weakref
 from itertools import cycle
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +17,7 @@ from repro.net.packet import PROTO_TCP, Packet, PacketBatch
 from repro.net.trace import generate_trace
 from repro.switchsim.aging import sweep_aging_timeouts
 from repro.switchsim.mgpv import FGSync, MGPVCache, MGPVConfig, MGPVRecord
+from tests.conftest import reference_path
 
 
 def pkt(t=0, src=1, dst=2, sport=10, dport=20, size=100):
@@ -383,7 +383,7 @@ class TestActiveGroupAccounting:
         replay(per_packet, packets, controls)
         batched = fresh()
         replay(batched, packets, controls, batch_sizes)
-        with mock.patch.dict(os.environ, {"SUPERFE_REFERENCE_PATH": "1"}):
+        with reference_path():
             reference = fresh()
         replay(reference, packets, controls)
 
