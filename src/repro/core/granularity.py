@@ -48,10 +48,11 @@ class Granularity:
     packet_key: Callable[[Packet], tuple]
     project: Callable[[tuple], tuple]
     records_direction: bool = True
-    #: Optional columnar twin of ``packet_key``: maps a PacketBatch to the
-    #: list of per-packet key tuples (plain Python ints, identical to
-    #: calling ``packet_key`` row by row).  None → the batch dataplane
-    #: falls back to per-packet keying for this granularity.
+    #: Optional columnar twin of ``packet_key``: maps a PacketBatch to
+    #: the key as a tuple of integer columns, one per key position (row
+    #: i's key is the tuple of the columns' i-th values as Python ints,
+    #: identical to calling ``packet_key`` on that row).  None → the
+    #: batch dataplane falls back to per-packet keying.
     batch_key: Callable | None = None
 
     #: bytes needed to store one key of this granularity on the switch
@@ -87,20 +88,20 @@ def _flow_key(pkt: Packet) -> tuple:
     return (dst_ip, src_ip, dst_port, src_port, pkt.proto)
 
 
-def _host_key_batch(batch) -> list[tuple]:
-    return [(ip,) for ip in batch.column("src_ip").tolist()]
+def _host_key_batch(batch) -> tuple:
+    return (batch.column("src_ip"),)
 
 
-def _channel_key_batch(batch) -> list[tuple]:
-    return list(zip(*batch.column_lists(("src_ip", "dst_ip"))))
+def _channel_key_batch(batch) -> tuple:
+    return batch.column("src_ip"), batch.column("dst_ip")
 
 
-def _socket_key_batch(batch) -> list[tuple]:
-    return list(zip(*batch.column_lists(
-        ("src_ip", "dst_ip", "src_port", "dst_port", "proto"))))
+def _socket_key_batch(batch) -> tuple:
+    return tuple(batch.column(f) for f in
+                 ("src_ip", "dst_ip", "src_port", "dst_port", "proto"))
 
 
-def _flow_key_batch(batch) -> list[tuple]:
+def _flow_key_batch(batch) -> tuple:
     # The canonicalization branch of `_flow_key` as a where-swap: a row
     # swaps endpoints exactly when (src_ip, src_port) > (dst_ip, dst_port)
     # lexicographically.
@@ -109,13 +110,9 @@ def _flow_key_batch(batch) -> list[tuple]:
     src_port = batch.column("src_port")
     dst_port = batch.column("dst_port")
     swap = (src_ip > dst_ip) | ((src_ip == dst_ip) & (src_port > dst_port))
-    return list(zip(
-        np.where(swap, dst_ip, src_ip).tolist(),
-        np.where(swap, src_ip, dst_ip).tolist(),
-        np.where(swap, dst_port, src_port).tolist(),
-        np.where(swap, src_port, dst_port).tolist(),
-        batch.column("proto").tolist(),
-    ))
+    return (np.where(swap, dst_ip, src_ip), np.where(swap, src_ip, dst_ip),
+            np.where(swap, dst_port, src_port),
+            np.where(swap, src_port, dst_port), batch.column("proto"))
 
 
 #: Directed chain: host > channel > socket.  Projections take a socket key

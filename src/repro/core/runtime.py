@@ -169,9 +169,8 @@ class SuperFERuntime:
         return CounterSnapshot(**self._poller.poll())
 
     def set_aging_timeout(self, timeout_ns: int | None) -> None:
-        """Retune the aging T live (Fig 14's knob)."""
-        if timeout_ns is not None and timeout_ns <= 0:
-            raise ValueError("timeout must be positive or None")
+        """Retune the aging T live (Fig 14's knob); ``MGPVConfig``
+        rejects a timeout that is not positive or None."""
         self.mgpv_config = dc_replace(self.mgpv_config,
                                       aging_timeout_ns=timeout_ns)
         self.cache.config = self.mgpv_config

@@ -13,18 +13,12 @@ model it directly for the separate byte accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.core.granularity import Granularity
 from repro.net.packet import Packet
 from repro.streaming.hyperloglog import hash_key
 from repro.switchsim.mgpv import CacheStats, MGPVConfig, MGPVRecord
-
-
-@dataclass(frozen=True)
-class _GPVConfig(MGPVConfig):
-    pass
 
 
 class GPVCache:

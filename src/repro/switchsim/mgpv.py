@@ -22,31 +22,37 @@ the switch toward the NIC as :class:`MGPVRecord` messages, triggered by
 The cache maintains the invariant that an FG-table entry is referenced
 only by the CG group its key projects onto; evicting a CG group frees all
 of its FG entries.
+
+The control state is the switch's register arrays at their configured
+shapes: per short slot the resident CG key id, hash, long-buffer index and
+``last_access``; the long-buffer free stack with a top pointer; the FG
+table as key id plus owner slot.  Pending cells stay per-slot lists (their
+length is the fill count); keys are interned to exact ids.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
-from itertools import islice
+from heapq import heappop, heappush, heappushpop
 from time import perf_counter_ns
 from typing import Iterable, Iterator, Union
+
+import numpy as np
 
 from repro.core.granularity import Granularity
 from repro.net.packet import PLAIN_FIELDS, Packet, compile_field_accessor
 from repro.streaming.hyperloglog import hash_key, hash_key_columns
-
-#: Flows whose (cg_key, hash, slot, fg-slot) route is interned before the
-#: cache is wiped.  The route is a pure function of the FG key, so the
-#: cache never needs invalidation — the cap only bounds memory.
-_KEY_CACHE_CAP = 1 << 17
 
 #: Fig 14 buffer-efficiency accounting: occupancy is sampled every
 #: ``_OCC_STRIDE`` packets, and a resident group counts as *active* when
 #: it was last accessed within ``_OCC_WINDOW_NS`` of the running clock.
 _OCC_STRIDE = 64
 _OCC_WINDOW_NS = 100_000_000
+
+#: ``last_access`` of an empty slot: below every activity threshold.
+_NEVER = np.iinfo(np.int64).min
 
 
 @dataclass(frozen=True)
@@ -71,6 +77,10 @@ class MGPVConfig:
         if min(self.n_short, self.short_size, self.n_long, self.long_size,
                self.fg_table_size) < 1:
             raise ValueError("all MGPV sizes must be positive")
+        if self.aging_timeout_ns is not None and self.aging_timeout_ns <= 0:
+            raise ValueError("aging timeout must be positive or None")
+        if self.aging_scan_per_pkt < 1:
+            raise ValueError("aging must scan at least one entry per packet")
 
     @property
     def sram_bytes(self) -> int:
@@ -159,32 +169,36 @@ class CacheStats:
         }
 
 
-class _Entry:
-    """One CG group resident in the cache."""
-
-    __slots__ = ("cg_key", "hash32", "short", "long", "long_idx",
-                 "last_access", "fg_indices", "qkey")
-
-    def __init__(self, cg_key: tuple, hash32: int, now: int) -> None:
-        self.cg_key = cg_key
-        self.hash32 = hash32
-        self.short: list = []
-        self.long: list = []
-        self.long_idx: int | None = None
-        self.last_access = now
-        self.fg_indices: set[int] = set()
-        # The group's live key in the cache's lazy-expiry heap; None
-        # until first touched and again once its active window lapsed.
-        self.qkey: int | None = None
+def _distinct_rows(columns) -> tuple[np.ndarray, np.ndarray]:
+    """Exact distinct rows of integer key columns: ``(first, inverse)``,
+    a representative row per key and each row's key index.  Rows group by
+    a 64-bit fold of their columns, verified column by column; a fold
+    collision between distinct keys falls back to sorting the rows."""
+    fold = np.zeros(len(columns[0]), np.uint64)
+    for col in columns:
+        fold = fold * np.uint64(0x100000001B3) ^ col.astype(np.uint64)
+    order = np.argsort(fold)
+    fold = fold[order]
+    new = np.ones(len(fold), bool)
+    np.not_equal(fold[1:], fold[:-1], out=new[1:])
+    first = order[new]
+    inverse = np.empty(len(fold), np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    if not all(np.array_equal(col, col[first][inverse]) for col in columns):
+        _, first, inverse = np.unique(
+            np.stack(columns, axis=1).astype(np.int64), axis=0,
+            return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
 
 
 class MGPVCache:
     """Functional simulator of the FE-Switch MGPV batching engine.
 
-    Feed packets with :meth:`insert` (or drive a whole trace with
-    :meth:`process`); it yields the ordered switch->NIC event stream of
-    :class:`FGSync` and :class:`MGPVRecord` messages.  Call :meth:`flush`
-    at end-of-trace to drain resident groups.
+    Feed packets with :meth:`insert` (a whole ``PacketBatch`` with
+    :meth:`insert_batch`, a trace with :meth:`process`); each yields the
+    ordered switch->NIC event stream of :class:`FGSync` and
+    :class:`MGPVRecord` messages.  Call :meth:`flush` at end-of-trace to
+    drain resident groups.
     """
 
     name = "mgpv"
@@ -195,38 +209,47 @@ class MGPVCache:
                  ) -> None:
         self.cg = cg
         self.fg = fg
-        self.config = config or MGPVConfig()
+        self.config = cfg = config or MGPVConfig()
         self.metadata_fields = metadata_fields
         self.stats = CacheStats()
-        # Hot-path precompilation: the metadata accessor replaces the
-        # per-packet string dispatch of Packet.field; the key cache
-        # interns per-flow routing so repeated packets of a flow skip key
-        # projection and hashing entirely.  SUPERFE_REFERENCE_PATH=1
-        # keeps the original per-packet code as an equivalence oracle.
+        # Per-packet precompilation — a metadata accessor for the string
+        # dispatch of Packet.field, interned routes for key projection and
+        # hashing — which SUPERFE_REFERENCE_PATH=1 turns off (the oracle).
         self._meta_accessor = compile_field_accessor(tuple(metadata_fields))
         self._fg_packet_key = fg.packet_key
         self._cg_project = cg.project
-        self._key_cache: dict[tuple, tuple] = {}
         self._reference = os.environ.get("SUPERFE_REFERENCE_PATH") == "1"
-        self._slots: list[_Entry | None] = [None] * self.config.n_short
-        self._occupied: set[int] = set()    # indices of resident entries
-        self._long_stack: list[int] = list(range(self.config.n_long))
-        self._fg_keys: list[tuple | None] = [None] * self.config.fg_table_size
-        self._fg_owner_slot: list[int | None] = (
-            [None] * self.config.fg_table_size)
+        self._key_cache: dict[tuple, tuple] = {}    # FG key -> route
+        # Exact key ids (_keys[id] is the key), renumbered to the live
+        # ones whenever more than _key_cap are interned.
+        self._ids: dict[tuple, int] = {}
+        self._keys: list[tuple] = []
+        self._key_cap = 4 * (cfg.n_short + cfg.fg_table_size)
+        # The register arrays, and memoryviews of the same memory for
+        # scalar access (plain Python ints, no numpy scalars).
+        self._slot_key = np.full(cfg.n_short, -1, np.int64)
+        self._slot_hash = np.zeros(cfg.n_short, np.int64)
+        self._slot_long = np.full(cfg.n_short, -1, np.int64)
+        self._slot_last = np.full(cfg.n_short, _NEVER, np.int64)
+        self._long_stack = np.arange(cfg.n_long, dtype=np.int64)
+        self._long_top = cfg.n_long
+        self._fg_key = np.full(cfg.fg_table_size, -1, np.int64)
+        self._fg_owner = np.full(cfg.fg_table_size, -1, np.int64)
+        (self._v_key, self._v_hash, self._v_long, self._v_last, self._v_stack,
+         self._v_fg_key, self._v_fg_owner) = map(memoryview, (
+             self._slot_key, self._slot_hash, self._slot_long, self._slot_last,
+             self._long_stack, self._fg_key, self._fg_owner))
+        # Per resident slot: pending cells (short then long) and the FG
+        # entries it owns.
+        self._cells: list[list | None] = [None] * cfg.n_short
+        self._fgs: list[list | None] = [None] * cfg.n_short
+        self._n_resident = 0
         self._aging_cursor = 0
         self._long_allowed: int | None = None   # fault-injected squeeze
         self._now = 0
-        # Occupancy-time integrals for buffer-efficiency reporting (Fig 14)
-        # and the incremental active-group accounting behind them: the
-        # count of entries holding a qkey, and a min-heap of plain-int
-        # keys ``last_access * n_short + slot`` (never _Entry references,
-        # so an evicted group is garbage at once) expired lazily at the
-        # sample points.
+        # Occupancy-time integrals for buffer-efficiency reporting (Fig 14).
         self._occ_occupied = 0
         self._occ_active = 0
-        self._n_active = 0
-        self._expiry: list[int] = []
         # Telemetry instruments (attach_telemetry); None = not attached.
         # Only amortized paths (_emit/_resolve_fg/_evict/_aging_scan) are
         # instrumented — the per-packet insert body is untouched.
@@ -248,8 +271,8 @@ class MGPVCache:
         self._t_record_cells = reg.histogram("mgpv.record.cells",
                                              DEFAULT_COUNT_BOUNDS)
         reg.gauge_source("mgpv.resident_groups",
-                         lambda: len(self._occupied))
-        reg.gauge_source("mgpv.active_groups", lambda: self._n_active)
+                         lambda: self._n_resident)
+        reg.gauge_source("mgpv.active_groups", lambda: self.active_groups)
         reg.gauge_source("mgpv.long_buffers_in_use",
                          lambda: self.long_buffers_in_use)
 
@@ -264,42 +287,47 @@ class MGPVCache:
         loop) avoid one list allocation per insert; the buffer is *not*
         cleared here — clear it between packets.
         """
-        if self._reference:
-            return self._insert_reference(pkt, out)
         events: list[Event] = [] if out is None else out
-        self._now = max(self._now, pkt.tstamp)
-        self.stats.pkts_in += 1
-        self.stats.bytes_in += pkt.size
-
+        ts = pkt.tstamp
+        if ts > self._now:
+            self._now = ts
+        stats = self.stats
+        stats.pkts_in += 1
+        stats.bytes_in += pkt.size
         if self.config.aging_timeout_ns is not None:
             self._aging_scan(events)
-
-        fg_key = self._fg_packet_key(pkt)
-        route = self._key_cache.get(fg_key)
-        if route is None:
-            route = self._compute_route(fg_key)
-        self._insert_routed(fg_key, route, pkt.tstamp,
-                            self._meta_accessor(pkt), events)
-        if not self.stats.pkts_in % _OCC_STRIDE:
-            self._sample_occupancy()
+        if self._reference:
+            route = self._route(self.fg.packet_key(pkt))
+            meta = tuple(pkt.field(f) for f in self.metadata_fields)
+        else:
+            fg_key = self._fg_packet_key(pkt)
+            route = self._key_cache.get(fg_key) or self._route(fg_key)
+            meta = self._meta_accessor(pkt)
+        self._apply(route, ts, (route[3], meta), events)
+        if not stats.pkts_in % _OCC_STRIDE:       # one Fig 14 sample
+            self._occ_occupied += self._n_resident
+            self._occ_active += self.active_groups
         return events
 
     def insert_batch(self, batch, out: list[Event] | None = None
                      ) -> list[Event]:
-        """Columnar twin of :meth:`insert` over a whole
-        :class:`~repro.net.packet.PacketBatch`: keys come from the
-        granularity's vectorized ``batch_key`` kernel, routes for
-        cache-missing flows are hashed in one :func:`hash_key_columns`
-        sweep, and metadata cells are materialized from column lists —
-        the stateful slot/buffer walk then runs as a tight loop with no
-        Packet objects in sight.  Event stream, counters, and cache state
-        transitions are identical to inserting the packets one at a time
-        (the reference mode and non-columnar key/metadata configurations
-        fall back to exactly that).
+        """Columnar twin of :meth:`insert`: a per-slot segment kernel.
+
+        Rows are keyed and hashed in numpy and stable-sorted by short slot
+        once; only *event* rows — a new group or collision, an FG-table
+        miss, a short or long buffer filling — run the scalar body, in row
+        order, which also resolves what couples slots (the long-buffer
+        pool, FG collisions evicting another slot's group).  Plain appends
+        join their slot's pending cells as slices of one slot-sorted cell
+        list; the Fig 14 samples come from an interval sweep.  Events,
+        counters and state equal inserting the packets one at a time —
+        which the reference oracle, aging (its cursor scan reads the clock
+        row by row) and non-columnar keys or metadata do.
         """
         events: list[Event] = [] if out is None else out
-        batch_key = self.fg.batch_key
-        if (self._reference or batch_key is None
+        cfg = self.config
+        if (self._reference or self.fg.batch_key is None
+                or cfg.aging_timeout_ns is not None
                 or not all(f in PLAIN_FIELDS for f in self.metadata_fields)):
             for pkt in batch:
                 self.insert(pkt, events)
@@ -307,241 +335,191 @@ class MGPVCache:
         n = len(batch)
         if not n:
             return events
-
-        fg_keys = batch_key(batch)
-        tstamps, sizes = batch.column_lists(("tstamp", "size"))
-        if self.metadata_fields:
-            meta_rows = list(zip(*batch.column_lists(self.metadata_fields)))
+        routes, inverse = self._batch_routes(batch)
+        table = np.array(routes, dtype=np.int64)
+        slot_of = table[:, 2][inverse]
+        order = np.argsort(slot_of.astype(np.uint16) if cfg.n_short <= 1 << 16
+                           else slot_of, kind="stable")
+        # Position space: rows in slot order, row order within a slot.
+        sinv = inverse[order]
+        sslot = slot_of[order]
+        scg = table[:, 0][sinv]
+        sfg = table[:, 4][sinv]
+        tstamps = batch.column("tstamp")
+        sts = tstamps[order]
+        fg_idx = table[:, 3][sinv].tolist()
+        # Metadata tuples first: the collector untracks a cell tuple at
+        # once only when its metadata tuple already is.
+        meta = (list(zip(*(batch.column(f)[order].tolist()
+                           for f in self.metadata_fields)))
+                if self.metadata_fields else [()] * n)
+        cells = list(zip(fg_idx, meta))
+        head = np.ones(n, bool)
+        np.not_equal(sslot[1:], sslot[:-1], out=head[1:])
+        seg_start = np.flatnonzero(head)
+        seg_end = np.append(seg_start[1:], n)
+        seg_slot = sslot[seg_start]
+        # Static lifetimes (runs of one CG key in one slot) and their
+        # candidate events: the first row of each FG key in a lifetime.
+        life = head.copy()
+        life[1:] |= scg[1:] != scg[:-1]
+        lid = np.cumsum(life) - 1
+        if np.array_equal(table[:, 0], table[:, 4]):
+            cand = life.copy()
         else:
-            meta_rows = [()] * n
+            cand = np.zeros(n, bool)
+            cand[np.unique(lid * len(self._keys) + sfg,
+                           return_index=True)[1]] = True
+        # A slot's first lifetime may continue its resident group: then
+        # only FG keys the table does not hold yet are events, and the
+        # group's fill level sets its first buffer threshold.
+        short_size, full = cfg.short_size, cfg.short_size + cfg.long_size
+        thr = np.full(len(seg_start), n)
+        carried_seg = self._slot_key[seg_slot] == scg[seg_start]
+        if carried_seg.any():
+            carried = np.zeros(int(lid[-1]) + 1, bool)
+            carried[lid[seg_start[carried_seg]]] = True
+            at = np.flatnonzero(carried[lid] & cand)
+            cand[at] = self._fg_key[table[:, 3][sinv[at]]] != sfg[at]
+            held = seg_slot[carried_seg]
+            fill = np.fromiter((len(self._cells[s]) for s in held.tolist()),
+                               np.int64, len(held))
+            thr[carried_seg] = (seg_start[carried_seg] - fill - 1 + np.where(
+                self._slot_long[held] >= 0, full, short_size))
+        cand_pos = np.append(np.flatnonzero(cand), n)
+        ci = np.searchsorted(cand_pos, seg_start)
+        nxt = np.minimum(cand_pos[ci], thr)
+        nxt = nxt[nxt < seg_end]
+        heap = np.sort((order[nxt] << 32) | nxt).tolist()
+        # Fig 14 samples inside this batch start from the resident groups.
+        now0 = self._now
+        samples = np.arange((-self.stats.pkts_in - 1) % _OCC_STRIDE, n,
+                            _OCC_STRIDE)
+        before = np.flatnonzero(self._slot_key >= 0)
+        before = (before, self._slot_last[before], self._n_resident)
 
-        # Resolve each distinct flow's routing tuple once: cached routes
-        # are reused, the rest are hashed column-wise in two sweeps (CG
-        # keys, then the FG keys that differ from their CG projection).
-        routes: dict[tuple, tuple] = {}
-        key_cache = self._key_cache
-        missing = []
-        for k in dict.fromkeys(fg_keys):
-            route = key_cache.get(k)
-            if route is None:
-                missing.append(k)
+        # The event loop.  Each segment k has a pointer to its first
+        # unapplied position; the heap holds (row << 32 | position) of
+        # every segment's next event, plus stale entries it skips.
+        v_order, v_sinv, v_sts, v_seg = map(memoryview, (
+            order, sinv, sts, np.cumsum(head) - 1))
+        starts, ptr = seg_start.tolist(), seg_start.tolist()
+        ends, slots = seg_end.tolist(), seg_slot.tolist()
+        ci, cand_pos = ci.tolist(), cand_pos.tolist()
+        life_pos = np.append(np.flatnonzero(life), n).tolist()
+        apply, filled, pending = self._apply, self._filled, self._cells
+        v_key, v_long = self._v_key, self._v_long
+        fg_key, fg_owner = self._v_fg_key, self._v_fg_owner
+        resident, res_rows, res_vals = self._n_resident, [], []
+        cuts, cut_before = {}, {}   # position / slot -> eviction row
+        seg_of = dict(zip(slots, range(len(slots))))
+
+        def restart(k: int, q: int) -> None:
+            # Segment k's group restarts at q: queue each FG key's first row.
+            stop = life_pos[bisect_right(life_pos, q)]
+            for j in (np.unique(sfg[q:stop], return_index=True)[1]
+                      + q).tolist():
+                heappush(heap, v_order[j] << 32 | j)
+
+        def catch_up(slot: int, row: int) -> None:
+            # ``slot`` is about to be evicted at ``row``: apply its plain
+            # rows before that, and cut its activity interval there.
+            k = seg_of.get(slot)
+            if k is None:
+                cut_before[slot] = row
+                return
+            p = ptr[k]
+            q = ptr[k] = bisect_left(v_order, row, p, ends[k])
+            pending[slot].extend(cells[p:q])
+            if q > starts[k]:
+                cuts[q - 1] = row
             else:
-                routes[k] = route
-        if missing:
-            cfg = self.config
-            project = self._cg_project
-            cg_keys = [project(k) for k in missing]
-            cg_hashes = hash_key_columns(list(zip(*cg_keys))).tolist()
-            distinct = [i for i, (f, c) in enumerate(zip(missing, cg_keys))
-                        if f != c]
-            if distinct:
-                fg_hashes = hash_key_columns(
-                    list(zip(*(missing[i] for i in distinct)))).tolist()
-                fg_idx_by_row = dict(zip(
-                    distinct,
-                    (h % cfg.fg_table_size for h in fg_hashes)))
+                cut_before[slot] = row
+            if q < ends[k]:
+                restart(k, q)
+
+        key = heappop(heap) if heap else -1
+        while key >= 0:
+            pos = key & 0xFFFFFFFF
+            k = v_seg[pos]
+            p = ptr[k]
+            if pos < p:
+                key = heappop(heap) if heap else -1
+                continue
+            s = slots[k]
+            route = routes[v_sinv[pos]]
+            if v_key[s] == route[0] and fg_key[route[3]] == route[4]:
+                # Resident group, FG hit: a buffer threshold at most.
+                pending[s].extend(cells[p:pos + 1])
+                filled(s, events)
+                p = ptr[k] = pos + 1
             else:
-                fg_idx_by_row = {}
-            for i, (fg_key, cg_key) in enumerate(zip(missing, cg_keys)):
-                hash32 = cg_hashes[i]
-                fg_idx = fg_idx_by_row.get(i, hash32 % cfg.fg_table_size)
-                route = (cg_key, hash32, hash32 % cfg.n_short, fg_idx)
-                routes[fg_key] = route
-                if len(key_cache) >= _KEY_CACHE_CAP:
-                    key_cache.clear()
-                key_cache[fg_key] = route
+                if pos > p:
+                    pending[s].extend(cells[p:pos])
+                # An FG collision evicts the displaced key's group:
+                # another slot's, or this one's own (when it is not being
+                # replaced).
+                displaced = fg_key[route[3]]
+                owner = (fg_owner[route[3]]
+                         if displaced >= 0 and displaced != route[4] else -1)
+                if owner >= 0 and owner != s:
+                    catch_up(owner, key >> 32)
+                own = owner == s and v_key[s] == route[0]
+                apply(route, v_sts[pos], cells[pos], events)
+                p = ptr[k] = pos + 1
+                if own:
+                    restart(k, pos)
+                if self._n_resident != resident:
+                    resident = self._n_resident
+                    res_rows.append(key >> 32)
+                    res_vals.append(resident)
+            c = ci[k]
+            while cand_pos[c] < p:
+                c += 1
+            ci[k] = c
+            nxt = cand_pos[c]
+            thr = pos + (full if v_long[s] >= 0 else short_size) - len(
+                pending[s])
+            if thr < nxt:
+                nxt = thr
+            if nxt < ends[k]:
+                key = heappushpop(heap, v_order[nxt] << 32 | nxt)
+            else:
+                key = heappop(heap) if heap else -1
 
-        # Per-row route references resolved in one C pass (the dict is
-        # fully populated above, so this cannot miss).
-        rr = list(map(routes.__getitem__, fg_keys))
-
-        stats = self.stats
-        slots = self._slots
-        fg_table = self._fg_keys
-        occupied = self._occupied
-        if self.config.aging_timeout_ns is not None:
-            # Aging interleaves a cursor scan that reads the running
-            # clock between rows — keep the straightforward loop with
-            # per-row attribute sync for that configuration.
-            for i in range(n):
-                ts = tstamps[i]
-                if ts > self._now:
-                    self._now = ts
-                stats.pkts_in += 1
-                stats.bytes_in += sizes[i]
-                self._aging_scan(events)
-                self._insert_routed(fg_keys[i], rr[i], ts, meta_rows[i],
-                                    events)
-                if not stats.pkts_in % _OCC_STRIDE:
-                    self._sample_occupancy()
-            return events
-
-        # Hot loop: nothing below reads pkts_in/bytes_in or the clock
-        # mid-row (eviction and emission account their own fields), so
-        # the rows run in chunks delimited by the occupancy sample
-        # stride — the stride check, the packet/byte totals, and
-        # the clock running-max leave the per-row body entirely and
-        # resolve in C over each chunk's slices.  The `is not` guards
-        # shortcut the tuple comparisons — routes are interned, so a
-        # resident entry's key is usually the identical object.
-        cfg = self.config
-        short_size = cfg.short_size
-        long_size = cfg.long_size
-        long_stack = self._long_stack
-        now = self._now
-        pkts_in = stats.pkts_in
-        rows = zip(tstamps, rr, fg_keys, meta_rows)
-        start = 0
-        while start < n:
-            chunk = _OCC_STRIDE - (pkts_in % _OCC_STRIDE)
-            if start + chunk > n:
-                chunk = n - start
-            for ts, route, fg_key, meta in islice(rows, chunk):
-                cg_key, h32, slot_idx, fg_idx = route
-
-                entry = slots[slot_idx]
-                if entry is None:
-                    entry = _Entry(cg_key, h32, ts)
-                    slots[slot_idx] = entry
-                    occupied.add(slot_idx)
-                else:
-                    ek = entry.cg_key
-                    if ek is not cg_key and ek != cg_key:
-                        events.append(self._evict(slot_idx, "collision"))
-                        entry = _Entry(cg_key, h32, ts)
-                        slots[slot_idx] = entry
-                        occupied.add(slot_idx)
-
-                resident = fg_table[fg_idx]
-                if resident is not fg_key and resident != fg_key:
-                    self._resolve_fg(fg_key, fg_idx, slot_idx, events)
-                    entry = slots[slot_idx]
-                    if entry is None or entry.cg_key != cg_key:
-                        entry = _Entry(cg_key, h32, ts)
-                        slots[slot_idx] = entry
-                        occupied.add(slot_idx)
-                entry.fg_indices.add(fg_idx)
-                if entry.qkey is None or ts < entry.last_access:
-                    self._activate(entry, slot_idx, ts)
-                entry.last_access = ts
-
-                # _append_cell inlined (same transitions, accounting).
-                cell = (fg_idx, meta)
-                if entry.long_idx is not None:
-                    long = entry.long
-                    long.append(cell)
-                    if len(long) >= long_size:
-                        events.append(self._emit(entry, "long_full"))
-                        long_stack.append(entry.long_idx)
-                        entry.long_idx = None
-                        entry.short = []
-                        entry.long = []
-                else:
-                    short = entry.short
-                    short.append(cell)
-                    if len(short) >= short_size:
-                        allowed = (self._long_allowed is None
-                                   or self.long_buffers_in_use
-                                   < self._long_allowed)
-                        if long_stack and allowed:
-                            entry.long_idx = long_stack.pop()
-                            stats.long_allocs += 1
-                        else:
-                            stats.long_alloc_failures += 1
-                            events.append(self._emit(entry, "short_full"))
-                            entry.short = []
-            end = start + chunk
-            mx = max(tstamps[start:end])
-            if mx > now:
-                now = mx
-            pkts_in += chunk
-            start = end
-            if not pkts_in % _OCC_STRIDE:
-                stats.pkts_in = pkts_in
-                self._now = now
-                self._sample_occupancy()
-        stats.pkts_in = pkts_in
-        stats.bytes_in += sum(sizes)
-        self._now = now
-        return events
-
-    def _insert_routed(self, fg_key: tuple, route: tuple, ts: int,
-                       meta: tuple, events: list[Event]) -> None:
-        """The slot/FG/cell transitions of one packet whose route is
-        resolved: the body of :meth:`insert` and of one row of
-        :meth:`insert_batch`'s aging loop."""
-        cg_key, hash32, slot_idx, fg_idx = route
-        slots = self._slots
-        entry = slots[slot_idx]
-        if entry is not None and entry.cg_key != cg_key:
-            # Case 1: hash collision — evict the older group (LRU-like).
-            events.append(self._evict(slot_idx, "collision"))
-            entry = None
-        if entry is None:
-            entry = _Entry(cg_key, hash32, ts)
-            slots[slot_idx] = entry
-            self._occupied.add(slot_idx)
-
-        if self._fg_keys[fg_idx] != fg_key:
-            self._resolve_fg(fg_key, fg_idx, slot_idx, events)
-            # The FG collision path may have evicted our own entry (when
-            # the displaced FG key belonged to this CG group); re-create.
-            entry = slots[slot_idx]
-            if entry is None or entry.cg_key != cg_key:
-                entry = _Entry(cg_key, hash32, ts)
-                slots[slot_idx] = entry
-                self._occupied.add(slot_idx)
-        entry.fg_indices.add(fg_idx)
-        if entry.qkey is None or ts < entry.last_access:
-            self._activate(entry, slot_idx, ts)
-        entry.last_access = ts
-        self._append_cell(slot_idx, entry, (fg_idx, meta), events)
-
-    def _insert_reference(self, pkt: Packet, out: list[Event] | None = None
-                          ) -> list[Event]:
-        """The pre-optimization per-packet path, kept verbatim as the
-        equivalence oracle behind ``SUPERFE_REFERENCE_PATH=1``: string
-        dispatch per metadata field, key projection and (double) hashing
-        on every packet, no interned routes."""
-        self._now = max(self._now, pkt.tstamp)
-        self.stats.pkts_in += 1
-        self.stats.bytes_in += pkt.size
-        events: list[Event] = [] if out is None else out
-
-        if self.config.aging_timeout_ns is not None:
-            self._aging_scan(events)
-
-        fg_key = self.fg.packet_key(pkt)
-        cg_key = self.cg.project(fg_key)
-        hash32 = hash_key(cg_key)
-        slot_idx = hash32 % self.config.n_short
-
-        entry = self._slots[slot_idx]
-        if entry is not None and entry.cg_key != cg_key:
-            events.append(self._evict(slot_idx, "collision"))
-            entry = None
-        if entry is None:
-            entry = _Entry(cg_key, hash32, pkt.tstamp)
-            self._slots[slot_idx] = entry
-            self._occupied.add(slot_idx)
-
-        fg_idx = hash_key(fg_key) % self.config.fg_table_size
-        if self._fg_keys[fg_idx] != fg_key:
-            self._resolve_fg(fg_key, fg_idx, slot_idx, events)
-            entry = self._slots[slot_idx]
-            if entry is None or entry.cg_key != cg_key:
-                entry = _Entry(cg_key, hash32, pkt.tstamp)
-                self._slots[slot_idx] = entry
-                self._occupied.add(slot_idx)
-        entry.fg_indices.add(fg_idx)
-        if entry.qkey is None or pkt.tstamp < entry.last_access:
-            self._activate(entry, slot_idx, pkt.tstamp)
-        entry.last_access = pkt.tstamp
-
-        cell = (fg_idx, tuple(pkt.field(f) for f in self.metadata_fields))
-        self._append_cell(slot_idx, entry, cell, events)
-        if not self.stats.pkts_in % _OCC_STRIDE:
-            self._sample_occupancy()
+        for s, p, e in zip(slots, ptr, ends):
+            if p < e:
+                pending[s].extend(cells[p:e])
+        held = self._slot_key[seg_slot] >= 0
+        self._slot_last[seg_slot[held]] = sts[seg_end[held] - 1]
+        if len(samples):
+            # A row keeps its slot active until the slot's next row, an
+            # eviction, or the clock passing ts + window.
+            runmax = np.maximum.accumulate(np.maximum(tstamps, now0))
+            expire = np.searchsorted(runmax, tstamps + _OCC_WINDOW_NS,
+                                     "right")
+            end = np.append(order[1:], n)
+            end[seg_end - 1] = n
+            np.minimum(end, expire[order], out=end)
+            for pos, row in cuts.items():
+                end[pos] = min(end[pos], row)
+            np.maximum(end, order, out=end)
+            # A group resident before: until touched, evicted or expired.
+            stop = np.full(cfg.n_short, n)
+            stop[seg_slot] = order[seg_start]
+            stop[list(cut_before)] = list(cut_before.values())
+            carried_end = np.minimum(stop[before[0]], np.searchsorted(
+                runmax, before[1] + _OCC_WINDOW_NS, "right"))
+            ended = np.cumsum(np.bincount(end, minlength=n + 1))[samples]
+            alive = len(carried_end) - np.cumsum(np.bincount(
+                carried_end, minlength=n + 1))[samples]
+            occupied = np.asarray(res_vals + [before[2]])[
+                np.searchsorted(res_rows, samples, "right") - 1]
+            self._occ_occupied += int(occupied.sum())
+            self._occ_active += int((samples + 1 - ended + alive).sum())
+        self.stats.pkts_in += n
+        self.stats.bytes_in += int(batch.column("size").sum())
+        self._now = max(now0, int(tstamps.max()))
         return events
 
     def process(self, packets: Iterable[Packet],
@@ -558,13 +536,11 @@ class MGPVCache:
     def flush(self) -> list[Event]:
         """Drain every resident group (end of measurement)."""
         events = []
-        for idx in sorted(self._occupied):
-            entry = self._slots[idx]
-            if entry is not None and (entry.short or entry.long):
-                events.append(self._evict(idx, "flush"))
-            elif entry is not None:
-                self._remove(idx)
-        self._expiry.clear()    # nothing resident: every key is stale
+        for slot in np.flatnonzero(self._slot_key >= 0).tolist():
+            if self._cells[slot]:
+                events.append(self._evict(slot, "flush"))
+            else:
+                self._remove(slot)
         return events
 
     def consume(self, pkt: Packet) -> list[Event]:
@@ -585,11 +561,17 @@ class MGPVCache:
 
     @property
     def resident_groups(self) -> int:
-        return len(self._occupied)
+        return self._n_resident
+
+    @property
+    def active_groups(self) -> int:
+        """Resident groups accessed within ``_OCC_WINDOW_NS`` of now."""
+        return int(np.count_nonzero(
+            self._slot_last >= self._now - _OCC_WINDOW_NS))
 
     @property
     def long_buffers_in_use(self) -> int:
-        return self.config.n_long - len(self._long_stack)
+        return self.config.n_long - self._long_top
 
     def buffer_efficiency(self) -> float:
         """Time-averaged fraction of occupied buffer slots whose group was
@@ -607,7 +589,8 @@ class MGPVCache:
         """Current key of FG-table slot ``index`` — the authoritative
         copy a lost sync is re-fetched from (link retransmission)."""
         if 0 <= index < self.config.fg_table_size:
-            return self._fg_keys[index]
+            key_id = self._v_fg_key[index]
+            return self._keys[key_id] if key_id >= 0 else None
         return None
 
     def squeeze_long_buffers(self, keep_fraction: float) -> None:
@@ -625,83 +608,157 @@ class MGPVCache:
 
     # -- internals -----------------------------------------------------------
 
-    def _compute_route(self, fg_key: tuple) -> tuple:
-        """Intern the per-flow routing tuple ``(cg_key, cg_hash32,
-        short-slot index, FG-table index)``.
+    def _intern(self, key: tuple) -> int:
+        key_id = self._ids.get(key)
+        if key_id is None:
+            key_id = self._ids[key] = len(self._keys)
+            self._keys.append(key)
+        return key_id
 
-        Every element is a pure function of the FG key and the (fixed)
-        config, so the cache needs no invalidation.  When the CG and FG
-        keys coincide (single-granularity chains such as ``flow``) one
-        hash serves both tables — the switch would otherwise hash the
-        same bytes twice per packet.
-        """
+    def _compact_keys(self) -> None:
+        """Renumber the interned keys to the live ones (resident CG keys,
+        FG-table keys): the key tables stay bounded by the register sizes
+        however many flows pass.  Interned routes hold old ids: dropped."""
+        live = np.unique(np.concatenate((self._slot_key, self._fg_key)))
+        live = live[live >= 0]
+        renumber = np.full(len(self._keys), -1, np.int64)
+        renumber[live] = np.arange(len(live))
+        for ids in (self._slot_key, self._fg_key):
+            held = ids >= 0
+            ids[held] = renumber[ids[held]]
+        self._keys = [self._keys[i] for i in live.tolist()]
+        self._ids = {key: i for i, key in enumerate(self._keys)}
+        self._key_cache.clear()
+
+    def _route(self, fg_key: tuple) -> tuple:
+        """The per-flow routing tuple ``(cg id, cg hash32, short slot,
+        FG-table slot, fg id)`` — a pure function of the FG key and the
+        config, interned unless this is the reference oracle.  When the CG
+        and FG keys coincide (``flow``) one hash serves both tables."""
+        if len(self._keys) > self._key_cap:
+            self._compact_keys()
+        cfg = self.config
         cg_key = self._cg_project(fg_key)
         hash32 = hash_key(cg_key)
-        if cg_key == fg_key:
-            fg_idx = hash32 % self.config.fg_table_size
-        else:
-            fg_idx = hash_key(fg_key) % self.config.fg_table_size
-        route = (cg_key, hash32, hash32 % self.config.n_short, fg_idx)
-        cache = self._key_cache
-        if len(cache) >= _KEY_CACHE_CAP:
-            cache.clear()
-        cache[fg_key] = route
+        fg_hash = hash32 if cg_key == fg_key else hash_key(fg_key)
+        route = (self._intern(cg_key), hash32, hash32 % cfg.n_short,
+                 fg_hash % cfg.fg_table_size, self._intern(fg_key))
+        if not self._reference:
+            self._key_cache[fg_key] = route
         return route
 
-    def _resolve_fg(self, fg_key: tuple, fg_idx: int, inserting_slot: int,
+    def _batch_routes(self, batch) -> tuple[list[tuple], np.ndarray]:
+        """The :meth:`_route` of every distinct FG key of ``batch`` (keys
+        not routed yet hashed by :func:`hash_key_columns`) and each row's
+        index into that list."""
+        if len(self._keys) > self._key_cap:
+            self._compact_keys()
+        cfg = self.config
+        columns = self.fg.batch_key(batch)
+        first, inverse = _distinct_rows(columns)
+        fg_keys = list(zip(*(col[first].tolist() for col in columns)))
+        routes = list(map(self._key_cache.get, fg_keys))
+        missing = [key for key, route in zip(fg_keys, routes) if route is None]
+        if missing:
+            cg_keys = list(map(self._cg_project, missing))
+            fg_hash = hash_key_columns(list(zip(*missing)))
+            cg_hash = (fg_hash if cg_keys == missing
+                       else hash_key_columns(list(zip(*cg_keys))))
+            self._key_cache.update(zip(missing, zip(
+                map(self._intern, cg_keys), cg_hash.tolist(),
+                (cg_hash % cfg.n_short).tolist(),
+                (fg_hash % cfg.fg_table_size).tolist(),
+                map(self._intern, missing))))
+            routes = list(map(self._key_cache.__getitem__, fg_keys))
+        return routes, inverse
+
+    def _apply(self, route: tuple, ts: int, cell: tuple,
+               events: list[Event]) -> None:
+        """The slot / FG / cell transitions of one packet whose route is
+        resolved: the body of :meth:`insert` and of every event row of
+        :meth:`insert_batch`."""
+        cg_id, hash32, slot, fg_idx, fg_id = route
+        key = self._v_key
+        if key[slot] != cg_id:
+            if key[slot] >= 0:
+                # Case 1: hash collision — evict the older group (LRU-like).
+                events.append(self._evict(slot, "collision"))
+            self._create(slot, cg_id, hash32)
+        if self._v_fg_key[fg_idx] != fg_id:
+            self._resolve_fg(fg_id, fg_idx, slot, events)
+            # The FG collision may have evicted this very group (the
+            # displaced key projected onto it); re-create it.
+            if key[slot] != cg_id:
+                self._create(slot, cg_id, hash32)
+            self._fgs[slot].append(fg_idx)
+        self._v_last[slot] = ts
+        cells = self._cells[slot]
+        cells.append(cell)
+        if len(cells) >= self.config.short_size:
+            self._filled(slot, events)
+
+    def _filled(self, slot: int, events: list[Event]) -> None:
+        """The buffer transition, if any, due to ``slot``'s pending cells
+        (at most one threshold crossed since the last call)."""
+        cfg = self.config
+        if self._v_long[slot] >= 0:
+            if len(self._cells[slot]) >= cfg.short_size + cfg.long_size:
+                # Case 2b: long buffer full — evict short + long, release
+                # the long pointer; the (likely long) flow keeps its entry.
+                events.append(self._emit(slot, "long_full"))
+                self._free_long(slot)
+        elif len(self._cells[slot]) >= cfg.short_size:
+            if self._long_top and (self._long_allowed is None
+                                   or self.long_buffers_in_use
+                                   < self._long_allowed):
+                self._long_top -= 1
+                self._v_long[slot] = self._v_stack[self._long_top]
+                self.stats.long_allocs += 1
+            else:
+                # Case 2a: short full, no long buffer — evict the short
+                # buffer so it can be reused.
+                self.stats.long_alloc_failures += 1
+                events.append(self._emit(slot, "short_full"))
+
+    def _create(self, slot: int, cg_id: int, hash32: int) -> None:
+        self._v_key[slot] = cg_id
+        self._v_hash[slot] = hash32
+        self._cells[slot] = []
+        self._fgs[slot] = []
+        self._n_resident += 1
+
+    def _free_long(self, slot: int) -> None:
+        self._v_stack[self._long_top] = self._v_long[slot]
+        self._long_top += 1
+        self._v_long[slot] = -1
+
+    def _resolve_fg(self, fg_id: int, fg_idx: int, inserting_slot: int,
                     events: list[Event]) -> None:
-        """Install ``fg_key`` into FG-table slot ``fg_idx`` (the caller
+        """Install key ``fg_id`` into FG-table slot ``fg_idx`` (the caller
         checked it is not already there), appending the sync — and any
         collision eviction — to ``events``."""
-        existing = self._fg_keys[fg_idx]
-        if existing is not None:
+        if self._v_fg_key[fg_idx] >= 0:
             # FG slot collision: the displaced key's owner group must be
             # flushed first — its resident cells reference this index.
             self.stats.fg_collisions += 1
-            owner = self._fg_owner_slot[fg_idx]
-            if owner is not None and self._slots[owner] is not None:
-                events.append(self._evict(owner, "collision"))
-        self._fg_keys[fg_idx] = fg_key
-        self._fg_owner_slot[fg_idx] = inserting_slot
-        sync = FGSync(fg_idx, fg_key)
+            events.append(self._evict(self._v_fg_owner[fg_idx],
+                                      "collision"))
+        self._v_fg_key[fg_idx] = fg_id
+        self._v_fg_owner[fg_idx] = inserting_slot
+        sync = FGSync(fg_idx, self._keys[fg_id])
         events.append(sync)
         self.stats.syncs_out += 1
         self.stats.bytes_out += sync.wire_bytes(self.config)
         if self._t_fg_syncs is not None:
             self._t_fg_syncs.inc()
 
-    def _append_cell(self, slot_idx: int, entry: _Entry, cell,
-                     events: list[Event]) -> None:
-        cfg = self.config
-        if entry.long_idx is not None:
-            entry.long.append(cell)
-            if len(entry.long) >= cfg.long_size:
-                # Case 2b: long buffer full — evict short + long, release
-                # the long pointer; the (likely long) flow keeps its entry.
-                events.append(self._emit(entry, "long_full"))
-                self._long_stack.append(entry.long_idx)
-                entry.long_idx = None
-                entry.short = []
-                entry.long = []
-            return
-        entry.short.append(cell)
-        if len(entry.short) >= cfg.short_size:
-            allowed = (self._long_allowed is None
-                       or self.long_buffers_in_use < self._long_allowed)
-            if self._long_stack and allowed:
-                entry.long_idx = self._long_stack.pop()
-                self.stats.long_allocs += 1
-            else:
-                # Case 2a: short full, no long buffer — evict the short
-                # buffer so it can be reused.
-                self.stats.long_alloc_failures += 1
-                events.append(self._emit(entry, "short_full"))
-                entry.short = []
-
-    def _emit(self, entry: _Entry, reason: str) -> MGPVRecord:
+    def _emit(self, slot: int, reason: str) -> MGPVRecord:
+        """The record of ``slot``'s pending cells, which it empties."""
         record = MGPVRecord(
-            cg_key=entry.cg_key, cg_hash32=entry.hash32,
-            cells=tuple(entry.short) + tuple(entry.long), reason=reason)
+            cg_key=self._keys[self._v_key[slot]],
+            cg_hash32=self._v_hash[slot],
+            cells=tuple(self._cells[slot]), reason=reason)
+        self._cells[slot] = []
         self.stats.records_out += 1
         self.stats.cells_out += len(record.cells)
         self.stats.bytes_out += record.wire_bytes(self.config)
@@ -711,104 +768,47 @@ class MGPVCache:
             self._t_record_cells.observe(len(record.cells))
         return record
 
-    def _evict(self, slot_idx: int, reason: str) -> MGPVRecord:
-        entry = self._slots[slot_idx]
-        assert entry is not None
+    def _evict(self, slot: int, reason: str) -> MGPVRecord:
+        start = perf_counter_ns() if self._t_tracer is not None else 0
+        record = self._emit(slot, reason)
+        self._remove(slot)
         if self._t_tracer is not None:
-            start = perf_counter_ns()
-            record = self._emit(entry, reason)
-            self._remove(slot_idx)
             self._t_tracer.record("mgpv.evict", start, perf_counter_ns())
-            return record
-        record = self._emit(entry, reason)
-        self._remove(slot_idx)
         return record
 
-    def _remove(self, slot_idx: int) -> None:
-        entry = self._slots[slot_idx]
-        if entry is None:
-            return
-        if entry.long_idx is not None:
-            self._long_stack.append(entry.long_idx)
-        for fg_idx in entry.fg_indices:
-            if self._fg_owner_slot[fg_idx] == slot_idx:
-                self._fg_keys[fg_idx] = None
-                self._fg_owner_slot[fg_idx] = None
-        if entry.qkey is not None:
-            self._n_active -= 1     # its heap key goes stale in place
-        self._slots[slot_idx] = None
-        self._occupied.discard(slot_idx)
+    def _remove(self, slot: int) -> None:
+        """Free a resident slot: its long buffer back onto the stack, the
+        FG entries it owns cleared."""
+        if self._v_long[slot] >= 0:
+            self._free_long(slot)
+        for fg_idx in self._fgs[slot]:
+            self._v_fg_key[fg_idx] = -1
+            self._v_fg_owner[fg_idx] = -1
+        self._v_key[slot] = -1
+        self._v_last[slot] = _NEVER
+        self._cells[slot] = self._fgs[slot] = None
+        self._n_resident -= 1
 
     def _aging_scan(self, events: list[Event]) -> None:
         """Model of the recirculated internal packets: each arriving packet
         advances the scan cursor over a few entries, evicting timed-out
         groups entirely in the data plane (§5.2)."""
         timeout = self.config.aging_timeout_ns
-        assert timeout is not None
-        start = (perf_counter_ns() if self._t_tracer is not None
-                 else 0)
+        start = perf_counter_ns() if self._t_tracer is not None else 0
         evicted = False
         for _ in range(self.config.aging_scan_per_pkt):
-            idx = self._aging_cursor
-            self._aging_cursor = (idx + 1) % self.config.n_short
-            entry = self._slots[idx]
-            if entry is None:
+            slot = self._aging_cursor
+            self._aging_cursor = (slot + 1) % self.config.n_short
+            if (self._v_key[slot] < 0
+                    or self._now - self._v_last[slot] <= timeout):
                 continue
-            if self._now - entry.last_access > timeout:
-                if entry.short or entry.long:
-                    events.append(self._evict(idx, "aging"))
-                    evicted = True
-                else:
-                    self._remove(idx)
+            if self._cells[slot]:
+                events.append(self._evict(slot, "aging"))
+                evicted = True
+            else:
+                self._remove(slot)
         # Only scans that actually evicted are span-worthy — recording
         # the no-op cursor advance would flood the span buffer.
         if evicted and self._t_tracer is not None:
             self._t_tracer.record("mgpv.recirculate", start,
                                   perf_counter_ns())
-
-    def _activate(self, entry: _Entry, slot_idx: int, ts: int) -> None:
-        """Active-group accounting hook of every insert path, reached
-        when ``entry`` holds no heap key (new, or expired) or is being
-        refreshed to an *older* timestamp — and of the sampler's re-key:
-        key it at ``ts``, so its live key never postdates its
-        ``last_access``."""
-        if entry.qkey is None:
-            self._n_active += 1
-        entry.qkey = key = ts * self.config.n_short + slot_idx
-        heappush(self._expiry, key)
-
-    def _sample_occupancy(self) -> None:
-        """Take one Fig 14 sample (callers gate on ``_OCC_STRIDE``).
-
-        Heap keys older than the active window are popped: a key that is
-        no longer its slot's live ``qkey`` is stale (group evicted or
-        re-keyed); a group refreshed since is re-keyed at its
-        ``last_access``; otherwise the group expires.  The clock only
-        moves forward, so afterwards every keyed group is inside the
-        window and every unkeyed one outside — ``_n_active`` equals a
-        full rescan of the resident groups, at O(expired) cost."""
-        n_short = self.config.n_short
-        slots = self._slots
-        heap = self._expiry
-        threshold = self._now - _OCC_WINDOW_NS
-        limit = threshold * n_short
-        while heap and heap[0] < limit:
-            key = heappop(heap)
-            slot_idx = key % n_short
-            entry = slots[slot_idx]
-            if entry is None or entry.qkey != key:
-                continue
-            if entry.last_access >= threshold:
-                self._activate(entry, slot_idx, entry.last_access)
-            else:
-                entry.qkey = None
-                self._n_active -= 1
-        resident = len(self._occupied)
-        if len(heap) > 2 * resident + 64:
-            # Eviction churn left mostly stale keys: rebuild from the
-            # live ones (amortised over the pushes that got us here).
-            heap[:] = [k for k in (slots[idx].qkey for idx in self._occupied)
-                       if k is not None]
-            heapify(heap)
-        self._occ_occupied += resident
-        self._occ_active += self._n_active

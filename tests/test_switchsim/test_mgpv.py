@@ -2,11 +2,12 @@
 preservation, eviction cases, FG-table consistency, long-buffer stack
 accounting, aging."""
 
-import gc
 import os
-import weakref
+import tracemalloc
+from dataclasses import replace
 from itertools import cycle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from repro.core.granularity import FLOW, HOST, SOCKET
 from repro.net.packet import PROTO_TCP, Packet, PacketBatch
 from repro.net.trace import generate_trace
 from repro.switchsim.aging import sweep_aging_timeouts
+from repro.streaming.hyperloglog import hash_key, hash_key_columns
 from repro.switchsim.mgpv import FGSync, MGPVCache, MGPVConfig, MGPVRecord
 from tests.conftest import reference_path
 
@@ -49,6 +51,17 @@ class TestConfig:
     def test_invalid(self):
         with pytest.raises(ValueError):
             MGPVConfig(n_short=0)
+
+    @pytest.mark.parametrize("timeout", (0, -5))
+    def test_aging_timeout_must_be_positive(self, timeout):
+        with pytest.raises(ValueError, match="aging timeout"):
+            MGPVConfig(aging_timeout_ns=timeout)
+        with pytest.raises(ValueError, match="aging timeout"):
+            replace(MGPVConfig(), aging_timeout_ns=timeout)
+
+    def test_aging_scan_must_cover_an_entry(self):
+        with pytest.raises(ValueError, match="at least one entry"):
+            MGPVConfig(aging_timeout_ns=1000, aging_scan_per_pkt=0)
 
     def test_sram_accounting_positive(self):
         assert MGPVConfig().sram_bytes > 1_000_000
@@ -165,8 +178,21 @@ class TestEvictionCases:
         cache = MGPVCache(HOST, SOCKET, cfg)
         drain(cache, trace)
         assert cache.long_buffers_in_use == 0
-        assert len(cache._long_stack) == cfg.n_long
-        assert sorted(cache._long_stack) == list(range(cfg.n_long))
+        assert cache._long_top == cfg.n_long
+        assert sorted(cache._long_stack.tolist()) == list(range(cfg.n_long))
+
+    def test_stack_never_leaks_batched(self):
+        trace = generate_trace("MAWI-IXP", n_flows=100, seed=3)
+        cfg = small_config(n_short=16, n_long=4, long_size=6)
+        cache = MGPVCache(HOST, SOCKET, cfg)
+        for lo in range(0, len(trace), 500):
+            cache.insert_batch(PacketBatch.from_packets(trace[lo:lo + 500]))
+            held = cache._slot_long[cache._slot_long >= 0].tolist()
+            free = cache._long_stack[:cache._long_top].tolist()
+            assert sorted(held + free) == list(range(cfg.n_long))
+        cache.flush()
+        assert cache.long_buffers_in_use == 0
+        assert sorted(cache._long_stack.tolist()) == list(range(cfg.n_long))
 
 
 @pytest.mark.skipif(
@@ -175,7 +201,7 @@ class TestEvictionCases:
 class TestHashInvocations:
     """Regression tests for the per-flow hash budget: routes are
     interned per FG key, and single-granularity chains (CG == FG) hash
-    the key once, not twice — the optimization of ``_compute_route``."""
+    the key once, not twice — the optimization of ``_route``."""
 
     def _counting(self, monkeypatch):
         import repro.switchsim.mgpv as mgpv_mod
@@ -225,6 +251,53 @@ class TestHashInvocations:
         fg_key = cache._fg_packet_key(p)
         route = cache._key_cache[fg_key]
         assert route[3] == hash_key(fg_key) % cache.config.fg_table_size
+
+
+def colliding_flows():
+    """Two distinct canonical flow keys with equal ``hash_key``, found by
+    a seeded birthday search."""
+    rng = np.random.default_rng(2024)
+    n = 300_000
+    src = rng.integers(1, 1 << 31, n)
+    cols = (src, src + rng.integers(1, 1 << 20, n),
+            rng.integers(0, 1 << 16, n), rng.integers(0, 1 << 16, n),
+            np.full(n, PROTO_TCP))
+    hashes = hash_key_columns(cols)
+    order = np.argsort(hashes, kind="stable")
+    same = np.flatnonzero(hashes[order][1:] == hashes[order][:-1])
+    i, j = order[same[0]], order[same[0] + 1]
+    a, b = (tuple(int(c[i]) for c in cols), tuple(int(c[j]) for c in cols))
+    assert a != b and hash_key(a) == hash_key(b)
+    return a, b
+
+
+class TestExactGroupIdentity:
+    """Groups are told apart by their keys, never by the 32-bit hash."""
+
+    @pytest.mark.parametrize("batched", (False, True))
+    def test_equal_hash_distinct_keys_collide(self, batched):
+        a, b = colliding_flows()
+        packets = [pkt(t=i, src=k[0], dst=k[1], sport=k[2], dport=k[3])
+                   for i, k in enumerate((a, b))]
+        cache = MGPVCache(FLOW, FLOW, small_config())
+        if batched:
+            events = cache.insert_batch(PacketBatch.from_packets(packets))
+        else:
+            events = [e for p in packets for e in cache.insert(p)]
+        events += cache.flush()
+        records = [e for e in events if isinstance(e, MGPVRecord)]
+        assert [(r.cg_key, r.reason) for r in records] == [
+            (a, "collision"), (b, "flush")]
+        assert [e.key for e in events if isinstance(e, FGSync)] == [a, b]
+
+    def test_fold_collision_falls_back_to_exact_rows(self):
+        """Two rows whose 64-bit column fold is equal stay distinct."""
+        prime = np.uint64(0x100000001B3)
+        first = np.array([1, 2], np.uint64)
+        second = np.array([7, 0], np.uint64)
+        second[1:] = first[:1] * prime ^ second[:1] ^ first[1:] * prime
+        rows, inverse = mgpv_mod._distinct_rows((first, second))
+        assert len(rows) == 2 and inverse[0] != inverse[1]
 
 
 class TestFGTable:
@@ -304,25 +377,29 @@ class TestAging:
 
 
 def recount_active(cache):
-    """The O(resident) rescan the cache used to run at every sample
-    point, kept here as the brute-force oracle for ``_n_active``."""
+    """Brute-force oracle for ``active_groups``: walk every short slot's
+    registers."""
     threshold = cache.now_ns - mgpv_mod._OCC_WINDOW_NS
-    return sum(1 for e in cache._slots
-               if e is not None and e.last_access >= threshold)
+    return sum(1 for key, last in zip(cache._slot_key.tolist(),
+                                      cache._slot_last.tolist())
+               if key >= 0 and last >= threshold)
+
+
+def recount_resident(cache):
+    return sum(1 for key in cache._slot_key.tolist() if key >= 0)
 
 
 def replay(cache, packets, controls, batch_sizes=None):
     """Drive ``packets`` through ``insert`` (or, given ``batch_sizes``,
     ``insert_batch`` over batches of those sizes, cycled), calling
-    cache method ``controls[i] = (name, *args)`` before packet ``i``.
-    Whenever the cache stands at a sample point, ``_n_active`` must
-    equal the recount."""
+    ``controls[i](cache)`` before packet ``i``.  Whenever the cache
+    stands at a sample point, the resident and active counts must equal
+    the recounts."""
     cuts = sorted(set(controls) | {0, len(packets)})
     sizes = iter(()) if batch_sizes is None else cycle(batch_sizes)
     for lo, hi in zip(cuts, cuts[1:]):
         if lo in controls:
-            name, *args = controls[lo]
-            getattr(cache, name)(*args)
+            controls[lo](cache)
         while lo < hi:
             if batch_sizes is None:
                 cache.insert(packets[lo])
@@ -333,16 +410,17 @@ def replay(cache, packets, controls, batch_sizes=None):
                     PacketBatch.from_packets(packets[lo:lo + step]))
                 lo += step
             if not cache.stats.pkts_in % mgpv_mod._OCC_STRIDE:
-                assert cache._n_active == recount_active(cache)
+                assert cache.active_groups == recount_active(cache)
+                assert cache.resident_groups == recount_resident(cache)
 
 
 MS = 1_000_000
 
 
 class TestActiveGroupAccounting:
-    """The Fig 14 active-group count is maintained incrementally; it
-    must equal a full rescan at every sample point, on every insert
-    path."""
+    """The Fig 14 occupancy integrals: a count over the slot arrays at
+    each sample on the per-packet path, an interval sweep inside a
+    batch — equal on every insert path."""
 
     @given(
         spec=st.lists(
@@ -354,23 +432,33 @@ class TestActiveGroupAccounting:
         n_short=st.integers(4, 64),
         fg_table_size=st.integers(1, 4),
         aging_ms=st.sampled_from((None, 30, 200)),
-        control_at=st.tuples(st.integers(1, 129), st.integers(1, 129)),
+        retune_ms=st.sampled_from((None, 20, 150)),
+        control_at=st.tuples(st.integers(1, 129), st.integers(1, 129),
+                             st.integers(1, 129)),
         batch_sizes=st.lists(st.integers(1, 90), min_size=1, max_size=5))
     @settings(max_examples=60, deadline=None)
     def test_incremental_count_equals_recount(self, spec, n_short,
                                               fg_table_size, aging_ms,
-                                              control_at, batch_sizes):
+                                              retune_ms, control_at,
+                                              batch_sizes):
         packets, clock = [], 0
         for host, port, advance, lag in spec:
             clock += advance * MS
             packets.append(pkt(t=max(0, clock - lag * MS), src=host,
                                sport=port))
-        # squeeze early, flush mid-trace, release late; a control index
-        # drawn twice keeps the last method, which is fine.
-        squeeze, release = control_at
-        controls = {squeeze: ("squeeze_long_buffers", 0.25),
-                    len(packets) // 2: ("flush",),
-                    len(packets) - release: ("release_long_buffers",)}
+        # squeeze early, flush mid-trace, release late, and retune the
+        # aging timeout live (what Runtime.set_aging_timeout does); a
+        # control index drawn twice keeps the last one, which is fine.
+        squeeze, release, retune = control_at
+        timeout = None if retune_ms is None else retune_ms * MS
+
+        def set_aging(cache):
+            cache.config = replace(cache.config, aging_timeout_ns=timeout)
+
+        controls = {squeeze: lambda c: c.squeeze_long_buffers(0.25),
+                    len(packets) // 2: lambda c: c.flush(),
+                    len(packets) - release: lambda c: c.release_long_buffers(),
+                    len(packets) - retune: set_aging}
         cfg = MGPVConfig(
             n_short=n_short, short_size=2, n_long=3, long_size=6,
             fg_table_size=fg_table_size,
@@ -387,40 +475,43 @@ class TestActiveGroupAccounting:
             reference = fresh()
         replay(reference, packets, controls)
 
-        want = (per_packet._occ_occupied, per_packet._occ_active)
+        want = (per_packet._occ_occupied, per_packet._occ_active,
+                per_packet.stats.as_dict())
         assert want[0] > 0
-        assert (batched._occ_occupied, batched._occ_active) == want
-        assert (reference._occ_occupied, reference._occ_active) == want
+        assert (batched._occ_occupied, batched._occ_active,
+                batched.stats.as_dict()) == want
+        assert (reference._occ_occupied, reference._occ_active,
+                reference.stats.as_dict()) == want
 
-    def test_expiry_heap_bounded_and_holds_no_entries(self, monkeypatch):
+    def test_memory_bounded_under_churn(self):
         """Guard for the benchmark's peak_rss_mb bound: under eviction
-        churn inside one active window the heap stays O(resident) and
-        never keeps an evicted entry alive."""
-        class WeakEntry(mgpv_mod._Entry):
-            __slots__ = ("__weakref__",)
-
-        monkeypatch.setattr(mgpv_mod, "_Entry", WeakEntry)
-        cache = MGPVCache(FLOW, FLOW, small_config(n_short=1024,
-                                                   fg_table_size=1024))
+        churn inside one active window, memory is bounded by the
+        register sizes, not by how many flows have passed — interned
+        keys are compacted to the live ones.  A traced window three
+        times as long as an earlier one peaks no higher."""
+        cache = MGPVCache(FLOW, FLOW, small_config(n_short=256,
+                                                   fg_table_size=256))
         # Two packets per flow, 1 us apart: every flow is "active" for
-        # the whole run, so only compaction can shed its stale key.
-        n, step = 100_032, 64 * 50
+        # the whole run and 50 016 distinct flows pass.
+        n, step = 100_032, 64 * 25
         packets = [pkt(t=i * 1000, src=i // 2) for i in range(n)]
-        refs = []
-        for lo in range(0, n, step):
-            cache.insert_batch(PacketBatch.from_packets(
-                packets[lo:lo + step]))
-            assert (len(cache._expiry)
-                    <= 2 * cache.resident_groups + 64)
-            assert cache._n_active == recount_active(cache)
-            if lo == step:
-                refs = [weakref.ref(e) for e in cache._slots
-                        if e is not None]
+        batches = [PacketBatch.from_packets(packets[lo:lo + step])
+                   for lo in range(0, n, step)]
+        windows = {8: 12, 40: 52}       # first batch -> end of tracing
+        peaks = []
+        for i, batch in enumerate(batches):
+            if i in windows:
+                stop = windows[i]
+                tracemalloc.start()
+            cache.insert_batch(batch)
+            if tracemalloc.is_tracing() and i + 1 == stop:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+            assert cache.active_groups == recount_active(cache)
         assert cache.stats.evictions["collision"] >= 20_000
-        gc.collect()
-        resident = {id(e) for e in cache._slots if e is not None}
-        assert all(r() is None or id(r()) in resident for r in refs)
-        assert sum(r() is None for r in refs) > len(refs) // 2 > 100
+        assert len(cache._keys) <= cache._key_cap + step
+        short, long = peaks
+        assert long <= 1.2 * short
 
     def test_aging_sweep_buffer_efficiency_golden(self):
         """Fig 14's numbers as the rescanning implementation (the commit
