@@ -7,6 +7,9 @@ from unittest import mock
 import pytest
 
 from repro import pktstream
+from repro.core.dataplane import Dataplane
+from repro.core.parallel import (ExecutionConfig, ParallelSink,
+                                 ShardedCluster)
 from repro.net.trace import generate_trace
 
 
@@ -25,6 +28,26 @@ def engine_ledger(sink) -> list:
     return [(engine.counters(), {name: asdict(stats) for name, stats
                                  in engine.table_stats().items()})
             for engine in getattr(sink, "engines", [sink])]
+
+
+def inline_sharded(extractor, workers: int = 2, **execution) -> Dataplane:
+    """A fresh dataplane of ``extractor`` (compiled with ``n_nics > 1``)
+    whose sink is the inline ``serial`` :class:`ShardedCluster`: the
+    process backend's batching, frame codec and worker driver, run in
+    this process with nothing forked.  Extra keywords go to its
+    :class:`ExecutionConfig`; the caller owns ``close()``."""
+    build = extractor._build
+    dataplane = Dataplane.build(extractor.compiled,
+                                **{**build, "execution": ExecutionConfig()})
+    cluster = ShardedCluster(
+        extractor.compiled, build["n_nics"],
+        ExecutionConfig(workers=workers, **execution), ctx=build["ctx"],
+        **{k: build[k] for k in ("placement", "table_indices",
+                                 "table_width")})
+    if dataplane.telemetry is not None:
+        cluster.attach_telemetry(dataplane.telemetry)
+    dataplane.sink = dataplane.stages[-1] = ParallelSink(cluster)
+    return dataplane
 
 
 @pytest.fixture(scope="session")
