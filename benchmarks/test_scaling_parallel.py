@@ -2,7 +2,7 @@
 
 Two claims:
 
-1. **Equivalence** — the parallel backends are bit-identical
+1. **Equivalence** — the process backend is bit-identical
    (order-normalized) to the serial NIC cluster at every worker count.
    Asserted unconditionally: it holds regardless of host parallelism.
 2. **Speedup** — the process backend reaches >= 2x serial packets/sec at
@@ -30,8 +30,7 @@ BENCH_JSON = pathlib.Path(__file__).parent.parent / "BENCH_parallel.json"
 
 def test_parallel_scaling(benchmark, report):
     record = run_once(benchmark, lambda: run_scaling(
-        n_flows=400, n_nics=4, worker_counts=(1, 2, 4),
-        backend="process"))
+        n_flows=400, n_nics=4, worker_counts=(1, 2, 4)))
 
     table = Table(
         "Shard-parallel executor — packets/sec vs workers "
@@ -61,9 +60,3 @@ def test_parallel_scaling(benchmark, report):
     report("scaling_parallel_gate",
            f"speedup gate {gate['status']}: {gate['reason']}")
     assert gate["status"] != "failed", gate["reason"]
-
-
-def test_thread_backend_equivalence(benchmark):
-    record = run_once(benchmark, lambda: run_scaling(
-        n_flows=150, n_nics=3, worker_counts=(2,), backend="thread"))
-    assert record["equivalent"]

@@ -533,7 +533,7 @@ class Extractor:
         :meth:`stream` session: ingestion ledger (queue depth, shed
         rate, deadline misses) plus the executor's supervision report
         (worker liveness, restarts, poison batches, transport ledger)
-        when the deployment runs the parallel sink."""
+        when the deployment runs the sharded cluster."""
         session = self._session
         report: dict = {
             "state": "idle" if session is None else session.state,

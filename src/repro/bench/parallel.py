@@ -86,7 +86,6 @@ def _timed_run(extractor, packets,
 def run_scaling(n_flows: int = 400,
                 n_nics: int = 4,
                 worker_counts=(1, 2, 4),
-                backend: str = "process",
                 trace_profile: str = "ENTERPRISE",
                 seed: int = 17,
                 telemetry_path: str | None = None,
@@ -109,8 +108,8 @@ def run_scaling(n_flows: int = 400,
     for workers in worker_counts:
         elapsed, checksum, _, transport = _timed_run(
             api.compile(policy, n_nics=n_nics, workers=workers,
-                        backend=backend),
-            packets, warm=(backend == "process"))
+                        backend="process"),
+            packets, warm=True)
         run = {
             "workers": workers,
             "seconds": round(elapsed, 4),
@@ -149,7 +148,7 @@ def run_scaling(n_flows: int = 400,
         )
         tel = Telemetry(TelemetryConfig(sample_rate=1 / 32))
         traced = api.compile(policy, n_nics=n_nics,
-                             workers=latency_workers, backend=backend,
+                             workers=latency_workers, backend="process",
                              telemetry=tel)
         result = traced.run(packets)
         traced.close()
@@ -165,7 +164,7 @@ def run_scaling(n_flows: int = 400,
     # backend supervises by default, so the scaling numbers above
     # already pay for the journal; this pair isolates its cost.
     supervision = None
-    if backend == "process" and max(worker_counts, default=1) > 1:
+    if max(worker_counts, default=1) > 1:
         from repro.core.parallel import ExecutionConfig
         top = max(worker_counts)
         unsup_s, unsup_sum, _, _ = _timed_run(
@@ -216,9 +215,8 @@ def run_scaling(n_flows: int = 400,
         # read the speedups as a regression.
         "overhead_dominated": cores < max_workers,
         # How dispatch batches crossed the worker boundary on the
-        # parallel runs: "shm" (ring frames), "oob" (single-buffer
-        # frames over the queue), or "legacy" (pickled rows); None for
-        # in-process backends.
+        # parallel runs: "shm" (ring frames) or "oob" (single-buffer
+        # frames over the queue).
         "transport": transport_mode,
         "speedup_gate": gate,
         "supervision": supervision,
@@ -227,7 +225,7 @@ def run_scaling(n_flows: int = 400,
         "n_packets": n_packets,
         "n_vectors": n_vectors,
         "n_nics": n_nics,
-        "backend": backend,
+        "backend": "process",
         "serial": {
             "seconds": round(serial_s, 4),
             "pps": round(n_packets / serial_s, 1),

@@ -9,7 +9,7 @@ Subcommands::
     python -m repro extract --app NPOD --trace ENTERPRISE --flows 300 \
         --out features.csv --software
     python -m repro extract --app NPOD --trace ENTERPRISE \
-        --out features.csv --nics 4 --workers 4 --exec-backend process
+        --out features.csv --nics 4 --workers 4
     python -m repro bench-parallel --out BENCH_parallel.json
     python -m repro bench-soak --out BENCH_soak.json   # chaos recovery
     python -m repro telemetry --app NPOD --trace ENTERPRISE  # dashboard
@@ -29,7 +29,6 @@ import repro.api as api
 from repro.apps import APP_POLICIES, build_policy
 from repro.core.faults import FaultPlan, FaultPlanError
 from repro.core.observe import degradation_report, render_counters
-from repro.core.parallel import BACKENDS
 from repro.net.packet import int_to_ip
 from repro.net.pcaplite import read_pcap, write_pcap
 from repro.net.trace import TRACE_PROFILES, generate_trace
@@ -116,9 +115,9 @@ def _cmd_extract(args) -> int:
         print(f"--workers must be >= 1, got {args.workers}",
               file=sys.stderr)
         return 2
-    if args.software and (args.workers > 1 or args.exec_backend):
-        print("--workers/--exec-backend need the hardware path; drop "
-              "--software", file=sys.stderr)
+    if args.software and args.workers > 1:
+        print("--workers needs the hardware path; drop --software",
+              file=sys.stderr)
         return 2
     fault_plan = None
     if args.faults:
@@ -145,7 +144,7 @@ def _cmd_extract(args) -> int:
         extractor = api.compile(
             policy, n_nics=args.nics, fault_plan=fault_plan,
             workers=args.workers if args.workers > 1 else None,
-            backend=args.exec_backend, telemetry=telemetry)
+            telemetry=telemetry)
     # The hardware path takes the columnar path; the software baseline
     # stays per-record (it is the unbatched oracle by definition).
     trace = (packets if args.software
@@ -396,7 +395,6 @@ def _cmd_bench_parallel(args) -> int:
         return 2
     record = run_scaling(n_flows=args.flows, n_nics=args.nics,
                          worker_counts=workers,
-                         backend=args.exec_backend,
                          trace_profile=args.trace, seed=args.seed,
                          telemetry_path=args.telemetry)
     with open(args.out, "w") as fh:
@@ -656,8 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nics", type=int, default=4)
     p.add_argument("--workers", default="1,2,4",
                    help="comma-separated worker counts (default 1,2,4)")
-    p.add_argument("--exec-backend", choices=("thread", "process"),
-                   default="process")
     p.add_argument("--trace", default="ENTERPRISE")
     p.add_argument("--seed", type=int, default=17)
     p.add_argument("--out", default="BENCH_parallel.json")
@@ -764,10 +760,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nics", type=int, default=1,
                    help="terminate in a hash-steered cluster of N NICs")
     p.add_argument("--workers", type=int, default=1,
-                   help="run cluster shards on N parallel workers")
-    p.add_argument("--exec-backend", choices=BACKENDS, default=None,
-                   help="shard executor backend (default: process when "
-                        "--workers > 1)")
+                   help="run cluster shards on N worker processes")
     p.add_argument("--counters", action="store_true",
                    help="print per-stage dataplane counters")
     p.add_argument("--faults",

@@ -35,7 +35,7 @@ import numpy as np
 from repro.core.compiler import CompiledPolicy
 from repro.core.functions import ExecContext
 from repro.core.observe import Trace
-from repro.core.parallel import ExecutionConfig, ParallelSink, ShardedCluster
+from repro.core.parallel import ExecutionConfig, ShardedCluster
 from repro.core.telemetry import (
     DEFAULT_COUNT_BOUNDS,
     Telemetry,
@@ -687,7 +687,7 @@ class Dataplane:
     def __init__(self, filter_stage: FilterStage,
                  switch: MGPVCache | PerfectSwitch,
                  link: SwitchNICLink,
-                 sink: EngineSink | ClusterSink | ParallelSink | NullSink,
+                 sink: EngineSink | ClusterSink | ShardedCluster | NullSink,
                  compiled: CompiledPolicy,
                  trace: Trace | None = None,
                  telemetry: Telemetry | None = None) -> None:
@@ -756,15 +756,17 @@ class Dataplane:
         ``fault_plan`` attaches a scripted chaos schedule
         (:class:`repro.core.faults.FaultPlan`); ``execution`` selects
         how NIC shards run (:class:`repro.core.parallel.
-        ExecutionConfig`) — a thread/process backend with ``n_nics > 1``
-        terminates in the shard-parallel cluster instead of the serial
-        one (a single shard has no parallelism and always runs inline).
+        ExecutionConfig`) — the process backend with ``n_nics > 1``
+        terminates in the shard-parallel
+        :class:`~repro.core.parallel.ShardedCluster`, itself the sink,
+        instead of the serial cluster (a single shard has no parallelism
+        and always runs inline).
         When ``execution`` is None it is read from the
         ``SUPERFE_EXEC_BACKEND`` / ``SUPERFE_EXEC_WORKERS`` environment
         (the CI matrix hook).  ``telemetry`` attaches a
         :class:`~repro.core.telemetry.Telemetry` bundle to every stage
-        (see :meth:`attach_telemetry`).  ``pool`` hands the parallel
-        sink a persistent :class:`~repro.core.parallel.WorkerPool` to
+        (see :meth:`attach_telemetry`).  ``pool`` hands the sharded
+        cluster a persistent :class:`~repro.core.parallel.WorkerPool` to
         lease instead of spawning per-run workers.
         """
         if n_nics < 1:
@@ -785,13 +787,12 @@ class Dataplane:
                              table_indices=table_indices,
                              table_width=table_width)
         if not compute:
-            sink: EngineSink | ClusterSink | ParallelSink | NullSink = \
+            sink: EngineSink | ClusterSink | ShardedCluster | NullSink = \
                 NullSink()
         elif n_nics > 1:
             if execution is not None and execution.is_parallel:
-                sink = ParallelSink(ShardedCluster(
-                    compiled, n_nics, execution, pool=pool,
-                    **engine_kwargs))
+                sink = ShardedCluster(compiled, n_nics, execution,
+                                      pool=pool, **engine_kwargs)
             else:
                 sink = ClusterSink(NICCluster(compiled, n_nics,
                                               **engine_kwargs))
@@ -817,7 +818,9 @@ class Dataplane:
 
     @property
     def cluster(self) -> NICCluster | ShardedCluster | None:
-        if isinstance(self.sink, (ClusterSink, ParallelSink)):
+        if isinstance(self.sink, ShardedCluster):
+            return self.sink
+        if isinstance(self.sink, ClusterSink):
             return self.sink.cluster
         return None
 
@@ -1016,9 +1019,9 @@ class Dataplane:
         return self.sink.finalize()
 
     def close(self) -> None:
-        """Release execution resources (the parallel sink's worker
+        """Release execution resources (the sharded cluster's worker
         pool).  Serial graphs have none; calling this is always safe.
-        A closed parallel sink keeps serving its last counters and
+        A closed sharded cluster keeps serving its last counters and
         final vectors, so results stay readable after close.
         Idempotent and exception-safe: the graph is marked closed even
         if the sink's own close raises."""
@@ -1033,14 +1036,14 @@ class Dataplane:
 
     def set_deadline(self, deadline: float | None) -> None:
         """Propagate a per-batch deadline (monotonic seconds; None
-        clears) to the sink — the supervised parallel sink clamps every
+        clears) to the sink — the supervised sharded cluster clamps every
         worker operation to it.  No-op on sinks without deadlines."""
         setter = getattr(self.sink, "set_deadline", None)
         if setter is not None:
             setter(deadline)
 
     def health(self) -> dict | None:
-        """The sink's liveness/supervision report (parallel sink only);
+        """The sink's liveness/supervision report (sharded cluster only);
         None for sinks that have no worker pool to report on."""
         probe = getattr(self.sink, "health", None)
         return probe() if probe is not None else None
@@ -1057,7 +1060,7 @@ class Dataplane:
 
     def telemetry_snapshot(self) -> dict | None:
         """The cluster-wide metric snapshot: this process's registry
-        merged with every shard worker's (the parallel sink ships them
+        merged with every shard worker's (the sharded cluster ships them
         back over the result protocol).  None when no telemetry is
         attached."""
         if self.telemetry is None:
@@ -1080,7 +1083,7 @@ class Dataplane:
         alongside telemetry snapshots).  Empty unless tracing is on."""
         worker_events = getattr(self.sink, "trace_events", None)
         if worker_events is not None:
-            # The parallel sink's gather already includes the
+            # The sharded cluster's gather already includes the
             # coordinator tracer (it shares our Telemetry object).
             return worker_events()
         if self.telemetry is not None:

@@ -11,7 +11,7 @@ amortized batches.
 Topology::
 
     coordinator (routing, FG-mirror ledger, failover, merge)
-        │  per-worker FIFO queue, batches of (shard, event)
+        │  per-worker FIFO queue, batches of encoded wire rows
         ├── worker 0: FeatureEngine for shards {0, k, 2k, ...}
         ├── worker 1: FeatureEngine for shards {1, k+1, ...}
         └── ...
@@ -33,25 +33,26 @@ Backends:
 - ``process`` — a ``multiprocessing`` pool (fork start method: engines
   and the compiled policy are inherited, never pickled; only events and
   results cross the queues).
-- ``thread``  — same protocol over ``queue``/``threading``; no speedup
-  under the GIL but exercises the full dispatch machinery cheaply.
-- ``serial``  — inline execution of the same message protocol, for
-  determinism checks of the machinery itself.  (``Dataplane.build``
-  maps ``backend="serial"`` to the classic in-process ``NICCluster``;
-  an inline :class:`ShardedCluster` is only built directly.)
+- ``serial``  — inline execution of the same message protocol: the
+  same encoded frames, handed to the same worker driver in memory, for
+  cheap determinism checks of the machinery itself.
+  (``Dataplane.build`` maps ``backend="serial"`` to the classic
+  in-process ``NICCluster``; an inline :class:`ShardedCluster` is only
+  built directly.)
 
 Failover (``fail_nic``) needs no barrier: the crash request rides the
 owner's FIFO queue behind every event routed before the kill, so the
 residual snapshot is exactly the serial one.
 
-Transport (process backend): dispatch batches do not pickle their
-events.  The coordinator flattens each chunk into one int64 frame and
-ships it through a per-worker shared-memory ring
-(:mod:`repro.core.transport`), posting only a tiny ``("frame", seq)``
-pointer on the FIFO queue; hosts without usable shared memory degrade
-to the same frame as a single ``bytes`` payload over the queue
-(``oob``), and chunks a frame cannot represent exactly (non-int cell
-values) fall back to the legacy pickled row protocol per chunk.
+Transport: dispatch batches do not pickle their events.  The
+coordinator flattens each chunk into one int64 frame and ships it
+through a per-worker shared-memory ring (:mod:`repro.core.transport`),
+posting only a tiny ``("frame", seq)`` pointer on the FIFO queue; hosts
+without usable shared memory — and the inline ``serial`` workers —
+take the same frame as a single ``bytes`` payload in the message
+(``oob``).  Chunks a frame cannot represent exactly (non-int cell
+values, unknown reasons, int64 overflow) fall back, per chunk and
+counted, to their wire rows as a ``pbatch`` message.
 Workers for the process backend come from a persistent
 :class:`WorkerPool` — spawned once, ``reset`` per run, rebalanced
 across runs by observed per-shard load, and stopped by an explicit
@@ -83,7 +84,6 @@ import multiprocessing
 import os
 import queue as queue_mod
 import signal
-import threading
 import time
 import traceback
 import weakref
@@ -115,7 +115,7 @@ from repro.nicsim.loadbalance import (
 )
 from repro.switchsim.mgpv import Event, FGSync, MGPVRecord
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 #: Batches a process worker's inbox may hold before the coordinator's
 #: ``put`` blocks — the dispatch backpressure bound.
@@ -130,7 +130,7 @@ DEFAULT_REQUEST_TIMEOUT_S = 30.0
 #: applies backpressure (blocks for ring space) instead.
 _PENDING_LIMIT = 64
 
-_BATCH_KINDS = ("batch", "pbatch", "frame", "oframe")
+_BATCH_KINDS = ("pbatch", "frame", "oframe")
 
 
 class ExecutorError(RuntimeError):
@@ -159,7 +159,7 @@ class ExecutorError(RuntimeError):
 
 
 class WorkerDied(ExecutorError):
-    """The worker process/thread exited without replying."""
+    """The worker process exited without replying."""
 
 
 class WorkerStalled(ExecutorError):
@@ -170,12 +170,14 @@ class WorkerStalled(ExecutorError):
 class ExecutionConfig:
     """How a dataplane executes its NIC shards.
 
-    ``workers`` is an upper bound — a cluster never spawns more workers
-    than it has shards.  ``dispatch_batch`` is the amortization unit:
-    events accumulate coordinator-side and cross the worker queue in
-    chunks (one pickling round per chunk on the process backend).  The
-    default (None) auto-sizes: a slow-start batcher releases small
-    chunks first and doubles up to 1024 as the stream proves long.
+    ``backend`` is ``"serial"`` (in-process) or ``"process"`` (forked
+    shard workers).  ``workers`` is an upper bound — a cluster never
+    spawns more workers than it has shards.  ``dispatch_batch`` is the
+    amortization unit: events accumulate coordinator-side and cross the
+    worker queue in chunks, one encoded frame per chunk.  The default
+    (None) auto-sizes: a slow-start batcher releases small chunks first
+    and doubles up to 1024 as the stream proves long.  Every count knob
+    must be a plain ``int``.
 
     Robustness knobs (supervised process backend):
 
@@ -186,7 +188,7 @@ class ExecutionConfig:
     - ``supervise`` — ``None`` (default) enables supervision exactly on
       the process backend; ``False`` opts out (the pre-supervision
       behavior, used by the overhead bench); ``True`` demands it and is
-      rejected on backends that cannot restart a worker.
+      rejected on the serial backend, which has no worker to restart.
     - ``max_restarts`` — consecutive failed restart+replay attempts on
       one worker before the cluster gives up and raises.
     - ``poison_threshold`` — consecutive blames on the same batch before
@@ -195,11 +197,11 @@ class ExecutionConfig:
     Transport knobs (process backend):
 
     - ``transport`` — how dispatch batches cross the worker boundary:
-      ``"shm"`` (shared-memory ring frames), ``"oob"`` (the same frame
-      as one bytes payload over the queue), ``"legacy"`` (pickled
-      rows).  ``None`` (default) defers to ``SUPERFE_TRANSPORT``, then
-      auto-selects: ``shm`` where shared memory works, degrading to
-      ``oob`` with a single warning where it does not.
+      ``"shm"`` (shared-memory ring frames) or ``"oob"`` (the same frame
+      as one bytes payload over the queue).  ``None`` (default) defers
+      to ``SUPERFE_TRANSPORT``, then auto-selects: ``shm`` where shared
+      memory works, degrading to ``oob`` with a single warning where it
+      does not.
     - ``ring_bytes`` — per-worker ring capacity for the shm transport.
     """
 
@@ -217,6 +219,13 @@ class ExecutionConfig:
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown execution backend "
                              f"{self.backend!r}; have {BACKENDS}")
+        for name in ("workers", "dispatch_batch", "max_restarts",
+                     "poison_threshold", "ring_bytes"):
+            value = getattr(self, name)
+            if name == "dispatch_batch" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.dispatch_batch is not None and self.dispatch_batch < 1:
@@ -239,11 +248,10 @@ class ExecutionConfig:
         if self.transport is not None and self.transport not in TRANSPORTS:
             raise ValueError(f"unknown shard transport "
                              f"{self.transport!r}; have {TRANSPORTS}")
-        if (self.transport in ("shm", "oob")
-                and self.backend != "process"):
+        if self.transport is not None and self.backend != "process":
             raise ValueError(
                 f"transport={self.transport!r} needs backend='process' "
-                f"— in-process backends have no serialization boundary")
+                f"— the serial backend has no serialization boundary")
         if self.ring_bytes < 4 * FRAME_OVERHEAD:
             raise ValueError(f"ring_bytes must be >= "
                              f"{4 * FRAME_OVERHEAD}, got {self.ring_bytes}")
@@ -282,18 +290,22 @@ class ExecutionConfig:
     def from_env(cls, env=None) -> "ExecutionConfig | None":
         """Build from ``SUPERFE_EXEC_BACKEND`` / ``SUPERFE_EXEC_WORKERS``
         / ``SUPERFE_TRANSPORT`` (the CI matrix hooks); None when the
-        backend variable is unset.  The transport variable only binds on
-        the process backend — in-process backends have no wire, so a
-        matrix-wide ``SUPERFE_TRANSPORT`` must not break their legs —
+        backend variable is unset.  ``SUPERFE_EXEC_WORKERS`` unset or
+        ``0`` means one worker per CPU.  The transport variable only
+        binds on the process backend — the serial backend has no wire,
+        so a matrix-wide ``SUPERFE_TRANSPORT`` must not break its leg —
         and an unknown value raises here, at configuration time, not at
         first dispatch."""
         env = os.environ if env is None else env
         backend = (env.get("SUPERFE_EXEC_BACKEND") or "").strip().lower()
         if not backend:
             return None
-        workers = int(env.get("SUPERFE_EXEC_WORKERS") or 0)
-        if workers < 1:
-            workers = os.cpu_count() or 1
+        raw = (env.get("SUPERFE_EXEC_WORKERS") or "").strip() or "0"
+        if not raw.isdecimal():
+            raise ValueError(f"SUPERFE_EXEC_WORKERS must be a positive "
+                             f"integer (or 0 for one per CPU), "
+                             f"got {raw!r}")
+        workers = int(raw) or os.cpu_count() or 1
         transport = (env.get("SUPERFE_TRANSPORT") or "").strip().lower()
         if transport and backend == "process":
             if transport not in TRANSPORTS:
@@ -308,10 +320,35 @@ class ExecutionConfig:
 # Worker side
 # ---------------------------------------------------------------------------
 
+def _rows_to_events(rows):
+    """Yield ``(shard, event)`` per compact wire row, rebuilding the
+    event objects the serial cluster consumes.  Tag 0 = MGPVRecord row
+    (shard, 0, cg_key, cg_hash32, cells, reason); tag 1 = FGSync row
+    (shard, 1, index, key); tag 2 = columnar MGPVRecord block (shard,
+    2, cg_key, cg_hash32, fg_col, meta_cols, reason) — the cells
+    transposed into one fg-index column plus per-field metadata
+    columns.  The one interpreter behind the driver's ``pbatch``
+    fallback and poison salvage."""
+    for row in rows:
+        tag = row[1]
+        if tag == 0:
+            event = MGPVRecord(row[2], row[3], row[4], row[5])
+        elif tag == 2:
+            fg_col, meta_cols = row[4], row[5]
+            if meta_cols:
+                cells = tuple(zip(fg_col, zip(*meta_cols)))
+            else:
+                cells = tuple((fg, ()) for fg in fg_col)
+            event = MGPVRecord(row[2], row[3], cells, row[6])
+        else:
+            event = FGSync(row[2], row[3])
+        yield row[0], event
+
+
 class _ShardDriver:
     """Executes the coordinator's messages against this worker's
-    engines.  One instance per worker; shared verbatim by every backend
-    so the three run identical code."""
+    engines.  One instance per worker; shared verbatim by both backends
+    so they run identical code."""
 
     def __init__(self, compiled: CompiledPolicy, ctx: ExecContext | None,
                  engine_kwargs: dict, shards: tuple[int, ...],
@@ -330,11 +367,11 @@ class _ShardDriver:
         """Returns ``(replied, payload)``; async messages reply False."""
         kind = msg[0]
         if kind in _BATCH_KINDS:
-            # Batch messages are ("batch"|"pbatch", seq, rows),
-            # ("frame", seq) — the rows travelled through the shm ring
-            # as one int64 frame, popped here — or ("oframe", seq,
-            # payload) — the same frame bytes shipped inline over the
-            # queue (single-buffer fallback): seq is the coordinator's
+            # Batch messages are ("frame", seq) — the rows travelled
+            # through the shm ring as one int64 frame, popped here —
+            # ("oframe", seq, payload) — the same frame bytes carried in
+            # the message — or ("pbatch", seq, rows), the wire rows of a
+            # chunk the frame codec rejected: seq is the coordinator's
             # journal sequence number (None when unsupervised), echoed
             # back in error reports so failures are attributable to one
             # batch.
@@ -351,32 +388,10 @@ class _ShardDriver:
             elif kind == "oframe":
                 ctx = msg[3] if len(msg) > 3 else None
                 apply_frame(msg[2], self.engines)
-            elif kind == "batch":
-                ctx = msg[3] if len(msg) > 3 else None
-                for shard, event in msg[2]:
-                    self.engines[shard].consume(event)
             else:
-                # Compact wire rows (process backend): events cross the
-                # queue as positional tuples instead of pickled
-                # dataclass instances, and are rebuilt here.  Tag 0 =
-                # MGPVRecord row (shard, 0, cg_key, cg_hash32, cells,
-                # reason); tag 1 = FGSync row (shard, 1, index, key);
-                # tag 2 = columnar MGPVRecord block (shard, 2, cg_key,
-                # cg_hash32, fg_col, meta_cols, reason) — the cells
-                # transposed into one fg-index column plus per-field
-                # metadata columns, rebuilt by the engine.
                 ctx = msg[3] if len(msg) > 3 else None
-                engines = self.engines
-                for row in msg[2]:
-                    tag = row[1]
-                    if tag == 0:
-                        engines[row[0]].consume(
-                            MGPVRecord(row[2], row[3], row[4], row[5]))
-                    elif tag == 2:
-                        engines[row[0]].consume_block(
-                            row[2], row[3], row[4], row[5], row[6])
-                    else:
-                        engines[row[0]].consume(FGSync(row[2], row[3]))
+                for shard, event in _rows_to_events(msg[2]):
+                    self.engines[shard].consume(event)
             if tracing and ctx is not None:
                 # Worker-side stage span: the batch's engine work,
                 # stitched to the coordinator's dispatch span through
@@ -467,17 +482,14 @@ class _ShardDriver:
 
 def _worker_loop(compiled, ctx, engine_kwargs, shards, inbox, outbox,
                  ring=None):
-    """Thread/process entry point: drain the FIFO inbox until ``stop``.
+    """Process entry point: drain the FIFO inbox until ``stop``.
     Errors are reported on the outbox as structured dicts (message kind,
     batch seq, shard set, pid, traceback), where the coordinator's next
     synchronous request surfaces them as :class:`ExecutorError`."""
     pid = os.getpid()
     # A forked worker inherits the coordinator's flight ring; reset it
-    # so this process records only its own history.  Thread workers
-    # share the coordinator's process (and its ring) — the pid guard
-    # keeps them from wiping it.
-    if flightrec.get_recorder().pid != pid:
-        flightrec.reset()
+    # so this process records only its own history.
+    flightrec.reset()
     try:
         driver = _ShardDriver(compiled, ctx, engine_kwargs, shards, ring)
     except Exception:
@@ -509,7 +521,8 @@ def _worker_loop(compiled, ctx, engine_kwargs, shards, inbox, outbox,
 
 class _InlineWorker:
     """The serial backend: the same message protocol, executed in the
-    calling thread (determinism checks of the dispatch machinery)."""
+    calling thread (determinism checks of the dispatch machinery);
+    frames arrive as ``oframe`` payloads handed over in memory."""
 
     def __init__(self, compiled, ctx, engine_kwargs, shards) -> None:
         self.shards = shards
@@ -532,36 +545,28 @@ class _InlineWorker:
         pass
 
 
-class _QueueWorker:
-    """A thread or forked-process worker behind a FIFO message queue."""
+class _ProcessWorker:
+    """A forked-process worker behind a bounded FIFO message queue."""
 
-    def __init__(self, backend: str, compiled, ctx, engine_kwargs,
-                 shards, index: int, ring: ShmRing | None = None) -> None:
+    def __init__(self, compiled, ctx, engine_kwargs, shards, index: int,
+                 ring: ShmRing | None = None) -> None:
         self.shards = shards
-        self.backend = backend
         self.index = index
         self.name = f"shard-worker-{index}"
         self._stopped = False
         self.ring = ring
         # Instrumentation: message kinds posted over the queue, for the
         # zero-pickled-payload transport proof (frames never count as
-        # "pbatch"/"batch" here — only the 16-byte pointer message).
+        # "pbatch" here — only the 16-byte pointer message).
         self.kind_counts: dict[str, int] = {}
-        args = (compiled, ctx, engine_kwargs, shards)
-        if backend == "thread":
-            self.inbox: object = queue_mod.SimpleQueue()
-            self.outbox: object = queue_mod.SimpleQueue()
-            self._handle: object = threading.Thread(
-                target=_worker_loop, args=(*args, self.inbox, self.outbox),
-                name=self.name, daemon=True)
-        else:
-            mp_ctx = _fork_context()
-            self.inbox = mp_ctx.Queue(maxsize=_QUEUE_DEPTH)
-            self.outbox = mp_ctx.Queue()
-            self._handle = mp_ctx.Process(
-                target=_worker_loop,
-                args=(*args, self.inbox, self.outbox, ring),
-                name=self.name, daemon=True)
+        mp_ctx = _fork_context()
+        self.inbox = mp_ctx.Queue(maxsize=_QUEUE_DEPTH)
+        self.outbox = mp_ctx.Queue()
+        self._handle = mp_ctx.Process(
+            target=_worker_loop,
+            args=(compiled, ctx, engine_kwargs, shards, self.inbox,
+                  self.outbox, ring),
+            name=self.name, daemon=True)
         self._handle.start()
 
     @property
@@ -608,9 +613,6 @@ class _QueueWorker:
         the worker stays alive (the legacy backpressure bound)."""
         k = msg[0]
         self.kind_counts[k] = self.kind_counts.get(k, 0) + 1
-        if self.backend == "thread":
-            self.inbox.put(msg)        # SimpleQueue: unbounded
-            return
         poll = 0.05 if deadline is not None else 0.2
         while True:
             try:
@@ -653,31 +655,26 @@ class _QueueWorker:
 
     def stop(self) -> None:
         """Graceful shutdown; never hangs on a dead or wedged worker —
-        the join is bounded and the process backend escalates to
-        ``terminate()``.  Idempotent."""
+        the join is bounded and escalates to ``terminate()``.
+        Idempotent."""
         if self._stopped:
             return
         self._stopped = True
         try:
-            if self.backend == "thread":
-                self.inbox.put(("stop",))
-            elif self._handle.is_alive():
+            if self._handle.is_alive():
                 self.inbox.put(("stop",), timeout=1.0)
         except Exception:
             pass
         self._handle.join(timeout=5.0)
-        if self.backend == "process":
-            if self._handle.is_alive():
-                self._handle.terminate()
-                self._handle.join(timeout=5.0)
-            self._drop_queues()
+        if self._handle.is_alive():
+            self._handle.terminate()
+            self._handle.join(timeout=5.0)
+        self._drop_queues()
 
     def kill(self) -> None:
         """Supervisor path: discard this incarnation immediately
         (SIGKILL — its state is about to be rebuilt by replay)."""
         self._stopped = True
-        if self.backend != "process":
-            return
         if self._handle.is_alive():
             self._handle.kill()
         self._handle.join(timeout=5.0)
@@ -702,8 +699,7 @@ def _fork_context():
     except ValueError:
         raise ExecutorError(
             "the process execution backend needs the fork start method "
-            "(Linux) — did you mean backend='serial' or "
-            "backend='thread'?") from None
+            "(Linux) — did you mean backend='serial'?") from None
 
 
 # ---------------------------------------------------------------------------
@@ -757,14 +753,13 @@ class WorkerPool:
                 f"WorkerPool needs backend='process', got "
                 f"{execution.backend!r}")
         self.execution = execution
-        self.transport = resolve_transport(execution.transport,
-                                           execution.backend)
+        self.transport = resolve_transport(execution.transport)
         self._compiled = compiled
         self._ctx = ctx
         self._engine_kwargs = engine_kwargs or {}
         # Mutated in place (never rebound) so the finalizer always sees
         # the current incarnations.
-        self._workers: list[_QueueWorker] = []
+        self._workers: list[_ProcessWorker] = []
         self._rings: list[ShmRing | None] = []
         self._n_nics = 0
         self._owner: list[int] = []
@@ -786,9 +781,9 @@ class WorkerPool:
     def _spawn(self, index: int, shards: tuple[int, ...]) -> None:
         ring = self._new_ring(index)
         try:
-            worker = _QueueWorker("process", self._compiled, self._ctx,
-                                  self._engine_kwargs, shards, index,
-                                  ring)
+            worker = _ProcessWorker(self._compiled, self._ctx,
+                                    self._engine_kwargs, shards, index,
+                                    ring)
         except BaseException:
             if ring is not None:
                 ring.close()
@@ -855,9 +850,9 @@ class WorkerPool:
                     if ring is not None:
                         ring.close()
                     fresh_ring = self._new_ring(i)
-                    self._workers[i] = _QueueWorker(
-                        "process", self._compiled, self._ctx,
-                        self._engine_kwargs, shards_of[i], i, fresh_ring)
+                    self._workers[i] = _ProcessWorker(
+                        self._compiled, self._ctx, self._engine_kwargs,
+                        shards_of[i], i, fresh_ring)
                     self._rings[i] = fresh_ring
                     self.spawns += 1
         self._n_nics = n_nics
@@ -887,8 +882,8 @@ class WorkerPool:
         if old_ring is not None:
             old_ring.close()
         ring = self._new_ring(index)
-        worker = _QueueWorker("process", self._compiled, self._ctx,
-                              self._engine_kwargs, old.shards, index, ring)
+        worker = _ProcessWorker(self._compiled, self._ctx,
+                                self._engine_kwargs, old.shards, index, ring)
         self._workers[index] = worker
         self._rings[index] = ring
         self.spawns += 1
@@ -923,27 +918,6 @@ class WorkerPool:
             "closed": self.closed,
             "shard_loads": dict(self._shard_loads),
         }
-
-
-def _rows_to_events(rows) -> list:
-    """Rebuild event objects from compact wire rows (all three tags) —
-    the poison-salvage path, which must reconstruct exactly what the
-    worker would have consumed."""
-    events = []
-    for row in rows:
-        tag = row[1]
-        if tag == 0:
-            events.append(MGPVRecord(row[2], row[3], row[4], row[5]))
-        elif tag == 2:
-            fg_col, meta_cols = row[4], row[5]
-            if meta_cols:
-                cells = tuple(zip(fg_col, zip(*meta_cols)))
-            else:
-                cells = tuple((fg, ()) for fg in fg_col)
-            events.append(MGPVRecord(row[2], row[3], cells, row[6]))
-        else:
-            events.append(FGSync(row[2], row[3]))
-    return events
 
 
 # ---------------------------------------------------------------------------
@@ -1162,7 +1136,7 @@ class ShardSupervisor:
     def _quarantine(self, worker: int, seq: int) -> None:
         entry = self.journals[worker][seq]
         entry.quarantined = True
-        events = self._entry_events(entry)
+        events = [event for _shard, event in _rows_to_events(entry.payload)]
         engine = self._ensure_poison_engine()
         salvaged = failed = 0
         cg_keys = set()
@@ -1196,11 +1170,6 @@ class ShardSupervisor:
         })
         if self._t_poison is not None:
             self._t_poison.inc()
-
-    def _entry_events(self, entry: _JournalEntry) -> list:
-        if entry.kind in ("pbatch", "frame", "oframe"):
-            return _rows_to_events(entry.payload)
-        return [event for _shard, event in entry.payload]
 
     def _ensure_poison_engine(self) -> FeatureEngine:
         if self._poison_engine is None:
@@ -1307,22 +1276,16 @@ class ShardedCluster:
             self._workers, self._owner, self._rings = pool.lease(n_nics)
             self._transport = pool.transport
         else:
+            # Inline workers take the same frames as one payload in the
+            # message, handed over in memory.
             self._owner = [shard % self.n_workers
                            for shard in range(n_nics)]
-            shards_of = [tuple(s for s in range(n_nics)
-                               if s % self.n_workers == w)
-                         for w in range(self.n_workers)]
-            if execution.backend == "serial":
-                self._workers: list = [
-                    _InlineWorker(compiled, ctx, engine_kwargs, shards)
-                    for shards in shards_of]
-            else:
-                self._workers = [
-                    _QueueWorker(execution.backend, compiled, ctx,
-                                 engine_kwargs, shards, w)
-                    for w, shards in enumerate(shards_of)]
+            self._workers: list = [
+                _InlineWorker(compiled, ctx, engine_kwargs,
+                              tuple(range(w, n_nics, self.n_workers)))
+                for w in range(self.n_workers)]
             self._rings = [None] * self.n_workers
-            self._transport = "legacy"
+            self._transport = "oob"
         # Frames parked when a ring is momentarily full, per worker;
         # drained before any control/sync post so the per-worker FIFO
         # order (the serial-equivalence invariant) is preserved.
@@ -1340,11 +1303,6 @@ class ShardedCluster:
         else:
             self._batchers = [Batcher(execution.dispatch_batch)
                               for _ in range(self.n_workers)]
-        # The process backend ships compact positional rows (see the
-        # driver's "pbatch" handler) — tuples pickle far cheaper than
-        # frozen-dataclass events.  In-process backends keep the event
-        # objects: nothing crosses a pickling boundary there.
-        self._compact = execution.backend == "process"
         self.batches_dispatched = 0
         self.events_dispatched = 0
         # Steering memo, as in the serial cluster: route_shard per key
@@ -1356,8 +1314,7 @@ class ShardedCluster:
         self._closed = False
         # Supervision (process backend by default): per-request
         # deadlines, liveness probes, restart+replay, poison batches.
-        self.supervised = (execution.supervised
-                           and execution.backend == "process")
+        self.supervised = execution.supervised
         self._timeout_s = execution.resolved_timeout_s()
         self._deadline: float | None = None
         self._slow_factors: dict[int, float] = {}
@@ -1393,7 +1350,7 @@ class ShardedCluster:
         worker-side registries: each worker gets the (picklable)
         :class:`~repro.core.telemetry.TelemetryConfig` over its FIFO and
         builds its own registry, shipped back as a snapshot by
-        :meth:`worker_snapshots` and merged into cluster-wide truth by
+        :meth:`telemetry_snapshots` and merged into cluster-wide truth by
         ``Dataplane.telemetry_snapshot``."""
         from repro.core.telemetry import DEFAULT_COUNT_BOUNDS
         reg = telemetry.registry
@@ -1404,19 +1361,18 @@ class ShardedCluster:
         self._t_chunk_events = reg.histogram("dispatch.chunk.events",
                                              DEFAULT_COUNT_BOUNDS)
         self._t_failovers = reg.counter("cluster.failovers")
-        if self._transport != "legacy":
-            self._t_tbytes = reg.counter("transport.bytes")
-            self._t_tframes = reg.counter("transport.frames")
-            self._t_fallback = reg.counter("transport.fallback_chunks")
-            self._t_parked = reg.counter("transport.parked_frames")
-            for index, ring in enumerate(self._rings):
-                if ring is None:
-                    continue
-                reg.gauge_source(
-                    f"transport.ring.{index}.occupancy",
-                    lambda i=index: float(
-                        self._rings[i].occupancy
-                        if self._rings[i] is not None else 0))
+        self._t_tbytes = reg.counter("transport.bytes")
+        self._t_tframes = reg.counter("transport.frames")
+        self._t_fallback = reg.counter("transport.fallback_chunks")
+        self._t_parked = reg.counter("transport.parked_frames")
+        for index, ring in enumerate(self._rings):
+            if ring is None:
+                continue
+            reg.gauge_source(
+                f"transport.ring.{index}.occupancy",
+                lambda i=index: float(
+                    self._rings[i].occupancy
+                    if self._rings[i] is not None else 0))
         self._telemetry_on = True
         self._telemetry_config = telemetry.config
         if telemetry.tracing:
@@ -1429,7 +1385,7 @@ class ShardedCluster:
         for worker in self._workers:
             worker.post(("telemetry_on", telemetry.config))
 
-    def worker_snapshots(self) -> list[dict]:
+    def telemetry_snapshots(self) -> list[dict]:
         """Each worker's registry snapshot (empty when telemetry is
         off); the last gathered set keeps serving after close().  The
         same round trip also gathers each worker's ctx-tagged trace
@@ -1462,7 +1418,7 @@ class ShardedCluster:
         close() it serves the events collected on the way down.
         """
         if self._telemetry_on and not self._closed:
-            self.worker_snapshots()
+            self.telemetry_snapshots()
         coordinator = (list(self._trace_tracer.events)
                        if self._trace_tracer is not None else [])
         return coordinator + list(self._worker_tevents)
@@ -1487,22 +1443,21 @@ class ShardedCluster:
             self.rerouted_events += 1
         return shard
 
-    def consume(self, event: Event) -> None:
+    # -- sink protocol (the dataplane's terminal stage) -----------------------
+
+    def consume(self, event: Event) -> tuple:
         if self._closed:
             raise RuntimeError("cluster is closed")
         if isinstance(event, FGSync):
             cg_key = self.compiled.cg.project(event.key)
             shard = self._route(cg_key)
             self._mirrors[shard][event.index] = event.key
-            row = ((shard, 1, event.index, event.key)
-                   if self._compact else (shard, event))
+            row = (shard, 1, event.index, event.key)
         elif isinstance(event, MGPVRecord):
             shard = self._route(event.cg_key, event.cg_hash32)
-            if not self._compact:
-                row = (shard, event)
-            elif len(event.cells) > 1:
+            if len(event.cells) > 1:
                 # Columnar wire block: transpose the cells once here so
-                # the row pickles as flat int columns (tag 2).
+                # the frame carries flat int columns (tag 2).
                 fg_col = tuple(cell[0] for cell in event.cells)
                 meta_cols = tuple(zip(*(cell[1] for cell in event.cells)))
                 row = (shard, 2, event.cg_key, event.cg_hash32,
@@ -1517,14 +1472,19 @@ class ShardedCluster:
         chunk = self._batchers[worker].add(row)
         if chunk is not None:
             self._dispatch(worker, chunk)
+        return ()
 
-    def consume_batch(self, events) -> None:
+    def consume_batch(self, events) -> tuple:
         """:meth:`consume` per event, with the slice's new-flow sync
         routes resolved in one vectorised hash sweep first."""
         route_syncs(events, self.compiled.cg.project, self._route_cache,
                     self.alive)
         for event in events:
             self.consume(event)
+        return ()
+
+    def flush(self) -> tuple:
+        return ()
 
     def run(self, events) -> "ShardedCluster":
         for event in events:
@@ -1549,11 +1509,9 @@ class ShardedCluster:
     def _encode_chunk(self, worker: int, chunk: list):
         """Pick the wire shape for one chunk: ``(kind, payload)`` where
         payload is the encoded frame bytes (frame/oframe) or None
-        (pickled rows).  Chunks the codec cannot represent (non-int
-        values, e.g. hand-fed float cells) fall back to legacy rows —
-        per chunk, counted, correctness-first."""
-        if not self._compact or self._transport == "legacy":
-            return ("pbatch" if self._compact else "batch"), None
+        (pbatch: the wire rows themselves).  Chunks the codec cannot
+        represent (non-int values, e.g. hand-fed float cells) fall back
+        to ``pbatch`` — per chunk, counted, correctness-first."""
         if self._t_tracer is not None:
             start = time.perf_counter_ns()
             payload = encode_rows(chunk)
@@ -1842,17 +1800,9 @@ class ShardedCluster:
         # Parked-but-undelivered frames die here: every one of them is
         # already journaled, so replay redelivers through the fresh ring.
         self._pending[worker].clear()
-        if self._pool is not None:
-            fresh, ring = self._pool.respawn(worker)
-            self._workers[worker] = fresh
-            self._rings[worker] = ring
-        else:
-            old = self._workers[worker]
-            old.kill()
-            fresh = _QueueWorker(self.execution.backend, self.compiled,
-                                 self._ctx, self._engine_kwargs,
-                                 old.shards, worker)
-            self._workers[worker] = fresh
+        fresh, ring = self._pool.respawn(worker)
+        self._workers[worker] = fresh
+        self._rings[worker] = ring
         if self._telemetry_config is not None:
             fresh.post(("telemetry_on", self._telemetry_config))
         factor = self._slow_factors.get(worker)
@@ -1898,12 +1848,12 @@ class ShardedCluster:
 
     def chaos_slow_worker(self, worker: int, factor: float) -> None:
         """Chaos hook: multiply one worker's per-batch compute time by
-        ``factor`` (1.0 restores full speed).  Queue backends only."""
+        ``factor`` (1.0 restores full speed).  Process backend only."""
         self._check_worker(worker)
-        if not isinstance(self._workers[worker], _QueueWorker):
+        if self._pool is None:
             raise RuntimeError(
-                "worker_slow chaos needs a queue-backed worker "
-                "(backend='thread' or 'process')")
+                "worker_slow chaos needs a process worker "
+                "(backend='process')")
         factor = float(factor)
         self._slow_factors[worker] = factor
         try:
@@ -2046,7 +1996,7 @@ class ShardedCluster:
             except Exception:
                 pass
             try:
-                self.worker_snapshots()
+                self.telemetry_snapshots()
             except Exception:
                 pass
         finally:
@@ -2217,56 +2167,3 @@ class ShardedCluster:
             }
         return out
 
-
-class ParallelSink:
-    """Terminal dataplane stage over a :class:`ShardedCluster` — the
-    parallel twin of :class:`~repro.core.dataplane.ClusterSink`."""
-
-    name = "cluster"
-
-    def __init__(self, cluster: ShardedCluster) -> None:
-        self.cluster = cluster
-
-    def attach_telemetry(self, telemetry) -> None:
-        self.cluster.attach_telemetry(telemetry)
-
-    def telemetry_snapshots(self) -> list[dict]:
-        return self.cluster.worker_snapshots()
-
-    def trace_events(self) -> list[dict]:
-        return self.cluster.trace_events()
-
-    def flight_events(self) -> list[dict]:
-        return self.cluster.flight_events()
-
-    def consume(self, event) -> tuple:
-        self.cluster.consume(event)
-        return ()
-
-    def consume_batch(self, events) -> tuple:
-        self.cluster.consume_batch(events)
-        return ()
-
-    def flush(self) -> tuple:
-        return ()
-
-    def counters(self) -> dict:
-        return self.cluster.counters()
-
-    def finalize(self) -> list[FeatureVector]:
-        return self.cluster.finalize()
-
-    def advance_clock(self, now_ns: int) -> None:
-        self.cluster.advance_clock(now_ns)
-
-    def take_packet_vectors(self) -> list[FeatureVector]:
-        return self.cluster.take_packet_vectors()
-
-    def set_deadline(self, deadline: float | None) -> None:
-        self.cluster.set_deadline(deadline)
-
-    def health(self) -> dict:
-        return self.cluster.health()
-
-    def close(self) -> None:
-        self.cluster.close()

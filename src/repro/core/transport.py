@@ -3,8 +3,8 @@
 The process execution backend used to pickle every dispatch batch
 through a ``multiprocessing.Queue`` — one object-graph serialization
 per chunk of events, the cost BENCH_parallel.json records as
-``overhead_dominated``.  This module replaces that wire with three
-transports, selected per cluster by :func:`resolve_transport`:
+``overhead_dominated``.  This module replaces that wire with two
+transports, selected per worker pool by :func:`resolve_transport`:
 
 - ``shm`` — the default on hosts with POSIX shared memory.  Each worker
   owns one :class:`ShmRing`: a single-producer/single-consumer byte
@@ -21,10 +21,11 @@ transports, selected per cluster by :func:`resolve_transport`:
   Pickle protocol 5 ships a large contiguous buffer with a single
   header + memcpy (the out-of-band buffer path), so the per-event
   serialization cost is still gone; only the shared-memory segment is.
-- ``legacy`` — the original pickled-row protocol, kept for thread /
-  serial backends (no serialization boundary to avoid) and as the
-  per-chunk fallback when a frame cannot encode a chunk (non-int cell
-  payloads, e.g. hand-fed float records in tests).
+  The inline ``serial`` cluster hands the same payload over in memory.
+
+A chunk a frame cannot encode (non-int cell payloads, e.g. hand-fed
+float records in tests) ships as its wire rows instead — a counted,
+per-chunk correctness fallback, not a transport.
 
 Frame format (all values int64, little-endian, one flat stream)::
 
@@ -40,7 +41,7 @@ vocabulary of the MGPV cache.  Every value must be a plain Python int
 (``type(v) is int``): the serial-equivalence checksum hashes
 ``repr(key)``, so a bool or numpy scalar sneaking through would change
 the digest.  :func:`encode_rows` returns None for chunks that violate
-this, and the cluster falls back to one legacy pickled chunk (counted,
+this, and the cluster falls back to one pickled row chunk (counted,
 never silent).
 
 Ring layout: ``[head u64][tail u64][data: capacity bytes]``.  ``head``
@@ -87,7 +88,7 @@ __all__ = [
     "shm_available",
 ]
 
-TRANSPORTS = ("shm", "oob", "legacy")
+TRANSPORTS = ("shm", "oob")
 
 #: The closed vocabulary of MGPV eviction reasons (plus the software
 #: path's synthetic one) — frames ship the index, not the string.
@@ -165,7 +166,7 @@ def encode_rows(rows) -> bytes | None:
     that is not a plain Python int (floats would truncate, bools and
     numpy scalars would change ``repr``-based checksums), an int outside
     int64, or an unknown eviction reason.  Callers fall back to the
-    legacy pickled chunk and count it.
+    pickled row chunk and count it.
     """
     try:
         flat = _flatten_rows(rows)
@@ -184,61 +185,49 @@ def encode_rows(rows) -> bytes | None:
     return arr.tobytes()
 
 
+class _ShardRows:
+    """An engine stand-in that records what :func:`apply_frame` feeds
+    it as compact wire rows."""
+
+    def __init__(self, shard: int, rows: list) -> None:
+        self.shard = shard
+        self.rows = rows
+
+    def consume(self, event) -> None:
+        if isinstance(event, FGSync):
+            self.rows.append((self.shard, 1, event.index, event.key))
+        else:
+            self.rows.append((self.shard, 0, event.cg_key,
+                              event.cg_hash32, event.cells, event.reason))
+
+    def consume_block(self, cg_key, cg_hash32, fg_col, meta_cols,
+                      reason) -> None:
+        self.rows.append((self.shard, 2, cg_key, cg_hash32, fg_col,
+                          meta_cols, reason))
+
+
+class _RowRecorder(dict):
+    """:func:`apply_frame`'s shard -> engine map for
+    :func:`decode_rows`: every shard resolves to a :class:`_ShardRows`
+    appending to one shared row list."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.rows: list = []
+
+    def __missing__(self, shard: int) -> _ShardRows:
+        engine = self[shard] = _ShardRows(shard, self.rows)
+        return engine
+
+
 def decode_rows(payload: bytes) -> list:
     """The compact wire rows a frame payload encodes (the inverse of
-    :func:`encode_rows`, used for poison-batch salvage and tests; the
-    worker hot path applies frames directly via :func:`apply_frame`)."""
-    vals = np.frombuffer(payload, dtype=np.int64).tolist()
-    rows: list = []
-    i = 0
-    total = len(vals)
-    while i < total:
-        tag = vals[i]
-        shard = vals[i + 1]
-        if tag == 1:
-            index = vals[i + 2]
-            k = vals[i + 3]
-            i += 4
-            rows.append((shard, 1, index, tuple(vals[i:i + k])))
-            i += k
-        elif tag == 0:
-            k = vals[i + 2]
-            i += 3
-            cg_key = tuple(vals[i:i + k])
-            i += k
-            hash32 = vals[i]
-            reason = REASONS[vals[i + 1]]
-            n_cells = vals[i + 2]
-            i += 3
-            cells = []
-            for _ in range(n_cells):
-                fg_idx = vals[i]
-                m = vals[i + 1]
-                i += 2
-                cells.append((fg_idx, tuple(vals[i:i + m])))
-                i += m
-            rows.append((shard, 0, cg_key, hash32, tuple(cells), reason))
-        elif tag == 2:
-            k = vals[i + 2]
-            i += 3
-            cg_key = tuple(vals[i:i + k])
-            i += k
-            hash32 = vals[i]
-            reason = REASONS[vals[i + 1]]
-            n_cells = vals[i + 2]
-            n_meta = vals[i + 3]
-            i += 4
-            fg_col = tuple(vals[i:i + n_cells])
-            i += n_cells
-            meta_cols = []
-            for _ in range(n_meta):
-                meta_cols.append(tuple(vals[i:i + n_cells]))
-                i += n_cells
-            rows.append((shard, 2, cg_key, hash32, fg_col,
-                         tuple(meta_cols), reason))
-        else:
-            raise TransportError(f"corrupt frame: unknown row tag {tag}")
-    return rows
+    :func:`encode_rows`), parsed by :func:`apply_frame` itself against
+    row-recording engine stand-ins — so round-trip tests exercise the
+    production decoder."""
+    engines = _RowRecorder()
+    apply_frame(payload, engines)
+    return engines.rows
 
 
 def apply_frame(payload: bytes,
@@ -559,20 +548,16 @@ def shm_available() -> bool:
 _degrade_warned = False
 
 
-def resolve_transport(requested: str | None, backend: str,
-                      env=None, probe=shm_available) -> str:
-    """The effective transport for one cluster/pool.
+def resolve_transport(requested: str | None, env=None,
+                      probe=shm_available) -> str:
+    """The effective transport for one process worker pool.
 
-    Only the process backend has a serialization boundary, so every
-    other backend resolves to ``legacy``.  ``requested`` (the
-    :class:`~repro.core.parallel.ExecutionConfig` field) wins over the
-    ``SUPERFE_TRANSPORT`` environment variable; both default to auto,
-    which probes shared memory and degrades to ``oob`` — once, with a
-    single warning — on hosts without it, instead of failing at first
-    dispatch."""
+    ``requested`` (the :class:`~repro.core.parallel.ExecutionConfig`
+    field) wins over the ``SUPERFE_TRANSPORT`` environment variable;
+    both default to auto, which probes shared memory and degrades to
+    ``oob`` — once, with a single warning — on hosts without it, instead
+    of failing at first dispatch."""
     global _degrade_warned
-    if backend != "process":
-        return "legacy"
     if requested is None:
         env = os.environ if env is None else env
         raw = (env.get("SUPERFE_TRANSPORT") or "").strip().lower()
@@ -581,7 +566,7 @@ def resolve_transport(requested: str | None, backend: str,
                 raise ValueError(f"SUPERFE_TRANSPORT must be one of "
                                  f"{TRANSPORTS}, got {raw!r}")
             requested = raw
-    if requested in ("oob", "legacy"):
+    if requested == "oob":
         return requested
     if probe():
         return "shm"

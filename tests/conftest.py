@@ -8,8 +8,7 @@ import pytest
 
 from repro import pktstream
 from repro.core.dataplane import Dataplane
-from repro.core.parallel import (ExecutionConfig, ParallelSink,
-                                 ShardedCluster)
+from repro.core.parallel import ExecutionConfig, ShardedCluster
 from repro.net.trace import generate_trace
 
 
@@ -30,24 +29,30 @@ def engine_ledger(sink) -> list:
             for engine in getattr(sink, "engines", [sink])]
 
 
-def inline_sharded(extractor, workers: int = 2, **execution) -> Dataplane:
-    """A fresh dataplane of ``extractor`` (compiled with ``n_nics > 1``)
-    whose sink is the inline ``serial`` :class:`ShardedCluster`: the
-    process backend's batching, frame codec and worker driver, run in
-    this process with nothing forked.  Extra keywords go to its
-    :class:`ExecutionConfig`; the caller owns ``close()``."""
+def inline_cluster(extractor, workers: int = 2, **execution):
+    """Rewire ``extractor`` (compiled with ``n_nics > 1``) so every
+    dataplane it builds — for ``run``, ``stream`` or ``dataplane()`` —
+    ends in the inline ``serial`` :class:`ShardedCluster` as its sink:
+    the process backend's batching, frame codec and worker driver, run
+    in this process with nothing forked.  Extra keywords go to the
+    cluster's :class:`ExecutionConfig`.  Returns the extractor."""
     build = extractor._build
-    dataplane = Dataplane.build(extractor.compiled,
+
+    def dataplane() -> Dataplane:
+        graph = Dataplane.build(extractor.compiled,
                                 **{**build, "execution": ExecutionConfig()})
-    cluster = ShardedCluster(
-        extractor.compiled, build["n_nics"],
-        ExecutionConfig(workers=workers, **execution), ctx=build["ctx"],
-        **{k: build[k] for k in ("placement", "table_indices",
-                                 "table_width")})
-    if dataplane.telemetry is not None:
-        cluster.attach_telemetry(dataplane.telemetry)
-    dataplane.sink = dataplane.stages[-1] = ParallelSink(cluster)
-    return dataplane
+        cluster = ShardedCluster(
+            extractor.compiled, build["n_nics"],
+            ExecutionConfig(workers=workers, **execution),
+            ctx=build["ctx"], **{k: build[k] for k in (
+                "placement", "table_indices", "table_width")})
+        if graph.telemetry is not None:
+            cluster.attach_telemetry(graph.telemetry)
+        graph.sink = graph.stages[-1] = cluster
+        return graph
+
+    extractor.dataplane = dataplane
+    return extractor
 
 
 @pytest.fixture(scope="session")

@@ -49,7 +49,7 @@ class TestCompile:
         assert ex._build["execution"].backend == "process"
 
     def test_explicit_execution_config(self, policy):
-        cfg = ExecutionConfig(workers=2, backend="thread")
+        cfg = ExecutionConfig(workers=2, backend="process")
         ex = api.compile(policy, n_nics=2, execution=cfg)
         assert ex._build["execution"] is cfg
 
@@ -86,10 +86,10 @@ class TestExtractor:
                           for v in ran))
 
     def test_stream_parallel_backend(self, policy, packets):
-        ex = api.compile(policy, n_nics=2, workers=2, backend="thread")
-        streamed = [v for chunk in ex.stream(packets, batch_size=64)
-                    for v in chunk]
-        assert len(streamed) == len(ex.run(packets).vectors)
+        with api.compile(policy, n_nics=2, workers=2) as ex:
+            streamed = [v for chunk in ex.stream(packets, batch_size=64)
+                        for v in chunk]
+            assert len(streamed) == len(ex.run(packets).vectors)
 
     def test_stream_validates_batch_size(self, policy, packets):
         with pytest.raises(ValueError, match="batch_size"):
@@ -133,11 +133,11 @@ class TestExtractor:
             api.compile(policy, software=True).deploy()
 
     def test_dataplane_lifecycle(self, policy, packets):
-        dp = api.compile(policy, n_nics=2, workers=2,
-                         backend="thread").dataplane()
-        dp.process(packets)
-        assert len(dp.flush()) > 0
-        dp.close()
+        with api.compile(policy, n_nics=2, workers=2) as ex:
+            dp = ex.dataplane()
+            dp.process(packets)
+            assert len(dp.flush()) > 0
+            dp.close()
 
     def test_repr(self, policy):
         assert "superfe" in repr(api.compile(policy))
@@ -211,21 +211,21 @@ class TestStreamIngestion:
             assert report["packets_processed"] > 0
 
     def test_health_before_and_after_stream(self, policy, packets):
-        ex = api.compile(policy, n_nics=2, workers=2, backend="thread")
-        assert ex.health() == {"state": "idle", "ingest": None,
-                               "cluster": None}
-        gen = ex.stream(packets, batch_size=64, deadline_s=30.0)
-        first = next(gen)
-        live = ex.health()
-        assert live["state"] == "running"
-        assert live["ingest"]["deadline_s"] == 30.0
-        assert live["cluster"] is not None
-        assert live["cluster"]["n_workers"] == 2
-        rest = [v for chunk in gen for v in chunk]
-        done = ex.health()
-        assert done["state"] == "drained"
-        assert done["ingest"]["deadline_missed"] == 0
-        assert len(first) + len(rest) == len(ex.run(packets).vectors)
+        with api.compile(policy, n_nics=2, workers=2) as ex:
+            assert ex.health() == {"state": "idle", "ingest": None,
+                                   "cluster": None}
+            gen = ex.stream(packets, batch_size=64, deadline_s=30.0)
+            first = next(gen)
+            live = ex.health()
+            assert live["state"] == "running"
+            assert live["ingest"]["deadline_s"] == 30.0
+            assert live["cluster"] is not None
+            assert live["cluster"]["n_workers"] == 2
+            rest = [v for chunk in gen for v in chunk]
+            done = ex.health()
+            assert done["state"] == "drained"
+            assert done["ingest"]["deadline_missed"] == 0
+            assert len(first) + len(rest) == len(ex.run(packets).vectors)
 
     def test_stream_telemetry_counters(self, policy, packets):
         from repro.core.telemetry import Telemetry, TelemetryConfig

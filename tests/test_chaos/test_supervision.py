@@ -102,15 +102,15 @@ class TestCrashRecovery:
                         until_packet=2 * third, worker=0, factor=3.0),))
         serial = api.compile(flow_policy, n_nics=2,
                              mgpv_config=small_mgpv).run(packets)
-        slow = api.compile(flow_policy, n_nics=2, mgpv_config=small_mgpv,
-                           execution=ExecutionConfig(
-                               workers=2, backend="thread"),
-                           fault_plan=plan).run(packets)
+        with api.compile(flow_policy, n_nics=2, mgpv_config=small_mgpv,
+                         execution=ExecutionConfig(
+                             workers=2, backend="process"),
+                         fault_plan=plan) as ex:
+            slow = ex.run(packets)
         assert sorted_rows(serial) == sorted_rows(slow)
         faults = slow.dataplane.counters()["faults"]
         assert faults["applied"] == {"worker_slow": 1}
         assert faults["reverted"] == {"worker_slow": 1}
-        slow.dataplane.close()
 
 
 class TestPoisonQuarantine:
@@ -231,18 +231,21 @@ class TestWorkerFaultValidation:
         plan = FaultPlan(actions=(
             FaultAction(kind="worker_crash", at_packet=0, worker=0),))
         with pytest.raises(FaultPlanError,
-                           match="supervised process backend"):
-            api.compile(flow_policy, n_nics=2,
-                        execution=ExecutionConfig(workers=2,
-                                                  backend="thread"),
-                        fault_plan=plan).run(packets)
+                           match="supervised process backend"), \
+                api.compile(flow_policy, n_nics=2,
+                            execution=ExecutionConfig(
+                                workers=2, backend="process",
+                                supervise=False),
+                            fault_plan=plan) as ex:
+            ex.run(packets)
 
     def test_worker_index_checked_against_pool(self, flow_policy,
                                                packets):
         plan = FaultPlan(actions=(
             FaultAction(kind="worker_slow", at_packet=0, worker=9),))
-        with pytest.raises(FaultPlanError, match="pool has"):
-            api.compile(flow_policy, n_nics=2,
-                        execution=ExecutionConfig(workers=2,
-                                                  backend="thread"),
-                        fault_plan=plan).run(packets)
+        with pytest.raises(FaultPlanError, match="pool has"), \
+                api.compile(flow_policy, n_nics=2,
+                            execution=ExecutionConfig(workers=2,
+                                                      backend="process"),
+                            fault_plan=plan) as ex:
+            ex.run(packets)

@@ -11,8 +11,8 @@ The sweep stresses the places that equivalence could plausibly break:
   numpy width would wrap or a float cast would round;
 - degenerate shapes (empty batch, single packet) where off-by-one
   chunking bugs live;
-- every execution backend (serial / thread / process), since batches
-  are resliced across shard queues; and
+- every execution path (serial cluster, inline sharded cluster, process
+  workers), since batches are resliced across shard queues; and
 - chaos schedules (nic_kill, worker_crash) whose recovery paths replay
   records through the per-record fallback.
 """
@@ -28,6 +28,7 @@ from repro.core.parallel import ExecutionConfig
 from repro.core.policy import pktstream
 from repro.net.packet import PACKET_DTYPE, Packet, PacketBatch
 from repro.net.trace import generate_trace
+from tests.conftest import inline_cluster
 from repro.switchsim.mgpv import MGPVConfig
 
 #: Reducers whose results are bit-exact regardless of update batching
@@ -143,22 +144,24 @@ def test_degenerate_batches(n_packets, packets):
 
 
 @pytest.mark.parametrize("backend,workers", [
-    ("serial", None), ("thread", 2), ("process", 3)])
+    ("serial", None), ("inline", 2), ("process", 3)])
 def test_columnar_identical_on_every_backend(backend, workers,
                                              packets):
-    """Batches are resliced across shard queues; each backend must
-    still equal the per-record serial oracle bit for bit."""
+    """Batches are resliced across shard queues; each execution path
+    must still equal the per-record serial oracle bit for bit."""
     policy = build("flow", [("size", "f_mean"), ("size", "f_var"),
                             ("tstamp", "f_max")], True, True)
-    kwargs = {} if workers is None else {
+    kwargs = {} if backend != "process" else {
         "workers": workers, "backend": backend}
     oracle = api.compile(policy, n_nics=3).run(iter(packets))
-    columnar = api.compile(policy, n_nics=3, **kwargs).run(
-        PacketBatch.from_packets(packets))
+    with api.compile(policy, n_nics=3, **kwargs) as ex:
+        if backend == "inline":
+            inline_cluster(ex, workers)
+        columnar = ex.run(PacketBatch.from_packets(packets))
     assert sorted_rows(oracle) == sorted_rows(columnar)
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread"])
+@pytest.mark.parametrize("backend", ["serial", "inline"])
 def test_columnar_nic_kill_identical(backend, packets):
     """Failover replays records through the per-record fallback; the
     batch tier must hand it the same records in the same order."""
@@ -168,13 +171,13 @@ def test_columnar_nic_kill_identical(backend, packets):
         FaultAction(kind="nic_kill", at_packet=len(packets) // 2,
                     nic=1),))
     config = MGPVConfig(n_short=32, n_long=16)
-    kwargs = {} if backend == "serial" else {
-        "workers": 3, "backend": backend}
     per_record = api.compile(policy, n_nics=3, mgpv_config=config,
                              fault_plan=plan).run(iter(packets))
-    columnar = api.compile(policy, n_nics=3, mgpv_config=config,
-                           fault_plan=plan, **kwargs).run(
-        PacketBatch.from_packets(packets))
+    ex = api.compile(policy, n_nics=3, mgpv_config=config,
+                     fault_plan=plan)
+    if backend == "inline":
+        inline_cluster(ex, workers=3)
+    columnar = ex.run(PacketBatch.from_packets(packets))
     assert sorted_rows(per_record) == sorted_rows(columnar)
     assert any(v.degraded for v in columnar.vectors)
 

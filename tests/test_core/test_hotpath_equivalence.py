@@ -5,8 +5,9 @@ routing, positional cell plans, batched group lookups) must be
 invisible in the output: ``SUPERFE_REFERENCE_PATH=1`` keeps the
 original per-packet insert and per-cell update paths verbatim, and
 every test here demands bit-identical (order-normalized) checksums
-between the two — for randomly composed policies, on all three
-execution backends, and under a ``nic_kill`` chaos schedule.
+between the two — for randomly composed policies, on the serial
+cluster, the inline sharded cluster and process workers, and under a
+``nic_kill`` chaos schedule.
 
 The flag is read when the pipeline stages are constructed, which
 ``Extractor.run`` does per call — so the oracle's environment window
@@ -26,7 +27,7 @@ from repro.core.faults import FaultAction, FaultPlan
 from repro.core.policy import pktstream
 from repro.net.trace import generate_trace
 from repro.switchsim.mgpv import MGPVConfig
-from tests.conftest import reference_path
+from tests.conftest import inline_cluster, reference_path
 
 #: Reducers whose results are bit-exact regardless of update batching
 #: (same set as tests/test_parallel_equivalence.py).
@@ -85,18 +86,26 @@ def test_optimized_matches_reference_random_policies(spec, packets):
     assert optimized.feature_names == reference.feature_names
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+def compile_on(backend: str, policy, workers: int, **kw):
+    """``api.compile`` with the shards on ``backend``: the serial
+    cluster, the inline sharded cluster, or process workers."""
+    if backend == "process":
+        kw.update(workers=workers, backend=backend)
+    ex = api.compile(policy, **kw)
+    return inline_cluster(ex, workers) if backend == "inline" else ex
+
+
+@pytest.mark.parametrize("backend", ["serial", "inline", "process"])
 def test_all_backends_match_reference(packets, backend):
     policy = build("flow", [("size", "f_mean"), ("size", "f_var"),
                             ("tstamp", "f_max")], True, True)
     reference = reference_run(policy, packets, n_nics=4)
-    kw = ({} if backend == "serial"
-          else {"workers": 2, "backend": backend})
-    optimized = api.compile(policy, n_nics=4, **kw).run(packets)
+    with compile_on(backend, policy, 2, n_nics=4) as ex:
+        optimized = ex.run(packets)
     assert checksum(optimized) == checksum(reference)
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "inline", "process"])
 def test_nic_kill_chaos_matches_reference(packets, backend):
     """Failover — re-route, FG-mirror resync, residual reconciliation —
     must take the same decisions on the optimized path (interned routes,
@@ -109,10 +118,9 @@ def test_nic_kill_chaos_matches_reference(packets, backend):
     config = MGPVConfig(n_short=32, n_long=16)
     reference = reference_run(policy, packets, n_nics=3,
                               mgpv_config=config, fault_plan=plan)
-    kw = ({} if backend == "serial"
-          else {"workers": 3, "backend": backend})
-    optimized = api.compile(policy, n_nics=3, mgpv_config=config,
-                            fault_plan=plan, **kw).run(packets)
+    with compile_on(backend, policy, 3, n_nics=3, mgpv_config=config,
+                    fault_plan=plan) as ex:
+        optimized = ex.run(packets)
     assert any(v.degraded for v in optimized.vectors)
     assert checksum(optimized) == checksum(reference)
 
@@ -157,12 +165,11 @@ def test_table3_apps_match_reference(campus, app, software):
     assert optimized.feature_names == reference.feature_names
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["process"])
 def test_kitsune_backends_match_reference(campus, backend):
     policy = build_policy("Kitsune")
     reference = reference_run(policy, campus, n_nics=2)
-    with api.compile(policy, n_nics=2, workers=2,
-                     backend=backend) as ex:
+    with compile_on(backend, policy, 2, n_nics=2) as ex:
         optimized = ex.run(campus)
     assert checksum(optimized) == checksum(reference)
     assert optimized.feature_names == reference.feature_names

@@ -24,7 +24,7 @@ def flow_policy():
             .reduce("size", ["f_sum", "f_max"]).collect("flow"))
 
 
-def make_cluster(n_nics=3, workers=2, backend="thread"):
+def make_cluster(n_nics=3, workers=2, backend="serial"):
     compiled = PolicyCompiler().compile(flow_policy())
     return ShardedCluster(
         compiled, n_nics,
@@ -61,11 +61,36 @@ class TestExecutionConfig:
         assert ExecutionConfig.from_env() is None
 
     def test_from_env_backend_and_workers(self, monkeypatch):
-        monkeypatch.setenv("SUPERFE_EXEC_BACKEND", "thread")
+        monkeypatch.setenv("SUPERFE_EXEC_BACKEND", "process")
         monkeypatch.setenv("SUPERFE_EXEC_WORKERS", "3")
         cfg = ExecutionConfig.from_env()
-        assert cfg.backend == "thread"
+        assert cfg.backend == "process"
         assert cfg.workers == 3
+
+    def test_from_env_removed_thread_backend_rejected(self):
+        with pytest.raises(ValueError, match="unknown execution backend"):
+            ExecutionConfig.from_env({"SUPERFE_EXEC_BACKEND": "thread"})
+
+    @pytest.mark.parametrize("raw", ["", "0", " 0 "])
+    def test_from_env_workers_default_to_cpu_count(self, raw):
+        import os
+        cfg = ExecutionConfig.from_env({"SUPERFE_EXEC_BACKEND": "process",
+                                        "SUPERFE_EXEC_WORKERS": raw})
+        assert cfg.workers == (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("raw", ["-3", "abc", "2.5"])
+    def test_from_env_bad_workers_name_the_variable(self, raw):
+        with pytest.raises(ValueError, match="SUPERFE_EXEC_WORKERS"):
+            ExecutionConfig.from_env({"SUPERFE_EXEC_BACKEND": "process",
+                                      "SUPERFE_EXEC_WORKERS": raw})
+
+    @pytest.mark.parametrize("field", ["workers", "dispatch_batch",
+                                       "max_restarts", "poison_threshold",
+                                       "ring_bytes"])
+    @pytest.mark.parametrize("value", [2.5, True, "4"])
+    def test_count_knobs_must_be_plain_ints(self, field, value):
+        with pytest.raises(TypeError, match=f"{field} must be an int"):
+            ExecutionConfig(**{field: value})
 
     def test_from_env_serial(self, monkeypatch):
         monkeypatch.setenv("SUPERFE_EXEC_BACKEND", "serial")
@@ -77,7 +102,7 @@ class TestExecutionConfig:
 class TestSupervisionConfig:
     def test_supervise_defaults_to_process_backend(self):
         assert ExecutionConfig(backend="process", workers=2).supervised
-        assert not ExecutionConfig(backend="thread", workers=2).supervised
+        assert not ExecutionConfig(backend="serial", workers=2).supervised
         assert not ExecutionConfig().supervised
 
     def test_supervise_opt_out(self):
@@ -87,7 +112,7 @@ class TestSupervisionConfig:
 
     def test_supervise_requires_process_backend(self):
         with pytest.raises(ValueError, match="backend='process'"):
-            ExecutionConfig(backend="thread", workers=2, supervise=True)
+            ExecutionConfig(backend="serial", workers=2, supervise=True)
 
     def test_robustness_knobs_validated(self):
         with pytest.raises(ValueError, match="request_timeout_s"):
@@ -124,12 +149,12 @@ class TestSupervisionConfig:
 class TestExecutorError:
     def test_blame_fields(self):
         exc = ExecutorError("engine exploded", worker=1, shards=(1, 3),
-                            pid=4242, kind="batch", seq=7)
+                            pid=4242, kind="frame", seq=7)
         assert isinstance(exc, RuntimeError)
         assert exc.worker == 1
         assert exc.shards == (1, 3)
         assert exc.pid == 4242
-        assert exc.kind == "batch"
+        assert exc.kind == "frame"
         assert exc.seq == 7
 
     def test_fields_default_none(self):
@@ -200,9 +225,41 @@ class TestShardedCluster:
             dispatch = cluster.counters()["dispatch"]
             assert dispatch["events"] == 64
             assert dispatch["batches"] >= 64 // 8
-            assert dispatch["backend"] == "thread"
+            assert dispatch["backend"] == "serial"
         finally:
             cluster.close()
+
+    def test_float_cells_take_counted_pbatch_fallback(self):
+        """Hand-fed float cells cannot ship as an int64 frame: their
+        chunk crosses as wire rows (``pbatch``), counted, while int
+        chunks stay frames — and the vectors equal the serial
+        cluster's bit for bit."""
+        from repro.bench.parallel import vectors_checksum
+        from repro.nicsim.loadbalance import NICCluster
+        from repro.switchsim.mgpv import MGPVRecord
+        events = []
+        for i in range(48):
+            key = (i % 5,)
+            size = float(i) + 0.25 if 16 <= i < 24 else i
+            events.append(MGPVRecord(
+                cg_key=key, cg_hash32=hash(key) & 0xFFFFFFFF,
+                cells=((0, (size,)), (0, (i + 1,))), reason="evict"))
+        compiled = PolicyCompiler().compile(flow_policy())
+        serial = NICCluster(compiled, 3).run(events)
+        cluster = make_cluster(n_nics=3, workers=1)
+        try:
+            cluster.consume_batch(events)
+            vectors = cluster.finalize()
+            report = cluster.transport_report()
+            assert report["fallback_chunks"] >= 1
+            assert report["frames"] >= 1
+            assert report["fallback_chunks"] + report["frames"] \
+                == cluster.batches_dispatched
+        finally:
+            cluster.close()
+        assert vectors
+        assert vectors_checksum(vectors) \
+            == vectors_checksum(serial.finalize())
 
     def test_fail_guard_messages(self):
         cluster = make_cluster(n_nics=2)
@@ -272,11 +329,11 @@ class TestShardedCluster:
         cluster = make_cluster(n_nics=3, workers=2)
         try:
             health = cluster.health()
-            assert health["backend"] == "thread"
+            assert health["backend"] == "serial"
             assert health["n_workers"] == 2
             assert [w["worker"] for w in health["workers"]] == [0, 1]
             assert all(w["alive"] for w in health["workers"])
-            # Thread backend: no supervisor.
+            # Serial backend: no supervisor.
             assert health["supervision"] is None
         finally:
             cluster.close()

@@ -3,7 +3,10 @@ in-module oracle.
 
 The ten Table 3 policies run on frozen seeded inputs, on the hardware
 path with ``n_nics=4`` and on the software path, each fault-free and
-under a ``link_loss`` schedule.  Every row must reproduce, as SHA-256
+under a ``link_loss`` schedule.  One more policy rides along: the
+direction sequence without its ``ft_sample`` bound, whose vectors are
+ragged and so assemble one by one (``FeatureEngine._vector_parts``), a
+path no Table 3 policy takes.  Every row must reproduce, as SHA-256
 digests recorded in ``golden_policy_vectors.json``:
 
 - the vectors in emission order (key, names, value bits, degraded flag,
@@ -33,16 +36,25 @@ import pytest
 import repro.api as api
 from repro.apps import APP_POLICIES, build_policy
 from repro.core.faults import FaultAction, FaultPlan
+from repro.core.parallel import ExecutionConfig
+from repro.core.policy import pktstream
 from repro.net.trace import generate_trace
-from tests.conftest import inline_sharded
+from tests.conftest import inline_cluster
 
 GOLDEN = Path(__file__).with_name("golden_policy_vectors.json")
 PATH_COUNTERS = ("cells_columnar", "cells_per_cell")
 N_PACKETS = 400
 PATHS = ("hw", "sw")
 FAULTS = ("clean", "link_loss")
-ROWS = [f"{app}/{path}/{fault}" for app, path, fault in product(
-    sorted(APP_POLICIES), PATHS, FAULTS)]
+POLICIES = {app: lambda app=app: build_policy(app)
+            for app in APP_POLICIES}
+POLICIES["ragged"] = lambda: (
+    pktstream().filter("tcp.exist").groupby("flow")
+    .map("one", None, "f_one").map("direction", "one", "f_direction")
+    .reduce("size", ["f_sum"]).reduce("direction", ["f_array"])
+    .collect("flow"))
+ROWS = [f"{policy}/{path}/{fault}" for policy, path, fault in product(
+    sorted(POLICIES), PATHS, FAULTS)]
 
 
 @lru_cache(maxsize=None)
@@ -53,9 +65,12 @@ def packets() -> tuple:
 
 
 def extractor(row: str):
-    app, path, _ = row.split("/")
+    """The row's serial deployment, whatever ``SUPERFE_EXEC_BACKEND``
+    says (the golden pins the serial cluster's counters and tables)."""
+    policy, path, _ = row.split("/")
     kw = dict(software=True) if path == "sw" else dict(n_nics=4)
-    return api.compile(build_policy(app), **kw)
+    return api.compile(POLICIES[policy](), execution=ExecutionConfig(),
+                       **kw)
 
 
 def drive(row: str, dataplane) -> list:
@@ -112,7 +127,8 @@ def run(row: str) -> dict:
 
 
 def run_inline(row: str) -> str:
-    return unordered_digest(drive(row, inline_sharded(extractor(row))))
+    return unordered_digest(
+        drive(row, inline_cluster(extractor(row)).dataplane()))
 
 
 def record_golden() -> dict:
@@ -133,8 +149,8 @@ def test_rows_are_complete(golden):
     assert sorted(golden) == sorted(ROWS)
     # Every row emits, and link loss changes what comes out.
     assert all(g["vectors"] for g in golden.values())
-    for app, path in product(APP_POLICIES, PATHS):
-        clean, lossy = (golden[f"{app}/{path}/{f}"] for f in FAULTS)
+    for policy, path in product(POLICIES, PATHS):
+        clean, lossy = (golden[f"{policy}/{path}/{f}"] for f in FAULTS)
         assert clean["vectors_sha256"] != lossy["vectors_sha256"]
         assert clean["counters_sha256"] != lossy["counters_sha256"]
 

@@ -30,6 +30,7 @@ from repro.core.telemetry import (
     write_jsonl,
 )
 from repro.net.trace import generate_trace
+from tests.conftest import inline_cluster
 
 
 def numpy_bucket_counts(bounds, values):
@@ -337,10 +338,12 @@ class TestEndToEnd:
     LINK = LinkConfig(drop_rate=0.05, drop_kind="sync",
                       retransmit_retries=4, seed=5)
 
-    def run_with(self, **kw):
+    def run_with(self, inline: bool = False, **kw):
         tel = Telemetry(TelemetryConfig(sample_rate=0.0))
         ex = api.compile(flow_policy(), n_nics=3, link_config=self.LINK,
                          telemetry=tel, **kw)
+        if inline:
+            inline_cluster(ex)
         packets = generate_trace("ENTERPRISE", n_flows=60, seed=11)
         result = ex.run(packets)
         snap = result.dataplane.telemetry_snapshot()
@@ -368,10 +371,12 @@ class TestEndToEnd:
         assert serial_totals["retransmits"] > 0
         assert len(serial_result.vectors) == len(proc_result.vectors)
 
-    def test_thread_backend_matches_serial_totals(self):
+    def test_inline_cluster_matches_serial_totals(self):
+        """Worker-side registries on the inline cluster merge into the
+        same totals as the serial run's."""
         _, serial_snap = self.run_with()
-        _, thread_snap = self.run_with(workers=2, backend="thread")
-        assert self.totals(serial_snap) == self.totals(thread_snap)
+        _, inline_snap = self.run_with(inline=True)
+        assert self.totals(serial_snap) == self.totals(inline_snap)
 
     def test_sampling_does_not_change_vectors(self):
         packets = generate_trace("ENTERPRISE", n_flows=40, seed=3)

@@ -29,6 +29,7 @@ from repro.core.transport import (
     shm_available,
 )
 from repro.net.trace import generate_trace
+from tests.conftest import inline_cluster
 
 
 def _segments() -> list[str]:
@@ -210,57 +211,48 @@ class TestShmRing:
 # ---------------------------------------------------------------------------
 
 class TestResolveTransport:
-    def test_non_process_backends_are_legacy(self):
-        for backend in ("serial", "thread"):
-            assert resolve_transport("shm", backend) == "legacy"
-            assert resolve_transport(None, backend, env={}) == "legacy"
-
     def test_explicit_request_wins_over_env(self):
         assert resolve_transport(
-            "oob", "process", env={"SUPERFE_TRANSPORT": "legacy"}) == "oob"
+            "oob", env={"SUPERFE_TRANSPORT": "shm"},
+            probe=lambda: True) == "oob"
 
     def test_env_binds_when_unrequested(self):
         assert resolve_transport(
-            None, "process", env={"SUPERFE_TRANSPORT": "legacy"},
-            probe=lambda: True) == "legacy"
+            None, env={"SUPERFE_TRANSPORT": "oob"},
+            probe=lambda: True) == "oob"
 
     def test_env_rejects_unknown_value(self):
-        with pytest.raises(ValueError, match="SUPERFE_TRANSPORT"):
-            resolve_transport(None, "process",
-                              env={"SUPERFE_TRANSPORT": "carrier-pigeon"})
+        for raw in ("carrier-pigeon", "legacy"):
+            with pytest.raises(ValueError, match="SUPERFE_TRANSPORT"):
+                resolve_transport(None, env={"SUPERFE_TRANSPORT": raw})
 
     def test_auto_probes_shm(self):
-        assert resolve_transport(None, "process", env={},
-                                 probe=lambda: True) == "shm"
+        assert resolve_transport(None, env={}, probe=lambda: True) == "shm"
 
     def test_degrade_warns_exactly_once(self, monkeypatch):
         monkeypatch.setattr(transport_mod, "_degrade_warned", False)
         with pytest.warns(RuntimeWarning, match="degrades"):
-            assert resolve_transport(None, "process", env={},
+            assert resolve_transport(None, env={},
                                      probe=lambda: False) == "oob"
         with warnings.catch_warnings():
             warnings.simplefilter("error")     # a second warning fails
-            assert resolve_transport(None, "process", env={},
+            assert resolve_transport(None, env={},
                                      probe=lambda: False) == "oob"
 
 
 class TestExecutionConfigTransport:
     def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError, match="unknown shard transport"):
-            ExecutionConfig(backend="process", workers=2,
-                            transport="telepathy")
+        for transport in ("telepathy", "legacy"):
+            with pytest.raises(ValueError,
+                               match="unknown shard transport"):
+                ExecutionConfig(backend="process", workers=2,
+                                transport=transport)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
     @pytest.mark.parametrize("transport", ["shm", "oob"])
-    def test_wire_transports_need_process_backend(self, backend,
-                                                  transport):
+    def test_wire_transports_need_process_backend(self, transport):
         with pytest.raises(ValueError, match="backend='process'"):
-            ExecutionConfig(backend=backend, workers=2,
+            ExecutionConfig(backend="serial", workers=2,
                             transport=transport)
-
-    def test_legacy_allowed_everywhere(self):
-        assert ExecutionConfig(backend="thread", workers=2,
-                               transport="legacy").transport == "legacy"
 
     def test_ring_bytes_floor(self):
         with pytest.raises(ValueError, match="ring_bytes"):
@@ -275,9 +267,9 @@ class TestExecutionConfigTransport:
 
     def test_from_env_transport_ignored_off_process(self):
         """The CI matrix exports SUPERFE_TRANSPORT suite-wide; the
-        thread/serial legs must not trip over it."""
+        serial leg must not trip over it."""
         cfg = ExecutionConfig.from_env(env={
-            "SUPERFE_EXEC_BACKEND": "thread",
+            "SUPERFE_EXEC_BACKEND": "serial",
             "SUPERFE_TRANSPORT": "oob"})
         assert cfg.transport is None
 
@@ -328,12 +320,11 @@ class TestTransportEndToEnd:
             assert kinds.get("frame", 0) == report["frames"]
             # The proof proper: zero pickled per-event payloads.
             assert kinds.get("pbatch", 0) == 0
-            assert kinds.get("batch", 0) == 0
             assert report["fallback_chunks"] == 0
         finally:
             ex.close()
 
-    @pytest.mark.parametrize("transport", ["oob", "legacy"])
+    @pytest.mark.parametrize("transport", ["oob"])
     def test_fallback_transports_stay_equivalent(self, trace, transport):
         packets, serial_sum = trace
         ex, result = _run_parallel(
@@ -343,10 +334,22 @@ class TestTransportEndToEnd:
             assert vectors_checksum(result.vectors) == serial_sum
             report = result.engine.transport_report()
             assert report["mode"] == transport
-            if transport == "oob":
-                assert report["queue_message_kinds"].get("oframe", 0) > 0
+            assert report["queue_message_kinds"].get("oframe", 0) > 0
+            assert report["queue_message_kinds"].get("pbatch", 0) == 0
         finally:
             ex.close()
+
+    def test_inline_cluster_ships_frames_in_memory(self, trace):
+        """The serial backend's inline cluster runs the same wire: every
+        chunk is an encoded frame handed over as an ``oob`` payload."""
+        packets, serial_sum = trace
+        result = inline_cluster(
+            api.compile(scaling_policy(), n_nics=4)).run(packets)
+        assert vectors_checksum(result.vectors) == serial_sum
+        report = result.engine.transport_report()
+        assert report["mode"] == "oob"
+        assert report["frames"] == result.engine.batches_dispatched > 0
+        assert report["fallback_chunks"] == 0
 
     def test_pool_persists_across_runs(self, trace):
         """Satellite: the worker pool (and its rings) is spawned once
@@ -451,4 +454,4 @@ class TestSegmentHygiene:
 
 
 def test_transports_constant_is_closed():
-    assert TRANSPORTS == ("shm", "oob", "legacy")
+    assert TRANSPORTS == ("shm", "oob")

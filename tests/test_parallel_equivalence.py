@@ -7,8 +7,9 @@ mid-trace.
 Only inter-shard wall-clock interleaving may differ between backends;
 every per-shard event sequence is the serial one, so the comparison is
 exact equality of sorted vector bytes, not a tolerance check.  The
-hypothesis sweep runs the thread backend (cheap to spin up per example);
-fixed cases cover the process backend end to end.
+hypothesis sweep runs the inline sharded cluster (the process backend's
+dispatch, frame codec and worker driver, with nothing forked per
+example); fixed cases cover the process backend end to end.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.core.faults import FaultAction, FaultPlan
 from repro.core.observe import degradation_report
 from repro.net.trace import generate_trace
 from repro.switchsim.mgpv import MGPVConfig
+from tests.conftest import inline_cluster
 
 #: Reducers whose results are bit-exact regardless of update batching
 #: (same set as tests/test_property_equivalence.py).
@@ -81,14 +83,14 @@ def packets():
 
 @given(spec=policy_strategy, n_nics=st.sampled_from([2, 3]))
 @settings(max_examples=20, deadline=None)
-def test_serial_thread_equivalence_random_policies(spec, n_nics,
+def test_serial_inline_equivalence_random_policies(spec, n_nics,
                                                    packets):
     policy = build(*spec)
     serial = api.compile(policy, n_nics=n_nics).run(packets)
-    threaded = api.compile(policy, n_nics=n_nics, workers=2,
-                           backend="thread").run(packets)
-    assert_identical(serial, threaded)
-    assert cluster_counters(serial) == cluster_counters(threaded)
+    inline = inline_cluster(api.compile(policy, n_nics=n_nics)).run(
+        packets)
+    assert_identical(serial, inline)
+    assert cluster_counters(serial) == cluster_counters(inline)
 
 
 class TestProcessBackend:
@@ -108,7 +110,7 @@ class TestProcessBackend:
                                backend="process").run(packets)
         assert_identical(serial, parallel)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["inline", "process"])
     def test_chaos_nic_kill_identical(self, packets, backend):
         """The failover path — re-route, FG-mirror resync, residual
         reconciliation — produces the same degraded vectors and the
@@ -121,9 +123,13 @@ class TestProcessBackend:
         config = MGPVConfig(n_short=32, n_long=16)
         serial = api.compile(policy, n_nics=3, mgpv_config=config,
                              fault_plan=plan).run(packets)
-        parallel = api.compile(policy, n_nics=3, mgpv_config=config,
-                               fault_plan=plan, workers=3,
-                               backend=backend).run(packets)
+        kw = {} if backend == "inline" else {"workers": 3,
+                                             "backend": backend}
+        with api.compile(policy, n_nics=3, mgpv_config=config,
+                         fault_plan=plan, **kw) as ex:
+            if backend == "inline":
+                inline_cluster(ex, workers=3)
+            parallel = ex.run(packets)
         assert_identical(serial, parallel)
         assert any(v.degraded for v in parallel.vectors)
         assert cluster_counters(serial) == cluster_counters(parallel)
