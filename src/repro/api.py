@@ -479,8 +479,7 @@ class Extractor:
             vectors=vectors,
             feature_names=self.compiled.feature_names,
             switch_stats=dataplane.switch.stats,
-            engine=(dataplane.cluster if dataplane.cluster is not None
-                    else dataplane.engine),
+            engine=dataplane.cluster or dataplane.engine,
             compiled=self.compiled,
             dataplane=dataplane,
         )

@@ -25,6 +25,7 @@ the component that physically carries them.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from time import perf_counter_ns
@@ -49,6 +50,7 @@ from repro.streaming.hyperloglog import hash_key
 from repro.switchsim.filter import FilterStage
 from repro.switchsim.mgpv import (
     CacheStats,
+    EventBatch,
     FGSync,
     MGPVCache,
     MGPVConfig,
@@ -101,28 +103,41 @@ class LinkConfig:
     retransmit_request_bytes: int = 8   # NIC->switch request message size
 
     def __post_init__(self) -> None:
+        for name in ("batch_records", "batch_header_bytes",
+                     "capacity_records", "seed", "retransmit_retries",
+                     "retransmit_request_bytes"):
+            value = getattr(self, name)
+            if type(value) is not int and not (
+                    value is None and name == "capacity_records"):
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if self.batch_records < 1:
             raise ValueError("batch_records must be >= 1")
         if not 0.0 <= self.drop_rate <= 1.0:
             raise ValueError("drop_rate must be in [0, 1]")
         if self.drop_kind not in ("any", "sync", "record"):
             raise ValueError(f"unknown drop_kind {self.drop_kind!r}")
-        if self.bandwidth_gbps <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not (math.isfinite(self.bandwidth_gbps)
+                and self.bandwidth_gbps > 0):
+            raise ValueError(f"bandwidth must be finite and positive, "
+                             f"got {self.bandwidth_gbps}")
         if self.capacity_records is not None and self.capacity_records < 1:
             raise ValueError(f"capacity_records must be >= 1 when set, "
                              f"got {self.capacity_records}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.retransmit_retries < 0:
-            raise ValueError(f"retransmit_retries must be >= 0, "
-                             f"got {self.retransmit_retries}")
-        if self.retransmit_backoff_ns < 0:
-            raise ValueError(f"retransmit_backoff_ns must be >= 0, "
-                             f"got {self.retransmit_backoff_ns}")
-        if self.retransmit_request_bytes < 0:
-            raise ValueError(f"retransmit_request_bytes must be >= 0, "
-                             f"got {self.retransmit_request_bytes}")
+        for name in ("batch_header_bytes", "seed", "retransmit_retries",
+                     "retransmit_backoff_ns", "retransmit_request_bytes"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, "
+                                 f"got {getattr(self, name)}")
+
+
+#: The ledger :meth:`SwitchNICLink.counters` reports besides queue depth.
+_LINK_COUNTERS = (
+    "records_in", "syncs_in", "records_out", "syncs_out", "cells_out",
+    "record_bytes", "sync_bytes", "batch_overhead_bytes", "bytes_out",
+    "batches_out", "drops_injected", "drops_fault", "drops_backpressure",
+    "seq_sent", "gaps_detected", "seqs_lost", "retransmit_requests",
+    "retransmits_ok", "retransmits_exhausted", "retransmit_bytes",
+    "retransmit_backoff_ns")
 
 
 class SwitchNICLink:
@@ -166,31 +181,10 @@ class SwitchNICLink:
         self._fault_rng = None
         self._capacity_clamp: int | None = None
         self._pending_gap = 0
-        self.records_in = 0
-        self.syncs_in = 0
-        self.records_out = 0
-        self.syncs_out = 0
-        self.cells_out = 0
-        self.record_bytes = 0
-        self.sync_bytes = 0
-        self.batch_overhead_bytes = 0
-        self.bytes_out = 0
-        self.batches_out = 0
-        self.drops_injected = 0
-        self.drops_fault = 0
-        self.drops_backpressure = 0
-        self.busy_ns = 0.0
-        self.seq_sent = 0
-        self.gaps_detected = 0
-        self.seqs_lost = 0
-        self.retransmit_requests = 0
-        self.retransmits_ok = 0
-        self.retransmits_exhausted = 0
-        self.retransmit_bytes = 0
-        self.retransmit_backoff_ns = 0.0
+        for name in _LINK_COUNTERS:
+            setattr(self, name, 0)
+        self.busy_ns = self.retransmit_backoff_ns = 0.0
         # Telemetry instruments (attach_telemetry); None = not attached.
-        # The lossless per-record fast path in consume() stays untouched
-        # either way — these only fire on the queued/recovery paths.
         self._t_tracer = None
         self._t_retx_attempts = None
         self._t_batch_bytes = None
@@ -249,35 +243,11 @@ class SwitchNICLink:
     # -- stage protocol --------------------------------------------------------
 
     def consume(self, event) -> tuple:
-        is_sync = isinstance(event, FGSync)
-        if is_sync:
+        if isinstance(event, FGSync):
             self.syncs_in += 1
         else:
             self.records_in += 1
         self.seq_sent += 1
-        if (self._rng is None and self._fault_rng is None
-                and self.config.batch_records == 1
-                and self._capacity_clamp is None
-                and self.config.capacity_records is None
-                and not self._queue and not self._pending_gap):
-            # Lossless per-record channel (the default): the event is its
-            # own batch, so account and forward it without the queue
-            # round-trip — byte-for-byte the _transmit() accounting.
-            cfg = self.config
-            wire_bytes = event.wire_bytes(self.wire)
-            self.batches_out += 1
-            self.batch_overhead_bytes += cfg.batch_header_bytes
-            if is_sync:
-                self.syncs_out += 1
-                self.sync_bytes += wire_bytes
-            else:
-                self.records_out += 1
-                self.cells_out += len(event.cells)
-                self.record_bytes += wire_bytes
-            batch_bytes = cfg.batch_header_bytes + wire_bytes
-            self.bytes_out += batch_bytes
-            self.busy_ns += batch_bytes * 8 / cfg.bandwidth_gbps
-            return (event,)
         cause = self._dropped(event)
         if cause is not None:
             if cause == "fault":
@@ -301,46 +271,51 @@ class SwitchNICLink:
             return self._transmit()
         return ()
 
-    def consume_batch(self, events) -> list:
-        """Carry a whole event slice across the channel, returning every
-        delivered event in order (the columnar path's one call per
-        slice; accounting is per event, exactly as :meth:`consume`)."""
-        consume = self.consume
-        delivered: list = []
-        for event in events:
-            out = consume(event)
-            if out:
-                delivered.extend(out)
-        return delivered
+    def consume_batch(self, events) -> EventBatch | list:
+        """Carry a whole event slice across the channel, returning the
+        delivered events in order.  The lossless per-record channel
+        delivers the whole :class:`EventBatch`, accounted as arithmetic
+        on its tables (``busy_ns`` summed in event order, bit for bit);
+        any other channel state walks the events through :meth:`consume`."""
+        batch = EventBatch.of(events)
+        cfg, wire = self.config, self.wire
+        if not (self._rng is None and self._fault_rng is None
+                and cfg.batch_records == 1 and self._capacity_clamp is None
+                and cfg.capacity_records is None
+                and not self._queue and not self._pending_gap):
+            return [out for event in batch for out in self.consume(event)]
+        # Every event is its own DMA batch: _transmit()'s accounting.
+        n, n_rec = len(batch), len(batch.rec_pos)
+        sizes = np.full(n, 2 + wire.fg_key_bytes, np.int64)
+        sizes[batch.rec_pos] = (wire.record_header_bytes + wire.cg_key_bytes
+                                + batch.rec_len * wire.cell_bytes)
+        record_bytes = int(sizes[batch.rec_pos].sum())
+        self.records_in += n_rec
+        self.records_out += n_rec
+        self.syncs_in += n - n_rec
+        self.syncs_out += n - n_rec
+        self.seq_sent += n
+        self.batches_out += n
+        self.batch_overhead_bytes += n * cfg.batch_header_bytes
+        self.cells_out += int(batch.rec_len.sum())
+        self.record_bytes += record_bytes
+        self.sync_bytes += int(sizes.sum()) - record_bytes
+        sizes += cfg.batch_header_bytes
+        self.bytes_out += int(sizes.sum())
+        self.busy_ns = float(np.add.accumulate(np.concatenate((
+            [self.busy_ns], sizes * 8 / cfg.bandwidth_gbps)))[-1])
+        if self._t_batch_bytes is not None:
+            for size in sizes.tolist():
+                self._t_batch_bytes.observe(size)
+        return batch
 
     def flush(self) -> tuple:
         return self._transmit()
 
     def counters(self) -> dict:
-        return {
-            "records_in": self.records_in,
-            "syncs_in": self.syncs_in,
-            "records_out": self.records_out,
-            "syncs_out": self.syncs_out,
-            "cells_out": self.cells_out,
-            "record_bytes": self.record_bytes,
-            "sync_bytes": self.sync_bytes,
-            "batch_overhead_bytes": self.batch_overhead_bytes,
-            "bytes_out": self.bytes_out,
-            "batches_out": self.batches_out,
-            "drops_injected": self.drops_injected,
-            "drops_fault": self.drops_fault,
-            "drops_backpressure": self.drops_backpressure,
-            "queue_depth": len(self._queue),
-            "seq_sent": self.seq_sent,
-            "gaps_detected": self.gaps_detected,
-            "seqs_lost": self.seqs_lost,
-            "retransmit_requests": self.retransmit_requests,
-            "retransmits_ok": self.retransmits_ok,
-            "retransmits_exhausted": self.retransmits_exhausted,
-            "retransmit_bytes": self.retransmit_bytes,
-            "retransmit_backoff_ns": self.retransmit_backoff_ns,
-        }
+        counters = {name: getattr(self, name) for name in _LINK_COUNTERS}
+        counters["queue_depth"] = len(self._queue)
+        return counters
 
     # -- channel model ---------------------------------------------------------
 
@@ -351,29 +326,19 @@ class SwitchNICLink:
             return isinstance(event, MGPVRecord)
         return True
 
-    def _dropped(self, event) -> str | None:
-        """Which loss process (if any) claims this transmission."""
+    def _dropped(self, event, retry_rng=None) -> str | None:
+        """Which loss process (if any) claims this transmission; a
+        retransmission crosses the same processes with ``retry_rng``'s
+        draws."""
         if self._rng is not None \
                 and self._kind_matches(self.config.drop_kind, event) \
-                and self._rng.random() < self.config.drop_rate:
+                and (retry_rng or self._rng).random() < self.config.drop_rate:
             return "config"
         if self._fault_rng is not None \
                 and self._kind_matches(self._fault_kind, event) \
-                and self._fault_rng.random() < self._fault_rate:
+                and (retry_rng or self._fault_rng).random() < self._fault_rate:
             return "fault"
         return None
-
-    def _retry_lost(self, event) -> bool:
-        """One retransmission crossing the same lossy channel."""
-        if self._rng is not None \
-                and self._kind_matches(self.config.drop_kind, event) \
-                and self._retry_rng.random() < self.config.drop_rate:
-            return True
-        if self._fault_rng is not None \
-                and self._kind_matches(self._fault_kind, event) \
-                and self._retry_rng.random() < self._fault_rate:
-            return True
-        return False
 
     def _recover(self, event) -> bool:
         """Bounded retransmit-request loop for a lost FG sync.  The NIC
@@ -402,7 +367,7 @@ class SwitchNICLink:
             self.retransmit_bytes += cfg.retransmit_request_bytes
             self.retransmit_backoff_ns += backoff
             self.busy_ns += backoff
-            if not self._retry_lost(event):
+            if self._dropped(event, self._retry_rng) is None:
                 self.retransmits_ok += 1
                 if self._t_retx_attempts is not None:
                     self._t_retx_attempts.observe(attempt + 1)
@@ -545,89 +510,8 @@ class PerfectSwitch:
 
 
 # ---------------------------------------------------------------------------
-# Sink adapters
+# The switch-side-only sink (the engine and both clusters are their own)
 # ---------------------------------------------------------------------------
-
-class EngineSink:
-    """Terminal stage over a single :class:`FeatureEngine`."""
-
-    name = "engine"
-
-    def __init__(self, engine: FeatureEngine) -> None:
-        self.engine = engine
-        self._pv_cursor = 0
-
-    def attach_telemetry(self, telemetry: Telemetry) -> None:
-        self.engine.attach_telemetry(telemetry)
-
-    def consume(self, event) -> tuple:
-        self.engine.consume(event)
-        return ()
-
-    def consume_batch(self, events) -> tuple:
-        self.engine.consume_batch(events)
-        return ()
-
-    def flush(self) -> tuple:
-        return ()
-
-    def counters(self) -> dict:
-        return self.engine.counters()
-
-    def finalize(self) -> list[FeatureVector]:
-        return self.engine.finalize()
-
-    def advance_clock(self, now_ns: int) -> None:
-        self.engine.advance_clock(now_ns)
-
-    def take_packet_vectors(self) -> list[FeatureVector]:
-        """Per-packet vectors produced since the last take."""
-        vectors = self.engine.packet_vectors
-        new = list(vectors[self._pv_cursor:])
-        self._pv_cursor = len(vectors)
-        return new
-
-
-class ClusterSink:
-    """Terminal stage over a :class:`NICCluster` (§8.5 scale-out)."""
-
-    name = "cluster"
-
-    def __init__(self, cluster: NICCluster) -> None:
-        self.cluster = cluster
-        self._pv_cursors = [0] * len(cluster.engines)
-
-    def attach_telemetry(self, telemetry: Telemetry) -> None:
-        self.cluster.attach_telemetry(telemetry)
-
-    def consume(self, event) -> tuple:
-        self.cluster.consume(event)
-        return ()
-
-    def consume_batch(self, events) -> tuple:
-        self.cluster.consume_batch(events)
-        return ()
-
-    def flush(self) -> tuple:
-        return ()
-
-    def counters(self) -> dict:
-        return self.cluster.counters()
-
-    def finalize(self) -> list[FeatureVector]:
-        return self.cluster.finalize()
-
-    def advance_clock(self, now_ns: int) -> None:
-        self.cluster.advance_clock(now_ns)
-
-    def take_packet_vectors(self) -> list[FeatureVector]:
-        new: list[FeatureVector] = []
-        for i, engine in enumerate(self.cluster.engines):
-            vectors = engine.packet_vectors
-            new.extend(vectors[self._pv_cursors[i]:])
-            self._pv_cursors[i] = len(vectors)
-        return new
-
 
 class NullSink:
     """Event sink for switch-side-only measurements (Fig 12 benches):
@@ -649,8 +533,10 @@ class NullSink:
         return ()
 
     def consume_batch(self, events) -> tuple:
-        for event in events:
-            self.consume(event)
+        batch = EventBatch.of(events)
+        self.records += len(batch.rec_pos)
+        self.syncs += len(batch.sync_pos)
+        self.cells += int(batch.rec_len.sum())
         return ()
 
     def flush(self) -> tuple:
@@ -687,7 +573,7 @@ class Dataplane:
     def __init__(self, filter_stage: FilterStage,
                  switch: MGPVCache | PerfectSwitch,
                  link: SwitchNICLink,
-                 sink: EngineSink | ClusterSink | ShardedCluster | NullSink,
+                 sink: FeatureEngine | NICCluster | ShardedCluster | NullSink,
                  compiled: CompiledPolicy,
                  trace: Trace | None = None,
                  telemetry: Telemetry | None = None) -> None:
@@ -787,17 +673,16 @@ class Dataplane:
                              table_indices=table_indices,
                              table_width=table_width)
         if not compute:
-            sink: EngineSink | ClusterSink | ShardedCluster | NullSink = \
+            sink: FeatureEngine | NICCluster | ShardedCluster | NullSink = \
                 NullSink()
         elif n_nics > 1:
             if execution is not None and execution.is_parallel:
                 sink = ShardedCluster(compiled, n_nics, execution,
                                       pool=pool, **engine_kwargs)
             else:
-                sink = ClusterSink(NICCluster(compiled, n_nics,
-                                              **engine_kwargs))
+                sink = NICCluster(compiled, n_nics, **engine_kwargs)
         else:
-            sink = EngineSink(FeatureEngine(compiled, **engine_kwargs))
+            sink = FeatureEngine(compiled, **engine_kwargs)
         dataplane = cls(filter_stage, switch, link, sink, compiled,
                         trace=trace, telemetry=telemetry)
         if fault_plan is not None:
@@ -813,16 +698,12 @@ class Dataplane:
 
     @property
     def engine(self) -> FeatureEngine | None:
-        return self.sink.engine if isinstance(self.sink, EngineSink) \
-            else None
+        return self.sink if isinstance(self.sink, FeatureEngine) else None
 
     @property
     def cluster(self) -> NICCluster | ShardedCluster | None:
-        if isinstance(self.sink, ShardedCluster):
-            return self.sink
-        if isinstance(self.sink, ClusterSink):
-            return self.sink.cluster
-        return None
+        return (self.sink if isinstance(self.sink, (NICCluster, ShardedCluster))
+                else None)
 
     @property
     def aggregation_ratio_bytes(self) -> float:
@@ -996,21 +877,14 @@ class Dataplane:
         tap = self.trace
         with span:
             for i, stage in enumerate(self.stages):
-                frontier = list(stage.flush())
+                frontier = stage.flush()
                 for nxt in self.stages[i + 1:]:
                     if not frontier:
                         break
                     if tap is not None:
                         for event in frontier:
                             tap(nxt.name, event)
-                    batch_consume = getattr(nxt, "consume_batch", None)
-                    if batch_consume is not None:
-                        frontier = list(batch_consume(frontier))
-                    else:
-                        produced: list = []
-                        for event in frontier:
-                            produced.extend(nxt.consume(event))
-                        frontier = produced
+                    frontier = nxt.consume_batch(frontier)
             return self.sink.finalize()
 
     def snapshot(self) -> list[FeatureVector]:

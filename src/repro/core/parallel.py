@@ -104,15 +104,13 @@ from repro.core.transport import (
     TRANSPORTS,
     ShmRing,
     apply_frame,
+    apply_rows,
     encode_rows,
     resolve_transport,
+    rows_to_events,
 )
 from repro.nicsim.engine import EngineStats, FeatureEngine, FeatureVector
-from repro.nicsim.loadbalance import (
-    reconcile_residual,
-    route_shard,
-    route_syncs,
-)
+from repro.nicsim.loadbalance import ClusterBase, reconcile_residual
 from repro.switchsim.mgpv import Event, FGSync, MGPVRecord
 
 BACKENDS = ("serial", "process")
@@ -320,31 +318,6 @@ class ExecutionConfig:
 # Worker side
 # ---------------------------------------------------------------------------
 
-def _rows_to_events(rows):
-    """Yield ``(shard, event)`` per compact wire row, rebuilding the
-    event objects the serial cluster consumes.  Tag 0 = MGPVRecord row
-    (shard, 0, cg_key, cg_hash32, cells, reason); tag 1 = FGSync row
-    (shard, 1, index, key); tag 2 = columnar MGPVRecord block (shard,
-    2, cg_key, cg_hash32, fg_col, meta_cols, reason) — the cells
-    transposed into one fg-index column plus per-field metadata
-    columns.  The one interpreter behind the driver's ``pbatch``
-    fallback and poison salvage."""
-    for row in rows:
-        tag = row[1]
-        if tag == 0:
-            event = MGPVRecord(row[2], row[3], row[4], row[5])
-        elif tag == 2:
-            fg_col, meta_cols = row[4], row[5]
-            if meta_cols:
-                cells = tuple(zip(fg_col, zip(*meta_cols)))
-            else:
-                cells = tuple((fg, ()) for fg in fg_col)
-            event = MGPVRecord(row[2], row[3], cells, row[6])
-        else:
-            event = FGSync(row[2], row[3])
-        yield row[0], event
-
-
 class _ShardDriver:
     """Executes the coordinator's messages against this worker's
     engines.  One instance per worker; shared verbatim by both backends
@@ -359,7 +332,6 @@ class _ShardDriver:
         self.ring = ring
         self.engines = {s: FeatureEngine(compiled, ctx=ctx, **engine_kwargs)
                         for s in shards}
-        self._pv_cursors = {s: 0 for s in shards}
         self.telemetry = None
         self._slow_factor = 1.0
 
@@ -390,8 +362,7 @@ class _ShardDriver:
                 apply_frame(msg[2], self.engines)
             else:
                 ctx = msg[3] if len(msg) > 3 else None
-                for shard, event in _rows_to_events(msg[2]):
-                    self.engines[shard].consume(event)
+                apply_rows(msg[2], self.engines)
             if tracing and ctx is not None:
                 # Worker-side stage span: the batch's engine work,
                 # stitched to the coordinator's dispatch span through
@@ -418,12 +389,8 @@ class _ShardDriver:
         if kind == "stats":
             return True, {s: e.stats for s, e in self.engines.items()}
         if kind == "take_pkt":
-            out = {}
-            for s, e in self.engines.items():
-                vectors = e.packet_vectors
-                out[s] = list(vectors[self._pv_cursors[s]:])
-                self._pv_cursors[s] = len(vectors)
-            return True, out
+            return True, {s: e.take_packet_vectors()
+                          for s, e in self.engines.items()}
         if kind == "finalize":
             return True, {s: e.finalize() for s, e in self.engines.items()}
         if kind == "barrier":
@@ -469,7 +436,6 @@ class _ShardDriver:
                 s: FeatureEngine(self._compiled, ctx=self._ctx,
                                  **self._engine_kwargs)
                 for s in shards}
-            self._pv_cursors = {s: 0 for s in shards}
             self._slow_factor = 1.0
             if self.ring is not None:
                 self.ring.reset_consumer(msg[2])
@@ -1136,7 +1102,7 @@ class ShardSupervisor:
     def _quarantine(self, worker: int, seq: int) -> None:
         entry = self.journals[worker][seq]
         entry.quarantined = True
-        events = [event for _shard, event in _rows_to_events(entry.payload)]
+        events = [event for _shard, event in rows_to_events(entry.payload)]
         engine = self._ensure_poison_engine()
         salvaged = failed = 0
         cg_keys = set()
@@ -1149,7 +1115,7 @@ class ShardSupervisor:
                 except Exception:
                     pass
             try:
-                engine.consume(event)
+                engine.consume_batch([event])
                 salvaged += 1
             except Exception:
                 failed += 1
@@ -1227,13 +1193,11 @@ class _ShardEngineProxy:
                 f"of {self._cluster!r}>")
 
 
-class ShardedCluster:
+class ShardedCluster(ClusterBase):
     """A :class:`~repro.nicsim.loadbalance.NICCluster` whose engines run
     on a worker pool.  API-compatible with the serial cluster (routing,
     failover ledger, counters, ``engines[i].stats``), bit-identical in
     its outputs; see the module docstring for the argument."""
-
-    name = "cluster"
 
     def __init__(self, compiled: CompiledPolicy, n_nics: int,
                  execution: ExecutionConfig,
@@ -1243,20 +1207,10 @@ class ShardedCluster:
         # Imported lazily: core.batch pulls in core.pipeline, which is
         # still mid-import when dataplane loads this module.
         from repro.core.batch import AdaptiveBatcher, Batcher
-        if n_nics < 1:
-            raise ValueError("need at least one NIC")
-        self.compiled = compiled
-        self.n_nics = n_nics
+        super().__init__(compiled, n_nics)
         self.execution = execution
         self._ctx = ctx
         self._engine_kwargs = dict(engine_kwargs)
-        self.alive = [True] * n_nics
-        self.failovers = 0
-        self.restarts = 0
-        self.rerouted_events = 0
-        self.fg_resyncs = 0
-        self.demoted_vectors = 0
-        self._residual: list[FeatureVector] = []
         # Coordinator-side replica of each engine's FG mirror: what the
         # control plane replays to survivors on failover (the engine's
         # own mirror dies with its worker on the process backend).
@@ -1305,10 +1259,6 @@ class ShardedCluster:
                               for _ in range(self.n_workers)]
         self.batches_dispatched = 0
         self.events_dispatched = 0
-        # Steering memo, as in the serial cluster: route_shard per key
-        # is fixed while the live set is stable; dropped on liveness
-        # changes (bounded, cleared on overflow).
-        self._route_cache: dict[tuple, tuple[int, bool]] = {}
         self._stats_cache = {s: EngineStats() for s in range(n_nics)}
         self._final_vectors: list[FeatureVector] | None = None
         self._closed = False
@@ -1325,7 +1275,6 @@ class ShardedCluster:
         self._t_batches = None
         self._t_events = None
         self._t_chunk_events = None
-        self._t_failovers = None
         self._t_tbytes = None
         self._t_tframes = None
         self._t_fallback = None
@@ -1428,68 +1377,62 @@ class ShardedCluster:
         excerpts (each event carries its pid)."""
         return flightrec.snapshot() + list(self._worker_flight)
 
-    # -- routing & dispatch ---------------------------------------------------
-
-    def _route(self, cg_key: tuple,
-               hash32: int | None = None) -> int:
-        cached = self._route_cache.get(cg_key)
-        if cached is None:
-            if len(self._route_cache) >= 1 << 17:
-                self._route_cache.clear()
-            cached = route_shard(cg_key, self.alive, hash32)
-            self._route_cache[cg_key] = cached
-        shard, rerouted = cached
-        if rerouted:
-            self.rerouted_events += 1
-        return shard
-
     # -- sink protocol (the dataplane's terminal stage) -----------------------
 
     def consume(self, event: Event) -> tuple:
         if self._closed:
             raise RuntimeError("cluster is closed")
         if isinstance(event, FGSync):
-            cg_key = self.compiled.cg.project(event.key)
-            shard = self._route(cg_key)
+            shard = self._route(self.compiled.cg.project(event.key))
             self._mirrors[shard][event.index] = event.key
-            row = (shard, 1, event.index, event.key)
+            self._post_row((shard, 1, event.index, event.key))
         elif isinstance(event, MGPVRecord):
-            shard = self._route(event.cg_key, event.cg_hash32)
-            if len(event.cells) > 1:
-                # Columnar wire block: transpose the cells once here so
-                # the frame carries flat int columns (tag 2).
-                fg_col = tuple(cell[0] for cell in event.cells)
-                meta_cols = tuple(zip(*(cell[1] for cell in event.cells)))
-                row = (shard, 2, event.cg_key, event.cg_hash32,
-                       fg_col, meta_cols, event.reason)
-            else:
-                row = (shard, 0, event.cg_key, event.cg_hash32,
-                       event.cells, event.reason)
+            # A columnar wire block (tag 2): the cells transposed into an
+            # FG-index column and one column per metadata field.
+            self._post_row((
+                self._route(event.cg_key, event.cg_hash32), 2, event.cg_key,
+                event.cg_hash32, tuple(cell[0] for cell in event.cells),
+                tuple(zip(*(cell[1] for cell in event.cells))), event.reason))
         else:
             raise TypeError(f"unknown event {event!r}")
+        return ()
+
+    def consume_batch(self, events) -> tuple:
+        """Route a slice from its record and sync tables (one
+        :func:`~repro.nicsim.loadbalance.steer` each) and post its wire
+        rows in stream order — as :meth:`consume` would, with each
+        record's cells cut from the batch's cell columns."""
+        if self._closed:
+            raise RuntimeError("cluster is closed")
+        batch, rec_shard, sync_shard = self._steer(events)
+        fg = batch.cell_fg.tolist()
+        metas = [col.tolist() for col in batch.cell_meta]
+        keys, reasons = batch.keys, batch.reasons
+        rows = [None] * len(batch)
+        for pos, shard, key, hash32, reason, s, n in zip(*(
+                a.tolist() for a in (batch.rec_pos, rec_shard, batch.rec_key,
+                                     batch.rec_hash, batch.rec_reason,
+                                     batch.rec_start, batch.rec_len))):
+            rows[pos] = (shard, 2, keys[key], hash32, tuple(fg[s:s + n]),
+                         tuple(tuple(col[s:s + n]) for col in metas),
+                         reasons[reason])
+        for pos, shard, index, key in zip(
+                batch.sync_pos.tolist(), sync_shard.tolist(),
+                batch.sync_index.tolist(),
+                map(batch.keys.__getitem__, batch.sync_key.tolist())):
+            self._mirrors[shard][index] = key
+            rows[pos] = (shard, 1, index, key)
+        for row in rows:
+            self._post_row(row)
+        return ()
+
+    def _post_row(self, row: tuple) -> None:
+        shard = row[0]
         self._shard_events[shard] += 1
         worker = self._owner[shard]
         chunk = self._batchers[worker].add(row)
         if chunk is not None:
             self._dispatch(worker, chunk)
-        return ()
-
-    def consume_batch(self, events) -> tuple:
-        """:meth:`consume` per event, with the slice's new-flow sync
-        routes resolved in one vectorised hash sweep first."""
-        route_syncs(events, self.compiled.cg.project, self._route_cache,
-                    self.alive)
-        for event in events:
-            self.consume(event)
-        return ()
-
-    def flush(self) -> tuple:
-        return ()
-
-    def run(self, events) -> "ShardedCluster":
-        for event in events:
-            self.consume(event)
-        return self
 
     def _op_deadline(self) -> float:
         """The monotonic deadline for one worker operation: the request
@@ -1871,17 +1814,8 @@ class ShardedCluster:
         crash request rides the same FIFO), the residual vectors come
         back to the coordinator, and the coordinator's mirror replica
         replays to the survivors through the normal routing path."""
-        self._check_nic(nic)
-        if not self.alive[nic]:
-            raise ValueError(f"NIC {nic} is already dead")
-        if sum(self.alive) == 1:
-            raise ValueError("cannot fail the last live NIC")
         self._flush_dispatch()
-        self.alive[nic] = False
-        self._route_cache.clear()
-        self.failovers += 1
-        if self._t_failovers is not None:
-            self._t_failovers.inc()
+        self._mark_dead(nic)
         residual = self._sync_request(self._owner[nic], ("crash", nic),
                                       journal=True)
         self._residual.extend(residual)
@@ -1890,19 +1824,6 @@ class ShardedCluster:
         for index, key in mirror:
             self.consume(FGSync(index, key))
             self.fg_resyncs += 1
-
-    def restore_nic(self, nic: int) -> None:
-        self._check_nic(nic)
-        if self.alive[nic]:
-            raise ValueError(f"NIC {nic} is already alive")
-        self.alive[nic] = True
-        self._route_cache.clear()
-        self.restarts += 1
-
-    def _check_nic(self, nic: int) -> None:
-        if not 0 <= nic < self.n_nics:
-            raise ValueError(f"no NIC {nic} in a cluster of "
-                             f"{self.n_nics}")
 
     # -- drain / merge --------------------------------------------------------
 
@@ -2034,26 +1955,9 @@ class ShardedCluster:
         return [_ShardEngineProxy(self, shard)
                 for shard in range(self.n_nics)]
 
-    def cells_per_nic(self) -> list[int]:
+    def _engine_stats(self) -> list[EngineStats]:
         stats = self._fetch_stats()
-        return [stats[s].cells for s in range(self.n_nics)]
-
-    def orphan_cells(self) -> int:
-        return sum(s.orphan_cells for s in self._fetch_stats().values())
-
-    @property
-    def stats(self) -> EngineStats:
-        total = EngineStats()
-        for s in self._fetch_stats().values():
-            total.records += s.records
-            total.cells += s.cells
-            total.syncs += s.syncs
-            total.orphan_cells += s.orphan_cells
-            total.degraded_cells += s.degraded_cells
-            total.unrecoverable_cells += s.unrecoverable_cells
-            total.skipped_updates += s.skipped_updates
-            total.vectors_emitted += s.vectors_emitted
-        return total
+        return [stats[s] for s in range(self.n_nics)]
 
     def transport_report(self) -> dict:
         """How dispatch batches actually crossed the worker boundary:
@@ -2122,40 +2026,20 @@ class ShardedCluster:
         """The serial cluster's counter schema, plus a ``dispatch``
         sub-ledger for the execution engine itself and a ``supervisor``
         sub-ledger when supervision is on."""
-        s = self.stats
-        out = {
-            "n_nics": self.n_nics,
-            "live_nics": sum(self.alive),
-            "records": s.records,
-            "cells": s.cells,
-            "syncs": s.syncs,
-            "orphan_cells": s.orphan_cells,
-            "degraded_cells": s.degraded_cells,
-            "unrecoverable_cells": s.unrecoverable_cells,
-            "skipped_updates": s.skipped_updates,
-            "vectors_emitted": s.vectors_emitted,
-            "failovers": self.failovers,
-            "restarts": self.restarts,
-            "rerouted_events": self.rerouted_events,
-            "fg_resyncs": self.fg_resyncs,
-            "demoted_vectors": self.demoted_vectors,
-            "residual_vectors": len(self._residual),
-            "cells_per_nic": {str(i): c
-                              for i, c in enumerate(self.cells_per_nic())},
-            "dispatch": {
-                "backend": self.execution.backend,
-                "workers": self.n_workers,
-                "batch_size": (self.execution.dispatch_batch
-                               if self.execution.dispatch_batch is not None
-                               else "auto"),
-                "batches": self.batches_dispatched,
-                "events": self.events_dispatched,
-                "transport": self._transport,
-                "bytes": self.bytes_shipped,
-                "frames": self.frames_shipped,
-                "fallback_chunks": self.fallback_chunks,
-                "parked_frames": self.parked_frames,
-            },
+        out = super().counters()
+        out["dispatch"] = {
+            "backend": self.execution.backend,
+            "workers": self.n_workers,
+            "batch_size": (self.execution.dispatch_batch
+                           if self.execution.dispatch_batch is not None
+                           else "auto"),
+            "batches": self.batches_dispatched,
+            "events": self.events_dispatched,
+            "transport": self._transport,
+            "bytes": self.bytes_shipped,
+            "frames": self.frames_shipped,
+            "fallback_chunks": self.fallback_chunks,
+            "parked_frames": self.parked_frames,
         }
         sup = self.supervisor
         if sup is not None:

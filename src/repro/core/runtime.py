@@ -145,10 +145,8 @@ class SuperFERuntime:
         per-stage counters onto the control plane's snapshot schema."""
         switch = self.cache.counters()
         link = self.link.counters()
-        # Cluster deployments expose the same counter schema through
-        # the sink; single-engine ones through the engine itself.
-        sink = self.engine if self.engine is not None else self.cluster
-        engine = sink.counters()
+        # The sink — the engine or the cluster — has one counter schema.
+        engine = self.dataplane.sink.counters()
         return {
             "pkts_in": switch["pkts_in"],
             "bytes_in": switch["bytes_in"],
@@ -215,8 +213,7 @@ class SuperFERuntime:
             vectors=self.snapshot(),
             feature_names=self.compiled.feature_names,
             switch_stats=self.cache.stats,
-            engine=(self.engine if self.engine is not None
-                    else self.cluster),
+            engine=self.engine or self.cluster,
             compiled=self.compiled,
             dataplane=self.dataplane,
         )

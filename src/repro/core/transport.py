@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import os
 import secrets
+from itertools import repeat
 import struct
 import warnings
 import weakref
@@ -73,7 +74,7 @@ import weakref
 import numpy as np
 
 from repro.nicsim.engine import FeatureEngine
-from repro.switchsim.mgpv import FGSync, MGPVRecord
+from repro.switchsim.mgpv import REASONS, FGSync, MGPVRecord
 
 __all__ = [
     "REASONS",
@@ -82,18 +83,16 @@ __all__ = [
     "ShmRing",
     "TransportError",
     "apply_frame",
+    "apply_rows",
     "decode_rows",
     "encode_rows",
     "resolve_transport",
+    "rows_to_events",
     "shm_available",
 ]
 
 TRANSPORTS = ("shm", "oob")
 
-#: The closed vocabulary of MGPV eviction reasons (plus the software
-#: path's synthetic one) — frames ship the index, not the string.
-REASONS = ("collision", "short_full", "long_full", "aging", "flush",
-           "software", "evict")
 _REASON_ID = {reason: i for i, reason in enumerate(REASONS)}
 
 _MAGIC = 0x53464531            # "SFE1"
@@ -185,111 +184,80 @@ def encode_rows(rows) -> bytes | None:
     return arr.tobytes()
 
 
-class _ShardRows:
-    """An engine stand-in that records what :func:`apply_frame` feeds
-    it as compact wire rows."""
-
-    def __init__(self, shard: int, rows: list) -> None:
-        self.shard = shard
-        self.rows = rows
-
-    def consume(self, event) -> None:
-        if isinstance(event, FGSync):
-            self.rows.append((self.shard, 1, event.index, event.key))
+def rows_to_events(rows):
+    """Yield ``(shard, event)`` per compact wire row (tag 0: shard, 0,
+    cg_key, cg_hash32, cells, reason; tag 1: shard, 1, index, key; tag 2:
+    shard, 2, cg_key, cg_hash32, fg_col, meta_cols, reason) — the one
+    interpreter behind :func:`apply_frame`, the ``pbatch`` fallback and
+    poison salvage."""
+    for row in rows:
+        tag = row[1]
+        if tag == 0:
+            event = MGPVRecord(row[2], row[3], row[4], row[5])
+        elif tag == 2:
+            event = MGPVRecord(row[2], row[3], tuple(zip(row[4], zip(
+                *row[5]) if row[5] else repeat(()))), row[6])
         else:
-            self.rows.append((self.shard, 0, event.cg_key,
-                              event.cg_hash32, event.cells, event.reason))
-
-    def consume_block(self, cg_key, cg_hash32, fg_col, meta_cols,
-                      reason) -> None:
-        self.rows.append((self.shard, 2, cg_key, cg_hash32, fg_col,
-                          meta_cols, reason))
-
-
-class _RowRecorder(dict):
-    """:func:`apply_frame`'s shard -> engine map for
-    :func:`decode_rows`: every shard resolves to a :class:`_ShardRows`
-    appending to one shared row list."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.rows: list = []
-
-    def __missing__(self, shard: int) -> _ShardRows:
-        engine = self[shard] = _ShardRows(shard, self.rows)
-        return engine
+            event = FGSync(row[2], row[3])
+        yield row[0], event
 
 
 def decode_rows(payload: bytes) -> list:
     """The compact wire rows a frame payload encodes (the inverse of
-    :func:`encode_rows`), parsed by :func:`apply_frame` itself against
-    row-recording engine stand-ins — so round-trip tests exercise the
-    production decoder."""
-    engines = _RowRecorder()
-    apply_frame(payload, engines)
-    return engines.rows
+    :func:`encode_rows`).  All decoded values are plain Python ints
+    (``.tolist()``), so downstream state — and the serial-equivalence
+    checksum — is bit-identical to the pickled path."""
+    vals = np.frombuffer(payload, dtype=np.int64).tolist()
+    rows: list = []
+    i = 0
+    while i < len(vals):
+        tag, shard = vals[i], vals[i + 1]
+        if tag == 1:
+            k = vals[i + 3]
+            rows.append((shard, 1, vals[i + 2], tuple(vals[i + 4:i + 4 + k])))
+            i += 4 + k
+            continue
+        if tag not in (0, 2):
+            raise TransportError(f"corrupt frame: unknown row tag {tag}")
+        k = vals[i + 2]
+        i += 3
+        cg_key = tuple(vals[i:i + k])
+        i += k
+        hash32, reason, n_cells = vals[i], REASONS[vals[i + 1]], vals[i + 2]
+        if tag == 0:
+            i += 3
+            cells = []
+            for _ in range(n_cells):
+                m = vals[i + 1]
+                cells.append((vals[i], tuple(vals[i + 2:i + 2 + m])))
+                i += 2 + m
+            rows.append((shard, 0, cg_key, hash32, tuple(cells), reason))
+            continue
+        n_meta = vals[i + 3]
+        i += 4
+        cols = [tuple(vals[i + j * n_cells:i + (j + 1) * n_cells])
+                for j in range(1 + n_meta)]
+        i += (1 + n_meta) * n_cells
+        rows.append((shard, 2, cg_key, hash32, cols[0], tuple(cols[1:]),
+                     reason))
+    return rows
 
 
 def apply_frame(payload: bytes,
                 engines: dict[int, FeatureEngine]) -> int:
-    """Decode one frame and apply every row to its shard engine, in
-    stream order.  Returns the number of rows applied.  All decoded
-    values are plain Python ints (``.tolist()``), so downstream state —
-    and the serial-equivalence checksum — is bit-identical to the
-    pickled path."""
-    vals = np.frombuffer(payload, dtype=np.int64).tolist()
-    i = 0
-    n_rows = 0
-    total = len(vals)
-    while i < total:
-        tag = vals[i]
-        shard = vals[i + 1]
-        if tag == 1:
-            index = vals[i + 2]
-            k = vals[i + 3]
-            i += 4
-            engines[shard].consume(FGSync(index, tuple(vals[i:i + k])))
-            i += k
-        elif tag == 0:
-            k = vals[i + 2]
-            i += 3
-            cg_key = tuple(vals[i:i + k])
-            i += k
-            hash32 = vals[i]
-            reason = REASONS[vals[i + 1]]
-            n_cells = vals[i + 2]
-            i += 3
-            cells = []
-            for _ in range(n_cells):
-                fg_idx = vals[i]
-                m = vals[i + 1]
-                i += 2
-                cells.append((fg_idx, tuple(vals[i:i + m])))
-                i += m
-            engines[shard].consume(
-                MGPVRecord(cg_key, hash32, tuple(cells), reason))
-        elif tag == 2:
-            k = vals[i + 2]
-            i += 3
-            cg_key = tuple(vals[i:i + k])
-            i += k
-            hash32 = vals[i]
-            reason = REASONS[vals[i + 1]]
-            n_cells = vals[i + 2]
-            n_meta = vals[i + 3]
-            i += 4
-            fg_col = tuple(vals[i:i + n_cells])
-            i += n_cells
-            meta_cols = []
-            for _ in range(n_meta):
-                meta_cols.append(tuple(vals[i:i + n_cells]))
-                i += n_cells
-            engines[shard].consume_block(cg_key, hash32, fg_col,
-                                         tuple(meta_cols), reason)
-        else:
-            raise TransportError(f"corrupt frame: unknown row tag {tag}")
-        n_rows += 1
-    return n_rows
+    """Decode one frame and apply its rows (:func:`apply_rows`)."""
+    return apply_rows(decode_rows(payload), engines)
+
+
+def apply_rows(rows: list, engines: dict[int, FeatureEngine]) -> int:
+    """Hand each shard engine its rows' events as one batch, in stream
+    order.  Returns the number of rows applied."""
+    shards: dict = {}
+    for shard, event in rows_to_events(rows):
+        shards.setdefault(shard, []).append(event)
+    for shard, events in shards.items():
+        engines[shard].consume_batch(events)
+    return len(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,7 @@ import os
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import groupby, repeat
-from operator import itemgetter
+from itertools import repeat
 from time import perf_counter_ns
 
 import numpy as np
@@ -51,8 +50,9 @@ from repro.streaming.folds import (
     Segments,
     as_column,
     overlay,
+    typed_column,
 )
-from repro.switchsim.mgpv import Event, FGSync, MGPVRecord
+from repro.switchsim.mgpv import Event, EventBatch, EventBuffer, FGSync, MGPVRecord
 
 
 @dataclass
@@ -112,12 +112,29 @@ _MISSING = object()
 # Deferred-work queue tags (FeatureEngine._pending / _drain).
 _CELLS, _CLOCK = 0, 1
 
+# Events consumed one at a time are admitted in runs of at most this many.
+_RAW_EVENTS = 1024
+
 # Row cap of one collect(pkt) block: its vectors are row views of one
 # buffer, so this bounds both the allocation and what a kept vector pins.
 _PKT_BLOCK_ROWS = 2048
 
 
 _IMMUTABLE = (int, float, bool, str, type(None))
+
+
+def _concat_blocks(blocks: list) -> tuple:
+    """Queued cell blocks ``(kids, cols, offs, cg_keys, cg_hashes)`` as
+    one; parts of differing dtype join as an object column."""
+    kids, cols, offs, cg_keys, cg_hashes = zip(*blocks)
+    base = np.cumsum([0] + [len(k) for k in kids[:-1]])
+    return (np.concatenate(kids),
+            tuple(np.concatenate(parts if len({p.dtype for p in parts}) == 1
+                                 else [p.astype(object) for p in parts])
+                  for parts in zip(*cols)),
+            np.concatenate([o + b for o, b in zip(offs, base.tolist())]),
+            [key for keys in cg_keys for key in keys],
+            [h for hashes in cg_hashes for h in hashes])
 
 
 def _shell_plan(probe, attr: str):
@@ -546,7 +563,10 @@ class EngineStats:
 
 
 class FeatureEngine:
-    """Turns an MGPV event stream into feature vectors."""
+    """Turns an MGPV event stream into feature vectors; the dataplane's
+    terminal stage on one NIC."""
+
+    name = "engine"
 
     def __init__(self, compiled: CompiledPolicy,
                  ctx: ExecContext | None = None,
@@ -557,12 +577,18 @@ class FeatureEngine:
         self.ctx = ctx or ExecContext(division_free=True)
         self._stats = EngineStats()
         # Deferred columnar work: (tag, ...) entries replayed in order
-        # by _drain() as one merged grouped pass (see consume_batch).
+        # by _drain() as one merged grouped pass (see _enqueue).
         self._pending: list = []
         self._clock = 0     # ns; advanced by cell tstamps or externally
-        self._fg_mirror: dict[int, tuple] = {}
+        # The FG mirror: FG index -> engine key id (-1: none) naming
+        # _fg_keys; single events wait in _raw (see consume).
+        self._mirror = np.full(1, -1, np.int32)
+        self._fg_ids: dict[tuple, int] = {}
+        self._fg_keys: list[tuple] = []
+        self._raw = EventBuffer()
         self._synth_cache: dict = {}
         self._pkt_vectors: list[FeatureVector] = []
+        self._pv_cursor = 0     # take_packet_vectors' position
         self._degraded_cg_keys: set[tuple] = set()
         self._validate_collect_unit()
 
@@ -704,8 +730,7 @@ class FeatureEngine:
     def stats(self) -> EngineStats:
         """Engine statistics.  Reading drains any deferred columnar
         work first, so counters always reflect every consumed event."""
-        if self._pending:
-            self._drain()
+        self._drain()
         return self._stats
 
     def _drain(self) -> None:
@@ -721,195 +746,225 @@ class FeatureEngine:
         and :meth:`_process_cells_block` computes the piecewise prefix
         maximum in numpy — bit for bit the eager per-block stamps.
         """
+        if self._raw:
+            self._admit_raw()
         pending = self._pending
-        if not pending:
-            return
-        # Snapshot + clear IN PLACE: consume_batch holds an alias to the
-        # queue across its event loop, and a mid-loop fallback drain
-        # must not strand that alias on a dead list.
-        entries = pending[:]
-        pending.clear()
-        keys: list = []
-        metas: list = []
-        offs: list = []
-        cgs: list = []
-        floors: list = []
-        floor = 0
-        for entry in entries:
-            if entry[0] is _CLOCK:
-                if entry[1] > floor:
-                    floor = entry[1]
-                continue
-            _tag, bkeys, bmetas, boffs, bcgs = entry
-            if floor and (not floors or floor > floors[-1][1]):
-                floors.append((len(keys), floor))
-            if keys:
-                base = len(keys)
-                offs.extend([off + base for off in boffs])
-            else:
-                offs.extend(boffs)
-            keys.extend(bkeys)
-            metas.extend(bmetas)
-            cgs.extend(bcgs)
-        if keys:
-            self._process_cells_block(keys, metas, offs, cgs, floors)
-        if floor > self._clock:
-            self._clock = floor
+        if pending:
+            # Snapshot + clear IN PLACE: an orphan record drains mid-way
+            # through an admission that still appends to this queue.
+            entries = pending[:]
+            pending.clear()
+            blocks: list = []
+            floors: list = []
+            floor = n = 0
+            for entry in entries:
+                if entry[0] is _CLOCK:
+                    if entry[1] > floor:
+                        floor = entry[1]
+                    continue
+                if floor and (not floors or floor > floors[-1][1]):
+                    floors.append((n, floor))
+                blocks.append(entry[1:])
+                n += len(entry[1])
+            if blocks:
+                self._process_cells_block(*_concat_blocks(blocks), floors)
+            if floor > self._clock:
+                self._clock = floor
 
     def consume(self, event: Event) -> None:
-        if isinstance(event, FGSync):
-            self._stats.syncs += 1
-            self._fg_mirror[event.index] = event.key
-            if self._t_syncs is not None:
-                self._t_syncs.inc()
-        elif isinstance(event, MGPVRecord):
-            if self._t_records is not None:
+        """One event.  The per-cell loop applies it now; the block path
+        queues it raw, and a run of queued events is admitted as one
+        batch by the next batch, clock advance or drain (at once when
+        the run grows long)."""
+        start = perf_counter_ns() if self._t_tracer is not None else 0
+        record = isinstance(event, MGPVRecord)
+        if not record and not isinstance(event, FGSync):
+            raise TypeError(f"unknown event {event!r}")
+        if self._t_records is not None:
+            if record:
                 self._t_records.inc()
                 self._t_record_cells.observe(len(event.cells))
-                if self._t_tracer is not None:
-                    start = perf_counter_ns()
-                    self._process_record(event)
-                    self._t_tracer.record("engine.reduce", start,
-                                          perf_counter_ns())
-                    return
-            self._process_record(event)
+            else:
+                self._t_syncs.inc()
+        if self._columnar:
+            self._raw.add(event)
+            if len(self._raw) >= _RAW_EVENTS:
+                self._admit_raw()
+        elif record:
+            if self._t_cells_per_cell is not None:
+                self._t_cells_per_cell.inc(len(event.cells))
+            self._process_record_reference(event)
         else:
-            raise TypeError(f"unknown event {event!r}")
+            self._stats.syncs += 1
+            self._compact_keys()
+            self._set_mirror(np.array([event.index]),
+                             self._intern([event.key]))
+        if start and record:
+            self._t_tracer.record("engine.reduce", start, perf_counter_ns())
 
     def run(self, events) -> "FeatureEngine":
         for event in events:
             self.consume(event)
         return self
 
-    def consume_batch(self, events) -> None:
-        """Consume a slice of events (the Stage batch fast path).
-
-        Orphan-free records accumulate into one columnar block whose
-        cells are reduced as per-group array slices across record
-        boundaries.  FG syncs apply eagerly — each record's FG indices
-        resolve against the mirror state at its own position in the
-        stream, so deferring the reduce work never changes which group a
-        cell lands in.  Blocks are not reduced here: they queue on the
-        deferred-work list, and :meth:`_drain` (finalize / snapshot /
-        stats / an orphan record) replays the whole run as one merged
-        grouped pass.  A record with orphan cells closes the block and
-        takes the ordered per-event path; so does every event of a
-        policy on the per-cell loop.
-        """
+    def consume_batch(self, events) -> tuple:
+        """Consume a slice of events — an :class:`EventBatch`, or an
+        event list normalised into one.  The block path attributes the
+        cells with one gather against the FG mirror (:meth:`_enqueue`)
+        and queues them for :meth:`_drain`; the per-cell loop consumes
+        the events one by one."""
+        batch = EventBatch.of(events)
         if not self._columnar:
-            consume = self.consume
-            for event in events:
-                consume(event)
-            return
-        stats = self._stats
-        mirror = self._fg_mirror
-        pending = self._pending
-        admit = self._admit
-        t_records = self._t_records
-        t_syncs = self._t_syncs
-        t_cells = self._t_record_cells
-        keys: list = []
-        metas: list = []
-        offs: list = []
-        cgs: list = []
-        for event in events:
-            if (type(event) is MGPVRecord
-                    and admit(event, keys, metas, offs, cgs)):
-                if t_records is not None:
-                    t_records.inc()
-                    t_cells.observe(len(event.cells))
-            elif type(event) is FGSync:
-                stats.syncs += 1
-                mirror[event.index] = event.key
-                if t_syncs is not None:
-                    t_syncs.inc()
-            else:
-                # Orphan cell(s) or an unknown event: close the block
-                # and take the ordered per-event path.
-                if keys:
-                    pending.append((_CELLS, keys, metas, offs, cgs))
-                    keys, metas, offs, cgs = [], [], [], []
+            for event in batch:
                 self.consume(event)
-        if keys:
-            pending.append((_CELLS, keys, metas, offs, cgs))
+            return ()
+        if self._t_records is not None:
+            self._t_records.inc(len(batch.rec_pos))
+            self._t_syncs.inc(len(batch.sync_pos))
+            for n in batch.rec_len.tolist():
+                self._t_record_cells.observe(n)
+        if self._raw:
+            self._admit_raw()
+        self._enqueue(batch, traced=True)
+        return ()
 
-    def _admit(self, record: MGPVRecord, keys: list, metas: list,
-               offs: list, cgs: list) -> bool:
-        """Append one record to an open block — per cell its resolved FG
-        key and metadata tuple, per record its first cell's offset and
-        CG identity (the hash shortcut of a group's first lookup).
-        False, with nothing touched, when a cell is orphaned: its FG
-        sync never arrived, so the block cannot attribute it."""
-        cells = record.cells
-        if cells:
-            fgs, ms = zip(*cells)
-            kk = list(map(self._fg_mirror.get, fgs))
-            if None in kk:
-                return False
-            offs.append(len(keys))
-            cgs.append((record.cg_key, record.cg_hash32))
-            keys.extend(kk)
-            metas.extend(ms)
-        self._stats.records += 1
-        return True
+    def flush(self) -> tuple:
+        return ()
 
-    def consume_block(self, cg_key: tuple, cg_hash32: int, fg_col: tuple,
-                      meta_cols: tuple, reason: str) -> None:
-        """Consume one MGPV record shipped in columnar wire form:
-        ``fg_col`` is the per-cell FG-index column and ``meta_cols`` one
-        column per metadata field (the compact shard-transport layout of
-        :mod:`repro.core.parallel`).  Semantically identical to consuming
-        the equivalent :class:`MGPVRecord`."""
-        if meta_cols:
-            cells = tuple(zip(fg_col, zip(*meta_cols)))
-        else:
-            cells = tuple((fg, ()) for fg in fg_col)
-        self.consume(MGPVRecord(cg_key, cg_hash32, cells, reason))
+    def take_packet_vectors(self) -> list[FeatureVector]:
+        """Per-packet vectors produced since the last take."""
+        vectors = self.packet_vectors
+        new, self._pv_cursor = vectors[self._pv_cursor:], len(vectors)
+        return new
 
-    def _process_record(self, record: MGPVRecord) -> None:
-        if not self._columnar:
-            if self._t_cells_per_cell is not None:
-                self._t_cells_per_cell.inc(len(record.cells))
-            return self._process_record_reference(record)
-        keys, metas, offs, cgs = [], [], [], []
-        if not self._admit(record, keys, metas, offs, cgs):
-            self._process_record_orphaned(record)
-        elif keys:
-            self._pending.append((_CELLS, keys, metas, offs, cgs))
+    def _admit_raw(self) -> None:
+        raw, self._raw = self._raw, EventBuffer()
+        self._enqueue(raw.batch())
 
-    def _process_record_orphaned(self, record: MGPVRecord) -> None:
-        """A record with orphan cells on the block path: runs of
-        attributed cells reduce as blocks and every orphan demotes to
+    def _intern(self, keys: list) -> np.ndarray:
+        """The engine key ids of distinct FG key tuples."""
+        ids, table = self._fg_ids, self._fg_keys
+        fresh = [key for key in keys if key not in ids]
+        ids.update(zip(fresh, range(len(table), len(table) + len(fresh))))
+        table.extend(fresh)
+        return np.fromiter(map(ids.__getitem__, keys), np.int64, len(keys))
+
+    def _compact_keys(self) -> None:
+        """Renumber the interned FG keys to those the mirror holds once
+        they outgrow it (drained first: queued blocks hold key ids)."""
+        if len(self._fg_keys) <= 2 * len(self._mirror) + 4096:
+            return
+        self._drain()
+        live = np.flatnonzero(self._mirror >= 0)
+        held, self._mirror[live] = np.unique(self._mirror[live],
+                                             return_inverse=True)
+        self._fg_keys = list(map(self._fg_keys.__getitem__, held.tolist()))
+        self._fg_ids = {key: i for i, key in enumerate(self._fg_keys)}
+
+    def _set_mirror(self, index: np.ndarray, ids: np.ndarray) -> None:
+        """FG slots ``index`` now hold keys ``ids`` (distinct slots)."""
+        size, top = len(self._mirror), int(index.max()) + 1
+        if top > size:
+            self._mirror = np.concatenate((self._mirror, np.full(
+                max(top, 2 * size) - size, -1, np.int32)))
+        self._mirror[index] = ids
+
+    def _enqueue(self, batch: EventBatch, traced: bool = False) -> None:
+        """Attribute a batch's cells to FG keys and queue them.
+
+        A cell resolves against the latest sync *before its record* in
+        stream order, else the mirror as it stood — an FG collision
+        evicts the displaced owner before the new sync, so within one
+        batch an index can name two keys.  The mirror then takes each
+        index's last sync.  Records with an orphan cell (its sync never
+        arrived) close the queued block and take the ordered path,
+        :meth:`_process_record_orphaned` (a span each when ``traced``:
+        per-event records had theirs at consume).
+        """
+        self._compact_keys()
+        stats = self._stats
+        stats.syncs += len(batch.sync_pos)
+        fg, cols = batch.cell_fg, batch.cell_meta
+        mirror = self._mirror
+        inside = (fg >= 0) & (fg < len(mirror))
+        kids = np.where(inside, mirror[np.where(inside, fg, 0)], -1)
+        if len(batch.sync_pos):
+            held, inverse = np.unique(batch.sync_key, return_inverse=True)
+            ids = self._intern(list(map(batch.keys.__getitem__,
+                                        held.tolist())))[inverse]
+            span = len(batch)
+            order = np.argsort(batch.sync_index * span + batch.sync_pos)
+            index, ids = batch.sync_index[order], ids[order]
+            at = np.searchsorted(index * span + batch.sync_pos[order],
+                                 fg * span + np.repeat(batch.rec_pos,
+                                                       batch.rec_len)) - 1
+            hit = at >= 0
+            hit[hit] = index[at[hit]] == fg[hit]
+            kids[hit] = ids[at[hit]]
+            last = np.append(index[1:] != index[:-1], True)
+            self._set_mirror(index[last], ids[last])
+        starts, lens = batch.rec_start.tolist(), batch.rec_len.tolist()
+        n_rec = len(starts)
+        orphaned = np.unique(np.repeat(np.arange(n_rec), batch.rec_len)[
+            kids < 0]).tolist()
+        cg_keys = list(map(batch.keys.__getitem__, batch.rec_key.tolist()))
+        hashes = batch.rec_hash.tolist()
+        lo = 0
+        for r in orphaned + [n_rec]:
+            if r > lo:
+                stats.records += r - lo
+                s, e = starts[lo], starts[r - 1] + lens[r - 1]
+                if e > s:
+                    self._pending.append((
+                        _CELLS, kids[s:e], tuple(col[s:e] for col in cols),
+                        batch.rec_start[lo:r] - s, cg_keys[lo:r],
+                        hashes[lo:r]))
+            if r < n_rec:
+                s, e = starts[r], starts[r] + lens[r]
+                start = perf_counter_ns()
+                self._process_record_orphaned(
+                    cg_keys[r], hashes[r], kids[s:e],
+                    tuple(col[s:e] for col in cols))
+                if traced and self._t_tracer is not None:
+                    self._t_tracer.record("engine.reduce", start,
+                                          perf_counter_ns())
+            lo = r + 1
+
+    def _process_record_orphaned(self, cg_key: tuple, cg_hash32: int,
+                                 kids: np.ndarray, cols: tuple) -> None:
+        """A record with orphan cells (key id -1) on the block path: runs
+        of attributed cells reduce as blocks and every orphan demotes to
         its record's CG group (:meth:`_demote_cell`), in cell order —
         what the per-cell loop does."""
-        if self._pending:
-            self._drain()
+        self._drain()
         stats = self._stats
         stats.records += 1
-        mirror = self._fg_mirror
-        cg = [(record.cg_key, record.cg_hash32)]
-        for orphans, run in groupby(record.cells,
-                                    lambda cell: cell[0] not in mirror):
-            run = list(run)
-            if not orphans:
-                self._process_cells_block([mirror[fg] for fg, _m in run],
-                                          [meta for _fg, meta in run],
-                                          [0], cg)
+        orphan = kids < 0
+        cuts = (np.flatnonzero(orphan[1:] != orphan[:-1]) + 1).tolist()
+        for lo, hi in zip([0] + cuts, cuts + [len(kids)]):
+            run = tuple(col[lo:hi] for col in cols)
+            if not orphan[lo]:
+                self._process_cells_block(kids[lo:hi], run,
+                                          np.zeros(1, np.int64), [cg_key],
+                                          [cg_hash32])
                 continue
-            stats.cells += len(run)
-            stats.orphan_cells += len(run)
+            stats.cells += hi - lo
+            stats.orphan_cells += hi - lo
             if self._t_cells_per_cell is not None:
-                self._t_cells_per_cell.inc(len(run))
-            for _fg, meta in run:
-                self._demote_cell(record.cg_key, meta)
+                self._t_cells_per_cell.inc(hi - lo)
+            for meta in (zip(*(col.tolist() for col in run)) if run
+                         else [()] * (hi - lo)):
+                self._demote_cell(cg_key, meta)
 
-    def _process_cells_block(self, keys: list, metas: list, offs: list,
-                             cgs: list, floors=()) -> None:
+    def _process_cells_block(self, kids: np.ndarray, cols: tuple,
+                             offs: np.ndarray, cg_keys: list,
+                             cg_hashes: list, floors=()) -> None:
         """Reduce a block of cells (possibly spanning records) group by
-        group instead of cell by cell.  ``keys`` holds each cell's
-        resolved FG key (orphans are excluded by the callers), ``metas``
-        its metadata tuple; record ``r`` starts at cell ``offs[r]`` and
-        ``cgs[r]`` is its ``(cg_key, cg_hash32)`` hash shortcut.
+        group instead of cell by cell.  ``kids`` holds each cell's engine
+        FG key id (orphans are excluded by the callers), ``cols`` one
+        column per metadata field; record ``r`` starts at cell
+        ``offs[r]``, and ``cg_keys[r]`` / ``cg_hashes[r]`` are its CG key
+        and hash (the hash shortcut of a group's first lookup).
         ``floors`` lists ``(first cell, clock)`` advances that arrived
         between the block's cells (see :meth:`_drain`).
 
@@ -926,7 +981,7 @@ class FeatureEngine:
         its slab (:meth:`_fold_section`); a ``collect(pkt)`` policy
         walks the groups with run kernels (:meth:`_run_block`).
         """
-        n = len(keys)
+        n = len(kids)
         stats = self._stats
         stats.cells += n
         stats.cells_columnar += n
@@ -935,9 +990,8 @@ class FeatureEngine:
         if self._ts_idx is None:
             stamps = np.zeros(n, dtype=np.int64)
         else:
-            stamps = np.fromiter(map(itemgetter(self._ts_idx), metas),
-                                 dtype=np.int64, count=n)
-            np.maximum.accumulate(stamps, out=stamps)
+            stamps = np.maximum.accumulate(
+                cols[self._ts_idx].astype(np.int64))
         if self._clock:
             np.maximum(stamps, self._clock, out=stamps)
         for first, floor in floors:
@@ -945,7 +999,9 @@ class FeatureEngine:
         self._clock = int(stamps[-1])
         if self._slabs is None:
             # Capped: a block's vectors are row views of one buffer.
-            cols = tuple(zip(*metas))
+            keys = list(map(self._fg_keys.__getitem__, kids.tolist()))
+            cols = [col.tolist() for col in cols]
+            offs, cgs = offs.tolist(), list(zip(cg_keys, cg_hashes))
             prefix = stamps.tolist()
             for lo in range(0, n, _PKT_BLOCK_ROWS):
                 hi = lo + _PKT_BLOCK_ROWS
@@ -953,48 +1009,50 @@ class FeatureEngine:
                                 offs, cgs, lo, prefix[lo:hi])
             return
         # Every section sorts the block by its own groups; they share
-        # the FG grouping (first-appearance ordinals; a group's first
-        # cell is where the running maximum ordinal steps up) and the
-        # metadata columns, cut from the cell tuples on first use.
-        ordinal: dict = {}
-        number = ordinal.setdefault
-        cells = np.array([number(key, len(ordinal)) for key in keys],
-                         np.intp)
-        top = np.maximum.accumulate(cells)
-        heads = np.flatnonzero(np.diff(top, prepend=-1)).tolist()
-        arrays: dict = {}
+        # the FG grouping — first-appearance ordinals, ``heads`` their
+        # first cells — and the metadata columns.
+        groups, heads, cells = np.unique(kids, return_index=True,
+                                         return_inverse=True)
+        rank = np.argsort(heads)
+        ordinal = np.empty(len(rank), np.intp)
+        ordinal[rank] = np.arange(len(rank))
+        cells = ordinal[cells.reshape(-1)]
+        heads = heads[rank].tolist()
+        group_keys = list(map(self._fg_keys.__getitem__,
+                              groups[rank].tolist()))
+        arrays = dict(enumerate(cols))
+        cgs = offs, cg_keys, cg_hashes
         fg_name = self.compiled.fg.name
         skips = 0
         for i, (section, _table) in enumerate(self._tables):
             if section.granularity.name == fg_name:
-                skips += self._fold_section(i, ordinal, heads, cells, metas,
-                                            arrays, offs, cgs, stamps)
+                skips += self._fold_section(i, group_keys, heads, cells,
+                                            arrays, cgs, stamps)
                 continue
             # Coarser groups, still in first-appearance order: the
             # projection is a pure function of the FG key.
             project = section.granularity.project
             coarse: dict = {}
             of_fine = []
-            for fg_key, head in zip(ordinal, heads):
+            for fg_key, head in zip(group_keys, heads):
                 at = coarse.setdefault(project(fg_key), (len(coarse), head))
                 of_fine.append(at[0])
             skips += self._fold_section(
                 i, coarse, [head for _at, head in coarse.values()],
-                np.array(of_fine, np.intp)[cells], metas, arrays, offs, cgs,
-                stamps)
+                np.array(of_fine, np.intp)[cells], arrays, cgs, stamps)
         stats.skipped_updates += skips
 
     def _fold_section(self, i: int, group_keys, heads, cells: np.ndarray,
-                      metas: list, arrays: dict, offs, cgs,
-                      stamps: np.ndarray) -> int:
+                      arrays: dict, cgs, stamps: np.ndarray) -> int:
         """Fold one section's share of a block into its slab: cell ``c``
         belongs to the ``cells[c]``-th of ``group_keys`` (in
         first-appearance order; ``heads`` are their first cells, None
-        for a demoted orphan, which has no hash shortcut).  One located
-        table lookup per group with the repeats accounted in bulk, one
-        stable sort by group, then every map and every accumulator
-        family takes all segments in one call.  Returns the skipped
-        updates."""
+        for a demoted orphan, which has no hash shortcut, nor ``cgs`` —
+        the block's ``(offs, cg_keys, cg_hashes)``).  ``arrays`` holds
+        the metadata columns by position.  One located table lookup per
+        group with the repeats accounted in bulk, one stable sort by
+        group, then every map and every accumulator family takes all
+        segments in one call.  Returns the skipped updates."""
         table = self._tables[i][1]
         slab = self._slabs[i]
         cmaps, creds, ts_pos, dir_pos = self._plans[i].columnar
@@ -1002,8 +1060,10 @@ class FeatureEngine:
         if heads is None:
             shortcuts = repeat((None, None))
         else:
-            shortcuts = map(cgs.__getitem__, (np.searchsorted(
-                offs, heads, "right") - 1).tolist())
+            offs, cg_keys, cg_hashes = cgs
+            recs = (np.searchsorted(offs, heads, "right") - 1).tolist()
+            shortcuts = zip(map(cg_keys.__getitem__, recs),
+                            map(cg_hashes.__getitem__, recs))
         lookup = table.lookup_or_insert_located
         rows = []
         homed = []
@@ -1024,14 +1084,14 @@ class FeatureEngine:
         def column(pos):
             col = sorted_cols.get(pos)
             if col is None:
-                raw = arrays.get(pos)
-                if raw is None:
-                    items = list(map(itemgetter(pos), metas))
-                    raw = np.array(items)
+                raw = arrays[pos]
+                if raw.dtype == object:
                     # int64 can only come from ints (a bool among them
                     # counts as one in every function, too); what numpy
                     # may have rounded — a float beside ints, an int past
                     # int64 — is typed by the values themselves.
+                    items = raw.tolist()
+                    raw = np.array(items)
                     if raw.dtype != np.int64:
                         raw = as_column(items)[0]
                     arrays[pos] = raw
@@ -1220,15 +1280,16 @@ class FeatureEngine:
         table lookup per cell per section."""
         self._stats.records += 1
         fields_order = self.compiled.metadata_fields
+        mirror = self._mirror
         for fg_idx, meta in record.cells:
             self._stats.cells += 1
             fields = dict(zip(fields_order, meta))
-            fg_key = self._fg_mirror.get(fg_idx)
-            if fg_key is None:
+            kid = mirror[fg_idx] if 0 <= fg_idx < len(mirror) else -1
+            if kid < 0:
                 self._stats.orphan_cells += 1
                 self._demote_cell(record.cg_key, meta)
                 continue
-            self._process_cell(fg_key, fields)
+            self._process_cell(self._fg_keys[kid], fields)
 
     def advance_clock(self, now_ns: int) -> None:
         """Advance the engine's notion of time; cells carrying a
@@ -1236,6 +1297,8 @@ class FeatureEngine:
         blocks are queued the advance is recorded as a marker in the
         queue so the deferred merge replays clock motion in stream
         order."""
+        if self._raw:
+            self._admit_raw()
         if self._pending:
             self._pending.append((_CLOCK, now_ns))
         elif now_ns > self._clock:
@@ -1287,8 +1350,10 @@ class FeatureEngine:
                     state, dict(zip(self.compiled.metadata_fields, meta)))
             else:
                 self._stats.skipped_updates += self._fold_section(
-                    i, [cg_key], None, np.zeros(1, np.intp), [meta], {},
-                    None, None, np.array([self._clock]))
+                    i, [cg_key], None, np.zeros(1, np.intp),
+                    {pos: typed_column([value])
+                     for pos, value in enumerate(meta)},
+                    None, np.array([self._clock]))
             updated = True
         if updated:
             self._stats.degraded_cells += 1
@@ -1345,8 +1410,7 @@ class FeatureEngine:
         """Per-packet vectors accumulated so far (per-pkt policies).
         Like :attr:`stats`, reading drains any deferred work first —
         callers slice this list with a cursor."""
-        if self._pending:
-            self._drain()
+        self._drain()
         return self._pkt_vectors
 
     def finalize(self) -> list[FeatureVector]:
@@ -1357,8 +1421,7 @@ class FeatureEngine:
         collect granularity, including features of enclosing coarser
         groups.
         """
-        if self._pending:
-            self._drain()
+        self._drain()
         unit = self.compiled.collect_unit
         if unit == "pkt":
             return list(self._pkt_vectors)
@@ -1388,8 +1451,7 @@ class FeatureEngine:
         """
         if timeout_ns <= 0:
             raise ValueError("timeout must be positive")
-        if self._pending:
-            self._drain()
+        self._drain()
         unit = self.compiled.collect_unit
         vectors: list[FeatureVector] = []
 
@@ -1511,7 +1573,11 @@ class FeatureEngine:
     def fg_mirror_items(self) -> tuple:
         """Snapshot of the synchronized FG mirror (index, key) pairs —
         what a control plane replays to survivors on failover."""
-        return tuple(self._fg_mirror.items())
+        if self._raw:
+            self._admit_raw()
+        live = np.flatnonzero(self._mirror >= 0)
+        return tuple(zip(live.tolist(), map(self._fg_keys.__getitem__,
+                                            self._mirror[live].tolist())))
 
     def crash(self) -> list[FeatureVector]:
         """Simulate losing this device: demote the resident per-group
@@ -1519,8 +1585,7 @@ class FeatureEngine:
         whatever cells were still en route) and clear every table and
         the FG mirror, as a restart would.  Already-emitted per-packet
         vectors and cumulative stats survive — they left the device."""
-        if self._pending:
-            self._drain()
+        self._drain()
         residual: list[FeatureVector] = []
         if self.compiled.collect_unit != "pkt":
             residual = self._resident_vectors()
@@ -1530,7 +1595,9 @@ class FeatureEngine:
             table.clear()
         for slab in self._slabs or ():
             slab.__init__(slab.plan)    # empty again; tables keep alloc
-        self._fg_mirror.clear()
+        self._mirror[:] = -1
+        self._fg_ids.clear()
+        self._fg_keys.clear()
         self._degraded_cg_keys.clear()
         return residual
 
@@ -1578,8 +1645,7 @@ class FeatureEngine:
     def total_state_bytes(self) -> int:
         """Bytes of live reducer state across all group tables (Fig 15's
         memory axis)."""
-        if self._pending:
-            self._drain()
+        self._drain()
         if self._slabs is None:
             return sum(state.state_bytes()
                        for _, table in self._tables
@@ -1599,7 +1665,6 @@ class FeatureEngine:
         return total
 
     def table_stats(self) -> dict:
-        if self._pending:
-            self._drain()
+        self._drain()
         return {section.granularity.name: table.stats
                 for section, table in self._tables}

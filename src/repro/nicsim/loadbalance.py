@@ -19,11 +19,13 @@ silently disappears.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.compiler import CompiledPolicy
 from repro.core.functions import ExecContext
 from repro.nicsim.engine import EngineStats, FeatureEngine, FeatureVector
-from repro.streaming.hyperloglog import hash_key, hash_key_columns
-from repro.switchsim.mgpv import Event, FGSync, MGPVRecord
+from repro.streaming.hyperloglog import hash_key
+from repro.switchsim.mgpv import Event, EventBatch, FGSync, MGPVRecord
 
 
 def route_shard(cg_key: tuple, alive: list[bool],
@@ -31,13 +33,9 @@ def route_shard(cg_key: tuple, alive: list[bool],
     """The switch's steering function: ``(shard, rerouted)`` for a CG
     key over a liveness map.  A dead home shard maps onto the live set
     by the same hash, so every event of one group picks the same
-    survivor (while the live set is stable).
-
-    Shared by the serial :class:`NICCluster` and the coordinator of
-    :class:`~repro.core.parallel.ShardedCluster` — one routing function
-    is what makes the two paths bit-identical.  ``hash32`` short-cuts
-    the key hash when the caller already holds it (MGPV records carry
-    the hash the switch computed).
+    survivor (while the live set is stable).  Both clusters route
+    through it (:class:`ClusterBase`), which keeps them bit-identical;
+    ``hash32`` short-cuts the key hash the switch already computed.
     """
     if hash32 is None:
         hash32 = hash_key(cg_key)
@@ -48,24 +46,16 @@ def route_shard(cg_key: tuple, alive: list[bool],
     return survivors[hash32 % len(survivors)], True
 
 
-def route_syncs(events, project, cache: dict, alive: list[bool]) -> None:
-    """Resolve the routes of a batch's FG syncs ahead of its event loop:
-    a new flow's sync arrives before any record has cached the route,
-    so the CG keys ``cache`` lacks are hashed in one
-    :func:`hash_key_columns` sweep (bit-identical to :func:`hash_key`)
-    instead of one scalar murmur per flow.  Shared by both clusters'
-    ``consume_batch``; ``cache`` keeps the callers' bound."""
-    missing = dict.fromkeys(
-        cg_key for cg_key in (project(event.key) for event in events
-                              if type(event) is FGSync)
-        if cg_key not in cache)
-    if not missing:
-        return
-    if len(cache) + len(missing) >= 1 << 17:
-        cache.clear()
-    hashes = hash_key_columns(list(zip(*missing))).tolist()
-    for cg_key, hash32 in zip(missing, hashes):
-        cache[cg_key] = route_shard(cg_key, alive, hash32)
+def steer(hashes: np.ndarray, alive: list[bool]) -> tuple[np.ndarray, int]:
+    """:func:`route_shard` over a column of CG hashes: ``(shards,
+    rerouted count)`` — how both clusters route a batch."""
+    up = np.array(alive)
+    shards = hashes % len(alive)
+    dead = ~up[shards]
+    if dead.any():
+        survivors = np.flatnonzero(up)
+        shards[dead] = survivors[hashes[dead] % len(survivors)]
+    return shards, int(dead.sum())
 
 
 def reconcile_residual(vectors: list[FeatureVector],
@@ -93,25 +83,27 @@ def reconcile_residual(vectors: list[FeatureVector],
     return vectors, demoted
 
 
-class NICCluster:
-    """A bank of FE-NIC engines fed by hash-based switch steering."""
+#: The engine statistics a cluster sums across its bank.
+_BANK_STATS = ("records", "cells", "syncs", "orphan_cells", "degraded_cells",
+               "unrecoverable_cells", "skipped_updates", "vectors_emitted")
+
+
+class ClusterBase:
+    """What both NIC clusters share: hash steering over a liveness map
+    (a route memo for single events, :func:`steer` for batches), the
+    failover ledger and the bank-wide counters.  Subclasses hold the
+    engines and report their stats through :meth:`_engine_stats`."""
 
     name = "cluster"
 
-    def __init__(self, compiled: CompiledPolicy, n_nics: int,
-                 ctx: ExecContext | None = None, **engine_kwargs) -> None:
+    def __init__(self, compiled: CompiledPolicy, n_nics: int) -> None:
         if n_nics < 1:
             raise ValueError("need at least one NIC")
         self.compiled = compiled
         self.n_nics = n_nics
-        self.engines = [FeatureEngine(compiled, ctx=ctx, **engine_kwargs)
-                        for _ in range(n_nics)]
         self.alive = [True] * n_nics
-        self.failovers = 0
-        self.restarts = 0
-        self.rerouted_events = 0
-        self.fg_resyncs = 0
-        self.demoted_vectors = 0
+        self.failovers = self.restarts = self.rerouted_events = 0
+        self.fg_resyncs = self.demoted_vectors = 0
         self._residual: list[FeatureVector] = []
         # Steering memo: route_shard hashes the CG key on every event;
         # while the live set is stable the answer per key is fixed, so
@@ -119,18 +111,7 @@ class NICCluster:
         self._route_cache: dict[tuple, tuple[int, bool]] = {}
         self._t_failovers = None
 
-    def attach_telemetry(self, telemetry) -> None:
-        """Register the cluster's failover counter and attach every
-        engine to the same registry — same-named engine instruments are
-        shared across the bank, so they naturally hold bank-wide totals
-        (the serial counterpart of the process backend's snapshot
-        merge)."""
-        self._t_failovers = telemetry.registry.counter("cluster.failovers")
-        for engine in self.engines:
-            engine.attach_telemetry(telemetry)
-
-    def _route_key(self, cg_key: tuple,
-                   hash32: int | None = None) -> int:
+    def _route(self, cg_key: tuple, hash32: int | None = None) -> int:
         cached = self._route_cache.get(cg_key)
         if cached is None:
             if len(self._route_cache) >= 1 << 17:
@@ -142,56 +123,25 @@ class NICCluster:
             self.rerouted_events += 1
         return nic
 
-    def consume(self, event: Event) -> None:
-        if isinstance(event, FGSync):
-            # An FG key is referenced only by its owner CG group (§5.1),
-            # so the sync follows the group's route.
-            cg_key = self.compiled.cg.project(event.key)
-            self.engines[self._route_key(cg_key)].consume(event)
-        elif isinstance(event, MGPVRecord):
-            self.engines[self._route_key(event.cg_key,
-                                         event.cg_hash32)].consume(event)
-        else:
-            raise TypeError(f"unknown event {event!r}")
+    def _steer(self, events) -> tuple[EventBatch, np.ndarray, np.ndarray]:
+        """``events`` as a batch, with each record's and sync's NIC."""
+        batch = EventBatch.of(events, self.compiled.cg.project)
+        records, rerouted = steer(batch.rec_hash, self.alive)
+        syncs, resynced = steer(batch.sync_hash, self.alive)
+        self.rerouted_events += rerouted + resynced
+        return batch, records, syncs
 
-    def consume_batch(self, events) -> None:
-        """Route a whole delivered event slice (dataplane columnar path):
-        events partition per engine in arrival order and each engine
-        reduces its subsequence as one columnar block.  Routing is
-        per-event exactly as :meth:`consume`; engines hold disjoint
-        state, so only the per-engine order is observable — and that is
-        preserved."""
-        project = self.compiled.cg.project
-        route = self._route_key
-        route_syncs(events, project, self._route_cache, self.alive)
-        slices: dict[int, list] = {}
-        for event in events:
-            if isinstance(event, FGSync):
-                nic = route(project(event.key))
-            elif isinstance(event, MGPVRecord):
-                nic = route(event.cg_key, event.cg_hash32)
-            else:
-                raise TypeError(f"unknown event {event!r}")
-            lst = slices.get(nic)
-            if lst is None:
-                slices[nic] = [event]
-            else:
-                lst.append(event)
-        for nic, evs in slices.items():
-            self.engines[nic].consume_batch(evs)
-
-    def run(self, events) -> "NICCluster":
+    def run(self, events) -> "ClusterBase":
         for event in events:
             self.consume(event)
         return self
 
+    def flush(self) -> tuple:
+        return ()
+
     # -- failover --------------------------------------------------------------
 
-    def fail_nic(self, nic: int) -> None:
-        """Kill one NIC: its shard re-routes to survivors, its FG mirror
-        is replayed to the new owners (reconciliation), and its resident
-        per-group state is demoted to degraded residual vectors held for
-        the drain."""
+    def _mark_dead(self, nic: int) -> None:
         self._check_nic(nic)
         if not self.alive[nic]:
             raise ValueError(f"NIC {nic} is already dead")
@@ -202,18 +152,10 @@ class NICCluster:
         self.failovers += 1
         if self._t_failovers is not None:
             self._t_failovers.inc()
-        engine = self.engines[nic]
-        mirror = engine.fg_mirror_items()
-        self._residual.extend(engine.crash())
-        for index, key in mirror:
-            cg_key = self.compiled.cg.project(key)
-            self.engines[self._route_key(cg_key)].consume(
-                FGSync(index, key))
-            self.fg_resyncs += 1
 
     def restore_nic(self, nic: int) -> None:
-        """Bring a dead NIC back (restarted empty: :meth:`fail_nic`
-        wiped its state); its shard routes to it again."""
+        """Bring a dead NIC back (restarted empty: ``fail_nic`` wiped its
+        state); its shard routes to it again."""
         self._check_nic(nic)
         if self.alive[nic]:
             raise ValueError(f"NIC {nic} is already alive")
@@ -225,6 +167,106 @@ class NICCluster:
         if not 0 <= nic < self.n_nics:
             raise ValueError(f"no NIC {nic} in a cluster of "
                              f"{self.n_nics}")
+
+    # -- accounting ------------------------------------------------------------
+
+    def _engine_stats(self) -> list[EngineStats]:
+        raise NotImplementedError
+
+    def cells_per_nic(self) -> list[int]:
+        """Load distribution (for the evenness check)."""
+        return [s.cells for s in self._engine_stats()]
+
+    def orphan_cells(self) -> int:
+        return sum(s.orphan_cells for s in self._engine_stats())
+
+    @property
+    def stats(self) -> EngineStats:
+        """Aggregated engine statistics across the bank."""
+        total = EngineStats()
+        for s in self._engine_stats():
+            for name in _BANK_STATS:
+                setattr(total, name, getattr(total, name) + getattr(s, name))
+        return total
+
+    def counters(self) -> dict:
+        """Uniform stage counters (observe convention), including the
+        per-NIC cell distribution the evenness checks read and the
+        failover ledger."""
+        s = self.stats
+        return {
+            "n_nics": self.n_nics,
+            "live_nics": sum(self.alive),
+            **{name: getattr(s, name) for name in _BANK_STATS},
+            "failovers": self.failovers,
+            "restarts": self.restarts,
+            "rerouted_events": self.rerouted_events,
+            "fg_resyncs": self.fg_resyncs,
+            "demoted_vectors": self.demoted_vectors,
+            "residual_vectors": len(self._residual),
+            "cells_per_nic": {str(i): c
+                              for i, c in enumerate(self.cells_per_nic())},
+        }
+
+
+class NICCluster(ClusterBase):
+    """A bank of FE-NIC engines fed by hash-based switch steering; the
+    dataplane's terminal stage across NICs (§8.5)."""
+
+    def __init__(self, compiled: CompiledPolicy, n_nics: int,
+                 ctx: ExecContext | None = None, **engine_kwargs) -> None:
+        super().__init__(compiled, n_nics)
+        self.engines = [FeatureEngine(compiled, ctx=ctx, **engine_kwargs)
+                        for _ in range(n_nics)]
+
+    def attach_telemetry(self, telemetry) -> None:
+        """Register the cluster's failover counter and attach every
+        engine to the same registry — same-named engine instruments are
+        shared across the bank, so they naturally hold bank-wide totals
+        (the serial counterpart of the process backend's snapshot
+        merge)."""
+        self._t_failovers = telemetry.registry.counter("cluster.failovers")
+        for engine in self.engines:
+            engine.attach_telemetry(telemetry)
+
+    def consume(self, event: Event) -> tuple:
+        if isinstance(event, FGSync):
+            # An FG key is referenced only by its owner CG group (§5.1),
+            # so the sync follows the group's route.
+            self.engines[self._route(self.compiled.cg.project(
+                event.key))].consume(event)
+        elif isinstance(event, MGPVRecord):
+            self.engines[self._route(event.cg_key,
+                                     event.cg_hash32)].consume(event)
+        else:
+            raise TypeError(f"unknown event {event!r}")
+        return ()
+
+    def consume_batch(self, events) -> tuple:
+        """Route a whole delivered event slice (dataplane columnar path):
+        one :func:`steer` over the record hashes and one over the syncs'
+        owner hashes, then each engine takes its sub-batch in arrival
+        order.  Engines hold disjoint state, so only the per-engine order
+        is observable — and that is preserved."""
+        batch, rec_nic, sync_nic = self._steer(events)
+        for nic, engine in enumerate(self.engines):
+            records, syncs = rec_nic == nic, sync_nic == nic
+            if records.any() or syncs.any():
+                engine.consume_batch(batch.select(records, syncs))
+        return ()
+
+    def fail_nic(self, nic: int) -> None:
+        """Kill one NIC: its shard re-routes to survivors, its FG mirror
+        is replayed to the new owners (reconciliation), and its resident
+        per-group state is demoted to degraded residual vectors held for
+        the drain."""
+        self._mark_dead(nic)
+        engine = self.engines[nic]
+        mirror = engine.fg_mirror_items()
+        self._residual.extend(engine.crash())
+        for index, key in mirror:
+            self.consume(FGSync(index, key))
+            self.fg_resyncs += 1
 
     def finalize(self) -> list[FeatureVector]:
         vectors: list[FeatureVector] = []
@@ -239,51 +281,9 @@ class NICCluster:
         for engine in self.engines:
             engine.advance_clock(now_ns)
 
-    def cells_per_nic(self) -> list[int]:
-        """Load distribution (for the evenness check)."""
-        return [engine.stats.cells for engine in self.engines]
+    def take_packet_vectors(self) -> list[FeatureVector]:
+        return [vector for engine in self.engines
+                for vector in engine.take_packet_vectors()]
 
-    def orphan_cells(self) -> int:
-        return sum(engine.stats.orphan_cells for engine in self.engines)
-
-    @property
-    def stats(self) -> EngineStats:
-        """Aggregated engine statistics across the bank."""
-        total = EngineStats()
-        for engine in self.engines:
-            s = engine.stats
-            total.records += s.records
-            total.cells += s.cells
-            total.syncs += s.syncs
-            total.orphan_cells += s.orphan_cells
-            total.degraded_cells += s.degraded_cells
-            total.unrecoverable_cells += s.unrecoverable_cells
-            total.skipped_updates += s.skipped_updates
-            total.vectors_emitted += s.vectors_emitted
-        return total
-
-    def counters(self) -> dict:
-        """Uniform stage counters (observe convention), including the
-        per-NIC cell distribution the evenness checks read and the
-        failover ledger."""
-        s = self.stats
-        return {
-            "n_nics": self.n_nics,
-            "live_nics": sum(self.alive),
-            "records": s.records,
-            "cells": s.cells,
-            "syncs": s.syncs,
-            "orphan_cells": s.orphan_cells,
-            "degraded_cells": s.degraded_cells,
-            "unrecoverable_cells": s.unrecoverable_cells,
-            "skipped_updates": s.skipped_updates,
-            "vectors_emitted": s.vectors_emitted,
-            "failovers": self.failovers,
-            "restarts": self.restarts,
-            "rerouted_events": self.rerouted_events,
-            "fg_resyncs": self.fg_resyncs,
-            "demoted_vectors": self.demoted_vectors,
-            "residual_vectors": len(self._residual),
-            "cells_per_nic": {str(i): c
-                              for i, c in enumerate(self.cells_per_nic())},
-        }
+    def _engine_stats(self) -> list[EngineStats]:
+        return [engine.stats for engine in self.engines]

@@ -103,21 +103,27 @@ class Segments:
         return prev
 
 
+def typed_column(items: list) -> np.ndarray:
+    """Python values as int64 / float64 when every one is exactly that
+    type, else as an object array, which holds the values themselves."""
+    kinds = set(map(type, items))
+    dtype = _I8 if kinds == {int} else _F8 if kinds == {float} else object
+    try:
+        return np.array(items, dtype=dtype)
+    except OverflowError:
+        return np.array(items, dtype=object)
+
+
 def as_column(items: list) -> tuple[np.ndarray, np.ndarray | None]:
     """A list of Python values (None = no emission) as ``(values,
-    valid)``: int64 / float64 when every emitted value is exactly that
-    type, else an object array, which only the object folds take."""
+    valid)`` typed by :func:`typed_column`; only the object folds take
+    an object array."""
     valid = None
     if any(v is None for v in items):
         valid = np.array([v is not None for v in items])
         fill = next((v for v in items if v is not None), 0)
         items = [fill if v is None else v for v in items]
-    kinds = set(map(type, items))
-    dtype = _I8 if kinds == {int} else _F8 if kinds == {float} else object
-    try:
-        return np.array(items, dtype=dtype), valid
-    except OverflowError:
-        return np.array(items, dtype=object), valid
+    return typed_column(items), valid
 
 
 def overlay(top: tuple, under: tuple) -> tuple:

@@ -26,16 +26,21 @@ of its FG entries.
 The control state is the switch's register arrays at their configured
 shapes: per short slot the resident CG key id, hash, long-buffer index and
 ``last_access``; the long-buffer free stack with a top pointer; the FG
-table as key id plus owner slot.  Pending cells stay per-slot lists (their
-length is the fill count); keys are interned to exact ids.
+table as key id plus owner slot.  Pending cells stay per-slot sequences
+(their length is the fill count); keys are interned to exact ids.  Batch calls
+emit one :class:`EventBatch` whose cell columns are gathered from the
+batch's own columns, never built as per-cell tuples.
 """
 
 from __future__ import annotations
 
+import operator
 import os
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from heapq import heappop, heappush, heappushpop
+from itertools import chain, compress, repeat
 from time import perf_counter_ns
 from typing import Iterable, Iterator, Union
 
@@ -43,6 +48,7 @@ import numpy as np
 
 from repro.core.granularity import Granularity
 from repro.net.packet import PLAIN_FIELDS, Packet, compile_field_accessor
+from repro.streaming.folds import typed_column
 from repro.streaming.hyperloglog import hash_key, hash_key_columns
 
 #: Fig 14 buffer-efficiency accounting: occupancy is sampled every
@@ -74,9 +80,18 @@ class MGPVConfig:
     record_header_bytes: int = 10           # cg key hash + length + seq
 
     def __post_init__(self) -> None:
-        if min(self.n_short, self.short_size, self.n_long, self.long_size,
-               self.fg_table_size) < 1:
+        sizes = ("n_short", "short_size", "n_long", "long_size",
+                 "fg_table_size", "aging_scan_per_pkt")
+        widths = ("cell_bytes", "cg_key_bytes", "fg_key_bytes",
+                  "record_header_bytes")
+        for name in sizes + widths:
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise TypeError(f"MGPV {name} must be an int, got {value!r}")
+        if min(getattr(self, name) for name in sizes[:-1]) < 1:
             raise ValueError("all MGPV sizes must be positive")
+        if min(getattr(self, name) for name in widths) < 0:
+            raise ValueError("MGPV byte widths must be >= 0")
         if self.aging_timeout_ns is not None and self.aging_timeout_ns <= 0:
             raise ValueError("aging timeout must be positive or None")
         if self.aging_scan_per_pkt < 1:
@@ -123,6 +138,192 @@ class MGPVRecord:
 
 Event = Union[FGSync, MGPVRecord]
 
+#: The closed vocabulary of eviction reasons (plus the software path's
+#: synthetic one): batches and wire frames carry the index.
+REASONS = ("collision", "short_full", "long_full", "aging", "flush",
+           "software", "evict")
+_REASON_ID = {reason: i for i, reason in enumerate(REASONS)}
+_NONE = np.zeros(0, np.int64)
+#: The last batches that handed out event objects, by the identity of
+#: the first (held, so the identity stays theirs; see ``of``).
+_ORIGINS: dict = {}
+
+
+class EventBuffer:
+    """Event objects appended one at a time into the flat lists an
+    :class:`EventBatch` is built from: the one normaliser of event
+    objects (:meth:`EventBatch.of`, the engine's per-event queue).  It
+    holds no object per event, nor a record's cell tuples."""
+
+    __slots__ = ("kinds", "keys", "nums", "reasons", "fg", "meta")
+
+    def __init__(self) -> None:
+        self.kinds, self.keys, self.nums = [], [], []   # per event
+        self.reasons, self.fg, self.meta = [], [], []   # per record, cell
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def add(self, event: Event) -> None:
+        """A record as its cell count, CG key, hash32 and reason plus its
+        cells; a sync as -1, its key and FG index."""
+        if isinstance(event, MGPVRecord):
+            self.kinds.append(len(event.cells))
+            self.keys.append(event.cg_key)
+            self.nums.append(event.cg_hash32)
+            self.reasons.append(event.reason)
+            for fg, meta in event.cells:
+                self.fg.append(fg)
+                self.meta.append(meta)
+        elif isinstance(event, FGSync):
+            self.kinds.append(-1)
+            self.keys.append(event.key)
+            self.nums.append(event.index)
+        else:
+            raise TypeError(f"unknown event {event!r}")
+
+    def batch(self, objs: list | None = None) -> "EventBatch":
+        """The events added, as a batch (``objs``: them as objects)."""
+        kinds = np.array(self.kinds, np.int64)
+        nums = np.array(self.nums, np.int64)
+        rec, ids, reasons = kinds >= 0, {}, dict(_REASON_ID)
+        lens = kinds[rec]
+        keys = np.fromiter((ids.setdefault(key, len(ids)) for key in self.keys),
+                           np.int64, len(kinds))
+        return EventBatch(
+            list(ids),
+            (np.flatnonzero(rec), keys[rec], nums[rec], np.fromiter(
+                (reasons.setdefault(r, len(reasons)) for r in self.reasons),
+                np.int64, len(lens)), np.cumsum(lens) - lens, lens),
+            (np.flatnonzero(~rec), nums[~rec], keys[~rec],
+             np.full(len(kinds) - len(lens), -1, np.int64)),
+            (np.array(self.fg, np.int64),
+             tuple(typed_column(list(col)) for col in zip(*self.meta))),
+            tuple(reasons), objs)
+
+
+class EventBatch:
+    """A slice of the switch->NIC event stream as struct-of-arrays, in
+    §5's fixed record layout: a record table (``rec_pos`` stream
+    position, ``rec_key`` id into ``keys``, ``rec_hash`` CG hash32,
+    ``rec_reason`` index into ``reasons``, ``rec_start`` / ``rec_len``
+    cells), a sync table (``sync_pos``, ``sync_index`` FG-table slot,
+    ``sync_key``, ``sync_hash`` owner CG hash32 or -1 when a normalised
+    list did not say), the cell columns ``cell_fg`` plus ``cell_meta`` (one
+    typed column per metadata field) and ``keys``, the batch's own key
+    table (switch ids are renumbered).
+
+    It is also a read-only sequence of the :class:`FGSync` /
+    :class:`MGPVRecord` objects it encodes, with plain Python values,
+    built once on first use (tests, the benches, the per-cell oracle
+    and the lossy link read events so).
+    """
+
+    __slots__ = ("keys", "reasons", "rec_pos", "rec_key", "rec_hash",
+                 "rec_reason", "rec_start", "rec_len", "sync_pos",
+                 "sync_index", "sync_key", "sync_hash", "cell_fg",
+                 "cell_meta", "_objs")
+
+    def __init__(self, keys: list, records, syncs, cells: tuple,
+                 reasons: tuple = REASONS, objs: list | None = None) -> None:
+        self.keys, self.reasons, self._objs = keys, reasons, objs
+        (self.rec_pos, self.rec_key, self.rec_hash, self.rec_reason,
+         self.rec_start, self.rec_len) = records
+        self.sync_pos, self.sync_index, self.sync_key, self.sync_hash = syncs
+        self.cell_fg, self.cell_meta = cells
+
+    @classmethod
+    def of(cls, events, project=None) -> "EventBatch":
+        """``events`` as a batch — itself when it is one, else the event
+        list normalised once (every ``consume_batch`` entry).  Given the
+        CG ``project``ion, unknown sync owner hashes are filled in."""
+        objs = None if isinstance(events, EventBatch) else list(events)
+        # A list of a batch's own event objects is that batch again.
+        origin = _ORIGINS.get(id(objs[0])) if objs else None
+        if origin is not None and len(origin) == len(objs) and all(
+                map(operator.is_, objs, origin._objs)):
+            events = origin
+        elif objs is not None:
+            buffer = EventBuffer()
+            for event in objs:
+                buffer.add(event)
+            events = buffer.batch(objs)
+        if project is not None and (events.sync_hash < 0).any():
+            unknown = np.flatnonzero(events.sync_hash < 0)
+            cg_keys = [project(events.keys[k])
+                       for k in events.sync_key[unknown].tolist()]
+            events.sync_hash = events.sync_hash.copy()
+            events.sync_hash[unknown] = hash_key_columns(
+                list(zip(*cg_keys))).astype(np.int64)
+        return events
+
+    def events(self) -> list:
+        """The batch as event objects, in stream order."""
+        if self._objs is None:
+            cells = list(zip(self.cell_fg.tolist(), zip(*(
+                col.tolist() for col in self.cell_meta))
+                if self.cell_meta else repeat(())))
+            keys, reasons = self.keys, self.reasons
+            objs = [None] * len(self)
+            for pos, key, hash32, reason, start, n in zip(*(
+                    a.tolist() for a in (self.rec_pos, self.rec_key,
+                                         self.rec_hash, self.rec_reason,
+                                         self.rec_start, self.rec_len))):
+                objs[pos] = MGPVRecord(keys[key], hash32,
+                                       tuple(cells[start:start + n]),
+                                       reasons[reason])
+            for pos, index, key in zip(self.sync_pos.tolist(),
+                                       self.sync_index.tolist(),
+                                       self.sync_key.tolist()):
+                objs[pos] = FGSync(index, keys[key])
+            self._objs = objs
+        if self._objs:
+            _ORIGINS[id(self._objs[0])] = self
+            if len(_ORIGINS) > 2:
+                del _ORIGINS[next(iter(_ORIGINS))]
+        return self._objs
+
+    def select(self, records: np.ndarray, syncs: np.ndarray) -> "EventBatch":
+        """The sub-stream of the records and syncs two boolean masks keep,
+        in order (a cluster's per-engine share)."""
+        keep = np.zeros(len(self), bool)
+        keep[self.rec_pos[records]] = keep[self.sync_pos[syncs]] = True
+        renumber = np.cumsum(keep) - 1
+        lens = self.rec_len[records]
+        ends = np.cumsum(lens)
+        at = np.arange(ends[-1] if len(ends) else 0) + np.repeat(
+            self.rec_start[records] - ends + lens, lens)
+        return EventBatch(
+            self.keys,
+            (renumber[self.rec_pos[records]], self.rec_key[records],
+             self.rec_hash[records], self.rec_reason[records],
+             ends - lens, lens),
+            (renumber[self.sync_pos[syncs]], self.sync_index[syncs],
+             self.sync_key[syncs], self.sync_hash[syncs]),
+            (self.cell_fg[at], tuple(col[at] for col in self.cell_meta)),
+            self.reasons)
+
+    def __len__(self) -> int:
+        return len(self.rec_pos) + len(self.sync_pos)
+
+    def __iter__(self):
+        return iter(self.events())
+
+    def __getitem__(self, index):
+        return self.events()[index]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (EventBatch, list, tuple)):
+            return self.events() == list(other)
+        return NotImplemented
+
+    def __add__(self, other) -> "EventBatch":
+        return EventBatch.of(self.events() + list(other))
+
+    def __radd__(self, other) -> list:
+        # ``events += batch`` on a list lands here too: stay a list.
+        return list(other) + self.events()
+
 
 @dataclass
 class CacheStats:
@@ -155,18 +356,7 @@ class CacheStats:
 
     def as_dict(self) -> dict:
         """The counters as a flat observe-convention dict."""
-        return {
-            "pkts_in": self.pkts_in,
-            "bytes_in": self.bytes_in,
-            "records_out": self.records_out,
-            "cells_out": self.cells_out,
-            "bytes_out": self.bytes_out,
-            "syncs_out": self.syncs_out,
-            "evictions": dict(self.evictions),
-            "long_allocs": self.long_allocs,
-            "long_alloc_failures": self.long_alloc_failures,
-            "fg_collisions": self.fg_collisions,
-        }
+        return {**vars(self), "evictions": dict(self.evictions)}
 
 
 def _distinct_rows(columns) -> tuple[np.ndarray, np.ndarray]:
@@ -243,6 +433,12 @@ class MGPVCache:
         # entries it owns.
         self._cells: list[list | None] = [None] * cfg.n_short
         self._fgs: list[list | None] = [None] * cfg.n_short
+        # Pending cells: (fg index, metadata) tuples for per-packet
+        # inserts, an array of positions into the arena's columns (FG
+        # index, then the metadata fields; ``_arena_n`` rows used) for
+        # batch calls.
+        self._arena: list[np.ndarray] | None = None
+        self._arena_n = self._arena_cap = 0
         self._n_resident = 0
         self._aging_cursor = 0
         self._long_allowed: int | None = None   # fault-injected squeeze
@@ -288,6 +484,8 @@ class MGPVCache:
         cleared here — clear it between packets.
         """
         events: list[Event] = [] if out is None else out
+        if self._arena is not None:
+            self._unpack_arena()
         ts = pkt.tstamp
         if ts > self._now:
             self._now = ts
@@ -310,28 +508,43 @@ class MGPVCache:
         return events
 
     def insert_batch(self, batch, out: list[Event] | None = None
-                     ) -> list[Event]:
-        """Columnar twin of :meth:`insert`: a per-slot segment kernel.
+                     ) -> EventBatch:
+        """Columnar twin of :meth:`insert`: a per-slot segment kernel
+        returning one :class:`EventBatch` (``out``, when given, is
+        extended with its events as objects).
 
         Rows are keyed and hashed in numpy and stable-sorted by short slot
         once; only *event* rows — a new group or collision, an FG-table
         miss, a short or long buffer filling — run the scalar body, in row
         order, which also resolves what couples slots (the long-buffer
         pool, FG collisions evicting another slot's group).  Plain appends
-        join their slot's pending cells as slices of one slot-sorted cell
-        list; the Fig 14 samples come from an interval sweep.  Events,
-        counters and state equal inserting the packets one at a time —
-        which the reference oracle, aging (its cursor scan reads the clock
-        row by row) and non-columnar keys or metadata do.
+        join their slot's pending cells as ranges of the slot-sorted cell
+        columns (which join the arena once); Fig 14 samples come from an
+        interval sweep.  Events, counters and state equal inserting the
+        packets one at a time — which the reference oracle, aging (its
+        cursor scan reads the clock row by row) and non-columnar keys or
+        metadata do.
         """
-        events: list[Event] = [] if out is None else out
         cfg = self.config
         if (self._reference or self.fg.batch_key is None
                 or cfg.aging_timeout_ns is not None
                 or not all(f in PLAIN_FIELDS for f in self.metadata_fields)):
+            events: list = []
             for pkt in batch:
                 self.insert(pkt, events)
-            return events
+            events = EventBatch.of(events)
+        else:
+            events = self._batch(self._insert_columnar(batch))
+        if out is not None:
+            out.extend(events)
+        return events
+
+    def _insert_columnar(self, batch) -> list:
+        """:meth:`insert_batch`'s kernel; returns its raw events."""
+        cfg = self.config
+        events: list = []
+        if self._arena is None or self._arena_n > self._arena_cap:
+            self._pack_arena()
         n = len(batch)
         if not n:
             return events
@@ -347,13 +560,17 @@ class MGPVCache:
         sfg = table[:, 4][sinv]
         tstamps = batch.column("tstamp")
         sts = tstamps[order]
-        fg_idx = table[:, 3][sinv].tolist()
-        # Metadata tuples first: the collector untracks a cell tuple at
-        # once only when its metadata tuple already is.
-        meta = (list(zip(*(batch.column(f)[order].tolist()
-                           for f in self.metadata_fields)))
-                if self.metadata_fields else [()] * n)
-        cells = list(zip(fg_idx, meta))
+        # Cell columns in position order join the arena: a pending cell
+        # is its position ``base + pos`` there.
+        base = self._arena_n
+        self._arena_n += n
+        if self._arena_n > len(self._arena[0]):
+            self._arena = [np.concatenate((col[:base], np.empty(
+                max(self._arena_n, 2 * base) - base, col.dtype)))
+                for col in self._arena]
+        for col, new in zip(self._arena, [table[:, 3][sinv]] + [
+                batch.column(f)[order] for f in self.metadata_fields]):
+            col[base:self._arena_n] = new
         head = np.ones(n, bool)
         np.not_equal(sslot[1:], sslot[:-1], out=head[1:])
         seg_start = np.flatnonzero(head)
@@ -430,7 +647,7 @@ class MGPVCache:
                 return
             p = ptr[k]
             q = ptr[k] = bisect_left(v_order, row, p, ends[k])
-            pending[slot].extend(cells[p:q])
+            pending[slot].extend(range(base + p, base + q))
             if q > starts[k]:
                 cuts[q - 1] = row
             else:
@@ -450,12 +667,12 @@ class MGPVCache:
             route = routes[v_sinv[pos]]
             if v_key[s] == route[0] and fg_key[route[3]] == route[4]:
                 # Resident group, FG hit: a buffer threshold at most.
-                pending[s].extend(cells[p:pos + 1])
+                pending[s].extend(range(base + p, base + pos + 1))
                 filled(s, events)
                 p = ptr[k] = pos + 1
             else:
                 if pos > p:
-                    pending[s].extend(cells[p:pos])
+                    pending[s].extend(range(base + p, base + pos))
                 # An FG collision evicts the displaced key's group:
                 # another slot's, or this one's own (when it is not being
                 # replaced).
@@ -465,7 +682,7 @@ class MGPVCache:
                 if owner >= 0 and owner != s:
                     catch_up(owner, key >> 32)
                 own = owner == s and v_key[s] == route[0]
-                apply(route, v_sts[pos], cells[pos], events)
+                apply(route, v_sts[pos], base + pos, events)
                 p = ptr[k] = pos + 1
                 if own:
                     restart(k, pos)
@@ -489,7 +706,7 @@ class MGPVCache:
 
         for s, p, e in zip(slots, ptr, ends):
             if p < e:
-                pending[s].extend(cells[p:e])
+                pending[s].extend(range(base + p, base + e))
         held = self._slot_key[seg_slot] >= 0
         self._slot_last[seg_slot[held]] = sts[seg_end[held] - 1]
         if len(samples):
@@ -533,14 +750,19 @@ class MGPVCache:
         if flush_at_end:
             yield from self.flush()
 
-    def flush(self) -> list[Event]:
+    def flush(self) -> EventBatch:
         """Drain every resident group (end of measurement)."""
+        if self._arena is None:
+            self._pack_arena()
         events = []
         for slot in np.flatnonzero(self._slot_key >= 0).tolist():
             if self._cells[slot]:
                 events.append(self._evict(slot, "flush"))
             else:
                 self._remove(slot)
+        events = self._batch(events)
+        self._arena = [np.empty(0, col.dtype) for col in self._arena]
+        self._arena_n = 0
         return events
 
     def consume(self, pkt: Packet) -> list[Event]:
@@ -685,7 +907,7 @@ class MGPVCache:
                 events.append(self._evict(slot, "collision"))
             self._create(slot, cg_id, hash32)
         if self._v_fg_key[fg_idx] != fg_id:
-            self._resolve_fg(fg_id, fg_idx, slot, events)
+            self._resolve_fg(route, slot, events)
             # The FG collision may have evicted this very group (the
             # displaced key projected onto it); re-create it.
             if key[slot] != cg_id:
@@ -723,7 +945,7 @@ class MGPVCache:
     def _create(self, slot: int, cg_id: int, hash32: int) -> None:
         self._v_key[slot] = cg_id
         self._v_hash[slot] = hash32
-        self._cells[slot] = []
+        self._cells[slot] = [] if self._arena is None else array("q")
         self._fgs[slot] = []
         self._n_resident += 1
 
@@ -732,11 +954,12 @@ class MGPVCache:
         self._long_top += 1
         self._v_long[slot] = -1
 
-    def _resolve_fg(self, fg_id: int, fg_idx: int, inserting_slot: int,
+    def _resolve_fg(self, route: tuple, inserting_slot: int,
                     events: list[Event]) -> None:
-        """Install key ``fg_id`` into FG-table slot ``fg_idx`` (the caller
+        """Install the route's FG key into its FG-table slot (the caller
         checked it is not already there), appending the sync — and any
         collision eviction — to ``events``."""
+        _cg_id, hash32, _slot, fg_idx, fg_id = route
         if self._v_fg_key[fg_idx] >= 0:
             # FG slot collision: the displaced key's owner group must be
             # flushed first — its resident cells reference this index.
@@ -745,28 +968,85 @@ class MGPVCache:
                                       "collision"))
         self._v_fg_key[fg_idx] = fg_id
         self._v_fg_owner[fg_idx] = inserting_slot
-        sync = FGSync(fg_idx, self._keys[fg_id])
-        events.append(sync)
+        events.append(FGSync(fg_idx, self._keys[fg_id]) if self._arena is None
+                      else (fg_idx, fg_id, hash32))
         self.stats.syncs_out += 1
-        self.stats.bytes_out += sync.wire_bytes(self.config)
+        self.stats.bytes_out += 2 + self.config.fg_key_bytes
         if self._t_fg_syncs is not None:
             self._t_fg_syncs.inc()
 
-    def _emit(self, slot: int, reason: str) -> MGPVRecord:
-        """The record of ``slot``'s pending cells, which it empties."""
-        record = MGPVRecord(
-            cg_key=self._keys[self._v_key[slot]],
-            cg_hash32=self._v_hash[slot],
-            cells=tuple(self._cells[slot]), reason=reason)
-        self._cells[slot] = []
-        self.stats.records_out += 1
-        self.stats.cells_out += len(record.cells)
-        self.stats.bytes_out += record.wire_bytes(self.config)
-        self.stats.evictions[reason] += 1
+    def _emit(self, slot: int, reason: str) -> MGPVRecord | tuple:
+        """The record of ``slot``'s pending cells, which it empties: an
+        :class:`MGPVRecord`, or ``(cg id, hash32, reason id, arena
+        positions)`` in a batch call."""
+        cells = self._cells[slot]
+        self._cells[slot] = [] if self._arena is None else array("q")
+        cfg, stats = self.config, self.stats
+        stats.records_out += 1
+        stats.cells_out += len(cells)
+        stats.bytes_out += (cfg.record_header_bytes + cfg.cg_key_bytes
+                            + len(cells) * cfg.cell_bytes)
+        stats.evictions[reason] += 1
         if self._t_evictions is not None:
             self._t_evictions.inc()
-            self._t_record_cells.observe(len(record.cells))
-        return record
+            self._t_record_cells.observe(len(cells))
+        if self._arena is None:
+            return MGPVRecord(self._keys[self._v_key[slot]],
+                              self._v_hash[slot], tuple(cells), reason)
+        return (self._v_key[slot], self._v_hash[slot], _REASON_ID[reason],
+                cells)
+
+    def _pack_arena(self) -> None:
+        """Rebuild the arena from the resident pending cells alone (cell
+        tuples converted), renumbered from 0: bounded by what is resident."""
+        slots = [s for s in np.flatnonzero(self._slot_key >= 0).tolist()
+                 if self._cells[s]]
+        pending = [cell for s in slots for cell in self._cells[s]]
+        if self._arena is not None:
+            at = np.array(pending, np.int64)
+            self._arena = [col[at] for col in self._arena]
+        elif pending:
+            self._arena = [typed_column(list(col)) for col in zip(*(
+                (fg, *meta) for fg, meta in pending))]
+        else:
+            self._arena = [_NONE] * (1 + len(self.metadata_fields))
+        at = 0
+        for s in slots:
+            n = len(self._cells[s])
+            self._cells[s] = array("q", range(at, at + n))
+            at += n
+        self._arena_n = at
+        self._arena_cap = max(1 << 12, 2 * at)
+
+    def _unpack_arena(self) -> None:
+        """Back to cell tuples, for a per-packet insert."""
+        fg, *metas = (col[:self._arena_n].tolist() for col in self._arena)
+        self._arena = None
+        for s in np.flatnonzero(self._slot_key >= 0).tolist():
+            self._cells[s] = [(fg[i], tuple(col[i] for col in metas))
+                              for i in self._cells[s]]
+
+    def _batch(self, raw: list) -> EventBatch:
+        """Raw batch-call events — records from :meth:`_emit`, syncs
+        ``(fg index, fg id, owner hash32)`` — as an :class:`EventBatch`,
+        its cells gathered from the arena by one ``take``."""
+        is_rec = [len(event) == 4 for event in raw]
+        recs = list(zip(*compress(raw, is_rec))) or [()] * 4
+        syncs = list(zip(*(e for e in raw if len(e) == 3))) or [()] * 3
+        lens = np.array(list(map(len, recs[3])), np.int64)
+        at = np.array(list(chain.from_iterable(recs[3])), np.int64)
+        ids: dict = {}
+        local = np.array([ids.setdefault(i, len(ids))
+                          for i in recs[0] + syncs[1]], np.int64)
+        n_rec = len(lens)
+        return EventBatch(
+            list(map(self._keys.__getitem__, ids)),
+            (np.flatnonzero(is_rec), local[:n_rec],
+             np.array(recs[1], np.int64), np.array(recs[2], np.int64),
+             np.cumsum(lens) - lens, lens),
+            (np.flatnonzero(np.logical_not(is_rec)), np.array(syncs[0],
+             np.int64), local[n_rec:], np.array(syncs[2], np.int64)),
+            (self._arena[0][at], tuple(col[at] for col in self._arena[1:])))
 
     def _evict(self, slot: int, reason: str) -> MGPVRecord:
         start = perf_counter_ns() if self._t_tracer is not None else 0

@@ -76,9 +76,10 @@ def test_unknown_event(setup):
 
 
 def test_batch_routes_equal_per_event_routes(setup, monkeypatch):
-    """``consume_batch`` resolves a slice's new-flow sync routes in one
-    vectorised hash sweep: same routes, same partition, and no scalar
-    key hash left for the syncs — also with a dead NIC in the bank."""
+    """``consume_batch`` steers a slice by its hash columns (the syncs'
+    owner hashes in one vectorised sweep): same routes, same partition,
+    and no scalar key hash left for the syncs — also with a dead NIC in
+    the bank."""
     from repro.nicsim import loadbalance
 
     compiled, events = setup
@@ -93,6 +94,7 @@ def test_batch_routes_equal_per_event_routes(setup, monkeypatch):
         lambda key: scalar_hashes.append(key) or 0)
     batched.consume_batch(events)
     assert not scalar_hashes
-    assert batched._route_cache == one_by_one._route_cache
+    assert ([e.fg_mirror_items() for e in batched.engines]
+            == [e.fg_mirror_items() for e in one_by_one.engines])
     assert batched.cells_per_nic() == one_by_one.cells_per_nic()
     assert batched.rerouted_events == one_by_one.rerouted_events > 0
