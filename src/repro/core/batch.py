@@ -35,67 +35,6 @@ class UnsupportedPolicy(ValueError):
     """The policy needs the full engine, not the batch fast path."""
 
 
-class Batcher:
-    """Amortizing accumulator: items collect until ``capacity`` and are
-    released as one chunk — the same trade the MGPV cache makes for the
-    switch→NIC link, applied to any per-item overhead.  The parallel
-    execution engine (:mod:`repro.core.parallel`) batches its worker
-    dispatch through this: each released chunk becomes one transport
-    frame (a shared-memory ring write, or one out-of-band buffer over
-    the queue — see :mod:`repro.core.transport`), so chunk size is the
-    frame size and the per-chunk cost is one encode + one copy instead
-    of per-event pickling.
-    """
-
-    __slots__ = ("capacity", "_items")
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._items: list = []
-
-    def add(self, item) -> list | None:
-        """Accumulate one item; returns the full chunk when it fills,
-        None otherwise."""
-        self._items.append(item)
-        if len(self._items) >= self.capacity:
-            return self.drain()
-        return None
-
-    def drain(self) -> list:
-        """Release whatever has accumulated (possibly empty)."""
-        items, self._items = self._items, []
-        return items
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-
-class AdaptiveBatcher(Batcher):
-    """Slow-start :class:`Batcher` for auto-sized dispatch: the first
-    chunks release quickly (low time-to-first-dispatch on short
-    streams), then the capacity doubles per released chunk up to
-    ``max_capacity`` so a long stream settles into one queue/pickling
-    round per large chunk without anyone picking a batch size."""
-
-    __slots__ = ("max_capacity",)
-
-    def __init__(self, capacity: int = 16,
-                 max_capacity: int = 1024) -> None:
-        super().__init__(capacity)
-        if max_capacity < capacity:
-            raise ValueError(f"max_capacity must be >= capacity, got "
-                             f"{max_capacity} < {capacity}")
-        self.max_capacity = max_capacity
-
-    def add(self, item) -> list | None:
-        chunk = super().add(item)
-        if chunk is not None and self.capacity < self.max_capacity:
-            self.capacity = min(self.capacity * 2, self.max_capacity)
-        return chunk
-
-
 def _check_supported(compiled: CompiledPolicy) -> None:
     if compiled.collect_unit == "pkt":
         raise UnsupportedPolicy("per-packet collection is stateful; use "

@@ -243,6 +243,13 @@ class SwitchNICLink:
     # -- stage protocol --------------------------------------------------------
 
     def consume(self, event) -> tuple:
+        return self._carry(event, emitted=False)
+
+    def _carry(self, event, emitted: bool) -> tuple:
+        """One event across the channel.  A batch walk's events are
+        ``emitted``: at a sync's stream position the switch's FG table
+        held its key (it had just written it), so the stale-slot check
+        passes; a lone event meets the table as it stands."""
         if isinstance(event, FGSync):
             self.syncs_in += 1
         else:
@@ -254,7 +261,7 @@ class SwitchNICLink:
                 self.drops_fault += 1
             else:
                 self.drops_injected += 1
-            if not self._recover(event):
+            if not self._recover(event, emitted):
                 self._pending_gap += 1
                 return ()
         cap = self.config.capacity_records
@@ -283,7 +290,8 @@ class SwitchNICLink:
                 and cfg.batch_records == 1 and self._capacity_clamp is None
                 and cfg.capacity_records is None
                 and not self._queue and not self._pending_gap):
-            return [out for event in batch for out in self.consume(event)]
+            return [out for event in batch
+                    for out in self._carry(event, emitted=True)]
         # Every event is its own DMA batch: _transmit()'s accounting.
         n, n_rec = len(batch), len(batch.rec_pos)
         sizes = np.full(n, 2 + wire.fg_key_bytes, np.int64)
@@ -340,24 +348,24 @@ class SwitchNICLink:
             return "fault"
         return None
 
-    def _recover(self, event) -> bool:
+    def _recover(self, event, emitted: bool) -> bool:
         """Bounded retransmit-request loop for a lost FG sync.  The NIC
         requests the FG-table slot again; the switch re-reads its FG-key
         table and resends.  True when a retry got through."""
         if self._t_tracer is not None:
             start = perf_counter_ns()
-            ok = self._recover_inner(event)
+            ok = self._recover_inner(event, emitted)
             self._t_tracer.record("link.retransmit", start,
                                   perf_counter_ns())
             return ok
-        return self._recover_inner(event)
+        return self._recover_inner(event, emitted)
 
-    def _recover_inner(self, event) -> bool:
+    def _recover_inner(self, event, emitted: bool) -> bool:
         cfg = self.config
         if cfg.retransmit_retries < 1 or not isinstance(event, FGSync):
             return False
-        if self._fg_source is None \
-                or self._fg_source.fg_entry(event.index) != event.key:
+        if self._fg_source is None or not emitted \
+                and self._fg_source.fg_entry(event.index) != event.key:
             return False
         if self._retry_rng is None:
             self._retry_rng = np.random.default_rng(cfg.seed + 0x5FE1)

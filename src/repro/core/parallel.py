@@ -11,7 +11,7 @@ amortized batches.
 Topology::
 
     coordinator (routing, FG-mirror ledger, failover, merge)
-        │  per-worker FIFO queue, batches of encoded wire rows
+        │  per-worker FIFO queue, frames of EventBatch columns
         ├── worker 0: FeatureEngine for shards {0, k, 2k, ...}
         ├── worker 1: FeatureEngine for shards {1, k+1, ...}
         └── ...
@@ -44,15 +44,16 @@ Failover (``fail_nic``) needs no barrier: the crash request rides the
 owner's FIFO queue behind every event routed before the kill, so the
 residual snapshot is exactly the serial one.
 
-Transport: dispatch batches do not pickle their events.  The
-coordinator flattens each chunk into one int64 frame and ships it
-through a per-worker shared-memory ring (:mod:`repro.core.transport`),
-posting only a tiny ``("frame", seq)`` pointer on the FIFO queue; hosts
-without usable shared memory — and the inline ``serial`` workers —
-take the same frame as a single ``bytes`` payload in the message
-(``oob``).  Chunks a frame cannot represent exactly (non-int cell
-values, unknown reasons, int64 overflow) fall back, per chunk and
-counted, to their wire rows as a ``pbatch`` message.
+Transport: the coordinator steers an
+:class:`~repro.switchsim.mgpv.EventBatch` by CG hash and ships each
+worker's ``select``-ed share as frames of raw column buffers
+(:mod:`repro.core.transport`) through a per-worker shared-memory ring,
+posting only a ``("frame", seq)`` pointer on the FIFO queue; without
+usable shared memory — and inline — the frame rides the message
+(``oob``).  A worker hands each engine its ``select``-ed sub-batch of
+the decoded views: the serial engine path.  Single events queue in an
+:class:`~repro.switchsim.mgpv.EventBuffer` shipped before the next batch
+or control message, as the engine's own queue is.
 Workers for the process backend come from a persistent
 :class:`WorkerPool` — spawned once, ``reset`` per run, rebalanced
 across runs by observed per-shard load, and stopped by an explicit
@@ -74,8 +75,9 @@ blames) is quarantined: it is dropped from the journal, its events are
 salvaged through a coordinator-side engine whose output vectors are
 force-flagged ``degraded`` (the PR 2 coarse-granularity downgrade), and
 the batch is enumerated in :meth:`ShardedCluster.health`.  The journal
-grows with the event stream — supervision trades memory proportional to
-the input for the ability to rebuild any worker at any point.
+holds each frame's bytes, replayed unchanged, and grows with the event
+stream — supervision trades memory proportional to the input for the
+ability to rebuild any worker at any point.
 """
 
 from __future__ import annotations
@@ -90,6 +92,8 @@ import weakref
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core import flightrec
 from repro.core.compiler import CompiledPolicy
 from repro.core.functions import ExecContext
@@ -103,15 +107,22 @@ from repro.core.transport import (
     FRAME_OVERHEAD,
     TRANSPORTS,
     ShmRing,
+    TransportError,
     apply_frame,
-    apply_rows,
-    encode_rows,
+    decode_frame,
+    encode_frame,
+    key_matrix,
     resolve_transport,
-    rows_to_events,
 )
 from repro.nicsim.engine import EngineStats, FeatureEngine, FeatureVector
 from repro.nicsim.loadbalance import ClusterBase, reconcile_residual
-from repro.switchsim.mgpv import Event, FGSync, MGPVRecord
+from repro.switchsim.mgpv import (
+    Event,
+    EventBatch,
+    EventBuffer,
+    FGSync,
+    MGPVRecord,
+)
 
 BACKENDS = ("serial", "process")
 
@@ -128,7 +139,9 @@ DEFAULT_REQUEST_TIMEOUT_S = 30.0
 #: applies backpressure (blocks for ring space) instead.
 _PENDING_LIMIT = 64
 
-_BATCH_KINDS = ("pbatch", "frame", "oframe")
+_BATCH_KINDS = ("frame", "oframe")
+#: Events per frame when ``dispatch_batch`` is auto.
+_FRAME_EVENTS = 1024
 
 
 class ExecutorError(RuntimeError):
@@ -171,11 +184,10 @@ class ExecutionConfig:
     ``backend`` is ``"serial"`` (in-process) or ``"process"`` (forked
     shard workers).  ``workers`` is an upper bound — a cluster never
     spawns more workers than it has shards.  ``dispatch_batch`` is the
-    amortization unit: events accumulate coordinator-side and cross the
-    worker queue in chunks, one encoded frame per chunk.  The default
-    (None) auto-sizes: a slow-start batcher releases small chunks first
-    and doubles up to 1024 as the stream proves long.  Every count knob
-    must be a plain ``int``.
+    amortization unit: the most events one frame carries (a batch call
+    ships its share in frames of that size; single events queue until
+    that many).  The default (None) is 1024.  Every count knob must be
+    a plain ``int``.
 
     Robustness knobs (supervised process backend):
 
@@ -200,7 +212,9 @@ class ExecutionConfig:
       to ``SUPERFE_TRANSPORT``, then auto-selects: ``shm`` where shared
       memory works, degrading to ``oob`` with a single warning where it
       does not.
-    - ``ring_bytes`` — per-worker ring capacity for the shm transport.
+    - ``ring_bytes`` — per-worker ring capacity for the shm transport
+      (4 MiB: a 175k-packet batch call's share, so its frames never
+      park while the coordinator runs the switch's flush).
     """
 
     workers: int = 1
@@ -211,7 +225,7 @@ class ExecutionConfig:
     max_restarts: int = 5
     poison_threshold: int = 3
     transport: str | None = None
-    ring_bytes: int = 1 << 20
+    ring_bytes: int = 1 << 22
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -339,30 +353,22 @@ class _ShardDriver:
         """Returns ``(replied, payload)``; async messages reply False."""
         kind = msg[0]
         if kind in _BATCH_KINDS:
-            # Batch messages are ("frame", seq) — the rows travelled
-            # through the shm ring as one int64 frame, popped here —
-            # ("oframe", seq, payload) — the same frame bytes carried in
-            # the message — or ("pbatch", seq, rows), the wire rows of a
-            # chunk the frame codec rejected: seq is the coordinator's
-            # journal sequence number (None when unsupervised), echoed
-            # back in error reports so failures are attributable to one
-            # batch.
+            # Batch messages are ("frame", seq) — the frame travelled
+            # through the shm ring, popped here — or ("oframe", seq,
+            # payload), the same frame bytes carried in the message: seq
+            # is the coordinator's journal sequence number (None when
+            # unsupervised), echoed back in error reports so failures
+            # are attributable to one batch.
             slow = self._slow_factor
             t0 = time.perf_counter() if slow > 1.0 else 0.0
             tel = self.telemetry
             tracing = tel is not None and tel.tracing
             start_ns = time.perf_counter_ns() if tracing else 0
-            ctx = None
             if kind == "frame":
-                payload = self.ring.pop()
-                ctx = self.ring.last_ctx
-                apply_frame(payload, self.engines)
-            elif kind == "oframe":
-                ctx = msg[3] if len(msg) > 3 else None
-                apply_frame(msg[2], self.engines)
+                payload, ctx = self.ring.pop(), self.ring.last_ctx
             else:
-                ctx = msg[3] if len(msg) > 3 else None
-                apply_rows(msg[2], self.engines)
+                payload, ctx = msg[2], msg[3] if len(msg) > 3 else None
+            apply_frame(payload, self.engines)
             if tracing and ctx is not None:
                 # Worker-side stage span: the batch's engine work,
                 # stitched to the coordinator's dispatch span through
@@ -389,10 +395,11 @@ class _ShardDriver:
         if kind == "stats":
             return True, {s: e.stats for s, e in self.engines.items()}
         if kind == "take_pkt":
-            return True, {s: e.take_packet_vectors()
+            return True, {s: _pack_vectors(e.take_packet_vectors())
                           for s, e in self.engines.items()}
         if kind == "finalize":
-            return True, {s: e.finalize() for s, e in self.engines.items()}
+            return True, {s: _pack_vectors(e.finalize())
+                          for s, e in self.engines.items()}
         if kind == "barrier":
             return True, None
         if kind == "telemetry_on":
@@ -444,6 +451,29 @@ class _ShardDriver:
                     engine.attach_telemetry(self.telemetry)
             return True, True
         raise RuntimeError(f"unknown worker message {kind!r}")
+
+
+def _pack_vectors(vectors: list):
+    """A shard's vectors as a reply: their values as one matrix when
+    they share names, widths and a 1-D shape (one buffer to pickle, not
+    an array object per vector), else the list itself."""
+    shapes = {(v.names, v.widths, v.values.shape, v.values.dtype)
+              for v in vectors}
+    if len(shapes) != 1 or vectors[0].values.ndim != 1:
+        return vectors
+    return (*next(iter(shapes))[:2], [v.key for v in vectors],
+            np.stack([v.values for v in vectors]),
+            [v.degraded for v in vectors])
+
+
+def _unpack_vectors(reply) -> list[FeatureVector]:
+    """:func:`_pack_vectors`' inverse (values become the matrix's rows,
+    as the engine's own vectors are)."""
+    if isinstance(reply, list):
+        return reply
+    names, widths, keys, values, degraded = reply
+    return [FeatureVector(key, names, row, flag, widths)
+            for key, row, flag in zip(keys, values, degraded)]
 
 
 def _worker_loop(compiled, ctx, engine_kwargs, shards, inbox, outbox,
@@ -503,10 +533,6 @@ class _InlineWorker:
     def reply(self, deadline: float | None = None):
         return self._replies.popleft()
 
-    def request(self, msg: tuple):
-        self.post(msg)
-        return self.reply()
-
     def stop(self) -> None:
         pass
 
@@ -522,8 +548,8 @@ class _ProcessWorker:
         self._stopped = False
         self.ring = ring
         # Instrumentation: message kinds posted over the queue, for the
-        # zero-pickled-payload transport proof (frames never count as
-        # "pbatch" here — only the 16-byte pointer message).
+        # zero-pickled-payload transport proof (a ring frame counts only
+        # its 16-byte pointer message).
         self.kind_counts: dict[str, int] = {}
         mp_ctx = _fork_context()
         self.inbox = mp_ctx.Queue(maxsize=_QUEUE_DEPTH)
@@ -557,19 +583,16 @@ class _ProcessWorker:
         return cls(message, worker=self.index, shards=self.shards,
                    pid=self.pid, kind=kind, seq=seq, flight=flight)
 
-    def _as_error(self, info) -> ExecutorError:
-        if isinstance(info, dict):
-            what = ("while constructing its engines"
-                    if info.get("kind") == "startup"
-                    else f"handling {info.get('kind')!r}")
-            return self._blame(
-                f"{self.name} (pid {info.get('pid')}, shards "
-                f"{tuple(info.get('shards') or ())}) failed {what}:\n"
-                f"{info.get('traceback')}",
-                kind=info.get("kind"), seq=info.get("seq"),
-                worker_flight=info.get("flight"))
-        # Pre-structured (string) payloads, kept for forward compat.
-        return self._blame(f"{self.name} failed:\n{info}")
+    def _as_error(self, info: dict) -> ExecutorError:
+        what = ("while constructing its engines"
+                if info.get("kind") == "startup"
+                else f"handling {info.get('kind')!r}")
+        return self._blame(
+            f"{self.name} (pid {info.get('pid')}, shards "
+            f"{tuple(info.get('shards') or ())}) failed {what}:\n"
+            f"{info.get('traceback')}",
+            kind=info.get("kind"), seq=info.get("seq"),
+            worker_flight=info.get("flight"))
 
     def post(self, msg: tuple, deadline: float | None = None) -> None:
         """Enqueue a message.  With a ``deadline`` (monotonic seconds,
@@ -614,10 +637,6 @@ class _ProcessWorker:
             if status == "error":
                 raise self._as_error(payload)
             return payload
-
-    def request(self, msg: tuple):
-        self.post(msg)
-        return self.reply()
 
     def stop(self) -> None:
         """Graceful shutdown; never hangs on a dead or wedged worker —
@@ -891,7 +910,8 @@ class WorkerPool:
 # ---------------------------------------------------------------------------
 
 class _JournalEntry:
-    """One state-mutating message in a worker's transcript."""
+    """One state-mutating message in a worker's transcript (a batch's
+    payload is its frame bytes)."""
 
     __slots__ = ("kind", "payload", "expects_reply", "quarantined", "ctx")
 
@@ -905,11 +925,9 @@ class _JournalEntry:
         # verbatim so the replayed batch regenerates identical span ids.
         self.ctx = ctx
 
-    def message(self, seq: int) -> tuple:
-        if self.kind in _BATCH_KINDS:
-            if self.ctx is not None:
-                return (self.kind, seq, self.payload, self.ctx)
-            return (self.kind, seq, self.payload)
+    def message(self) -> tuple:
+        """A control entry's message (frames replay through
+        :meth:`ShardedCluster._deliver_journal`)."""
         if self.payload is None:
             return (self.kind,)
         return (self.kind, self.payload)
@@ -1044,8 +1062,8 @@ class ShardSupervisor:
                 continue
             try:
                 if entry.kind in _BATCH_KINDS:
-                    # Frame kinds re-encode into the fresh ring (the
-                    # old ring's bytes died with the old worker);
+                    # The journaled frame bytes go into the fresh ring
+                    # unchanged (the old ring died with the old worker);
                     # delivery is eager so the careful-mode barrier
                     # really lands after the batch.
                     cluster._deliver_journal(worker, seq, entry)
@@ -1057,14 +1075,14 @@ class ShardSupervisor:
                         w.reply(deadline=cluster._op_deadline())
                 elif entry.expects_reply:
                     cluster._post_control(
-                        worker, entry.message(seq),
+                        worker, entry.message(),
                         deadline=cluster._op_deadline())
                     value = w.reply(deadline=cluster._op_deadline())
                     if seq == capture_seq:
                         captured = value
                 else:
                     cluster._post_control(
-                        worker, entry.message(seq),
+                        worker, entry.message(),
                         deadline=cluster._op_deadline())
             except ExecutorError as exc:
                 if (getattr(exc, "seq", None) is None and careful
@@ -1102,7 +1120,10 @@ class ShardSupervisor:
     def _quarantine(self, worker: int, seq: int) -> None:
         entry = self.journals[worker][seq]
         entry.quarantined = True
-        events = [event for _shard, event in rows_to_events(entry.payload)]
+        try:
+            events = list(decode_frame(entry.payload)[0])
+        except TransportError:
+            events = []         # a corrupt frame has nothing to salvage
         engine = self._ensure_poison_engine()
         salvaged = failed = 0
         cg_keys = set()
@@ -1204,9 +1225,6 @@ class ShardedCluster(ClusterBase):
                  ctx: ExecContext | None = None,
                  pool: "WorkerPool | None" = None,
                  **engine_kwargs) -> None:
-        # Imported lazily: core.batch pulls in core.pipeline, which is
-        # still mid-import when dataplane loads this module.
-        from repro.core.batch import AdaptiveBatcher, Batcher
         super().__init__(compiled, n_nics)
         self.execution = execution
         self._ctx = ctx
@@ -1250,13 +1268,11 @@ class ShardedCluster(ClusterBase):
         self.fallback_chunks = 0
         self.parked_frames = 0
         self.oversize_chunks = 0
-        self._shard_events = [0] * n_nics
-        if execution.dispatch_batch is None:
-            self._batchers: list = [AdaptiveBatcher()
-                                    for _ in range(self.n_workers)]
-        else:
-            self._batchers = [Batcher(execution.dispatch_batch)
-                              for _ in range(self.n_workers)]
+        self._shard_events = np.zeros(n_nics, np.int64)
+        # Single events wait here until a batch or control message.
+        self._queue = EventBuffer()
+        self._frame_events = execution.dispatch_batch or _FRAME_EVENTS
+        self._owner_of = np.array(self._owner, np.int64)
         self.batches_dispatched = 0
         self.events_dispatched = 0
         self._stats_cache = {s: EngineStats() for s in range(n_nics)}
@@ -1380,59 +1396,47 @@ class ShardedCluster(ClusterBase):
     # -- sink protocol (the dataplane's terminal stage) -----------------------
 
     def consume(self, event: Event) -> tuple:
+        """Queue one event; the queue ships as a batch when it holds a
+        frame's worth, and before the next batch or control message."""
         if self._closed:
             raise RuntimeError("cluster is closed")
-        if isinstance(event, FGSync):
-            shard = self._route(self.compiled.cg.project(event.key))
-            self._mirrors[shard][event.index] = event.key
-            self._post_row((shard, 1, event.index, event.key))
-        elif isinstance(event, MGPVRecord):
-            # A columnar wire block (tag 2): the cells transposed into an
-            # FG-index column and one column per metadata field.
-            self._post_row((
-                self._route(event.cg_key, event.cg_hash32), 2, event.cg_key,
-                event.cg_hash32, tuple(cell[0] for cell in event.cells),
-                tuple(zip(*(cell[1] for cell in event.cells))), event.reason))
-        else:
-            raise TypeError(f"unknown event {event!r}")
+        self._queue.add(event)
+        if len(self._queue) >= self._frame_events:
+            self._flush_dispatch()
         return ()
 
     def consume_batch(self, events) -> tuple:
-        """Route a slice from its record and sync tables (one
-        :func:`~repro.nicsim.loadbalance.steer` each) and post its wire
-        rows in stream order — as :meth:`consume` would, with each
-        record's cells cut from the batch's cell columns."""
+        """Steer a slice from its record and sync tables (one
+        :func:`~repro.nicsim.loadbalance.steer` each), update the
+        FG-mirror ledger from the sync table, and ship each worker's
+        share (:meth:`EventBatch.select`) as frames of at most
+        ``dispatch_batch`` events."""
         if self._closed:
             raise RuntimeError("cluster is closed")
-        batch, rec_shard, sync_shard = self._steer(events)
-        fg = batch.cell_fg.tolist()
-        metas = [col.tolist() for col in batch.cell_meta]
-        keys, reasons = batch.keys, batch.reasons
-        rows = [None] * len(batch)
-        for pos, shard, key, hash32, reason, s, n in zip(*(
-                a.tolist() for a in (batch.rec_pos, rec_shard, batch.rec_key,
-                                     batch.rec_hash, batch.rec_reason,
-                                     batch.rec_start, batch.rec_len))):
-            rows[pos] = (shard, 2, keys[key], hash32, tuple(fg[s:s + n]),
-                         tuple(tuple(col[s:s + n]) for col in metas),
-                         reasons[reason])
-        for pos, shard, index, key in zip(
-                batch.sync_pos.tolist(), sync_shard.tolist(),
-                batch.sync_index.tolist(),
-                map(batch.keys.__getitem__, batch.sync_key.tolist())):
-            self._mirrors[shard][index] = key
-            rows[pos] = (shard, 1, index, key)
-        for row in rows:
-            self._post_row(row)
+        self._flush_dispatch()
+        self._dispatch_batch(*self._steer(events))
         return ()
 
-    def _post_row(self, row: tuple) -> None:
-        shard = row[0]
-        self._shard_events[shard] += 1
-        worker = self._owner[shard]
-        chunk = self._batchers[worker].add(row)
-        if chunk is not None:
-            self._dispatch(worker, chunk)
+    def _dispatch_batch(self, batch: EventBatch, rec_shard: np.ndarray,
+                        sync_shard: np.ndarray) -> None:
+        for shard, mirror in enumerate(self._mirrors):
+            syncs = sync_shard == shard
+            mirror.update(zip(batch.sync_index[syncs].tolist(), map(
+                batch.keys.__getitem__, batch.sync_key[syncs].tolist())))
+        self._shard_events += (np.bincount(rec_shard, minlength=self.n_nics)
+                               + np.bincount(sync_shard,
+                                             minlength=self.n_nics))
+        rec_worker = self._owner_of[rec_shard]
+        sync_worker = self._owner_of[sync_shard]
+        keys = key_matrix(batch.keys)
+        cap = self._frame_events
+        for worker in range(self.n_workers):
+            records, syncs = rec_worker == worker, sync_worker == worker
+            share = batch.select(records, syncs)
+            shards = rec_shard[records], sync_shard[syncs]
+            for lo in range(0, len(share), cap):
+                self._dispatch(worker, share, *shards, keys, lo,
+                               min(lo + cap, len(share)))
 
     def _op_deadline(self) -> float:
         """The monotonic deadline for one worker operation: the request
@@ -1449,54 +1453,45 @@ class ShardedCluster(ClusterBase):
         worker instead of an unbounded wait.  No effect unsupervised."""
         self._deadline = deadline
 
-    def _encode_chunk(self, worker: int, chunk: list):
-        """Pick the wire shape for one chunk: ``(kind, payload)`` where
-        payload is the encoded frame bytes (frame/oframe) or None
-        (pbatch: the wire rows themselves).  Chunks the codec cannot
-        represent (non-int values, e.g. hand-fed float cells) fall back
-        to ``pbatch`` — per chunk, counted, correctness-first."""
-        if self._t_tracer is not None:
-            start = time.perf_counter_ns()
-            payload = encode_rows(chunk)
-            self._t_tracer.record("transport.encode", start,
-                                  time.perf_counter_ns())
-        else:
-            payload = encode_rows(chunk)
-        if payload is None:
+    def _wire_kind(self, worker: int, payload: bytes) -> str:
+        """``frame`` (through the ring) or ``oframe`` (in the message):
+        a frame bigger than the whole ring can never ship through it."""
+        ring = self._rings[worker]
+        if self._transport == "shm" and ring is not None \
+                and ring.fits(len(payload)):
+            return "frame"
+        return "oframe"
+
+    def _dispatch(self, worker: int, share: EventBatch, rec_shard,
+                  sync_shard, keys, lo: int, hi: int) -> None:
+        """Encode events ``[lo, hi)`` of a worker's share as one frame
+        and post it."""
+        tracer = self._t_tracer
+        start = time.perf_counter_ns()
+        payload, pickled = encode_frame(share, rec_shard, sync_shard, keys,
+                                        lo, hi)
+        if tracer is not None:
+            tracer.record("transport.encode", start, time.perf_counter_ns())
+        if pickled:
             self.fallback_chunks += 1
             if self._t_fallback is not None:
                 self._t_fallback.inc()
             flightrec.record("transport.fallback", worker=worker,
-                             events=len(chunk))
-            return "pbatch", None
-        if self._transport == "shm":
-            ring = self._rings[worker]
-            if ring is None or not ring.fits(len(payload)):
-                # A chunk bigger than the whole ring can never ship as
-                # a ring frame; send this one inline instead.
-                self.oversize_chunks += 1
-                return "oframe", payload
-            return "frame", payload
-        return "oframe", payload
-
-    def _dispatch(self, worker: int, chunk: list) -> None:
-        kind, payload = self._encode_chunk(worker, chunk)
-        if self._t_tracer is not None:
-            start = time.perf_counter_ns()
-            self._post_batch(worker, kind, chunk, payload)
-            self._t_tracer.record("shard.dispatch", start,
-                                  time.perf_counter_ns())
-        else:
-            self._post_batch(worker, kind, chunk, payload)
+                             events=hi - lo)
+        kind = self._wire_kind(worker, payload)
+        self.oversize_chunks += kind == "oframe" and self._transport == "shm"
+        start = time.perf_counter_ns()
+        self._post_batch(worker, kind, payload)
+        if tracer is not None:
+            tracer.record("shard.dispatch", start, time.perf_counter_ns())
         self.batches_dispatched += 1
-        self.events_dispatched += len(chunk)
+        self.events_dispatched += hi - lo
         if self._t_batches is not None:
             self._t_batches.inc()
-            self._t_events.inc(len(chunk))
-            self._t_chunk_events.observe(len(chunk))
+            self._t_events.inc(hi - lo)
+            self._t_chunk_events.observe(hi - lo)
 
-    def _post_batch(self, worker: int, kind: str, chunk: list,
-                    payload: bytes | None = None) -> None:
+    def _post_batch(self, worker: int, kind: str, payload: bytes) -> None:
         ctx = None
         if self._trace:
             # One causal context per dispatched batch: the dispatch
@@ -1504,13 +1499,31 @@ class ShardedCluster(ClusterBase):
             # worker-side span — and any journal replay of it — can
             # regenerate the exact same tree without coordination.
             self._ctx_seq += 1
-            cseq = self._ctx_seq
-            span = derive_span_id(self._trace_id, "shard.dispatch",
-                                  cseq, worker)
-            ctx = (self._trace_id, span, cseq)
+            ctx = (self._trace_id, derive_span_id(
+                self._trace_id, "shard.dispatch", self._ctx_seq, worker),
+                self._ctx_seq)
             start_ns = time.perf_counter_ns()
         try:
-            self._post_batch_inner(worker, kind, chunk, payload, ctx)
+            sup = self.supervisor
+            if sup is None:
+                self._deliver(worker, kind, None, payload, ctx=ctx)
+                return
+            # Journal before posting: once recorded, the frame is
+            # delivered exactly once — by this post or by the replay a
+            # failed post triggers (recover() rebuilds the worker from
+            # the journal, which holds these very bytes, so there is no
+            # re-post here).
+            seq = sup.record(worker, kind, payload, ctx=ctx)
+            w = self._workers[worker]
+            try:
+                if not w.is_alive():
+                    raise WorkerDied(f"{w.name} (pid {w.pid}) found dead "
+                                     f"before dispatch", worker=worker,
+                                     pid=w.pid)
+                self._deliver(worker, kind, seq, payload,
+                              deadline=self._op_deadline(), ctx=ctx)
+            except ExecutorError as exc:
+                sup.recover(worker, exc)
         finally:
             if ctx is not None:
                 self._trace_tracer.record_event(make_event(
@@ -1519,75 +1532,36 @@ class ShardedCluster(ClusterBase):
                     span_id=ctx[1], parent_id=self._root_span,
                     trace_id=self._trace_id, seq=ctx[2]))
 
-    def _post_batch_inner(self, worker: int, kind: str, chunk: list,
-                          payload: bytes | None, ctx) -> None:
-        sup = self.supervisor
-        if sup is None:
-            self._deliver(worker, kind, None, chunk, payload, ctx=ctx)
-            return
-        # Journal before posting: once recorded, the batch is delivered
-        # exactly once — either by this post or by the replay a failed
-        # post triggers (recover() rebuilds the worker from the journal,
-        # which now includes this batch, so there is no re-post here).
-        # Frames journal their *rows* (the payload is re-encoded into
-        # the fresh incarnation's ring at replay time — ring positions
-        # do not survive a restart).
-        seq = sup.record(worker, kind, chunk, ctx=ctx)
-        w = self._workers[worker]
-        if not w.is_alive():
-            sup.recover(worker, WorkerDied(
-                f"{w.name} (pid {w.pid}) found dead before dispatch",
-                worker=worker, pid=w.pid))
-            return
-        try:
-            self._deliver(worker, kind, seq, chunk, payload,
-                          deadline=self._op_deadline(), ctx=ctx)
-        except ExecutorError as exc:
-            sup.recover(worker, exc)
-
-    def _deliver(self, worker: int, kind: str, seq, chunk: list,
-                 payload: bytes | None, deadline: float | None = None,
-                 lazy: bool = True, ctx=None) -> None:
-        """Put one batch on the wire.  Ring frames are lazy by default:
+    def _deliver(self, worker: int, kind: str, seq, payload: bytes,
+                 deadline: float | None = None, lazy: bool = True,
+                 ctx=None) -> None:
+        """Put one frame on the wire.  Ring frames are lazy by default:
         when the ring is full the frame parks in the per-worker pending
         queue instead of blocking the coordinator (occupancy-based
         backpressure deferral); parked frames drain opportunistically on
         later dispatches and mandatorily before any control message.
-        ``ctx`` is the batch's trace context: frames carry it in the
-        ring header, queue kinds as a trailing message element."""
+        ``ctx`` is the batch's trace context: ring frames carry it in
+        the ring header, ``oframe`` messages as a trailing element."""
         if kind == "frame":
             pending = self._pending[worker]
-            if pending:
+            if pending or not self._push_frame(worker, seq, payload,
+                                               deadline, ctx):
                 pending.append((seq, payload, ctx))
                 self.parked_frames += 1
                 if self._t_parked is not None:
                     self._t_parked.inc()
-            elif not self._push_frame(worker, seq, payload, deadline,
-                                      ctx):
-                pending.append((seq, payload, ctx))
-                self.parked_frames += 1
-                if self._t_parked is not None:
-                    self._t_parked.inc()
-            if not lazy or len(self._pending[worker]) > _PENDING_LIMIT:
-                self._drain_pending(worker, deadline=deadline)
-            else:
-                self._drain_pending(worker, deadline=deadline,
-                                    block=False)
+            self._drain_pending(worker, deadline=deadline, block=(
+                not lazy or len(pending) > _PENDING_LIMIT))
             return
-        # Queue-carried kinds keep FIFO order with any parked frames.
+        # Queue-carried frames keep FIFO order with any parked ones.
         self._drain_pending(worker, deadline=deadline)
-        if kind == "oframe":
-            self.frames_shipped += 1
-            self.bytes_shipped += len(payload)
-            if self._t_tframes is not None:
-                self._t_tframes.inc()
-                self._t_tbytes.inc(len(payload))
-            msg = (("oframe", seq, payload) if ctx is None
-                   else ("oframe", seq, payload, ctx))
-            self._workers[worker].post(msg, deadline=deadline)
-            return
-        msg = ((kind, seq, chunk) if ctx is None
-               else (kind, seq, chunk, ctx))
+        self.frames_shipped += 1
+        self.bytes_shipped += len(payload)
+        if self._t_tframes is not None:
+            self._t_tframes.inc()
+            self._t_tbytes.inc(len(payload))
+        msg = (("oframe", seq, payload) if ctx is None
+               else ("oframe", seq, payload, ctx))
         self._workers[worker].post(msg, deadline=deadline)
 
     def _push_frame(self, worker: int, seq, payload: bytes,
@@ -1655,26 +1629,17 @@ class ShardedCluster(ClusterBase):
 
     def _deliver_journal(self, worker: int, seq: int,
                          entry) -> None:
-        """Replay path: redeliver one journaled batch to the fresh
-        incarnation.  Frame kinds re-encode from the journaled rows —
-        the old ring's bytes died with the old worker."""
-        kind, payload = entry.kind, None
-        if kind in ("frame", "oframe"):
-            payload = encode_rows(entry.payload)
-            if payload is None:            # defensive: codec regression
-                kind = "pbatch"
-            elif kind == "frame" and (
-                    self._rings[worker] is None
-                    or not self._rings[worker].fits(len(payload))):
-                kind = "oframe"
-        self._deliver(worker, kind, seq, entry.payload, payload,
-                      deadline=self._op_deadline(), lazy=False,
-                      ctx=entry.ctx)
+        """Replay path: redeliver one journaled frame, its bytes
+        unchanged, to the fresh incarnation."""
+        self._deliver(worker, self._wire_kind(worker, entry.payload), seq,
+                      entry.payload, deadline=self._op_deadline(),
+                      lazy=False, ctx=entry.ctx)
 
     def _flush_dispatch(self) -> None:
-        for worker, batcher in enumerate(self._batchers):
-            if len(batcher):
-                self._dispatch(worker, batcher.drain())
+        """Ship the single-event queue (see :meth:`consume`)."""
+        if self._queue:
+            queued, self._queue = self._queue, EventBuffer()
+            self._dispatch_batch(*self._steer(queued.batch()))
 
     def _sync_request(self, worker: int, msg: tuple,
                       journal: bool = False):
@@ -1683,48 +1648,64 @@ class ShardedCluster(ClusterBase):
         state-mutating (``crash``/``take_pkt``): it is journaled before
         sending, and when recovery replays it the replayed reply is
         captured and returned in place of the lost one."""
-        sup = self.supervisor
-        if sup is None:
-            self._drain_pending(worker)
-            return self._workers[worker].request(msg)
-        seq = (sup.record(worker, msg[0],
-                          msg[1] if len(msg) > 1 else None,
-                          expects_reply=True)
+        if self.supervisor is None:
+            self._post_control(worker, msg)
+            return self._workers[worker].reply()
+        return self._await(worker, msg, *self._post_request(worker, msg,
+                                                            journal))
+
+    def _post_request(self, worker: int, msg: tuple, journal: bool,
+                      reply: bool = True):
+        """A supervised message's first half: journal it (when
+        ``journal``) and post it.  Returns its journal seq and the
+        post's failure, if any."""
+        seq = (self.supervisor.record(worker, msg[0],
+                                      msg[1] if len(msg) > 1 else None,
+                                      expects_reply=reply)
                if journal else None)
+        w = self._workers[worker]
+        try:
+            if not w.is_alive():
+                raise WorkerDied(f"{w.name} (pid {w.pid}) is dead",
+                                 worker=worker, pid=w.pid)
+            self._post_control(worker, msg, deadline=self._op_deadline())
+        except ExecutorError as exc:
+            return seq, exc
+        return seq, None
+
+    def _await(self, worker: int, msg: tuple, seq, error):
+        """The second half: the reply, restarting the worker (and, for
+        an unjournaled request, asking again) while it fails."""
         attempts = 0
         while True:
-            w = self._workers[worker]
-            try:
-                if not w.is_alive():
-                    raise WorkerDied(
-                        f"{w.name} (pid {w.pid}) is dead",
-                        worker=worker, pid=w.pid)
-                deadline = self._op_deadline()
-                self._drain_pending(worker, deadline=deadline)
-                w.post(msg, deadline=deadline)
-                return w.reply(deadline=self._op_deadline())
-            except ExecutorError as exc:
-                attempts += 1
-                if attempts > self.execution.max_restarts:
-                    raise
-                captured = sup.recover(worker, exc, capture_seq=seq)
-                if seq is not None:
-                    # Replay already delivered the journaled request to
-                    # the fresh incarnation; its reply is the answer.
-                    return captured
+            if error is None:
+                try:
+                    return self._workers[worker].reply(
+                        deadline=self._op_deadline())
+                except ExecutorError as exc:
+                    error = exc
+            attempts += 1
+            if attempts > self.execution.max_restarts:
+                raise error
+            captured = self.supervisor.recover(worker, error,
+                                               capture_seq=seq)
+            if seq is not None:
+                # Replay already delivered the journaled request to
+                # the fresh incarnation; its reply is the answer.
+                return captured
+            error = self._post_request(worker, msg, False)[1]
 
     def _broadcast(self, msg: tuple, journal: bool = False) -> list:
-        """Synchronous request to every worker.  Unsupervised the
-        requests are pipelined (all posts before any reply);
-        supervision goes worker-at-a-time so failures are attributable
-        and recoverable per worker."""
+        """Synchronous request to every worker, pipelined: all posts
+        before any reply, so the workers serve it in parallel.  Under
+        supervision each worker's failure is recovered on its own."""
         self._flush_dispatch()
         if self.supervisor is not None:
-            return [self._sync_request(w, msg, journal=journal)
-                    for w in range(self.n_workers)]
-        for index, worker in enumerate(self._workers):
-            self._drain_pending(index)
-            worker.post(msg)
+            posted = [self._post_request(w, msg, journal)
+                      for w in range(self.n_workers)]
+            return [self._await(w, msg, *p) for w, p in enumerate(posted)]
+        for worker in range(self.n_workers):
+            self._post_control(worker, msg)
         return [worker.reply() for worker in self._workers]
 
     def _gather(self, msg: tuple, journal: bool = False) -> dict:
@@ -1835,7 +1816,7 @@ class ShardedCluster(ClusterBase):
         by_shard = self._gather(("finalize",))
         vectors: list[FeatureVector] = []
         for shard in range(self.n_nics):
-            vectors.extend(by_shard.get(shard, []))
+            vectors.extend(_unpack_vectors(by_shard.get(shard, [])))
         residual = list(self._residual)
         sup = self.supervisor
         if sup is not None:
@@ -1876,7 +1857,7 @@ class ShardedCluster(ClusterBase):
         by_shard = self._gather(("take_pkt",), journal=True)
         new: list[FeatureVector] = []
         for shard in range(self.n_nics):
-            new.extend(by_shard.get(shard, []))
+            new.extend(_unpack_vectors(by_shard.get(shard, [])))
         return new
 
     def advance_clock(self, now_ns: int) -> None:
@@ -1885,22 +1866,14 @@ class ShardedCluster(ClusterBase):
         # Flush first so the clock lands after every event already
         # routed, exactly as the serial process()/advance_clock() order.
         self._flush_dispatch()
-        sup = self.supervisor
-        for index, worker in enumerate(self._workers):
-            if sup is None:
-                self._drain_pending(index)
-                worker.post(("clock", now_ns))
+        msg = ("clock", now_ns)
+        for worker in range(self.n_workers):
+            if self.supervisor is None:
+                self._post_control(worker, msg)
                 continue
-            sup.record(index, "clock", now_ns)
-            try:
-                if not worker.is_alive():
-                    raise WorkerDied(
-                        f"{worker.name} (pid {worker.pid}) is dead",
-                        worker=index, pid=worker.pid)
-                self._post_control(index, ("clock", now_ns),
-                                   deadline=self._op_deadline())
-            except ExecutorError as exc:
-                sup.recover(index, exc)
+            error = self._post_request(worker, msg, True, reply=False)[1]
+            if error is not None:
+                self.supervisor.recover(worker, error)
 
     def close(self) -> None:
         """Stop the pool.  Terminal: stats/counters/finalize keep
@@ -1930,8 +1903,8 @@ class ShardedCluster(ClusterBase):
                 # a shared one keeps its workers warm for the next run.
                 try:
                     self._pool.release(
-                        {s: n for s, n in enumerate(self._shard_events)
-                         if n})
+                        {s: n for s, n in enumerate(
+                            self._shard_events.tolist()) if n})
                 except Exception:
                     pass
                 if self._owns_pool:
@@ -2030,9 +2003,7 @@ class ShardedCluster(ClusterBase):
         out["dispatch"] = {
             "backend": self.execution.backend,
             "workers": self.n_workers,
-            "batch_size": (self.execution.dispatch_batch
-                           if self.execution.dispatch_batch is not None
-                           else "auto"),
+            "batch_size": self._frame_events,
             "batches": self.batches_dispatched,
             "events": self.events_dispatched,
             "transport": self._transport,

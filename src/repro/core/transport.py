@@ -1,60 +1,67 @@
 """Zero-copy shard transport: shared-memory rings over columnar frames.
 
-The process execution backend used to pickle every dispatch batch
-through a ``multiprocessing.Queue`` — one object-graph serialization
-per chunk of events, the cost BENCH_parallel.json records as
-``overhead_dominated``.  This module replaces that wire with two
-transports, selected per worker pool by :func:`resolve_transport`:
+The process execution backend ships each worker's share of the event
+stream as *frames* — the worker's slice of an
+:class:`~repro.switchsim.mgpv.EventBatch` as raw column buffers, never
+as Python objects — over one of two transports, selected per worker
+pool by :func:`resolve_transport`:
 
-- ``shm`` — the default on hosts with POSIX shared memory.  Each worker
-  owns one :class:`ShmRing`: a single-producer/single-consumer byte
-  ring inside a ``multiprocessing.shared_memory`` segment.  The
-  coordinator flattens a dispatch chunk into one int64 *frame*
-  (:func:`encode_rows`), memcpys it into the ring, and posts a tiny
-  ``("frame", seq)`` pointer message on the worker's existing FIFO
-  queue; the worker pops the frame and applies it straight to its
-  engines (:func:`apply_frame`).  No event object is ever pickled —
-  pickle remains only for control messages (clock, crash, stats,
-  barrier), which is what the instrumentation test asserts.
-- ``oob`` — the fallback for hosts without a usable /dev/shm: the same
-  encoded frame crosses the queue as one opaque ``bytes`` payload.
-  Pickle protocol 5 ships a large contiguous buffer with a single
-  header + memcpy (the out-of-band buffer path), so the per-event
-  serialization cost is still gone; only the shared-memory segment is.
-  The inline ``serial`` cluster hands the same payload over in memory.
+- ``shm`` — the default where POSIX shared memory works.  Each worker
+  owns one :class:`ShmRing`, a single-producer/single-consumer byte
+  ring in a ``multiprocessing.shared_memory`` segment.  The coordinator
+  memcpys a frame (:func:`encode_frame`) into the ring and posts a tiny
+  ``("frame", seq)`` pointer on the worker's FIFO queue; the worker
+  pops the frame and applies it to its engines (:func:`apply_frame`).
+  Pickle carries only control messages (clock, crash, stats, barrier).
+- ``oob`` — hosts without a usable /dev/shm: the same frame crosses the
+  queue as one ``bytes`` payload (pickle protocol 5 ships it with a
+  single header + memcpy).  The inline ``serial`` cluster hands the same
+  payload over in memory.
 
-A chunk a frame cannot encode (non-int cell payloads, e.g. hand-fed
-float records in tests) ships as its wire rows instead — a counted,
-per-chunk correctness fallback, not a transport.
+Frame format (little-endian; every section starts 8-byte aligned)::
 
-Frame format (all values int64, little-endian, one flat stream)::
+    header   : magic b"SFEB", version u16, n_meta u16, then int64
+               n_rec, n_sync, n_cells, n_keys, key_width, n_pickled
+    codes    : one dtype code u8 per metadata column (0 int64,
+               1 float64, 2 pickled), zero-padded to 8 bytes
+    records  : 7 int64 columns of n_rec — shard, pos, key, hash32,
+               reason, cell start, cell count
+    syncs    : 5 int64 columns of n_sync — shard, pos, FG index, key,
+               owner hash32
+    cells    : the FG-index column, then each int64 / float64 metadata
+               column, n_cells values each
+    keys     : the key table as an n_keys x key_width int64 matrix
+    pickled  : n_pickled bytes, one pickle of (object metadata columns
+               by index, key list, reason vocabulary), present only for
+               columns neither int64 nor float64 (bools, mixed
+               int/float, ints past int64), keys that are not
+               equal-width int tuples (``key_width`` -1), or a
+               non-default reason vocabulary
 
-    FGSync row    : 1, shard, index, len(key), *key
-    MGPVRecord row: 0, shard, len(cg_key), *cg_key, cg_hash32,
-                    reason_id, n_cells, {fg_idx, len(meta), *meta}...
-    columnar block: 2, shard, len(cg_key), *cg_key, cg_hash32,
-                    reason_id, n_cells, n_meta_fields,
-                    *fg_col, *meta_col[0], *meta_col[1], ...
-
-``reason_id`` indexes :data:`REASONS`, the closed eviction-reason
-vocabulary of the MGPV cache.  Every value must be a plain Python int
-(``type(v) is int``): the serial-equivalence checksum hashes
-``repr(key)``, so a bool or numpy scalar sneaking through would change
-the digest.  :func:`encode_rows` returns None for chunks that violate
-this, and the cluster falls back to one pickled row chunk (counted,
-never silent).
+``pos`` is the event's position in the frame's slice of the stream,
+``key`` a row of the key table, ``reason`` an index into
+:data:`REASONS`; records' cells lie back to back.  Decoding
+(:func:`decode_frame`) returns read-only ``np.frombuffer`` views and
+plain-int key tuples (``tolist()``: the serial-equivalence checksum
+hashes ``repr(key)``, so no numpy scalar may surface).  A frame the
+encoder could not have written — truncated, a bad magic or version,
+counts that overrun the payload, negative lengths, cell ranges outside
+the columns, key, position or shard ids outside their tables — raises
+:class:`TransportError` before any engine is touched.
+:func:`encode_rows` builds the same frame from compact wire rows.
 
 Ring layout: ``[head u64][tail u64][data: capacity bytes]``.  ``head``
 and ``tail`` are *monotonic* byte counters (offsets are taken mod
 capacity), so ``head - tail`` is the live occupancy and the ring never
-needs a full/empty disambiguation bit.  Frames are
-``[magic u32][len u32][ring_seq u64]`` + payload, written with byte
-wraparound.  There are no locks in the segment: the coordinator posts
-the FIFO pointer message only after the frame write completes, and the
-pipe round-trip orders the memory operations; the consumer advances
-``tail`` only after fully copying a frame out, and the producer treats
-a stale (small) ``tail`` as "ring fuller than it is", which parks the
-frame — a liveness delay, never a correctness hazard.
+needs a full/empty disambiguation bit.  Ring frames are
+``[magic u32][len u32][ring_seq u64]`` + trace context + payload,
+written with byte wraparound.  There are no locks in the segment: the
+coordinator posts the FIFO pointer message only after the frame write
+completes, and the pipe round-trip orders the memory operations; the
+consumer advances ``tail`` only after fully copying a frame out, and
+the producer treats a stale (small) ``tail`` as "ring fuller than it
+is", which parks the frame — a liveness delay, never a correctness
+hazard.
 
 Cleanup: segments are named ``superfe-<pid>-...`` so tests can audit
 /dev/shm, and only the *creating* process ever unlinks (a
@@ -65,16 +72,23 @@ the ring object but must never destroy the coordinator's segment).
 from __future__ import annotations
 
 import os
+import pickle
 import secrets
-from itertools import repeat
 import struct
 import warnings
 import weakref
+from itertools import chain, repeat
 
 import numpy as np
 
 from repro.nicsim.engine import FeatureEngine
-from repro.switchsim.mgpv import REASONS, FGSync, MGPVRecord
+from repro.switchsim.mgpv import (
+    REASONS,
+    EventBatch,
+    EventBuffer,
+    FGSync,
+    MGPVRecord,
+)
 
 __all__ = [
     "REASONS",
@@ -83,17 +97,15 @@ __all__ = [
     "ShmRing",
     "TransportError",
     "apply_frame",
-    "apply_rows",
-    "decode_rows",
+    "decode_frame",
+    "encode_frame",
     "encode_rows",
+    "key_matrix",
     "resolve_transport",
-    "rows_to_events",
     "shm_available",
 ]
 
 TRANSPORTS = ("shm", "oob")
-
-_REASON_ID = {reason: i for i, reason in enumerate(REASONS)}
 
 _MAGIC = 0x53464531            # "SFE1"
 _RING_HEADER = 16              # head u64 + tail u64
@@ -114,150 +126,220 @@ class TransportError(RuntimeError):
 # Frame codec
 # ---------------------------------------------------------------------------
 
-def _flatten_rows(rows) -> list | None:
-    """The flat int64 value stream for a chunk of compact wire rows, or
-    None when the chunk cannot ship as a frame (unknown reason, non-row
-    payload).  Value *types* are validated by the caller in one pass."""
-    out: list = []
-    append = out.append
-    extend = out.extend
-    for row in rows:
-        tag = row[1]
-        if tag == 1:                              # FGSync
-            key = row[3]
-            extend((1, row[0], row[2], len(key)))
-            extend(key)
-        elif tag == 0:                            # MGPVRecord, cells
-            reason_id = _REASON_ID.get(row[5])
-            if reason_id is None:
-                return None
-            cg_key = row[2]
-            extend((0, row[0], len(cg_key)))
-            extend(cg_key)
-            cells = row[4]
-            extend((row[3], reason_id, len(cells)))
-            for fg_idx, meta in cells:
-                append(fg_idx)
-                append(len(meta))
-                extend(meta)
-        elif tag == 2:                            # columnar block
-            reason_id = _REASON_ID.get(row[6])
-            if reason_id is None:
-                return None
-            cg_key = row[2]
-            fg_col = row[4]
-            meta_cols = row[5]
-            extend((2, row[0], len(cg_key)))
-            extend(cg_key)
-            extend((row[3], reason_id, len(fg_col), len(meta_cols)))
-            extend(fg_col)
-            for col in meta_cols:
-                extend(col)
-        else:
-            return None
-    return out
+_FRAME_MAGIC = b"SFEB"
+_FRAME_VERSION = 1
+_HEADER = struct.Struct("<4sHHqqqqqq")
+_INT, _FLOAT, _PICKLED = 0, 1, 2               # metadata column codes
+_REC_COLS, _SYNC_COLS = 7, 5
+_I8 = np.dtype("<i8")
+
+
+def _pad8(n: int) -> int:
+    return -(-n // 8) * 8
+
+
+def key_matrix(keys: list) -> np.ndarray | None:
+    """``keys`` as an int64 matrix, one row per key — None unless they
+    are equal-width tuples of plain ints within int64 (the rest ship
+    pickled)."""
+    widths = set(map(len, keys))
+    if (len(widths) > 1 or set(map(type, keys)) - {tuple}
+            or set(map(type, chain.from_iterable(keys))) - {int}):
+        return None
+    try:
+        return np.fromiter(chain.from_iterable(keys), np.int64).reshape(
+            len(keys), widths.pop() if keys else 0)
+    except OverflowError:
+        return None
+
+
+def encode_frame(batch: EventBatch, rec_shard: np.ndarray,
+                 sync_shard: np.ndarray, keys: np.ndarray | None,
+                 lo: int = 0, hi: int | None = None) -> tuple[bytes, bool]:
+    """The frame of ``batch``'s events at stream positions ``[lo, hi)``
+    (all of them by default), each table with its shard column.
+    ``keys`` is :func:`key_matrix` of ``batch.keys``; the records' cells
+    must lie back to back in record order, as
+    :meth:`~repro.switchsim.mgpv.EventBatch.select` lays them out.
+    Returns the payload and whether it carries a pickled section."""
+    hi = len(batch) if hi is None else hi
+    ra, rb = np.searchsorted(batch.rec_pos, (lo, hi)).tolist()
+    sa, sb = np.searchsorted(batch.sync_pos, (lo, hi)).tolist()
+    n_rec = rb - ra
+    used, ids = np.unique(np.concatenate((
+        batch.rec_key[ra:rb], batch.sync_key[sa:sb])), return_inverse=True)
+    cs, ce = ((int(batch.rec_start[ra]), int(batch.rec_start[rb - 1]
+                                             + batch.rec_len[rb - 1]))
+              if n_rec else (0, 0))
+    meta = [col[cs:ce] for col in batch.cell_meta]
+    codes = bytes(_INT if col.dtype == _I8 else
+                  _FLOAT if col.dtype == np.float64 else _PICKLED
+                  for col in meta)
+    words = [rec_shard[ra:rb], batch.rec_pos[ra:rb] - lo, ids[:n_rec],
+             batch.rec_hash[ra:rb], batch.rec_reason[ra:rb],
+             batch.rec_start[ra:rb] - cs, batch.rec_len[ra:rb],
+             sync_shard[sa:sb], batch.sync_pos[sa:sb] - lo,
+             batch.sync_index[sa:sb], ids[n_rec:], batch.sync_hash[sa:sb],
+             batch.cell_fg[cs:ce]]
+    words += [col.view(_I8) for col, code in zip(meta, codes)
+              if code != _PICKLED]
+    objects = {j: col for j, col in enumerate(meta) if codes[j] == _PICKLED}
+    key_list = None
+    if keys is None:
+        width, key_list = -1, list(map(batch.keys.__getitem__,
+                                       used.tolist()))
+    else:
+        width = keys.shape[1]
+        words.append(keys[used].ravel())
+    reasons = None if batch.reasons == REASONS else batch.reasons
+    pickled = (pickle.dumps((objects, key_list, reasons), protocol=5)
+               if objects or key_list is not None or reasons is not None
+               else b"")
+    header = _HEADER.pack(_FRAME_MAGIC, _FRAME_VERSION, len(meta), n_rec,
+                          sb - sa, ce - cs, len(used), width, len(pickled))
+    return b"".join((header, codes.ljust(_pad8(len(codes)), b"\0"),
+                     np.concatenate(words).astype(_I8, copy=False).tobytes(),
+                     pickled)), bool(pickled)
+
+
+def _check_ids(name: str, ids: np.ndarray, size: int) -> None:
+    if len(ids) and (int(ids.min()) < 0 or int(ids.max()) >= size):
+        raise TransportError(f"corrupt frame: {name} outside its table "
+                             f"of {size}")
+
+
+def decode_frame(payload) -> tuple[EventBatch, np.ndarray, np.ndarray]:
+    """The batch a frame encodes, with its record and sync shard
+    columns: read-only views of ``payload``, plain-int key tuples, and
+    pickled columns as the objects they were.  Raises
+    :class:`TransportError` for anything :func:`encode_frame` could not
+    have written (see the module docstring)."""
+    size = len(payload)
+    if size < _HEADER.size:
+        raise TransportError(f"truncated frame: {size} bytes")
+    (magic, version, n_meta, n_rec, n_sync, n_cells, n_keys, width,
+     n_pickled) = _HEADER.unpack_from(payload)
+    if magic != _FRAME_MAGIC or version != _FRAME_VERSION:
+        raise TransportError(f"corrupt frame: magic {magic!r} version "
+                             f"{version}, not a v{_FRAME_VERSION} frame")
+    if min(n_rec, n_sync, n_cells, n_keys, n_pickled, width + 1) < 0:
+        raise TransportError("corrupt frame: negative count in header")
+    at = _HEADER.size + _pad8(n_meta)
+    codes = bytes(payload[_HEADER.size:_HEADER.size + n_meta])
+    raw = [j for j, code in enumerate(codes) if code != _PICKLED]
+    words = (_REC_COLS * n_rec + _SYNC_COLS * n_sync
+             + (1 + len(raw)) * n_cells + n_keys * max(width, 0))
+    if at + 8 * words + n_pickled != size:
+        raise TransportError(f"corrupt frame: header counts "
+                             f"{at + 8 * words + n_pickled} bytes, "
+                             f"payload has {size}")
+    if not set(codes) <= {_INT, _FLOAT, _PICKLED}:
+        raise TransportError(f"corrupt frame: dtype codes {codes!r}")
+    body = np.frombuffer(payload, _I8, words, at)
+    body.flags.writeable = False
+    (rec_shard, rec_pos, rec_key, rec_hash, rec_reason, rec_start,
+     rec_len) = body[:_REC_COLS * n_rec].reshape(_REC_COLS, n_rec)
+    at = _REC_COLS * n_rec
+    (sync_shard, sync_pos, sync_index, sync_key,
+     sync_hash) = body[at:at + _SYNC_COLS * n_sync].reshape(_SYNC_COLS,
+                                                             n_sync)
+    at += _SYNC_COLS * n_sync
+    columns = body[at:at + (1 + len(raw)) * n_cells].reshape(
+        1 + len(raw), n_cells)
+    cols = {j: col.view(np.float64) if codes[j] == _FLOAT else col
+            for j, col in zip(raw, columns[1:])}
+    objects, keys, reasons = {}, None, REASONS
+    if n_pickled:
+        try:
+            objects, keys, vocabulary = pickle.loads(payload[-n_pickled:])
+        except Exception as exc:
+            raise TransportError(f"corrupt frame: pickled section "
+                                 f"({exc!r})") from None
+        reasons = REASONS if vocabulary is None else vocabulary
+    if width >= 0:                     # a raw key table, not a pickled one
+        keys = None if keys is not None else list(map(tuple, body[
+            at + len(columns) * n_cells:].reshape(n_keys, width).tolist()))
+    if not (type(keys) is list and len(keys) == n_keys
+            and type(objects) is dict and type(reasons) is tuple
+            and set(objects) == set(range(n_meta)) - set(raw)
+            and all(isinstance(col, np.ndarray) and col.shape == (n_cells,)
+                    for col in objects.values())):
+        raise TransportError("corrupt frame: the pickled section does not "
+                             "match the header")
+    n = n_rec + n_sync
+    _check_ids("record key", rec_key, n_keys)
+    _check_ids("sync key", sync_key, n_keys)
+    _check_ids("reason", rec_reason, len(reasons))
+    _check_ids("record position", rec_pos, n)
+    _check_ids("sync position", sync_pos, n)
+    _check_ids("FG index", sync_index, 1 << 63)
+    seen = np.zeros(n, bool)
+    seen[rec_pos] = seen[sync_pos] = True
+    if not (seen.all() and (np.diff(rec_pos) > 0).all()
+            and (np.diff(sync_pos) > 0).all()):
+        raise TransportError("corrupt frame: positions are not the "
+                             "stream order")
+    _check_ids("cell count", rec_len, n_cells + 1)
+    if (rec_len.sum() != n_cells
+            or not np.array_equal(rec_start, np.cumsum(rec_len) - rec_len)):
+        raise TransportError("corrupt frame: cell ranges do not tile the "
+                             "cell columns")
+    for col in objects.values():
+        col.flags.writeable = False
+    cols.update(objects)
+    return EventBatch(
+        keys, (rec_pos, rec_key, rec_hash, rec_reason, rec_start, rec_len),
+        (sync_pos, sync_index, sync_key, sync_hash),
+        (columns[0], tuple(cols[j] for j in range(n_meta))),
+        reasons), rec_shard, sync_shard
+
+
+def apply_frame(payload, engines: dict[int, FeatureEngine]) -> int:
+    """Decode one frame and hand each shard engine its sub-batch
+    (:meth:`~repro.switchsim.mgpv.EventBatch.select`, the serial
+    cluster's split).  Every shard id is checked against ``engines``
+    before any engine is touched.  Returns the events applied."""
+    batch, rec_shard, sync_shard = decode_frame(payload)
+    shards = np.union1d(rec_shard, sync_shard).tolist()
+    if not engines.keys() >= set(shards):
+        raise TransportError(f"corrupt frame: shard ids {shards}, this "
+                             f"worker has {sorted(engines)}")
+    for shard in shards:
+        engines[shard].consume_batch(batch.select(rec_shard == shard,
+                                                  sync_shard == shard))
+    return len(batch)
 
 
 def encode_rows(rows) -> bytes | None:
-    """One int64 frame payload for a chunk of compact wire rows.
-
-    Returns None when the chunk cannot round-trip exactly — any value
-    that is not a plain Python int (floats would truncate, bools and
-    numpy scalars would change ``repr``-based checksums), an int outside
-    int64, or an unknown eviction reason.  Callers fall back to the
-    pickled row chunk and count it.
-    """
+    """The frame of a chunk of compact wire rows — tag 0: ``(shard, 0,
+    cg_key, cg_hash32, cells, reason)``; tag 1: ``(shard, 1, index,
+    key)``; tag 2: ``(shard, 2, cg_key, cg_hash32, fg column, metadata
+    columns, reason)`` — or None when a row is malformed: an unknown tag
+    or arity, a shard, hash32 or FG / cell index that is not an int
+    within int64, or ragged cell metadata.  Values the int64 / float64
+    columns cannot hold exactly ship in the pickled section."""
+    buffer, shards = EventBuffer(), []
     try:
-        flat = _flatten_rows(rows)
-    except TypeError:                  # len() of a non-sequence, etc.
+        for row in rows:
+            shape = (row[1], len(row))
+            if shape == (1, 4):
+                buffer.add(FGSync(row[2], row[3]))
+            elif shape in ((0, 6), (2, 7)):
+                cells = row[4] if shape[0] == 0 else zip(row[4], zip(
+                    *row[5]) if row[5] else repeat(()))
+                buffer.add(MGPVRecord(row[2], row[3], tuple(cells), row[-1]))
+            else:
+                return None
+            shards.append(row[0])
+        if (len(set(map(len, buffer.meta))) > 1 or not set(map(type, chain(
+                shards, buffer.nums, buffer.fg))) <= {int}):
+            return None
+        batch = buffer.batch()
+        shards = np.array(shards, np.int64)
+    except (TypeError, ValueError, OverflowError, IndexError):
         return None
-    if flat is None:
-        return None
-    # Strict round-trip gate: np.array would silently truncate floats
-    # and coerce bools, so reject anything that is not exactly an int.
-    if any(type(v) is not int for v in flat):
-        return None
-    try:
-        arr = np.array(flat, dtype=np.int64)
-    except (OverflowError, ValueError, TypeError):
-        return None
-    return arr.tobytes()
-
-
-def rows_to_events(rows):
-    """Yield ``(shard, event)`` per compact wire row (tag 0: shard, 0,
-    cg_key, cg_hash32, cells, reason; tag 1: shard, 1, index, key; tag 2:
-    shard, 2, cg_key, cg_hash32, fg_col, meta_cols, reason) — the one
-    interpreter behind :func:`apply_frame`, the ``pbatch`` fallback and
-    poison salvage."""
-    for row in rows:
-        tag = row[1]
-        if tag == 0:
-            event = MGPVRecord(row[2], row[3], row[4], row[5])
-        elif tag == 2:
-            event = MGPVRecord(row[2], row[3], tuple(zip(row[4], zip(
-                *row[5]) if row[5] else repeat(()))), row[6])
-        else:
-            event = FGSync(row[2], row[3])
-        yield row[0], event
-
-
-def decode_rows(payload: bytes) -> list:
-    """The compact wire rows a frame payload encodes (the inverse of
-    :func:`encode_rows`).  All decoded values are plain Python ints
-    (``.tolist()``), so downstream state — and the serial-equivalence
-    checksum — is bit-identical to the pickled path."""
-    vals = np.frombuffer(payload, dtype=np.int64).tolist()
-    rows: list = []
-    i = 0
-    while i < len(vals):
-        tag, shard = vals[i], vals[i + 1]
-        if tag == 1:
-            k = vals[i + 3]
-            rows.append((shard, 1, vals[i + 2], tuple(vals[i + 4:i + 4 + k])))
-            i += 4 + k
-            continue
-        if tag not in (0, 2):
-            raise TransportError(f"corrupt frame: unknown row tag {tag}")
-        k = vals[i + 2]
-        i += 3
-        cg_key = tuple(vals[i:i + k])
-        i += k
-        hash32, reason, n_cells = vals[i], REASONS[vals[i + 1]], vals[i + 2]
-        if tag == 0:
-            i += 3
-            cells = []
-            for _ in range(n_cells):
-                m = vals[i + 1]
-                cells.append((vals[i], tuple(vals[i + 2:i + 2 + m])))
-                i += 2 + m
-            rows.append((shard, 0, cg_key, hash32, tuple(cells), reason))
-            continue
-        n_meta = vals[i + 3]
-        i += 4
-        cols = [tuple(vals[i + j * n_cells:i + (j + 1) * n_cells])
-                for j in range(1 + n_meta)]
-        i += (1 + n_meta) * n_cells
-        rows.append((shard, 2, cg_key, hash32, cols[0], tuple(cols[1:]),
-                     reason))
-    return rows
-
-
-def apply_frame(payload: bytes,
-                engines: dict[int, FeatureEngine]) -> int:
-    """Decode one frame and apply its rows (:func:`apply_rows`)."""
-    return apply_rows(decode_rows(payload), engines)
-
-
-def apply_rows(rows: list, engines: dict[int, FeatureEngine]) -> int:
-    """Hand each shard engine its rows' events as one batch, in stream
-    order.  Returns the number of rows applied."""
-    shards: dict = {}
-    for shard, event in rows_to_events(rows):
-        shards.setdefault(shard, []).append(event)
-    for shard, events in shards.items():
-        engines[shard].consume_batch(events)
-    return len(rows)
+    return encode_frame(batch, shards[batch.rec_pos], shards[batch.sync_pos],
+                        key_matrix(batch.keys))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -363,24 +445,12 @@ class ShmRing:
     # -- counters ----------------------------------------------------------
 
     @property
-    def head(self) -> int:
-        return int(self._ctl[0]) if self._ctl is not None else 0
-
-    @property
-    def tail(self) -> int:
-        return int(self._ctl[1]) if self._ctl is not None else 0
-
-    @property
     def occupancy(self) -> int:
         """Bytes currently in flight (written, not yet consumed)."""
         if self._closed or self._ctl is None:
             return 0
         head, tail = int(self._ctl[0]), int(self._ctl[1])
         return head - tail
-
-    @property
-    def free_bytes(self) -> int:
-        return self.capacity - self.occupancy
 
     def fits(self, payload_len: int) -> bool:
         """Whether a payload of this size can *ever* occupy the ring

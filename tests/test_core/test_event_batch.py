@@ -162,12 +162,16 @@ def test_per_packet_insert_after_a_batch_call_keeps_every_slot():
     LinkConfig(drop_rate=0.2, drop_kind="sync", seed=3),
     LinkConfig(drop_rate=0.1, seed=5, batch_records=4,
                batch_header_bytes=6, capacity_records=3),
-], ids=["lossy", "queued"])
+    LinkConfig(drop_rate=0.3, drop_kind="sync", seed=3,
+               retransmit_retries=10, retransmit_backoff_ns=50.0),
+    LinkConfig(drop_rate=0.2, seed=7, retransmit_retries=2,
+               batch_records=3, batch_header_bytes=6),
+], ids=["lossy", "queued", "retransmit", "retransmit-queued"])
 def test_lossy_link_batch_run_equals_per_event_run(link):
-    """Seeded loss draws stay one per event in event order.  (Sync
-    retransmission is left out: it re-reads the switch's FG table, which
-    a batch walk sees after the whole call — a divergence the per-event
-    walk of a batch has always had.)"""
+    """Seeded loss draws stay one per event in event order, and a lost
+    sync's stale-slot check reads the switch's FG table as of the sync's
+    stream position (where it held the sync's own key), not as it stands
+    after the whole batch call."""
     compiled = api.compile(flow_policy()).compiled
     pkts = packets("enterprise")
     cfg = MGPVConfig(**CONFIGS["small"])
@@ -180,6 +184,8 @@ def test_lossy_link_batch_run_equals_per_event_run(link):
                      vectors_checksum(vectors)))
     assert runs[0] == runs[1]
     assert runs[0][0]["link"]["drops_injected"] > 0
+    if link.retransmit_retries:
+        assert runs[0][0]["link"]["retransmits_ok"] > 0
 
 
 def switch_batches():

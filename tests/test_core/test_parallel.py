@@ -1,10 +1,9 @@
 """Shard-parallel executor internals: ExecutionConfig validation and
-env resolution, the amortizing Batcher, and ShardedCluster mechanics
-(routing, dispatch ledger, failover guards, close semantics)."""
+env resolution, and ShardedCluster mechanics (routing, dispatch ledger,
+mixed-value frames, failover guards, close semantics)."""
 
 import pytest
 
-from repro.core.batch import Batcher
 from repro.core.compiler import PolicyCompiler
 from repro.core.parallel import (
     BACKENDS,
@@ -175,26 +174,6 @@ class TestExecutorError:
             make_cluster(backend="process")
 
 
-class TestBatcher:
-    def test_fills_and_resets(self):
-        b = Batcher(3)
-        assert b.add(1) is None
-        assert b.add(2) is None
-        assert b.add(3) == [1, 2, 3]
-        assert len(b) == 0
-
-    def test_drain_returns_partial(self):
-        b = Batcher(4)
-        b.add("x")
-        b.add("y")
-        assert b.drain() == ["x", "y"]
-        assert b.drain() == []
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            Batcher(0)
-
-
 class TestShardedCluster:
     def test_shard_ownership_partitions_workers(self):
         cluster = make_cluster(n_nics=5, workers=2)
@@ -229,11 +208,11 @@ class TestShardedCluster:
         finally:
             cluster.close()
 
-    def test_float_cells_take_counted_pbatch_fallback(self):
-        """Hand-fed float cells cannot ship as an int64 frame: their
-        chunk crosses as wire rows (``pbatch``), counted, while int
-        chunks stay frames — and the vectors equal the serial
-        cluster's bit for bit."""
+    def test_mixed_cells_ship_as_counted_frames(self):
+        """Hand-fed cells mixing ints and floats are an object metadata
+        column: every frame ships it in its pickled section, counted in
+        ``fallback_chunks`` — no other message kind — and the vectors
+        equal the serial cluster's bit for bit."""
         from repro.bench.parallel import vectors_checksum
         from repro.nicsim.loadbalance import NICCluster
         from repro.switchsim.mgpv import MGPVRecord
@@ -251,10 +230,8 @@ class TestShardedCluster:
             cluster.consume_batch(events)
             vectors = cluster.finalize()
             report = cluster.transport_report()
-            assert report["fallback_chunks"] >= 1
-            assert report["frames"] >= 1
-            assert report["fallback_chunks"] + report["frames"] \
-                == cluster.batches_dispatched
+            assert report["frames"] == cluster.batches_dispatched >= 6
+            assert report["fallback_chunks"] == report["frames"]
         finally:
             cluster.close()
         assert vectors

@@ -23,12 +23,13 @@ from repro.core.transport import (
     TRANSPORTS,
     ShmRing,
     TransportError,
-    decode_rows,
+    decode_frame,
     encode_rows,
     resolve_transport,
     shm_available,
 )
 from repro.net.trace import generate_trace
+from repro.switchsim.mgpv import FGSync, MGPVRecord
 from tests.conftest import inline_cluster
 
 
@@ -46,10 +47,56 @@ def _segments() -> list[str]:
 # ---------------------------------------------------------------------------
 
 RECORD_ROW = (2, 0, (10, 20, 6), 0xDEADBEEF,
-              ((0, (1, 2, 3)), (4, (7,))), "evict")
+              ((0, (1, 2)), (4, (7, 8))), "evict")
 SYNC_ROW = (1, 1, 3, (40, 41))
 BLOCK_ROW = (0, 2, (8, 9), 12345, (0, 1, 2),
              ((5, 6, 7), (8, 9, 10)), "flush")
+
+
+def row_events(rows) -> list:
+    """``(shard, event)`` per compact wire row, as the module docstring
+    defines them (independent of the codec)."""
+    out = []
+    for row in rows:
+        if row[1] == 1:
+            out.append((row[0], FGSync(row[2], row[3])))
+        elif row[1] == 0:
+            out.append((row[0], MGPVRecord(row[2], row[3], row[4], row[5])))
+        else:
+            cells = tuple(zip(row[4], zip(*row[5]) if row[5]
+                              else [()] * len(row[4])))
+            out.append((row[0], MGPVRecord(row[2], row[3], cells, row[6])))
+    return out
+
+
+def frame_events(payload) -> list:
+    """``(shard, event)`` per event a frame decodes to, in stream
+    order."""
+    batch, rec_shard, sync_shard = decode_frame(payload)
+    shards = [None] * len(batch)
+    for pos, shard in zip(batch.rec_pos.tolist(), rec_shard.tolist()):
+        shards[pos] = shard
+    for pos, shard in zip(batch.sync_pos.tolist(), sync_shard.tolist()):
+        shards[pos] = shard
+    return list(zip(shards, batch))
+
+
+#: Rows whose values no int64 / float64 column holds exactly: they ship
+#: in the frame's pickled section, value types intact.
+EXACT_ROWS = [
+    (0, 0, (1,), 2, ((0, (1.5,)),), "flush"),        # float
+    (0, 0, (1,), 2, ((0, (True,)),), "flush"),       # bool
+    (0, 0, (1.0,), 2, (), "flush"),                  # float in key
+    (0, 0, (1,), 2, (), "meteor_strike"),            # unknown reason
+    (0, 0, (1,), 2, ((0, (2 ** 70,)),), "flush"),    # int past int64
+]
+MALFORMED_ROWS = [
+    (0, 0, (1,), 2 ** 70, (), "flush"),              # hash past int64
+    (0, 1, (1,), "x", (), "flush"),                  # junk field
+    (0, 9, (1,), 2, (), "flush"),                    # unknown tag
+    "not a row at all",
+    (0, 0, (1,), 2, ((0, (1, 2)), (1, (3,))), "flush"),   # ragged cells
+]
 
 
 class TestFrameCodec:
@@ -62,38 +109,41 @@ class TestFrameCodec:
     def test_roundtrip_exact(self, rows):
         payload = encode_rows(rows)
         assert payload is not None
-        decoded = decode_rows(payload)
-        assert decoded == rows
-        # Exact ints, not numpy scalars: downstream checksums are
-        # repr-sensitive.
-        assert all(type(v) is int
-                   for row in decoded for v in (row[0], row[1]))
+        decoded = frame_events(payload)
+        # repr, not ==: a numpy scalar or a bool for an int would pass
+        # == and change the repr-based checksums downstream.
+        assert repr(decoded) == repr(row_events(rows))
+        assert all(type(shard) is int for shard, _ in decoded)
 
     @pytest.mark.parametrize("reason", REASONS)
     def test_every_reason_ships(self, reason):
         row = (0, 0, (1,), 2, ((0, (3,)),), reason)
-        assert decode_rows(encode_rows([row])) == [row]
+        payload = encode_rows([row])
+        assert frame_events(payload) == row_events([row])
+        assert decode_frame(payload)[0].reasons is REASONS
 
-    @pytest.mark.parametrize("poison", [
-        (0, 0, (1,), 2, ((0, (1.5,)),), "flush"),   # float truncates
-        (0, 0, (1,), 2, ((0, (True,)),), "flush"),  # bool coerces
-        (0, 0, (1.0,), 2, (), "flush"),             # float in key
-        (0, 0, (1,), 2, (), "meteor_strike"),       # unknown reason
-        (0, 0, (1,), 2 ** 70, (), "flush"),         # beyond int64
-        (0, 1, (1,), "x", (), "flush"),             # junk field
-        (0, 9, (1,), 2, (), "flush"),               # unknown tag
-        "not a row at all",
-    ])
+    @pytest.mark.parametrize("poison", EXACT_ROWS[:4] + MALFORMED_ROWS[:4]
+                             + EXACT_ROWS[4:] + MALFORMED_ROWS[4:])
     def test_unshippable_chunks_return_none(self, poison):
-        assert encode_rows([poison]) is None
-        # One bad row poisons only its own chunk, never crashes.
-        assert encode_rows([RECORD_ROW, poison]) is None
+        """Only malformed rows are unshippable.  Values no raw column
+        holds exactly ship in the pickled section, as themselves."""
+        clean = (2, 0, (10, 20, 6), 7, ((0, (1,)), (4, (7,))), "evict")
+        for rows in ([poison], [clean, poison]):
+            payload = encode_rows(rows)
+            if poison in EXACT_ROWS:
+                assert repr(frame_events(payload)) == repr(row_events(rows))
+            else:
+                # One bad row poisons only its own chunk, never crashes.
+                assert payload is None
 
     def test_decode_rejects_corrupt_tag(self):
         import numpy as np
         blob = np.array([7, 0], dtype=np.int64).tobytes()
-        with pytest.raises(TransportError, match="unknown row tag"):
-            decode_rows(blob)
+        with pytest.raises(TransportError, match="truncated"):
+            decode_frame(blob)
+        payload = encode_rows([RECORD_ROW])
+        with pytest.raises(TransportError, match="magic"):
+            decode_frame(b"SFE1" + payload[4:])
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +368,8 @@ class TestTransportEndToEnd:
             assert result.engine.counters()["dispatch"]["events"] > 0
             kinds = report["queue_message_kinds"]
             assert kinds.get("frame", 0) == report["frames"]
-            # The proof proper: zero pickled per-event payloads.
-            assert kinds.get("pbatch", 0) == 0
+            # The proof proper: no batch payload crossed the queue.
+            assert kinds.get("oframe", 0) == 0
             assert report["fallback_chunks"] == 0
         finally:
             ex.close()
@@ -334,8 +384,9 @@ class TestTransportEndToEnd:
             assert vectors_checksum(result.vectors) == serial_sum
             report = result.engine.transport_report()
             assert report["mode"] == transport
-            assert report["queue_message_kinds"].get("oframe", 0) > 0
-            assert report["queue_message_kinds"].get("pbatch", 0) == 0
+            kinds = report["queue_message_kinds"]
+            assert kinds.get("oframe", 0) == report["frames"] > 0
+            assert kinds.get("frame", 0) == 0
         finally:
             ex.close()
 
