@@ -283,7 +283,12 @@ class SwitchNICLink:
         delivered events in order.  The lossless per-record channel
         delivers the whole :class:`EventBatch`, accounted as arithmetic
         on its tables (``busy_ns`` summed in event order, bit for bit);
-        any other channel state walks the events through :meth:`consume`."""
+        any other channel state walks the events one by one.  An
+        :class:`EventBatch` is taken as just emitted by the attached
+        switch, so a lost sync passes the stale-slot check (the table
+        held its key at its stream position); a plain event list meets
+        the table as it stands, as :meth:`consume` does."""
+        emitted = isinstance(events, EventBatch)
         batch = EventBatch.of(events)
         cfg, wire = self.config, self.wire
         if not (self._rng is None and self._fault_rng is None
@@ -291,7 +296,7 @@ class SwitchNICLink:
                 and cfg.capacity_records is None
                 and not self._queue and not self._pending_gap):
             return [out for event in batch
-                    for out in self._carry(event, emitted=True)]
+                    for out in self._carry(event, emitted)]
         # Every event is its own DMA batch: _transmit()'s accounting.
         n, n_rec = len(batch), len(batch.rec_pos)
         sizes = np.full(n, 2 + wire.fg_key_bytes, np.int64)

@@ -140,8 +140,6 @@ DEFAULT_REQUEST_TIMEOUT_S = 30.0
 _PENDING_LIMIT = 64
 
 _BATCH_KINDS = ("frame", "oframe")
-#: Events per frame when ``dispatch_batch`` is auto.
-_FRAME_EVENTS = 1024
 
 
 class ExecutorError(RuntimeError):
@@ -186,8 +184,7 @@ class ExecutionConfig:
     spawns more workers than it has shards.  ``dispatch_batch`` is the
     amortization unit: the most events one frame carries (a batch call
     ships its share in frames of that size; single events queue until
-    that many).  The default (None) is 1024.  Every count knob must be
-    a plain ``int``.
+    that many).  Every count knob must be a plain ``int``.
 
     Robustness knobs (supervised process backend):
 
@@ -219,7 +216,7 @@ class ExecutionConfig:
 
     workers: int = 1
     backend: str = "serial"
-    dispatch_batch: int | None = None
+    dispatch_batch: int = 1024
     request_timeout_s: float | None = None
     supervise: bool | None = None
     max_restarts: int = 5
@@ -234,25 +231,14 @@ class ExecutionConfig:
         for name in ("workers", "dispatch_batch", "max_restarts",
                      "poison_threshold", "ring_bytes"):
             value = getattr(self, name)
-            if name == "dispatch_batch" and value is None:
-                continue
             if isinstance(value, bool) or not isinstance(value, int):
                 raise TypeError(f"{name} must be an int, got {value!r}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.dispatch_batch is not None and self.dispatch_batch < 1:
-            raise ValueError(f"dispatch_batch must be >= 1, "
-                             f"got {self.dispatch_batch}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if (self.request_timeout_s is not None
                 and self.request_timeout_s <= 0):
             raise ValueError(f"request_timeout_s must be > 0, "
                              f"got {self.request_timeout_s}")
-        if self.max_restarts < 1:
-            raise ValueError(f"max_restarts must be >= 1, "
-                             f"got {self.max_restarts}")
-        if self.poison_threshold < 1:
-            raise ValueError(f"poison_threshold must be >= 1, "
-                             f"got {self.poison_threshold}")
         if self.supervise and self.backend != "process":
             raise ValueError(
                 "supervise=True needs backend='process' — only a "
@@ -1271,7 +1257,7 @@ class ShardedCluster(ClusterBase):
         self._shard_events = np.zeros(n_nics, np.int64)
         # Single events wait here until a batch or control message.
         self._queue = EventBuffer()
-        self._frame_events = execution.dispatch_batch or _FRAME_EVENTS
+        self._frame_events = execution.dispatch_batch
         self._owner_of = np.array(self._owner, np.int64)
         self.batches_dispatched = 0
         self.events_dispatched = 0
@@ -1397,7 +1383,7 @@ class ShardedCluster(ClusterBase):
 
     def consume(self, event: Event) -> tuple:
         """Queue one event; the queue ships as a batch when it holds a
-        frame's worth, and before the next batch or control message."""
+        frame's worth, and before a batch, control message or restart."""
         if self._closed:
             raise RuntimeError("cluster is closed")
         self._queue.add(event)
@@ -1805,6 +1791,12 @@ class ShardedCluster(ClusterBase):
         for index, key in mirror:
             self.consume(FGSync(index, key))
             self.fg_resyncs += 1
+
+    def restore_nic(self, nic: int) -> None:
+        """The queued events steer under the live set they arrived in
+        (the kill's resyncs among them), then the NIC rejoins."""
+        self._flush_dispatch()
+        super().restore_nic(nic)
 
     # -- drain / merge --------------------------------------------------------
 

@@ -65,6 +65,30 @@ class TestBoundedRetries:
         assert link.retransmit_requests == 0
         assert link.retransmits_exhausted == 0
 
+    def test_batch_walk_checks_the_table_for_hand_fed_lists(self):
+        """``consume_batch`` twin of the stale-slot case: a plain event
+        list meets the table as it stands (no request), while an
+        :class:`EventBatch` is taken as just emitted by the switch,
+        whose table held the sync's key at its stream position."""
+        from repro.switchsim.mgpv import EventBatch, MGPVConfig
+
+        def link():
+            stage = SwitchNICLink(MGPVConfig(),
+                                  LinkConfig(retransmit_retries=3))
+            stage.attach_fg_source(_StaticFGTable({0: ("other",)}))
+            stage.set_fault_loss(1.0, "sync", seed=5)
+            return stage
+
+        listed = link()
+        assert listed.consume_batch([FGSync(0, ("k",))]) == []
+        assert listed.retransmit_requests == 0
+        assert listed.retransmits_exhausted == 0
+        emitted = link()
+        assert emitted.consume_batch(
+            EventBatch.of([FGSync(0, ("k",))])) == []
+        assert emitted.retransmit_requests == 3
+        assert emitted.retransmits_exhausted == 1
+
     def test_records_are_never_retransmitted(self):
         from repro.switchsim.mgpv import MGPVConfig
         link = SwitchNICLink(MGPVConfig(),

@@ -36,6 +36,7 @@ class TestExecutionConfig:
         cfg = ExecutionConfig()
         assert cfg.workers == 1
         assert cfg.backend == "serial"
+        assert cfg.dispatch_batch == 1024
         assert not cfg.is_parallel
 
     @pytest.mark.parametrize("backend", BACKENDS)

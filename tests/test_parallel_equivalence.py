@@ -136,6 +136,34 @@ class TestProcessBackend:
         assert (degradation_report(serial.dataplane.counters())
                 == degradation_report(parallel.dataplane.counters()))
 
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_chaos_nic_kill_then_restart_identical(self, packets,
+                                                   backend):
+        """A restart that lands before the single-event queue fills
+        (far fewer than ``dispatch_batch`` events after the kill):
+        the kill's FG resyncs and the events routed in between still
+        go to the survivors, as on the serial cluster."""
+        policy = build("flow", [("size", "f_mean"), ("size", "f_max")],
+                       True, False)
+        kill = len(packets) // 2
+        plan = FaultPlan(actions=(
+            FaultAction(kind="nic_kill", at_packet=kill, nic=1),
+            FaultAction(kind="nic_restart", at_packet=kill + 40, nic=1)))
+        config = MGPVConfig(n_short=32, n_long=16)
+        serial = api.compile(policy, n_nics=3, mgpv_config=config,
+                             fault_plan=plan).run(packets)
+        kw = {} if backend == "inline" else {"workers": 3,
+                                             "backend": backend}
+        with api.compile(policy, n_nics=3, mgpv_config=config,
+                         fault_plan=plan, **kw) as ex:
+            if backend == "inline":
+                inline_cluster(ex, workers=3)
+            parallel = ex.run(packets)
+        assert parallel.dataplane.cluster.restarts == 1
+        assert parallel.dataplane.cluster.fg_resyncs > 0
+        assert_identical(serial, parallel)
+        assert cluster_counters(serial) == cluster_counters(parallel)
+
     def test_matrices_equal(self, packets):
         policy = build("host", [("size", "f_sum"), ("size", "f_min")],
                        False, False)
