@@ -318,8 +318,7 @@ class SwitchNICLink:
         self.busy_ns = float(np.add.accumulate(np.concatenate((
             [self.busy_ns], sizes * 8 / cfg.bandwidth_gbps)))[-1])
         if self._t_batch_bytes is not None:
-            for size in sizes.tolist():
-                self._t_batch_bytes.observe(size)
+            self._t_batch_bytes.observe_many(sizes)
         return batch
 
     def flush(self) -> tuple:

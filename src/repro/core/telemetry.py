@@ -40,6 +40,8 @@ from dataclasses import dataclass
 from time import perf_counter_ns
 from typing import Callable, Iterable, Mapping
 
+import numpy as np
+
 __all__ = [
     "TelemetryError", "Counter", "Gauge", "Histogram", "Rate",
     "MetricsRegistry", "merge_snapshots", "histogram_percentiles",
@@ -149,6 +151,18 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
+
+    def observe_many(self, values: np.ndarray) -> None:
+        """:meth:`observe` each value of a numeric array, in bulk."""
+        if len(values):
+            for i, k in enumerate(np.bincount(np.searchsorted(
+                    self.bounds, values), minlength=len(self.counts))):
+                self.counts[i] += int(k)
+            self.count += len(values)
+            self.total += values.sum().item()
+            low, high = values.min().item(), values.max().item()
+            self.min = low if self.min is None else min(self.min, low)
+            self.max = high if self.max is None else max(self.max, high)
 
     @property
     def mean(self) -> float:

@@ -821,8 +821,7 @@ class FeatureEngine:
         if self._t_records is not None:
             self._t_records.inc(len(batch.rec_pos))
             self._t_syncs.inc(len(batch.sync_pos))
-            for n in batch.rec_len.tolist():
-                self._t_record_cells.observe(n)
+            self._t_record_cells.observe_many(batch.rec_len)
         if self._raw:
             self._admit_raw()
         self._enqueue(batch, traced=True)

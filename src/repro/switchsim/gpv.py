@@ -23,6 +23,8 @@ from repro.switchsim.mgpv import MGPVCache, MGPVConfig
 class GPVCache(MGPVCache):
     """One-granularity grouped packet vectors, *Flow style."""
 
+    _wire_syncs = False         # the FG table is bookkeeping only
+
     def __init__(self, granularity: Granularity,
                  config: MGPVConfig | None = None,
                  metadata_fields: tuple[str, ...] = ("size", "tstamp"),
@@ -38,10 +40,3 @@ class GPVCache(MGPVCache):
         (no FG table)."""
         cfg = self.config
         return cfg.sram_bytes - cfg.fg_table_size * cfg.fg_key_bytes
-
-    def _resolve_fg(self, route: tuple, inserting_slot: int,
-                    events: list) -> None:
-        # The table entry is bookkeeping only: no sync crosses the wire.
-        super()._resolve_fg(route, inserting_slot, [])
-        self.stats.syncs_out -= 1
-        self.stats.bytes_out -= 2 + self.config.fg_key_bytes

@@ -23,24 +23,26 @@ The cache maintains the invariant that an FG-table entry is referenced
 only by the CG group its key projects onto; evicting a CG group frees all
 of its FG entries.
 
-The control state is the switch's register arrays at their configured
-shapes: per short slot the resident CG key id, hash, long-buffer index and
-``last_access``; the long-buffer free stack with a top pointer; the FG
-table as key id plus owner slot.  Pending cells stay per-slot sequences
-(their length is the fill count); keys are interned to exact ids.  Batch calls
-emit one :class:`EventBatch` whose cell columns are gathered from the
-batch's own columns, never built as per-cell tuples.
+The control state is the switch's register arrays: per short slot the
+resident CG key id, hash, long-buffer index and ``last_access``; the free
+stack of long buffers; the FG table's key id and owner slot (keys are
+interned to exact ids).  ``insert`` is one scalar body per packet, and
+``insert_batch`` has none: its rows sort by slot into *lifetimes* (runs of
+one CG key), whose evictions, syncs and buffer thresholds are slot-local
+numpy.  Only the long-buffer pool and FG collisions couple slots, so a
+*ledger* replays just the requests, frees and FG rows in stream order —
+which makes its outcome the per-packet one — and one pass assembles the
+:class:`EventBatch` from it (DESIGN.md, *MGPV*).
 """
 
 from __future__ import annotations
 
 import operator
 import os
-from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from heapq import heappop, heappush, heappushpop
-from itertools import chain, compress, repeat
+from heapq import heappop, heappush
+from itertools import chain, repeat
 from time import perf_counter_ns
 from typing import Iterable, Iterator, Union
 
@@ -290,14 +292,12 @@ class EventBatch:
         keep[self.rec_pos[records]] = keep[self.sync_pos[syncs]] = True
         renumber = np.cumsum(keep) - 1
         lens = self.rec_len[records]
-        ends = np.cumsum(lens)
-        at = np.arange(ends[-1] if len(ends) else 0) + np.repeat(
-            self.rec_start[records] - ends + lens, lens)
+        at = _expand(self.rec_start[records], lens)
         return EventBatch(
             self.keys,
             (renumber[self.rec_pos[records]], self.rec_key[records],
              self.rec_hash[records], self.rec_reason[records],
-             ends - lens, lens),
+             np.cumsum(lens) - lens, lens),
             (renumber[self.sync_pos[syncs]], self.sync_index[syncs],
              self.sync_key[syncs], self.sync_hash[syncs]),
             (self.cell_fg[at], tuple(col[at] for col in self.cell_meta)),
@@ -381,6 +381,13 @@ def _distinct_rows(columns) -> tuple[np.ndarray, np.ndarray]:
     return first, inverse.reshape(-1)
 
 
+def _expand(at: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The indices of ``(start, length)`` ranges, laid back to back."""
+    ends = np.cumsum(lens)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(
+        at - ends + lens, lens)
+
+
 class MGPVCache:
     """Functional simulator of the FE-Switch MGPV batching engine.
 
@@ -392,6 +399,7 @@ class MGPVCache:
     """
 
     name = "mgpv"
+    _wire_syncs = True          # FG-table syncs cross the wire to the NIC
 
     def __init__(self, cg: Granularity, fg: Granularity,
                  config: MGPVConfig | None = None,
@@ -429,35 +437,28 @@ class MGPVCache:
          self._v_fg_key, self._v_fg_owner) = map(memoryview, (
              self._slot_key, self._slot_hash, self._slot_long, self._slot_last,
              self._long_stack, self._fg_key, self._fg_owner))
-        # Per resident slot: pending cells (short then long) and the FG
-        # entries it owns.
-        self._cells: list[list | None] = [None] * cfg.n_short
-        self._fgs: list[list | None] = [None] * cfg.n_short
-        # Pending cells: (fg index, metadata) tuples for per-packet
-        # inserts, an array of positions into the arena's columns (FG
-        # index, then the metadata fields; ``_arena_n`` rows used) for
-        # batch calls.
+        # Pending cells: per resident slot a list of (fg index, metadata)
+        # cells between per-packet inserts; in batch calls the rows
+        # _pend_at[s] .. _pend_at[s] + _pend_n[s] of the arena (FG index,
+        # then one column per metadata field; None between inserts).
+        self._cells: list | None = [None] * cfg.n_short
         self._arena: list[np.ndarray] | None = None
-        self._arena_n = self._arena_cap = 0
-        self._n_resident = 0
-        self._aging_cursor = 0
+        self._pend_at, self._pend_n = np.zeros((2, cfg.n_short), np.int64)
+        self._n_resident = self._aging_cursor = 0
         self._long_allowed: int | None = None   # fault-injected squeeze
         self._now = 0
         # Occupancy-time integrals for buffer-efficiency reporting (Fig 14).
-        self._occ_occupied = 0
-        self._occ_active = 0
+        self._occ_occupied = self._occ_active = 0
         # Telemetry instruments (attach_telemetry); None = not attached.
-        # Only amortized paths (_emit/_resolve_fg/_evict/_aging_scan) are
-        # instrumented — the per-packet insert body is untouched.
-        self._t_tracer = None
-        self._t_evictions = None
-        self._t_fg_syncs = None
+        # Only amortized paths (evictions, syncs, aging scans, batch
+        # calls) are instrumented — the per-packet insert body is not.
+        self._t_tracer = self._t_evictions = self._t_fg_syncs = None
         self._t_record_cells = None
 
     def attach_telemetry(self, telemetry) -> None:
         """Register the cache's typed instruments: eviction/sync counts,
         the cells-per-record distribution, live occupancy gauges, and
-        (when sampling) spans around evictions and aging scans."""
+        (when sampling) spans around scalar evictions and aging scans."""
         from repro.core.telemetry import DEFAULT_COUNT_BOUNDS
         reg = telemetry.registry
         self._t_tracer = (telemetry.tracer if telemetry.tracer.active
@@ -485,7 +486,7 @@ class MGPVCache:
         """
         events: list[Event] = [] if out is None else out
         if self._arena is not None:
-            self._unpack_arena()
+            self._unpack_cells()
         ts = pkt.tstamp
         if ts > self._now:
             self._now = ts
@@ -509,235 +510,274 @@ class MGPVCache:
 
     def insert_batch(self, batch, out: list[Event] | None = None
                      ) -> EventBatch:
-        """Columnar twin of :meth:`insert`: a per-slot segment kernel
-        returning one :class:`EventBatch` (``out``, when given, is
-        extended with its events as objects).
-
-        Rows are keyed and hashed in numpy and stable-sorted by short slot
-        once; only *event* rows — a new group or collision, an FG-table
-        miss, a short or long buffer filling — run the scalar body, in row
-        order, which also resolves what couples slots (the long-buffer
-        pool, FG collisions evicting another slot's group).  Plain appends
-        join their slot's pending cells as ranges of the slot-sorted cell
-        columns (which join the arena once); Fig 14 samples come from an
-        interval sweep.  Events, counters and state equal inserting the
-        packets one at a time — which the reference oracle, aging (its
-        cursor scan reads the clock row by row) and non-columnar keys or
-        metadata do.
+        """Columnar twin of :meth:`insert`: one :class:`EventBatch`
+        (``out``, when given, is extended with its events as objects)
+        from :meth:`_insert_columnar`, equal to inserting the packets one
+        at a time — which the reference oracle, aging (its cursor scan
+        reads the clock row by row) and non-columnar keys or metadata do.
         """
         cfg = self.config
         if (self._reference or self.fg.batch_key is None
                 or cfg.aging_timeout_ns is not None
                 or not all(f in PLAIN_FIELDS for f in self.metadata_fields)):
-            events: list = []
-            for pkt in batch:
-                self.insert(pkt, events)
-            events = EventBatch.of(events)
+            events = EventBatch.of([e for p in batch for e in self.insert(p)])
         else:
-            events = self._batch(self._insert_columnar(batch))
+            events = self._insert_columnar(batch)
         if out is not None:
             out.extend(events)
         return events
 
-    def _insert_columnar(self, batch) -> list:
-        """:meth:`insert_batch`'s kernel; returns its raw events."""
+    def _insert_columnar(self, batch) -> EventBatch:
+        """:meth:`insert_batch`'s kernel: the slot-local phase in numpy,
+        the ledger, then one assembly of the records, syncs, cells,
+        counters, registers and Fig 14 samples."""
         cfg = self.config
-        events: list = []
-        if self._arena is None or self._arena_n > self._arena_cap:
-            self._pack_arena()
-        n = len(batch)
-        if not n:
-            return events
+        if self._arena is None:
+            self._pack_cells()
+        n, ns, base = len(batch), cfg.n_short, len(self._arena[0])
+        short, full = cfg.short_size, cfg.short_size + cfg.long_size
         routes, inverse = self._batch_routes(batch)
-        table = np.array(routes, dtype=np.int64)
-        slot_of = table[:, 2][inverse]
-        order = np.argsort(slot_of.astype(np.uint16) if cfg.n_short <= 1 << 16
-                           else slot_of, kind="stable")
-        # Position space: rows in slot order, row order within a slot.
-        sinv = inverse[order]
-        sslot = slot_of[order]
-        scg = table[:, 0][sinv]
-        sfg = table[:, 4][sinv]
+        table = np.array(routes, np.int64).reshape(-1, 5)
         tstamps = batch.column("tstamp")
-        sts = tstamps[order]
-        # Cell columns in position order join the arena: a pending cell
-        # is its position ``base + pos`` there.
-        base = self._arena_n
-        self._arena_n += n
-        if self._arena_n > len(self._arena[0]):
-            self._arena = [np.concatenate((col[:base], np.empty(
-                max(self._arena_n, 2 * base) - base, col.dtype)))
-                for col in self._arena]
-        for col, new in zip(self._arena, [table[:, 3][sinv]] + [
-                batch.column(f)[order] for f in self.metadata_fields]):
-            col[base:self._arena_n] = new
-        head = np.ones(n, bool)
-        np.not_equal(sslot[1:], sslot[:-1], out=head[1:])
-        seg_start = np.flatnonzero(head)
-        seg_end = np.append(seg_start[1:], n)
-        seg_slot = sslot[seg_start]
-        # Static lifetimes (runs of one CG key in one slot) and their
-        # candidate events: the first row of each FG key in a lifetime.
-        life = head.copy()
-        life[1:] |= scg[1:] != scg[:-1]
-        lid = np.cumsum(life) - 1
-        if np.array_equal(table[:, 0], table[:, 4]):
-            cand = life.copy()
-        else:
-            cand = np.zeros(n, bool)
-            cand[np.unique(lid * len(self._keys) + sfg,
-                           return_index=True)[1]] = True
-        # A slot's first lifetime may continue its resident group: then
-        # only FG keys the table does not hold yet are events, and the
-        # group's fill level sets its first buffer threshold.
-        short_size, full = cfg.short_size, cfg.short_size + cfg.long_size
-        thr = np.full(len(seg_start), n)
-        carried_seg = self._slot_key[seg_slot] == scg[seg_start]
-        if carried_seg.any():
-            carried = np.zeros(int(lid[-1]) + 1, bool)
-            carried[lid[seg_start[carried_seg]]] = True
-            at = np.flatnonzero(carried[lid] & cand)
-            cand[at] = self._fg_key[table[:, 3][sinv[at]]] != sfg[at]
-            held = seg_slot[carried_seg]
-            fill = np.fromiter((len(self._cells[s]) for s in held.tolist()),
-                               np.int64, len(held))
-            thr[carried_seg] = (seg_start[carried_seg] - fill - 1 + np.where(
-                self._slot_long[held] >= 0, full, short_size))
-        cand_pos = np.append(np.flatnonzero(cand), n)
-        ci = np.searchsorted(cand_pos, seg_start)
-        nxt = np.minimum(cand_pos[ci], thr)
-        nxt = nxt[nxt < seg_end]
-        heap = np.sort((order[nxt] << 32) | nxt).tolist()
-        # Fig 14 samples inside this batch start from the resident groups.
-        now0 = self._now
+        # Position space: a marker per resident group (its registers and
+        # pending cells), then the rows, stable-sorted by short slot.
+        res = np.flatnonzero(self._slot_key >= 0)
+        m, nil = len(res), np.full(len(res), -1)
+        table = np.concatenate((np.stack((self._slot_key[res], self._slot_hash[
+            res], res, nil, nil), 1), table)).T
+        ext = np.append(np.arange(m), m + inverse)
+        order = np.argsort(table[2][ext].astype(np.uint16) if ns <= 1 << 16
+                           else table[2][ext], kind="stable")
+        scg, shash, sslot, sfidx, sfg = table[:, ext[order]]
+        srow = order - m                        # the row; < 0: a marker
+        srow_n, marker, N = np.append(srow, n), srow < 0, len(order)
+        ts = np.append(self._slot_last[res], tstamps)   # last access, row ts
+        c_n = np.where(marker, self._pend_n[sslot], 1)  # cells a position has
+        off, cell_at = np.append(0, np.cumsum(c_n)), _expand(np.where(
+            marker, self._pend_at[sslot], base + srow), c_n)
+        head = np.ones(N + 1, bool)             # slot segments, then N
+        np.not_equal(sslot[1:], sslot[:-1], out=head[1:N])
+        last = np.flatnonzero(head[1:])         # each slot's last position
+        life = head.copy()                      # static lifetimes, then N
+        life[1:N] |= scg[1:] != scg[:-1]
+        ls, lid = np.flatnonzero(life[:N]), np.cumsum(life[:N]) - 1
+        lend = np.append(ls, N)[1:][lid]        # a position's lifetime end
+        lend_row = srow_n[lend]                 # and the row evicting it
+        lend_row[head[lend]] = n                # (n: none in the batch)
+        # Each lifetime's first long-buffer request: at the short size, or
+        # once a resident group's long buffer filled, which frees it.
+        longs = marker[ls] & (self._slot_long[sslot[ls]] >= 0)
+        first = ls + short - c_n[ls] + np.where(longs, full, 0)
+        mk, filled = ls[longs], first[longs] - short
+        free = np.where(filled < lend[mk], srow_n[np.minimum(filled, N)],
+                        lend_row[mk])
+        held = np.full(ns, -1)                  # the row each buffer returns
+        held[sslot[mk]] = free                  # (n: after the batch)
+        ends = np.full(ns, n)                   # a resident group's end row
+        ends[sslot[marker]] = lend_row[marker]
+        same = np.array_equal(table[0, m:], table[4, m:])   # CG == FG
+
+        def syncs(lids, starts):
+            # Each FG key's first row per lifetime, but a resident's keys.
+            at = starts if same else np.sort(np.unique(lids * (len(
+                self._keys) + 1) + sfg + 1, return_index=True)[1])
+            return at[~marker[at] & ~(marker[starts][lids[at]] & (
+                self._fg_key[sfidx[at]] == sfg[at]))]
+
+        # Phase 2, the ledger: a heap of requests (row << 1 | 1) and FG rows
+        # (row << 1), the frees due (row * n_short + slot), chains per slot.
+        heap = np.sort(np.append(srow[first[first < lend[ls]]] << 1 | 1,
+                                 srow[syncs(lid, ls)] << 1)).tolist()
+        frees = np.sort((free * ns + sslot[mk])[free < n]).tolist()
+        cap = min(cfg.n_long, cfg.n_long if self._long_allowed is None
+                  else self._long_allowed)
+        used, rank = cfg.n_long - self._long_top, np.empty(N, np.int64)
+        rank[order] = np.arange(N)
+        v_row, v_rank, v_slot, v_start, v_end, v_end_row, v_fg, v_fidx, \
+            hv = map(memoryview, (srow, rank[m:], sslot, ls[lid], lend,
+                                  lend_row, sfg, sfidx, held))
+        since, nxt, gen = [-1] * ns, [-1] * ns, [0] * ns
+        # Per FG index its holder: key, slot, generation, end of lifetime.
+        h_key, h_slot = self._fg_key.tolist(), self._fg_owner.tolist()
+        h_gen, h_end = [0] * len(h_key), ends[self._fg_owner].tolist()
+        ok, fail, cuts = [], [], []
+        while heap:
+            key = heappop(heap)
+            row = key >> 1
+            x = v_rank[row]
+            s = v_slot[x]
+            while frees and frees[0] < (row + 1) * ns:
+                r, t = divmod(heappop(frees), ns)
+                if hv[t] == r:
+                    hv[t] = -1
+                    used -= 1
+            if key & 1:
+                # The slot's due request (a new lifetime's first), or stale.
+                if since[s] < v_start[x]:
+                    since[s] = v_start[x]
+                elif nxt[s] != x:
+                    continue
+                end = v_end[x]
+                if used < cap:
+                    used += 1
+                    ok.append(x)
+                    y = x + cfg.long_size
+                    r = hv[s] = v_row[y] if y < end else v_end_row[x]
+                    if r < n:
+                        heappush(frees, r * ns + s)
+                    x = y
+                else:
+                    fail.append(x)
+                x = nxt[s] = x + short
+                if x < end:
+                    heappush(heap, v_row[x] << 1 | 1)
+                continue
+            f, g = v_fidx[x], v_fg[x]
+            t = h_slot[f]
+            if h_key[f] >= 0 and gen[t] == h_gen[f] and row < h_end[f]:
+                if h_key[f] == g:
+                    continue                    # live already: no sync
+                gen[t] += 1
+                if hv[t] >= 0:
+                    hv[t] = -1
+                    used -= 1
+                lo, hi = sslot.searchsorted((t, t + 1)).tolist()
+                q = bisect_left(v_row, row, lo, hi)
+                cuts.append((q, row))
+                if q < hi:
+                    # A fresh request chain, and each FG key's first row.
+                    since[t], e = q, v_end[q]
+                    y = nxt[t] = q + short - 1
+                    if y < e:
+                        heappush(heap, v_row[y] << 1 | 1)
+                    for j in (np.unique(sfg[q:e], return_index=True)[1]
+                              + q).tolist():
+                        heappush(heap, v_row[j] << 1)
+            h_key[f], h_slot[f], h_gen[f], h_end[f] = g, s, gen[s], v_end_row[x]
+
+        del lid, lend, lend_row, rank, c_n, ext, heap, v_rank, v_start, v_end, \
+            v_end_row                   # freed before the assembly's peak
+        # Dynamic lifetimes: the static ones cut where the ledger evicted;
+        # each ends at ``erow`` (n: resident), by an FG collision if esub.
+        bound = life.copy()
+        bound[[q for q, _ in cuts]] = True
+        starts, L = np.flatnonzero(bound[:N]), np.cumsum(bound[:N]) - 1
+        stops = np.append(starts, N)[1:]
+        erow, esub = srow_n[stops], np.zeros(len(starts), np.int64)
+        erow[head[stops]] = n
+        if cuts:
+            q, r = np.array(cuts).T
+            erow[L[q - 1]], esub[L[q - 1]] = r, 1
+        # Threshold records — failed requests (short_full), filled long
+        # buffers (long_full) — take the cells since the last one, and a
+        # lifetime's eviction record the rest.
+        ok, fail = np.array(ok, np.int64), np.array(fail, np.int64)
+        lf = np.append(ok + cfg.long_size, filled)
+        lf = lf[lf < stops[L[np.append(ok, mk)]]]
+        thr = np.append(fail, lf)
+        o = np.argsort(thr)
+        thr, reason = thr[o], np.repeat([1, 2], [len(fail), len(lf)])[o]
+        t_from = np.maximum(starts[L[thr]], np.append(0, thr[:-1] + 1))
+        tail = np.maximum(starts, np.append(0, thr + 1)[np.searchsorted(
+            thr + 1, stops, "right")])
+        ev, sx = np.flatnonzero(erow < n), syncs(L, starts)
+        # Fig 14 samples: a row (a marker: from its last_access) keeps its
+        # slot active until the slot's next row, its group's end or the
+        # clock passing ts + window.
         samples = np.arange((-self.stats.pkts_in - 1) % _OCC_STRIDE, n,
                             _OCC_STRIDE)
-        before = np.flatnonzero(self._slot_key >= 0)
-        before = (before, self._slot_last[before], self._n_resident)
+        runmax = np.maximum.accumulate(np.maximum(tstamps, self._now))
 
-        # The event loop.  Each segment k has a pointer to its first
-        # unapplied position; the heap holds (row << 32 | position) of
-        # every segment's next event, plus stale entries it skips.
-        v_order, v_sinv, v_sts, v_seg = map(memoryview, (
-            order, sinv, sts, np.cumsum(head) - 1))
-        starts, ptr = seg_start.tolist(), seg_start.tolist()
-        ends, slots = seg_end.tolist(), seg_slot.tolist()
-        ci, cand_pos = ci.tolist(), cand_pos.tolist()
-        life_pos = np.append(np.flatnonzero(life), n).tolist()
-        apply, filled, pending = self._apply, self._filled, self._cells
-        v_key, v_long = self._v_key, self._v_long
-        fg_key, fg_owner = self._v_fg_key, self._v_fg_owner
-        resident, res_rows, res_vals = self._n_resident, [], []
-        cuts, cut_before = {}, {}   # position / slot -> eviction row
-        seg_of = dict(zip(slots, range(len(slots))))
+        def upto(rows):
+            return np.cumsum(np.bincount(rows, minlength=n + 1))[samples]
 
-        def restart(k: int, q: int) -> None:
-            # Segment k's group restarts at q: queue each FG key's first row.
-            stop = life_pos[bisect_right(life_pos, q)]
-            for j in (np.unique(sfg[q:stop], return_index=True)[1]
-                      + q).tolist():
-                heappush(heap, v_order[j] << 32 | j)
-
-        def catch_up(slot: int, row: int) -> None:
-            # ``slot`` is about to be evicted at ``row``: apply its plain
-            # rows before that, and cut its activity interval there.
-            k = seg_of.get(slot)
-            if k is None:
-                cut_before[slot] = row
-                return
-            p = ptr[k]
-            q = ptr[k] = bisect_left(v_order, row, p, ends[k])
-            pending[slot].extend(range(base + p, base + q))
-            if q > starts[k]:
-                cuts[q - 1] = row
-            else:
-                cut_before[slot] = row
-            if q < ends[k]:
-                restart(k, q)
-
-        key = heappop(heap) if heap else -1
-        while key >= 0:
-            pos = key & 0xFFFFFFFF
-            k = v_seg[pos]
-            p = ptr[k]
-            if pos < p:
-                key = heappop(heap) if heap else -1
-                continue
-            s = slots[k]
-            route = routes[v_sinv[pos]]
-            if v_key[s] == route[0] and fg_key[route[3]] == route[4]:
-                # Resident group, FG hit: a buffer threshold at most.
-                pending[s].extend(range(base + p, base + pos + 1))
-                filled(s, events)
-                p = ptr[k] = pos + 1
-            else:
-                if pos > p:
-                    pending[s].extend(range(base + p, base + pos))
-                # An FG collision evicts the displaced key's group:
-                # another slot's, or this one's own (when it is not being
-                # replaced).
-                displaced = fg_key[route[3]]
-                owner = (fg_owner[route[3]]
-                         if displaced >= 0 and displaced != route[4] else -1)
-                if owner >= 0 and owner != s:
-                    catch_up(owner, key >> 32)
-                own = owner == s and v_key[s] == route[0]
-                apply(route, v_sts[pos], base + pos, events)
-                p = ptr[k] = pos + 1
-                if own:
-                    restart(k, pos)
-                if self._n_resident != resident:
-                    resident = self._n_resident
-                    res_rows.append(key >> 32)
-                    res_vals.append(resident)
-            c = ci[k]
-            while cand_pos[c] < p:
-                c += 1
-            ci[k] = c
-            nxt = cand_pos[c]
-            thr = pos + (full if v_long[s] >= 0 else short_size) - len(
-                pending[s])
-            if thr < nxt:
-                nxt = thr
-            if nxt < ends[k]:
-                key = heappushpop(heap, v_order[nxt] << 32 | nxt)
-            else:
-                key = heappop(heap) if heap else -1
-
-        for s, p, e in zip(slots, ptr, ends):
-            if p < e:
-                pending[s].extend(range(base + p, base + e))
-        held = self._slot_key[seg_slot] >= 0
-        self._slot_last[seg_slot[held]] = sts[seg_end[held] - 1]
-        if len(samples):
-            # A row keeps its slot active until the slot's next row, an
-            # eviction, or the clock passing ts + window.
-            runmax = np.maximum.accumulate(np.maximum(tstamps, now0))
-            expire = np.searchsorted(runmax, tstamps + _OCC_WINDOW_NS,
-                                     "right")
-            end = np.append(order[1:], n)
-            end[seg_end - 1] = n
-            np.minimum(end, expire[order], out=end)
-            for pos, row in cuts.items():
-                end[pos] = min(end[pos], row)
-            np.maximum(end, order, out=end)
-            # A group resident before: until touched, evicted or expired.
-            stop = np.full(cfg.n_short, n)
-            stop[seg_slot] = order[seg_start]
-            stop[list(cut_before)] = list(cut_before.values())
-            carried_end = np.minimum(stop[before[0]], np.searchsorted(
-                runmax, before[1] + _OCC_WINDOW_NS, "right"))
-            ended = np.cumsum(np.bincount(end, minlength=n + 1))[samples]
-            alive = len(carried_end) - np.cumsum(np.bincount(
-                carried_end, minlength=n + 1))[samples]
-            occupied = np.asarray(res_vals + [before[2]])[
-                np.searchsorted(res_rows, samples, "right") - 1]
-            self._occ_occupied += int(occupied.sum())
-            self._occ_active += int((samples + 1 - ended + alive).sum())
-        self.stats.pkts_in += n
-        self.stats.bytes_in += int(batch.column("size").sum())
-        self._now = max(now0, int(tstamps.max()))
+        self._occ_occupied += int((m + upto(srow[starts[~marker[starts]]])
+                                   - upto(erow[ev])).sum())
+        self._occ_active += int((m + samples + 1 - upto(np.maximum(np.minimum(
+            np.minimum(np.where(head[1:], n, srow_n[1:]), erow[L]),
+            np.searchsorted(runmax, ts + _OCC_WINDOW_NS, "right")[order]),
+            srow))).sum())
+        src = [np.concatenate(col) for col in zip(self._arena, [table[
+            3, m + inverse]] + [batch.column(f) for f in self.metadata_fields])]
+        events = self._emit_batch([np.concatenate(col) for col in zip(
+            (srow[thr] << 2 | 3, scg[thr], shash[thr], reason, off[t_from],
+             off[thr + 1]),
+            (erow[ev] << 2 | esub[ev], scg[starts[ev]], shash[starts[ev]],
+             0 * ev, off[tail[ev]], off[stops[ev]]))],
+            tuple(col[sx if self._wire_syncs else sx[:0]] for col in (
+                srow << 2 | 2, sfidx, sfg, shash)), src, cell_at)
+        stats = self.stats
+        stats.long_allocs += len(ok)
+        stats.long_alloc_failures += len(fail)
+        stats.fg_collisions += len(cuts)
+        # The registers: FG entries of the groups still resident, slots,
+        # pending cells (each surviving group's tail, gathered into a fresh
+        # arena) and long buffers (the ledger fixed which slots hold one).
+        alive, stays = erow == n, np.zeros(ns, bool)
+        stays[sslot[marker]] = alive[L[marker]]
+        owned = np.flatnonzero(self._fg_key >= 0)
+        drop = np.append(owned[~stays[self._fg_owner[owned]]], sfidx[sx])
+        self._fg_key[drop] = self._fg_owner[drop] = -1
+        live = sx[alive[L[sx]]]
+        self._fg_key[sfidx[live]], self._fg_owner[sfidx[live]] = sfg[live], \
+            sslot[live]
+        on, slots = alive[L[last]], sslot[last]
+        self._slot_key[slots] = np.where(on, scg[last], -1)
+        self._slot_hash[slots] = shash[last]
+        self._slot_last[slots] = np.where(on, ts[order[last]], _NEVER)
+        self._n_resident = int(np.count_nonzero(on))
+        lo, hi = off[tail[L[last[on]]]], off[last[on] + 1]
+        self._pend_n[:] = 0
+        self._pend_n[slots[on]] = hi - lo
+        self._pend_at[slots[on]] = np.cumsum(hi - lo) - (hi - lo)
+        self._arena = [col[cell_at[_expand(lo, hi - lo)]] for col in src]
+        hold = held == n
+        self._long_top = cfg.n_long - int(np.count_nonzero(hold))
+        self._long_stack[:] = np.arange(cfg.n_long)
+        self._slot_long[:] = np.where(hold, np.cumsum(hold) - 1
+                                      + self._long_top, -1)
+        stats.pkts_in += n
+        stats.bytes_in += int(batch.column("size").sum())
+        self._now = int(tstamps.max(initial=self._now))
         return events
+
+    def _emit_batch(self, records: list, syncs: tuple, src: list,
+                    cell_at: np.ndarray | None = None) -> EventBatch:
+        """The :class:`EventBatch` of ``records`` (stream-order key, CG id,
+        hash32, reason id, first and end cell: rows of ``src``, through
+        ``cell_at`` if given) and ``syncs`` (stream-order key, FG index, FG
+        id, owner hash32), counted into the stats and telemetry."""
+        o, so = np.argsort(records[0]), np.argsort(syncs[0])
+        key, cg, hash32, reason, lo, hi = (col[o] for col in records)
+        s_key, s_index, s_id, s_hash = (col[so] for col in syncs)
+        pos = np.argsort(np.argsort(np.append(key, s_key)))
+        # The key table: record keys, then sync keys, by first appearance.
+        ids, first, local = np.unique(np.append(cg, s_id), return_index=True,
+                                      return_inverse=True)
+        rank = np.argsort(first)
+        local = np.argsort(rank)[local]
+        counts, cells = hi - lo, _expand(lo, hi - lo)
+        cells = cells if cell_at is None else cell_at[cells]
+        n_rec, n_sync = len(key), len(s_key)
+        cfg, stats = self.config, self.stats
+        stats.records_out += n_rec
+        stats.cells_out += len(cells)
+        stats.syncs_out += n_sync
+        stats.bytes_out += (n_rec * (cfg.record_header_bytes + cfg.cg_key_bytes)
+                            + len(cells) * cfg.cell_bytes
+                            + n_sync * (2 + cfg.fg_key_bytes))
+        for name, k in zip(REASONS, np.bincount(reason, minlength=5).tolist()):
+            stats.evictions[name] += k
+        if self._t_evictions is not None:
+            self._t_evictions.inc(n_rec)
+            self._t_fg_syncs.inc(n_sync)
+            self._t_record_cells.observe_many(counts)
+        return EventBatch(
+            list(map(self._keys.__getitem__, ids[rank].tolist())),
+            (pos[:n_rec], local[:n_rec], hash32, reason,
+             np.cumsum(counts) - counts, counts),
+            (pos[n_rec:], s_index, local[n_rec:], s_hash),
+            (src[0][cells], tuple(col[cells] for col in src[1:])))
 
     def process(self, packets: Iterable[Packet],
                 flush_at_end: bool = True) -> Iterator[Event]:
@@ -751,23 +791,26 @@ class MGPVCache:
             yield from self.flush()
 
     def flush(self) -> EventBatch:
-        """Drain every resident group (end of measurement)."""
+        """Drain every resident group (end of measurement), in slot
+        order: one record per group with pending cells."""
         if self._arena is None:
-            self._pack_arena()
-        events = []
-        for slot in np.flatnonzero(self._slot_key >= 0).tolist():
-            if self._cells[slot]:
-                events.append(self._evict(slot, "flush"))
-            else:
-                self._remove(slot)
-        events = self._batch(events)
-        self._arena = [np.empty(0, col.dtype) for col in self._arena]
-        self._arena_n = 0
+            self._pack_cells()
+        slots = np.flatnonzero((self._slot_key >= 0) & (self._pend_n > 0))
+        events = self._emit_batch(
+            (slots, self._slot_key[slots], self._slot_hash[slots],
+             np.full(len(slots), _REASON_ID["flush"]), self._pend_at[slots],
+             self._pend_at[slots] + self._pend_n[slots]), (_NONE,) * 4,
+            self._arena)
+        self._slot_key[:] = self._slot_long[:] = -1
+        self._slot_last[:] = _NEVER
+        self._fg_key[:] = self._fg_owner[:] = -1
+        self._pend_n[:] = 0
+        self._long_top = self.config.n_long
+        self._n_resident = 0
+        self._arena = [col[:0] for col in self._arena]
         return events
 
-    def consume(self, pkt: Packet) -> list[Event]:
-        """Dataplane stage protocol: alias of :meth:`insert`."""
-        return self.insert(pkt)
+    consume = insert                    # the dataplane stage protocol
 
     def counters(self) -> dict:
         """Uniform stage counters (observe convention)."""
@@ -871,8 +914,9 @@ class MGPVCache:
 
     def _batch_routes(self, batch) -> tuple[list[tuple], np.ndarray]:
         """The :meth:`_route` of every distinct FG key of ``batch`` (keys
-        not routed yet hashed by :func:`hash_key_columns`) and each row's
-        index into that list."""
+        not routed yet hashed by :func:`hash_key_columns`, and interned
+        once when CG and FG keys coincide) and each row's index into that
+        list."""
         if len(self._keys) > self._key_cap:
             self._compact_keys()
         cfg = self.config
@@ -884,21 +928,20 @@ class MGPVCache:
         if missing:
             cg_keys = list(map(self._cg_project, missing))
             fg_hash = hash_key_columns(list(zip(*missing)))
-            cg_hash = (fg_hash if cg_keys == missing
-                       else hash_key_columns(list(zip(*cg_keys))))
+            fg_ids = list(map(self._intern, missing))
+            cg_hash, cg_ids = (fg_hash, fg_ids) if cg_keys == missing else (
+                hash_key_columns(list(zip(*cg_keys))),
+                list(map(self._intern, cg_keys)))
             self._key_cache.update(zip(missing, zip(
-                map(self._intern, cg_keys), cg_hash.tolist(),
-                (cg_hash % cfg.n_short).tolist(),
-                (fg_hash % cfg.fg_table_size).tolist(),
-                map(self._intern, missing))))
+                cg_ids, cg_hash.tolist(), (cg_hash % cfg.n_short).tolist(),
+                (fg_hash % cfg.fg_table_size).tolist(), fg_ids)))
             routes = list(map(self._key_cache.__getitem__, fg_keys))
         return routes, inverse
 
     def _apply(self, route: tuple, ts: int, cell: tuple,
                events: list[Event]) -> None:
         """The slot / FG / cell transitions of one packet whose route is
-        resolved: the body of :meth:`insert` and of every event row of
-        :meth:`insert_batch`."""
+        resolved: the body of :meth:`insert`."""
         cg_id, hash32, slot, fg_idx, fg_id = route
         key = self._v_key
         if key[slot] != cg_id:
@@ -907,46 +950,51 @@ class MGPVCache:
                 events.append(self._evict(slot, "collision"))
             self._create(slot, cg_id, hash32)
         if self._v_fg_key[fg_idx] != fg_id:
-            self._resolve_fg(route, slot, events)
-            # The FG collision may have evicted this very group (the
-            # displaced key projected onto it); re-create it.
-            if key[slot] != cg_id:
-                self._create(slot, cg_id, hash32)
-            self._fgs[slot].append(fg_idx)
+            if self._v_fg_key[fg_idx] >= 0:
+                # FG slot collision: the displaced key's owner group must
+                # be flushed first — its resident cells reference this
+                # index.  It may be this very group: re-create it.
+                self.stats.fg_collisions += 1
+                events.append(self._evict(self._v_fg_owner[fg_idx],
+                                          "collision"))
+                if key[slot] != cg_id:
+                    self._create(slot, cg_id, hash32)
+            self._v_fg_key[fg_idx] = fg_id
+            self._v_fg_owner[fg_idx] = slot
+            if self._wire_syncs:
+                events.append(FGSync(fg_idx, self._keys[fg_id]))
+                self.stats.syncs_out += 1
+                self.stats.bytes_out += 2 + self.config.fg_key_bytes
+                if self._t_fg_syncs is not None:
+                    self._t_fg_syncs.inc()
         self._v_last[slot] = ts
         cells = self._cells[slot]
         cells.append(cell)
-        if len(cells) >= self.config.short_size:
-            self._filled(slot, events)
-
-    def _filled(self, slot: int, events: list[Event]) -> None:
-        """The buffer transition, if any, due to ``slot``'s pending cells
-        (at most one threshold crossed since the last call)."""
-        cfg = self.config
+        if len(cells) < self.config.short_size:
+            return
+        cfg, stats = self.config, self.stats
         if self._v_long[slot] >= 0:
-            if len(self._cells[slot]) >= cfg.short_size + cfg.long_size:
+            if len(cells) >= cfg.short_size + cfg.long_size:
                 # Case 2b: long buffer full — evict short + long, release
                 # the long pointer; the (likely long) flow keeps its entry.
                 events.append(self._emit(slot, "long_full"))
                 self._free_long(slot)
-        elif len(self._cells[slot]) >= cfg.short_size:
-            if self._long_top and (self._long_allowed is None
-                                   or self.long_buffers_in_use
-                                   < self._long_allowed):
-                self._long_top -= 1
-                self._v_long[slot] = self._v_stack[self._long_top]
-                self.stats.long_allocs += 1
-            else:
-                # Case 2a: short full, no long buffer — evict the short
-                # buffer so it can be reused.
-                self.stats.long_alloc_failures += 1
-                events.append(self._emit(slot, "short_full"))
+        elif self._long_top and (self._long_allowed is None
+                                 or self.long_buffers_in_use
+                                 < self._long_allowed):
+            self._long_top -= 1
+            self._v_long[slot] = self._v_stack[self._long_top]
+            stats.long_allocs += 1
+        else:
+            # Case 2a: short full, no long buffer — evict the short buffer
+            # so it can be reused.
+            stats.long_alloc_failures += 1
+            events.append(self._emit(slot, "short_full"))
 
     def _create(self, slot: int, cg_id: int, hash32: int) -> None:
         self._v_key[slot] = cg_id
         self._v_hash[slot] = hash32
-        self._cells[slot] = [] if self._arena is None else array("q")
-        self._fgs[slot] = []
+        self._cells[slot] = []
         self._n_resident += 1
 
     def _free_long(self, slot: int) -> None:
@@ -954,33 +1002,10 @@ class MGPVCache:
         self._long_top += 1
         self._v_long[slot] = -1
 
-    def _resolve_fg(self, route: tuple, inserting_slot: int,
-                    events: list[Event]) -> None:
-        """Install the route's FG key into its FG-table slot (the caller
-        checked it is not already there), appending the sync — and any
-        collision eviction — to ``events``."""
-        _cg_id, hash32, _slot, fg_idx, fg_id = route
-        if self._v_fg_key[fg_idx] >= 0:
-            # FG slot collision: the displaced key's owner group must be
-            # flushed first — its resident cells reference this index.
-            self.stats.fg_collisions += 1
-            events.append(self._evict(self._v_fg_owner[fg_idx],
-                                      "collision"))
-        self._v_fg_key[fg_idx] = fg_id
-        self._v_fg_owner[fg_idx] = inserting_slot
-        events.append(FGSync(fg_idx, self._keys[fg_id]) if self._arena is None
-                      else (fg_idx, fg_id, hash32))
-        self.stats.syncs_out += 1
-        self.stats.bytes_out += 2 + self.config.fg_key_bytes
-        if self._t_fg_syncs is not None:
-            self._t_fg_syncs.inc()
-
-    def _emit(self, slot: int, reason: str) -> MGPVRecord | tuple:
-        """The record of ``slot``'s pending cells, which it empties: an
-        :class:`MGPVRecord`, or ``(cg id, hash32, reason id, arena
-        positions)`` in a batch call."""
+    def _emit(self, slot: int, reason: str) -> MGPVRecord:
+        """The record of ``slot``'s pending cells, which it empties."""
         cells = self._cells[slot]
-        self._cells[slot] = [] if self._arena is None else array("q")
+        self._cells[slot] = []
         cfg, stats = self.config, self.stats
         stats.records_out += 1
         stats.cells_out += len(cells)
@@ -990,63 +1015,31 @@ class MGPVCache:
         if self._t_evictions is not None:
             self._t_evictions.inc()
             self._t_record_cells.observe(len(cells))
-        if self._arena is None:
-            return MGPVRecord(self._keys[self._v_key[slot]],
-                              self._v_hash[slot], tuple(cells), reason)
-        return (self._v_key[slot], self._v_hash[slot], _REASON_ID[reason],
-                cells)
+        return MGPVRecord(self._keys[self._v_key[slot]], self._v_hash[slot],
+                          tuple(cells), reason)
 
-    def _pack_arena(self) -> None:
-        """Rebuild the arena from the resident pending cells alone (cell
-        tuples converted), renumbered from 0: bounded by what is resident."""
-        slots = [s for s in np.flatnonzero(self._slot_key >= 0).tolist()
-                 if self._cells[s]]
-        pending = [cell for s in slots for cell in self._cells[s]]
-        if self._arena is not None:
-            at = np.array(pending, np.int64)
-            self._arena = [col[at] for col in self._arena]
-        elif pending:
-            self._arena = [typed_column(list(col)) for col in zip(*(
-                (fg, *meta) for fg, meta in pending))]
-        else:
-            self._arena = [_NONE] * (1 + len(self.metadata_fields))
-        at = 0
-        for s in slots:
-            n = len(self._cells[s])
-            self._cells[s] = array("q", range(at, at + n))
-            at += n
-        self._arena_n = at
-        self._arena_cap = max(1 << 12, 2 * at)
+    def _pack_cells(self) -> None:
+        """Pending cells from the per-packet form to the arena."""
+        slots = np.flatnonzero(self._slot_key >= 0)
+        cells = [self._cells[s] for s in slots.tolist()]
+        counts = np.fromiter(map(len, cells), np.int64, len(cells))
+        self._pend_n[:] = 0
+        self._pend_n[slots] = counts
+        self._pend_at[slots] = np.cumsum(counts) - counts
+        self._arena = [typed_column(list(col)) for col in zip(*(
+            (fg, *meta) for fg, meta in chain.from_iterable(cells)))] or [
+            _NONE] * (1 + len(self.metadata_fields))
+        self._cells = None
 
-    def _unpack_arena(self) -> None:
-        """Back to cell tuples, for a per-packet insert."""
-        fg, *metas = (col[:self._arena_n].tolist() for col in self._arena)
-        self._arena = None
-        for s in np.flatnonzero(self._slot_key >= 0).tolist():
-            self._cells[s] = [(fg[i], tuple(col[i] for col in metas))
-                              for i in self._cells[s]]
-
-    def _batch(self, raw: list) -> EventBatch:
-        """Raw batch-call events — records from :meth:`_emit`, syncs
-        ``(fg index, fg id, owner hash32)`` — as an :class:`EventBatch`,
-        its cells gathered from the arena by one ``take``."""
-        is_rec = [len(event) == 4 for event in raw]
-        recs = list(zip(*compress(raw, is_rec))) or [()] * 4
-        syncs = list(zip(*(e for e in raw if len(e) == 3))) or [()] * 3
-        lens = np.array(list(map(len, recs[3])), np.int64)
-        at = np.array(list(chain.from_iterable(recs[3])), np.int64)
-        ids: dict = {}
-        local = np.array([ids.setdefault(i, len(ids))
-                          for i in recs[0] + syncs[1]], np.int64)
-        n_rec = len(lens)
-        return EventBatch(
-            list(map(self._keys.__getitem__, ids)),
-            (np.flatnonzero(is_rec), local[:n_rec],
-             np.array(recs[1], np.int64), np.array(recs[2], np.int64),
-             np.cumsum(lens) - lens, lens),
-            (np.flatnonzero(np.logical_not(is_rec)), np.array(syncs[0],
-             np.int64), local[n_rec:], np.array(syncs[2], np.int64)),
-            (self._arena[0][at], tuple(col[at] for col in self._arena[1:])))
+    def _unpack_cells(self) -> None:
+        """Pending cells from the arena to the per-packet form."""
+        fg, *metas = (col.tolist() for col in self._arena)
+        pending = list(zip(fg, zip(*metas) if metas else repeat(())))
+        self._arena, self._cells = None, [None] * self.config.n_short
+        slots = np.flatnonzero(self._slot_key >= 0)
+        for s, at, k in zip(slots.tolist(), self._pend_at[slots].tolist(),
+                            self._pend_n[slots].tolist()):
+            self._cells[s] = pending[at:at + k]
 
     def _evict(self, slot: int, reason: str) -> MGPVRecord:
         start = perf_counter_ns() if self._t_tracer is not None else 0
@@ -1061,12 +1054,11 @@ class MGPVCache:
         FG entries it owns cleared."""
         if self._v_long[slot] >= 0:
             self._free_long(slot)
-        for fg_idx in self._fgs[slot]:
-            self._v_fg_key[fg_idx] = -1
-            self._v_fg_owner[fg_idx] = -1
+        owned = np.flatnonzero(self._fg_owner == slot)
+        self._fg_key[owned] = self._fg_owner[owned] = -1
         self._v_key[slot] = -1
         self._v_last[slot] = _NEVER
-        self._cells[slot] = self._fgs[slot] = None
+        self._cells[slot] = None
         self._n_resident -= 1
 
     def _aging_scan(self, events: list[Event]) -> None:

@@ -17,7 +17,6 @@ representation change only:
 """
 
 import math
-from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -152,7 +151,7 @@ def test_per_packet_insert_after_a_batch_call_keeps_every_slot():
     want = [e for p in flow for e in one.insert(p)] + list(one.flush())
     got = list(mixed.insert_batch(PacketBatch.from_packets(flow[:4])))
     (slot,) = np.flatnonzero(mixed._slot_key >= 0)
-    assert mixed._cells[slot] == array("q")        # long_full emptied it
+    assert mixed._pend_n[slot] == 0               # long_full emptied it
     mixed.config = replace(cfg, aging_timeout_ns=10**12)
     got += list(mixed.insert_batch(PacketBatch.from_packets(flow[4:])))
     assert got + list(mixed.flush()) == want

@@ -4,9 +4,10 @@ the linear memory growth Fig 13 contrasts MGPV against."""
 import pytest
 
 from repro.core.granularity import CHANNEL, FLOW, HOST, SOCKET
+from repro.net.packet import PacketBatch
 from repro.net.trace import generate_trace
 from repro.switchsim.gpv import GPVCache
-from repro.switchsim.mgpv import MGPVCache, MGPVConfig, MGPVRecord
+from repro.switchsim.mgpv import FGSync, MGPVCache, MGPVConfig, MGPVRecord
 
 
 def small_config():
@@ -65,3 +66,15 @@ def test_stats_accounting():
     assert cache.stats.records_out == n
     assert cache.stats.pkts_in == len(trace)
     assert cache.stats.bytes_out > 0
+
+
+def test_batch_calls_equal_per_packet_inserts():
+    """The batch kernel keeps the GPV wire: no sync, the same records."""
+    trace = generate_trace("ENTERPRISE", n_flows=150, seed=9)
+    config = MGPVConfig(n_short=64, n_long=8, long_size=6)
+    one, batched = GPVCache(FLOW, config), GPVCache(FLOW, config)
+    want = list(one.process(trace))
+    got = list(batched.insert_batch(PacketBatch.from_packets(trace)))
+    got += list(batched.flush())
+    assert got == want and one.stats == batched.stats
+    assert not any(isinstance(e, FGSync) for e in got)

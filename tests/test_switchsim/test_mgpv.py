@@ -540,3 +540,40 @@ class TestActiveGroupAccounting:
         # 64 flows 10 ms apart: only the tail is inside the 100 ms window.
         assert (0 < gauges["mgpv.active_groups"] == recount_active(cache)
                 < cache.resident_groups)
+
+
+def test_batch_path_telemetry_equals_per_packet_path():
+    """``mgpv.evictions`` / ``mgpv.fg_syncs``, the ``mgpv.record.cells``
+    histogram and the ``mgpv.*`` gauges read the same after a run through
+    ``insert_batch`` as after one through ``insert`` (bulk updates on the
+    batch path), in a config where every non-aging eviction kind and FG
+    collisions fire."""
+    from repro.core.telemetry import Telemetry
+    trace = generate_trace("MAWI-IXP", n_flows=40, seed=12)[:1500]
+    cfg = MGPVConfig(n_short=32, short_size=2, n_long=3, long_size=5,
+                     fg_table_size=13)
+    snaps, stats = [], []
+    for batched in (False, True):
+        telemetry = Telemetry()
+        cache = MGPVCache(HOST, SOCKET, cfg, ("size", "tstamp"))
+        cache.attach_telemetry(telemetry)
+        for lo in range(0, len(trace), 97):
+            if batched:
+                cache.insert_batch(PacketBatch.from_packets(trace[lo:lo + 97]))
+            else:
+                for p in trace[lo:lo + 97]:
+                    cache.insert(p)
+        before = telemetry.registry.snapshot()
+        cache.flush()
+        snaps.append([{kind: {name: value for name, value in snap[kind].items()
+                              if name.startswith("mgpv.")}
+                       for kind in ("counters", "gauges", "histograms")}
+                      for snap in (before, telemetry.registry.snapshot())])
+        stats.append(cache.stats)
+    assert snaps[0] == snaps[1] and stats[0] == stats[1]
+    assert all(stats[0].evictions[kind] for kind in (
+        "collision", "short_full", "long_full", "flush"))
+    assert stats[0].fg_collisions > 0
+    assert snaps[0][0]["gauges"]["mgpv.resident_groups"] > 0
+    assert snaps[0][1]["histograms"]["mgpv.record.cells"]["count"] == (
+        stats[0].records_out)

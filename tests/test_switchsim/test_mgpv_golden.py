@@ -30,7 +30,7 @@ import pytest
 from repro.core.granularity import FLOW, HOST, SOCKET
 from repro.net.packet import PacketBatch
 from repro.net.trace import generate_trace
-from repro.switchsim.mgpv import FGSync, MGPVCache, MGPVConfig
+from repro.switchsim.mgpv import EventBatch, FGSync, MGPVCache, MGPVConfig
 
 GOLDEN = Path(__file__).with_name("golden_mgpv_events.json")
 MS = 1_000_000
@@ -148,6 +148,75 @@ def test_sweep_is_complete(golden):
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_drive_reproduces_golden(golden, scenario, drive):
     assert run(scenario, drive) == golden[scenario]
+
+
+def tables(batch) -> dict:
+    """A batch's record, sync and cell tables with key ids resolved to
+    keys and reason ids to names."""
+    keys = batch.keys
+    return {
+        "records": [batch.rec_pos.tolist(),
+                    [keys[k] for k in batch.rec_key.tolist()],
+                    batch.rec_hash.tolist(),
+                    [batch.reasons[r] for r in batch.rec_reason.tolist()],
+                    batch.rec_start.tolist(), batch.rec_len.tolist()],
+        "syncs": [batch.sync_pos.tolist(), batch.sync_index.tolist(),
+                  [keys[k] for k in batch.sync_key.tolist()],
+                  batch.sync_hash.tolist()],
+        "cells": [batch.cell_fg.tolist()] + (
+            [col.tolist() for col in batch.cell_meta]
+            if len(batch.cell_fg) else []),
+        "dtypes": [str(a.dtype) for a in (
+            batch.rec_pos, batch.rec_key, batch.rec_hash, batch.rec_reason,
+            batch.rec_start, batch.rec_len, batch.sync_pos,
+            batch.sync_index, batch.sync_key, batch.sync_hash,
+            batch.cell_fg)] + ([str(col.dtype) for col in batch.cell_meta]
+                               if len(batch.cell_fg) else []),
+    }
+
+
+@pytest.mark.parametrize("scenario", [s for s in SCENARIOS
+                                      if "/aging/" not in s])
+def test_batch_tables_equal_normalised_per_packet_events(scenario):
+    """The golden digest hashes event objects, so it cannot see the table
+    order the clusters and shard frames read.  Per batch call (and the
+    flush), the batch path's tables are in stream order and equal the
+    per-packet events of the same slice normalised by ``EventBatch.of``;
+    its key table lists record keys, then sync keys, by first
+    appearance."""
+    trace, order, config, gran = scenario.split("/")
+    pkts = packets(trace, order)
+    cg, fg = GRANULARITIES[gran]
+    n = len(pkts)
+    for step in (1, 7, 64, 4096):
+        one, batched = (MGPVCache(cg, fg, MGPVConfig(**CONFIGS[config]),
+                                  METADATA) for _ in range(2))
+        controls = {n // 4: ("squeeze_long_buffers", 0.25),
+                    n // 2: ("flush",), 3 * n // 4: ("release_long_buffers",)}
+        calls, at = [], 0
+        while at < n:
+            hi = min(at + step, n, *(c for c in controls if c > at))
+            if at in controls:
+                name, *args = controls[at]
+                calls.append((getattr(one, name)(*args),
+                              getattr(batched, name)(*args)))
+            calls.append(([e for p in pkts[at:hi] for e in one.insert(p)],
+                          batched.insert_batch(
+                              PacketBatch.from_packets(pkts[at:hi]))))
+            at = hi
+        calls.append((one.flush(), batched.flush()))
+        for want, got in calls:
+            if got is None:
+                continue
+            pos = np.sort(np.concatenate((got.rec_pos, got.sync_pos)))
+            assert np.array_equal(pos, np.arange(len(got)))
+            assert (np.diff(got.rec_pos) > 0).all()
+            assert (np.diff(got.sync_pos) > 0).all()
+            assert tables(got) == tables(EventBatch.of(list(want),
+                                                       project=cg.project))
+            firsts = [got.keys[k] for k in got.rec_key.tolist()
+                      + got.sync_key.tolist()]
+            assert got.keys == list(dict.fromkeys(firsts))
 
 
 if __name__ == "__main__":
