@@ -338,13 +338,6 @@ class PacketBatch:
             self._col_cache[name] = cached
         return cached
 
-    def column_lists(self, fields: tuple[str, ...]) -> list[list]:
-        """The requested columns as Python-int lists (``.tolist()`` —
-        exact values, no numpy scalars), the form the stateful switch
-        loop consumes.  Memoized per field: sliced batches are read
-        several times per dispatch and the conversion is the cost."""
-        return [self._column_list(name) for name in fields]
-
     def compress(self, mask: np.ndarray) -> "PacketBatch":
         """The sub-batch selected by a boolean mask (filter admission).
         An all-true mask is the common fast path (most batches admit

@@ -539,9 +539,13 @@ class MGPVCache:
         routes, inverse = self._batch_routes(batch)
         table = np.array(routes, np.int64).reshape(-1, 5)
         tstamps = batch.column("tstamp")
-        # Position space: a marker per resident group (its registers and
-        # pending cells), then the rows, stable-sorted by short slot.
-        res = np.flatnonzero(self._slot_key >= 0)
+        # Position space: a marker per resident group the batch reaches (in
+        # its slots or as an owner of its FG indices) holding its registers
+        # and pending cells, then the rows, stable-sorted by short slot.
+        reach = np.zeros(ns + 1, bool)          # (owner -1: reach[ns])
+        reach[table[:, 2]] = reach[self._fg_owner[table[:, 3]]] = True
+        res, idle = (np.flatnonzero(r[:ns] & (self._slot_key >= 0))
+                     for r in (reach, ~reach))
         m, nil = len(res), np.full(len(res), -1)
         table = np.concatenate((np.stack((self._slot_key[res], self._slot_hash[
             res], res, nil, nil), 1), table)).T
@@ -571,7 +575,7 @@ class MGPVCache:
         mk, filled = ls[longs], first[longs] - short
         free = np.where(filled < lend[mk], srow_n[np.minimum(filled, N)],
                         lend_row[mk])
-        held = np.full(ns, -1)                  # the row each buffer returns
+        held = np.where(self._slot_long >= 0, n, -1)    # the row it returns
         held[sslot[mk]] = free                  # (n: after the batch)
         ends = np.full(ns, n)                   # a resident group's end row
         ends[sslot[marker]] = lend_row[marker]
@@ -589,18 +593,16 @@ class MGPVCache:
         heap = np.sort(np.append(srow[first[first < lend[ls]]] << 1 | 1,
                                  srow[syncs(lid, ls)] << 1)).tolist()
         frees = np.sort((free * ns + sslot[mk])[free < n]).tolist()
-        cap = min(cfg.n_long, cfg.n_long if self._long_allowed is None
-                  else self._long_allowed)
+        cap = cfg.n_long if self._long_allowed is None else self._long_allowed
         used, rank = cfg.n_long - self._long_top, np.empty(N, np.int64)
         rank[order] = np.arange(N)
         v_row, v_rank, v_slot, v_start, v_end, v_end_row, v_fg, v_fidx, \
-            hv = map(memoryview, (srow, rank[m:], sslot, ls[lid], lend,
-                                  lend_row, sfg, sfidx, held))
-        since, nxt, gen = [-1] * ns, [-1] * ns, [0] * ns
-        # Per FG index its holder: key, slot, generation, end of lifetime.
-        h_key, h_slot = self._fg_key.tolist(), self._fg_owner.tolist()
-        h_gen, h_end = [0] * len(h_key), ends[self._fg_owner].tolist()
-        ok, fail, cuts = [], [], []
+            hv, v_key, v_owner, v_ends = map(memoryview, (
+                srow, rank[m:], sslot, ls[lid], lend, lend_row, sfg, sfidx,
+                held, self._fg_key, self._fg_owner, ends))
+        # Per slot its chain's start, next request and generation; per FG
+        # index its holder (key, slot, generation, end row of its lifetime).
+        since, nxt, gen, holders, ok, fail, cuts = {}, {}, {}, {}, [], [], []
         while heap:
             key = heappop(heap)
             row = key >> 1
@@ -613,9 +615,9 @@ class MGPVCache:
                     used -= 1
             if key & 1:
                 # The slot's due request (a new lifetime's first), or stale.
-                if since[s] < v_start[x]:
+                if since.get(s, -1) < v_start[x]:
                     since[s] = v_start[x]
-                elif nxt[s] != x:
+                elif nxt.get(s) != x:
                     continue
                 end = v_end[x]
                 if used < cap:
@@ -633,11 +635,14 @@ class MGPVCache:
                     heappush(heap, v_row[x] << 1 | 1)
                 continue
             f, g = v_fidx[x], v_fg[x]
-            t = h_slot[f]
-            if h_key[f] >= 0 and gen[t] == h_gen[f] and row < h_end[f]:
-                if h_key[f] == g:
+            h = holders.get(f)
+            if h is None and v_key[f] >= 0:
+                h = (v_key[f], v_owner[f], 0, v_ends[v_owner[f]])
+            if h is not None and gen.get(h[1], 0) == h[2] and row < h[3]:
+                if h[0] == g:
                     continue                    # live already: no sync
-                gen[t] += 1
+                t = h[1]
+                gen[t] = gen.get(t, 0) + 1
                 if hv[t] >= 0:
                     hv[t] = -1
                     used -= 1
@@ -653,7 +658,7 @@ class MGPVCache:
                     for j in (np.unique(sfg[q:e], return_index=True)[1]
                               + q).tolist():
                         heappush(heap, v_row[j] << 1)
-            h_key[f], h_slot[f], h_gen[f], h_end[f] = g, s, gen[s], v_end_row[x]
+            holders[f] = (g, s, gen.get(s, 0), v_end_row[x])
 
         del lid, lend, lend_row, rank, c_n, ext, heap, v_rank, v_start, v_end, \
             v_end_row                   # freed before the assembly's peak
@@ -681,9 +686,8 @@ class MGPVCache:
         tail = np.maximum(starts, np.append(0, thr + 1)[np.searchsorted(
             thr + 1, stops, "right")])
         ev, sx = np.flatnonzero(erow < n), syncs(L, starts)
-        # Fig 14 samples: a row (a marker: from its last_access) keeps its
-        # slot active until the slot's next row, its group's end or the
-        # clock passing ts + window.
+        # Fig 14 samples: a row (a marker: from its last_access) keeps its slot
+        # active until its next row, its group's end or ts + window passes.
         samples = np.arange((-self.stats.pkts_in - 1) % _OCC_STRIDE, n,
                             _OCC_STRIDE)
         runmax = np.maximum.accumulate(np.maximum(tstamps, self._now))
@@ -691,12 +695,14 @@ class MGPVCache:
         def upto(rows):
             return np.cumsum(np.bincount(rows, minlength=n + 1))[samples]
 
-        self._occ_occupied += int((m + upto(srow[starts[~marker[starts]]])
-                                   - upto(erow[ev])).sum())
-        self._occ_active += int((m + samples + 1 - upto(np.maximum(np.minimum(
-            np.minimum(np.where(head[1:], n, srow_n[1:]), erow[L]),
-            np.searchsorted(runmax, ts + _OCC_WINDOW_NS, "right")[order]),
-            srow))).sum())
+        self._occ_occupied += int((self._n_resident + upto(srow[starts[
+            ~marker[starts]]]) - upto(erow[ev])).sum())
+        self._occ_active += int((self._n_resident + samples + 1 - upto(
+            np.maximum(np.minimum(np.minimum(np.where(
+                head[1:], n, srow_n[1:]), erow[L]), np.searchsorted(
+                runmax, ts + _OCC_WINDOW_NS, "right")[order]), srow))
+            - upto(np.searchsorted(runmax, self._slot_last[idle]
+                                   + _OCC_WINDOW_NS, "right"))).sum())
         src = [np.concatenate(col) for col in zip(self._arena, [table[
             3, m + inverse]] + [batch.column(f) for f in self.metadata_fields])]
         events = self._emit_batch([np.concatenate(col) for col in zip(
@@ -713,7 +719,7 @@ class MGPVCache:
         # The registers: FG entries of the groups still resident, slots,
         # pending cells (each surviving group's tail, gathered into a fresh
         # arena) and long buffers (the ledger fixed which slots hold one).
-        alive, stays = erow == n, np.zeros(ns, bool)
+        alive, stays = erow == n, np.ones(ns, bool)
         stays[sslot[marker]] = alive[L[marker]]
         owned = np.flatnonzero(self._fg_key >= 0)
         drop = np.append(owned[~stays[self._fg_owner[owned]]], sfidx[sx])
@@ -725,12 +731,15 @@ class MGPVCache:
         self._slot_key[slots] = np.where(on, scg[last], -1)
         self._slot_hash[slots] = shash[last]
         self._slot_last[slots] = np.where(on, ts[order[last]], _NEVER)
-        self._n_resident = int(np.count_nonzero(on))
+        self._n_resident = int(np.count_nonzero(self._slot_key >= 0))
         lo, hi = off[tail[L[last[on]]]], off[last[on] + 1]
-        self._pend_n[:] = 0
-        self._pend_n[slots[on]] = hi - lo
-        self._pend_at[slots[on]] = np.cumsum(hi - lo) - (hi - lo)
-        self._arena = [col[cell_at[_expand(lo, hi - lo)]] for col in src]
+        at = np.append(_expand(self._pend_at[idle], self._pend_n[idle]),
+                       cell_at[_expand(lo, hi - lo)])
+        counts = np.append(self._pend_n[idle], hi - lo)
+        self._pend_n[slots] = 0
+        self._pend_n[np.append(idle, slots[on])] = counts
+        self._pend_at[np.append(idle, slots[on])] = np.cumsum(counts) - counts
+        self._arena = [col[at] for col in src]
         hold = held == n
         self._long_top = cfg.n_long - int(np.count_nonzero(hold))
         self._long_stack[:] = np.arange(cfg.n_long)
@@ -742,11 +751,11 @@ class MGPVCache:
         return events
 
     def _emit_batch(self, records: list, syncs: tuple, src: list,
-                    cell_at: np.ndarray | None = None) -> EventBatch:
+                    cell_at: np.ndarray) -> EventBatch:
         """The :class:`EventBatch` of ``records`` (stream-order key, CG id,
-        hash32, reason id, first and end cell: rows of ``src``, through
-        ``cell_at`` if given) and ``syncs`` (stream-order key, FG index, FG
-        id, owner hash32), counted into the stats and telemetry."""
+        hash32, reason id, first and end cell: rows ``cell_at`` maps onto
+        ``src``) and ``syncs`` (stream-order key, FG index, FG id, owner
+        hash32), counted into the stats and telemetry."""
         o, so = np.argsort(records[0]), np.argsort(syncs[0])
         key, cg, hash32, reason, lo, hi = (col[o] for col in records)
         s_key, s_index, s_id, s_hash = (col[so] for col in syncs)
@@ -756,8 +765,7 @@ class MGPVCache:
                                       return_inverse=True)
         rank = np.argsort(first)
         local = np.argsort(rank)[local]
-        counts, cells = hi - lo, _expand(lo, hi - lo)
-        cells = cells if cell_at is None else cell_at[cells]
+        counts, cells = hi - lo, cell_at[_expand(lo, hi - lo)]
         n_rec, n_sync = len(key), len(s_key)
         cfg, stats = self.config, self.stats
         stats.records_out += n_rec
@@ -800,7 +808,7 @@ class MGPVCache:
             (slots, self._slot_key[slots], self._slot_hash[slots],
              np.full(len(slots), _REASON_ID["flush"]), self._pend_at[slots],
              self._pend_at[slots] + self._pend_n[slots]), (_NONE,) * 4,
-            self._arena)
+            self._arena, np.arange(len(self._arena[0])))
         self._slot_key[:] = self._slot_long[:] = -1
         self._slot_last[:] = _NEVER
         self._fg_key[:] = self._fg_owner[:] = -1
