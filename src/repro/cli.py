@@ -145,12 +145,8 @@ def _cmd_extract(args) -> int:
             policy, n_nics=args.nics, fault_plan=fault_plan,
             workers=args.workers if args.workers > 1 else None,
             telemetry=telemetry)
-    # The hardware path takes the columnar path; the software baseline
-    # stays per-record (it is the unbatched oracle by definition).
-    trace = (packets if args.software
-             else api.PacketBatch.from_packets(packets))
     try:
-        result = extractor.run(trace)
+        result = extractor.run(packets)
     except FaultPlanError as exc:
         print(f"bad fault plan: {exc}", file=sys.stderr)
         return 2

@@ -10,10 +10,13 @@ chain of *stages*::
     FilterStage -> MGPVCache -> SwitchNICLink -> FeatureEngine | NICCluster
                    (or PerfectSwitch, the software baseline's channel)
 
-Every stage follows one protocol — ``consume(event) -> events``,
-``flush() -> events``, ``counters() -> dict`` — so the composer can push
-packets through the graph, drain it at end-of-trace, and export uniform
-per-stage counters for :mod:`repro.core.observe` pollers.
+The batch is the one call shape: packets enter as a
+:class:`~repro.net.packet.PacketBatch` (the filter's ``admit_batch``, the
+switch's ``insert_batch``), and every stage after the switch follows one
+protocol — ``consume_batch(events) -> events``, ``flush() -> events``,
+``counters() -> dict`` — so the composer can push batches through the
+graph, drain it at end-of-trace, and export uniform per-stage counters
+for :mod:`repro.core.observe` pollers.
 
 :class:`SwitchNICLink` models the paper's switch→NIC record channel
 (PCIe or Ethernet, §8.1's 2×40 GbE).  The link stage does the
@@ -60,13 +63,14 @@ from repro.switchsim.mgpv import (
 
 @runtime_checkable
 class Stage(Protocol):
-    """One dataplane stage: events in, events out, counters exported."""
+    """One dataplane stage: event slices in, events out, counters out."""
 
     name: str
 
-    def consume(self, event) -> Iterable:
-        """Process one event; returns the events it forwards downstream
-        (empty when the event is absorbed or dropped)."""
+    def consume_batch(self, events) -> Iterable:
+        """Process a slice of events in stream order; returns the events
+        it forwards downstream (empty when they are absorbed or
+        dropped)."""
         ...
 
     def flush(self) -> Iterable:
@@ -243,6 +247,8 @@ class SwitchNICLink:
     # -- stage protocol --------------------------------------------------------
 
     def consume(self, event) -> tuple:
+        """One event, meeting the FG table as it stands; only the
+        benchmark harness's per-event drive (``drive_stream``) calls it."""
         return self._carry(event, emitted=False)
 
     def _carry(self, event, emitted: bool) -> tuple:
@@ -500,8 +506,13 @@ class PerfectSwitch:
         self.stats.cells_out += 1
         return events
 
-    def consume(self, pkt: Packet) -> tuple:
-        return tuple(self.insert(pkt))
+    def insert_batch(self, batch) -> EventBatch:
+        """:meth:`insert` over a batch's rows, normalised once into one
+        :class:`EventBatch` (one single-cell record per packet)."""
+        events: list = []
+        for pkt in batch:
+            self.insert(pkt, events)
+        return EventBatch.of(events)
 
     def flush(self) -> tuple:
         return ()
@@ -535,14 +546,6 @@ class NullSink:
         self.records = 0
         self.syncs = 0
         self.cells = 0
-
-    def consume(self, event) -> tuple:
-        if isinstance(event, FGSync):
-            self.syncs += 1
-        else:
-            self.records += 1
-            self.cells += len(event.cells)
-        return ()
 
     def consume_batch(self, events) -> tuple:
         batch = EventBatch.of(events)
@@ -605,8 +608,8 @@ class Dataplane:
             self.attach_telemetry(telemetry)
 
     def attach_faults(self, plan) -> None:
-        """Attach a scripted :class:`repro.core.faults.FaultPlan`; its
-        injector ticks once per processed packet."""
+        """Attach a scripted :class:`repro.core.faults.FaultPlan`;
+        :meth:`process` cuts its batches at the plan's action indices."""
         from repro.core.faults import FaultInjector
         self.faults = FaultInjector(plan, self)
         if self.telemetry is not None:
@@ -616,8 +619,8 @@ class Dataplane:
         """Attach one :class:`~repro.core.telemetry.Telemetry` bundle to
         the whole graph: every stage that knows how registers its typed
         instruments in the shared registry, and :meth:`process` counts
-        packets and batches (and, when the tracer is active, records
-        ``stage.*`` spans for sampled packets and batches)."""
+        packets and calls (and, when the tracer is active, records
+        ``stage.*`` spans for sampled batch pieces)."""
         self.telemetry = telemetry
         reg = telemetry.registry
         self._t_packets = reg.counter("pipeline.packets")
@@ -727,149 +730,59 @@ class Dataplane:
 
     # -- data path ------------------------------------------------------------
 
-    def process(self, packets: Iterable[Packet]) -> list[FeatureVector]:
-        """Feed a batch of packets through the graph; returns the
-        per-packet vectors the batch produced (empty for per-group
-        policies, which emit at :meth:`snapshot` / :meth:`flush`).
+    def process(self, packets: Iterable[Packet] | PacketBatch
+                ) -> list[FeatureVector]:
+        """Feed packets through the graph; returns the per-packet
+        vectors the call produced (empty for per-group policies, which
+        emit at :meth:`snapshot` / :meth:`flush`).
 
-        Two code paths, chosen from what the call can observe: a
-        :class:`~repro.net.packet.PacketBatch` whose switch and filter
-        are batch-capable takes the columnar path
-        (:meth:`_process_packet_batch`); everything else takes the one
-        per-packet loop below.  Observers never select a path — an
-        event tap (``trace=``) or a sampled packet is a branch inside
-        the loop (:meth:`_process_observed`), and with telemetry
-        attached but nothing sampled the loop pays one batch-level
-        counter update (the <3% overhead budget the
-        ``telemetry-overhead`` CI job enforces).
+        One body for every input (DESIGN.md, *One call shape*): a Packet
+        iterable becomes a :class:`~repro.net.packet.PacketBatch`, cut
+        at the fault plan's action indices with the injector advanced
+        before each piece.  Each piece runs the filter's mask, then each
+        stage's batch call on the previous stage's output; the tap reads
+        each stage's input, and a piece the tracer picks has each call
+        timed as its ``stage.*`` span.
         """
-        if isinstance(packets, PacketBatch):
-            return self._process_packet_batch(packets)
-        # The graph shape is static (filter -> switch -> link -> sink,
-        # with the sink absorbing), so run it as one inlined loop with
-        # bound methods and a reused switch event buffer.  Fault
-        # actions mutate stage *state*, never the stage objects, so
-        # binding is safe.
-        tel = self.telemetry
-        faults = self.faults
-        tap = self.trace
-        should_sample = (tel.tracer.should_sample
-                         if tel is not None and tel.tracer.active else None)
-        observed = tap is not None or should_sample is not None
-        admit = self.filter.admit
-        insert = self.switch.insert
-        link_consume = self.link.consume
-        sink_consume = self.sink.consume
-        buf: list = []
-        start_index = self._pkt_index
-        for pkt in packets:
+        batch = (packets if isinstance(packets, PacketBatch)
+                 else PacketBatch.from_packets(packets))
+        n, base, faults = len(batch), self._pkt_index, self.faults
+        tap, tel = self.trace, self.telemetry
+        hops = ((self.switch.name, self.switch.insert_batch, "stage.switch"),
+                (self.link.name, self.link.consume_batch, "stage.link"),
+                (self.sink.name, self.sink.consume_batch, "stage.sink"))
+        lo = 0
+        while lo < n:
+            hi = n
             if faults is not None:
-                faults.on_packet(self._pkt_index)
-            self._pkt_index += 1
-            if observed:
-                sampled = should_sample is not None and should_sample()
-                if sampled or tap is not None:
-                    self._process_observed(pkt, buf, sampled)
-                    continue
-            if not admit(pkt):
-                continue
-            buf.clear()
-            insert(pkt, buf)
-            for event in buf:
-                for delivered in link_consume(event):
-                    sink_consume(delivered)
-        if tel is not None:
-            self._t_packets.inc(self._pkt_index - start_index)
-            self._t_batches.inc()
-        # Keep the NIC clock moving even for policies whose cells carry
-        # no timestamp (idle eviction relies on it).
-        self.sink.advance_clock(self.switch.now_ns)
-        if self.compiled.collect_unit == "pkt":
-            return self.sink.take_packet_vectors()
-        return []
-
-    def _process_observed(self, pkt: Packet, buf: list,
-                          sampled: bool) -> None:
-        """One packet through the loop body under observation: the
-        event tap sees every event at every stage boundary, and a
-        sampled packet has its switch, link and sink hops timed (FG
-        syncs separately from records)."""
-        tap = self.trace
-        if tap is not None:
-            tap(self.filter.name, pkt)
-        if not self.filter.admit(pkt):
-            return
-        if tap is not None:
-            tap(self.switch.name, pkt)
-        link, sink = self.link, self.sink
-        record = self.telemetry.tracer.record if sampled else None
-        buf.clear()
-        t0 = perf_counter_ns()
-        self.switch.insert(pkt, buf)
-        if record is not None:
-            record("stage.switch", t0, perf_counter_ns())
-        for event in buf:
+                faults.on_packet(base + lo)
+                cut = faults.next_index()
+                if cut is not None:
+                    hi = min(n, cut - base)
+            piece = batch if hi - lo == n else batch[lo:hi]
+            lo = hi
+            record = (tel.tracer.record if tel is not None
+                      and tel.tracer.should_sample(len(piece)) else None)
             if tap is not None:
-                tap(link.name, event)
-            t1 = perf_counter_ns()
-            delivered = link.consume(event)
-            if record is not None:
-                record("stage.fg_sync" if isinstance(event, FGSync)
-                       else "stage.link", t1, perf_counter_ns())
-            if not delivered:
-                continue
-            if tap is not None:
-                for ev in delivered:
-                    tap(sink.name, ev)
-            t2 = perf_counter_ns()
-            for ev in delivered:
-                sink.consume(ev)
-            if record is not None:
-                record("stage.sink", t2, perf_counter_ns())
-
-    def _process_packet_batch(self, batch: PacketBatch
-                              ) -> list[FeatureVector]:
-        """The columnar path: vectorized admission mask, one
-        :meth:`MGPVCache.insert_batch` call, and batched link/sink
-        delivery.  Falls back to the per-packet loop (iterating the
-        batch) only for what is per-packet by definition — an event
-        tap, a chaos schedule — or a stage without a batch method (a
-        switch without ``insert_batch``, a non-vectorizable filter
-        rule).  Both paths produce identical events, counters and
-        vectors; only the call shape differs.  Span sampling is a
-        decision about the batch, not another path: the tracer is
-        asked once, and a sampled batch has its three stage calls
-        recorded as ``stage.switch`` / ``stage.link`` / ``stage.sink``.
-        """
-        tel = self.telemetry
-        insert_batch = getattr(self.switch, "insert_batch", None)
-        if (self.trace is not None or self.faults is not None
-                or insert_batch is None):
-            return self.process(iter(batch))
-        mask = self.filter.admit_batch(batch)
-        if mask is None:
-            return self.process(iter(batch))
-        n = len(batch)
-        self._pkt_index += n
-        admitted = batch if mask.all() else batch.compress(mask)
-        record = (tel.tracer.record
-                  if tel is not None and tel.tracer.should_sample(n)
-                  else None)
-        if len(admitted):
-            t0 = perf_counter_ns()
-            events = insert_batch(admitted)
-            t1 = perf_counter_ns()
-            delivered = self.link.consume_batch(events)
-            t2 = perf_counter_ns()
-            if delivered:
-                self.sink.consume_batch(delivered)
-            if record is not None:
-                record("stage.switch", t0, t1)
-                record("stage.link", t1, t2)
-                record("stage.sink", t2, perf_counter_ns())
+                for pkt in piece:
+                    tap(self.filter.name, pkt)
+            frontier = piece.compress(self.filter.admit_batch(piece))
+            for name, call, span in hops:
+                if not len(frontier):
+                    break
+                if tap is not None:
+                    for item in frontier:
+                        tap(name, item)
+                start = perf_counter_ns()
+                frontier = call(frontier)
+                if record is not None:
+                    record(span, start, perf_counter_ns())
+        self._pkt_index = base + n
         if tel is not None:
             self._t_packets.inc(n)
             self._t_batches.inc()
+        # Keep the NIC clock moving even for policies whose cells carry
+        # no timestamp (idle eviction relies on it).
         self.sink.advance_clock(self.switch.now_ns)
         if self.compiled.collect_unit == "pkt":
             return self.sink.take_packet_vectors()

@@ -265,9 +265,19 @@ class FaultInjector:
 
     # -- schedule --------------------------------------------------------------
 
+    def next_index(self) -> int | None:
+        """The packet index of the next pending start or revert (None
+        once the schedule is spent): where the dataplane cuts a batch."""
+        due = []
+        if self._start_i < len(self._starts):
+            due.append(self._starts[self._start_i][1].at_packet)
+        if self._end_i < len(self._ends):
+            due.append(self._ends[self._end_i][0])
+        return min(due, default=None)
+
     def on_packet(self, pkt_index: int) -> None:
         """Advance the schedule to ``pkt_index`` (called by the
-        dataplane before pushing that packet)."""
+        dataplane before the batch piece that starts at that packet)."""
         while self._end_i < len(self._ends) \
                 and self._ends[self._end_i][0] <= pkt_index:
             _, (idx, action) = self._ends[self._end_i]

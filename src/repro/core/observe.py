@@ -19,7 +19,9 @@ from __future__ import annotations
 from typing import Callable, Mapping
 
 #: Per-event trace hook: called as ``trace(stage_name, event)`` for every
-#: event a stage consumes.  Install via ``Dataplane(..., trace=fn)``.
+#: event a stage consumes — per ``Dataplane.process`` call (or fault-cut
+#: piece of one), stage by stage, each stage's input in stream order.
+#: Install via ``Dataplane(..., trace=fn)``.
 Trace = Callable[[str, object], None]
 
 Counters = Mapping[str, object]

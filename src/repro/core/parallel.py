@@ -51,9 +51,9 @@ worker's ``select``-ed share as frames of raw column buffers
 posting only a ``("frame", seq)`` pointer on the FIFO queue; without
 usable shared memory — and inline — the frame rides the message
 (``oob``).  A worker hands each engine its ``select``-ed sub-batch of
-the decoded views: the serial engine path.  Single events queue in an
-:class:`~repro.switchsim.mgpv.EventBuffer` shipped before the next batch
-or control message, as the engine's own queue is.
+the decoded views: the serial engine path.  The coordinator holds no
+event queue: every ``consume_batch`` ships before it returns, so a
+control message always follows the events routed before it.
 Workers for the process backend come from a persistent
 :class:`WorkerPool` — spawned once, ``reset`` per run, rebalanced
 across runs by observed per-shard load, and stopped by an explicit
@@ -116,13 +116,7 @@ from repro.core.transport import (
 )
 from repro.nicsim.engine import EngineStats, FeatureEngine, FeatureVector
 from repro.nicsim.loadbalance import ClusterBase, reconcile_residual
-from repro.switchsim.mgpv import (
-    Event,
-    EventBatch,
-    EventBuffer,
-    FGSync,
-    MGPVRecord,
-)
+from repro.switchsim.mgpv import EventBatch, FGSync, MGPVRecord
 
 BACKENDS = ("serial", "process")
 
@@ -183,8 +177,8 @@ class ExecutionConfig:
     shard workers).  ``workers`` is an upper bound — a cluster never
     spawns more workers than it has shards.  ``dispatch_batch`` is the
     amortization unit: the most events one frame carries (a batch call
-    ships its share in frames of that size; single events queue until
-    that many).  Every count knob must be a plain ``int``.
+    ships each worker's share in frames of that size).  Every count knob
+    must be a plain ``int``.
 
     Robustness knobs (supervised process backend):
 
@@ -1255,8 +1249,6 @@ class ShardedCluster(ClusterBase):
         self.parked_frames = 0
         self.oversize_chunks = 0
         self._shard_events = np.zeros(n_nics, np.int64)
-        # Single events wait here until a batch or control message.
-        self._queue = EventBuffer()
         self._frame_events = execution.dispatch_batch
         self._owner_of = np.array(self._owner, np.int64)
         self.batches_dispatched = 0
@@ -1381,16 +1373,6 @@ class ShardedCluster(ClusterBase):
 
     # -- sink protocol (the dataplane's terminal stage) -----------------------
 
-    def consume(self, event: Event) -> tuple:
-        """Queue one event; the queue ships as a batch when it holds a
-        frame's worth, and before a batch, control message or restart."""
-        if self._closed:
-            raise RuntimeError("cluster is closed")
-        self._queue.add(event)
-        if len(self._queue) >= self._frame_events:
-            self._flush_dispatch()
-        return ()
-
     def consume_batch(self, events) -> tuple:
         """Steer a slice from its record and sync tables (one
         :func:`~repro.nicsim.loadbalance.steer` each), update the
@@ -1399,12 +1381,7 @@ class ShardedCluster(ClusterBase):
         ``dispatch_batch`` events."""
         if self._closed:
             raise RuntimeError("cluster is closed")
-        self._flush_dispatch()
-        self._dispatch_batch(*self._steer(events))
-        return ()
-
-    def _dispatch_batch(self, batch: EventBatch, rec_shard: np.ndarray,
-                        sync_shard: np.ndarray) -> None:
+        batch, rec_shard, sync_shard = self._steer(events)
         for shard, mirror in enumerate(self._mirrors):
             syncs = sync_shard == shard
             mirror.update(zip(batch.sync_index[syncs].tolist(), map(
@@ -1423,6 +1400,7 @@ class ShardedCluster(ClusterBase):
             for lo in range(0, len(share), cap):
                 self._dispatch(worker, share, *shards, keys, lo,
                                min(lo + cap, len(share)))
+        return ()
 
     def _op_deadline(self) -> float:
         """The monotonic deadline for one worker operation: the request
@@ -1621,12 +1599,6 @@ class ShardedCluster(ClusterBase):
                       entry.payload, deadline=self._op_deadline(),
                       lazy=False, ctx=entry.ctx)
 
-    def _flush_dispatch(self) -> None:
-        """Ship the single-event queue (see :meth:`consume`)."""
-        if self._queue:
-            queued, self._queue = self._queue, EventBuffer()
-            self._dispatch_batch(*self._steer(queued.batch()))
-
     def _sync_request(self, worker: int, msg: tuple,
                       journal: bool = False):
         """One synchronous request to one worker, surviving worker
@@ -1685,7 +1657,6 @@ class ShardedCluster(ClusterBase):
         """Synchronous request to every worker, pipelined: all posts
         before any reply, so the workers serve it in parallel.  Under
         supervision each worker's failure is recovered on its own."""
-        self._flush_dispatch()
         if self.supervisor is not None:
             posted = [self._post_request(w, msg, journal)
                       for w in range(self.n_workers)]
@@ -1777,26 +1748,17 @@ class ShardedCluster(ClusterBase):
     # -- failover (serial-cluster semantics) ---------------------------------
 
     def fail_nic(self, nic: int) -> None:
-        """Kill one shard's engine: in-flight dispatch drains first (the
-        crash request rides the same FIFO), the residual vectors come
-        back to the coordinator, and the coordinator's mirror replica
-        replays to the survivors through the normal routing path."""
-        self._flush_dispatch()
+        """Kill one shard's engine: the crash request rides the same
+        FIFO behind every event dispatched before it, the residual
+        vectors come back to the coordinator, and the coordinator's
+        mirror replica replays to the survivors as one sync batch
+        through the normal routing path."""
         self._mark_dead(nic)
         residual = self._sync_request(self._owner[nic], ("crash", nic),
                                       journal=True)
         self._residual.extend(residual)
-        mirror = list(self._mirrors[nic].items())
-        self._mirrors[nic].clear()
-        for index, key in mirror:
-            self.consume(FGSync(index, key))
-            self.fg_resyncs += 1
-
-    def restore_nic(self, nic: int) -> None:
-        """The queued events steer under the live set they arrived in
-        (the kill's resyncs among them), then the NIC rejoins."""
-        self._flush_dispatch()
-        super().restore_nic(nic)
+        mirror, self._mirrors[nic] = self._mirrors[nic], {}
+        self._replay_mirror(mirror.items())
 
     # -- drain / merge --------------------------------------------------------
 
@@ -1855,9 +1817,6 @@ class ShardedCluster(ClusterBase):
     def advance_clock(self, now_ns: int) -> None:
         if self._closed:
             return
-        # Flush first so the clock lands after every event already
-        # routed, exactly as the serial process()/advance_clock() order.
-        self._flush_dispatch()
         msg = ("clock", now_ns)
         for worker in range(self.n_workers):
             if self.supervisor is None:
@@ -1869,7 +1828,7 @@ class ShardedCluster(ClusterBase):
 
     def close(self) -> None:
         """Stop the pool.  Terminal: stats/counters/finalize keep
-        serving the last fetched state; consume raises.  Idempotent and
+        serving the last fetched state; consume_batch raises.  Idempotent and
         exception-safe — a dead worker cannot block shutdown."""
         if self._closed:
             return

@@ -523,11 +523,10 @@ class Tracer:
 
     def should_sample(self, n: int = 1) -> bool:
         """Deterministic stride sampler: True when the next ``n``
-        packets include a stride boundary.  Per-packet call sites ask
-        with ``n=1`` (every ``stride``-th packet is sampled); columnar
-        call sites ask once per batch with its length, so a batch is
-        sampled exactly when a per-packet sampler would have picked
-        one of its packets."""
+        packets include a stride boundary.  ``Dataplane.process`` asks
+        once per batch piece with its length, so a piece is sampled
+        exactly when a per-packet sampler (``n=1``: every
+        ``stride``-th packet) would have picked one of its packets."""
         if not self.stride:
             return False
         self._tick += n
@@ -588,7 +587,7 @@ class TelemetryConfig:
 
     ``sample_rate=0`` keeps metrics (counters/gauges/histograms on
     amortized paths) but collects no spans and adds no timing calls to
-    the per-packet path; any positive rate turns on stride-sampled
+    the data path; any positive rate turns on stride-sampled
     spans.  ``trace=True`` additionally turns on *causal* trace
     propagation: every dispatched shard batch carries a ``(trace_id,
     parent_span_id, seq)`` context across the transport and both sides

@@ -211,6 +211,19 @@ _PACKET_FIELDS = tuple(PACKET_DTYPE.names)
 
 _ROW_GETTER = operator.attrgetter(*_PACKET_FIELDS)
 
+_INT64 = np.iinfo(np.int64)
+
+#: Inclusive wire-format range of each column, which both constructors
+#: check (``direction`` must also be nonzero: +1 or -1).
+_WIRE_RANGE = {"tstamp": (_INT64.min, _INT64.max), "size": (0, _INT64.max),
+               "src_ip": (0, 0xFFFFFFFF), "dst_ip": (0, 0xFFFFFFFF),
+               "src_port": (0, 0xFFFF), "dst_port": (0, 0xFFFF),
+               "proto": (0, 0xFF), "tcp_flags": (0, 0xFF),
+               "direction": (DIR_INGRESS, DIR_EGRESS)}
+_ROW_LO, _ROW_HI = np.array([_WIRE_RANGE[f] for f in _PACKET_FIELDS]).T
+#: Rows ``from_packets`` parses at a time (keeps its int64 copy small).
+_CHECK_ROWS = 1 << 12
+
 
 class PacketBatch:
     """A columnar batch of packets — the array form of ``list[Packet]``.
@@ -220,9 +233,9 @@ class PacketBatch:
     one boolean mask per predicate, the switch computes group keys and
     hashes over whole columns, and the per-packet object layer is never
     materialized on the fast path.  Iteration and integer indexing
-    materialize :class:`Packet` objects on demand, so every per-packet
-    fallback path (chaos stages, tracing, custom filters) accepts a
-    batch transparently.
+    materialize :class:`Packet` objects on demand, so every per-row
+    body a stage keeps (event taps, callable filters, the switch's
+    scalar branch, the software baseline) reads a batch transparently.
     """
 
     __slots__ = ("_data", "_col_cache")
@@ -244,10 +257,21 @@ class PacketBatch:
 
     @classmethod
     def from_packets(cls, packets) -> "PacketBatch":
-        """Build a batch from any iterable of :class:`Packet`."""
+        """Build a batch from any iterable of :class:`Packet`, checking
+        the wire ranges :meth:`from_arrays` checks (a ``ValueError``
+        names the field out of range)."""
         rows = [_ROW_GETTER(p) for p in packets]
-        data = (np.array(rows, dtype=PACKET_DTYPE) if rows
-                else np.empty(0, dtype=PACKET_DTYPE))
+        data = np.empty(len(rows), dtype=PACKET_DTYPE)
+        for lo in range(0, len(rows), _CHECK_ROWS):
+            block = np.array(rows[lo:lo + _CHECK_ROWS], dtype=np.int64)
+            bad = (block < _ROW_LO) | (block > _ROW_HI)
+            bad[:, -1] |= block[:, -1] == 0
+            if bad.any():
+                field = _PACKET_FIELDS[bad.any(axis=0).argmax()]
+                raise ValueError(f"{field} values out of range for the "
+                                 f"wire format")
+            for i, name in enumerate(_PACKET_FIELDS):
+                data[name][lo:lo + len(block)] = block[:, i]
         return cls(data)
 
     @classmethod
@@ -264,22 +288,18 @@ class PacketBatch:
         n = len(tstamp)
         data = np.empty(n, dtype=PACKET_DTYPE)
         data["tstamp"] = tstamp
-        columns = (("size", size, 0, None),
-                   ("src_ip", src_ip, 0, 0xFFFFFFFF),
-                   ("dst_ip", dst_ip, 0, 0xFFFFFFFF),
-                   ("src_port", src_port, 0, 0xFFFF),
-                   ("dst_port", dst_port, 0, 0xFFFF),
-                   ("proto", proto, 0, 0xFF),
-                   ("tcp_flags", tcp_flags, 0, 0xFF))
-        for name, values, lo, hi in columns:
+        columns = (("size", size), ("src_ip", src_ip), ("dst_ip", dst_ip),
+                   ("src_port", src_port), ("dst_port", dst_port),
+                   ("proto", proto), ("tcp_flags", tcp_flags))
+        for name, values in columns:
+            lo, hi = _WIRE_RANGE[name]
             arr = np.asarray(values, dtype=np.int64)
             if arr.ndim == 0:
                 arr = np.broadcast_to(arr, (n,))
             elif len(arr) != n:
                 raise ValueError(
                     f"{name} has {len(arr)} rows, expected {n}")
-            if len(arr) and (arr.min() < lo
-                             or (hi is not None and arr.max() > hi)):
+            if len(arr) and (arr.min() < lo or arr.max() > hi):
                 raise ValueError(f"{name} values out of range for the "
                                  f"wire format")
             data[name] = arr

@@ -775,7 +775,9 @@ class FeatureEngine:
         """One event.  The per-cell loop applies it now; the block path
         queues it raw, and a run of queued events is admitted as one
         batch by the next batch, clock advance or drain (at once when
-        the run grows long)."""
+        the run grows long).  The dataplane hands the engine batches
+        (:meth:`consume_batch`); this entry stays for the benchmark
+        harness's per-event drive."""
         start = perf_counter_ns() if self._t_tracer is not None else 0
         record = isinstance(event, MGPVRecord)
         if not record and not isinstance(event, FGSync):
@@ -803,8 +805,7 @@ class FeatureEngine:
             self._t_tracer.record("engine.reduce", start, perf_counter_ns())
 
     def run(self, events) -> "FeatureEngine":
-        for event in events:
-            self.consume(event)
+        self.consume_batch(events)
         return self
 
     def consume_batch(self, events) -> tuple:

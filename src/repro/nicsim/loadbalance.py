@@ -25,7 +25,7 @@ from repro.core.compiler import CompiledPolicy
 from repro.core.functions import ExecContext
 from repro.nicsim.engine import EngineStats, FeatureEngine, FeatureVector
 from repro.streaming.hyperloglog import hash_key
-from repro.switchsim.mgpv import Event, EventBatch, FGSync, MGPVRecord
+from repro.switchsim.mgpv import EventBatch, FGSync
 
 
 def route_shard(cg_key: tuple, alive: list[bool],
@@ -33,8 +33,8 @@ def route_shard(cg_key: tuple, alive: list[bool],
     """The switch's steering function: ``(shard, rerouted)`` for a CG
     key over a liveness map.  A dead home shard maps onto the live set
     by the same hash, so every event of one group picks the same
-    survivor (while the live set is stable).  Both clusters route
-    through it (:class:`ClusterBase`), which keeps them bit-identical;
+    survivor (while the live set is stable).  :func:`steer` is its
+    column form, which both clusters route batches through;
     ``hash32`` short-cuts the key hash the switch already computed.
     """
     if hash32 is None:
@@ -89,10 +89,11 @@ _BANK_STATS = ("records", "cells", "syncs", "orphan_cells", "degraded_cells",
 
 
 class ClusterBase:
-    """What both NIC clusters share: hash steering over a liveness map
-    (a route memo for single events, :func:`steer` for batches), the
-    failover ledger and the bank-wide counters.  Subclasses hold the
-    engines and report their stats through :meth:`_engine_stats`."""
+    """What both NIC clusters share: hash steering of event batches
+    over a liveness map (:func:`steer`), the failover ledger and the
+    bank-wide counters.  Subclasses hold the engines, take batches in
+    ``consume_batch`` and report their stats through
+    :meth:`_engine_stats`."""
 
     name = "cluster"
 
@@ -105,23 +106,7 @@ class ClusterBase:
         self.failovers = self.restarts = self.rerouted_events = 0
         self.fg_resyncs = self.demoted_vectors = 0
         self._residual: list[FeatureVector] = []
-        # Steering memo: route_shard hashes the CG key on every event;
-        # while the live set is stable the answer per key is fixed, so
-        # cache it and drop the memo whenever liveness changes.
-        self._route_cache: dict[tuple, tuple[int, bool]] = {}
         self._t_failovers = None
-
-    def _route(self, cg_key: tuple, hash32: int | None = None) -> int:
-        cached = self._route_cache.get(cg_key)
-        if cached is None:
-            if len(self._route_cache) >= 1 << 17:
-                self._route_cache.clear()
-            cached = route_shard(cg_key, self.alive, hash32)
-            self._route_cache[cg_key] = cached
-        nic, rerouted = cached
-        if rerouted:
-            self.rerouted_events += 1
-        return nic
 
     def _steer(self, events) -> tuple[EventBatch, np.ndarray, np.ndarray]:
         """``events`` as a batch, with each record's and sync's NIC."""
@@ -132,8 +117,7 @@ class ClusterBase:
         return batch, records, syncs
 
     def run(self, events) -> "ClusterBase":
-        for event in events:
-            self.consume(event)
+        self.consume_batch(events)
         return self
 
     def flush(self) -> tuple:
@@ -148,10 +132,16 @@ class ClusterBase:
         if sum(self.alive) == 1:
             raise ValueError("cannot fail the last live NIC")
         self.alive[nic] = False
-        self._route_cache.clear()
         self.failovers += 1
         if self._t_failovers is not None:
             self._t_failovers.inc()
+
+    def _replay_mirror(self, mirror) -> None:
+        """A dead NIC's FG mirror pairs, replayed as one sync batch."""
+        syncs = [FGSync(index, key) for index, key in mirror]
+        if syncs:
+            self.consume_batch(syncs)
+            self.fg_resyncs += len(syncs)
 
     def restore_nic(self, nic: int) -> None:
         """Bring a dead NIC back (restarted empty: ``fail_nic`` wiped its
@@ -160,7 +150,6 @@ class ClusterBase:
         if self.alive[nic]:
             raise ValueError(f"NIC {nic} is already alive")
         self.alive[nic] = True
-        self._route_cache.clear()
         self.restarts += 1
 
     def _check_nic(self, nic: int) -> None:
@@ -229,25 +218,13 @@ class NICCluster(ClusterBase):
         for engine in self.engines:
             engine.attach_telemetry(telemetry)
 
-    def consume(self, event: Event) -> tuple:
-        if isinstance(event, FGSync):
-            # An FG key is referenced only by its owner CG group (§5.1),
-            # so the sync follows the group's route.
-            self.engines[self._route(self.compiled.cg.project(
-                event.key))].consume(event)
-        elif isinstance(event, MGPVRecord):
-            self.engines[self._route(event.cg_key,
-                                     event.cg_hash32)].consume(event)
-        else:
-            raise TypeError(f"unknown event {event!r}")
-        return ()
-
     def consume_batch(self, events) -> tuple:
-        """Route a whole delivered event slice (dataplane columnar path):
-        one :func:`steer` over the record hashes and one over the syncs'
-        owner hashes, then each engine takes its sub-batch in arrival
-        order.  Engines hold disjoint state, so only the per-engine order
-        is observable — and that is preserved."""
+        """Route a delivered event slice: one :func:`steer` over the
+        record hashes and one over the syncs' owner hashes (an FG key is
+        referenced only by its owner CG group, §5.1, so a sync follows
+        the group's route), then each engine takes its sub-batch in
+        arrival order.  Engines hold disjoint state, so only the
+        per-engine order is observable — and that is preserved."""
         batch, rec_nic, sync_nic = self._steer(events)
         for nic, engine in enumerate(self.engines):
             records, syncs = rec_nic == nic, sync_nic == nic
@@ -257,16 +234,14 @@ class NICCluster(ClusterBase):
 
     def fail_nic(self, nic: int) -> None:
         """Kill one NIC: its shard re-routes to survivors, its FG mirror
-        is replayed to the new owners (reconciliation), and its resident
-        per-group state is demoted to degraded residual vectors held for
-        the drain."""
+        is replayed to the new owners as one sync batch
+        (reconciliation), and its resident per-group state is demoted to
+        degraded residual vectors held for the drain."""
         self._mark_dead(nic)
         engine = self.engines[nic]
         mirror = engine.fg_mirror_items()
         self._residual.extend(engine.crash())
-        for index, key in mirror:
-            self.consume(FGSync(index, key))
-            self.fg_resyncs += 1
+        self._replay_mirror(mirror)
 
     def finalize(self) -> list[FeatureVector]:
         vectors: list[FeatureVector] = []

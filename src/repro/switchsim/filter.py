@@ -6,13 +6,13 @@ rule; the stage admits a packet only when every installed rule matches
 Callable predicates (a software-only convenience for tests) are applied
 directly.
 
-Two admission paths share one rule table: the per-packet :meth:`admit`
-closure chain, and :meth:`admit_batch`, which evaluates the whole
-conjunction as numpy boolean masks over a
+Two admission forms share one rule table: the per-packet :meth:`admit`
+closure chain, and :meth:`admit_batch`, the dataplane's, which evaluates
+the whole conjunction as numpy boolean masks over a
 :class:`~repro.net.packet.PacketBatch` — one vector comparison per
-condition instead of one closure call per packet.  Callable predicates
-and non-columnar fields disable the batch path (``admit_batch`` returns
-None and the caller falls back to per-packet admission).
+condition instead of one closure call per packet.  A callable predicate
+or a non-columnar field makes ``admit_batch`` run :meth:`admit` per row
+into the same mask.
 """
 
 from __future__ import annotations
@@ -94,15 +94,15 @@ class FilterStage:
         self.hits += 1
         return True
 
-    def admit_batch(self, batch) -> np.ndarray | None:
-        """Vectorized admission over a PacketBatch: the boolean keep-mask,
-        with hit/miss counters advanced by the same totals the per-packet
-        path would record — or None when a rule has no columnar form
-        (callable predicates; the caller falls back to :meth:`admit`)."""
+    def admit_batch(self, batch) -> np.ndarray:
+        """Admission over a PacketBatch: the boolean keep-mask, with
+        hit/miss counters advanced by the same totals :meth:`admit`
+        records — vectorized, or :meth:`admit` per row when a rule has
+        no columnar form (callable predicates)."""
         self._refresh()
-        if self._vector_tests is None:
-            return None
         n = len(batch)
+        if self._vector_tests is None:
+            return np.fromiter(map(self.admit, batch), bool, n)
         if not self._vector_tests:
             self.hits += n
             return np.ones(n, dtype=bool)
@@ -119,9 +119,6 @@ class FilterStage:
         return (pkt for pkt in packets if self.admit(pkt))
 
     # -- dataplane stage protocol ---------------------------------------------
-
-    def consume(self, pkt: Packet) -> tuple[Packet, ...]:
-        return (pkt,) if self.admit(pkt) else ()
 
     def flush(self) -> tuple:
         return ()

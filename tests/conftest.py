@@ -10,6 +10,7 @@ from repro import pktstream
 from repro.core.dataplane import Dataplane
 from repro.core.parallel import ExecutionConfig, ShardedCluster
 from repro.net.trace import generate_trace
+from repro.switchsim import mgpv
 
 
 def reference_path():
@@ -18,6 +19,39 @@ def reference_path():
     construction, so the window must span ``run()`` / ``stream()``),
     then restores the variable to what it found."""
     return mock.patch.dict(os.environ, {"SUPERFE_REFERENCE_PATH": "1"})
+
+
+def reference_drive(dataplane, packets) -> list:
+    """``packets`` through ``dataplane`` one event at a time: the fault
+    schedule advanced before each packet, then ``admit``, ``insert``,
+    ``link.consume`` and the sink's ``consume_batch((event,))`` per
+    delivered event — the calls the benchmark harness's per-packet drive
+    makes, against which ``Dataplane.process``'s batch pieces are
+    checked.  Returns the per-packet vectors, as ``process`` does."""
+    faults = dataplane.faults
+    for pkt in packets:
+        if faults is not None:
+            faults.on_packet(dataplane._pkt_index)
+        dataplane._pkt_index += 1
+        if not dataplane.filter.admit(pkt):
+            continue
+        for event in dataplane.switch.insert(pkt):
+            for delivered in dataplane.link.consume(event):
+                dataplane.sink.consume_batch((delivered,))
+    dataplane.sink.advance_clock(dataplane.switch.now_ns)
+    if dataplane.compiled.collect_unit == "pkt":
+        return dataplane.sink.take_packet_vectors()
+    return []
+
+
+@pytest.fixture(scope="module")
+def columnar_kernel():
+    """Every ``MGPVCache.insert_batch`` call in the module runs the
+    columnar kernel however few its rows (production sends calls under
+    ``_SCALAR_ROWS`` rows to ``insert``), so small-batch tests keep
+    checking the kernel against the per-packet body."""
+    with mock.patch.object(mgpv, "_SCALAR_ROWS", 0):
+        yield
 
 
 def engine_ledger(sink) -> list:

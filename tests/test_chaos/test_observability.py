@@ -135,9 +135,9 @@ class TestExecutorErrorFlight:
                          fault_plan=plan).deploy()
         try:
             rt.process(packets)   # injected crash applied + recovered
-            rt.cluster.consume(MGPVRecord(
+            rt.cluster.consume_batch([MGPVRecord(
                 cg_key=("poison",), cg_hash32=12345,
-                cells=((0, ("boom",)),), reason="evict"))
+                cells=((0, ("boom",)),), reason="evict")])
             with pytest.raises(ExecutorError) as err:
                 rt.drain()
             exc = err.value

@@ -132,14 +132,14 @@ class TestPoisonQuarantine:
         try:
             for i in range(8):
                 key = (i % 4,)
-                cluster.consume(MGPVRecord(
+                cluster.consume_batch([MGPVRecord(
                     cg_key=key, cg_hash32=hash(key) & 0xFFFFFFFF,
-                    cells=((0, (float(i + 1),)),), reason="evict"))
+                    cells=((0, (float(i + 1),)),), reason="evict")])
             # A cell payload no reducer can digest: the owning worker
             # dies on it, replay dies on it again, quarantine follows.
-            cluster.consume(MGPVRecord(
+            cluster.consume_batch([MGPVRecord(
                 cg_key=("poison",), cg_hash32=12345,
-                cells=((0, ("boom",)),), reason="evict"))
+                cells=((0, ("boom",)),), reason="evict")])
             vectors = cluster.finalize()
             sup = cluster.health()["supervision"]
             assert sup["restarts"] >= 2        # threshold blames

@@ -1,16 +1,21 @@
-"""The two ``Dataplane.process`` code paths and what observes them.
+"""``Dataplane.process``'s one body and what observes or faults it.
 
-``process`` has a columnar path (a ``PacketBatch`` through batch-capable
-stages) and one per-packet loop.  Observation — an event tap (``trace=``)
-and/or stride-sampled spans — is a branch *inside* each path, never a
-different path, so:
+``process`` runs every input as batch pieces: a Packet list becomes a
+``PacketBatch``, cut at the fault plan's action indices.  Observation —
+an event tap (``trace=``) and/or stride-sampled spans — never changes
+the calls, so:
 
-- span sampling keeps a ``PacketBatch`` on the columnar path (the tracer
-  is asked once per batch and times the three batch calls);
-- the per-packet loop under a tap, under sampling, and under both
-  reproduces goldens recorded from the four-tier ladder it replaced
-  (``golden_per_packet_loop.json``; regenerate only on purpose with
-  ``PYTHONPATH=src python tests/test_core/test_dataplane_paths.py``).
+- span sampling keeps the batch calls (the tracer is asked once per
+  piece and times the three stage calls);
+- a Packet-list run under a fault plan and a tap, under sampling, and
+  under both reproduces the tap digests, vectors and counters recorded
+  from the per-packet loop this body replaced
+  (``golden_per_packet_loop.json``; its ``spans`` entries are per piece
+  since then; regenerate only on purpose with
+  ``PYTHONPATH=src python tests/test_core/test_dataplane_paths.py``);
+- fault actions that fall inside a batch land between the same two
+  packets as under the per-event reference drive, on the serial and the
+  inline sharded cluster.
 """
 
 import hashlib
@@ -24,16 +29,25 @@ import pytest
 import repro
 import repro.api as api
 from repro.bench.parallel import vectors_checksum
-from repro.core.dataplane import Dataplane, LinkConfig
+from repro.core.dataplane import (
+    Dataplane,
+    LinkConfig,
+    NullSink,
+    PerfectSwitch,
+)
 from repro.core.faults import FaultAction, FaultPlan
+from repro.core.parallel import ExecutionConfig, ShardedCluster
 from repro.core.policy import pktstream
 from repro.core.telemetry import Telemetry, TelemetryConfig
 from repro.net.packet import PacketBatch
 from repro.net.trace import generate_trace
+from repro.nicsim.loadbalance import NICCluster
+from repro.switchsim.filter import FilterStage
 from repro.switchsim.mgpv import MGPVCache, MGPVConfig
+from tests.conftest import inline_cluster, reference_drive
 
 GOLDEN = Path(__file__).with_name("golden_per_packet_loop.json")
-STAGE_SPANS = ("stage.switch", "stage.fg_sync", "stage.link", "stage.sink")
+STAGE_SPANS = ("stage.switch", "stage.link", "stage.sink")
 
 
 def flow_policy():
@@ -58,7 +72,7 @@ def fault_plan():
 
 
 def observed_run(*, tap: bool, sampling: bool) -> dict:
-    """One faulted per-packet run under the requested observers:
+    """One faulted Packet-list run under the requested observers:
     per-stage tap digests, span name counts, vectors and counters."""
     seen: dict[str, list[str]] = {}
 
@@ -120,7 +134,7 @@ class TestPerPacketLoopMatchesParent:
 
     def test_tap_and_sampling_are_both_honoured(self, golden):
         """The ladder picked the tap tier and silently dropped span
-        sampling; the single loop serves both observers at once."""
+        sampling; the one body serves both observers at once."""
         got = observed_run(tap=True, sampling=True)
         assert got["vectors"] == golden["both"]["vectors"]
         assert got["counters"] == golden["both"]["counters"]
@@ -150,7 +164,8 @@ class TestSamplingStaysColumnar:
         counters = ex.telemetry.snapshot()["counters"]
         assert counters["pipeline.packets"] == len(batch)
 
-    def test_short_batches_sample_by_packet_stride(self, monkeypatch):
+    def test_short_batches_sample_by_packet_stride(self, monkeypatch,
+                                                   columnar_kernel):
         """A batch is sampled when a per-packet stride sampler would
         have picked one of its packets: 16-packet chunks at stride 64
         time every fourth chunk."""
@@ -184,6 +199,82 @@ class TestFacadeLayerIsGone:
     def test_dataplane_has_one_loop(self):
         assert not hasattr(Dataplane, "_process_sampled")
         assert not hasattr(Dataplane, "_push")
+        assert not hasattr(Dataplane, "_process_observed")
+        assert not hasattr(Dataplane, "_process_packet_batch")
+        for stage in (NICCluster, ShardedCluster, PerfectSwitch, NullSink,
+                      MGPVCache, FilterStage):
+            assert not hasattr(stage, "consume"), stage
+        cluster = ShardedCluster(api.compile(flow_policy()).compiled, 2,
+                                 ExecutionConfig(workers=2))
+        try:
+            assert not hasattr(cluster, "_queue")
+            assert not hasattr(cluster, "_route_cache")
+        finally:
+            cluster.close()
+
+
+def four_nic_plan() -> FaultPlan:
+    """Every simulated fault kind, each starting and ending inside a
+    batch: a NIC dies and restarts, a loss burst hits a 3-record link
+    queue, the queue is clamped and the long buffers squeezed."""
+    return FaultPlan(seed=5, actions=(
+        FaultAction(kind="nic_kill", at_packet=301, nic=2),
+        FaultAction(kind="link_loss", at_packet=450, until_packet=1333,
+                    rate=0.25),
+        FaultAction(kind="nic_restart", at_packet=1001, nic=2),
+        FaultAction(kind="queue_clamp", at_packet=1700, until_packet=2101,
+                    capacity=2),
+        FaultAction(kind="mgpv_squeeze", at_packet=2222,
+                    until_packet=2903, keep_fraction=0.25)))
+
+
+def faulted_run(sink: str, chunk: int | None) -> tuple:
+    """Two halves of the trace through a 4-NIC graph under
+    :func:`four_nic_plan`: per event (``chunk`` None) or as
+    ``process`` calls of ``chunk`` packets.  Returns the vectors'
+    checksum, the counters (the sharded cluster's call-shape dispatch
+    ledger reduced to its event count) and the link's ``busy_ns`` bits."""
+    ex = api.compile(flow_policy(), n_nics=4,
+                     mgpv_config=MGPVConfig(n_short=256, short_size=2,
+                                            n_long=32, long_size=4,
+                                            fg_table_size=512),
+                     link_config=LinkConfig(batch_records=3,
+                                            retransmit_retries=1),
+                     fault_plan=four_nic_plan(),
+                     execution=ExecutionConfig())
+    if sink == "inline":
+        inline_cluster(ex)
+    dataplane = ex.dataplane()
+    pkts = packets()
+    half = len(pkts) // 2
+    for part in (pkts[:half], pkts[half:]):
+        if chunk is None:
+            reference_drive(dataplane, part)
+            continue
+        for lo in range(0, len(part), chunk):
+            dataplane.process(part[lo:lo + chunk])
+    vectors = dataplane.flush()
+    dataplane.close()
+    counters = json.loads(json.dumps(dataplane.counters()))
+    dispatch = counters["cluster"].pop("dispatch", None)
+    if dispatch is not None:
+        counters["cluster"]["events_dispatched"] = dispatch["events"]
+    return (vectors_checksum(vectors), counters,
+            dataplane.link.busy_ns.hex())
+
+
+@pytest.mark.parametrize("sink", ["serial", "inline"])
+def test_fault_actions_mid_batch_equal_per_event_reference(sink):
+    want = faulted_run(sink, None)
+    faults = want[1]["faults"]
+    assert faults["applied"] == {"nic_kill": 1, "link_loss": 1,
+                                 "nic_restart": 1, "queue_clamp": 1,
+                                 "mgpv_squeeze": 1}
+    assert want[1]["link"]["drops_fault"] > 0
+    assert want[1]["link"]["drops_backpressure"] > 0
+    assert want[1]["cluster"]["failovers"] == 1
+    for chunk in (len(packets()) // 2 + 1, 256):
+        assert faulted_run(sink, chunk) == want, chunk
 
 
 if __name__ == "__main__":

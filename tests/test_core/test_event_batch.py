@@ -5,8 +5,8 @@
 read its tables and columns.  Everything here pins that this is a
 representation change only:
 
-- the batch path equals the per-event path (events, every stage
-  counter, ``busy_ns`` to the bit, vectors) over a sweep of traces,
+- the batch path equals the per-event reference drive (events, every
+  stage counter, ``busy_ns`` to the bit, vectors) over a sweep of traces,
   cache configs (a 1-slot FG table, a long-buffer squeeze), NIC counts
   and a failed NIC, and under a lossy, queued link;
 - a batch is a read-only sequence of the event objects it encodes, with
@@ -40,6 +40,11 @@ from repro.switchsim.mgpv import (
     MGPVConfig,
     MGPVRecord,
 )
+from tests.conftest import reference_drive
+
+# The sweep's small batches check the columnar kernel, not the scalar
+# body production runs below the crossover.
+pytestmark = pytest.mark.usefixtures("columnar_kernel")
 
 
 def flow_policy():
@@ -76,15 +81,15 @@ def packets(trace: str) -> list:
 
 def drive(dataplane: Dataplane, pkts: list, step: int | None,
           squeeze_at: int | None) -> list:
-    """``pkts`` through the graph: per packet (``step`` None) or as
-    ``PacketBatch`` slices of ``step``, squeezing the long buffers
-    before packet ``squeeze_at``."""
+    """``pkts`` through the graph: per event (``step`` None, the
+    reference drive) or as ``PacketBatch`` slices of ``step``, squeezing
+    the long buffers before packet ``squeeze_at``."""
     cuts = sorted({0, len(pkts)} | ({squeeze_at} if squeeze_at else set()))
     for lo, hi in zip(cuts, cuts[1:]):
         if lo == squeeze_at:
             dataplane.switch.squeeze_long_buffers(0.25)
         if step is None:
-            dataplane.process(pkts[lo:hi])
+            reference_drive(dataplane, pkts[lo:hi])
             continue
         for at in range(lo, hi, step):
             dataplane.process(PacketBatch.from_packets(

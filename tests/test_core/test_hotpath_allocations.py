@@ -50,7 +50,7 @@ def test_steady_state_allocations_per_packet():
                 buf.clear()
                 cache.insert(pkt, buf)
                 for event in buf:
-                    cluster.consume(event)
+                    cluster.consume_batch([event])
                 admitted += 1
         return admitted
 

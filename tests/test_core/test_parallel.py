@@ -198,10 +198,9 @@ class TestShardedCluster:
             packets = generate_trace("ENTERPRISE", n_flows=40, seed=3)
             for i, pkt in enumerate(packets[:64]):
                 key = (i % 7,)
-                cluster.consume(MGPVRecord(
+                cluster.consume_batch([MGPVRecord(
                     cg_key=key, cg_hash32=hash(key) & 0xFFFFFFFF,
-                    cells=((0, (float(pkt.size),)),), reason="evict"))
-            cluster._flush_dispatch()
+                    cells=((0, (float(pkt.size),)),), reason="evict")])
             dispatch = cluster.counters()["dispatch"]
             assert dispatch["events"] == 64
             assert dispatch["batches"] >= 64 // 8
@@ -262,7 +261,7 @@ class TestShardedCluster:
         # ... but the data path is gone.
         from repro.switchsim.mgpv import FGSync
         with pytest.raises(RuntimeError, match="closed"):
-            cluster.consume(FGSync(index=0, key=(1,)))
+            cluster.consume_batch([FGSync(index=0, key=(1,))])
 
     def test_spawn_only_platforms_rejected(self, monkeypatch):
         import multiprocessing as mp

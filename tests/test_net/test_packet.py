@@ -12,6 +12,7 @@ from repro.net.packet import (
     PROTO_UDP,
     FiveTuple,
     Packet,
+    PacketBatch,
     int_to_ip,
     ip_to_int,
     sort_by_time,
@@ -109,3 +110,38 @@ class TestPacket:
     def test_sort_by_time(self):
         pkts = [self.make(tstamp=t) for t in (5, 1, 3)]
         assert [p.tstamp for p in sort_by_time(pkts)] == [1, 3, 5]
+
+
+class TestFromPacketsWireRanges:
+    """Every Packet list ``Dataplane.process`` takes goes through
+    ``PacketBatch.from_packets``: a value its fixed-width column cannot
+    hold is a ValueError naming the field, never a silent wrap."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("src_ip", -1), ("src_ip", 1 << 32),
+        ("dst_ip", -1), ("dst_ip", 1 << 32),
+        ("src_port", -1), ("src_port", 70000),
+        ("dst_port", -1), ("dst_port", 1 << 16),
+        ("proto", -1), ("proto", 256),
+        ("tcp_flags", -1), ("tcp_flags", 300),
+    ])
+    def test_out_of_range_field_is_named(self, field, value):
+        good = Packet(1, 60, 1, 2, 3, 4)
+        bad = Packet(**{**{f: getattr(good, f) for f in good.__slots__},
+                        field: value})
+        with pytest.raises(ValueError, match=field):
+            PacketBatch.from_packets([good, bad])
+
+    def test_size_is_checked_even_without_packet_validation(self):
+        class Raw:
+            tstamp, size, src_ip, dst_ip = 1, -5, 1, 2
+            src_port = dst_port = proto = tcp_flags = 0
+            direction = DIR_EGRESS
+        with pytest.raises(ValueError, match="size"):
+            PacketBatch.from_packets([Raw()])
+
+    def test_wire_extremes_round_trip(self):
+        pkt = Packet(2**40, 9000, 0xFFFFFFFF, 0, 0xFFFF, 0, 0xFF, 0xFF,
+                     DIR_INGRESS)
+        assert PacketBatch.from_packets([pkt]).to_packets() == [pkt]
+        assert len(PacketBatch.from_packets([])) == 0

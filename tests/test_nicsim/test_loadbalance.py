@@ -72,7 +72,7 @@ def test_load_roughly_even(setup):
 def test_unknown_event(setup):
     compiled, _ = setup
     with pytest.raises(TypeError):
-        NICCluster(compiled, 2).consume(42)
+        NICCluster(compiled, 2).consume_batch([42])
 
 
 def test_batch_routes_equal_per_event_routes(setup, monkeypatch):
@@ -87,7 +87,8 @@ def test_batch_routes_equal_per_event_routes(setup, monkeypatch):
     batched = NICCluster(compiled, 4)
     for cluster in (one_by_one, batched):
         cluster.fail_nic(2)
-    one_by_one.run(events)
+    for event in events:
+        one_by_one.consume_batch([event])
     scalar_hashes = []
     monkeypatch.setattr(
         loadbalance, "hash_key",
