@@ -8,12 +8,14 @@ slices of the pipeline on one reduce-heavy flow policy:
   reused event buffer (no NIC work).
 - ``engine_only``  — NIC cluster consuming a pre-computed event stream
   (no switch work).
-- ``end_to_end``   — ``api.compile(policy).run(packets)``, the same
-  run()-only methodology as ``BENCH_parallel.json``'s serial baseline,
-  so the two records are directly comparable.
-- ``end_to_end_batch`` — the same run() fed one columnar
-  :class:`~repro.net.packet.PacketBatch` instead of a Packet list,
-  exercising the vectorized admit/insert_batch/consume_batch tier.
+- ``end_to_end``   — ``api.compile(policy).run(packets)`` on a Packet
+  list, the same run()-only methodology as ``BENCH_parallel.json``'s
+  serial baseline, so the two records are directly comparable.
+- ``end_to_end_batch`` — the same run() fed one prebuilt
+  :class:`~repro.net.packet.PacketBatch`.  Both arms run the same batch
+  body (``Dataplane.process`` has one call shape); the list arm also
+  pays ``PacketBatch.from_packets``, so ``columnar_speedup`` is the
+  cost of that conversion.
 
 Each slice is timed best-of-``repeats``.  A ``cProfile`` pass over one
 end-to-end run attributes cumulative self-time to pipeline layers by
@@ -52,7 +54,7 @@ from repro.net.packet import PacketBatch
 from repro.net.trace import generate_trace
 from repro.nicsim.loadbalance import NICCluster
 from repro.switchsim.filter import FilterStage
-from repro.switchsim.mgpv import MGPVCache
+from repro.switchsim.mgpv import EventBatch, MGPVCache
 
 #: Serial end-to-end throughput of the pre-optimization pipeline on the
 #: reference trace (the ``serial.pps`` committed in BENCH_parallel.json
@@ -314,11 +316,10 @@ def run_hotpath(n_flows: int = 400,
     n_vectors = len(result.vectors)
     e2e_s = _best_of(lambda: extractor.run(packets), repeats)
 
-    # Columnar arm: identical policy and trace, but the packets arrive
-    # as one structured-array batch so the dataplane takes the
-    # vectorized admit_batch/insert_batch/consume_batch tier.  The
-    # checksum must match the per-packet arm bit for bit — speed that
-    # changes the vectors is a bug, not a win.
+    # Batch-input arm: identical policy and trace, but the packets
+    # arrive as one prebuilt structured-array batch, so the list arm's
+    # from_packets conversion is all that differs.  The checksum must
+    # match the list arm bit for bit.
     batch = PacketBatch.from_packets(packets)
     batch_checksum = vectors_checksum(extractor.run(batch).vectors)
     e2e_batch_s = _best_of(lambda: extractor.run(batch), repeats)
@@ -348,12 +349,11 @@ def run_hotpath(n_flows: int = 400,
         if admit(pkt):
             events.extend(cache.insert(pkt))
     events.extend(cache.flush())
+    events = EventBatch.of(events)
 
     def engine_only() -> None:
         cluster = NICCluster(compiled, n_nics)
-        consume = cluster.consume
-        for event in events:
-            consume(event)
+        cluster.consume_batch(events)
         cluster.finalize()
 
     engine_s = _best_of(engine_only, repeats)

@@ -528,8 +528,8 @@ def _cmd_bench_hotpath(args) -> int:
     print(f"checksum {marker} reference oracle; "
           f"{record['speedup_vs_baseline']:.2f}x vs "
           f"{record['baseline_pps']:,.1f} pps pre-optimization baseline")
-    print(f"columnar batch path: {record['columnar_speedup']:.2f}x "
-          f"over per-packet serial")
+    print(f"PacketBatch input: {record['columnar_speedup']:.2f}x "
+          f"over Packet-list input")
     print(f"wrote {args.out} (cpu_count={record['cpu_count']})")
     if not record["equivalent"]:
         print("FAIL: optimized vectors diverge from the reference "
@@ -545,7 +545,7 @@ def _cmd_bench_hotpath(args) -> int:
             return 0
         gated = [("serial end-to-end", "end_to_end")]
         if "end_to_end_batch" in committed.get("stages", {}):
-            gated.append(("columnar end-to-end", "end_to_end_batch"))
+            gated.append(("PacketBatch end-to-end", "end_to_end_batch"))
         for label, stage in gated:
             floor = committed["stages"][stage]["pps"] * (
                 1.0 - args.max_regression)

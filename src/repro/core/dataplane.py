@@ -63,15 +63,12 @@ from repro.switchsim.mgpv import (
 
 @runtime_checkable
 class Stage(Protocol):
-    """One dataplane stage: event slices in, events out, counters out."""
+    """What every dataplane stage provides: a name, a drain and
+    counters.  The data calls differ by hop (``admit_batch``,
+    ``insert_batch``, ``consume_batch``) and :meth:`Dataplane.process`
+    names each one."""
 
     name: str
-
-    def consume_batch(self, events) -> Iterable:
-        """Process a slice of events in stream order; returns the events
-        it forwards downstream (empty when they are absorbed or
-        dropped)."""
-        ...
 
     def flush(self) -> Iterable:
         """Drain any internal residency (end of trace / hot swap)."""
@@ -247,8 +244,8 @@ class SwitchNICLink:
     # -- stage protocol --------------------------------------------------------
 
     def consume(self, event) -> tuple:
-        """One event, meeting the FG table as it stands; only the
-        benchmark harness's per-event drive (``drive_stream``) calls it."""
+        """One event, meeting the FG table as it stands; only the harness's
+        per-event ``drive_stream`` calls it (goes with Benchmark v2)."""
         return self._carry(event, emitted=False)
 
     def _carry(self, event, emitted: bool) -> tuple:
@@ -761,6 +758,9 @@ class Dataplane:
                     hi = min(n, cut - base)
             piece = batch if hi - lo == n else batch[lo:hi]
             lo = hi
+            # Advanced before the piece runs: a stage that raises leaves
+            # the index past the piece, never replaying fault actions.
+            self._pkt_index = base + hi
             record = (tel.tracer.record if tel is not None
                       and tel.tracer.should_sample(len(piece)) else None)
             if tap is not None:
@@ -777,7 +777,6 @@ class Dataplane:
                 frontier = call(frontier)
                 if record is not None:
                     record(span, start, perf_counter_ns())
-        self._pkt_index = base + n
         if tel is not None:
             self._t_packets.inc(n)
             self._t_batches.inc()

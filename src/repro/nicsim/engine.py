@@ -777,7 +777,7 @@ class FeatureEngine:
         batch by the next batch, clock advance or drain (at once when
         the run grows long).  The dataplane hands the engine batches
         (:meth:`consume_batch`); this entry stays for the benchmark
-        harness's per-event drive."""
+        harness's per-event drive and goes when Benchmark v2 drops it."""
         start = perf_counter_ns() if self._t_tracer is not None else 0
         record = isinstance(event, MGPVRecord)
         if not record and not isinstance(event, FGSync):

@@ -62,11 +62,6 @@ _OCC_WINDOW_NS = 100_000_000
 #: ``last_access`` of an empty slot: below every activity threshold.
 _NEVER = np.iinfo(np.int64).min
 
-#: ``insert_batch`` calls of fewer rows run :meth:`MGPVCache.insert` per
-#: row: below it the kernel's fixed per-call cost outweighs what it saves
-#: (DESIGN.md, *One call shape*).
-_SCALAR_ROWS = 256
-
 
 @dataclass(frozen=True)
 class MGPVConfig:
@@ -485,9 +480,9 @@ class MGPVCache:
         """Process one packet, appending the switch->NIC events it caused
         to ``out`` (a fresh list when not given) and returning that list.
 
-        Passing one buffer lets a caller inserting many packets (the
-        scalar branch of :meth:`insert_batch`) avoid one list allocation
-        per insert; the buffer is *not* cleared here.
+        Passing a reusable buffer lets a caller inserting packet by
+        packet avoid one list allocation per insert; the buffer is *not*
+        cleared here — clear it between packets.
         """
         events: list[Event] = [] if out is None else out
         if self._arena is not None:
@@ -519,18 +514,13 @@ class MGPVCache:
         (``out``, when given, is extended with its events as objects)
         from :meth:`_insert_columnar`, equal to inserting the packets one
         at a time — which the reference oracle, aging (its cursor scan
-        reads the clock row by row), non-columnar keys or metadata and
-        calls under :data:`_SCALAR_ROWS` rows do.
+        reads the clock row by row) and non-columnar keys or metadata do.
         """
         cfg = self.config
-        if (len(batch) < _SCALAR_ROWS or self._reference
-                or self.fg.batch_key is None
+        if (self._reference or self.fg.batch_key is None
                 or cfg.aging_timeout_ns is not None
                 or not all(f in PLAIN_FIELDS for f in self.metadata_fields)):
-            events = []
-            for pkt in batch:
-                self.insert(pkt, events)
-            events = EventBatch.of(events)
+            events = EventBatch.of([e for p in batch for e in self.insert(p)])
         else:
             events = self._insert_columnar(batch)
         if out is not None:

@@ -10,7 +10,6 @@ from repro import pktstream
 from repro.core.dataplane import Dataplane
 from repro.core.parallel import ExecutionConfig, ShardedCluster
 from repro.net.trace import generate_trace
-from repro.switchsim import mgpv
 
 
 def reference_path():
@@ -42,16 +41,6 @@ def reference_drive(dataplane, packets) -> list:
     if dataplane.compiled.collect_unit == "pkt":
         return dataplane.sink.take_packet_vectors()
     return []
-
-
-@pytest.fixture(scope="module")
-def columnar_kernel():
-    """Every ``MGPVCache.insert_batch`` call in the module runs the
-    columnar kernel however few its rows (production sends calls under
-    ``_SCALAR_ROWS`` rows to ``insert``), so small-batch tests keep
-    checking the kernel against the per-packet body."""
-    with mock.patch.object(mgpv, "_SCALAR_ROWS", 0):
-        yield
 
 
 def engine_ledger(sink) -> list:

@@ -164,8 +164,7 @@ class TestSamplingStaysColumnar:
         counters = ex.telemetry.snapshot()["counters"]
         assert counters["pipeline.packets"] == len(batch)
 
-    def test_short_batches_sample_by_packet_stride(self, monkeypatch,
-                                                   columnar_kernel):
+    def test_short_batches_sample_by_packet_stride(self, monkeypatch):
         """A batch is sampled when a per-packet stride sampler would
         have picked one of its packets: 16-packet chunks at stride 64
         time every fourth chunk."""
@@ -275,6 +274,31 @@ def test_fault_actions_mid_batch_equal_per_event_reference(sink):
     assert want[1]["cluster"]["failovers"] == 1
     for chunk in (len(packets()) // 2 + 1, 256):
         assert faulted_run(sink, chunk) == want, chunk
+
+
+def test_failing_piece_leaves_the_packet_index_past_it():
+    """A stage that raises mid-call has already had the actions before
+    its piece applied; the packet index moves past that piece first, so
+    a caller that carries on never replays the plan against the wrong
+    packets."""
+    dataplane = api.compile(flow_policy(), n_nics=4,
+                            fault_plan=four_nic_plan()).dataplane()
+    insert_batch, calls = dataplane.switch.insert_batch, []
+
+    def failing_second_piece(batch):
+        calls.append(len(batch))
+        if len(calls) == 2:
+            raise RuntimeError("stage failed")
+        return insert_batch(batch)
+
+    dataplane.switch.insert_batch = failing_second_piece
+    try:
+        with pytest.raises(RuntimeError, match="stage failed"):
+            dataplane.process(packets()[:1000])
+    finally:
+        dataplane.close()
+    assert calls[0] <= 301 and dataplane._pkt_index == 450
+    assert dataplane.faults.next_index() == 450     # link_loss's start
 
 
 if __name__ == "__main__":

@@ -42,10 +42,6 @@ from repro.switchsim.mgpv import (
 )
 from tests.conftest import reference_drive
 
-# The sweep's small batches check the columnar kernel, not the scalar
-# body production runs below the crossover.
-pytestmark = pytest.mark.usefixtures("columnar_kernel")
-
 
 def flow_policy():
     return (pktstream().filter("tcp.exist").groupby("flow")

@@ -21,10 +21,6 @@ from repro.streaming.hyperloglog import hash_key, hash_key_columns
 from repro.switchsim.mgpv import FGSync, MGPVCache, MGPVConfig, MGPVRecord
 from tests.conftest import reference_path
 
-# Batch calls of any size here check the columnar kernel against the
-# per-packet body (production runs small calls through that body).
-pytestmark = pytest.mark.usefixtures("columnar_kernel")
-
 
 def pkt(t=0, src=1, dst=2, sport=10, dport=20, size=100):
     return Packet(t, size, src, dst, sport, dport, PROTO_TCP)

@@ -32,10 +32,6 @@ from repro.net.packet import PacketBatch
 from repro.net.trace import generate_trace
 from repro.switchsim.mgpv import EventBatch, FGSync, MGPVCache, MGPVConfig
 
-# Batch calls of any size here check the columnar kernel against the
-# per-packet body (production runs small calls through that body).
-pytestmark = pytest.mark.usefixtures("columnar_kernel")
-
 GOLDEN = Path(__file__).with_name("golden_mgpv_events.json")
 MS = 1_000_000
 N_PACKETS = 600
