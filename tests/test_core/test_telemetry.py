@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 import repro.api as api
 from repro.core.dataplane import LinkConfig
+from repro.core.faults import FaultAction, FaultPlan
+from repro.core.parallel import ExecutionConfig
 from repro.core.telemetry import (
     Histogram,
     MetricsRegistry,
@@ -405,3 +407,85 @@ class TestEndToEnd:
         assert "span.stage.switch" in span_hists
         assert "span.pipeline.flush" in span_hists
         assert result.dataplane.telemetry_spans()
+
+
+def stage_counts(dataplane, ingest: dict) -> dict:
+    """Each registry counter's name and the stage count it stands for,
+    read from a finished stream session's graph and ingestion ledger
+    (one ``process`` call per chunk, so the session's chunks are the
+    pipeline's batches)."""
+    counters = dataplane.counters()
+    sink = dataplane.sink
+    stats = [engine.stats for engine in getattr(sink, "engines", [sink])]
+    counts = {
+        "engine.records": sum(s.records for s in stats),
+        "engine.syncs": sum(s.syncs for s in stats),
+        "engine.cells.columnar": sum(s.cells_columnar for s in stats),
+        "engine.cells.per_cell": sum(s.cells - s.cells_columnar
+                                     for s in stats),
+        "mgpv.evictions": counters["mgpv"]["records_out"],
+        "mgpv.fg_syncs": counters["mgpv"]["syncs_out"],
+        "pipeline.packets": ingest["packets_processed"],
+        "pipeline.batches": ingest["batches_processed"],
+        "ingest.packets": ingest["packets_processed"],
+        "ingest.batches": ingest["batches_processed"],
+        "ingest.deadline_missed": ingest["deadline_missed"],
+        "faults.applied": counters["faults"]["actions_applied"],
+        "faults.reverted": counters["faults"]["actions_reverted"],
+        "cluster.failovers": counters["cluster"]["failovers"],
+    }
+    dispatch = counters["cluster"].get("dispatch")
+    if dispatch is not None:
+        counts.update({
+            "dispatch.batches": dispatch["batches"],
+            "dispatch.events": dispatch["events"],
+            "transport.bytes": dispatch["bytes"],
+            "transport.frames": dispatch["frames"],
+            "transport.fallback_chunks": dispatch["fallback_chunks"],
+            "transport.parked_frames": dispatch["parked_frames"],
+        })
+    supervisor = counters["cluster"].get("supervisor")
+    if supervisor is not None:
+        counts.update({
+            "supervisor.restarts": supervisor["restarts"],
+            "supervisor.redispatched": supervisor["redispatched_batches"],
+            "supervisor.poison_batches": supervisor["poison_batches"],
+        })
+    return counts
+
+
+@pytest.mark.parametrize("backend", ["serial", "inline", "process"])
+def test_registry_counters_equal_the_stage_counts(backend):
+    """Every counter in the registry reads the count its stage keeps,
+    on each backend, through link loss, a NIC failover and (on the
+    process backend) a worker restart."""
+    packets = generate_trace("ENTERPRISE", n_flows=60, seed=11)
+    actions = [FaultAction(kind="link_loss", at_packet=60,
+                           until_packet=300, rate=0.2),
+               FaultAction(kind="nic_kill", at_packet=150, nic=1)]
+    execution = ExecutionConfig()
+    if backend == "process":
+        execution = ExecutionConfig(workers=2, backend="process")
+        actions.append(FaultAction(kind="worker_crash", at_packet=250,
+                                   worker=0))
+    tel = Telemetry()
+    ex = api.compile(flow_policy(), n_nics=4, telemetry=tel,
+                     execution=execution,
+                     link_config=LinkConfig(retransmit_retries=2),
+                     fault_plan=FaultPlan(seed=3, actions=tuple(actions)))
+    if backend == "inline":
+        inline_cluster(ex)
+    with ex:
+        for _chunk in ex.stream(packets, batch_size=64):
+            pass
+        dataplane = ex._session.dataplane
+        counts = stage_counts(dataplane, ex.health()["ingest"])
+        snapshot = dataplane.telemetry_snapshot()["counters"]
+    assert snapshot == counts
+    assert counts["engine.records"] > 0 and counts["mgpv.fg_syncs"] > 0
+    assert counts["faults.applied"] == len(actions)
+    assert counts["faults.reverted"] == counts["cluster.failovers"] == 1
+    assert dataplane.counters()["link"]["drops_fault"] > 0
+    assert ("dispatch.batches" in counts) == (backend != "serial")
+    assert counts.get("supervisor.restarts", 1) >= 1
+    assert ("supervisor.restarts" in counts) == (backend == "process")
