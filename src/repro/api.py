@@ -186,16 +186,18 @@ class _StreamSession:
         self._stop = threading.Event()
         self._t_depth = None
         self._t_shed = None
-        self._t_batches = None
-        self._t_packets = None
-        self._t_missed = None
         if telemetry is not None:
             reg = telemetry.registry
             self._t_depth = reg.gauge("ingest.queue_depth")
             self._t_shed = reg.rate("ingest.shed")
-            self._t_batches = reg.counter("ingest.batches")
-            self._t_packets = reg.counter("ingest.packets")
-            self._t_missed = reg.counter("ingest.deadline_missed")
+            # The session's counts leave the registry with its graph.
+            with reg.owned_by(dataplane):
+                reg.counter_source("ingest.batches",
+                                   lambda: self.batches_processed)
+                reg.counter_source("ingest.packets",
+                                   lambda: self.packets_processed)
+                reg.counter_source("ingest.deadline_missed",
+                                   lambda: self.deadline_missed)
 
     # -- feeder side -------------------------------------------------------
 
@@ -311,16 +313,11 @@ class _StreamSession:
                 dataplane.set_deadline(None)
         if deadline is not None and time.monotonic() > deadline:
             self.deadline_missed += 1
-            if self._t_missed is not None:
-                self._t_missed.inc()
             flightrec.record("ingest.deadline_missed",
                              batch=self.batches_processed,
                              deadline_s=self.deadline_s)
         self.batches_processed += 1
         self.packets_processed += len(chunk)
-        if self._t_batches is not None:
-            self._t_batches.inc()
-            self._t_packets.inc(len(chunk))
         return out
 
     # -- observability -----------------------------------------------------

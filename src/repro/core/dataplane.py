@@ -596,11 +596,10 @@ class Dataplane:
         self.compiled = compiled
         self.trace = trace
         self.faults = None          # FaultInjector, via attach_faults()
-        self._pkt_index = 0
+        self._pkt_index = 0         # packets through process()
+        self._batches = 0           # process() calls
         self.stages: list[Stage] = [filter_stage, switch, link, sink]
         self.telemetry: Telemetry | None = None
-        self._t_packets = None
-        self._t_batches = None
         if telemetry is not None:
             self.attach_telemetry(telemetry)
 
@@ -610,24 +609,26 @@ class Dataplane:
         from repro.core.faults import FaultInjector
         self.faults = FaultInjector(plan, self)
         if self.telemetry is not None:
-            self.faults.attach_telemetry(self.telemetry)
+            with self.telemetry.registry.owned_by(self):
+                self.faults.attach_telemetry(self.telemetry)
 
     def attach_telemetry(self, telemetry: Telemetry) -> None:
         """Attach one :class:`~repro.core.telemetry.Telemetry` bundle to
         the whole graph: every stage that knows how registers its typed
-        instruments in the shared registry, and :meth:`process` counts
-        packets and calls (and, when the tracer is active, records
-        ``stage.*`` spans for sampled batch pieces)."""
+        instruments in the shared registry, owned by this graph until
+        :meth:`close`, and :meth:`process` (when the tracer is active)
+        records ``stage.*`` spans for sampled batch pieces."""
         self.telemetry = telemetry
         reg = telemetry.registry
-        self._t_packets = reg.counter("pipeline.packets")
-        self._t_batches = reg.counter("pipeline.batches")
-        for stage in self.stages:
-            attach = getattr(stage, "attach_telemetry", None)
-            if attach is not None:
-                attach(telemetry)
-        if self.faults is not None:
-            self.faults.attach_telemetry(telemetry)
+        with reg.owned_by(self):
+            reg.counter_source("pipeline.packets", lambda: self._pkt_index)
+            reg.counter_source("pipeline.batches", lambda: self._batches)
+            for stage in self.stages:
+                attach = getattr(stage, "attach_telemetry", None)
+                if attach is not None:
+                    attach(telemetry)
+            if self.faults is not None:
+                self.faults.attach_telemetry(telemetry)
 
     @classmethod
     def build(cls, compiled: CompiledPolicy, *,
@@ -777,9 +778,7 @@ class Dataplane:
                 frontier = call(frontier)
                 if record is not None:
                     record(span, start, perf_counter_ns())
-        if tel is not None:
-            self._t_packets.inc(n)
-            self._t_batches.inc()
+        self._batches += 1
         # Keep the NIC clock moving even for policies whose cells carry
         # no timestamp (idle eviction relies on it).
         self.sink.advance_clock(self.switch.now_ns)
@@ -818,11 +817,12 @@ class Dataplane:
 
     def close(self) -> None:
         """Release execution resources (the sharded cluster's worker
-        pool).  Serial graphs have none; calling this is always safe.
-        A closed sharded cluster keeps serving its last counters and
-        final vectors, so results stay readable after close.
-        Idempotent and exception-safe: the graph is marked closed even
-        if the sink's own close raises."""
+        pool) and the graph's telemetry sources (its counters' final
+        readings stay in the registry's totals).  A closed sharded
+        cluster keeps serving its last counters and final vectors, so
+        results stay readable after close.  Idempotent and
+        exception-safe: the graph is marked closed even if the sink's
+        own close raises."""
         if getattr(self, "_graph_closed", False):
             return
         try:
@@ -831,6 +831,8 @@ class Dataplane:
                 close()
         finally:
             self._graph_closed = True
+            if self.telemetry is not None:
+                self.telemetry.registry.release(self)
 
     def set_deadline(self, deadline: float | None) -> None:
         """Propagate a per-batch deadline (monotonic seconds; None

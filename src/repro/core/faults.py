@@ -211,15 +211,15 @@ class FaultInjector:
         self._end_i = 0
         self.applied: dict[str, int] = {}
         self.reverted: dict[str, int] = {}
-        self._t_applied = None
-        self._t_reverted = None
 
     def attach_telemetry(self, telemetry) -> None:
-        """Mirror the applied/reverted ledger into the typed registry so
+        """Count the applied/reverted ledger in the typed registry so
         chaos runs show injections next to the recovery metrics."""
         reg = telemetry.registry
-        self._t_applied = reg.counter("faults.applied")
-        self._t_reverted = reg.counter("faults.reverted")
+        reg.counter_source("faults.applied",
+                           lambda: sum(self.applied.values()))
+        reg.counter_source("faults.reverted",
+                           lambda: sum(self.reverted.values()))
 
     def _validate_targets(self) -> None:
         needs_cluster = any(a.kind in ("nic_kill", "nic_restart")
@@ -315,8 +315,6 @@ class FaultInjector:
         elif action.kind == "worker_slow":
             dp.cluster.chaos_slow_worker(action.worker, action.factor)
         self.applied[action.kind] = self.applied.get(action.kind, 0) + 1
-        if self._t_applied is not None:
-            self._t_applied.inc()
 
     def _revert(self, action: FaultAction) -> None:
         flightrec.record("fault.reverted", fault=action.kind,
@@ -331,8 +329,6 @@ class FaultInjector:
         elif action.kind == "worker_slow":
             dp.cluster.chaos_slow_worker(action.worker, 1.0)
         self.reverted[action.kind] = self.reverted.get(action.kind, 0) + 1
-        if self._t_reverted is not None:
-            self._t_reverted.inc()
 
     # -- observability ---------------------------------------------------------
 

@@ -373,7 +373,8 @@ class _ShardDriver:
         if kind == "crash":
             return True, self.engines[msg[1]].crash()
         if kind == "stats":
-            return True, {s: e.stats for s, e in self.engines.items()}
+            return True, {s: (e.stats, e.counters(), e.table_stats())
+                          for s, e in self.engines.items()}
         if kind == "take_pkt":
             return True, {s: _pack_vectors(e.take_packet_vectors())
                           for s, e in self.engines.items()}
@@ -389,8 +390,7 @@ class _ShardDriver:
             # rides the FIFO like any dispatch batch.
             from repro.core.telemetry import Telemetry
             self.telemetry = Telemetry(msg[1])
-            for engine in self.engines.values():
-                engine.attach_telemetry(self.telemetry)
+            self._attach_engines()
             return False, None
         if kind == "telemetry":
             # Reply bundles the metric snapshot with the worker's
@@ -427,10 +427,18 @@ class _ShardDriver:
             if self.ring is not None:
                 self.ring.reset_consumer(msg[2])
             if self.telemetry is not None:
-                for engine in self.engines.values():
-                    engine.attach_telemetry(self.telemetry)
+                self._attach_engines()
             return True, True
         raise RuntimeError(f"unknown worker message {kind!r}")
+
+    def _attach_engines(self) -> None:
+        """Register the engine set's instruments, owned by this driver,
+        releasing those of the set a ``reset`` replaced."""
+        reg = self.telemetry.registry
+        reg.release(self)
+        with reg.owned_by(self):
+            for engine in self.engines.values():
+                engine.attach_telemetry(self.telemetry)
 
 
 def _pack_vectors(vectors: list):
@@ -950,17 +958,16 @@ class ShardSupervisor:
         self._blames: dict[tuple[int, int], int] = {}
         self._poison_engine: FeatureEngine | None = None
         self._poison_cg: set = set()
-        self._t_restarts = None
-        self._t_redispatched = None
-        self._t_poison = None
         self._t_restart_hist = None
 
     def attach_telemetry(self, telemetry) -> None:
         from repro.core.telemetry import DEFAULT_LATENCY_BOUNDS_NS
         reg = telemetry.registry
-        self._t_restarts = reg.counter("supervisor.restarts")
-        self._t_redispatched = reg.counter("supervisor.redispatched")
-        self._t_poison = reg.counter("supervisor.poison_batches")
+        reg.counter_source("supervisor.restarts", lambda: self.restarts)
+        reg.counter_source("supervisor.redispatched",
+                           lambda: self.redispatched)
+        reg.counter_source("supervisor.poison_batches",
+                           lambda: len(self.poison))
         self._t_restart_hist = reg.histogram("supervisor.restart_ns",
                                              DEFAULT_LATENCY_BOUNDS_NS)
 
@@ -1014,8 +1021,6 @@ class ShardSupervisor:
             attempts += 1
             cluster._respawn(worker)
             self.restarts += 1
-            if self._t_restarts is not None:
-                self._t_restarts.inc()
             try:
                 return self._replay(worker, careful, capture_seq)
             except ExecutorError as exc:
@@ -1075,8 +1080,6 @@ class ShardSupervisor:
                               deadline=cluster._op_deadline())
         w.reply(deadline=cluster._op_deadline())
         self.redispatched += replayed
-        if self._t_redispatched is not None and replayed:
-            self._t_redispatched.inc(replayed)
         return captured
 
     def _blame_seq(self, worker: int, seq: int) -> bool:
@@ -1135,8 +1138,6 @@ class ShardSupervisor:
             # "what led up to this" context of the blame decision.
             "flight": flightrec.snapshot(last=16),
         })
-        if self._t_poison is not None:
-            self._t_poison.inc()
 
     def _ensure_poison_engine(self) -> FeatureEngine:
         if self._poison_engine is None:
@@ -1179,7 +1180,9 @@ class ShardSupervisor:
 
 class _ShardEngineProxy:
     """Read-only stand-in for ``cluster.engines[i]``: the engine itself
-    lives in a worker, so stat reads quiesce the dispatch path first."""
+    lives in a worker, so reads quiesce the dispatch path first and
+    answer from one gather of every shard's ``stats``, ``counters()``
+    and ``table_stats()``."""
 
     def __init__(self, cluster: "ShardedCluster", shard: int) -> None:
         self._cluster = cluster
@@ -1187,7 +1190,13 @@ class _ShardEngineProxy:
 
     @property
     def stats(self) -> EngineStats:
-        return self._cluster._fetch_stats()[self.shard]
+        return self._cluster._fetch_stats()[self.shard][0]
+
+    def counters(self) -> dict:
+        return dict(self._cluster._fetch_stats()[self.shard][1])
+
+    def table_stats(self) -> dict:
+        return dict(self._cluster._fetch_stats()[self.shard][2])
 
     def __repr__(self) -> str:
         return (f"<_ShardEngineProxy shard={self.shard} "
@@ -1253,7 +1262,9 @@ class ShardedCluster(ClusterBase):
         self._owner_of = np.array(self._owner, np.int64)
         self.batches_dispatched = 0
         self.events_dispatched = 0
-        self._stats_cache = {s: EngineStats() for s in range(n_nics)}
+        # Per shard (stats, counters(), table_stats()), as last gathered.
+        self._stats_cache = {s: (EngineStats(), {}, {})
+                             for s in range(n_nics)}
         self._final_vectors: list[FeatureVector] | None = None
         self._closed = False
         # Supervision (process backend by default): per-request
@@ -1266,13 +1277,7 @@ class ShardedCluster(ClusterBase):
         # Telemetry (attach_telemetry): coordinator-side dispatch
         # instruments plus cached per-worker metric snapshots.
         self._t_tracer = None
-        self._t_batches = None
-        self._t_events = None
         self._t_chunk_events = None
-        self._t_tbytes = None
-        self._t_tframes = None
-        self._t_fallback = None
-        self._t_parked = None
         self._snapshots_cache: list[dict] = []
         self._telemetry_on = False
         self._telemetry_config = None
@@ -1299,15 +1304,16 @@ class ShardedCluster(ClusterBase):
         reg = telemetry.registry
         self._t_tracer = (telemetry.tracer if telemetry.tracer.active
                           else None)
-        self._t_batches = reg.counter("dispatch.batches")
-        self._t_events = reg.counter("dispatch.events")
         self._t_chunk_events = reg.histogram("dispatch.chunk.events",
                                              DEFAULT_COUNT_BOUNDS)
-        self._t_failovers = reg.counter("cluster.failovers")
-        self._t_tbytes = reg.counter("transport.bytes")
-        self._t_tframes = reg.counter("transport.frames")
-        self._t_fallback = reg.counter("transport.fallback_chunks")
-        self._t_parked = reg.counter("transport.parked_frames")
+        for name, attr in (("dispatch.batches", "batches_dispatched"),
+                           ("dispatch.events", "events_dispatched"),
+                           ("cluster.failovers", "failovers"),
+                           ("transport.bytes", "bytes_shipped"),
+                           ("transport.frames", "frames_shipped"),
+                           ("transport.fallback_chunks", "fallback_chunks"),
+                           ("transport.parked_frames", "parked_frames")):
+            reg.counter_source(name, lambda a=attr: getattr(self, a))
         for index, ring in enumerate(self._rings):
             if ring is None:
                 continue
@@ -1438,8 +1444,6 @@ class ShardedCluster(ClusterBase):
             tracer.record("transport.encode", start, time.perf_counter_ns())
         if pickled:
             self.fallback_chunks += 1
-            if self._t_fallback is not None:
-                self._t_fallback.inc()
             flightrec.record("transport.fallback", worker=worker,
                              events=hi - lo)
         kind = self._wire_kind(worker, payload)
@@ -1450,9 +1454,7 @@ class ShardedCluster(ClusterBase):
             tracer.record("shard.dispatch", start, time.perf_counter_ns())
         self.batches_dispatched += 1
         self.events_dispatched += hi - lo
-        if self._t_batches is not None:
-            self._t_batches.inc()
-            self._t_events.inc(hi - lo)
+        if self._t_chunk_events is not None:
             self._t_chunk_events.observe(hi - lo)
 
     def _post_batch(self, worker: int, kind: str, payload: bytes) -> None:
@@ -1512,8 +1514,6 @@ class ShardedCluster(ClusterBase):
                                                deadline, ctx):
                 pending.append((seq, payload, ctx))
                 self.parked_frames += 1
-                if self._t_parked is not None:
-                    self._t_parked.inc()
             self._drain_pending(worker, deadline=deadline, block=(
                 not lazy or len(pending) > _PENDING_LIMIT))
             return
@@ -1521,9 +1521,6 @@ class ShardedCluster(ClusterBase):
         self._drain_pending(worker, deadline=deadline)
         self.frames_shipped += 1
         self.bytes_shipped += len(payload)
-        if self._t_tframes is not None:
-            self._t_tframes.inc()
-            self._t_tbytes.inc(len(payload))
         msg = (("oframe", seq, payload) if ctx is None
                else ("oframe", seq, payload, ctx))
         self._workers[worker].post(msg, deadline=deadline)
@@ -1546,9 +1543,6 @@ class ShardedCluster(ClusterBase):
         ring.next_seq += 1
         self.frames_shipped += 1
         self.bytes_shipped += len(payload)
-        if self._t_tframes is not None:
-            self._t_tframes.inc()
-            self._t_tbytes.inc(len(payload))
         self._workers[worker].post(("frame", seq), deadline=deadline)
         return True
 
@@ -1869,7 +1863,7 @@ class ShardedCluster(ClusterBase):
 
     # -- observability --------------------------------------------------------
 
-    def _fetch_stats(self) -> dict[int, EngineStats]:
+    def _fetch_stats(self) -> dict[int, tuple]:
         if not self._closed:
             self._stats_cache = self._gather(("stats",))
         return self._stats_cache
@@ -1881,7 +1875,7 @@ class ShardedCluster(ClusterBase):
 
     def _engine_stats(self) -> list[EngineStats]:
         stats = self._fetch_stats()
-        return [stats[s] for s in range(self.n_nics)]
+        return [stats[s][0] for s in range(self.n_nics)]
 
     def transport_report(self) -> dict:
         """How dispatch batches actually crossed the worker boundary:

@@ -70,16 +70,13 @@ class SuperFERuntime:
     def _install(self, extractor) -> None:
         """Make ``extractor`` (a privately owned
         :class:`~repro.api.Extractor`) the running deployment."""
-        if extractor.telemetry is not None:
-            # The gauge sources of the outgoing graph reference stages
-            # about to be replaced; the new graph re-registers its own.
-            # Counters/histograms persist across swaps (monotonic, as a
-            # control plane expects).
-            extractor.telemetry.registry.clear_gauge_sources()
         # Release the outgoing graph's workers before forking the
         # replacement; the incoming policy is already compiled, so a
         # rejected policy never reaches this point and a failed build
-        # leaves no half-dead pool behind.
+        # leaves no half-dead pool behind.  Closing the graph also
+        # retires its telemetry sources: counters keep their totals
+        # across swaps (monotonic, as a control plane expects), and the
+        # new graph registers its own gauges.
         if self.dataplane is not None:
             self.dataplane.close()
             self._extractor.close()

@@ -9,7 +9,9 @@ This module is the full observability layer on top of that convention:
 - **Typed instruments** — :class:`Counter`, :class:`Gauge`,
   :class:`Histogram` (fixed bucket bounds, p50/p90/p99 estimates) and a
   windowed :class:`Rate`, registered by dotted name in one
-  :class:`MetricsRegistry` per process.
+  :class:`MetricsRegistry` per process.  Counters and gauges are
+  *sources* reading the stages' own counts at snapshot time, released
+  with the graph that registered them.
 - **Spans** — :class:`Tracer` stamps ``perf_counter_ns`` intervals for
   sampled packets and amortized stage work (MGPV evictions, link
   retransmits, engine reduces, shard dispatch/merge), feeding per-stage
@@ -23,16 +25,12 @@ This module is the full observability layer on top of that convention:
   cluster-wide truth.
 - **Exporters** — :func:`write_jsonl`, :func:`prometheus_text`, and
   :func:`render_dashboard` (the ``superfe telemetry`` view).
-
-The registry coexists with the ``counters()`` convention rather than
-replacing it wholesale: :meth:`MetricsRegistry.as_counters` renders a
-snapshot in the nested per-stage shape ``DeltaPoller`` /
-``degradation_report`` / ``render_counters`` already consume.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from bisect import bisect_left
 from collections import deque
 from contextlib import contextmanager
@@ -104,9 +102,6 @@ class Gauge:
 
     def set(self, value) -> None:
         self.value = value
-
-    def add(self, delta) -> None:
-        self.value += delta
 
     def snapshot(self):
         return self.value
@@ -258,11 +253,18 @@ class MetricsRegistry:
 
     ``counter`` / ``gauge`` / ``histogram`` / ``rate`` are get-or-create;
     registering one name under two kinds (or one histogram name with
-    different bounds) raises :class:`TelemetryError`.  ``gauge_source``
-    registers a zero-argument callable evaluated at snapshot time —
-    how stages export levels (resident groups, table occupancy) without
-    pushing updates on the hot path.  Multiple sources may share a name;
-    their values sum (the additive-across-shards gauge convention).
+    different bounds) raises :class:`TelemetryError`.
+
+    ``counter_source`` / ``gauge_source`` register a zero-argument
+    callable reading a stage's own count or level at snapshot time, so
+    the registry holds no second copy and the data path pushes nothing.
+    Same-named sources sum (the additive-across-shards convention).  A
+    source belongs to the owner of the enclosing :meth:`owned_by` block
+    (a graph, a shard worker's engine set); :meth:`release` retires the
+    owner's sources, keeping each counter's final reading in its
+    monotonic total.  Registration, release and snapshot hold one lock,
+    so an ops thread's snapshot never sees a source both live and in
+    its total.
     """
 
     def __init__(self) -> None:
@@ -270,7 +272,11 @@ class MetricsRegistry:
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         self._rates: dict[str, Rate] = {}
-        self._gauge_sources: list[tuple[str, Callable[[], float]]] = []
+        # owner -> [(is_counter, name, fn)]; None owns what is
+        # registered outside any owned_by block.
+        self._sources: dict[object, list[tuple[bool, str, Callable]]] = {}
+        self._owner = None
+        self._lock = threading.Lock()
 
     def _check_name(self, name: str, own: dict) -> None:
         for kind, table in (("counter", self._counters),
@@ -314,66 +320,59 @@ class MetricsRegistry:
             inst = self._rates[name] = Rate(name, window_ns)
         return inst
 
-    def gauge_source(self, name: str, fn: Callable[[], float]) -> None:
-        self._check_name(name, self._gauges)
-        self._gauge_sources.append((name, fn))
+    # -- sources --------------------------------------------------------------
 
-    def clear_gauge_sources(self) -> None:
-        """Drop registered gauge sources.  Hot swap replaces the graph;
-        the callables close over stages that no longer exist, while
-        counters/histograms stay (monotonic across swaps)."""
-        self._gauge_sources.clear()
+    @contextmanager
+    def owned_by(self, owner):
+        """Sources registered inside the block belong to ``owner``."""
+        outer, self._owner = self._owner, owner
+        try:
+            yield
+        finally:
+            self._owner = outer
+
+    def _add_source(self, is_counter: bool, name: str, fn) -> None:
+        with self._lock:
+            self._sources.setdefault(self._owner, []).append(
+                (is_counter, name, fn))
+
+    def counter_source(self, name: str, fn: Callable[[], int]) -> None:
+        """Count ``name`` as ``fn()``, a stage's own monotonic count."""
+        self.counter(name)
+        self._add_source(True, name, fn)
+
+    def gauge_source(self, name: str, fn: Callable[[], float]) -> None:
+        """Read the level ``name`` as ``fn()`` at snapshot time."""
+        self._check_name(name, self._gauges)
+        self._add_source(False, name, fn)
+
+    def release(self, owner) -> None:
+        """Retire ``owner``'s sources: counters keep their final
+        readings in their totals, gauges go.  Idempotent."""
+        with self._lock:
+            for is_counter, name, fn in self._sources.pop(owner, ()):
+                if is_counter:
+                    self._counters[name].value += fn()
 
     # -- export ---------------------------------------------------------------
 
     def snapshot(self) -> dict:
         """A plain-data (JSON-able, picklable) view of every instrument;
         the unit :func:`merge_snapshots` operates on."""
-        gauges = {name: g.snapshot() for name, g in self._gauges.items()}
-        for name, fn in self._gauge_sources:
-            gauges[name] = gauges.get(name, 0) + fn()
+        with self._lock:
+            counters = {n: c.snapshot() for n, c in self._counters.items()}
+            gauges = {n: g.snapshot() for n, g in self._gauges.items()}
+            for sources in self._sources.values():
+                for is_counter, name, fn in sources:
+                    values = counters if is_counter else gauges
+                    values[name] = values.get(name, 0) + fn()
         return {
-            "counters": {n: c.snapshot()
-                         for n, c in self._counters.items()},
+            "counters": counters,
             "gauges": gauges,
             "histograms": {n: h.snapshot()
                            for n, h in self._histograms.items()},
             "rates": {n: r.snapshot() for n, r in self._rates.items()},
         }
-
-    def as_counters(self) -> dict:
-        """Compatibility shim: the snapshot rendered in the nested
-        per-stage shape of the ``counters()`` convention, so registry
-        metrics feed :class:`~repro.core.observe.DeltaPoller` /
-        :func:`~repro.core.observe.render_counters` unchanged.  Names
-        split on the first dot: ``mgpv.evictions`` lands under stage
-        ``mgpv`` as ``evictions``; histograms/rates export their scalar
-        summaries."""
-        return snapshot_as_counters(self.snapshot())
-
-
-def snapshot_as_counters(snap: Mapping) -> dict:
-    """See :meth:`MetricsRegistry.as_counters`; usable on merged
-    snapshots too."""
-    out: dict = {}
-
-    def put(name: str, value) -> None:
-        stage, _, metric = name.partition(".")
-        if not metric:
-            stage, metric = "metrics", name
-        out.setdefault(stage, {})[metric] = value
-
-    for name, value in snap.get("counters", {}).items():
-        put(name, value)
-    for name, value in snap.get("gauges", {}).items():
-        put(name, value)
-    for name, h in snap.get("histograms", {}).items():
-        put(name, {"count": h["count"], "total": h["total"],
-                   "min": h["min"] if h["min"] is not None else 0,
-                   "max": h["max"] if h["max"] is not None else 0})
-    for name, r in snap.get("rates", {}).items():
-        put(name, r["count"])
-    return out
 
 
 def _merge_two(a: Mapping, b: Mapping) -> dict:
@@ -585,10 +584,10 @@ class Tracer:
 class TelemetryConfig:
     """Knobs of one telemetry attachment.
 
-    ``sample_rate=0`` keeps metrics (counters/gauges/histograms on
-    amortized paths) but collects no spans and adds no timing calls to
-    the data path; any positive rate turns on stride-sampled
-    spans.  ``trace=True`` additionally turns on *causal* trace
+    ``sample_rate=0`` keeps metrics (counters and gauges read from the
+    stages, histograms on amortized paths) but collects no spans and
+    adds no timing calls to the data path; any positive rate turns on
+    stride-sampled spans.  ``trace=True`` additionally turns on *causal* trace
     propagation: every dispatched shard batch carries a ``(trace_id,
     parent_span_id, seq)`` context across the transport and both sides
     record ctx-tagged events that stitch into one cross-process span
@@ -866,9 +865,15 @@ def render_dashboard(snapshot: Mapping, spans: Iterable[tuple] = (),
     ``superfe telemetry`` CLI output."""
     lines = [title, "=" * len(title)]
 
-    by_stage = snapshot_as_counters(
-        {"counters": snapshot.get("counters", {}),
-         "gauges": snapshot.get("gauges", {})})
+    # ``mgpv.evictions`` lists under [mgpv] as ``evictions``; a name
+    # without a dot under [metrics].
+    by_stage: dict = {}
+    for family in ("counters", "gauges"):
+        for name, value in snapshot.get(family, {}).items():
+            stage, _, metric = name.partition(".")
+            if not metric:
+                stage, metric = "metrics", name
+            by_stage.setdefault(stage, {})[metric] = value
     if by_stage:
         lines.append("")
         lines.append("counters/gauges")

@@ -654,31 +654,29 @@ class FeatureEngine:
 
         # Telemetry instruments (attach_telemetry); None = not attached.
         self._t_tracer = None
-        self._t_records = None
-        self._t_syncs = None
         self._t_record_cells = None
-        self._t_cells_columnar = None
-        self._t_cells_per_cell = None
 
     def attach_telemetry(self, telemetry) -> None:
-        """Register the engine's typed instruments: record/sync counts,
-        the cells-per-record distribution, per-granularity table
-        occupancy gauges, and (when sampling) a span per record reduce.
+        """Register the engine's typed instruments: record/sync/cell
+        counts read from :attr:`stats`, the cells-per-record
+        distribution, per-granularity table occupancy gauges, and (when
+        sampling) a span per record reduce.
 
-        Serial engines of one cluster may share a registry — counters
-        get-or-create by name and sum naturally, keeping serial totals
-        comparable to the merged per-worker snapshots of the process
-        backend."""
+        Serial engines of one cluster may share a registry — same-named
+        sources sum, keeping serial totals comparable to the merged
+        per-worker snapshots of the process backend."""
         from repro.core.telemetry import DEFAULT_COUNT_BOUNDS
         reg = telemetry.registry
         self._t_tracer = (telemetry.tracer if telemetry.tracer.active
                           else None)
-        self._t_records = reg.counter("engine.records")
-        self._t_syncs = reg.counter("engine.syncs")
         self._t_record_cells = reg.histogram("engine.record.cells",
                                              DEFAULT_COUNT_BOUNDS)
-        self._t_cells_columnar = reg.counter("engine.cells.columnar")
-        self._t_cells_per_cell = reg.counter("engine.cells.per_cell")
+        reg.counter_source("engine.records", lambda: self.stats.records)
+        reg.counter_source("engine.syncs", lambda: self.stats.syncs)
+        reg.counter_source("engine.cells.columnar",
+                           lambda: self.stats.cells_columnar)
+        reg.counter_source("engine.cells.per_cell", lambda: (
+            self.stats.cells - self.stats.cells_columnar))
         for section, table in self._tables:
             reg.gauge_source(
                 f"engine.table.{section.granularity.name}.groups",
@@ -782,19 +780,13 @@ class FeatureEngine:
         record = isinstance(event, MGPVRecord)
         if not record and not isinstance(event, FGSync):
             raise TypeError(f"unknown event {event!r}")
-        if self._t_records is not None:
-            if record:
-                self._t_records.inc()
-                self._t_record_cells.observe(len(event.cells))
-            else:
-                self._t_syncs.inc()
+        if record and self._t_record_cells is not None:
+            self._t_record_cells.observe(len(event.cells))
         if self._columnar:
             self._raw.add(event)
             if len(self._raw) >= _RAW_EVENTS:
                 self._admit_raw()
         elif record:
-            if self._t_cells_per_cell is not None:
-                self._t_cells_per_cell.inc(len(event.cells))
             self._process_record_reference(event)
         else:
             self._stats.syncs += 1
@@ -819,9 +811,7 @@ class FeatureEngine:
             for event in batch:
                 self.consume(event)
             return ()
-        if self._t_records is not None:
-            self._t_records.inc(len(batch.rec_pos))
-            self._t_syncs.inc(len(batch.sync_pos))
+        if self._t_record_cells is not None:
             self._t_record_cells.observe_many(batch.rec_len)
         if self._raw:
             self._admit_raw()
@@ -950,8 +940,6 @@ class FeatureEngine:
                 continue
             stats.cells += hi - lo
             stats.orphan_cells += hi - lo
-            if self._t_cells_per_cell is not None:
-                self._t_cells_per_cell.inc(hi - lo)
             for meta in (zip(*(col.tolist() for col in run)) if run
                          else [()] * (hi - lo)):
                 self._demote_cell(cg_key, meta)
@@ -985,8 +973,6 @@ class FeatureEngine:
         stats = self._stats
         stats.cells += n
         stats.cells_columnar += n
-        if self._t_cells_columnar is not None:
-            self._t_cells_columnar.inc(n)
         if self._ts_idx is None:
             stamps = np.zeros(n, dtype=np.int64)
         else:

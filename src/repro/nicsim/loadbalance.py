@@ -106,7 +106,6 @@ class ClusterBase:
         self.failovers = self.restarts = self.rerouted_events = 0
         self.fg_resyncs = self.demoted_vectors = 0
         self._residual: list[FeatureVector] = []
-        self._t_failovers = None
 
     def _steer(self, events) -> tuple[EventBatch, np.ndarray, np.ndarray]:
         """``events`` as a batch, with each record's and sync's NIC."""
@@ -133,8 +132,6 @@ class ClusterBase:
             raise ValueError("cannot fail the last live NIC")
         self.alive[nic] = False
         self.failovers += 1
-        if self._t_failovers is not None:
-            self._t_failovers.inc()
 
     def _replay_mirror(self, mirror) -> None:
         """A dead NIC's FG mirror pairs, replayed as one sync batch."""
@@ -209,12 +206,12 @@ class NICCluster(ClusterBase):
                         for _ in range(n_nics)]
 
     def attach_telemetry(self, telemetry) -> None:
-        """Register the cluster's failover counter and attach every
-        engine to the same registry — same-named engine instruments are
-        shared across the bank, so they naturally hold bank-wide totals
-        (the serial counterpart of the process backend's snapshot
-        merge)."""
-        self._t_failovers = telemetry.registry.counter("cluster.failovers")
+        """Register the cluster's failover count and attach every
+        engine to the same registry — same-named engine sources sum
+        across the bank into bank-wide totals (the serial counterpart
+        of the process backend's snapshot merge)."""
+        telemetry.registry.counter_source("cluster.failovers",
+                                          lambda: self.failovers)
         for engine in self.engines:
             engine.attach_telemetry(telemetry)
 

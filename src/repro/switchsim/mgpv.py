@@ -450,21 +450,21 @@ class MGPVCache:
         # Occupancy-time integrals for buffer-efficiency reporting (Fig 14).
         self._occ_occupied = self._occ_active = 0
         # Telemetry instruments (attach_telemetry); None = not attached.
-        # Only amortized paths (evictions, syncs, aging scans, batch
-        # calls) are instrumented — the per-packet insert body is not.
-        self._t_tracer = self._t_evictions = self._t_fg_syncs = None
-        self._t_record_cells = None
+        # Only amortized paths (evictions, aging scans, batch calls) are
+        # instrumented — the per-packet insert body is not.
+        self._t_tracer = self._t_record_cells = None
 
     def attach_telemetry(self, telemetry) -> None:
-        """Register the cache's typed instruments: eviction/sync counts,
-        the cells-per-record distribution, live occupancy gauges, and
-        (when sampling) spans around scalar evictions and aging scans."""
+        """Register the cache's typed instruments: eviction/sync counts
+        read from :attr:`stats`, the cells-per-record distribution, live
+        occupancy gauges, and (when sampling) spans around scalar
+        evictions and aging scans."""
         from repro.core.telemetry import DEFAULT_COUNT_BOUNDS
         reg = telemetry.registry
         self._t_tracer = (telemetry.tracer if telemetry.tracer.active
                           else None)
-        self._t_evictions = reg.counter("mgpv.evictions")
-        self._t_fg_syncs = reg.counter("mgpv.fg_syncs")
+        reg.counter_source("mgpv.evictions", lambda: self.stats.records_out)
+        reg.counter_source("mgpv.fg_syncs", lambda: self.stats.syncs_out)
         self._t_record_cells = reg.histogram("mgpv.record.cells",
                                              DEFAULT_COUNT_BOUNDS)
         reg.gauge_source("mgpv.resident_groups",
@@ -776,9 +776,7 @@ class MGPVCache:
                             + n_sync * (2 + cfg.fg_key_bytes))
         for name, k in zip(REASONS, np.bincount(reason, minlength=5).tolist()):
             stats.evictions[name] += k
-        if self._t_evictions is not None:
-            self._t_evictions.inc(n_rec)
-            self._t_fg_syncs.inc(n_sync)
+        if self._t_record_cells is not None:
             self._t_record_cells.observe_many(counts)
         return EventBatch(
             list(map(self._keys.__getitem__, ids[rank].tolist())),
@@ -971,8 +969,6 @@ class MGPVCache:
                 events.append(FGSync(fg_idx, self._keys[fg_id]))
                 self.stats.syncs_out += 1
                 self.stats.bytes_out += 2 + self.config.fg_key_bytes
-                if self._t_fg_syncs is not None:
-                    self._t_fg_syncs.inc()
         self._v_last[slot] = ts
         cells = self._cells[slot]
         cells.append(cell)
@@ -1018,8 +1014,7 @@ class MGPVCache:
         stats.bytes_out += (cfg.record_header_bytes + cfg.cg_key_bytes
                             + len(cells) * cfg.cell_bytes)
         stats.evictions[reason] += 1
-        if self._t_evictions is not None:
-            self._t_evictions.inc()
+        if self._t_record_cells is not None:
             self._t_record_cells.observe(len(cells))
         return MGPVRecord(self._keys[self._v_key[slot]], self._v_hash[slot],
                           tuple(cells), reason)

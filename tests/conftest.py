@@ -1,5 +1,6 @@
 """Shared fixtures: small deterministic traces and common policies."""
 
+import json
 import os
 from dataclasses import asdict
 from unittest import mock
@@ -52,6 +53,21 @@ def engine_ledger(sink) -> list:
             for engine in getattr(sink, "engines", [sink])]
 
 
+def shape_free_counters(dataplane) -> dict:
+    """``dataplane.counters()`` as plain data without the sharded
+    cluster's ledgers that depend on the call shape by design: the
+    ``dispatch`` ledger (frames cut per call) reduced to its event
+    count, and the supervisor's ``journal_entries`` (one per frame)
+    dropped.  Every other counter stays exact."""
+    counters = json.loads(json.dumps(dataplane.counters()))
+    cluster = counters.get("cluster", {})
+    dispatch = cluster.pop("dispatch", None)
+    if dispatch is not None:
+        cluster["events_dispatched"] = dispatch["events"]
+    cluster.get("supervisor", {}).pop("journal_entries", None)
+    return counters
+
+
 def inline_cluster(extractor, workers: int = 2, **execution):
     """Rewire ``extractor`` (compiled with ``n_nics > 1``) so every
     dataplane it builds — for ``run``, ``stream`` or ``dataplane()`` —
@@ -70,7 +86,8 @@ def inline_cluster(extractor, workers: int = 2, **execution):
             ctx=build["ctx"], **{k: build[k] for k in (
                 "placement", "table_indices", "table_width")})
         if graph.telemetry is not None:
-            cluster.attach_telemetry(graph.telemetry)
+            with graph.telemetry.registry.owned_by(graph):
+                cluster.attach_telemetry(graph.telemetry)
         graph.sink = graph.stages[-1] = cluster
         return graph
 

@@ -224,7 +224,7 @@ class TestWorkerFaultValidation:
         plan = FaultPlan(actions=(
             FaultAction(kind="worker_crash", at_packet=0, worker=0),))
         with pytest.raises(FaultPlanError, match="executor workers"):
-            api.compile(flow_policy, n_nics=2,
+            api.compile(flow_policy, n_nics=2, execution=ExecutionConfig(),
                         fault_plan=plan).run(packets)
 
     def test_crash_needs_supervision(self, flow_policy, packets):

@@ -44,7 +44,11 @@ from repro.net.trace import generate_trace
 from repro.nicsim.loadbalance import NICCluster
 from repro.switchsim.filter import FilterStage
 from repro.switchsim.mgpv import MGPVCache, MGPVConfig
-from tests.conftest import inline_cluster, reference_drive
+from tests.conftest import (
+    inline_cluster,
+    reference_drive,
+    shape_free_counters,
+)
 
 GOLDEN = Path(__file__).with_name("golden_per_packet_loop.json")
 STAGE_SPANS = ("stage.switch", "stage.link", "stage.sink")
@@ -231,8 +235,8 @@ def faulted_run(sink: str, chunk: int | None) -> tuple:
     """Two halves of the trace through a 4-NIC graph under
     :func:`four_nic_plan`: per event (``chunk`` None) or as
     ``process`` calls of ``chunk`` packets.  Returns the vectors'
-    checksum, the counters (the sharded cluster's call-shape dispatch
-    ledger reduced to its event count) and the link's ``busy_ns`` bits."""
+    checksum, the counters (:func:`shape_free_counters`) and the link's
+    ``busy_ns`` bits."""
     ex = api.compile(flow_policy(), n_nics=4,
                      mgpv_config=MGPVConfig(n_short=256, short_size=2,
                                             n_long=32, long_size=4,
@@ -254,11 +258,7 @@ def faulted_run(sink: str, chunk: int | None) -> tuple:
             dataplane.process(part[lo:lo + chunk])
     vectors = dataplane.flush()
     dataplane.close()
-    counters = json.loads(json.dumps(dataplane.counters()))
-    dispatch = counters["cluster"].pop("dispatch", None)
-    if dispatch is not None:
-        counters["cluster"]["events_dispatched"] = dispatch["events"]
-    return (vectors_checksum(vectors), counters,
+    return (vectors_checksum(vectors), shape_free_counters(dataplane),
             dataplane.link.busy_ns.hex())
 
 

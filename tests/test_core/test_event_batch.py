@@ -29,6 +29,7 @@ from repro import pktstream
 from repro.bench.parallel import vectors_checksum
 from repro.core.dataplane import Dataplane, LinkConfig, NullSink
 from repro.core.granularity import FLOW, HOST, SOCKET
+from repro.core.parallel import ExecutionConfig
 from repro.core.transport import apply_frame, encode_rows
 from repro.net.packet import PROTO_TCP, Packet, PacketBatch
 from repro.net.trace import generate_trace
@@ -40,7 +41,7 @@ from repro.switchsim.mgpv import (
     MGPVConfig,
     MGPVRecord,
 )
-from tests.conftest import reference_drive
+from tests.conftest import reference_drive, shape_free_counters
 
 
 def flow_policy():
@@ -108,9 +109,9 @@ sweep = dict(
 @settings(max_examples=6, deadline=None)
 def test_batch_path_equals_per_event_path(trace, config, chain, step,
                                           n_nics, fail, squeeze):
-    """Switch events, every stage counter, the link's ``busy_ns`` bits
-    and the vectors are the per-event path's, on a serial cluster with
-    or without a failed NIC."""
+    """Switch events, every stage counter (:func:`shape_free_counters`),
+    the link's ``busy_ns`` bits and the vectors are the per-event
+    path's, on a cluster with or without a failed NIC."""
     compiled = api.compile(chain_policy() if chain
                            else flow_policy()).compiled
     pkts = packets(trace)
@@ -122,7 +123,7 @@ def test_batch_path_equals_per_event_path(trace, config, chain, step,
         if fail and n_nics > 1:
             dp.cluster.fail_nic(2)
         vectors = drive(dp, pkts, batch_step, squeeze_at)
-        runs.append((dp.counters(), dp.link.busy_ns.hex(),
+        runs.append((shape_free_counters(dp), dp.link.busy_ns.hex(),
                      vectors_checksum(vectors)))
     assert runs[0] == runs[1]
 
@@ -180,7 +181,7 @@ def test_lossy_link_batch_run_equals_per_event_run(link):
         dp = Dataplane.build(compiled, mgpv_config=cfg, n_nics=4,
                              link_config=link)
         vectors = drive(dp, pkts, step, None)
-        runs.append((dp.counters(), dp.link.busy_ns.hex(),
+        runs.append((shape_free_counters(dp), dp.link.busy_ns.hex(),
                      vectors_checksum(vectors)))
     assert runs[0] == runs[1]
     assert runs[0][0]["link"]["drops_injected"] > 0
@@ -244,7 +245,8 @@ def test_probe_transport_call_sequence():
     verbatim: two link batches concatenated with ``+=``, iterated as
     event objects into wire rows that ``encode_rows`` must accept."""
     spec_packets = generate_trace("ENTERPRISE", n_flows=200, seed=1)[:1000]
-    with api.compile(flow_policy(), n_nics=4) as serial:
+    with api.compile(flow_policy(), n_nics=4,
+                     execution=ExecutionConfig()) as serial:
         dp = serial.dataplane()
         prefix = api.PacketBatch(PacketBatch.from_packets(spec_packets).data)
         admitted = prefix.compress(dp.filter.admit_batch(prefix))

@@ -2,9 +2,13 @@
 rate-window edge cases, snapshot merge associativity (property-tested),
 tracer sampling, exporters, and cross-backend aggregate equality."""
 
+import gc
 import io
 import json
 import pickle
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -28,7 +32,6 @@ from repro.core.telemetry import (
     prometheus_text,
     read_jsonl,
     render_dashboard,
-    snapshot_as_counters,
     write_jsonl,
 )
 from repro.net.trace import generate_trace
@@ -153,26 +156,65 @@ class TestRegistry:
 
     def test_gauge_sources_sum_at_snapshot(self):
         reg = MetricsRegistry()
-        reg.gauge_source("depth", lambda: 3)
+        graph = object()
+        with reg.owned_by(graph):
+            reg.gauge_source("depth", lambda: 3)
         reg.gauge_source("depth", lambda: 4)
         assert reg.snapshot()["gauges"]["depth"] == 7
-        reg.clear_gauge_sources()
+        reg.release(graph)
+        assert reg.snapshot()["gauges"]["depth"] == 4
+        reg.release(None)
         assert "depth" not in reg.snapshot()["gauges"]
 
-    def test_as_counters_shim_nests_by_stage(self):
+    def test_released_counter_sources_keep_their_totals(self):
         reg = MetricsRegistry()
-        reg.counter("mgpv.evictions").inc(5)
-        reg.gauge("link.queue_depth").set(2)
-        reg.histogram("link.batch.bytes", (64,)).observe(48)
-        reg.rate("engine.records").record(10, n=3)
-        reg.counter("bare").inc()
-        nested = reg.as_counters()
-        assert nested["mgpv"] == {"evictions": 5}
-        assert nested["link"]["queue_depth"] == 2
-        assert nested["link"]["batch.bytes"] == {
-            "count": 1, "total": 48, "min": 48, "max": 48}
-        assert nested["engine"]["records"] == 3
-        assert nested["metrics"]["bare"] == 1
+        counts = {"a": 3, "b": 4}
+        for owner in counts:
+            with reg.owned_by(owner):
+                reg.counter_source("records", lambda o=owner: counts[o])
+        assert reg.snapshot()["counters"]["records"] == 7
+        reg.release("a")
+        counts["a"] = 100               # a released source is not read
+        counts["b"] = 5
+        assert reg.snapshot()["counters"]["records"] == 8
+        reg.release("b")
+        reg.release("b")                # idempotent
+        assert reg.snapshot()["counters"]["records"] == 8
+        with pytest.raises(TelemetryError):
+            reg.gauge_source("records", lambda: 0)
+
+    def test_snapshots_race_registration_and_release(self):
+        """An ops thread's snapshots while graphs come and go: each
+        source counts once — never both live and in its total — and a
+        snapshot never trips over the source table changing."""
+        reg = MetricsRegistry()
+        registered = [0]
+
+        def churn():
+            for owner in range(3000):
+                registered[0] = owner + 1
+                with reg.owned_by(owner):
+                    reg.counter_source("n", lambda: 1)
+                    reg.gauge_source("live", lambda: 1)
+                reg.release(owner)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread = threading.Thread(target=churn)
+            thread.start()
+            last = 0
+            while thread.is_alive():
+                snap = reg.snapshot()
+                n = snap["counters"].get("n", 0)
+                assert last <= n <= registered[0]
+                assert snap["gauges"].get("live", 0) <= 1
+                last = n
+            thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert reg.snapshot()["counters"]["n"] == 3000
 
 
 # One registry's worth of activity, as data: counter increments,
@@ -231,13 +273,6 @@ class TestMerge:
         rb.histogram("h", (1, 3)).observe(1)
         with pytest.raises(TelemetryError):
             merge_snapshots(ra.snapshot(), rb.snapshot())
-
-    def test_merged_totals_survive_the_counters_shim(self):
-        ra, rb = MetricsRegistry(), MetricsRegistry()
-        ra.counter("engine.records").inc(3)
-        rb.counter("engine.records").inc(4)
-        merged = merge_snapshots(ra.snapshot(), rb.snapshot())
-        assert snapshot_as_counters(merged)["engine"]["records"] == 7
 
 
 class TestTracer:
@@ -320,11 +355,12 @@ class TestExporters:
         assert "superfe_engine_records_total 3" in text
 
     def test_dashboard_mentions_everything(self):
-        text = render_dashboard(self.make_snapshot(),
-                                spans=[("s", 0, 1)], title="t")
+        snap = merge_snapshots(self.make_snapshot(),
+                               {"counters": {"bare": 1}})
+        text = render_dashboard(snap, spans=[("s", 0, 1)], title="t")
         for needle in ("t", "[mgpv]", "evictions", "queue_depth",
                        "span.stage.switch", "engine.records",
-                       "spans collected: 1"):
+                       "[metrics]", "bare", "spans collected: 1"):
             assert needle in text
 
 
@@ -489,3 +525,34 @@ def test_registry_counters_equal_the_stage_counts(backend):
     assert ("dispatch.batches" in counts) == (backend != "serial")
     assert counts.get("supervisor.restarts", 1) >= 1
     assert ("supervisor.restarts" in counts) == (backend == "process")
+
+
+def test_finished_runs_leave_the_registry():
+    """Three ``run()`` calls on one registry: no finished run's switch,
+    link or engine stays reachable, no gauge of a closed graph is left,
+    the counters keep every run's total, and a live graph's table gauge
+    counts its own groups only."""
+    packets = generate_trace("ENTERPRISE", n_flows=40, seed=3)
+    tel = Telemetry()
+    ex = api.compile(flow_policy(), telemetry=tel)
+    stages, records = [], []
+    for _ in range(3):
+        result = ex.run(packets)
+        graph = result.dataplane
+        stages += [weakref.ref(s) for s in (graph.switch, graph.link,
+                                            graph.engine)]
+        records.append(graph.engine.stats.records)
+        del result, graph
+    gc.collect()
+    assert [ref() for ref in stages] == [None] * len(stages)
+    snap = tel.snapshot()
+    assert snap["gauges"] == {}
+    assert snap["counters"]["engine.records"] == sum(records) > 0
+    assert snap["counters"]["pipeline.packets"] == 3 * len(packets)
+
+    live = ex.dataplane()
+    live.process(packets)
+    groups = tel.snapshot()["gauges"]["engine.table.flow.groups"]
+    assert groups == live.engine.table_stats()["flow"].inserts > 0
+    live.close()
+    assert tel.snapshot()["gauges"] == {}

@@ -344,7 +344,8 @@ def _run_parallel(packets, execution, fault_plan=None):
 @pytest.fixture(scope="module")
 def trace():
     packets = generate_trace("ENTERPRISE", n_flows=40, seed=11)
-    serial = api.compile(scaling_policy(), n_nics=4).run(packets)
+    serial = api.compile(scaling_policy(), n_nics=4,
+                         execution=ExecutionConfig()).run(packets)
     return packets, vectors_checksum(serial.vectors)
 
 

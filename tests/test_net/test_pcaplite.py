@@ -2,11 +2,19 @@
 
 import struct
 
+import numpy as np
 import pytest
 
-from repro.net.packet import PROTO_ICMP, PROTO_TCP, PROTO_UDP, Packet
+from repro.net.packet import (
+    PROTO_ICMP,
+    PROTO_TCP,
+    PROTO_UDP,
+    Packet,
+    PacketBatch,
+)
 from repro.net.pcaplite import (
     TruncatedPcapWarning,
+    read_batches,
     read_pcap,
     write_pcap,
 )
@@ -118,3 +126,37 @@ def test_microsecond_pcap_read(tmp_path):
     pkts = read_pcap(str(path))
     assert len(pkts) == 1
     assert pkts[0].tstamp == 1_000_000_000 + 500 * 1000
+
+
+@pytest.mark.parametrize("batch_size", [1, 97, 100_000])
+def test_read_batches_concatenate_to_read_pcap(tmp_path, batch_size):
+    """The chunks are ``read_pcap``'s packets as batch rows, in order,
+    each of ``batch_size`` rows but the last."""
+    path = str(tmp_path / "b.pcap")
+    write_pcap(path, generate_trace("ENTERPRISE", n_flows=20, seed=4))
+    want = PacketBatch.from_packets(read_pcap(path)).data
+    chunks = list(read_batches(path, batch_size))
+    assert [len(c) for c in chunks[:-1]] == [batch_size] * (len(chunks) - 1)
+    assert 0 < len(chunks[-1]) <= batch_size
+    got = np.concatenate([c.data for c in chunks])
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_read_batches_truncated_record_warns_and_keeps_prefix(tmp_path):
+    pkts = [Packet(1, 100, 1, 2, 1, 2, PROTO_TCP),
+            Packet(2, 100, 3, 4, 5, 6, PROTO_TCP)]
+    path = tmp_path / "trunc.pcap"
+    write_pcap(str(path), pkts)
+    path.write_bytes(path.read_bytes()[:-5])
+    with pytest.warns(TruncatedPcapWarning, match="captured bytes"):
+        chunks = list(read_batches(str(path), 4))
+    assert [len(c) for c in chunks] == [1]
+    assert chunks[0].data.tobytes() == PacketBatch.from_packets(
+        pkts[:1]).data.tobytes()
+
+
+def test_read_batches_rejects_empty_batches(tmp_path):
+    path = str(tmp_path / "e.pcap")
+    write_pcap(path, [Packet(1, 100, 1, 2, 1, 2, PROTO_TCP)])
+    with pytest.raises(ValueError, match="batch_size"):
+        next(read_batches(path, 0))
