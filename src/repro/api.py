@@ -46,6 +46,8 @@ __all__ = ["Extractor", "FeatureFrame", "OpsServer", "PacketBatch",
 #: applies backpressure to the source, ``shed`` drops the whole batch,
 #: ``degrade`` thins the batch to a sample and blocks for the rest.
 OVERLOAD_POLICIES = ("block", "shed", "degrade")
+#: ``degrade`` keeps every ``DEGRADE_STRIDE``-th packet of a batch.
+DEGRADE_STRIDE = 8
 
 
 def _resolve_telemetry(telemetry) -> Telemetry | None:
@@ -151,7 +153,7 @@ class _StreamSession:
     iterates) drains it through the dataplane.  When the queue is full
     the ``overload`` policy decides: ``block`` (backpressure the
     source), ``shed`` (drop the chunk, count it), or ``degrade`` (keep
-    every ``degrade_stride``-th packet, drop the rest).  ``deadline_s``
+    every :data:`DEGRADE_STRIDE`-th packet, drop the rest).  ``deadline_s``
     bounds each batch: under the supervised process backend the
     deadline propagates to every worker operation, so an overrunning
     batch surfaces as a stalled-worker restart instead of an unbounded
@@ -163,11 +165,10 @@ class _StreamSession:
 
     def __init__(self, dataplane: Dataplane, telemetry, batch_size: int,
                  queue_batches: int, overload: str,
-                 deadline_s: float | None, degrade_stride: int) -> None:
+                 deadline_s: float | None) -> None:
         self.batch_size = batch_size
         self.overload = overload
         self.deadline_s = deadline_s
-        self.degrade_stride = degrade_stride
         self.queue_capacity = queue_batches
         self.state = "running"
         self.batches_in = 0
@@ -185,11 +186,9 @@ class _StreamSession:
             maxsize=queue_batches)
         self._stop = threading.Event()
         self._t_depth = None
-        self._t_shed = None
         if telemetry is not None:
             reg = telemetry.registry
             self._t_depth = reg.gauge("ingest.queue_depth")
-            self._t_shed = reg.rate("ingest.shed")
             # The session's counts leave the registry with its graph.
             with reg.owned_by(dataplane):
                 reg.counter_source("ingest.batches",
@@ -198,6 +197,8 @@ class _StreamSession:
                                    lambda: self.packets_processed)
                 reg.counter_source("ingest.deadline_missed",
                                    lambda: self.deadline_missed)
+                reg.counter_source("ingest.shed", lambda: (
+                    self.shed_packets + self.degraded_packets))
 
     # -- feeder side -------------------------------------------------------
 
@@ -248,24 +249,18 @@ class _StreamSession:
         if self.overload == "shed":
             self.shed_batches += 1
             self.shed_packets += len(chunk)
-            if self._t_shed is not None:
-                self._t_shed.record(time.perf_counter_ns(),
-                                    len(chunk))
             flightrec.record("ingest.shed", packets=len(chunk),
                              batch=self.batches_in,
                              queue_depth=self._queue.qsize())
             return
         # degrade: keep a stride sample, drop the rest, and block for
         # the survivors — coverage shrinks but every group stays seen.
-        kept = chunk[::self.degrade_stride]
+        kept = chunk[::DEGRADE_STRIDE]
         self.degraded_batches += 1
         self.degraded_packets += len(chunk) - len(kept)
-        if self._t_shed is not None:
-            self._t_shed.record(time.perf_counter_ns(),
-                                len(chunk) - len(kept))
         flightrec.record("ingest.degrade", packets=len(chunk) - len(kept),
                          kept=len(kept), batch=self.batches_in,
-                         stride=self.degrade_stride)
+                         stride=DEGRADE_STRIDE)
         self._put_blocking(kept)
 
     # -- consumer side -----------------------------------------------------
@@ -485,8 +480,8 @@ class Extractor:
                batch_size: int = 1024, *,
                queue_batches: int = 8,
                overload: str = "block",
-               deadline_s: float | None = None,
-               degrade_stride: int = 8) -> Iterator[list[FeatureVector]]:
+               deadline_s: float | None = None
+               ) -> Iterator[list[FeatureVector]]:
         """Incrementally extract from a packet source.
 
         Ingestion is bounded: a feeder thread chunks ``packets`` (an
@@ -499,7 +494,7 @@ class Extractor:
         everything in the final flush).  When the queue is full the
         ``overload`` policy applies: ``block`` backpressures the
         source, ``shed`` drops whole batches, ``degrade`` keeps every
-        ``degrade_stride``-th packet of the overflowing batch.
+        :data:`DEGRADE_STRIDE`-th packet of the overflowing batch.
         ``deadline_s`` bounds each batch end to end — on the supervised
         process backend it clamps every worker operation, so a stuck
         batch becomes a worker restart, not a hang.  The dataplane is
@@ -516,11 +511,9 @@ class Extractor:
                              f"(have {', '.join(OVERLOAD_POLICIES)})")
         if deadline_s is not None and deadline_s <= 0:
             raise ValueError("deadline_s must be > 0")
-        if degrade_stride < 1:
-            raise ValueError("degrade_stride must be >= 1")
         session = _StreamSession(
             self.dataplane(), self.telemetry, batch_size, queue_batches,
-            overload, deadline_s, degrade_stride)
+            overload, deadline_s)
         self._session = session
         return session.run(packets)
 

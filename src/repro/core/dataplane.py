@@ -493,7 +493,7 @@ class PerfectSwitch:
             route = (idx, cg_key, hash_key(cg_key))
             self._fg_routes[fg_key] = route
             self._fg_keys_by_index.append(fg_key)
-            events.append(FGSync(idx, fg_key))
+            events.append(FGSync(idx, fg_key, route[2]))
         idx, cg_key, cg_hash32 = route
         cell = (idx, self._meta_accessor(pkt))
         events.append(MGPVRecord(

@@ -63,18 +63,20 @@ Supervision (process backend, on by default): the coordinator keeps a
 per-worker *journal* — the FIFO transcript of every state-mutating
 message it sent (sequence-numbered batches, clock advances, crash
 requests).  Every request carries a deadline
-(:attr:`ExecutionConfig.request_timeout_s`, ``SUPERFE_REQUEST_TIMEOUT_S``
-to override); a worker that dies (``Process.is_alive()``) or blows the
-deadline is killed and respawned by the :class:`ShardSupervisor`, which
-replays the journal into the fresh process.  Replay is the exactly-once
-mechanism: the half-applied incarnation is discarded wholesale and the
-new one receives precisely the transcript, so no batch is ever applied
-twice to surviving state and the serial-equivalence checksum stays
-green.  A batch that keeps failing (``poison_threshold`` consecutive
-blames) is quarantined: it is dropped from the journal, its events are
-salvaged through a coordinator-side engine whose output vectors are
-force-flagged ``degraded`` (the PR 2 coarse-granularity downgrade), and
-the batch is enumerated in :meth:`ShardedCluster.health`.  The journal
+(:attr:`ExecutionConfig.request_timeout_s`, default
+:data:`DEFAULT_REQUEST_TIMEOUT_S`); a worker that dies
+(``Process.is_alive()``) or blows the deadline is killed and respawned
+by the :class:`ShardSupervisor` (at most :data:`MAX_RESTARTS` times in
+a row), which replays the journal into the fresh process.  Replay is
+the exactly-once mechanism: the half-applied incarnation is discarded
+wholesale and the new one receives precisely the transcript, so no
+batch is ever applied twice to surviving state and the
+serial-equivalence checksum stays green.  A batch that keeps failing
+(:data:`POISON_THRESHOLD` consecutive blames) is quarantined: it is
+dropped from the journal, its events are salvaged through a
+coordinator-side engine whose output vectors are force-flagged
+``degraded`` (the PR 2 coarse-granularity downgrade), and the batch is
+enumerated in :meth:`ShardedCluster.health`.  The journal
 holds each frame's bytes, replayed unchanged, and grows with the event
 stream — supervision trades memory proportional to the input for the
 ability to rebuild any worker at any point.
@@ -104,7 +106,6 @@ from repro.core.tracecontext import (
     root_span_id,
 )
 from repro.core.transport import (
-    FRAME_OVERHEAD,
     TRANSPORTS,
     ShmRing,
     TransportError,
@@ -125,9 +126,21 @@ BACKENDS = ("serial", "process")
 _QUEUE_DEPTH = 128
 #: Reply timeout for *unsupervised* queue workers (the legacy bound).
 _REPLY_TIMEOUT_S = 300.0
-#: Per-request deadline under supervision when neither
-#: ``ExecutionConfig.request_timeout_s`` nor the env override is set.
+#: Per-request deadline under supervision when
+#: ``ExecutionConfig.request_timeout_s`` is unset.
 DEFAULT_REQUEST_TIMEOUT_S = 30.0
+#: The most events one frame carries: a batch call ships each worker's
+#: share in frames of this size (the dispatch amortization unit).
+DISPATCH_BATCH = 1024
+#: Per-worker shm ring capacity: a 175k-packet batch call's share, so
+#: its frames never park while the coordinator runs the switch's flush.
+RING_BYTES = 1 << 22
+#: Consecutive failed restart+replay attempts on one worker before the
+#: cluster gives up and raises.
+MAX_RESTARTS = 5
+#: Consecutive blames on the same batch before it is quarantined and
+#: salvaged as degraded coarse vectors.
+POISON_THRESHOLD = 3
 
 #: Frames the coordinator parks for one hot ring before dispatch
 #: applies backpressure (blocks for ring space) instead.
@@ -175,60 +188,42 @@ class ExecutionConfig:
 
     ``backend`` is ``"serial"`` (in-process) or ``"process"`` (forked
     shard workers).  ``workers`` is an upper bound — a cluster never
-    spawns more workers than it has shards.  ``dispatch_batch`` is the
-    amortization unit: the most events one frame carries (a batch call
-    ships each worker's share in frames of that size).  Every count knob
-    must be a plain ``int``.
+    spawns more workers than it has shards — and must be a plain
+    ``int``.
 
     Robustness knobs (supervised process backend):
 
     - ``request_timeout_s`` — per-request deadline; a worker that does
       not accept or answer within it is treated as stalled and
-      restarted.  ``None`` defers to ``SUPERFE_REQUEST_TIMEOUT_S``, then
-      to :data:`DEFAULT_REQUEST_TIMEOUT_S`.
+      restarted.  ``None`` means :data:`DEFAULT_REQUEST_TIMEOUT_S`.
     - ``supervise`` — ``None`` (default) enables supervision exactly on
       the process backend; ``False`` opts out (the pre-supervision
       behavior, used by the overhead bench); ``True`` demands it and is
       rejected on the serial backend, which has no worker to restart.
-    - ``max_restarts`` — consecutive failed restart+replay attempts on
-      one worker before the cluster gives up and raises.
-    - ``poison_threshold`` — consecutive blames on the same batch before
-      it is quarantined and salvaged as degraded coarse vectors.
 
-    Transport knobs (process backend):
-
-    - ``transport`` — how dispatch batches cross the worker boundary:
-      ``"shm"`` (shared-memory ring frames) or ``"oob"`` (the same frame
-      as one bytes payload over the queue).  ``None`` (default) defers
-      to ``SUPERFE_TRANSPORT``, then auto-selects: ``shm`` where shared
-      memory works, degrading to ``oob`` with a single warning where it
-      does not.
-    - ``ring_bytes`` — per-worker ring capacity for the shm transport
-      (4 MiB: a 175k-packet batch call's share, so its frames never
-      park while the coordinator runs the switch's flush).
+    ``transport`` (process backend) is how dispatch batches cross the
+    worker boundary: ``"shm"`` (shared-memory ring frames) or ``"oob"``
+    (the same frame as one bytes payload over the queue).  ``None``
+    (default) defers to ``SUPERFE_TRANSPORT``, then auto-selects:
+    ``shm`` where shared memory works, degrading to ``oob`` with a
+    single warning where it does not.
     """
 
     workers: int = 1
     backend: str = "serial"
-    dispatch_batch: int = 1024
     request_timeout_s: float | None = None
     supervise: bool | None = None
-    max_restarts: int = 5
-    poison_threshold: int = 3
     transport: str | None = None
-    ring_bytes: int = 1 << 22
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown execution backend "
                              f"{self.backend!r}; have {BACKENDS}")
-        for name in ("workers", "dispatch_batch", "max_restarts",
-                     "poison_threshold", "ring_bytes"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"{name} must be an int, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+        if isinstance(self.workers, bool) or not isinstance(self.workers,
+                                                            int):
+            raise TypeError(f"workers must be an int, got {self.workers!r}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if (self.request_timeout_s is not None
                 and self.request_timeout_s <= 0):
             raise ValueError(f"request_timeout_s must be > 0, "
@@ -244,9 +239,6 @@ class ExecutionConfig:
             raise ValueError(
                 f"transport={self.transport!r} needs backend='process' "
                 f"— the serial backend has no serialization boundary")
-        if self.ring_bytes < 4 * FRAME_OVERHEAD:
-            raise ValueError(f"ring_bytes must be >= "
-                             f"{4 * FRAME_OVERHEAD}, got {self.ring_bytes}")
 
     @property
     def is_parallel(self) -> bool:
@@ -259,23 +251,10 @@ class ExecutionConfig:
             return bool(self.supervise)
         return self.backend == "process"
 
-    def resolved_timeout_s(self, env=None) -> float:
+    def resolved_timeout_s(self) -> float:
         """The effective per-request deadline in seconds."""
         if self.request_timeout_s is not None:
             return self.request_timeout_s
-        env = os.environ if env is None else env
-        raw = (env.get("SUPERFE_REQUEST_TIMEOUT_S") or "").strip()
-        if raw:
-            try:
-                value = float(raw)
-            except ValueError:
-                raise ValueError(
-                    f"SUPERFE_REQUEST_TIMEOUT_S must be a number, "
-                    f"got {raw!r}") from None
-            if value <= 0:
-                raise ValueError(
-                    f"SUPERFE_REQUEST_TIMEOUT_S must be > 0, got {value}")
-            return value
         return DEFAULT_REQUEST_TIMEOUT_S
 
     @classmethod
@@ -749,7 +728,7 @@ class WorkerPool:
     def _new_ring(self, index: int) -> ShmRing | None:
         if self.transport != "shm":
             return None
-        return ShmRing(self.execution.ring_bytes, label=f"w{index}")
+        return ShmRing(RING_BYTES, label=f"w{index}")
 
     def _spawn(self, index: int, shards: tuple[int, ...]) -> None:
         ring = self._new_ring(index)
@@ -936,7 +915,7 @@ class ShardSupervisor:
        patch-up, is what makes redelivery exactly-once: the incarnation
        that may have half-applied a batch is discarded wholesale, so
        each journal entry is applied to surviving state exactly once;
-    4. a batch blamed ``poison_threshold`` consecutive times is
+    4. a batch blamed :data:`POISON_THRESHOLD` consecutive times is
        quarantined: dropped from the journal and salvaged through a
        coordinator-side engine whose vectors come back force-flagged
        ``degraded`` (coarse-granularity quality, never silent loss).
@@ -1003,7 +982,7 @@ class ShardSupervisor:
     def _restart_and_replay(self, worker: int,
                             capture_seq: int | None = None):
         cluster = self.cluster
-        budget = cluster.execution.max_restarts
+        budget = MAX_RESTARTS
         attempts = 0
         careful = False
         my_pid = os.getpid()
@@ -1093,7 +1072,7 @@ class ShardSupervisor:
             return False
         key = (worker, seq)
         self._blames[key] = self._blames.get(key, 0) + 1
-        if self._blames[key] >= self.cluster.execution.poison_threshold:
+        if self._blames[key] >= POISON_THRESHOLD:
             self._quarantine(worker, seq)
             return True
         return False
@@ -1258,7 +1237,7 @@ class ShardedCluster(ClusterBase):
         self.parked_frames = 0
         self.oversize_chunks = 0
         self._shard_events = np.zeros(n_nics, np.int64)
-        self._frame_events = execution.dispatch_batch
+        self._frame_events = DISPATCH_BATCH
         self._owner_of = np.array(self._owner, np.int64)
         self.batches_dispatched = 0
         self.events_dispatched = 0
@@ -1384,7 +1363,7 @@ class ShardedCluster(ClusterBase):
         :func:`~repro.nicsim.loadbalance.steer` each), update the
         FG-mirror ledger from the sync table, and ship each worker's
         share (:meth:`EventBatch.select`) as frames of at most
-        ``dispatch_batch`` events."""
+        :data:`DISPATCH_BATCH` events."""
         if self._closed:
             raise RuntimeError("cluster is closed")
         batch, rec_shard, sync_shard = self._steer(events)
@@ -1637,7 +1616,7 @@ class ShardedCluster(ClusterBase):
                 except ExecutorError as exc:
                     error = exc
             attempts += 1
-            if attempts > self.execution.max_restarts:
+            if attempts > MAX_RESTARTS:
                 raise error
             captured = self.supervisor.recover(worker, error,
                                                capture_seq=seq)
@@ -1898,7 +1877,7 @@ class ShardedCluster(ClusterBase):
             "queue_message_kinds": kinds,
         }
         if self._transport == "shm":
-            report["ring_bytes"] = self.execution.ring_bytes
+            report["ring_bytes"] = RING_BYTES
             report["ring_occupancy"] = [
                 ring.occupancy if ring is not None else 0
                 for ring in self._rings]

@@ -6,12 +6,12 @@ distributions (how big are evicted records? how long does a retransmit
 loop spin?) and to anything that happens inside a forked shard worker.
 This module is the full observability layer on top of that convention:
 
-- **Typed instruments** — :class:`Counter`, :class:`Gauge`,
-  :class:`Histogram` (fixed bucket bounds, p50/p90/p99 estimates) and a
-  windowed :class:`Rate`, registered by dotted name in one
-  :class:`MetricsRegistry` per process.  Counters and gauges are
-  *sources* reading the stages' own counts at snapshot time, released
-  with the graph that registered them.
+- **Typed instruments** — :class:`Counter`, :class:`Gauge` and
+  :class:`Histogram` (fixed bucket bounds, p50/p90/p99 estimates),
+  registered by dotted name in one :class:`MetricsRegistry` per
+  process.  Counters and gauges are *sources* reading the stages' own
+  counts at snapshot time, released with the graph that registered
+  them.
 - **Spans** — :class:`Tracer` stamps ``perf_counter_ns`` intervals for
   sampled packets and amortized stage work (MGPV evictions, link
   retransmits, engine reduces, shard dispatch/merge), feeding per-stage
@@ -19,10 +19,10 @@ This module is the full observability layer on top of that convention:
   tracer is inert and the dataplane keeps its PR-4 inlined hot loop —
   the overhead budget for enabled-but-unsampled telemetry is <3%.
 - **Merge** — :func:`merge_snapshots` combines registry snapshots
-  associatively (counters/gauges sum, histograms add bucket-wise, rates
-  union), which is what lets forked shard workers ship their snapshots
-  back over the result protocol and the coordinator report
-  cluster-wide truth.
+  associatively (counters/gauges sum, histograms add bucket-wise),
+  which is what lets forked shard workers ship their snapshots back
+  over the result protocol and the coordinator report cluster-wide
+  truth.
 - **Exporters** — :func:`write_jsonl`, :func:`prometheus_text`, and
   :func:`render_dashboard` (the ``superfe telemetry`` view).
 """
@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import threading
 from bisect import bisect_left
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter_ns
@@ -41,7 +40,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 __all__ = [
-    "TelemetryError", "Counter", "Gauge", "Histogram", "Rate",
+    "TelemetryError", "Counter", "Gauge", "Histogram",
     "MetricsRegistry", "merge_snapshots", "histogram_percentiles",
     "Tracer", "TelemetryConfig", "Telemetry",
     "write_jsonl", "prometheus_text", "render_dashboard",
@@ -64,6 +63,10 @@ DEFAULT_LATENCY_BOUNDS_NS = (
 #: Default bounds for small cardinality histograms (cells per record,
 #: retransmit attempts, dispatch chunk sizes).
 DEFAULT_COUNT_BOUNDS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
+
+#: Spans (and, separately, causal trace events) one tracer keeps; later
+#: ones are dropped and counted.
+MAX_SPANS = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -181,77 +184,17 @@ class Histogram:
         }
 
 
-class Rate:
-    """A windowed event rate (events/second over the trailing window).
-
-    Timestamps are explicit nanoseconds (the caller's clock — packet
-    time or ``perf_counter_ns``), never wall-clock reads, so replays are
-    deterministic.  The live window is a bounded deque; the mergeable
-    snapshot carries only associative aggregates (count, first/last).
-    """
-
-    __slots__ = ("name", "window_ns", "count", "first_ns", "last_ns",
-                 "_events")
-
-    def __init__(self, name: str, window_ns: int = 1_000_000_000,
-                 max_events: int = 4096) -> None:
-        if window_ns <= 0:
-            raise TelemetryError(f"rate {name!r} window must be positive")
-        self.name = name
-        self.window_ns = window_ns
-        self.count = 0
-        self.first_ns = None
-        self.last_ns = None
-        self._events: deque = deque(maxlen=max_events)
-
-    def record(self, now_ns: int, n: int = 1) -> None:
-        self.count += n
-        if self.first_ns is None or now_ns < self.first_ns:
-            self.first_ns = now_ns
-        if self.last_ns is None or now_ns > self.last_ns:
-            self.last_ns = now_ns
-        self._events.append((now_ns, n))
-
-    def per_second(self, now_ns: int | None = None) -> float:
-        """Events/sec over the window ending at ``now_ns`` (defaults to
-        the last recorded timestamp)."""
-        if now_ns is None:
-            now_ns = self.last_ns
-        if now_ns is None:
-            return 0.0
-        cutoff = now_ns - self.window_ns
-        while self._events and self._events[0][0] <= cutoff:
-            self._events.popleft()
-        in_window = sum(n for ts, n in self._events if ts <= now_ns)
-        return in_window * 1e9 / self.window_ns
-
-    @property
-    def lifetime_per_second(self) -> float:
-        """Events/sec over the whole observed interval."""
-        if self.first_ns is None or self.last_ns == self.first_ns:
-            return 0.0
-        return self.count * 1e9 / (self.last_ns - self.first_ns)
-
-    def snapshot(self) -> dict:
-        return {
-            "window_ns": self.window_ns,
-            "count": self.count,
-            "first_ns": self.first_ns,
-            "last_ns": self.last_ns,
-        }
-
-
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
-_KINDS = ("counters", "gauges", "histograms", "rates")
+_KINDS = ("counters", "gauges", "histograms")
 
 
 class MetricsRegistry:
     """Typed instruments registered by dotted name.
 
-    ``counter`` / ``gauge`` / ``histogram`` / ``rate`` are get-or-create;
+    ``counter`` / ``gauge`` / ``histogram`` are get-or-create;
     registering one name under two kinds (or one histogram name with
     different bounds) raises :class:`TelemetryError`.
 
@@ -271,7 +214,6 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
-        self._rates: dict[str, Rate] = {}
         # owner -> [(is_counter, name, fn)]; None owns what is
         # registered outside any owned_by block.
         self._sources: dict[object, list[tuple[bool, str, Callable]]] = {}
@@ -281,8 +223,7 @@ class MetricsRegistry:
     def _check_name(self, name: str, own: dict) -> None:
         for kind, table in (("counter", self._counters),
                             ("gauge", self._gauges),
-                            ("histogram", self._histograms),
-                            ("rate", self._rates)):
+                            ("histogram", self._histograms)):
             if table is not own and name in table:
                 raise TelemetryError(
                     f"{name!r} is already registered as a {kind}")
@@ -311,13 +252,6 @@ class MetricsRegistry:
         elif inst.bounds != tuple(bounds):
             raise TelemetryError(
                 f"histogram {name!r} re-registered with different bounds")
-        return inst
-
-    def rate(self, name: str, window_ns: int = 1_000_000_000) -> Rate:
-        inst = self._rates.get(name)
-        if inst is None:
-            self._check_name(name, self._rates)
-            inst = self._rates[name] = Rate(name, window_ns)
         return inst
 
     # -- sources --------------------------------------------------------------
@@ -371,7 +305,6 @@ class MetricsRegistry:
             "gauges": gauges,
             "histograms": {n: h.snapshot()
                            for n, h in self._histograms.items()},
-            "rates": {n: r.snapshot() for n, r in self._rates.items()},
         }
 
 
@@ -402,21 +335,6 @@ def _merge_two(a: Mapping, b: Mapping) -> dict:
             "max": (h["max"] if mine["max"] is None
                     else mine["max"] if h["max"] is None
                     else max(mine["max"], h["max"])),
-        }
-    for name, r in b.get("rates", {}).items():
-        mine = out["rates"].get(name)
-        if mine is None:
-            out["rates"][name] = dict(r)
-            continue
-        out["rates"][name] = {
-            "window_ns": mine["window_ns"],
-            "count": mine["count"] + r["count"],
-            "first_ns": (r["first_ns"] if mine["first_ns"] is None
-                         else mine["first_ns"] if r["first_ns"] is None
-                         else min(mine["first_ns"], r["first_ns"])),
-            "last_ns": (r["last_ns"] if mine["last_ns"] is None
-                        else mine["last_ns"] if r["last_ns"] is None
-                        else max(mine["last_ns"], r["last_ns"])),
         }
     return out
 
@@ -485,31 +403,26 @@ class Tracer:
     loop.  Amortized one-per-batch work (MGPV evictions, retransmit
     loops, shard merges) records unconditionally while active.
 
-    Spans are ``(name, start_ns, dur_ns)`` rows capped at ``max_spans``
-    (then dropped and counted); every recorded span also feeds the
-    ``span.<name>`` duration histogram in the registry, which is where
-    the per-stage latency percentiles come from.
+    Spans are ``(name, start_ns, dur_ns)`` rows capped at
+    :data:`MAX_SPANS` (then dropped and counted); every recorded span
+    also feeds the ``span.<name>`` duration histogram in the registry,
+    which is where the per-stage latency percentiles come from.
     """
 
     def __init__(self, registry: MetricsRegistry,
-                 sample_rate: float = 0.0,
-                 max_spans: int = 10_000) -> None:
+                 sample_rate: float = 0.0) -> None:
         if not 0.0 <= sample_rate <= 1.0:
             raise TelemetryError(
                 f"sample_rate must be in [0, 1], got {sample_rate}")
-        if max_spans < 0:
-            raise TelemetryError(
-                f"max_spans must be >= 0, got {max_spans}")
         self.registry = registry
         self.sample_rate = sample_rate
         self.stride = (0 if sample_rate <= 0.0
                        else max(1, round(1.0 / sample_rate)))
-        self.max_spans = max_spans
         self.spans: list[tuple] = []
         self.spans_dropped = 0
         #: Causal (ctx-tagged) trace events — dicts built by
         #: :func:`repro.core.tracecontext.make_event`, bounded by the
-        #: same ``max_spans`` cap as anonymous spans.
+        #: same :data:`MAX_SPANS` cap as anonymous spans.
         self.events: list[dict] = []
         self.events_dropped = 0
         self._tick = 0
@@ -542,7 +455,7 @@ class Tracer:
             hist = self.registry.histogram(f"span.{name}")
             self._span_hists[name] = hist
         hist.observe(dur)
-        if len(self.spans) < self.max_spans:
+        if len(self.spans) < MAX_SPANS:
             self.spans.append((name, start_ns, dur))
         else:
             self.spans_dropped += 1
@@ -557,7 +470,7 @@ class Tracer:
             hist = self.registry.histogram(f"span.{event['name']}")
             self._span_hists[event["name"]] = hist
         hist.observe(event["dur_ns"])
-        if len(self.events) < self.max_spans:
+        if len(self.events) < MAX_SPANS:
             self.events.append(event)
         else:
             self.events_dropped += 1
@@ -599,16 +512,12 @@ class TelemetryConfig:
     """
 
     sample_rate: float = 0.0
-    max_spans: int = 10_000
     trace: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.sample_rate <= 1.0:
             raise TelemetryError(
                 f"sample_rate must be in [0, 1], got {self.sample_rate}")
-        if self.max_spans < 0:
-            raise TelemetryError(
-                f"max_spans must be >= 0, got {self.max_spans}")
 
 
 class Telemetry:
@@ -621,8 +530,7 @@ class Telemetry:
         self.config = config or TelemetryConfig()
         self.registry = MetricsRegistry()
         self.tracer = Tracer(self.registry,
-                             sample_rate=self.config.sample_rate,
-                             max_spans=self.config.max_spans)
+                             sample_rate=self.config.sample_rate)
 
     @property
     def sampling(self) -> bool:
@@ -755,11 +663,6 @@ def prometheus_text(snapshot: Mapping) -> str:
         lines.append(f'{prom}_bucket{{le="+Inf"}} {h["count"]}')
         lines.append(f"{prom}_sum {h['total']}")
         lines.append(f"{prom}_count {h['count']}")
-    for name in sorted(snapshot.get("rates", {})):
-        r = snapshot["rates"][name]
-        prom = _prom_name(name)
-        lines.append(f"# TYPE {prom}_total counter")
-        lines.append(f"{prom}_total {r['count']}")
     return "\n".join(lines) + "\n"
 
 
@@ -771,12 +674,11 @@ def prometheus_text(snapshot: Mapping) -> str:
 class SLORule:
     """One ``metric <= limit`` threshold evaluated against a snapshot.
 
-    ``metric`` addresses the snapshot namespace directly: a counter,
-    gauge, or rate name (``supervisor.restarts``,
-    ``transport.fallback_chunks``), a percentile of a histogram via a
-    ``p50:``/``p90:``/``p99:`` prefix (``p99:span.shard.dispatch``), or
-    a caller-supplied derived scalar passed through ``extras``
-    (``shed_rate``).  A metric absent from the snapshot is *not* a
+    ``metric`` addresses the snapshot namespace directly: a counter or
+    gauge name (``supervisor.restarts``, ``transport.fallback_chunks``),
+    a percentile of a histogram via a ``p50:``/``p90:``/``p99:`` prefix
+    (``p99:span.shard.dispatch``), or a caller-supplied derived scalar
+    passed through ``extras`` (``shed_rate``).  A metric absent from the snapshot is *not* a
     breach — a rule about restarts shouldn't fire on a deployment that
     never attached a supervisor.
     """
@@ -831,9 +733,6 @@ def _slo_value(metric: str, snapshot: Mapping,
         values = snapshot.get(family, {})
         if metric in values:
             return float(values[metric])
-    rates = snapshot.get("rates", {})
-    if metric in rates:
-        return float(rates[metric]["count"])
     return None
 
 
@@ -861,8 +760,8 @@ def evaluate_slo(snapshot: Mapping, rules: Iterable[SLORule],
 def render_dashboard(snapshot: Mapping, spans: Iterable[tuple] = (),
                      title: str = "superfe telemetry") -> str:
     """Human-oriented text view of a snapshot: counters and gauges per
-    stage, latency percentiles per histogram, rate summaries — the
-    ``superfe telemetry`` CLI output."""
+    stage, latency percentiles per histogram — the ``superfe telemetry``
+    CLI output."""
     lines = [title, "=" * len(title)]
 
     # ``mgpv.evictions`` lists under [mgpv] as ``evictions``; a name
@@ -901,20 +800,6 @@ def render_dashboard(snapshot: Mapping, spans: Iterable[tuple] = (),
                 f"{name:<34} {h['count']:>8} {mean:>10.1f} "
                 f"{pct['p50']:>10} {pct['p90']:>10} {pct['p99']:>10} "
                 f"{hmax:>10}")
-
-    rates = snapshot.get("rates", {})
-    if rates:
-        lines.append("")
-        lines.append("rates")
-        lines.append("-----")
-        for name in sorted(rates):
-            r = rates[name]
-            span_ns = ((r["last_ns"] - r["first_ns"])
-                       if r["first_ns"] is not None
-                       and r["last_ns"] is not None else 0)
-            per_s = (r["count"] * 1e9 / span_ns) if span_ns else 0.0
-            lines.append(f"  {name:<32} {r['count']:>10} events"
-                         f"  ({per_s:,.0f}/s lifetime)")
 
     spans = list(spans)
     if spans:

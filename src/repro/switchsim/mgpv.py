@@ -113,10 +113,13 @@ class MGPVConfig:
 @dataclass(frozen=True)
 class FGSync:
     """Switch -> NIC notification: FG-table slot ``index`` now holds
-    ``key`` (§5.1's synchronized hash table)."""
+    ``key`` (§5.1's synchronized hash table).  ``owner_hash`` is the CG
+    hash32 of the slot's owner group when the producer held it (-1 when
+    not); it steers the sync and is no part of ``==`` or ``repr``."""
 
     index: int
     key: tuple
+    owner_hash: int = field(default=-1, compare=False, repr=False)
 
     def wire_bytes(self, config: MGPVConfig) -> int:
         return 2 + config.fg_key_bytes
@@ -157,10 +160,11 @@ class EventBuffer:
     objects (:meth:`EventBatch.of`, the engine's per-event queue).  It
     holds no object per event, nor a record's cell tuples."""
 
-    __slots__ = ("kinds", "keys", "nums", "reasons", "fg", "meta")
+    __slots__ = ("kinds", "keys", "nums", "owners", "reasons", "fg", "meta")
 
     def __init__(self) -> None:
         self.kinds, self.keys, self.nums = [], [], []   # per event
+        self.owners = []                                # per sync
         self.reasons, self.fg, self.meta = [], [], []   # per record, cell
 
     def __len__(self) -> int:
@@ -168,7 +172,7 @@ class EventBuffer:
 
     def add(self, event: Event) -> None:
         """A record as its cell count, CG key, hash32 and reason plus its
-        cells; a sync as -1, its key and FG index."""
+        cells; a sync as -1, its key, FG index and owner hash."""
         if isinstance(event, MGPVRecord):
             self.kinds.append(len(event.cells))
             self.keys.append(event.cg_key)
@@ -181,6 +185,7 @@ class EventBuffer:
             self.kinds.append(-1)
             self.keys.append(event.key)
             self.nums.append(event.index)
+            self.owners.append(event.owner_hash)
         else:
             raise TypeError(f"unknown event {event!r}")
 
@@ -198,7 +203,7 @@ class EventBuffer:
                 (reasons.setdefault(r, len(reasons)) for r in self.reasons),
                 np.int64, len(lens)), np.cumsum(lens) - lens, lens),
             (np.flatnonzero(~rec), nums[~rec], keys[~rec],
-             np.full(len(kinds) - len(lens), -1, np.int64)),
+             np.array(self.owners, np.int64)),
             (np.array(self.fg, np.int64),
              tuple(typed_column(list(col)) for col in zip(*self.meta))),
             tuple(reasons), objs)
@@ -274,10 +279,10 @@ class EventBatch:
                 objs[pos] = MGPVRecord(keys[key], hash32,
                                        tuple(cells[start:start + n]),
                                        reasons[reason])
-            for pos, index, key in zip(self.sync_pos.tolist(),
-                                       self.sync_index.tolist(),
-                                       self.sync_key.tolist()):
-                objs[pos] = FGSync(index, keys[key])
+            for pos, index, key, owner in zip(*(
+                    a.tolist() for a in (self.sync_pos, self.sync_index,
+                                         self.sync_key, self.sync_hash))):
+                objs[pos] = FGSync(index, keys[key], owner)
             self._objs = objs
         if self._objs:
             _ORIGINS[id(self._objs[0])] = self
@@ -966,7 +971,7 @@ class MGPVCache:
             self._v_fg_key[fg_idx] = fg_id
             self._v_fg_owner[fg_idx] = slot
             if self._wire_syncs:
-                events.append(FGSync(fg_idx, self._keys[fg_id]))
+                events.append(FGSync(fg_idx, self._keys[fg_id], hash32))
                 self.stats.syncs_out += 1
                 self.stats.bytes_out += 2 + self.config.fg_key_bytes
         self._v_last[slot] = ts

@@ -7,7 +7,8 @@ from unittest import mock
 
 import pytest
 
-from repro import pktstream
+from repro import api, pktstream
+from repro.core import parallel, telemetry
 from repro.core.dataplane import Dataplane
 from repro.core.parallel import ExecutionConfig, ShardedCluster
 from repro.net.trace import generate_trace
@@ -93,6 +94,24 @@ def inline_cluster(extractor, workers: int = 2, **execution):
 
     extractor.dataplane = dataplane
     return extractor
+
+
+#: The module holding each tuning constant ``tuned`` may set.
+TUNABLES = {"DISPATCH_BATCH": parallel, "MAX_RESTARTS": parallel,
+            "POISON_THRESHOLD": parallel, "MAX_SPANS": telemetry,
+            "DEGRADE_STRIDE": api}
+
+
+@pytest.fixture()
+def tuned(monkeypatch):
+    """``tuned(DISPATCH_BATCH=1, ...)`` sets tuning constants for the
+    rest of one test (forked shard workers inherit them).  Every stage
+    reads its constant where it is built or used, so set them before
+    ``compile`` / ``run``."""
+    def tune(**values):
+        for name, value in values.items():
+            monkeypatch.setattr(TUNABLES[name], name, value)
+    return tune
 
 
 @pytest.fixture(scope="session")

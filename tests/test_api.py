@@ -153,8 +153,6 @@ class TestStreamIngestion:
             ex.stream(packets, overload="panic")
         with pytest.raises(ValueError, match="deadline_s"):
             ex.stream(packets, deadline_s=0)
-        with pytest.raises(ValueError, match="degrade_stride"):
-            ex.stream(packets, overload="degrade", degrade_stride=0)
 
     def test_block_policy_loses_nothing(self, policy, packets):
         """A one-slot queue with backpressure: every packet still
@@ -178,13 +176,15 @@ class TestStreamIngestion:
 
     @pytest.mark.parametrize("overload", ["shed", "degrade"])
     def test_lossy_policies_account_for_every_packet(self, policy,
-                                                     packets, overload):
+                                                     packets, overload,
+                                                     tuned):
         """shed/degrade may drop packets under pressure, but the ledger
         must balance: in == processed + dropped, and shed_rate reflects
         exactly the counted drops."""
+        tuned(DEGRADE_STRIDE=4)
         ex = api.compile(policy)
         gen = ex.stream(packets, batch_size=16, queue_batches=1,
-                        overload=overload, degrade_stride=4)
+                        overload=overload)
         for _chunk in gen:
             pass
         report = ex.health()["ingest"]
@@ -203,7 +203,7 @@ class TestStreamIngestion:
         to the stride sample, so some packets of every batch survive."""
         ex = api.compile(policy)
         for _chunk in ex.stream(packets, batch_size=16, queue_batches=1,
-                                overload="degrade", degrade_stride=8):
+                                overload="degrade"):
             pass
         report = ex.health()["ingest"]
         assert report["shed_batches"] == 0

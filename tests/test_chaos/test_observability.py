@@ -114,7 +114,7 @@ class TestStitchedTraceUnderCrash:
 class TestExecutorErrorFlight:
     def test_give_up_error_carries_injected_fault_event(self,
                                                         small_mgpv,
-                                                        packets):
+                                                        packets, tuned):
         """Drive a supervised run to ExecutorError: a worker_crash
         fault lands first (recovered, but recorded), then a poison
         batch out-lives the restart budget.  The escaping error's
@@ -126,12 +126,11 @@ class TestExecutorErrorFlight:
         plan = FaultPlan(actions=(
             FaultAction(kind="worker_crash",
                         at_packet=len(packets) // 3, worker=0),))
-        # poison_threshold far above max_restarts: the replay ladder
+        # POISON_THRESHOLD far above MAX_RESTARTS: the replay ladder
         # exhausts its budget before quarantine can rescue the run.
+        tuned(MAX_RESTARTS=2, POISON_THRESHOLD=10, DISPATCH_BATCH=1)
         rt = api.compile(policy, n_nics=2, mgpv_config=small_mgpv,
-                         execution=supervised(max_restarts=2,
-                                              poison_threshold=10,
-                                              dispatch_batch=1),
+                         execution=supervised(),
                          fault_plan=plan).deploy()
         try:
             rt.process(packets)   # injected crash applied + recovered

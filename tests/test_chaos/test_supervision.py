@@ -114,9 +114,9 @@ class TestCrashRecovery:
 
 
 class TestPoisonQuarantine:
-    def test_poison_batch_quarantined_and_enumerated(self):
+    def test_poison_batch_quarantined_and_enumerated(self, tuned):
         """A batch that crashes its worker on every replay is
-        quarantined after poison_threshold blames: the run completes,
+        quarantined after POISON_THRESHOLD blames: the run completes,
         health() enumerates the batch, and clean groups survive."""
         # f_mean's Welford state does arithmetic on the first update, so
         # the poison cell crashes the worker at consume time — inside
@@ -125,10 +125,9 @@ class TestPoisonQuarantine:
         policy = (pktstream().groupby("flow")
                   .reduce("size", ["f_mean"]).collect("flow"))
         compiled = PolicyCompiler().compile(policy)
-        cluster = ShardedCluster(
-            compiled, 2,
-            supervised(workers=2, timeout=5.0, poison_threshold=2,
-                       dispatch_batch=1))
+        tuned(POISON_THRESHOLD=2, DISPATCH_BATCH=1)
+        cluster = ShardedCluster(compiled, 2,
+                                 supervised(workers=2, timeout=5.0))
         try:
             for i in range(8):
                 key = (i % 4,)

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 import repro.api as api
 from repro import pktstream
 from repro.bench.parallel import vectors_checksum
-from repro.core.dataplane import Dataplane, LinkConfig, NullSink
+from repro.core.dataplane import Dataplane, LinkConfig, NullSink, PerfectSwitch
 from repro.core.granularity import FLOW, HOST, SOCKET
 from repro.core.parallel import ExecutionConfig
 from repro.core.transport import apply_frame, encode_rows
@@ -229,7 +229,7 @@ class TestSequenceContract:
         batch, _ = switch_batches()
         again = EventBatch.of(list(batch))
         for name in ("rec_pos", "rec_hash", "rec_start", "rec_len",
-                     "sync_pos", "sync_index", "cell_fg"):
+                     "sync_pos", "sync_index", "sync_hash", "cell_fg"):
             assert np.array_equal(getattr(again, name),
                                   getattr(batch, name)), name
         assert [again.keys[k] for k in again.rec_key] == [
@@ -238,6 +238,52 @@ class TestSequenceContract:
                    zip(again.cell_meta, batch.cell_meta))
         with pytest.raises(TypeError, match="unknown event"):
             EventBatch.of([42])
+
+
+@pytest.mark.parametrize("software", [False, True],
+                         ids=["mgpv-per-row", "perfect-switch"])
+def test_syncs_carry_the_owner_hash_the_switch_holds(monkeypatch,
+                                                     software):
+    """The switches that build event objects (the MGPV cache's per-row
+    branch, here taken for aging, and the software path's switch) hand
+    each sync over with its owner's CG hash, so a 4-NIC cluster steers
+    it without projecting and hashing its key again."""
+    import repro.switchsim.mgpv as mgpv_mod
+    from repro.nicsim.loadbalance import ClusterBase, NICCluster
+    steering, hashed, syncs = [False], [0], [0]
+    hash_key_columns, steer = mgpv_mod.hash_key_columns, ClusterBase._steer
+
+    def counted(*args):
+        hashed[0] += steering[0]
+        return hash_key_columns(*args)
+
+    def steer_counting(cluster, events):
+        steering[0] = True
+        try:
+            out = steer(cluster, events)
+        finally:
+            steering[0] = False
+        syncs[0] += len(out[0].sync_pos)
+        return out
+
+    monkeypatch.setattr(mgpv_mod, "hash_key_columns", counted)
+    monkeypatch.setattr(ClusterBase, "_steer", steer_counting)
+    ex = api.compile(flow_policy(), n_nics=4,
+                     mgpv_config=MGPVConfig(aging_timeout_ns=10**12))
+    batch = PacketBatch.from_packets(
+        generate_trace("ENTERPRISE", n_flows=200, seed=1)[:1024])
+    if software:
+        switch = PerfectSwitch(ex.compiled)
+        cluster = NICCluster(ex.compiled, 4)
+        for lo in range(0, len(batch), 128):
+            cluster.consume_batch(switch.insert_batch(batch[lo:lo + 128]))
+    else:
+        dataplane = ex.dataplane()
+        for lo in range(0, len(batch), 128):
+            dataplane.process(batch[lo:lo + 128])
+        dataplane.flush()
+    assert syncs[0] > 0
+    assert hashed[0] == 0
 
 
 def test_probe_transport_call_sequence():

@@ -81,19 +81,17 @@ class TestMergeUnderPartialDeath:
         reg.counter("engine.events").inc(10)
         reg.gauge("engine.depth").set(4)
         reg.histogram("span.engine").observe(100)
-        reg.rate("engine.rate").record(0, 1)
         return reg.snapshot()
 
     def test_missing_families_do_not_drop_survivor_totals(self):
         survivor = self._survivor()
         # The dead worker's partial snapshot: counters only — no
-        # gauges / histograms / rates families at all.
+        # gauges / histograms families at all.
         partial = {"counters": {"engine.events": 3}}
         merged = merge_snapshots(survivor, partial)
         assert merged["counters"]["engine.events"] == 13
         assert merged["gauges"]["engine.depth"] == 4
         assert merged["histograms"]["span.engine"]["count"] == 1
-        assert merged["rates"]["engine.rate"]["count"] == 1
 
     def test_merge_order_does_not_double_count(self):
         survivor = self._survivor()

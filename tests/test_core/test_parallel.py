@@ -4,10 +4,15 @@ mixed-value frames, failover guards, close semantics)."""
 
 import pytest
 
+import repro.api as api
 from repro.core.compiler import PolicyCompiler
 from repro.core.parallel import (
     BACKENDS,
     DEFAULT_REQUEST_TIMEOUT_S,
+    DISPATCH_BATCH,
+    MAX_RESTARTS,
+    POISON_THRESHOLD,
+    RING_BYTES,
     ExecutionConfig,
     ExecutorError,
     ShardedCluster,
@@ -15,6 +20,12 @@ from repro.core.parallel import (
     WorkerStalled,
 )
 from repro.core.policy import pktstream
+from repro.core.telemetry import (
+    MAX_SPANS,
+    MetricsRegistry,
+    TelemetryConfig,
+    Tracer,
+)
 from repro.net.trace import generate_trace
 
 
@@ -27,8 +38,33 @@ def make_cluster(n_nics=3, workers=2, backend="serial"):
     compiled = PolicyCompiler().compile(flow_policy())
     return ShardedCluster(
         compiled, n_nics,
-        ExecutionConfig(workers=workers, backend=backend,
-                        dispatch_batch=8))
+        ExecutionConfig(workers=workers, backend=backend))
+
+
+#: Each keyword that was a setting outside ``ExecutionConfig`` (whose
+#: four are in ``test_count_knobs_must_be_plain_ints``) before its value
+#: became a module constant, with a call that passes it.
+REMOVED_SETTINGS = {
+    "TelemetryConfig.max_spans": lambda: TelemetryConfig(max_spans=64),
+    "Tracer.max_spans": lambda: Tracer(MetricsRegistry(), max_spans=2),
+    "Extractor.stream.degrade_stride": lambda: api.compile(
+        flow_policy()).stream([], degrade_stride=4),
+}
+
+
+@pytest.mark.parametrize("setting", sorted(REMOVED_SETTINGS))
+def test_removed_setting_raises_type_error(setting):
+    keyword = setting.rsplit(".", 1)[1]
+    with pytest.raises(TypeError,
+                       match=f"unexpected keyword argument '{keyword}'"):
+        REMOVED_SETTINGS[setting]()
+
+
+def test_removed_settings_keep_their_values_as_constants():
+    assert (DISPATCH_BATCH, RING_BYTES, MAX_RESTARTS, POISON_THRESHOLD,
+            MAX_SPANS, api.DEGRADE_STRIDE) == (1024, 4 << 20, 5, 3,
+                                              10_000, 8)
+    assert len(ExecutionConfig.__dataclass_fields__) == 5
 
 
 class TestExecutionConfig:
@@ -36,7 +72,6 @@ class TestExecutionConfig:
         cfg = ExecutionConfig()
         assert cfg.workers == 1
         assert cfg.backend == "serial"
-        assert cfg.dispatch_batch == 1024
         assert not cfg.is_parallel
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -53,7 +88,7 @@ class TestExecutionConfig:
             ExecutionConfig(workers=0)
 
     def test_nonpositive_batch_rejected(self):
-        with pytest.raises(ValueError, match="dispatch_batch"):
+        with pytest.raises(TypeError, match="'dispatch_batch'"):
             ExecutionConfig(dispatch_batch=0)
 
     def test_from_env_unset(self, monkeypatch):
@@ -89,7 +124,11 @@ class TestExecutionConfig:
                                        "ring_bytes"])
     @pytest.mark.parametrize("value", [2.5, True, "4"])
     def test_count_knobs_must_be_plain_ints(self, field, value):
-        with pytest.raises(TypeError, match=f"{field} must be an int"):
+        """``workers`` is the one count a config sets; the others are
+        module constants, so the config takes no value for them."""
+        error = (f"{field} must be an int" if field == "workers"
+                 else f"unexpected keyword argument '{field}'")
+        with pytest.raises(TypeError, match=error):
             ExecutionConfig(**{field: value})
 
     def test_from_env_serial(self, monkeypatch):
@@ -117,33 +156,26 @@ class TestSupervisionConfig:
     def test_robustness_knobs_validated(self):
         with pytest.raises(ValueError, match="request_timeout_s"):
             ExecutionConfig(request_timeout_s=0)
-        with pytest.raises(ValueError, match="max_restarts"):
-            ExecutionConfig(max_restarts=0)
-        with pytest.raises(ValueError, match="poison_threshold"):
-            ExecutionConfig(poison_threshold=0)
+        with pytest.raises(ValueError, match="request_timeout_s"):
+            ExecutionConfig(request_timeout_s=-3)
 
-    def test_resolved_timeout_field_beats_env(self):
+    def test_resolved_timeout_field_beats_env(self, monkeypatch):
+        monkeypatch.setenv("SUPERFE_REQUEST_TIMEOUT_S", "1")
         cfg = ExecutionConfig(request_timeout_s=7.5)
-        assert cfg.resolved_timeout_s(
-            env={"SUPERFE_REQUEST_TIMEOUT_S": "1"}) == 7.5
+        assert cfg.resolved_timeout_s() == 7.5
 
-    def test_resolved_timeout_env_override(self):
-        cfg = ExecutionConfig()
-        assert cfg.resolved_timeout_s(
-            env={"SUPERFE_REQUEST_TIMEOUT_S": "2.5"}) == 2.5
-
-    def test_resolved_timeout_default(self):
-        assert (ExecutionConfig().resolved_timeout_s(env={})
+    @pytest.mark.parametrize("raw", ["2.5", "soon", "-3"])
+    def test_resolved_timeout_ignores_env(self, monkeypatch, raw):
+        """The deadline is ``request_timeout_s`` or the default: the
+        environment neither changes nor breaks it."""
+        monkeypatch.setenv("SUPERFE_REQUEST_TIMEOUT_S", raw)
+        assert (ExecutionConfig().resolved_timeout_s()
                 == DEFAULT_REQUEST_TIMEOUT_S)
 
-    def test_resolved_timeout_env_rejects_garbage(self):
-        cfg = ExecutionConfig()
-        with pytest.raises(ValueError, match="must be a number"):
-            cfg.resolved_timeout_s(
-                env={"SUPERFE_REQUEST_TIMEOUT_S": "soon"})
-        with pytest.raises(ValueError, match="> 0"):
-            cfg.resolved_timeout_s(
-                env={"SUPERFE_REQUEST_TIMEOUT_S": "-3"})
+    def test_resolved_timeout_default(self, monkeypatch):
+        monkeypatch.delenv("SUPERFE_REQUEST_TIMEOUT_S", raising=False)
+        assert (ExecutionConfig().resolved_timeout_s()
+                == DEFAULT_REQUEST_TIMEOUT_S)
 
 
 class TestExecutorError:
@@ -176,6 +208,10 @@ class TestExecutorError:
 
 
 class TestShardedCluster:
+    @pytest.fixture(autouse=True)
+    def small_frames(self, tuned):
+        tuned(DISPATCH_BATCH=8)
+
     def test_shard_ownership_partitions_workers(self):
         cluster = make_cluster(n_nics=5, workers=2)
         try:

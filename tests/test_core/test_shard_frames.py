@@ -267,7 +267,7 @@ def _segments() -> list[str]:
 
 
 @needs_shm
-def test_corrupt_frame_in_a_live_pool_is_quarantined_cleanly():
+def test_corrupt_frame_in_a_live_pool_is_quarantined_cleanly(tuned):
     """A corrupt frame reaches a real worker through its ring: the
     worker rejects it on every replay, the supervisor quarantines it
     (nothing to salvage), every clean event still lands exactly, and no
@@ -275,9 +275,10 @@ def test_corrupt_frame_in_a_live_pool_is_quarantined_cleanly():
     compiled, batch = switch_batch(flow_policy(), n_flows=30)
     serial = NICCluster(compiled, 2)
     serial.consume_batch(batch)
+    tuned(POISON_THRESHOLD=2)
     cluster = ShardedCluster(compiled, 2, ExecutionConfig(
         workers=2, backend="process", transport="shm", supervise=True,
-        request_timeout_s=20.0, poison_threshold=2))
+        request_timeout_s=20.0))
     try:
         cluster.consume_batch(batch)
         truncated = encode(batch, *shard_columns(batch, 2))[:-9]
@@ -295,12 +296,12 @@ def test_corrupt_frame_in_a_live_pool_is_quarantined_cleanly():
 # The coordinator's split, and read-only views
 # ---------------------------------------------------------------------------
 
-def test_per_shard_split_equals_nic_cluster_split(monkeypatch):
-    """Frames of at most ``dispatch_batch`` events, per worker, decode to
+def test_per_shard_split_equals_nic_cluster_split(monkeypatch, tuned):
+    """Frames of at most ``DISPATCH_BATCH`` events, per worker, decode to
     exactly the per-engine sub-streams of the serial cluster."""
     compiled, batch = switch_batch(flow_policy())
-    cluster = ShardedCluster(compiled, 4, ExecutionConfig(
-        workers=2, dispatch_batch=50))
+    tuned(DISPATCH_BATCH=50)
+    cluster = ShardedCluster(compiled, 4, ExecutionConfig(workers=2))
     frames = []
     post = cluster._post_batch
     monkeypatch.setattr(cluster, "_post_batch", lambda worker, kind, pay: (
@@ -352,7 +353,7 @@ def test_engine_on_read_only_views_equals_engine_on_copies(policy):
 # ---------------------------------------------------------------------------
 
 @needs_shm
-def test_crash_replay_pushes_the_journaled_bytes(monkeypatch):
+def test_crash_replay_pushes_the_journaled_bytes(monkeypatch, tuned):
     """worker_crash mid-run: the checksum equals serial, every frame is
     encoded exactly once (replay re-pushes the journaled bytes, it never
     re-encodes), and the journal holds the very bytes shipped."""
@@ -368,10 +369,11 @@ def test_crash_replay_pushes_the_journaled_bytes(monkeypatch):
         try_push(ring, payload, *a) and not pushed.append(payload)))
     plan = FaultPlan(actions=(FaultAction(
         kind="worker_crash", at_packet=len(packets) // 2, worker=0),))
+    tuned(DISPATCH_BATCH=64)
     ex = api.compile(scaling_policy(), n_nics=4, fault_plan=plan,
                      execution=ExecutionConfig(
                          workers=2, backend="process", transport="shm",
-                         supervise=True, dispatch_batch=64))
+                         supervise=True))
     try:
         result = ex.run(packets)
         cluster = result.engine

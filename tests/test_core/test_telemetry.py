@@ -1,6 +1,6 @@
 """Telemetry layer invariants: bucket math against a numpy oracle,
-rate-window edge cases, snapshot merge associativity (property-tested),
-tracer sampling, exporters, and cross-backend aggregate equality."""
+snapshot merge associativity (property-tested), tracer sampling,
+exporters, and cross-backend aggregate equality."""
 
 import gc
 import io
@@ -9,6 +9,7 @@ import pickle
 import sys
 import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from repro.core.parallel import ExecutionConfig
 from repro.core.telemetry import (
     Histogram,
     MetricsRegistry,
-    Rate,
     Telemetry,
     TelemetryConfig,
     TelemetryError,
@@ -95,42 +95,6 @@ class TestHistogram:
         assert pct == {"p50": 0.0, "p90": 0.0, "p99": 0.0}
 
 
-class TestRate:
-    def test_window_excludes_cutoff_boundary(self):
-        r = Rate("r", window_ns=100)
-        r.record(0)
-        r.record(100)
-        # Window ending at 100 spans (0, 100]: the event at exactly
-        # now - window is out, the one at now is in.
-        assert r.per_second(100) == pytest.approx(1e9 / 100)
-
-    def test_per_second_defaults_to_last_event(self):
-        r = Rate("r", window_ns=1_000_000_000)
-        assert r.per_second() == 0.0
-        r.record(10, n=3)
-        r.record(20, n=2)
-        assert r.per_second() == pytest.approx(5.0)
-
-    def test_lifetime_per_second(self):
-        r = Rate("r")
-        assert r.lifetime_per_second == 0.0
-        r.record(0)
-        assert r.lifetime_per_second == 0.0     # zero-length interval
-        r.record(2_000_000_000)
-        assert r.lifetime_per_second == pytest.approx(1.0)
-
-    def test_bounded_event_buffer_keeps_totals(self):
-        r = Rate("r", window_ns=10**12, max_events=8)
-        for t in range(100):
-            r.record(t)
-        assert r.count == 100                   # totals are exact
-        assert r.per_second(99) <= 8 * 1e9 / 10**12 + 1e-9  # window is lossy
-
-    def test_invalid_window(self):
-        with pytest.raises(TelemetryError):
-            Rate("r", window_ns=0)
-
-
 class TestRegistry:
     def test_get_or_create_identity(self):
         reg = MetricsRegistry()
@@ -144,8 +108,6 @@ class TestRegistry:
             reg.gauge("x")
         with pytest.raises(TelemetryError):
             reg.histogram("x")
-        with pytest.raises(TelemetryError):
-            reg.rate("x")
 
     def test_histogram_bounds_conflict(self):
         reg = MetricsRegistry()
@@ -218,16 +180,13 @@ class TestRegistry:
 
 
 # One registry's worth of activity, as data: counter increments,
-# histogram observations (integers — float addition is not associative),
-# and rate events.
+# and histogram observations (integers — float addition is not
+# associative).
 registry_activity = st.fixed_dictionaries({
     "counters": st.dictionaries(
         st.sampled_from(("a", "b", "c")), st.integers(0, 100),
         max_size=3),
     "observations": st.lists(st.integers(0, 5000), max_size=30),
-    "events": st.lists(
-        st.tuples(st.integers(0, 10**9), st.integers(1, 5)),
-        max_size=10),
 })
 
 
@@ -238,9 +197,6 @@ def build_snapshot(activity):
     h = reg.histogram("lat", (10, 100, 1000))
     for v in activity["observations"]:
         h.observe(v)
-    r = reg.rate("ev")
-    for ts, n in activity["events"]:
-        r.record(ts, n)
     return reg.snapshot()
 
 
@@ -262,10 +218,10 @@ class TestMerge:
         empty = MetricsRegistry().snapshot()
         merged = merge_snapshots(snap, empty)
         # Identity up to instruments the empty side never registered.
-        for kind in ("counters", "gauges", "histograms", "rates"):
+        for kind in ("counters", "gauges", "histograms"):
             assert merged[kind] == snap[kind]
         assert merge_snapshots() == {
-            "counters": {}, "gauges": {}, "histograms": {}, "rates": {}}
+            "counters": {}, "gauges": {}, "histograms": {}}
 
     def test_mismatched_histogram_bounds_refused(self):
         ra, rb = MetricsRegistry(), MetricsRegistry()
@@ -297,8 +253,9 @@ class TestTracer:
         h = reg.snapshot()["histograms"]["span.stage.switch"]
         assert (h["count"], h["total"]) == (1, 250)
 
-    def test_max_spans_cap_counts_drops(self):
-        tracer = Tracer(MetricsRegistry(), sample_rate=1.0, max_spans=2)
+    def test_max_spans_cap_counts_drops(self, tuned):
+        tuned(MAX_SPANS=2)
+        tracer = Tracer(MetricsRegistry(), sample_rate=1.0)
         for i in range(5):
             tracer.record("s", 0, i)
         assert len(tracer.spans) == 2
@@ -311,7 +268,7 @@ class TestTracer:
             TelemetryConfig(sample_rate=-0.1)
 
     def test_config_is_picklable(self):
-        cfg = TelemetryConfig(sample_rate=0.125, max_spans=64)
+        cfg = TelemetryConfig(sample_rate=0.125, trace=True)
         assert pickle.loads(pickle.dumps(cfg)) == cfg
 
 
@@ -321,7 +278,7 @@ class TestExporters:
         reg.counter("mgpv.evictions").inc(5)
         reg.gauge("link.queue_depth").set(2)
         reg.histogram("span.stage.switch", (10, 100)).observe(42)
-        reg.rate("engine.records").record(10, n=3)
+        reg.counter("engine.records").inc(3)
         return reg.snapshot()
 
     def test_jsonl_round_trip(self, tmp_path):
@@ -352,14 +309,30 @@ class TestExporters:
         assert 'superfe_span_stage_switch_bucket{le="100"} 1' in text
         assert 'superfe_span_stage_switch_bucket{le="+Inf"} 1' in text
         assert "superfe_span_stage_switch_sum 42" in text
-        assert "superfe_engine_records_total 3" in text
+        assert "# TYPE superfe_engine_records counter" in text
+        assert "superfe_engine_records 3" in text
+
+    def test_committed_soak_record_still_loads_and_renders(self):
+        """``benchmarks/results/soak_telemetry.jsonl`` was written when
+        snapshots had a ``rates`` family (empty there): it still loads,
+        merges into the three families and renders."""
+        path = (Path(__file__).parents[2] / "benchmarks" / "results"
+                / "soak_telemetry.jsonl")
+        snap = read_jsonl(path)["snapshot"]
+        assert snap["rates"] == {}
+        merged = merge_snapshots(snap)
+        assert merged == {kind: snap[kind]
+                          for kind in ("counters", "gauges", "histograms")}
+        for view in (snap, merged):
+            assert "superfe_supervisor_restarts 2\n" in prometheus_text(view)
+            assert "restarts" in render_dashboard(view)
 
     def test_dashboard_mentions_everything(self):
         snap = merge_snapshots(self.make_snapshot(),
                                {"counters": {"bare": 1}})
         text = render_dashboard(snap, spans=[("s", 0, 1)], title="t")
         for needle in ("t", "[mgpv]", "evictions", "queue_depth",
-                       "span.stage.switch", "engine.records",
+                       "span.stage.switch", "[engine]", "records",
                        "[metrics]", "bare", "spans collected: 1"):
             assert needle in text
 
@@ -466,6 +439,7 @@ def stage_counts(dataplane, ingest: dict) -> dict:
         "ingest.packets": ingest["packets_processed"],
         "ingest.batches": ingest["batches_processed"],
         "ingest.deadline_missed": ingest["deadline_missed"],
+        "ingest.shed": ingest["dropped_packets"],
         "faults.applied": counters["faults"]["actions_applied"],
         "faults.reverted": counters["faults"]["actions_reverted"],
         "cluster.failovers": counters["cluster"]["failovers"],

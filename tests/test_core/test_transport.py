@@ -16,7 +16,7 @@ import repro.api as api
 import repro.core.transport as transport_mod
 from repro.bench.parallel import scaling_policy, vectors_checksum
 from repro.core.faults import FaultAction, FaultPlan
-from repro.core.parallel import ExecutionConfig
+from repro.core.parallel import RING_BYTES, ExecutionConfig
 from repro.core.transport import (
     FRAME_OVERHEAD,
     REASONS,
@@ -305,7 +305,10 @@ class TestExecutionConfigTransport:
                             transport=transport)
 
     def test_ring_bytes_floor(self):
-        with pytest.raises(ValueError, match="ring_bytes"):
+        """The ring size is a constant above the ring's own floor, and a
+        config cannot set it."""
+        assert RING_BYTES >= 4 * FRAME_OVERHEAD
+        with pytest.raises(TypeError, match="'ring_bytes'"):
             ExecutionConfig(ring_bytes=8)
 
     def test_from_env_transport_binds_on_process(self):

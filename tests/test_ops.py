@@ -56,15 +56,19 @@ class TestServeOps:
         list(ex.stream(packets, batch_size=16, queue_batches=1,
                        overload="shed"))
         with api.serve_ops(ex) as srv:
-            status, ctype, body = _get(srv.url + "/metrics")
+            status, ctype, metrics = _get(srv.url + "/metrics")
             assert status == 200 and ctype.startswith("text/plain")
-            assert "superfe_" in body
+            assert "superfe_" in metrics
 
             status, ctype, body = _get(srv.url + "/health")
             assert status == 200 and ctype == "application/json"
             health = json.loads(body)
             assert health["state"] == "drained"
             assert health["ingest"]["shed_batches"] >= 1
+            # Shed packets export as a counter, like every other count.
+            shed = health["ingest"]["shed_packets"]
+            assert (f"# TYPE superfe_ingest_shed counter\n"
+                    f"superfe_ingest_shed {shed}\n") in metrics
 
             status, _, body = _get(srv.url + "/debug/flight")
             assert status == 200
@@ -105,10 +109,11 @@ class TestExtractorFlight:
         assert ex.flight(last=0) == []
 
     def test_degrade_session_leaves_flight_breadcrumbs(self, policy,
-                                                       packets):
+                                                       packets, tuned):
+        tuned(DEGRADE_STRIDE=4)
         ex = api.compile(policy, n_nics=2)
         list(ex.stream(packets, batch_size=16, queue_batches=1,
-                       overload="degrade", degrade_stride=4))
+                       overload="degrade"))
         kinds = [e["kind"] for e in ex.flight()]
         assert "ingest.degrade" in kinds
 

@@ -140,7 +140,7 @@ class TestProcessBackend:
     def test_chaos_nic_kill_then_restart_identical(self, packets,
                                                    backend):
         """A restart that lands before the single-event queue fills
-        (far fewer than ``dispatch_batch`` events after the kill):
+        (far fewer than ``DISPATCH_BATCH`` events after the kill):
         the kill's FG resyncs and the events routed in between still
         go to the survivors, as on the serial cluster."""
         policy = build("flow", [("size", "f_mean"), ("size", "f_max")],
