@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import networkx as nx
 import numpy as np
 
 from repro.net.packet import Packet
@@ -193,39 +192,20 @@ def split_into_chains(names: list[str]) -> list[list[str]]:
     """Split a set of granularities whose refinement relation forms a DAG
     into a minimum number of dependency chains (§9's future work).
 
-    By Dilworth's theorem the minimum chain cover of a DAG equals the
-    maximum antichain; the classical construction reduces it to maximum
-    bipartite matching on the transitive closure, which we solve with
-    networkx.  Each returned chain can be assigned its own MGPV instance.
+    Refinement only relates granularities of one ``chain`` at different
+    levels, so the DAG is a disjoint union of layered orders and its
+    minimum chain cover (Dilworth) takes, per ``chain`` value, as many
+    chains as its most crowded level holds granularities: the i-th chain
+    walks coarse to fine through the i-th granularity (by name) of each
+    level.  Chains are ordered by their head's name.  Each returned chain
+    can be assigned its own MGPV instance.
     """
-    grans = [get_granularity(n) for n in dict.fromkeys(names)]
-    dag = nx.DiGraph()
-    dag.add_nodes_from(g.name for g in grans)
-    for a in grans:
-        for b in grans:
-            if a.chain == b.chain and a.level < b.level:
-                dag.add_edge(a.name, b.name)
-    closure = nx.transitive_closure_dag(dag)
-    # Minimum path cover via bipartite matching: out-copy u -> in-copy v.
-    bipartite = nx.Graph()
-    out_nodes = {f"out:{n}" for n in closure.nodes}
-    in_nodes = {f"in:{n}" for n in closure.nodes}
-    bipartite.add_nodes_from(out_nodes, bipartite=0)
-    bipartite.add_nodes_from(in_nodes, bipartite=1)
-    for u, v in closure.edges:
-        bipartite.add_edge(f"out:{u}", f"in:{v}")
-    matching = nx.bipartite.maximum_matching(bipartite, top_nodes=out_nodes)
-    successor = {
-        u.removeprefix("out:"): v.removeprefix("in:")
-        for u, v in matching.items() if u.startswith("out:")
-    }
-    has_predecessor = set(successor.values())
+    levels: dict[str, dict[int, list[str]]] = {}
+    for g in (get_granularity(n) for n in dict.fromkeys(names)):
+        levels.setdefault(g.chain, {}).setdefault(g.level, []).append(g.name)
     chains = []
-    for name in sorted(closure.nodes):
-        if name in has_predecessor:
-            continue
-        chain = [name]
-        while chain[-1] in successor:
-            chain.append(successor[chain[-1]])
-        chains.append(chain)
-    return chains
+    for by_level in levels.values():
+        ranks = [sorted(by_level[level]) for level in sorted(by_level)]
+        for i in range(max(map(len, ranks))):
+            chains.append([rank[i] for rank in ranks if i < len(rank)])
+    return sorted(chains, key=lambda chain: chain[0])

@@ -4,8 +4,8 @@ The MGPV cache assumes the policy's granularities form one dependency
 chain.  Policies mixing granularities from *different* chains (e.g.
 per-flow direction sequences plus per-host statistics) are handled here:
 the granularity set is split into a minimum number of chains
-(:func:`repro.core.granularity.split_into_chains`, Dilworth via maximum
-bipartite matching), the policy is partitioned into one sub-policy per
+(:func:`repro.core.granularity.split_into_chains`, a Dilworth minimum
+chain cover), the policy is partitioned into one sub-policy per
 chain, and each sub-policy gets its own MGPV instance — exactly the
 "allocate resources for each granularity chain and apply MGPV
 separately" design the paper sketches.

@@ -10,7 +10,7 @@ amortized batches.
 
 Topology::
 
-    coordinator (routing, FG-mirror ledger, failover, merge)
+    coordinator (routing, failover, merge)
         │  per-worker FIFO queue, frames of EventBatch columns
         ├── worker 0: FeatureEngine for shards {0, k, 2k, ...}
         ├── worker 1: FeatureEngine for shards {1, k+1, ...}
@@ -42,7 +42,9 @@ Backends:
 
 Failover (``fail_nic``) needs no barrier: the crash request rides the
 owner's FIFO queue behind every event routed before the kill, so the
-residual snapshot is exactly the serial one.
+engine answers with exactly the serial residual and FG mirror, and the
+coordinator replays that mirror as the serial cluster does (it keeps no
+copy of its own).
 
 Transport: the coordinator steers an
 :class:`~repro.switchsim.mgpv.EventBatch` by CG hash and ships each
@@ -62,7 +64,9 @@ across runs by observed per-shard load, and stopped by an explicit
 Supervision (process backend, on by default): the coordinator keeps a
 per-worker *journal* — the FIFO transcript of every state-mutating
 message it sent (sequence-numbered batches, clock advances, crash
-requests).  Every request carries a deadline
+requests).  Every message takes one path, ``_post_request`` then
+``_await``; without a supervisor they journal nothing and wait without
+a deadline.  Under supervision every request carries a deadline
 (:attr:`ExecutionConfig.request_timeout_s`, default
 :data:`DEFAULT_REQUEST_TIMEOUT_S`); a worker that dies
 (``Process.is_alive()``) or blows the deadline is killed and respawned
@@ -147,6 +151,8 @@ POISON_THRESHOLD = 3
 _PENDING_LIMIT = 64
 
 _BATCH_KINDS = ("frame", "oframe")
+#: The messages a worker does not answer.
+_ASYNC_KINDS = (*_BATCH_KINDS, "clock", "chaos_stall", "chaos_slow")
 
 
 class ExecutorError(RuntimeError):
@@ -350,7 +356,8 @@ class _ShardDriver:
                 engine.advance_clock(msg[1])
             return False, None
         if kind == "crash":
-            return True, self.engines[msg[1]].crash()
+            engine = self.engines[msg[1]]
+            return True, (engine.fg_mirror_items(), engine.crash())
         if kind == "stats":
             return True, {s: (e.stats, e.counters(), e.table_stats())
                           for s, e in self.engines.items()}
@@ -487,12 +494,19 @@ class _InlineWorker:
     calling thread (determinism checks of the dispatch machinery);
     frames arrive as ``oframe`` payloads handed over in memory."""
 
+    pid = None
+
     def __init__(self, compiled, ctx, engine_kwargs, shards) -> None:
         self.shards = shards
         self._driver = _ShardDriver(compiled, ctx, engine_kwargs, shards)
         self._replies: deque = deque()
+        self.kind_counts: dict[str, int] = {}
+
+    def is_alive(self) -> bool:
+        return True
 
     def post(self, msg: tuple, deadline: float | None = None) -> None:
+        self.kind_counts[msg[0]] = self.kind_counts.get(msg[0], 0) + 1
         replied, payload = self._driver.handle(msg)
         if replied:
             self._replies.append(payload)
@@ -798,15 +812,7 @@ class WorkerPool:
                 except ExecutorError:
                     # Dead or wedged between runs: replace with a fresh
                     # incarnation (fresh ring, seq 0).
-                    worker.kill()
-                    if ring is not None:
-                        ring.close()
-                    fresh_ring = self._new_ring(i)
-                    self._workers[i] = _ProcessWorker(
-                        self._compiled, self._ctx, self._engine_kwargs,
-                        shards_of[i], i, fresh_ring)
-                    self._rings[i] = fresh_ring
-                    self.spawns += 1
+                    self.respawn(i)
         self._n_nics = n_nics
         self._owner = owner
         self.leased = True
@@ -825,9 +831,9 @@ class WorkerPool:
         self.leased = False
 
     def respawn(self, index: int):
-        """Supervisor path: replace a killed worker with a fresh one on
-        a fresh ring (the old ring's unconsumed frames die with the old
-        incarnation; journal replay redelivers)."""
+        """Replace a dead or wedged worker with a fresh one on the same
+        shard set and a fresh ring (the old ring's unconsumed frames die
+        with the old incarnation; journal replay redelivers)."""
         old = self._workers[index]
         old.kill()
         old_ring = self._rings[index]
@@ -1197,10 +1203,6 @@ class ShardedCluster(ClusterBase):
         self.execution = execution
         self._ctx = ctx
         self._engine_kwargs = dict(engine_kwargs)
-        # Coordinator-side replica of each engine's FG mirror: what the
-        # control plane replays to survivors on failover (the engine's
-        # own mirror dies with its worker on the process backend).
-        self._mirrors: list[dict[int, tuple]] = [{} for _ in range(n_nics)]
         self.n_workers = max(1, min(execution.workers, n_nics))
         self._pool: WorkerPool | None = None
         self._owns_pool = False
@@ -1326,14 +1328,10 @@ class ShardedCluster(ClusterBase):
             tevents: list[dict] = []
             flight: list[dict] = []
             for reply in self._broadcast(("telemetry",)):
-                if reply is None:
-                    continue
-                if isinstance(reply, dict) and "snapshot" in reply:
+                if reply is not None:
                     snapshots.append(reply["snapshot"])
-                    tevents.extend(reply.get("tevents") or ())
-                    flight.extend(reply.get("flight") or ())
-                else:
-                    snapshots.append(reply)
+                    tevents.extend(reply["tevents"])
+                    flight.extend(reply["flight"])
             self._snapshots_cache = snapshots
             self._worker_tevents = tevents
             self._worker_flight = flight
@@ -1360,17 +1358,12 @@ class ShardedCluster(ClusterBase):
 
     def consume_batch(self, events) -> tuple:
         """Steer a slice from its record and sync tables (one
-        :func:`~repro.nicsim.loadbalance.steer` each), update the
-        FG-mirror ledger from the sync table, and ship each worker's
-        share (:meth:`EventBatch.select`) as frames of at most
+        :func:`~repro.nicsim.loadbalance.steer` each) and ship each
+        worker's share (:meth:`EventBatch.select`) as frames of at most
         :data:`DISPATCH_BATCH` events."""
         if self._closed:
             raise RuntimeError("cluster is closed")
         batch, rec_shard, sync_shard = self._steer(events)
-        for shard, mirror in enumerate(self._mirrors):
-            syncs = sync_shard == shard
-            mirror.update(zip(batch.sync_index[syncs].tolist(), map(
-                batch.keys.__getitem__, batch.sync_key[syncs].tolist())))
         self._shard_events += (np.bincount(rec_shard, minlength=self.n_nics)
                                + np.bincount(sync_shard,
                                              minlength=self.n_nics))
@@ -1449,26 +1442,9 @@ class ShardedCluster(ClusterBase):
                 self._ctx_seq)
             start_ns = time.perf_counter_ns()
         try:
-            sup = self.supervisor
-            if sup is None:
-                self._deliver(worker, kind, None, payload, ctx=ctx)
-                return
-            # Journal before posting: once recorded, the frame is
-            # delivered exactly once — by this post or by the replay a
-            # failed post triggers (recover() rebuilds the worker from
-            # the journal, which holds these very bytes, so there is no
-            # re-post here).
-            seq = sup.record(worker, kind, payload, ctx=ctx)
-            w = self._workers[worker]
-            try:
-                if not w.is_alive():
-                    raise WorkerDied(f"{w.name} (pid {w.pid}) found dead "
-                                     f"before dispatch", worker=worker,
-                                     pid=w.pid)
-                self._deliver(worker, kind, seq, payload,
-                              deadline=self._op_deadline(), ctx=ctx)
-            except ExecutorError as exc:
-                sup.recover(worker, exc)
+            msg = (kind, payload)
+            self._await(worker, msg, *self._post_request(
+                worker, msg, journal=True, ctx=ctx))
         finally:
             if ctx is not None:
                 self._trace_tracer.record_event(make_event(
@@ -1572,44 +1548,58 @@ class ShardedCluster(ClusterBase):
                       entry.payload, deadline=self._op_deadline(),
                       lazy=False, ctx=entry.ctx)
 
-    def _sync_request(self, worker: int, msg: tuple,
-                      journal: bool = False):
-        """One synchronous request to one worker, surviving worker
-        failure under supervision.  ``journal=True`` marks the request
-        state-mutating (``crash``/``take_pkt``): it is journaled before
-        sending, and when recovery replays it the replayed reply is
-        captured and returned in place of the lost one."""
-        if self.supervisor is None:
-            self._post_control(worker, msg)
-            return self._workers[worker].reply()
-        return self._await(worker, msg, *self._post_request(worker, msg,
-                                                            journal))
+    def _post_request(self, worker: int, msg: tuple,
+                      journal: bool = False, ctx=None):
+        """A request's first half: journal it (when ``journal``) and put
+        it on the wire — a batch (``(kind, frame bytes)``) through
+        :meth:`_deliver`, anything else through :meth:`_post_control`.
+        Returns its journal seq and the post's failure, if any.  Under
+        supervision the worker must be alive and the post is bounded by
+        the op deadline; without, nothing is journaled, the post waits
+        as long as the worker lives and a failure raises here.
 
-    def _post_request(self, worker: int, msg: tuple, journal: bool,
-                      reply: bool = True):
-        """A supervised message's first half: journal it (when
-        ``journal``) and post it.  Returns its journal seq and the
-        post's failure, if any."""
-        seq = (self.supervisor.record(worker, msg[0],
-                                      msg[1] if len(msg) > 1 else None,
-                                      expects_reply=reply)
-               if journal else None)
-        w = self._workers[worker]
+        Journal before posting: once recorded, a message is delivered
+        exactly once — by this post or by the replay a failure triggers
+        (recovery rebuilds the worker from the journal, so there is no
+        re-post of a journaled message)."""
+        sup = self.supervisor
+        seq = deadline = None
         try:
-            if not w.is_alive():
-                raise WorkerDied(f"{w.name} (pid {w.pid}) is dead",
-                                 worker=worker, pid=w.pid)
-            self._post_control(worker, msg, deadline=self._op_deadline())
+            if sup is not None:
+                if journal:
+                    seq = sup.record(worker, msg[0], msg[1] if len(msg) > 1
+                                     else None, msg[0] not in _ASYNC_KINDS,
+                                     ctx)
+                w = self._workers[worker]
+                if not w.is_alive():
+                    raise WorkerDied(f"{w.name} (pid {w.pid}) is dead",
+                                     worker=worker, pid=w.pid)
+                deadline = self._op_deadline()
+            if msg[0] in _BATCH_KINDS:
+                self._deliver(worker, msg[0], seq, msg[1],
+                              deadline=deadline, ctx=ctx)
+            else:
+                self._post_control(worker, msg, deadline=deadline)
         except ExecutorError as exc:
+            if sup is None:
+                raise
             return seq, exc
         return seq, None
 
     def _await(self, worker: int, msg: tuple, seq, error):
-        """The second half: the reply, restarting the worker (and, for
-        an unjournaled request, asking again) while it fails."""
+        """The second half: the reply (None for a message the worker
+        does not answer), restarting the worker (and, for an unjournaled
+        request, asking again) while it fails.  Unsupervised, the
+        reply waits without a deadline and a failure raises."""
+        sup = self.supervisor
+        replies = msg[0] not in _ASYNC_KINDS
+        if sup is None:
+            return self._workers[worker].reply() if replies else None
         attempts = 0
         while True:
             if error is None:
+                if not replies:
+                    return None
                 try:
                     return self._workers[worker].reply(
                         deadline=self._op_deadline())
@@ -1618,25 +1608,21 @@ class ShardedCluster(ClusterBase):
             attempts += 1
             if attempts > MAX_RESTARTS:
                 raise error
-            captured = self.supervisor.recover(worker, error,
-                                               capture_seq=seq)
-            if seq is not None:
-                # Replay already delivered the journaled request to
-                # the fresh incarnation; its reply is the answer.
+            captured = sup.recover(worker, error, capture_seq=seq)
+            if seq is not None or not replies:
+                # Replay already delivered a journaled request to the
+                # fresh incarnation (its reply is the answer); an
+                # unanswered one needs no second post.
                 return captured
-            error = self._post_request(worker, msg, False)[1]
+            error = self._post_request(worker, msg)[1]
 
     def _broadcast(self, msg: tuple, journal: bool = False) -> list:
-        """Synchronous request to every worker, pipelined: all posts
-        before any reply, so the workers serve it in parallel.  Under
-        supervision each worker's failure is recovered on its own."""
-        if self.supervisor is not None:
-            posted = [self._post_request(w, msg, journal)
-                      for w in range(self.n_workers)]
-            return [self._await(w, msg, *p) for w, p in enumerate(posted)]
-        for worker in range(self.n_workers):
-            self._post_control(worker, msg)
-        return [worker.reply() for worker in self._workers]
+        """One request to every worker, pipelined: all posts before any
+        reply, so the workers serve it in parallel.  Under supervision
+        each worker's failure is recovered on its own."""
+        posted = [self._post_request(w, msg, journal)
+                  for w in range(self.n_workers)]
+        return [self._await(w, msg, *p) for w, p in enumerate(posted)]
 
     def _gather(self, msg: tuple, journal: bool = False) -> dict:
         """Broadcast a request whose replies are per-shard dicts."""
@@ -1694,11 +1680,8 @@ class ShardedCluster(ClusterBase):
         message is never journaled, so replay does not re-stall."""
         self._check_worker(worker)
         self._require_supervision("worker_stall")
-        try:
-            self._post_control(worker, ("chaos_stall", float(seconds)),
-                               deadline=self._op_deadline())
-        except ExecutorError as exc:
-            self.supervisor.recover(worker, exc)
+        msg = ("chaos_stall", float(seconds))
+        self._await(worker, msg, *self._post_request(worker, msg))
 
     def chaos_slow_worker(self, worker: int, factor: float) -> None:
         """Chaos hook: multiply one worker's per-batch compute time by
@@ -1708,30 +1691,21 @@ class ShardedCluster(ClusterBase):
             raise RuntimeError(
                 "worker_slow chaos needs a process worker "
                 "(backend='process')")
-        factor = float(factor)
-        self._slow_factors[worker] = factor
-        try:
-            self._post_control(worker, ("chaos_slow", factor),
-                               deadline=self._op_deadline())
-        except ExecutorError as exc:
-            if self.supervisor is None:
-                raise
-            self.supervisor.recover(worker, exc)
+        msg = ("chaos_slow", float(factor))
+        self._slow_factors[worker] = msg[1]
+        self._await(worker, msg, *self._post_request(worker, msg))
 
     # -- failover (serial-cluster semantics) ---------------------------------
 
-    def fail_nic(self, nic: int) -> None:
-        """Kill one shard's engine: the crash request rides the same
-        FIFO behind every event dispatched before it, the residual
-        vectors come back to the coordinator, and the coordinator's
-        mirror replica replays to the survivors as one sync batch
-        through the normal routing path."""
-        self._mark_dead(nic)
-        residual = self._sync_request(self._owner[nic], ("crash", nic),
-                                      journal=True)
-        self._residual.extend(residual)
-        mirror, self._mirrors[nic] = self._mirrors[nic], {}
-        self._replay_mirror(mirror.items())
+    def _crash(self, nic: int) -> tuple:
+        """The crash request rides the owner's FIFO behind every event
+        dispatched before it, so the engine answers with the mirror and
+        residual the serial engine would hold.  Journaled: a restart's
+        replay crashes the rebuilt engine too and its reply stands."""
+        msg = ("crash", nic)
+        worker = self._owner[nic]
+        return self._await(worker, msg, *self._post_request(worker, msg,
+                                                            journal=True))
 
     # -- drain / merge --------------------------------------------------------
 
@@ -1790,14 +1764,7 @@ class ShardedCluster(ClusterBase):
     def advance_clock(self, now_ns: int) -> None:
         if self._closed:
             return
-        msg = ("clock", now_ns)
-        for worker in range(self.n_workers):
-            if self.supervisor is None:
-                self._post_control(worker, msg)
-                continue
-            error = self._post_request(worker, msg, True, reply=False)[1]
-            if error is not None:
-                self.supervisor.recover(worker, error)
+        self._broadcast(("clock", now_ns), journal=True)
 
     def close(self) -> None:
         """Stop the pool.  Terminal: stats/counters/finalize keep
@@ -1864,8 +1831,7 @@ class ShardedCluster(ClusterBase):
         control messages on the shm hot path)."""
         kinds: dict[str, int] = {}
         for worker in self._workers:
-            for kind, count in getattr(worker, "kind_counts",
-                                       {}).items():
+            for kind, count in worker.kind_counts.items():
                 kinds[kind] = kinds.get(kind, 0) + count
         report = {
             "mode": self._transport,
@@ -1889,16 +1855,10 @@ class ShardedCluster(ClusterBase):
         """Liveness and supervision report: per-worker state, restart
         ledger, and the quarantined poison batches (the only events a
         supervised run may lose to degraded-coarse salvage)."""
-        workers = []
-        for index, worker in enumerate(self._workers):
-            alive = worker.is_alive() if hasattr(worker, "is_alive") \
-                else not self._closed
-            workers.append({
-                "worker": index,
-                "shards": list(worker.shards),
-                "pid": getattr(worker, "pid", None),
-                "alive": bool(alive) and not self._closed,
-            })
+        workers = [{"worker": index, "shards": list(worker.shards),
+                    "pid": worker.pid,
+                    "alive": worker.is_alive() and not self._closed}
+                   for index, worker in enumerate(self._workers)]
         report = {
             "backend": self.execution.backend,
             "n_workers": self.n_workers,
@@ -1918,31 +1878,3 @@ class ShardedCluster(ClusterBase):
                 "restart_latency": sup.restart_latency_summary(),
             }
         return report
-
-    def counters(self) -> dict:
-        """The serial cluster's counter schema, plus a ``dispatch``
-        sub-ledger for the execution engine itself and a ``supervisor``
-        sub-ledger when supervision is on."""
-        out = super().counters()
-        out["dispatch"] = {
-            "backend": self.execution.backend,
-            "workers": self.n_workers,
-            "batch_size": self._frame_events,
-            "batches": self.batches_dispatched,
-            "events": self.events_dispatched,
-            "transport": self._transport,
-            "bytes": self.bytes_shipped,
-            "frames": self.frames_shipped,
-            "fallback_chunks": self.fallback_chunks,
-            "parked_frames": self.parked_frames,
-        }
-        sup = self.supervisor
-        if sup is not None:
-            out["supervisor"] = {
-                "restarts": sup.restarts,
-                "redispatched_batches": sup.redispatched,
-                "poison_batches": len(sup.poison),
-                "journal_entries": sum(len(j) for j in sup.journals),
-            }
-        return out
-

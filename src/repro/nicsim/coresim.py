@@ -21,13 +21,13 @@ from dataclasses import dataclass
 from repro.core.compiler import CompiledPolicy
 from repro.nicsim.cycles import (
     CELL_OVERHEAD_CYCLES,
-    MAP_FN_OPS,
     OP_CYCLES,
-    REDUCE_FN_OPS,
     CycleModelConfig,
+    price,
+    section_ops,
 )
-from repro.nicsim.memory import CTM, EMEM, MemoryLevel
-from repro.nicsim.placement import PlacementResult
+from repro.nicsim.memory import CTM
+from repro.nicsim.placement import PlacementResult, section_level
 
 
 @dataclass(frozen=True)
@@ -44,31 +44,6 @@ class Phase:
             raise ValueError("cycles must be non-negative")
 
 
-def _ops_cycles(ops: dict, config: CycleModelConfig) -> int:
-    total = 0
-    for op, count in ops.items():
-        if op == "div":
-            price = (OP_CYCLES["div_elim"]
-                     if config.division_elimination else OP_CYCLES["div"])
-        else:
-            price = OP_CYCLES[op]
-        total += count * price
-    return total
-
-
-def _section_level(section, placement: PlacementResult | None
-                   ) -> MemoryLevel:
-    if placement is None:
-        return EMEM
-    from repro.nicsim.memory import level_by_name
-    names = [placement.placement.get(f.name) for f in section.features]
-    names = [n for n in names if n]
-    if not names:
-        return EMEM
-    return max((level_by_name(n) for n in names),
-               key=lambda l: l.latency_cycles)
-
-
 def cell_program(compiled: CompiledPolicy,
                  config: CycleModelConfig | None = None,
                  placement: PlacementResult | None = None
@@ -82,15 +57,9 @@ def cell_program(compiled: CompiledPolicy,
         phases.append(Phase("compute", OP_CYCLES["hash"]))
     phases.append(Phase("mem", CTM.latency_cycles))     # cell fetch
     for section in compiled.sections:
-        level = _section_level(section, placement)
+        level = section_level(section, placement)
         phases.append(Phase("mem", level.latency_cycles))   # bucket load
-        compute = 0
-        for m in section.maps:
-            compute += _ops_cycles(MAP_FN_OPS.get(m.fn.name, {}), config)
-        for feat in section.features:
-            compute += _ops_cycles(
-                REDUCE_FN_OPS.get(feat.reduce_fn.name, {"alu": 2}),
-                config)
+        compute = price(section_ops(section), config.prices)
         phases.append(Phase("compute", max(compute, 1)))
         phases.append(Phase("mem", level.latency_cycles))   # writeback
     return phases

@@ -24,11 +24,11 @@ compute, but has fast caches and hardware divide.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.core.compiler import CompiledPolicy
-from repro.nicsim.memory import EMEM, MemoryLevel, level_by_name
-from repro.nicsim.placement import PlacementResult
+from repro.nicsim.placement import PlacementResult, section_level
 
 #: Fixed per-cell cost: MGPV cell fetch/decode, loop bookkeeping, and the
 #: egress of finished vectors, independent of the policy.
@@ -80,6 +80,23 @@ REDUCE_FN_OPS: dict[str, dict] = {
 }
 
 
+def section_ops(section) -> Counter:
+    """The operations one cell's updates run in a section: every map's
+    and every feature reducer's counts (a reducer without a table entry
+    prices as ``{"alu": 2}``)."""
+    ops: Counter = Counter()
+    for m in section.maps:
+        ops.update(MAP_FN_OPS.get(m.fn.name, {}))
+    for feat in section.features:
+        ops.update(REDUCE_FN_OPS.get(feat.reduce_fn.name, {"alu": 2}))
+    return ops
+
+
+def price(ops: dict, prices: dict):
+    """Cycles of an operation tally under one price table."""
+    return sum(count * prices[op] for op, count in ops.items())
+
+
 def register_fn_ops(name: str, ops: dict, kind: str = "reduce",
                     override: bool = False) -> None:
     """Register the operation counts of a user-defined function so the
@@ -106,6 +123,13 @@ class CycleModelConfig:
         return cls(reuse_switch_hash=False, thread_latency_hiding=False,
                    division_elimination=False)
 
+    @property
+    def prices(self) -> dict:
+        """NFP cycles per operation, division priced as its §6.2
+        comparison replacement when ``division_elimination`` is on."""
+        return {**OP_CYCLES, "div": OP_CYCLES[
+            "div_elim" if self.division_elimination else "div"]}
+
 
 @dataclass
 class CycleBreakdown:
@@ -131,22 +155,9 @@ class CycleModel:
         self.config = config or CycleModelConfig()
         self.placement = placement
 
-    def _section_level(self, section) -> MemoryLevel:
-        """Memory level of a section's group table: from the placement
-        result when available, else EMEM (the no-placement default)."""
-        if self.placement is None:
-            return EMEM
-        names = [self.placement.placement.get(f.name)
-                 for f in section.features]
-        names = [n for n in names if n]
-        if not names:
-            return EMEM
-        # The bucket load is bounded by the slowest level holding state.
-        return max((level_by_name(n) for n in names),
-                   key=lambda l: l.latency_cycles)
-
     def cycles_per_cell(self) -> CycleBreakdown:
         cfg = self.config
+        prices = cfg.prices
         bd = CycleBreakdown()
         bd.compute += CELL_OVERHEAD_CYCLES
 
@@ -156,15 +167,12 @@ class CycleModel:
         accesses = 1          # MGPV cell read from packet memory (CTM)
         latency_sum = 60.0    # CTM
         for section in self.compiled.sections:
-            level = self._section_level(section)
+            level = section_level(section, self.placement)
             accesses += 2     # bucket load + writeback
             latency_sum += 2 * level.latency_cycles
-            for m in section.maps:
-                bd.compute += self._op_cycles(
-                    MAP_FN_OPS.get(m.fn.name, {}), bd)
-            for feat in section.features:
-                bd.compute += self._op_cycles(
-                    REDUCE_FN_OPS.get(feat.reduce_fn.name, {"alu": 2}), bd)
+            ops = section_ops(section)
+            bd.division += ops.pop("div", 0) * prices["div"]
+            bd.compute += price(ops, prices)
 
         if cfg.thread_latency_hiding:
             bd.memory += max(latency_sum / cfg.n_threads,
@@ -172,20 +180,6 @@ class CycleModel:
         else:
             bd.memory += latency_sum
         return bd
-
-    def _op_cycles(self, ops: dict, bd: CycleBreakdown) -> float:
-        """Price one function update; division cycles are tallied into the
-        breakdown's division bucket."""
-        compute = 0.0
-        for op, count in ops.items():
-            if op == "div":
-                price = (OP_CYCLES["div_elim"]
-                         if self.config.division_elimination
-                         else OP_CYCLES["div"])
-                bd.division += count * price
-            else:
-                compute += count * OP_CYCLES[op]
-        return compute
 
     def throughput_per_core_pps(self) -> float:
         """Cells (= original packets) one core processes per second."""
@@ -222,34 +216,14 @@ def software_cycles_per_packet(compiled: CompiledPolicy,
     plus the same operation inventory priced at x86 costs with the
     framework factor the original (Python/framework-based) extractors
     pay."""
+    prices = {op: 1.0 for op in OP_CYCLES}
+    prices.update(div=profile.div_cycles, hash=40.0, mul=3.0, sqrt=20.0)
     cycles = profile.capture_cycles
-    accesses = 1
     for section in compiled.sections:
-        accesses += 2
-        for m in section.maps:
-            cycles += _software_ops(MAP_FN_OPS.get(m.fn.name, {}), profile)
-        for feat in section.features:
-            cycles += _software_ops(
-                REDUCE_FN_OPS.get(feat.reduce_fn.name, {"alu": 2}), profile)
-    cycles += accesses * profile.mem_cycles_per_access
-    return cycles
-
-
-def _software_ops(ops: dict, profile: SoftwareProfile) -> float:
-    cycles = 0.0
-    for op, count in ops.items():
-        if op == "div":
-            base = profile.div_cycles
-        elif op == "hash":
-            base = 40.0
-        elif op == "mul":
-            base = 3.0
-        elif op == "sqrt":
-            base = 20.0
-        else:
-            base = 1.0
-        cycles += count * base * profile.framework_factor
-    return cycles
+        cycles += price(section_ops(section), prices) \
+            * profile.framework_factor
+    accesses = 1 + 2 * len(compiled.sections)
+    return cycles + accesses * profile.mem_cycles_per_access
 
 
 def software_throughput_pps(compiled: CompiledPolicy,

@@ -41,8 +41,7 @@ from repro.core.functions import (
     reducer_share_plan,
 )
 from repro.nicsim.grouptable import GroupTable
-from repro.nicsim.memory import EMEM, level_by_name
-from repro.nicsim.placement import PlacementResult
+from repro.nicsim.placement import PlacementResult, section_level
 from repro.streaming.folds import (
     Fold,
     ObjectFold,
@@ -627,7 +626,7 @@ class FeatureEngine:
             self._tables.append((section, GroupTable(
                 n_indices=table_indices, width=table_width,
                 entry_bytes=self._entry_bytes(section, plan),
-                level=self._section_level(section, placement),
+                level=section_level(section, placement),
                 state_factory=(self._slabs[i].alloc if self._slabs
                                else lambda p=plan: _GroupState(p)))))
         # Vector-assembly plan, one entry per table: collected feature
@@ -699,19 +698,6 @@ class FeatureEngine:
                 f"collect unit {unit!r} is coarser than a section with "
                 f"collected features; collect at the finest used "
                 f"granularity or per pkt")
-
-    @staticmethod
-    def _section_level(section: Section,
-                       placement: PlacementResult | None):
-        if placement is None:
-            return EMEM
-        names = [placement.placement.get(f.name)
-                 for f in section.features]
-        names = [n for n in names if n]
-        if not names:
-            return EMEM
-        return max((level_by_name(n) for n in names),
-                   key=lambda l: l.latency_cycles)
 
     def _entry_bytes(self, section: Section, plan: _SectionPlan) -> int:
         probe = _GroupState(plan)

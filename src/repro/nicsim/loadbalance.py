@@ -10,11 +10,11 @@ coordination is needed.
 
 Failover extends the steering for NIC death (fault-injected or real):
 a dead NIC's shard re-routes consistently to the survivors (same hash,
-modulo the live set), the control plane replays the dead NIC's FG
-mirror to the new owners so their cells keep fine-granularity
-attribution, and the dead NIC's in-flight per-group state is demoted to
-``degraded`` residual vectors reconciled at drain — a flow never
-silently disappears.
+modulo the live set), the control plane replays the FG mirror the dead
+NIC's own engine held to the new owners so their cells keep
+fine-granularity attribution, and the dead NIC's in-flight per-group
+state is demoted to ``degraded`` residual vectors reconciled at drain —
+a flow never silently disappears.
 """
 
 from __future__ import annotations
@@ -92,8 +92,8 @@ class ClusterBase:
     """What both NIC clusters share: hash steering of event batches
     over a liveness map (:func:`steer`), the failover ledger and the
     bank-wide counters.  Subclasses hold the engines, take batches in
-    ``consume_batch`` and report their stats through
-    :meth:`_engine_stats`."""
+    ``consume_batch``, crash one engine in :meth:`_crash` and report
+    their stats through :meth:`_engine_stats`."""
 
     name = "cluster"
 
@@ -124,7 +124,11 @@ class ClusterBase:
 
     # -- failover --------------------------------------------------------------
 
-    def _mark_dead(self, nic: int) -> None:
+    def fail_nic(self, nic: int) -> None:
+        """Kill one NIC: its shard re-routes to survivors, the FG mirror
+        its engine held is replayed to the new owners as one sync batch
+        (reconciliation), and its resident per-group state is demoted to
+        degraded residual vectors held for the drain."""
         self._check_nic(nic)
         if not self.alive[nic]:
             raise ValueError(f"NIC {nic} is already dead")
@@ -132,6 +136,14 @@ class ClusterBase:
             raise ValueError("cannot fail the last live NIC")
         self.alive[nic] = False
         self.failovers += 1
+        mirror, residual = self._crash(nic)
+        self._residual.extend(residual)
+        self._replay_mirror(mirror)
+
+    def _crash(self, nic: int) -> tuple:
+        """Crash NIC ``nic``'s engine: ``(its FG mirror (index, key)
+        pairs in index order, its residual vectors)``."""
+        raise NotImplementedError
 
     def _replay_mirror(self, mirror) -> None:
         """A dead NIC's FG mirror pairs, replayed as one sync batch."""
@@ -229,16 +241,9 @@ class NICCluster(ClusterBase):
                 engine.consume_batch(batch.select(records, syncs))
         return ()
 
-    def fail_nic(self, nic: int) -> None:
-        """Kill one NIC: its shard re-routes to survivors, its FG mirror
-        is replayed to the new owners as one sync batch
-        (reconciliation), and its resident per-group state is demoted to
-        degraded residual vectors held for the drain."""
-        self._mark_dead(nic)
+    def _crash(self, nic: int) -> tuple:
         engine = self.engines[nic]
-        mirror = engine.fg_mirror_items()
-        self._residual.extend(engine.crash())
-        self._replay_mirror(mirror)
+        return engine.fg_mirror_items(), engine.crash()
 
     def finalize(self) -> list[FeatureVector]:
         vectors: list[FeatureVector] = []

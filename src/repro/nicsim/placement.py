@@ -28,7 +28,12 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.core.compiler import StateRequirement
-from repro.nicsim.memory import NFP_MEMORY_HIERARCHY, MemoryLevel
+from repro.nicsim.memory import (
+    EMEM,
+    NFP_MEMORY_HIERARCHY,
+    MemoryLevel,
+    level_by_name,
+)
 
 
 @dataclass(frozen=True)
@@ -74,6 +79,17 @@ class PlacementResult:
             util[level.name] = (entry * problem.n_groups
                                 / level.size_bytes)
         return util
+
+
+def section_level(section, placement: PlacementResult | None
+                  ) -> MemoryLevel:
+    """Memory level of a section's group table: the slowest level the
+    placement holds any of its features' state in (a bucket load is
+    bounded by it); EMEM without a placement or a placed feature."""
+    names = [placement.placement.get(f.name) for f in section.features
+             ] if placement is not None else []
+    return max((level_by_name(n) for n in names if n),
+               key=lambda level: level.latency_cycles, default=EMEM)
 
 
 def _bus_budget(problem: PlacementProblem, level: MemoryLevel) -> float:

@@ -55,17 +55,13 @@ def engine_ledger(sink) -> list:
 
 
 def shape_free_counters(dataplane) -> dict:
-    """``dataplane.counters()`` as plain data without the sharded
-    cluster's ledgers that depend on the call shape by design: the
-    ``dispatch`` ledger (frames cut per call) reduced to its event
-    count, and the supervisor's ``journal_entries`` (one per frame)
-    dropped.  Every other counter stays exact."""
+    """``dataplane.counters()`` as plain data, plus a sharded cluster's
+    dispatched event count (its frame count depends on the call shape
+    by design).  Every counter stays exact."""
     counters = json.loads(json.dumps(dataplane.counters()))
-    cluster = counters.get("cluster", {})
-    dispatch = cluster.pop("dispatch", None)
-    if dispatch is not None:
-        cluster["events_dispatched"] = dispatch["events"]
-    cluster.get("supervisor", {}).pop("journal_entries", None)
+    if isinstance(dataplane.sink, ShardedCluster):
+        counters["cluster"]["events_dispatched"] = \
+            dataplane.sink.events_dispatched
     return counters
 
 

@@ -247,3 +247,51 @@ class TestStreamIngestion:
             pass
         second = ex.health()["ingest"]
         assert first["packets_in"] == second["packets_in"]
+
+
+#: Run in a fresh interpreter: records the top-level module of every
+#: import statement executed by repro's own code while the three public
+#: modules load, then prints the ones outside the standard library.
+_IMPORT_PROBE = """
+import sys
+
+class Probe:
+    names = set()
+
+    def find_spec(self, fullname, path=None, target=None):
+        frame = sys._getframe(1)
+        while frame.f_code.co_filename.startswith("<frozen importlib"):
+            frame = frame.f_back
+        if str(frame.f_globals.get("__name__")).startswith("repro"):
+            self.names.add(fullname.partition(".")[0])
+        return None
+
+sys.meta_path.insert(0, Probe())
+import repro, repro.api, repro.cli
+print(" ".join(sorted(n for n in Probe.names
+                      if n not in sys.stdlib_module_names
+                      and n != "repro")))
+"""
+
+
+def test_import_loads_only_declared_dependencies():
+    """``import repro, repro.api, repro.cli`` imports no third-party
+    module that ``pyproject.toml`` does not declare."""
+    import os
+    import pathlib
+    import re
+    import subprocess
+    import sys
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    block = re.search(r"^dependencies = \[(.*?)\]",
+                      (root / "pyproject.toml").read_text(),
+                      re.M | re.S).group(1)
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower()
+                for dep in re.findall(r'"([^"]+)"', block)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE], capture_output=True,
+        text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")})
+    imported = set(proc.stdout.split())
+    assert imported and imported <= declared, proc.stdout

@@ -112,3 +112,53 @@ class TestChainSplitting:
 
     def test_singletons(self):
         assert split_into_chains(["flow"]) == [["flow"]]
+
+    #: Every non-empty subset of the built-in granularities, with the
+    #: cover the bipartite-matching implementation returned for it.
+    COVERS = {
+        ("host",): [["host"]],
+        ("channel",): [["channel"]],
+        ("socket",): [["socket"]],
+        ("flow",): [["flow"]],
+        ("host", "channel"): [["host", "channel"]],
+        ("host", "socket"): [["host", "socket"]],
+        ("host", "flow"): [["flow"], ["host"]],
+        ("channel", "socket"): [["channel", "socket"]],
+        ("channel", "flow"): [["channel"], ["flow"]],
+        ("socket", "flow"): [["flow"], ["socket"]],
+        ("host", "channel", "socket"): [["host", "channel", "socket"]],
+        ("host", "channel", "flow"): [["flow"], ["host", "channel"]],
+        ("host", "socket", "flow"): [["flow"], ["host", "socket"]],
+        ("channel", "socket", "flow"): [["channel", "socket"], ["flow"]],
+        ("host", "channel", "socket", "flow"):
+            [["flow"], ["host", "channel", "socket"]],
+    }
+
+    @pytest.mark.parametrize("names", sorted(COVERS), ids=",".join)
+    def test_builtin_subsets_keep_their_cover(self, names):
+        want = self.COVERS[names]
+        assert split_into_chains(list(names)) == want
+        assert split_into_chains(list(reversed(names))) == want
+
+    def test_shared_level_splits_into_separate_chains(self):
+        """Two granularities on one level of one chain cannot share a
+        chain; each resulting chain still passes dependency_chain."""
+        extra = [Granularity(name=name, chain="directed", level=level,
+                             key_fields=("src_ip",),
+                             packet_key=HOST.packet_key,
+                             project=HOST.project)
+                 for name, level in (("host_b", 0), ("channel_b", 1),
+                                     ("channel_c", 1))]
+        for gran in extra:
+            register_granularity(gran)
+        try:
+            chains = split_into_chains(
+                ["socket", "channel_c", "host", "channel", "host_b",
+                 "channel_b"])
+            assert chains == [["channel_c"], ["host", "channel", "socket"],
+                              ["host_b", "channel_b"]]
+            for chain in chains:
+                assert [g.name for g in dependency_chain(chain)] == chain
+        finally:
+            for gran in extra:
+                del GRANULARITIES[gran.name]

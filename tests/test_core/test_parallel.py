@@ -237,10 +237,9 @@ class TestShardedCluster:
                 cluster.consume_batch([MGPVRecord(
                     cg_key=key, cg_hash32=hash(key) & 0xFFFFFFFF,
                     cells=((0, (float(pkt.size),)),), reason="evict")])
-            dispatch = cluster.counters()["dispatch"]
-            assert dispatch["events"] == 64
-            assert dispatch["batches"] >= 64 // 8
-            assert dispatch["backend"] == "serial"
+            assert cluster.events_dispatched == 64
+            assert cluster.batches_dispatched >= 64 // 8
+            assert cluster.health()["backend"] == "serial"
         finally:
             cluster.close()
 
@@ -351,3 +350,91 @@ class TestShardedCluster:
         finally:
             cluster.close()
         assert not any(w["alive"] for w in cluster.health()["workers"])
+
+
+def switch_events():
+    """A switch run's events over 4 NICs' worth of flows (many syncs)."""
+    from repro.net.packet import PacketBatch
+    from repro.switchsim.mgpv import MGPVCache
+    compiled = PolicyCompiler().compile(flow_policy())
+    cache = MGPVCache(compiled.cg, compiled.fg,
+                      metadata_fields=compiled.metadata_fields)
+    packets = generate_trace("ENTERPRISE", n_flows=120, seed=5)
+    return compiled, (cache.insert_batch(PacketBatch.from_packets(packets))
+                      + cache.flush())
+
+
+def capture_replays(cluster) -> list:
+    """Record every mirror ``cluster`` replays on failover."""
+    replays = []
+    replay = cluster._replay_mirror
+
+    def spy(mirror):
+        replays.append(list(mirror))
+        replay(replays[-1])
+    cluster._replay_mirror = spy
+    return replays
+
+
+@pytest.mark.parametrize("kind", ["serial", "inline", "process"])
+def test_failover_replays_the_dead_engines_own_mirror(kind):
+    """``fail_nic`` replays exactly what the dead engine held — its
+    ``fg_mirror_items()``, in FG-index order — on every cluster, and the
+    drains agree."""
+    from repro.bench.parallel import vectors_checksum
+    from repro.nicsim.loadbalance import NICCluster
+    compiled, events = switch_events()
+    reference = NICCluster(compiled, 4)
+    reference.consume_batch(events)
+    want = list(reference.engines[1].fg_mirror_items())
+    assert len(want) > 1
+    assert [index for index, _ in want] == sorted(i for i, _ in want)
+    reference.fail_nic(1)
+    if kind == "serial":
+        cluster = NICCluster(compiled, 4)
+    else:
+        backend = "process" if kind == "process" else "serial"
+        cluster = ShardedCluster(compiled, 4, ExecutionConfig(
+            workers=2, backend=backend))
+    try:
+        replays = capture_replays(cluster)
+        cluster.consume_batch(events)
+        cluster.fail_nic(1)
+        assert replays == [want]
+        assert cluster.counters() == reference.counters()
+        assert (vectors_checksum(cluster.finalize())
+                == vectors_checksum(reference.finalize()))
+    finally:
+        if kind != "serial":
+            cluster.close()
+
+
+def test_failover_after_quarantine_replays_what_the_engine_holds(tuned):
+    """A quarantined batch's sync never reaches the engine (replay skips
+    the batch), so a later ``nic_kill`` on its shard replays only the
+    syncs of the batches the engine applied."""
+    from repro.switchsim.mgpv import FGSync, MGPVRecord
+    # f_mean fails on the poison cell at consume time, inside its batch.
+    policy = (pktstream().groupby("flow")
+              .reduce("size", ["f_mean"]).collect("flow"))
+    compiled = PolicyCompiler().compile(policy)
+    tuned(POISON_THRESHOLD=2)
+    cluster = ShardedCluster(compiled, 2, ExecutionConfig(
+        workers=2, backend="process", request_timeout_s=5.0))
+    try:
+        replays = capture_replays(cluster)
+        kept = FGSync(3, (10, 20, 1, 2, 6), owner_hash=0)
+        lost = FGSync(5, (11, 21, 1, 2, 6), owner_hash=0)
+        cluster.consume_batch([kept, MGPVRecord(
+            cg_key=(7,), cg_hash32=0, cells=((0, (1.0,)),),
+            reason="evict")])
+        cluster.consume_batch([lost, MGPVRecord(
+            cg_key=("poison",), cg_hash32=0, cells=((0, ("boom",)),),
+            reason="evict")])
+        cluster.fail_nic(0)
+        assert replays == [[(3, kept.key)]]
+        supervision = cluster.health()["supervision"]
+        assert [p["events"] for p in supervision["poison_batches"]] == [2]
+        assert cluster.counters()["fg_resyncs"] == 1
+    finally:
+        cluster.close()

@@ -444,22 +444,23 @@ def stage_counts(dataplane, ingest: dict) -> dict:
         "faults.reverted": counters["faults"]["actions_reverted"],
         "cluster.failovers": counters["cluster"]["failovers"],
     }
-    dispatch = counters["cluster"].get("dispatch")
-    if dispatch is not None:
+    health = dataplane.health()
+    if health is not None:
+        transport = health["transport"]
         counts.update({
-            "dispatch.batches": dispatch["batches"],
-            "dispatch.events": dispatch["events"],
-            "transport.bytes": dispatch["bytes"],
-            "transport.frames": dispatch["frames"],
-            "transport.fallback_chunks": dispatch["fallback_chunks"],
-            "transport.parked_frames": dispatch["parked_frames"],
+            "dispatch.batches": sink.batches_dispatched,
+            "dispatch.events": sink.events_dispatched,
+            "transport.bytes": transport["bytes"],
+            "transport.frames": transport["frames"],
+            "transport.fallback_chunks": transport["fallback_chunks"],
+            "transport.parked_frames": transport["parked_frames"],
         })
-    supervisor = counters["cluster"].get("supervisor")
-    if supervisor is not None:
+    supervision = health and health["supervision"]
+    if supervision:
         counts.update({
-            "supervisor.restarts": supervisor["restarts"],
-            "supervisor.redispatched": supervisor["redispatched_batches"],
-            "supervisor.poison_batches": supervisor["poison_batches"],
+            "supervisor.restarts": supervision["restarts"],
+            "supervisor.redispatched": supervision["redispatched_batches"],
+            "supervisor.poison_batches": len(supervision["poison_batches"]),
         })
     return counts
 

@@ -369,7 +369,7 @@ class TestTransportEndToEnd:
             assert report["mode"] == "shm"
             assert report["frames"] > 0
             assert report["bytes"] > 0
-            assert result.engine.counters()["dispatch"]["events"] > 0
+            assert result.engine.events_dispatched > 0
             kinds = report["queue_message_kinds"]
             assert kinds.get("frame", 0) == report["frames"]
             # The proof proper: no batch payload crossed the queue.

@@ -70,10 +70,7 @@ def assert_identical(serial, parallel):
 
 
 def cluster_counters(result):
-    counters = dict(result.dataplane.counters()["cluster"])
-    counters.pop("dispatch", None)      # executor-only ledger
-    counters.pop("supervisor", None)    # supervision-only ledger
-    return counters
+    return result.dataplane.counters()["cluster"]
 
 
 @pytest.fixture(scope="module")
