@@ -27,7 +27,6 @@ import numpy as np
 from repro.core.functions import (
     FnSpec,
     MAP_FNS,
-    NS_PER_S,
     REDUCE_FNS,
     SYNTH_FNS,
     declare_columnar_kernel,
@@ -37,6 +36,8 @@ from repro.core.functions import (
     register_synth_fn,
 )
 from repro.streaming.damped import DampedCovariance, DampedWelford
+from repro.streaming.folds import (NS_PER_S, DampedCovarianceFold,
+                                   DampedWelfordFold)
 
 #: Decay-factor mantissa bits of the NIC's shift-table model (division-free
 #: path); None means exact floating-point decay.
@@ -198,10 +199,13 @@ def install() -> None:
             name, (lambda c: lambda spec, ctx: c(spec, ctx))(cls),
             implicit_fields=fields)
         # One DampedWelford / DampedCovariance per (source, lam) serves
-        # the whole family (Kitsune: 35 accumulators, not 115), and its
-        # run kernel emits the family's columns under collect(pkt).
+        # the whole family (Kitsune: 35 accumulators, not 115), and under
+        # collect(pkt) one fold per section holds every such leader.
         declare_shared_accumulator(cls, "_d")
-        declare_columnar_kernel(cls, reads=fields, run_stat=stat)
+        fold = (DampedCovarianceFold if issubclass(cls, _DampedReduce2D)
+                else DampedWelfordFold)
+        declare_columnar_kernel(cls, reads=fields, run_stat=stat,
+                                fold=(fold, stat))
 
     if "f_cumsum" not in SYNTH_FNS:
         register_synth_fn("f_cumsum", _f_cumsum)

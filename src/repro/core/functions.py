@@ -657,9 +657,6 @@ COLUMNAR_KERNELS: dict[type, tuple] = {}
 
 _KERNEL_READS = frozenset(("src", "tstamp", "direction"))
 
-#: Run kernels take ``tstamp`` in seconds, the unit of Kitsune's lambda.
-NS_PER_S = 1e9
-
 
 def declare_columnar_kernel(cls: type, kernel=None,
                             reads: tuple[str, ...] = (),
@@ -681,31 +678,27 @@ def declare_columnar_kernel(cls: type, kernel=None,
     ``member.get``; a column the function does not declare may arrive
     as None).  ``maybe_none`` says a map's ``apply`` can return None.
 
-    ``run_stat`` makes a reducing class eligible under ``collect(pkt)``,
-    where a vector is snapshotted after every cell: the class must be a
-    :func:`declare_shared_accumulator` one whose accumulator has a *run
-    kernel* (``update_run`` beside a ``RUN_STATS`` tuple, see
-    :class:`repro.streaming.damped.DampedWelford`), and ``run_stat``
-    names the ``RUN_STATS`` entry that ``finalize()`` returns.  The
-    engine calls the kernel once per group run for the whole family,
-    with ``tstamp / NS_PER_S`` as the time column and a None value
-    wherever the per-cell path would skip the update.
-
-    ``fold`` gives the function *columnar state* under a per-group
-    ``collect``: the engine then keeps no object per group for it, only
-    the fold's numpy columns indexed by group row, and updates every
-    group of a block in one call (:mod:`repro.streaming.folds` has the
-    contract and the builtin folds).  For a mapping class pass a
+    ``fold`` gives the function *columnar state*: no object per group,
+    only the fold's numpy columns indexed by group row, every group of
+    a block updated in one call (:mod:`repro.streaming.folds` has the
+    contract and the builtin folds).  A mapping class passes a
     :class:`~repro.streaming.folds.Fold` subclass with ``apply(seg,
-    src, tstamps, directions)``; for a reducing class pass ``(factory,
-    stat)``: ``factory(accumulator)`` builds the fold from a fresh
-    instance's accumulator (the instance itself unless the class is a
+    src, tstamps, directions)``; a reducing class ``(factory, stat)``:
+    ``factory(accumulator)`` builds the fold from a fresh instance's
+    accumulator (the instance itself unless the class is a
     :func:`declare_shared_accumulator` one — every member of a sharing
     family must name the same factory) and ``fold.stat(stat, rows,
     probe)`` is what ``finalize()`` returns.  Without a fold the
-    function rides the default object column: one instance per group
-    row, driven segment by segment through ``kernel`` /
-    ``update_many``.
+    function rides an object column: one instance per group row, driven
+    segment by segment through ``kernel`` / ``update_many``.
+
+    ``run_stat`` makes a reducing class eligible under ``collect(pkt)``,
+    where a vector is snapshotted after every cell: it names the scalar
+    statistic ``finalize()`` returns.  Its object column then runs
+    ``update`` and ``finalize()`` per cell, unless the fold is a
+    *per-packet* one (``factory`` a class with ``trace``, e.g.
+    :class:`~repro.streaming.folds.DampedWelfordFold`), built once from
+    the accumulators of every leader in the section that declares it.
 
     Like :func:`declare_shared_accumulator`, the declaration is per
     exact class and never inherited: a subclass (which may override

@@ -21,8 +21,6 @@ tables whose memory level comes from the ILP placement (§6.2).
 from __future__ import annotations
 
 import os
-from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 from time import perf_counter_ns
@@ -32,7 +30,6 @@ import numpy as np
 from repro.core.compiler import CompiledPolicy, PolicyError, Section
 from repro.core.functions import (
     COLUMNAR_KERNELS,
-    NS_PER_S,
     SHARED_ACCUMULATORS,
     ExecContext,
     make_map_factory,
@@ -44,6 +41,7 @@ from repro.nicsim.grouptable import GroupTable
 from repro.nicsim.placement import PlacementResult, section_level
 from repro.streaming.folds import (
     Fold,
+    MemberView,
     ObjectFold,
     ObjectMap,
     Segments,
@@ -78,35 +76,8 @@ class FeatureVector:
     widths: tuple[int, ...] | None = None
 
 
-class MemberView:
-    """A member tuple as seen inside one section: the cell's metadata
-    fields overlaid with this section's mapped keys."""
-
-    __slots__ = ("_fields", "_mapped")
-
-    def __init__(self, fields: dict) -> None:
-        self._fields = fields
-        self._mapped: dict = {}
-
-    def get(self, key: str):
-        if key in self._mapped:
-            return self._mapped[key]
-        try:
-            return self._fields[key]
-        except KeyError:
-            raise KeyError(f"member has no key {key!r}") from None
-
-    def set(self, key: str, value) -> None:
-        self._mapped[key] = value
-
-    def has(self, key: str) -> bool:
-        return key in self._mapped or key in self._fields
-
-
-# Reducer-source dispatch kinds (see _SectionPlan) and the unset-slot
-# sentinel of _shell_plan.
+# Reducer-source dispatch kinds (see _SectionPlan).
 _POS, _MAPPED_OR_POS, _MAPPED = 0, 1, 2
-_MISSING = object()
 
 # Deferred-work queue tags (FeatureEngine._pending / _drain).
 _CELLS, _CLOCK = 0, 1
@@ -117,9 +88,6 @@ _RAW_EVENTS = 1024
 # Row cap of one collect(pkt) block: its vectors are row views of one
 # buffer, so this bounds both the allocation and what a kept vector pins.
 _PKT_BLOCK_ROWS = 2048
-
-
-_IMMUTABLE = (int, float, bool, str, type(None))
 
 
 def _concat_blocks(blocks: list) -> tuple:
@@ -134,31 +102,6 @@ def _concat_blocks(blocks: list) -> tuple:
             np.concatenate([o + b for o, b in zip(offs, base.tolist())]),
             [key for keys in cg_keys for key in keys],
             [h for hashes in cg_hashes for h in hashes])
-
-
-def _shell_plan(probe, attr: str):
-    """How to allocate a share-plan follower bare: ``(cls, extras)``
-    when the object's entire state is slots — ``attr`` (the accumulator
-    the share wiring overwrites) plus immutable parameters, returned as
-    ``((slot, value), ...)`` copied from ``probe``.  Such followers skip
-    ``__init__``, which would only build an accumulator the wiring
-    immediately discards.  None means "construct normally"."""
-    cls = type(probe)
-    slots: set[str] = set()
-    for klass in cls.__mro__:
-        s = klass.__dict__.get("__slots__")
-        if s is None:
-            if klass is not object:
-                return None
-            continue
-        slots.update((s,) if isinstance(s, str) else s)
-    if attr not in slots:
-        return None
-    extras = tuple((name, getattr(probe, name, _MISSING))
-                   for name in sorted(slots - {attr}))
-    if any(type(value) not in _IMMUTABLE for _n, value in extras):
-        return None
-    return cls, extras
 
 
 class _PerCell(Exception):
@@ -187,7 +130,6 @@ class _SectionPlan:
 
     __slots__ = ("maps", "reds", "share_plan", "columnar", "blocker",
                  "map_factories", "red_factories", "red_feats",
-                 "red_followers", "red_shells", "shell_extras",
                  "map_fns", "map_probes", "probes", "leader_of")
 
     def __init__(self, section: Section, ctx: ExecContext,
@@ -227,29 +169,10 @@ class _SectionPlan:
         self.share_plan = reducer_share_plan(
             (feat.src, probe) for (feat, *_), probe in zip(reds, probes)
         ) if share_states else ()
-        followers = frozenset(f for f, _l, _a in self.share_plan)
-        self.reds = tuple(
-            (feat, kind, src, pos, factory, i in followers)
-            for i, (feat, kind, src, pos, factory) in enumerate(reds))
-        # Flat views for the hot group constructor: factories in plan
-        # order, so a new state is a couple of list comprehensions.
+        self.reds = tuple(reds)
         self.map_factories = tuple(f for _d, _s, _p, f in self.maps)
-        self.red_factories = tuple(f for _f, _k, _s, _p, f, _fol
-                                   in self.reds)
-        self.red_feats = tuple(f for f, _k, _s, _p, _fac, _fol
-                               in self.reds)
-        self.red_followers = tuple(fol for _f, _k, _s, _p, _fac, fol
-                                   in self.reds)
-        shells = [None] * len(reds)
-        extras = []
-        for f_idx, _l, attr in self.share_plan:
-            shell = _shell_plan(probes[f_idx], attr)
-            if shell is not None:
-                shells[f_idx] = shell[0]
-                extras.extend((f_idx, name, value)
-                              for name, value in shell[1])
-        self.red_shells = tuple(shells)
-        self.shell_extras = tuple(extras)
+        self.red_factories = tuple(f for *_r, f in reds)
+        self.red_feats = tuple(f for f, *_r in reds)
         # What a slab is built from: the probed instances (a follower's
         # probe later stands in for it on every row), the functions'
         # names, and each follower's leader.
@@ -281,12 +204,11 @@ class _SectionPlan:
         entry is ``(map_idx, dst, kernel, src_mode, src_arg, fallback)``
         and each creds entry — one per accumulator *leader*, standing
         for ``weight`` reducers — is ``(kind, src, pos, red_idx,
-        needs_dir, weight, run)``.  ``run`` is None for a per-group
-        policy (``update_many``); under ``collect(pkt)``, where this
-        section's vector columns start at ``pkt_col0``, it is ``(attr,
-        cols)``: the attribute holding the accumulator with the run
-        kernel, and the vector column of each of its ``RUN_STATS`` (-1,
-        a row's scratch slot, when no collected feature wants it).
+        needs_dir, weight, outs)``.  ``outs`` is None for a per-group
+        policy; under ``collect(pkt)``, where this section's vector
+        columns start at ``pkt_col0``, it lists ``(red_idx, stat,
+        col)``: the family's collected members, the ``run_stat`` each
+        finalizes to and its vector column.
         """
         positions = {"tstamp": index.get("tstamp"),
                      "direction": index.get("direction")}
@@ -339,35 +261,27 @@ class _SectionPlan:
         collected = {f.name for f in section.collected}
         creds: dict = {}        # leader red_idx -> its (mutable) entry
         col = pkt_col0
-        for red_idx, (feat, kind, src, pos, _factory, _follower) \
-                in enumerate(self.reds):
+        for red_idx, (feat, kind, src, pos, _f) in enumerate(self.reds):
             probe = red_probes[red_idx]
             _k, reads, _m, stat, _fold = declared(feat.reduce_fn, probe)
             entry = creds.setdefault(
                 leader_of.get(red_idx, red_idx),
-                [kind, src, pos, red_idx, "direction" in reads, 0, None])
+                [kind, src, pos, red_idx, "direction" in reads, 0,
+                 None if pkt_col0 is None else []])
             entry[5] += 1
             if pkt_col0 is None:
                 if reads - {"direction"}:
                     raise _PerCell(feat.reduce_fn, "update_many is only "
                                    "handed values and directions")
                 continue
-            attr = SHARED_ACCUMULATORS.get(type(probe))
-            if stat is None or attr is None:
-                raise _PerCell(feat.reduce_fn, "no declared run kernel "
-                               "to emit a vector per cell")
+            if stat is None:
+                raise _PerCell(feat.reduce_fn, "declares no run_stat to "
+                               "emit a vector per cell")
             if feat.synth_fns:
                 raise _PerCell(feat.synth_fns[0],
                                "synthesizes a per-packet feature")
-            stats = getattr(probe, attr).RUN_STATS
-            if entry[6] is None:
-                entry[6] = (attr, [-1] * len(stats))
             if feat.name in collected:
-                cols, k = entry[6][1], stats.index(stat)
-                if cols[k] >= 0:
-                    raise _PerCell(feat.reduce_fn, "repeats a statistic "
-                                   "its accumulator already emits")
-                cols[k] = col
+                entry[6].append((red_idx, stat, col))
                 col += 1
         return (tuple(cmaps), tuple(map(tuple, creds.values())),
                 positions["tstamp"] if "tstamp" in used else None,
@@ -375,59 +289,24 @@ class _SectionPlan:
 
 
 class _GroupState:
-    """Per-group function instances for one section.
+    """Per-group function instances for one section: the per-cell
+    loop's state (a block-path policy keeps slab rows instead)."""
 
-    Construction is on the hot path (one per new group), so it only
-    instantiates the function objects; the per-cell loop's dispatch
-    views (``map_fns``/``upd_reducers``) are derived from the shared
-    section plan on first use and cached — the run kernels index
-    ``map_objs``/``red_objs`` directly and never build them.
-    """
-
-    __slots__ = ("plan", "map_objs", "red_all", "red_objs", "last_update",
-                 "_map_fns", "_upd_reducers")
+    __slots__ = ("plan", "map_objs", "red_all", "red_objs", "last_update")
 
     def __init__(self, plan: _SectionPlan) -> None:
         self.plan = plan
         self.map_objs = [f() for f in plan.map_factories]
-        red_all = [f() if shell is None else shell.__new__(shell)
-                   for f, shell in zip(plan.red_factories,
-                                       plan.red_shells)]
-        self.red_all = red_all
+        self.red_all = red_all = [f() for f in plan.red_factories]
         # Family followers (f_var after f_mean over the same source, …)
         # share the leader's accumulator and sit as None in the update
         # view ("state already updated by the leader"); their finalize
         # reads the shared accumulator wired here.
-        share = plan.share_plan
-        if share:
-            for f_idx, l_idx, attr in share:
-                setattr(red_all[f_idx], attr,
-                        getattr(red_all[l_idx], attr))
-            for f_idx, name, value in plan.shell_extras:
-                setattr(red_all[f_idx], name, value)
-            self.red_objs = [None if fol else r for r, fol
-                             in zip(red_all, plan.red_followers)]
-        else:
-            self.red_objs = red_all
+        for f_idx, l_idx, attr in plan.share_plan:
+            setattr(red_all[f_idx], attr, getattr(red_all[l_idx], attr))
+        self.red_objs = [None if i in plan.leader_of else r
+                         for i, r in enumerate(red_all)]
         self.last_update = 0
-        self._map_fns = self._upd_reducers = None
-
-    @property
-    def map_fns(self) -> list:
-        mf = self._map_fns
-        if mf is None:
-            mf = self._map_fns = [
-                (dst, src, fn) for (dst, src, _p, _f), fn
-                in zip(self.plan.maps, self.map_objs)]
-        return mf
-
-    @property
-    def upd_reducers(self) -> tuple:
-        ur = self._upd_reducers
-        if ur is None:
-            ur = self._upd_reducers = tuple(zip(self.plan.red_feats,
-                                                self.red_objs))
-        return ur
 
     def state_bytes(self) -> int:
         return sum(int(getattr(r, "state_bytes", 8))
@@ -449,15 +328,20 @@ class _Slab:
     every accumulator leader of the share plan is a
     :mod:`~repro.streaming.folds` fold over those rows.  A function
     that declared no fold rides an object column — ``objects`` names
-    the first such function."""
+    the first such function.  Under ``collect(pkt)`` the leaders
+    declaring one per-packet fold share it (*stacked*); ``stacks`` lists
+    ``[fold, leaders, wanted, cols]``: what its ``trace`` emits, where."""
 
-    def __init__(self, plan: _SectionPlan) -> None:
+    def __init__(self, plan: _SectionPlan, pkt: bool = False) -> None:
         self.plan = plan
+        self.pkt = pkt
         self.objects: str | None = None
         self.maps = [self._map_fold(slot)
                      for slot in range(len(plan.columnar[0]))]
         self.reds: dict = {}        # leader red_idx -> its fold
         self.stats: dict = {}       # red_idx -> the stat finalize() reads
+        self.stacks: list = []
+        stacked: dict = {}          # per-packet fold factory -> leaders
         family: dict = {}
         for idx in range(len(plan.probes)):
             family.setdefault(plan.leader_of.get(idx, idx), []).append(idx)
@@ -466,11 +350,21 @@ class _Slab:
                      for i in members]
             factory = decls[0] and decls[0][0]
             odd = next((i for i, decl in zip(members, decls)
-                        if not decl or decl[0] is not factory), None)
+                        if not decl or decl[0] is not factory
+                        or hasattr(factory, "trace") is not pkt), None)
+            if odd is None and pkt:
+                stacked.setdefault(factory, []).append(leader)
+                continue
             if odd is None:
                 self.stats.update((i, decl[1])
                                   for i, decl in zip(members, decls))
             self.reds[leader] = self._red_fold(leader, odd)
+            if pkt:
+                self.stacks.append(self._stack(self.reds[leader], [leader]))
+        for factory, leaders in stacked.items():
+            fold = factory([self._holder(leader) for leader in leaders])
+            self.reds.update(dict.fromkeys(leaders, fold))
+            self.stacks.append(self._stack(fold, leaders))
         self.stamps = _Stamps(None)
         self.used = self.cap = 0
         self.free: list[int] = []
@@ -504,8 +398,18 @@ class _Slab:
         return ObjectFold(plan.red_factories[leader],
                           SHARED_ACCUMULATORS.get(type(plan.probes[leader])))
 
+    def _stack(self, fold, leaders: list) -> list:
+        outs = {cred[3]: cred[6] for cred in self.plan.columnar[1]}
+        native = not isinstance(fold, ObjectFold)
+        wanted = [(k, stat) if native else (0, self.plan.probes[idx])
+                  for k, leader in enumerate(leaders)
+                  for idx, stat, _col in outs[leader]]
+        cols = [col for leader in leaders for _i, _s, col in outs[leader]]
+        return [fold, leaders, wanted, np.array(cols, np.intp)]
+
     def folds(self) -> list:
-        return [*self.maps, *self.reds.values(), self.stamps]
+        return [*self.maps, *{id(f): f for f in self.reds.values()}.values(),
+                self.stamps]
 
     def alloc(self) -> int:
         if self.free:
@@ -530,9 +434,10 @@ class _Slab:
             self.fresh = []
 
     def to_objects(self, slot: int | None = None,
-                   leader: int | None = None):
+                   leader: int | None = None, k: int = 0):
         """Move one native fold's rows into an object column — a block
-        left the range the fold is exact in — and return that column."""
+        left the range the fold is exact in — and return that column
+        (``k``: the leader's place in a stacked fold)."""
         if leader is None:
             old = self.maps[slot]
             new = self.maps[slot] = self._map_fold(slot, native=False)
@@ -544,8 +449,16 @@ class _Slab:
         for row in range(self.used):
             fn = new.col[row]
             old.export(row, fn if leader is None
-                       else self._holder(leader, fn))
+                       else self._holder(leader, fn), k)
         return new
+
+    def unstack(self, stack: list) -> list:
+        """:meth:`to_objects` for each leader of ``stack``: new stacks."""
+        i = next(i for i, st in enumerate(self.stacks) if st is stack)
+        self.stacks[i:i + 1] = stacks = [
+            self._stack(self.to_objects(leader=leader, k=k), [leader])
+            for k, leader in enumerate(stack[1])]
+        return stacks
 
 
 @dataclass
@@ -610,16 +523,16 @@ class FeatureEngine:
             if self._pkt_mode:
                 pkt_col += len(section.collected)
         # Columnar fast path eligibility: every section has an exact
-        # batch recipe (for a per-packet policy, run kernels that emit a
+        # batch recipe (for a per-packet policy, reducers that emit a
         # row per cell); any other policy runs the per-cell loop.  Only
         # orphan cells leave the block path — checked at record time.
         self._columnar = (not self._reference
                           and all(p.columnar is not None
                                   for p in self._plans))
-        # A columnar per-group policy keeps its group state in slabs:
-        # the tables then map a key to a slab row, not to a state object.
-        self._slabs = ([_Slab(plan) for plan in self._plans]
-                       if self._columnar and not self._pkt_mode else None)
+        # A columnar policy keeps its group state in slabs: the tables
+        # then map a key to a slab row, not to a state object.
+        self._slabs = ([_Slab(plan, self._pkt_mode) for plan in self._plans]
+                       if self._columnar else None)
         self._tables: list[tuple[Section, GroupTable]] = []
         for i, (section, plan) in enumerate(zip(compiled.sections,
                                                 self._plans)):
@@ -951,9 +864,8 @@ class FeatureEngine:
         last cell (the scalar loop advances the clock per cell before
         stamping).
 
-        A per-group policy folds all of a section's groups at once into
-        its slab (:meth:`_fold_section`); a ``collect(pkt)`` policy
-        walks the groups with run kernels (:meth:`_run_block`).
+        A ``collect(pkt)`` block goes in pieces of at most
+        ``_PKT_BLOCK_ROWS`` cells: a piece's vectors view one buffer.
         """
         n = len(kids)
         stats = self._stats
@@ -969,17 +881,18 @@ class FeatureEngine:
         for first, floor in floors:
             np.maximum(stamps[first:], floor, out=stamps[first:])
         self._clock = int(stamps[-1])
-        if self._slabs is None:
-            # Capped: a block's vectors are row views of one buffer.
-            keys = list(map(self._fg_keys.__getitem__, kids.tolist()))
-            cols = [col.tolist() for col in cols]
-            offs, cgs = offs.tolist(), list(zip(cg_keys, cg_hashes))
-            prefix = stamps.tolist()
-            for lo in range(0, n, _PKT_BLOCK_ROWS):
-                hi = lo + _PKT_BLOCK_ROWS
-                self._run_block(keys[lo:hi], [c[lo:hi] for c in cols],
-                                offs, cgs, lo, prefix[lo:hi])
-            return
+        step = _PKT_BLOCK_ROWS if self._pkt_mode else n
+        for lo in range(0, n, step):
+            hi = lo + step
+            self._fold_block(kids[lo:hi], [col[lo:hi] for col in cols],
+                             (offs - lo, cg_keys, cg_hashes),
+                             stamps[lo:hi])
+
+    def _fold_block(self, kids: np.ndarray, cols: list, cgs: tuple,
+                    stamps: np.ndarray) -> None:
+        """:meth:`_process_cells_block` over one piece (``cgs`` relative
+        to it); under ``collect(pkt)`` buffer row ``i`` is the vector
+        right after cell ``i``."""
         # Every section sorts the block by its own groups; they share
         # the FG grouping — first-appearance ordinals, ``heads`` their
         # first cells — and the metadata columns.
@@ -993,13 +906,14 @@ class FeatureEngine:
         group_keys = list(map(self._fg_keys.__getitem__,
                               groups[rank].tolist()))
         arrays = dict(enumerate(cols))
-        cgs = offs, cg_keys, cg_hashes
+        out = (np.empty((len(kids), self._pkt_dims)) if self._pkt_mode
+               else None)
         fg_name = self.compiled.fg.name
         skips = 0
         for i, (section, _table) in enumerate(self._tables):
             if section.granularity.name == fg_name:
                 skips += self._fold_section(i, group_keys, heads, cells,
-                                            arrays, cgs, stamps)
+                                            arrays, cgs, stamps, out)
                 continue
             # Coarser groups, still in first-appearance order: the
             # projection is a pure function of the FG key.
@@ -1011,11 +925,19 @@ class FeatureEngine:
                 of_fine.append(at[0])
             skips += self._fold_section(
                 i, coarse, [head for _at, head in coarse.values()],
-                np.array(of_fine, np.intp)[cells], arrays, cgs, stamps)
-        stats.skipped_updates += skips
+                np.array(of_fine, np.intp)[cells], arrays, cgs, stamps, out)
+        self._stats.skipped_updates += skips
+        if out is not None:
+            keys = list(map(group_keys.__getitem__, cells.tolist()))
+            self._pkt_vectors.extend(
+                FeatureVector(key, self._pkt_names, row,
+                              self._vector_degraded(key))
+                for key, row in zip(keys, out))
+            self._stats.vectors_emitted += len(keys)
 
     def _fold_section(self, i: int, group_keys, heads, cells: np.ndarray,
-                      arrays: dict, cgs, stamps: np.ndarray) -> int:
+                      arrays: dict, cgs, stamps: np.ndarray,
+                      vectors: np.ndarray | None = None) -> int:
         """Fold one section's share of a block into its slab: cell ``c``
         belongs to the ``cells[c]``-th of ``group_keys`` (in
         first-appearance order; ``heads`` are their first cells, None
@@ -1023,8 +945,10 @@ class FeatureEngine:
         the block's ``(offs, cg_keys, cg_hashes)``).  ``arrays`` holds
         the metadata columns by position.  One located table lookup per
         group with the repeats accounted in bulk, one stable sort by
-        group, then every map and every accumulator family takes all
-        segments in one call.  Returns the skipped updates."""
+        group, then every map and every accumulator family (under
+        ``collect(pkt)``: stack, writing its columns of ``vectors``,
+        None for a demoted orphan) takes all segments in one call.
+        Returns the skipped updates."""
         table = self._tables[i][1]
         slab = self._slabs[i]
         cmaps, creds, ts_pos, dir_pos = self._plans[i].columnar
@@ -1086,164 +1010,48 @@ class FeatureEngine:
                    or slab.to_objects(slot=slot).apply(seg, src, ts, dirs))
             under = mapped.get(dst)
             mapped[dst] = out if under is None else overlay(out, under)
+        # Under collect(pkt) every leader sees every cell, a None (no
+        # emission) as a hole in its valid mask: a snapshot all the same.
         skips = 0
         packed: dict = {}       # src -> its emitted cells only
-        for kind, src, pos, red_idx, needs_dir, weight, _run in creds:
-            part, rdirs = seg, dirs
+        inputs: dict = {}       # collect(pkt): leader -> (values, valid)
+        for kind, src, pos, red_idx, needs_dir, weight, _outs in creds:
+            valid = None
             if kind == _POS:
                 values = column(pos)
             elif kind == _MAPPED_OR_POS:
                 values = overlay(mapped[src], (column(pos), None))[0]
-            elif src not in mapped:
-                skips += seg.n * weight
-                continue
-            else:
+            elif src in mapped:
                 values, valid = mapped[src]
-                if valid is not None:
-                    if src not in packed:
-                        packed[src] = (seg.select(valid), values[valid],
-                                       None if dirs is None else dirs[valid])
-                    part, values, rdirs = packed[src]
-                    skips += (seg.n - part.n) * weight
-                    if not part.n:
-                        continue
+            else:
+                values, valid = np.zeros(seg.n), np.zeros(seg.n, np.bool_)
+            if valid is not None:
+                skips += (seg.n - int(valid.sum())) * weight
+            if slab.pkt:
+                inputs[red_idx] = values, valid
+                continue
+            part, rdirs = seg, dirs
+            if valid is not None:
+                if src not in packed:
+                    packed[src] = (seg.select(valid), values[valid],
+                                   None if dirs is None else dirs[valid])
+                part, values, rdirs = packed[src]
+                if not part.n:
+                    continue
             args = part, values, rdirs if needs_dir else None
             if not slab.reds[red_idx].update(*args):
                 slab.to_objects(leader=red_idx).update(*args)
+        todo = list(slab.stacks)
+        while todo:
+            stack = todo.pop()
+            fold, leaders, wanted, cols = stack
+            block = fold.trace(seg, *zip(*map(inputs.__getitem__, leaders)),
+                               ts, dirs, wanted)
+            if block is None:
+                todo.extend(slab.unstack(stack))
+            elif vectors is not None:
+                vectors[order[:, None], cols] = block
         return skips
-
-    def _run_block(self, keys: list, cols: list, offs: list, cgs: list,
-                   cell0: int, prefix: list) -> None:
-        """One ``collect(pkt)`` block (cells ``cell0`` onwards of the
-        merged block): per group, one table lookup plus a bulk
-        repeat-hit account per section, map kernels over the group's
-        metadata columns, and each accumulator's run kernel, which
-        replays the group's run and writes its statistics into the
-        run's rows of one per-block buffer.  Sections are independent,
-        so row ``i`` ends up holding every section's state right after
-        cell ``i``: the rows are the vectors, in cell order."""
-        n = len(keys)
-        dims = self._pkt_dims
-        stats = self._stats
-        # Rows of 1 + dims slots: column -1 of a row is the scratch
-        # slot that unwanted statistics are written to.
-        buf = array("d", (0.0,)) * (n * (dims + 1))
-        offsets = range(1, len(buf), dims + 1)
-        skips = 0
-        src_none = _SectionPlan._SRC_NONE
-        src_pos = _SectionPlan._SRC_POS
-        fg_name = self.compiled.fg.name
-        for (section, table), plan in zip(self._tables, self._plans):
-            cmaps, creds, ts_pos, dir_pos = plan.columnar
-            # Group cell indices by this section's projected key in
-            # first-appearance order.  The FG-granularity section's
-            # projection is the identity, so it groups on the key as-is;
-            # coarser sections memoize the projection per FG key — it is
-            # a pure function of the key.
-            groups: dict = {}
-            if section.granularity.name == fg_name:
-                for i, key in enumerate(keys):
-                    lst = groups.get(key)
-                    if lst is None:
-                        groups[key] = [i]
-                    else:
-                        lst.append(i)
-            else:
-                project = section.granularity.project
-                proj: dict = {}
-                for i, fg_key in enumerate(keys):
-                    key = proj.get(fg_key)
-                    if key is None:
-                        key = proj[fg_key] = project(fg_key)
-                    lst = groups.get(key)
-                    if lst is None:
-                        groups[key] = [i]
-                    else:
-                        lst.append(i)
-            lookup = table.lookup_or_insert_located
-            account = table.account_hits
-            for key, idxs in groups.items():
-                k = len(idxs)
-                whole = k == n
-                cg_key, cg_hash32 = cgs[
-                    bisect_right(offs, cell0 + idxs[0]) - 1]
-                state, _created, in_bucket = lookup(
-                    key, cg_hash32 if key == cg_key else None)
-                if k > 1:
-                    account(in_bucket, k - 1)
-                state.last_update = prefix[idxs[-1]]
-                # Per-group column-slice memo: several consumers (map
-                # sources, sibling reducers over one source) slice the
-                # same column; cut the list comp to once per column.
-                csl: dict = {}
-                ts_g = dir_g = None
-                if ts_pos is not None:
-                    c = cols[ts_pos]
-                    ts_g = csl[ts_pos] = (c if whole
-                                          else [c[i] for i in idxs])
-                if dir_pos is not None:
-                    c = cols[dir_pos]
-                    dir_g = csl[dir_pos] = (c if whole
-                                            else [c[i] for i in idxs])
-                mapped: dict[str, list] = {}
-                map_objs = state.map_objs
-                for m_idx, dst, kernel, mode, arg, fallback in cmaps:
-                    if mode == src_none:
-                        src_vals = None
-                    elif mode == src_pos:
-                        src_vals = csl.get(arg)
-                        if src_vals is None:
-                            c = cols[arg]
-                            src_vals = csl[arg] = (
-                                c if whole else [c[i] for i in idxs])
-                    else:
-                        base = mapped[arg]
-                        if fallback is None:
-                            src_vals = base
-                        else:
-                            fb = csl.get(fallback)
-                            if fb is None:
-                                c = cols[fallback]
-                                fb = csl[fallback] = (
-                                    c if whole else [c[i] for i in idxs])
-                            src_vals = [m if m is not None else fb[j]
-                                        for j, m in enumerate(base)]
-                    out = kernel(map_objs[m_idx], src_vals, ts_g,
-                                 dir_g, k)
-                    prev = mapped.get(dst)
-                    if prev is None:
-                        mapped[dst] = out
-                    else:
-                        mapped[dst] = [v if v is not None else p
-                                       for v, p in zip(out, prev)]
-                red_objs = state.red_objs
-                at = offsets if whole else [offsets[i] for i in idxs]
-                secs = ts_g and [t / NS_PER_S for t in ts_g]
-                memo: dict = {}
-                for kind, src, pos, red_idx, _d, weight, run in creds:
-                    if kind == _MAPPED:
-                        # None = "skip the update, snapshot anyway".
-                        vals = mapped.get(src) or [None] * k
-                        skips += vals.count(None) * weight
-                    else:
-                        vals = csl.get(pos)
-                        if vals is None:
-                            c = cols[pos]
-                            vals = csl[pos] = (
-                                c if whole else [c[i] for i in idxs])
-                        if kind == _MAPPED_OR_POS:
-                            fb = vals
-                            vals = [m if m is not None else fb[j]
-                                    for j, m in enumerate(mapped[src])]
-                    getattr(red_objs[red_idx], run[0]).update_run(
-                        vals, secs, dir_g, buf, at, run[1], memo)
-        stats.skipped_updates += skips
-        rows = np.frombuffer(buf).reshape(n, dims + 1)[:, 1:]
-        self._pkt_vectors.extend(
-            FeatureVector(key, self._pkt_names, row,
-                          self._vector_degraded(key))
-            for key, row in zip(keys, rows))
-        stats.vectors_emitted += n
 
     def _process_record_reference(self, record: MGPVRecord) -> None:
         """The per-cell loop — the ``SUPERFE_REFERENCE_PATH=1`` oracle
@@ -1279,12 +1087,12 @@ class FeatureEngine:
     def _update_section(self, state: _GroupState, fields: dict) -> None:
         state.last_update = self._clock
         view = MemberView(fields)
-        for dst, src, fn in state.map_fns:
+        for (dst, src, _p, _f), fn in zip(state.plan.maps, state.map_objs):
             src_value = view.get(src) if src is not None else None
             value = fn.apply(view, src_value)
             if value is not None:
                 view.set(dst, value)
-        for feat, reducer in state.upd_reducers:
+        for feat, reducer in zip(state.plan.red_feats, state.red_objs):
             if not view.has(feat.src):
                 self._stats.skipped_updates += 1
                 continue
@@ -1566,7 +1374,7 @@ class FeatureEngine:
         for _, table in self._tables:
             table.clear()
         for slab in self._slabs or ():
-            slab.__init__(slab.plan)    # empty again; tables keep alloc
+            slab.__init__(slab.plan, slab.pkt)  # empty; tables keep alloc
         self._mirror[:] = -1
         self._fg_ids.clear()
         self._fg_keys.clear()
@@ -1594,21 +1402,17 @@ class FeatureEngine:
 
     def path(self) -> tuple[str, str | None]:
         """Which record path the policy's cells take, named by where
-        the group state lives: ``("slab", None)`` — a per-group policy
-        on the block path with every function's state in numpy columns;
+        the group state lives: ``("slab", None)`` — the block path with
+        every function's state in numpy columns;
         ``("slab+objects", fn)`` — the same with ``fn`` the first
-        function that declared no fold and rides an object column;
-        ``("columnar", None)`` — ``collect(pkt)`` run kernels over
-        per-group objects; or ``("per-cell", why)`` — the reference
-        loop — naming the first thing that disqualifies the block path
-        (an orphan cell leaves it either way, alone: ``cells_per_cell``
-        counts those)."""
+        function that declared no fold and rides an object column; or
+        ``("per-cell", why)`` — the reference loop — naming the first
+        thing that disqualifies the block path (an orphan cell leaves it
+        either way, alone: ``cells_per_cell`` counts those)."""
         if self._slabs is not None:
             fn = next((slab.objects for slab in self._slabs
                        if slab.objects), None)
             return ("slab+objects", fn) if fn else ("slab", None)
-        if self._columnar:
-            return "columnar", None
         if self._reference:
             return "per-cell", "SUPERFE_REFERENCE_PATH=1"
         return "per-cell", next(p.blocker for p in self._plans

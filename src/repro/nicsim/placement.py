@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.core.compiler import StateRequirement
 from repro.nicsim.memory import (
@@ -98,7 +97,10 @@ def _bus_budget(problem: PlacementProblem, level: MemoryLevel) -> float:
 
 
 def solve_ilp(problem: PlacementProblem) -> PlacementResult:
-    """Exact solution via mixed-integer linear programming (HiGHS)."""
+    """Exact solution via mixed-integer linear programming (HiGHS).
+    ``scipy.optimize`` loads here, not at import: most callers never
+    solve the ILP."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
     states, levels = problem.states, problem.levels
     n_s, n_m = len(states), len(levels)
     n_vars = n_s * n_m

@@ -20,6 +20,18 @@ import math
 import numpy as np
 
 
+def quantize_decay(factor: float, bits: int) -> float:
+    """The NIC's shift-table model of a decay factor: ``2^k * (1 +
+    m/2^bits)``, the mantissa truncated to the table's resolution."""
+    if factor <= 0.0:
+        return 0.0
+    scale = 1 << bits
+    k = math.floor(math.log2(factor))
+    mantissa = factor / (2.0 ** k)         # in [1, 2)
+    mantissa = math.floor(mantissa * scale) / scale
+    return mantissa * (2.0 ** k)
+
+
 class DampedStat:
     """1D damped incremental statistics (Kitsune incStat).
 
@@ -90,10 +102,6 @@ class DampedStat:
     def std(self) -> float:
         return self.variance ** 0.5
 
-    def stats(self) -> tuple[float, float, float]:
-        """Kitsune's per-stream 1D feature triple (weight, mean, std)."""
-        return (self.w, self.mean, self.std)
-
 
 class DampedWelford:
     """Numerically stable damped statistics: West's weighted incremental
@@ -129,23 +137,11 @@ class DampedWelford:
         accumulators (the reducer-sharing key)."""
         return (self.lam, self.decay_quant_bits)
 
-    def _decay_factor(self, dt: float) -> float:
-        factor = 2.0 ** (-self.lam * dt)
-        if self.decay_quant_bits is None:
-            return factor
-        # Shift-table model: factor = 2^-k * (1 + m/2^bits); quantize the
-        # mantissa to the table's resolution.
-        if factor <= 0.0:
-            return 0.0
-        scale = 1 << self.decay_quant_bits
-        k = math.floor(math.log2(factor))
-        mantissa = factor / (2.0 ** k)         # in [1, 2)
-        mantissa = math.floor(mantissa * scale) / scale
-        return mantissa * (2.0 ** k)
-
     def update(self, x: float, t: float) -> None:
         if self.last_t is not None and t > self.last_t and self.lam > 0:
-            factor = self._decay_factor(t - self.last_t)
+            factor = 2.0 ** (-self.lam * (t - self.last_t))
+            if self.decay_quant_bits is not None:
+                factor = quantize_decay(factor, self.decay_quant_bits)
             self.w *= factor
             self.m2 *= factor
         self.last_t = t if self.last_t is None else max(self.last_t, t)
@@ -155,45 +151,6 @@ class DampedWelford:
         self.mean += delta / self.w
         self.m2 += delta * (x - self.mean)
 
-    #: What :meth:`update_run` snapshots after every cell, in ``cols`` order.
-    RUN_STATS = ("w", "mean", "std")
-
-    def update_run(self, values, ts, dirs, out, at, cols, memo=None) -> None:
-        """Exact run kernel: :meth:`update` over a group's ordered run
-        ``(values[j], ts[j])`` with the state held in locals.  A ``None``
-        value is "no update, snapshot anyway"; after every cell the
-        ``RUN_STATS`` are stored at ``out[at[j] + cols[k]]`` in the
-        float-op order of the properties (a caller that does not want a
-        statistic points it at a scratch column).  ``memo`` lets the
-        kernels of one run, which see the same gaps, compute each
-        ``(params, dt)`` decay factor once."""
-        lam, w, mean, m2, last = (self.lam, self.w, self.mean, self.m2,
-                                  self.last_t)
-        c_w, c_mean, c_std = cols
-        factors = {} if memo is None else memo.setdefault(self.params, {})
-        for x, t, o in zip(values, ts, at):
-            if x is not None:
-                if last is None:
-                    last = t
-                elif t > last:
-                    if lam > 0:
-                        factor = factors.get(t - last)
-                        if factor is None:
-                            factor = factors[t - last] = (
-                                self._decay_factor(t - last))
-                        w *= factor
-                        m2 *= factor
-                    last = t
-                w += 1.0
-                delta = x - mean
-                mean += delta / w
-                m2 += delta * (x - mean)
-            out[o + c_w] = w
-            out[o + c_mean] = mean
-            var = m2 / w if w > 0 else 0.0
-            out[o + c_std] = (var if var > 0 else max(var, 0.0)) ** 0.5
-        self.w, self.mean, self.m2, self.last_t = w, mean, m2, last
-
     @property
     def variance(self) -> float:
         return self.m2 / self.w if self.w > 0 else 0.0
@@ -201,9 +158,6 @@ class DampedWelford:
     @property
     def std(self) -> float:
         return max(self.variance, 0.0) ** 0.5
-
-    def stats(self) -> tuple[float, float, float]:
-        return (self.w, self.mean, self.std)
 
 
 class DampedCovariance:
@@ -263,85 +217,6 @@ class DampedCovariance:
         if has_other:
             self.sr += res_self * res_other
             self.w_joint += 1.0
-
-    #: What :meth:`update_run` snapshots after every cell, in ``cols`` order.
-    RUN_STATS = ("magnitude", "radius", "covariance", "pcc")
-
-    def update_run(self, values, ts, dirs, out, at, cols, memo=None) -> None:
-        """Exact run kernel over ``(values[j], ts[j], dirs[j])`` — the
-        contract of :meth:`DampedWelford.update_run`.  Instances with a
-        non-default ``single_precision`` / ``decay_exp_step`` replay the
-        scalar :meth:`update` rather than a second inlined copy."""
-        a, b = self.a, self.b
-        if a.single_precision or a.decay_exp_step is not None:
-            for x, t, d, o in zip(values, ts, dirs, at):
-                if x is not None:
-                    self.update(x, t, d)
-                for c, stat in zip(cols, self.stats()):
-                    out[o + c] = stat
-            return
-        c_mag, c_rad, c_cov, c_pcc = cols
-        lam = a.lam
-        sr, wj, last = self.sr, self.w_joint, self.last_t
-        # s* holds the stream being updated and o* the other one; they
-        # swap when the direction flips (every statistic is symmetric
-        # in the two).  msq/vsq/std: mean^2, variance^2, std.
-        s_is_a = True
-        sw, sls, sss, slast, sres = a.w, a.ls, a.ss, a.last_t, self._last_res_a
-        ow, ols, oss, olast, ores = b.w, b.ls, b.ss, b.last_t, self._last_res_b
-        smsq, svsq, sstd = a.mean ** 2, a.variance ** 2, a.std
-        omsq, ovsq, ostd = b.mean ** 2, b.variance ** 2, b.std
-        for x, t, d, o in zip(values, ts, dirs, at):
-            if x is not None:
-                if last is None:
-                    last = t
-                elif t > last:
-                    if lam > 0:
-                        factor = 2.0 ** (-lam * (t - last))
-                        sr *= factor
-                        wj *= factor
-                    last = t
-                if (d >= 0) is not s_is_a:
-                    s_is_a = not s_is_a
-                    (sw, sls, sss, slast, sres, smsq, svsq, sstd,
-                     ow, ols, oss, olast, ores, omsq, ovsq, ostd) = (
-                        ow, ols, oss, olast, ores, omsq, ovsq, ostd,
-                        sw, sls, sss, slast, sres, smsq, svsq, sstd)
-                if slast is None:
-                    slast = t
-                elif t > slast:
-                    if lam > 0:
-                        factor = 2.0 ** -(lam * (t - slast))
-                        sw *= factor
-                        sls *= factor
-                        sss *= factor
-                    slast = t
-                sw += 1.0
-                sls += x
-                sss += x * x
-                mean = sls / sw if sw > 0 else 0.0
-                smsq = mean ** 2
-                var = 0.0 if sw <= 0 else sss / sw - smsq
-                if not var > 0.0:
-                    var = max(var, 0.0)
-                svsq = var ** 2
-                sstd = var ** 0.5
-                sres = x - mean
-                if ow > 0:
-                    sr += sres * ores
-                    wj += 1.0
-            out[o + c_mag] = (smsq + omsq) ** 0.5
-            out[o + c_rad] = (svsq + ovsq) ** 0.5
-            out[o + c_cov] = cov = sr / wj if wj > 0 else 0.0
-            denom = sstd * ostd
-            out[o + c_pcc] = cov / denom if denom > 0 else 0.0
-        if not s_is_a:
-            a, b = b, a
-        a.w, a.ls, a.ss, a.last_t = sw, sls, sss, slast
-        b.w, b.ls, b.ss, b.last_t = ow, ols, oss, olast
-        self.sr, self.w_joint, self.last_t = sr, wj, last
-        self._last_res_a, self._last_res_b = (
-            (sres, ores) if s_is_a else (ores, sres))
 
     @property
     def magnitude(self) -> float:

@@ -20,7 +20,9 @@ segments at once:
   pairwise.  Once at most :data:`CUTOVER` (long) segments remain, their
   tails run through the accumulator's own ``update_many``.
 
-A fold answers ``update`` / ``apply`` with a falsy value, state
+Under ``collect(pkt)`` a fold's ``trace`` also returns every cell's
+statistics; the damped folds stack a section's leaders as (rows x
+leaders) columns.  A fold answers with a falsy value, state
 untouched, when a block leaves the range its arithmetic is exact in (an
 int that could leave int64, NaN where the scalar code would raise, a
 dtype change).  The caller then moves the family to the default
@@ -31,8 +33,12 @@ native fold is measured against — via :meth:`Fold.export`.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import attrgetter
+
 import numpy as np
 
+from repro.streaming.damped import quantize_decay
 from repro.streaming.welford import WelfordDivisionFree
 
 #: Rank steps stop once this few segments are still active; their tails
@@ -45,6 +51,7 @@ from repro.streaming.welford import WelfordDivisionFree
 CUTOVER = 32
 
 _F8, _I8 = np.float64, np.int64
+NS_PER_S = 1e9      # tstamp ns -> s, the unit of Kitsune's lambda
 #: Ints at or beyond this could overflow int64 inside a fold.
 _EXACT = 1 << 61
 
@@ -54,7 +61,7 @@ class Segments:
     ``values[starts[i]:starts[i] + lens[i]]`` and belongs to slab row
     ``rows[i]`` (``lens >= 1``)."""
 
-    __slots__ = ("rows", "starts", "lens", "n", "_ranked")
+    __slots__ = ("rows", "starts", "lens", "n", "_layout")
 
     def __init__(self, rows: np.ndarray, lens: np.ndarray) -> None:
         self.rows = rows
@@ -62,7 +69,7 @@ class Segments:
         stops = np.cumsum(lens)
         self.starts = stops - lens
         self.n = int(stops[-1]) if len(stops) else 0    # cells
-        self._ranked = None
+        self._layout = None
 
     @property
     def ends(self) -> np.ndarray:
@@ -77,14 +84,19 @@ class Segments:
         """The segment index of every cell."""
         return np.repeat(np.arange(len(self.lens)), self.lens)
 
-    def ranked(self) -> tuple[np.ndarray, list]:
-        """``(order, active)``: segment indices longest first, and for
-        each rank ``j`` how many segments have a ``j``-th value."""
-        if self._ranked is None:
+    def layout(self) -> tuple:
+        """``(order, active, rank, place)``: segments longest first, how
+        many have a ``j``-th value, and each cell's rank and segment
+        place — ``P[rank, place]`` is a (ranks x segments) matrix."""
+        if self._layout is None:
             order = np.argsort(-self.lens, kind="stable")
             shorter = np.cumsum(np.bincount(self.lens))[:-1]
-            self._ranked = order, (len(self.lens) - shorter).tolist()
-        return self._ranked
+            place = np.empty(len(order), np.intp)
+            place[order] = np.arange(len(order))
+            ids = self.ids()
+            self._layout = (order, (len(self.lens) - shorter).tolist(),
+                            np.arange(self.n) - self.starts[ids], place[ids])
+        return self._layout
 
     def select(self, keep: np.ndarray) -> "Segments":
         """The segmentation of ``values[keep]`` (emptied groups drop
@@ -148,12 +160,12 @@ def _int_bound(values: np.ndarray) -> int:
     return max(-int(values.min()), int(values.max()))
 
 
-def _scalar(fn, *columns: np.ndarray) -> np.ndarray:
-    """``fn`` per row through Python floats: numpy's ``power`` / ``sqrt``
-    may round the last bit differently from the scalar ``**`` of the
-    accumulators' properties, and do not raise where it does."""
-    return np.array([fn(*row) for row in zip(*(c.tolist() for c in columns))],
-                    dtype=_F8)
+def _pow(xs: np.ndarray, y: float) -> np.ndarray:
+    """``x ** y`` per element through Python's float ``**``: numpy's
+    ``power`` / ``sqrt`` / ``exp2`` and ``x * x`` round the last bit
+    differently on some inputs."""
+    return np.fromiter(map(pow, xs.ravel().tolist(), repeat(y)), _F8,
+                       xs.size).reshape(xs.shape)
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -191,8 +203,9 @@ class Fold:
         for column in self._columns():
             getattr(self, column)[rows] = 0
 
-    def export(self, row: int, fn) -> None:
-        """Write one row's state into function object ``fn``."""
+    def export(self, row: int, fn, k: int = 0) -> None:
+        """Write one row's state into function object ``fn`` (``k``:
+        which leader of a stacked fold)."""
         for column, attr, _dtype in self.COLUMNS:
             if attr:
                 unset = column in self.OPTIONAL and not self.has[row]
@@ -207,7 +220,7 @@ class Fold:
     def _sequential(self, seg: Segments, values: np.ndarray) -> None:
         """Rank-step ``values`` into the columns through ``_step(xs,
         *state)``, then the scalar tails of the longest segments."""
-        order, active = seg.ranked()
+        order, active, _rank, _place = seg.layout()
         rows = seg.rows[order]
         starts = seg.starts[order]
         columns = self._columns()
@@ -310,7 +323,7 @@ class WelfordFold(Fold):
 
     @staticmethod
     def _std(variance: np.ndarray) -> np.ndarray:
-        return _scalar(lambda v: v ** 0.5, variance)
+        return _pow(variance, 0.5)
 
     def stat(self, name, rows, probe) -> np.ndarray:
         if name == "mean":
@@ -356,7 +369,7 @@ class DivisionFreeFold(WelfordFold):
 
     @staticmethod
     def _std(variance: np.ndarray) -> np.ndarray:
-        return _scalar(lambda v: max(v, 0.0) ** 0.5, variance)
+        return _pow(np.where(variance < 0, 0.0, variance), 0.5)
 
 
 def welford_fold(acc) -> Fold:
@@ -394,8 +407,9 @@ class MomentsFold(Fold):
         n, m2 = self.n[rows], self.m2[rows]
         live = ~((n < 2) | (m2 <= 0))
         out = np.zeros(len(rows))
-        out[live] = _scalar(lambda t, n, m2: (t / n) / (m2 / n) ** power,
-                            top[rows][live], n[live], m2[live])
+        # Python's arithmetic: a ** that underflows to 0 must raise.
+        out[live] = [(t / n) / (m2 / n) ** power for t, n, m2 in zip(
+            top[rows][live].tolist(), n[live].tolist(), m2[live].tolist())]
         return out
 
 
@@ -411,7 +425,7 @@ class HistogramFold(Fold):
         self.width, self.n_bins, self.origin = acc.params
         self.counts = np.zeros((0, self.n_bins), _I8)
 
-    def export(self, row: int, acc) -> None:
+    def export(self, row: int, acc, k: int = 0) -> None:
         acc.counts[:] = self.counts[row]
         acc.total = int(self.total[row])
         acc._cdf = (0, None)
@@ -448,6 +462,284 @@ class HistogramFold(Fold):
                          self.n_bins - 1)
         return np.where(total > 0, self.origin + (idx + 1) * self.width,
                         self.origin)
+
+
+# -- per-packet folds: trace(seg, values, valid, ts, dirs, wanted) -> the
+# wanted statistics after every cell (cells x wanted), or None to step
+# aside
+
+def _quantized(factors: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """:func:`~repro.streaming.damped.quantize_decay` per element (bits
+    0: exact) through ``frexp``; the scalar code runs where its
+    ``floor(log2)`` may round up: a mantissa within 2^-34 of 2."""
+    bits = np.broadcast_to(bits, factors.shape)
+    m, e = np.frexp(factors)
+    scale = np.ldexp(1.0, bits)
+    out = np.where(bits > 0, np.floor(m * (2 * scale)) / scale
+                   * np.ldexp(1.0, e - 1), factors)
+    for i in np.flatnonzero((bits > 0) & (m >= 1 - 2.0 ** -35)).tolist():
+        out.flat[i] = quantize_decay(factors.flat[i], int(bits.flat[i]))
+    return out
+
+
+class _DampedFold(Fold):
+    """``L`` stacked accumulators — the leaders of one family in one
+    section — as (rows x L) columns one rank step advances together; a
+    last stamp of -inf is none.  Decay gaps depend on stamps, directions
+    and skips only, so every factor is known before the recurrence (one
+    Python ``2.0 ** y`` per distinct exponent), steps do only ``+ - * /``
+    and selects, and Python's ``**`` finishes the statistics after it.
+
+    No scalar tails, unlike :data:`CUTOVER`'s: a step moves ``L`` leaders.
+    Seed-7 ``kitsune-stream``, 2-core host, ms per streamed rep with
+    tails at <= 0 / 2 / 4 / 8 / 16 / all active segments: Welford 269 /
+    272 / 275 / 284 / 317 / 426, covariance 270 / 271 / 274 / 280 / 302
+    / 455; ``run()`` (2 048-cell blocks, both): 156 / 152 / 159 / 162 /
+    166."""
+
+    STATS: tuple = ()
+    LASTS: tuple = ()
+
+    def __init__(self, accs: list) -> None:
+        self.accs = accs
+        self.lams = np.array([acc.params[0] for acc in accs], _F8)
+        for column, _attr, dtype in self.COLUMNS:
+            setattr(self, column, np.zeros((0, len(accs)), dtype))
+
+    def clear(self, rows) -> None:
+        super().clear(rows)
+        for column in self.LASTS:
+            getattr(self, column)[rows] = -np.inf
+
+    def _prepare(self, seg, values, valid, ts):
+        """``(X, V, t, lay, rows)`` — values and valid masks as (cells x
+        L), stamps in seconds, the layout, its rows — or None unless all
+        are plain finite numbers (ints exact as floats, for ``x * x``)."""
+        if not all(map(_numeric, (ts, *values))) or any(
+                v.dtype == _I8 and seg.n and _int_bound(v) > 1 << 53
+                for v in values):
+            return None
+        t = ts / NS_PER_S
+        if not np.isfinite(t).all():
+            return None
+        lay = seg.layout()
+        self._lens = seg.lens[lay[0]]
+        return (np.stack(values, axis=1).astype(_F8),
+                np.stack([np.ones(seg.n, np.bool_) if v is None else v
+                          for v in valid], axis=1),
+                t, lay, seg.rows[lay[0]])
+
+    @staticmethod
+    def _pad(lay, cells: np.ndarray, fill) -> np.ndarray:
+        """Per-cell rows laid out as (ranks x segments x ...)."""
+        order, active, rank, place = lay
+        out = np.full((len(active), len(order)) + cells.shape[1:], fill,
+                      cells.dtype)
+        out[rank, place] = cells
+        return out
+
+    def _before(self, lay, t, masks, last):
+        """Each cell's latest earlier stamp in its segment's ``masks``
+        cells (cells x L x G) or its row's ``last``; each row's after."""
+        order, active, rank, place = lay
+        run = np.empty((len(active) + 1,) + last.shape)
+        run[0] = last
+        run[1:] = self._pad(lay, np.where(masks, t[:, None, None], -np.inf),
+                            -np.inf)
+        np.maximum.accumulate(run, axis=0, out=run)
+        return run[rank, place], run[self._lens, np.arange(len(order))]
+
+    def _decays(self, t, before, mask) -> np.ndarray:
+        """``2.0 ** (-lam * (t - before))`` where a cell in ``mask`` is
+        later than ``before``, 1.0 elsewhere (cells x L)."""
+        with np.errstate(all="ignore"):
+            gap = t[:, None] - before
+            decays = mask & (gap > 0) & (before > -np.inf) & (self.lams > 0)
+            distinct, inverse = np.unique((-self.lams * gap)[decays],
+                                          return_inverse=True)
+        factors = np.ones(gap.shape)
+        factors[decays] = np.fromiter(map(pow, repeat(2.0), distinct.tolist()),
+                                      _F8, len(distinct))[inverse]
+        return factors
+
+    @staticmethod
+    def _select(stats: dict, wanted, n: int) -> np.ndarray:
+        return np.array([stats[stat][:, k] for k, stat in wanted]).reshape(
+            len(wanted), n).T
+
+    def export(self, row: int, acc, k: int = 0) -> None:
+        for column, attr, _dtype in self.COLUMNS:
+            value = getattr(self, column)[row, k].item()
+            owner, _, name = attr.rpartition(".")
+            setattr(attrgetter(owner)(acc) if owner else acc, name,
+                    None if value == -np.inf and column in self.LASTS
+                    else value)
+
+
+class DampedWelfordFold(_DampedFold):
+    """:class:`~repro.streaming.damped.DampedWelford` per (row, leader);
+    ``f_dw`` / ``f_dmean`` / ``f_dstd`` read ``w`` / ``mean`` / ``std``."""
+
+    COLUMNS = (("w", "w", _F8), ("mean", "mean", _F8), ("m2", "m2", _F8),
+               ("last", "last_t", _F8))
+    STATS = ("w", "mean", "std")
+    LASTS = ("last",)
+
+    def trace(self, seg, values, valid, ts, dirs, wanted):
+        prep = self._prepare(seg, values, valid, ts)
+        if prep is None:
+            return None
+        X, V, t, (order, active, rank, place), ro = prep
+        lay = prep[3]
+        before, last = self._before(lay, t, V[..., None],
+                                    self.last[ro][..., None])
+        F = _quantized(self._decays(t, before[..., 0], V),
+                       [acc.decay_quant_bits or 0 for acc in self.accs])
+        Xp, Fp = self._pad(lay, X, 0.0), self._pad(lay, F, 1.0)
+        skip = self._pad(lay, ~V, False)
+        skips = skip.any(axis=(1, 2)).tolist()
+        # Layer j + 1: the state after rank j (layer 0: the rows').
+        layers = np.empty((3, len(active) + 1, len(order), len(self.accs)))
+        layers[:, 0] = self.w[ro], self.mean[ro], self.m2[ro]
+        Wp, Mp, Qp = layers
+        with np.errstate(all="ignore"):
+            for j, k in enumerate(active):
+                x, f = Xp[j, :k], Fp[j, :k]
+                w0, m0, q0 = Wp[j, :k], Mp[j, :k], Qp[j, :k]
+                w1, m1, q1 = Wp[j + 1, :k], Mp[j + 1, :k], Qp[j + 1, :k]
+                np.multiply(w0, f, out=w1)
+                w1 += 1.0
+                delta = x - m0
+                np.divide(delta, w1, out=m1)
+                m1 += m0
+                np.multiply(q0, f, out=q1)
+                q1 += delta * (x - m1)
+                if skips[j]:
+                    for new, old in ((w1, w0), (m1, m0), (q1, q0)):
+                        np.copyto(new, old, where=skip[j, :k])
+        self.w[ro], self.mean[ro], self.m2[ro] = layers[
+            :, self._lens, np.arange(len(order))]
+        self.last[ro] = last[..., 0]
+        W, M, Q = layers[:, rank + 1, place]
+        stats = {"w": W, "mean": M}
+        if any(stat == "std" for _k, stat in wanted):
+            variance = np.divide(Q, W, out=np.zeros(W.shape), where=W > 0)
+            variance[variance < 0] = 0.0
+            stats["std"] = _pow(variance, 0.5)
+        return self._select(stats, wanted, seg.n)
+
+
+class DampedCovarianceFold(_DampedFold):
+    """:class:`~repro.streaming.damped.DampedCovariance` per (row,
+    leader).  A stream's sums move on its own cells only and the joint
+    sums add terms known once the streams are: both are ``s * f + step``
+    recurrences, ``f = 1`` and ``step = -0.0`` (which leave any float
+    as it is) where a cell does not touch them.  The original
+    implementation's knobs ride the object column."""
+
+    COLUMNS = tuple((column, attr, _F8) for column, attr in (
+        ("aw", "a.w"), ("als", "a.ls"), ("ass", "a.ss"), ("bw", "b.w"),
+        ("bls", "b.ls"), ("bss", "b.ss"), ("ra", "_last_res_a"),
+        ("rb", "_last_res_b"), ("sr", "sr"), ("wj", "w_joint"),
+        ("jlast", "last_t"), ("alast", "a.last_t"), ("blast", "b.last_t")))
+    STREAMS = ("aw", "als", "ass", "bw", "bls", "bss")
+    LASTS = ("jlast", "alast", "blast")
+    STATS = ("magnitude", "radius", "covariance", "pcc")
+
+    def _recur(self, lay, factors, steps, start) -> np.ndarray:
+        """Rank-step ``s = s * f + step`` from ``start`` (rows in rank
+        order); layer ``j + 1``: the state after rank ``j``."""
+        order, active, rank, place = lay
+        F, steps = self._pad(lay, factors, 1.0), self._pad(lay, steps, -0.0)
+        run = np.empty((len(active) + 1,) + start.shape)
+        run[0] = start
+        for j, k in enumerate(active):
+            np.multiply(run[j, :k], F[j, :k], out=run[j + 1, :k])
+            run[j + 1, :k] += steps[j, :k]
+        return run
+
+    def trace(self, seg, values, valid, ts, dirs, wanted):
+        if (dirs is None or not _numeric(dirs) or any(
+                acc.params[1:] != (False, None) for acc in self.accs)):
+            return None
+        prep = self._prepare(seg, values, valid, ts)
+        if prep is None:
+            return None
+        X, V, t, lay, ro = prep
+        order, active, rank, place = lay
+        S, L = len(order), len(self.accs)
+        rows, leaders, ab = (np.arange(S)[:, None, None],
+                             np.arange(L)[None, :, None], np.arange(2))
+        column = {c: getattr(self, c)[ro] for c, *_ in self.COLUMNS}
+        on_a = V & (dirs >= 0)[:, None]
+        sides = np.stack((on_a, V & ~on_a), axis=2)     # cells x L x 2
+        before, last = self._before(
+            lay, t, np.concatenate((V[..., None], sides), axis=2),
+            np.stack([column[c] for c in self.LASTS], axis=2))
+        joint_f = self._decays(t, before[..., 0], V)
+        stream_f = self._decays(t, np.where(on_a, before[..., 1],
+                                            before[..., 2]), V)
+        with np.errstate(all="ignore"):
+            # Both streams' (w, ls, ss) after every rank.
+            run = self._recur(
+                lay, np.where(sides, stream_f[..., None], 1.0)[..., None],
+                np.where(sides[..., None], np.stack(
+                    (np.ones(X.shape), X, X * X), axis=2)[:, :, None],
+                    -0.0),
+                np.stack([column[c] for c in self.STREAMS],
+                         axis=2).reshape(S, L, 2, 3))
+            w, ls, _ss = run[rank + 1, place].transpose(3, 0, 1, 2)
+            res = X - np.where(on_a, ls[..., 0] / w[..., 0],
+                               ls[..., 1] / w[..., 1])
+            # The rank of each stream's last update so far (0: none).
+            updated = self._pad(lay, sides, False)
+            ranks = np.arange(1, len(active) + 1)[:, None, None, None]
+            latest = np.maximum.accumulate(np.where(updated, ranks, 0),
+                                           axis=0)
+            residuals = np.empty((len(active) + 1, S, L, 2))
+            residuals[0] = np.stack((column["ra"], column["rb"]), axis=2)
+            residuals[1:] = self._pad(lay, np.repeat(res[..., None], 2, 2),
+                                      0.0)
+            at = latest[rank, place], place[:, None, None], leaders, ab
+            other = np.where(on_a, residuals[at][..., 1],
+                             residuals[at][..., 0])
+            pair = V & (np.where(on_a, w[..., 1], w[..., 0]) > 0)
+            joint = self._recur(
+                lay, np.repeat(joint_f[..., None], 2, axis=2),
+                np.where(pair[..., None], np.stack(
+                    (res * other, np.ones(X.shape)), axis=2), -0.0),
+                np.stack((column["sr"], column["wj"]), axis=2))
+        ends = self._lens, np.arange(S)
+        finals = (*run[ends].reshape(S, L, 6).transpose(2, 0, 1),
+                  *residuals[latest[-1], rows, leaders, ab].transpose(2, 0, 1),
+                  *joint[ends].transpose(2, 0, 1), *last.transpose(2, 0, 1))
+        for (name, *_), final in zip(self.COLUMNS, finals):
+            getattr(self, name)[ro] = final
+        with np.errstate(all="ignore"):
+            stats = self._stats(run, updated, at, joint[rank + 1, place])
+        return self._select(stats, wanted, seg.n)
+
+    @staticmethod
+    def _stats(run, updated, at, joint) -> dict:
+        """Each cell's statistics; a stream's squares and roots run once
+        per update (``at``: its last), not once per cell."""
+        held = np.concatenate((np.ones((1,) + updated.shape[1:], np.bool_),
+                               updated))
+        W, LS, SS = run[held].T
+        mean = np.divide(LS, W, out=np.zeros(W.shape), where=W > 0)
+        msq = _pow(mean, 2.0)
+        var = np.where(W <= 0, 0.0, SS / W - msq)
+        var[var < 0] = 0.0
+        table = np.zeros((3,) + held.shape)
+        table[:, held] = msq, _pow(var, 2.0), _pow(var, 0.5)
+        msq, vsq, std = table[(slice(None),) + at]
+        sr, wj = joint[..., 0], joint[..., 1]
+        cov = np.divide(sr, wj, out=np.zeros(sr.shape), where=wj > 0)
+        denom = std[..., 0] * std[..., 1]
+        return {"magnitude": _pow(msq.sum(axis=2), 0.5),
+                "radius": _pow(vsq.sum(axis=2), 0.5), "covariance": cov,
+                "pcc": np.divide(cov, denom, out=np.zeros(cov.shape),
+                                 where=denom > 0)}
 
 
 class ObjectFold:
@@ -488,6 +780,36 @@ class ObjectFold:
 
     def stat(self, name, rows, probe) -> list:
         return [self.view(row, probe).finalize() for row in rows.tolist()]
+
+    def trace(self, seg, values, valid, ts, dirs, wanted):
+        """Per-packet emission: each cell's ``update`` (none where not
+        ``valid``), then every wanted member's ``finalize()`` (``wanted``
+        pairs ``(0, probe)``)."""
+        fields = {name: col.tolist() for name, col
+                  in (("tstamp", ts), ("direction", dirs)) if col is not None}
+        cells = [MemberView(zip(fields, c)) for c in zip(*fields.values())]
+        values, valid = values[0].tolist(), valid[0]
+        valid = [True] * seg.n if valid is None else valid.tolist()
+        out = []
+        for row, lo, hi in seg.slices():
+            fn = self.col[row]
+            views = [self.view(row, probe) for _k, probe in wanted]
+            for c in range(lo, hi):
+                if valid[c]:
+                    fn.update(values[c], cells[c] if cells else MemberView())
+                out.append([view.finalize() for view in views])
+        return np.array(out, _F8).reshape(seg.n, len(wanted))
+
+
+class MemberView(dict):
+    """A member tuple as one section's functions see it: the cell's
+    metadata fields, overlaid with the section's mapped keys; ``get``
+    raises KeyError for a key the member lacks."""
+
+    __slots__ = ()
+    get = dict.__getitem__
+    set = dict.__setitem__
+    has = dict.__contains__
 
 
 # -- mapping folds: apply(seg, src, ts, dirs) -> (values, valid) or None

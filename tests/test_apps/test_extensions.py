@@ -100,3 +100,43 @@ def test_negative_lambda_fails_at_compile_naming_the_spec():
     with pytest.raises(ValueError,
                        match=r"f_dmean\{lam=-1\}.*non-negative"):
         api.compile(policy)
+
+
+def test_policy_language_ewma_example_runs_on_the_slab():
+    """The user accumulator of docs/policy_language.md's ``collect(pkt)``
+    section, run as written: it rides the slab's object column and
+    emits what the reference loop emits."""
+    import pathlib
+    import re
+    import textwrap
+
+    import repro.api as api
+    from repro.core.functions import REDUCE_FNS
+    from repro.core.policy import pktstream
+    from repro.net.trace import generate_trace
+    from repro.nicsim.engine import FeatureEngine
+    from tests.conftest import reference_path
+
+    doc = (pathlib.Path(__file__).resolve().parents[2] / "docs"
+           / "policy_language.md").read_text()
+    section = doc[doc.index("- under `collect(pkt)`"):]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    try:
+        exec(compile(textwrap.dedent(block), "policy_language.md",
+                     "exec"), {})
+        policy = (pktstream().groupby("host")
+                  .map("ipt", "tstamp", "f_ipt")
+                  .reduce("ipt", ["f_ewma{0.25}", "f_dmean{lam=1}"])
+                  .collect("pkt"))
+        trace = generate_trace("CAMPUS", n_flows=40, seed=3)[:400]
+        ex = api.compile(policy)
+        assert FeatureEngine(ex.compiled).path() == ("slab+objects",
+                                                     "f_ewma{0.25}")
+        with reference_path():
+            want = api.compile(policy).run(trace).vectors
+        got = ex.run(trace).vectors
+        assert [(v.key, v.values.tobytes()) for v in got] == [
+            (v.key, v.values.tobytes()) for v in want]
+        assert len(got) == len(trace)
+    finally:
+        REDUCE_FNS.pop("f_ewma", None)

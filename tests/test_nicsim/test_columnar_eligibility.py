@@ -134,8 +134,8 @@ class TestManifest:
     @pytest.mark.parametrize("app", PER_PACKET)
     def test_per_packet_is_columnar(self, app, pkt_trace):
         engine = engine_for(build_policy(app))
-        assert engine.path() == ("columnar", None)
-        # Leaders only: one run-kernel entry per shared accumulator.
+        assert engine.path() == ("slab", None)
+        # Leaders only: one fold entry per shared accumulator.
         assert (sum(len(p.columnar[1]) for p in engine._plans)
                 < sum(len(p.reds) for p in engine._plans))
         with reference_path():
@@ -153,8 +153,7 @@ class TestManifest:
                 for line in capsys.readouterr().out.splitlines()[1:]}
         assert sorted(rows) == sorted(APP_POLICIES)
         for app in APP_POLICIES:
-            layout, fn = LAYOUT.get(app, ("slab" if app in PER_GROUP
-                                          else "columnar", None))
+            layout, fn = LAYOUT.get(app, ("slab", None))
             assert rows[app].rstrip().endswith(
                 f"{layout} ({fn})" if fn else layout)
 
@@ -337,7 +336,8 @@ class TestPerPacketBlock:
 
     def test_declared_damped_policy_is_columnar(self, pkt_trace):
         policy = pkt_policy("f_dw{lam=0.1}")
-        assert engine_for(policy).path() == ("columnar", None)
+        # The direction gate declares no fold: its map is an object column.
+        assert engine_for(policy).path() == ("slab+objects", "f_egress_only")
         with reference_path():
             ref = api.compile(policy).run(pkt_trace)
         result = api.compile(policy).run(pkt_trace)
@@ -358,7 +358,7 @@ class TestPerPacketBlock:
     def test_builtin_without_a_run_kernel(self, pkt_trace):
         check_fallback_is_oracle(
             pkt_policy("f_mean"), pkt_trace,
-            "f_mean: no declared run kernel to emit a vector per cell")
+            "f_mean: declares no run_stat to emit a vector per cell")
 
     def test_synth_chain(self, pkt_trace):
         check_fallback_is_oracle(
@@ -366,10 +366,13 @@ class TestPerPacketBlock:
             "f_norm: synthesizes a per-packet feature")
 
     def test_repeated_statistic(self, pkt_trace):
-        check_fallback_is_oracle(
-            pkt_policy("f_dmean{lam=0.1}"), pkt_trace,
-            "f_dmean{lam=0.1}: repeats a statistic its accumulator "
-            "already emits")
+        """A statistic collected twice is two columns of one stack."""
+        policy = pkt_policy("f_dmean{lam=0.1}")
+        assert engine_for(policy).path() == ("slab+objects", "f_egress_only")
+        with reference_path():
+            ref = api.compile(policy).run(pkt_trace)
+        result = api.compile(policy).run(pkt_trace)
+        assert emitted(result.vectors) == emitted(ref.vectors)
 
     def test_orphan_records_interleave_with_blocks(self, campus):
         """Sync loss: only the orphan cells leave the block path,
@@ -445,7 +448,7 @@ class TestPerPacketBlock:
         assert [flag for *_v, flag, _w in ref_vectors] == [False, False, True]
         for feed in ("run", "consume_batch"):
             engine, (vectors, [(counters, tables)]) = session(feed)
-            assert engine.path() == ("columnar", None)
+            assert engine.path() == ("slab+objects", "f_egress_only")
             assert (vectors, tables) == (ref_vectors, ref_tables)
             assert counters == {**ref_counters, "cells_columnar": 3,
                                 "cells_per_cell": 1}

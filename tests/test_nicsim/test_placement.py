@@ -112,3 +112,27 @@ class TestGreedyVsILP:
         states = tuple(req(f"s{i}", 16, float(i + 1)) for i in range(8))
         result = solve_greedy(PlacementProblem(states=states))
         assert set(result.placement) == {s.name for s in states}
+
+
+def test_scipy_optimize_loads_only_to_solve():
+    """``import repro, repro.api, repro.cli`` does not pay for
+    ``scipy.optimize``; the first ``solve_ilp`` loads it and solves."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    probe = (
+        "import sys\n"
+        "import repro, repro.api, repro.cli\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "from repro.core.compiler import StateRequirement\n"
+        "from repro.nicsim.placement import PlacementProblem, solve_ilp\n"
+        "r = solve_ilp(PlacementProblem(states=(\n"
+        "    StateRequirement('a', 'flow', 8, 1.0),)))\n"
+        "print(r.feasible, r.method, 'scipy.optimize' in sys.modules)\n")
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.split() == ["False", "True", "ilp", "True"]

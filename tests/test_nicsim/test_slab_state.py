@@ -98,7 +98,7 @@ def test_per_group_policies_keep_state_in_slabs():
     for name in ("AWF", "DF", "TF"):
         assert layouts[name] == ("slab+objects", "f_array")
     for name in PER_PACKET:
-        assert layouts[name] == ("columnar", None)
+        assert layouts[name] == ("slab", None)
 
 
 def test_input_forms(campus):
