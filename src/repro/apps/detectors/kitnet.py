@@ -125,89 +125,3 @@ class KitNET:
             raise RuntimeError("KitNET is not fitted")
         return (self.score(data) > self.threshold).astype(np.int8)
 
-
-class OnlineKitNET:
-    """Kitsune's online operation mode (NDSS'18 §IV): the detector sees
-    one feature vector per packet and moves through three phases —
-
-    1. **feature-map grace** (first ``fm_grace`` samples): buffer
-       vectors, then build the correlation clustering;
-    2. **training grace** (next ``ad_grace`` samples): train the
-       ensemble and output autoencoders incrementally;
-    3. **execution**: every further sample returns its anomaly score
-       (training stops, as Kitsune freezes after the grace period).
-
-    ``process(x)`` returns the RMSE score during execution and 0.0
-    during the grace phases (Kitsune emits no alerts while learning).
-    """
-
-    def __init__(self, fm_grace: int = 1000, ad_grace: int = 5000,
-                 max_group: int = 10, hidden_ratio: float = 0.75,
-                 lr: float = 0.5, seed: int = 0) -> None:
-        if fm_grace < 10:
-            raise ValueError("fm_grace must be at least 10")
-        if ad_grace < 1:
-            raise ValueError("ad_grace must be positive")
-        self.fm_grace = fm_grace
-        self.ad_grace = ad_grace
-        self.max_group = max_group
-        self.hidden_ratio = hidden_ratio
-        self.lr = lr
-        self.seed = seed
-        self.n_seen = 0
-        self._fm_buffer: list[np.ndarray] = []
-        self.clusters: list[list[int]] | None = None
-        self.ensemble: list[Autoencoder] = []
-        self.output: Autoencoder | None = None
-
-    @property
-    def phase(self) -> str:
-        if self.n_seen < self.fm_grace:
-            return "feature-mapping"
-        if self.n_seen < self.fm_grace + self.ad_grace:
-            return "training"
-        return "executing"
-
-    def _build_map(self) -> None:
-        data = np.vstack(self._fm_buffer)
-        self.clusters = cluster_features(data, self.max_group)
-        self.ensemble = [
-            Autoencoder(len(cols), self.hidden_ratio, self.lr,
-                        seed=self.seed + k)
-            for k, cols in enumerate(self.clusters)]
-        self.output = Autoencoder(len(self.ensemble),
-                                  self.hidden_ratio, self.lr,
-                                  seed=self.seed + 1000)
-        # The buffered grace samples double as the first training data.
-        for row in data:
-            self._train_one(row)
-        self._fm_buffer.clear()
-
-    def _ensemble_scores_one(self, x: np.ndarray) -> np.ndarray:
-        assert self.clusters is not None
-        return np.array([
-            float(ae.score(x[cols][None, :])[0])
-            for ae, cols in zip(self.ensemble, self.clusters)])
-
-    def _train_one(self, x: np.ndarray) -> None:
-        assert self.clusters is not None and self.output is not None
-        for ae, cols in zip(self.ensemble, self.clusters):
-            ae.partial_fit(x[cols][None, :])
-        self.output.partial_fit(self._ensemble_scores_one(x)[None, :])
-
-    def process(self, x) -> float:
-        """Consume one feature vector; returns the anomaly score in the
-        execution phase, 0.0 during grace."""
-        x = np.asarray(x, dtype=np.float64).ravel()
-        phase = self.phase
-        self.n_seen += 1
-        if phase == "feature-mapping":
-            self._fm_buffer.append(x)
-            if self.n_seen == self.fm_grace:
-                self._build_map()
-            return 0.0
-        if phase == "training":
-            self._train_one(x)
-            return 0.0
-        scores = self._ensemble_scores_one(x)
-        return float(self.output.score(scores[None, :])[0])

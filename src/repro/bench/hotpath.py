@@ -23,9 +23,11 @@ module prefix, so a regression shows *where* it landed, not just that
 it happened.
 
 Correctness is not assumed: the optimized end-to-end vectors are
-checksummed against a run of the pre-optimization oracle (the verbatim
-original insert/update paths kept behind ``SUPERFE_REFERENCE_PATH=1``)
-and the record carries the ``equivalent`` verdict.
+checksummed against a run on the switch oracle (the original
+per-packet insert kept behind ``SUPERFE_REFERENCE_PATH=1``; the engine
+has one path, so this checksum covers the switch only — the per-cell
+engine oracle lives in the test suite) and the record carries the
+``equivalent`` verdict.
 
 ``python -m repro bench-hotpath`` serializes the record to
 ``BENCH_hotpath.json``; the CI smoke job re-runs the harness and fails
@@ -273,9 +275,9 @@ def run_trace_overhead(n_flows: int = 400,
 
 
 def _reference_checksum(policy, packets, n_nics: int) -> str:
-    """Checksum of the pre-optimization oracle's vectors.
+    """Checksum of the vectors with the switch on its oracle path.
 
-    ``SUPERFE_REFERENCE_PATH`` is read when the pipeline stages are
+    ``SUPERFE_REFERENCE_PATH`` is read when the switch is
     constructed, which ``Extractor.run`` does per call — so the
     environment window must cover the run, not just ``api.compile``.
     """

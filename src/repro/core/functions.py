@@ -674,7 +674,7 @@ def declare_columnar_kernel(cls: type, kernel=None,
     directions=None)`` must equal ``update`` per value in order.
     ``reads`` names what the twin reads beyond that — ``"src"`` (the
     source-value column; maps only), ``"tstamp"`` / ``"direction"``
-    (the member's metadata, which the per-cell path resolves through
+    (the member's metadata, which ``apply`` / ``update`` read through
     ``member.get``; a column the function does not declare may arrive
     as None).  ``maybe_none`` says a map's ``apply`` can return None.
 
@@ -702,8 +702,9 @@ def declare_columnar_kernel(cls: type, kernel=None,
 
     Like :func:`declare_shared_accumulator`, the declaration is per
     exact class and never inherited: a subclass (which may override
-    ``apply``/``update``) and any undeclared registration stay on the
-    per-cell path."""
+    ``apply``/``update``) and any undeclared registration run as the
+    engine's *member columns*: one instance per group row, handed each
+    cell's member view."""
     unknown = set(reads) - _KERNEL_READS
     if unknown:
         raise ValueError(f"unknown kernel reads {sorted(unknown)} "

@@ -359,7 +359,8 @@ class _ShardDriver:
             engine = self.engines[msg[1]]
             return True, (engine.fg_mirror_items(), engine.crash())
         if kind == "stats":
-            return True, {s: (e.stats, e.counters(), e.table_stats())
+            return True, {s: (e.stats, e.counters(), e.table_stats(),
+                              e.total_state_bytes())
                           for s, e in self.engines.items()}
         if kind == "take_pkt":
             return True, {s: _pack_vectors(e.take_packet_vectors())
@@ -1166,8 +1167,8 @@ class ShardSupervisor:
 class _ShardEngineProxy:
     """Read-only stand-in for ``cluster.engines[i]``: the engine itself
     lives in a worker, so reads quiesce the dispatch path first and
-    answer from one gather of every shard's ``stats``, ``counters()``
-    and ``table_stats()``."""
+    answer from one gather of every shard's ``stats``, ``counters()``,
+    ``table_stats()`` and ``total_state_bytes()``."""
 
     def __init__(self, cluster: "ShardedCluster", shard: int) -> None:
         self._cluster = cluster
@@ -1182,6 +1183,9 @@ class _ShardEngineProxy:
 
     def table_stats(self) -> dict:
         return dict(self._cluster._fetch_stats()[self.shard][2])
+
+    def total_state_bytes(self) -> int:
+        return self._cluster._fetch_stats()[self.shard][3]
 
     def __repr__(self) -> str:
         return (f"<_ShardEngineProxy shard={self.shard} "
@@ -1243,8 +1247,9 @@ class ShardedCluster(ClusterBase):
         self._owner_of = np.array(self._owner, np.int64)
         self.batches_dispatched = 0
         self.events_dispatched = 0
-        # Per shard (stats, counters(), table_stats()), as last gathered.
-        self._stats_cache = {s: (EngineStats(), {}, {})
+        # Per shard (stats, counters(), table_stats(),
+        # total_state_bytes()), as last gathered.
+        self._stats_cache = {s: (EngineStats(), {}, {}, 0)
                              for s in range(n_nics)}
         self._final_vectors: list[FeatureVector] | None = None
         self._closed = False

@@ -20,7 +20,6 @@ tables whose memory level comes from the ILP placement (§6.2).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import repeat
 from time import perf_counter_ns
@@ -48,6 +47,7 @@ from repro.streaming.folds import (
     as_column,
     overlay,
     typed_column,
+    write_members,
 )
 from repro.switchsim.mgpv import Event, EventBatch, EventBuffer, FGSync, MGPVRecord
 
@@ -104,14 +104,6 @@ def _concat_blocks(blocks: list) -> tuple:
             [h for hashes in cg_hashes for h in hashes])
 
 
-class _PerCell(Exception):
-    """Raised while compiling a section's columnar recipe: names the
-    function that keeps the section on the per-cell path, and why."""
-
-    def __init__(self, fn, why: str) -> None:
-        super().__init__(f"{fn}: {why}")
-
-
 class _SectionPlan:
     """Precompiled per-section recipe shared by every group of the
     section: fn specs are parsed and resolved to factories once, source
@@ -128,189 +120,153 @@ class _SectionPlan:
     ``_MAPPED`` (mapped else skip).
     """
 
-    __slots__ = ("maps", "reds", "share_plan", "columnar", "blocker",
-                 "map_factories", "red_factories", "red_feats",
-                 "map_fns", "map_probes", "probes", "leader_of")
+    __slots__ = ("columnar", "blocker", "map_factories", "red_factories",
+                 "red_feats", "synths", "map_fns", "map_probes", "probes",
+                 "leader_of")
 
-    def __init__(self, section: Section, ctx: ExecContext,
-                 meta_index: dict | None = None,
-                 share_states: bool = False,
+    def __init__(self, section: Section, ctx: ExecContext, index: dict,
                  pkt_col0: int | None = None) -> None:
-        index = meta_index or {}
-        map_dsts: set = set()
-        maps = []
-        for m in section.maps:
-            src_pos = (index.get(m.src)
-                       if m.src is not None and m.src not in map_dsts
-                       else None)
-            maps.append((m.dst, m.src, src_pos,
-                         make_map_factory(m.fn, ctx)))
-            map_dsts.add(m.dst)
-        self.maps = tuple(maps)
-        reds = []
-        for feat in section.features:
-            pos = index.get(feat.src)
-            if pos is None:
-                kind = _MAPPED
-            elif feat.src in map_dsts:
-                kind = _MAPPED_OR_POS
-            else:
-                kind = _POS
-            reds.append((feat, kind, feat.src, pos,
-                         make_reduce_factory(feat.reduce_fn, ctx)))
+        self.map_fns = tuple(m.fn for m in section.maps)
+        self.map_factories = tuple(make_map_factory(fn, ctx)
+                                   for fn in self.map_fns)
+        self.red_feats = tuple(section.features)
+        self.red_factories = tuple(make_reduce_factory(f.reduce_fn, ctx)
+                                   for f in self.red_feats)
+        self.synths = tuple(tuple(make_synth_fn(spec, ctx)
+                                  for spec in f.synth_fns)
+                            for f in self.red_feats)
         # What a section's groups look like is fixed by the factories,
         # so probe one instance of each function once: the exact classes
-        # decide columnar eligibility, and followers of a declared
+        # decide how each function runs, and followers of a declared
         # family (f_var after f_mean, f_dstd after f_dw with the same
-        # lam, … over the same source) share the leader's accumulator —
-        # the index-based wiring is replayed per group (reference mode
-        # keeps independent copies).
-        probes = [factory() for _f, _k, _s, _p, factory in reds]
-        self.share_plan = reducer_share_plan(
-            (feat.src, probe) for (feat, *_), probe in zip(reds, probes)
-        ) if share_states else ()
-        self.reds = tuple(reds)
-        self.map_factories = tuple(f for _d, _s, _p, f in self.maps)
-        self.red_factories = tuple(f for *_r, f in reds)
-        self.red_feats = tuple(f for f, *_r in reds)
-        # What a slab is built from: the probed instances (a follower's
-        # probe later stands in for it on every row), the functions'
-        # names, and each follower's leader.
-        self.map_fns = tuple(m.fn for m in section.maps)
+        # lam, … over the same source) share the leader's accumulator
+        # (a follower's probe later stands in for it on every row).
         self.map_probes = [f() for f in self.map_factories]
-        self.probes = probes
-        self.leader_of = {f: l for f, l, _attr in self.share_plan}
-        try:
-            self.columnar = self._build_columnar(
-                index, section, self.map_probes, probes, pkt_col0)
-            self.blocker = None
-        except _PerCell as blocker:
-            self.columnar, self.blocker = None, str(blocker)
+        self.probes = [f() for f in self.red_factories]
+        self.leader_of = {f: l for f, l, _attr in reducer_share_plan(
+            (feat.src, probe)
+            for feat, probe in zip(self.red_feats, self.probes))}
+        self.blocker: str | None = None
+        self.columnar = self._build_columnar(index, section, pkt_col0)
 
-    # Columnar map-source modes (cmaps entries below).
-    _SRC_NONE, _SRC_POS, _SRC_MAPPED = 0, 1, 2
+    # Columnar map-source modes (cmaps entries below); a member column
+    # reads its source from the member view.
+    _SRC_NONE, _SRC_POS, _SRC_MAPPED, _SRC_MEMBER = 0, 1, 2, 3
 
     def _build_columnar(self, index: dict, section: Section,
-                        map_probes: list, red_probes: list,
                         pkt_col0: int | None):
-        """Precompile the section's columnar recipe, or raise
-        :class:`_PerCell` at the first disqualifying function — such
-        sections stay on the per-cell path, whose semantics the kernels
-        must match bit for bit.  A function qualifies when its exact
-        class declared a batch twin (``declare_columnar_kernel``) whose
-        reads the block can serve.
+        """Precompile the section's columnar recipe.  A function runs
+        natively when its exact class declared a batch twin
+        (``declare_columnar_kernel``) whose reads the block can serve;
+        any other is a *member column* — one object per row, each cell's
+        member view handed to ``apply`` / ``update`` — and the first
+        such names :attr:`blocker` (``"<fn>: <reason>"``).  A sharing
+        family with a member column in it is one member column.
 
         Returns ``(cmaps, creds, ts_pos, dir_pos)`` where each cmaps
         entry is ``(map_idx, dst, kernel, src_mode, src_arg, fallback)``
+        (a member map: mode ``_SRC_MEMBER``, ``src_arg`` its source key)
         and each creds entry — one per accumulator *leader*, standing
         for ``weight`` reducers — is ``(kind, src, pos, red_idx,
-        needs_dir, weight, outs)``.  ``outs`` is None for a per-group
-        policy; under ``collect(pkt)``, where this section's vector
-        columns start at ``pkt_col0``, it lists ``(red_idx, stat,
+        needs_dir, weight, outs, member)``.  ``outs`` is None for a
+        per-group policy; under ``collect(pkt)``, where this section's
+        vector columns start at ``pkt_col0``, it lists ``(red_idx, stat,
         col)``: the family's collected members, the ``run_stat`` each
         finalizes to and its vector column.
         """
         positions = {"tstamp": index.get("tstamp"),
                      "direction": index.get("direction")}
         used: set = set()
-        # Metadata names a map has overwritten: the per-cell path would
-        # hand a later reader the *mapped* value through the member,
-        # while kernels read the metadata column.
+        # Metadata names a map has overwritten: a later reader sees the
+        # *mapped* value through its member, while kernels read the
+        # metadata column.
         shadowed: set = set()
 
-        def declared(fn, probe):
+        def demote(fn, why: str) -> None:
+            self.blocker = self.blocker or f"{fn}: {why}"
+
+        def served(fn, probe, check):
+            """``probe``'s declaration when ``fn`` runs natively, else
+            None; ``check(decl)`` names what else keeps it off."""
             decl = COLUMNAR_KERNELS.get(type(probe))
             if decl is None:
-                raise _PerCell(fn, "no declared batch kernel")
-            for name in decl[1] - {"src"}:
+                return demote(fn, "no declared batch kernel")
+            for name in sorted(decl[1] - {"src"}):
                 if positions[name] is None:
-                    raise _PerCell(fn, f"reads {name!r}, which the "
-                                   f"cells do not carry")
+                    return demote(fn, f"reads {name!r}, which the cells "
+                                  f"do not carry")
                 if name in shadowed:
-                    raise _PerCell(fn, f"reads {name!r} after a map "
-                                   f"overwrote it")
+                    return demote(fn, f"reads {name!r} after a map "
+                                  f"overwrote it")
+            why = check(decl)
+            if why:
+                return demote(fn, why)
             used.update(decl[1])
             return decl
 
         cmaps = []
         valid_dsts: dict[str, bool] = {}   # dst -> always emits a value
-        for i, ((dst, src, src_pos, _factory), m) in enumerate(
-                zip(self.maps, section.maps)):
-            kernel, reads, maybe_none, *_ = declared(m.fn, map_probes[i])
-            if kernel is None:
-                raise _PerCell(m.fn, "declared without a map kernel")
-            if "src" not in reads:
-                entry = (i, dst, kernel, self._SRC_NONE, None, None)
+        for i, m in enumerate(section.maps):
+            dst, src = m.dst, m.src
+            src_pos = None if src in valid_dsts else index.get(src)
+            fallback = index.get(src)
+
+            def check(decl):
+                if decl[0] is None:
+                    return "declared without a map kernel"
+                if ("src" in decl[1] and src_pos is None
+                        and not valid_dsts.get(src) and fallback is None):
+                    # Absent for some member: the member view raises
+                    # KeyError there.
+                    return f"source {src!r} can be absent"
+                return None
+
+            decl = served(m.fn, self.map_probes[i], check)
+            if decl is None:
+                entry = (i, dst, None, self._SRC_MEMBER, src, None)
+            elif "src" not in decl[1]:
+                entry = (i, dst, decl[0], self._SRC_NONE, None, None)
             elif src_pos is not None:
-                entry = (i, dst, kernel, self._SRC_POS, src_pos, None)
-            elif src in valid_dsts:
-                fallback = index.get(src)
-                if not valid_dsts[src] and fallback is None:
-                    # The source can be absent for a member and has no
-                    # positional fallback — the per-cell path raises
-                    # KeyError there; keep that behavior.
-                    raise _PerCell(m.fn, f"source {src!r} can be absent")
-                entry = (i, dst, kernel, self._SRC_MAPPED, src, fallback)
+                entry = (i, dst, decl[0], self._SRC_POS, src_pos, None)
             else:
-                raise _PerCell(m.fn, f"unreadable source {src!r}")
+                entry = (i, dst, decl[0], self._SRC_MAPPED, src, fallback)
             cmaps.append(entry)
-            valid_dsts[dst] = not maybe_none or bool(valid_dsts.get(dst))
+            valid_dsts[dst] = ((decl is not None and not decl[2])
+                               or bool(valid_dsts.get(dst)))
             if dst in positions:
                 shadowed.add(dst)
-        leader_of = self.leader_of
+
+        def check(decl):
+            if pkt_col0 is None:
+                return (decl[1] - {"direction"}) and (
+                    "update_many is only handed values and directions")
+            return None if decl[3] else ("declares no run_stat to emit "
+                                         "a vector per cell")
+
         collected = {f.name for f in section.collected}
         creds: dict = {}        # leader red_idx -> its (mutable) entry
         col = pkt_col0
-        for red_idx, (feat, kind, src, pos, _f) in enumerate(self.reds):
-            probe = red_probes[red_idx]
-            _k, reads, _m, stat, _fold = declared(feat.reduce_fn, probe)
+        for red_idx, feat in enumerate(self.red_feats):
+            src, pos = feat.src, index.get(feat.src)
+            kind = (_MAPPED if pos is None else
+                    _MAPPED_OR_POS if src in valid_dsts else _POS)
+            decl = served(feat.reduce_fn, self.probes[red_idx], check)
+            if decl and pkt_col0 is not None and feat.synth_fns:
+                decl = demote(feat.synth_fns[0],
+                              "synthesizes a per-packet feature")
             entry = creds.setdefault(
-                leader_of.get(red_idx, red_idx),
-                [kind, src, pos, red_idx, "direction" in reads, 0,
-                 None if pkt_col0 is None else []])
+                self.leader_of.get(red_idx, red_idx),
+                [kind, src, pos, red_idx, False, 0,
+                 None if pkt_col0 is None else [], False])
+            entry[4] |= decl is not None and "direction" in decl[1]
             entry[5] += 1
-            if pkt_col0 is None:
-                if reads - {"direction"}:
-                    raise _PerCell(feat.reduce_fn, "update_many is only "
-                                   "handed values and directions")
-                continue
-            if stat is None:
-                raise _PerCell(feat.reduce_fn, "declares no run_stat to "
-                               "emit a vector per cell")
-            if feat.synth_fns:
-                raise _PerCell(feat.synth_fns[0],
-                               "synthesizes a per-packet feature")
-            if feat.name in collected:
-                entry[6].append((red_idx, stat, col))
+            entry[7] |= decl is None
+            if pkt_col0 is not None and feat.name in collected:
+                entry[6].append((red_idx, decl and decl[3], col))
                 col += 1
         return (tuple(cmaps), tuple(map(tuple, creds.values())),
                 positions["tstamp"] if "tstamp" in used else None,
                 positions["direction"] if "direction" in used else None)
-
-
-class _GroupState:
-    """Per-group function instances for one section: the per-cell
-    loop's state (a block-path policy keeps slab rows instead)."""
-
-    __slots__ = ("plan", "map_objs", "red_all", "red_objs", "last_update")
-
-    def __init__(self, plan: _SectionPlan) -> None:
-        self.plan = plan
-        self.map_objs = [f() for f in plan.map_factories]
-        self.red_all = red_all = [f() for f in plan.red_factories]
-        # Family followers (f_var after f_mean over the same source, …)
-        # share the leader's accumulator and sit as None in the update
-        # view ("state already updated by the leader"); their finalize
-        # reads the shared accumulator wired here.
-        for f_idx, l_idx, attr in plan.share_plan:
-            setattr(red_all[f_idx], attr, getattr(red_all[l_idx], attr))
-        self.red_objs = [None if i in plan.leader_of else r
-                         for i, r in enumerate(red_all)]
-        self.last_update = 0
-
-    def state_bytes(self) -> int:
-        return sum(int(getattr(r, "state_bytes", 8))
-                   for r in self.red_all)
 
 
 class _Stamps(Fold):
@@ -328,7 +284,9 @@ class _Slab:
     every accumulator leader of the share plan is a
     :mod:`~repro.streaming.folds` fold over those rows.  A function
     that declared no fold rides an object column — ``objects`` names
-    the first such function.  Under ``collect(pkt)`` the leaders
+    the first such function — and so does a member column of the plan,
+    driven per cell through member views.  Under ``collect(pkt)`` the
+    leaders
     declaring one per-packet fold share it (*stacked*); ``stacks`` lists
     ``[fold, leaders, wanted, cols]``: what its ``trace`` emits, where."""
 
@@ -345,11 +303,13 @@ class _Slab:
         family: dict = {}
         for idx in range(len(plan.probes)):
             family.setdefault(plan.leader_of.get(idx, idx), []).append(idx)
-        for leader, members in family.items():
-            decls = [COLUMNAR_KERNELS[type(plan.probes[i])][4]
-                     for i in members]
+        members = {cred[3] for cred in plan.columnar[1] if cred[7]}
+        for leader, idxs in family.items():
+            decls = [leader not in members
+                     and COLUMNAR_KERNELS[type(plan.probes[i])][4]
+                     for i in idxs]
             factory = decls[0] and decls[0][0]
-            odd = next((i for i, decl in zip(members, decls)
+            odd = next((i for i, decl in zip(idxs, decls)
                         if not decl or decl[0] is not factory
                         or hasattr(factory, "trace") is not pkt), None)
             if odd is None and pkt:
@@ -357,7 +317,7 @@ class _Slab:
                 continue
             if odd is None:
                 self.stats.update((i, decl[1])
-                                  for i, decl in zip(members, decls))
+                                  for i, decl in zip(idxs, decls))
             self.reds[leader] = self._red_fold(leader, odd)
             if pkt:
                 self.stacks.append(self._stack(self.reds[leader], [leader]))
@@ -381,8 +341,8 @@ class _Slab:
         """Map ``slot``'s declared fold, else an object column."""
         plan = self.plan
         m_idx, _dst, kernel, *_ = plan.columnar[0][slot]
-        fold = COLUMNAR_KERNELS[type(plan.map_probes[m_idx])][4]
-        if native and fold is not None:
+        fold = kernel and COLUMNAR_KERNELS[type(plan.map_probes[m_idx])][4]
+        if native and fold:
             return fold(plan.map_probes[m_idx])
         self.objects = self.objects or str(plan.map_fns[m_idx])
         return ObjectMap(plan.map_factories[m_idx], kernel)
@@ -396,12 +356,15 @@ class _Slab:
             return factory(self._holder(leader))
         self.objects = self.objects or str(plan.red_feats[odd].reduce_fn)
         return ObjectFold(plan.red_factories[leader],
-                          SHARED_ACCUMULATORS.get(type(plan.probes[leader])))
+                          SHARED_ACCUMULATORS.get(type(plan.probes[leader])),
+                          plan.red_feats[leader].src)
 
     def _stack(self, fold, leaders: list) -> list:
-        outs = {cred[3]: cred[6] for cred in self.plan.columnar[1]}
+        plan = self.plan
+        outs = {cred[3]: cred[6] for cred in plan.columnar[1]}
         native = not isinstance(fold, ObjectFold)
-        wanted = [(k, stat) if native else (0, self.plan.probes[idx])
+        wanted = [(k, stat) if native
+                  else (plan.probes[idx], plan.synths[idx])
                   for k, leader in enumerate(leaders)
                   for idx, stat, _col in outs[leader]]
         cols = [col for leader in leaders for _i, _s, col in outs[leader]]
@@ -498,67 +461,48 @@ class FeatureEngine:
         self._fg_ids: dict[tuple, int] = {}
         self._fg_keys: list[tuple] = []
         self._raw = EventBuffer()
-        self._synth_cache: dict = {}
         self._pkt_vectors: list[FeatureVector] = []
         self._pv_cursor = 0     # take_packet_vectors' position
         self._degraded_cg_keys: set[tuple] = set()
         self._validate_collect_unit()
 
         # Block-path precompilation: positional metadata resolution and
-        # the clock field's position.  SUPERFE_REFERENCE_PATH=1 keeps
-        # every policy on the per-cell loop, with unshared accumulators,
-        # as the equivalence oracle.
+        # the clock field's position.
         meta = compiled.metadata_fields
         self._meta_index = {name: i for i, name in enumerate(meta)}
         self._ts_idx = self._meta_index.get("tstamp")
-        self._reference = os.environ.get("SUPERFE_REFERENCE_PATH") == "1"
 
         self._pkt_mode = compiled.collect_unit == "pkt"
         pkt_col = 0 if self._pkt_mode else None
         self._plans: list[_SectionPlan] = []
         for section in compiled.sections:
-            self._plans.append(_SectionPlan(
-                section, self.ctx, self._meta_index,
-                share_states=not self._reference, pkt_col0=pkt_col))
+            self._plans.append(_SectionPlan(section, self.ctx,
+                                            self._meta_index, pkt_col))
             if self._pkt_mode:
                 pkt_col += len(section.collected)
-        # Columnar fast path eligibility: every section has an exact
-        # batch recipe (for a per-packet policy, reducers that emit a
-        # row per cell); any other policy runs the per-cell loop.  Only
-        # orphan cells leave the block path — checked at record time.
-        self._columnar = (not self._reference
-                          and all(p.columnar is not None
-                                  for p in self._plans))
-        # A columnar policy keeps its group state in slabs: the tables
-        # then map a key to a slab row, not to a state object.
-        self._slabs = ([_Slab(plan, self._pkt_mode) for plan in self._plans]
-                       if self._columnar else None)
+        # Group state lives in slabs: the tables map a key to a slab row.
+        self._slabs = [_Slab(plan, self._pkt_mode) for plan in self._plans]
         self._tables: list[tuple[Section, GroupTable]] = []
-        for i, (section, plan) in enumerate(zip(compiled.sections,
-                                                self._plans)):
+        for section, plan, slab in zip(compiled.sections, self._plans,
+                                       self._slabs):
             self._tables.append((section, GroupTable(
                 n_indices=table_indices, width=table_width,
-                entry_bytes=self._entry_bytes(section, plan),
+                entry_bytes=section.granularity.key_bytes + sum(
+                    int(getattr(probe, "state_bytes", 8))
+                    for probe in plan.probes),
                 level=section_level(section, placement),
-                state_factory=(self._slabs[i].alloc if self._slabs
-                               else lambda p=plan: _GroupState(p)))))
-        # Vector-assembly plan, one entry per table: collected feature
-        # names and (red_all index, compiled synth chain) pairs in
-        # reducer order — what _vectors/_emit_packet_vector would
-        # rediscover per group via name-set membership.
+                state_factory=slab.alloc)))
+        # Vector-assembly plan, one entry per table (None: nothing
+        # collected): collected feature names and (reducer index,
+        # compiled synth chain) pairs in reducer order.
         self._final_plans: list = []
-        for (section, _table), plan in zip(self._tables, self._plans):
-            if not section.collected:
-                self._final_plans.append(None)
-                continue
+        for section, plan in zip(compiled.sections, self._plans):
             collected = {f.name for f in section.collected}
-            names = tuple(f.name for f in plan.red_feats
-                          if f.name in collected)
-            finals = tuple(
-                (i, tuple(self._synth(spec) for spec in f.synth_fns))
-                for i, f in enumerate(plan.red_feats)
-                if f.name in collected)
-            self._final_plans.append((names, finals))
+            idxs = [i for i, f in enumerate(plan.red_feats)
+                    if f.name in collected]
+            self._final_plans.append(idxs and (
+                tuple(plan.red_feats[i].name for i in idxs),
+                tuple((i, plan.synths[i]) for i in idxs)) or None)
         # Per-packet vectors concatenate every collected section.
         self._pkt_names = tuple(n for fp in self._final_plans if fp
                                 for n in fp[0])
@@ -612,15 +556,6 @@ class FeatureEngine:
                 f"collected features; collect at the finest used "
                 f"granularity or per pkt")
 
-    def _entry_bytes(self, section: Section, plan: _SectionPlan) -> int:
-        probe = _GroupState(plan)
-        return section.granularity.key_bytes + probe.state_bytes()
-
-    def _synth(self, spec):
-        if spec not in self._synth_cache:
-            self._synth_cache[spec] = make_synth_fn(spec, self.ctx)
-        return self._synth_cache[spec]
-
     # -- event consumption ---------------------------------------------------
 
     @property
@@ -669,10 +604,9 @@ class FeatureEngine:
                 self._clock = floor
 
     def consume(self, event: Event) -> None:
-        """One event.  The per-cell loop applies it now; the block path
-        queues it raw, and a run of queued events is admitted as one
-        batch by the next batch, clock advance or drain (at once when
-        the run grows long).  The dataplane hands the engine batches
+        """One event, queued raw: a run of queued events is admitted
+        as one batch by the next batch, clock advance or drain (at once
+        when the run grows long).  The dataplane hands the engine batches
         (:meth:`consume_batch`); this entry stays for the benchmark
         harness's per-event drive and goes when Benchmark v2 drops it."""
         start = perf_counter_ns() if self._t_tracer is not None else 0
@@ -681,17 +615,9 @@ class FeatureEngine:
             raise TypeError(f"unknown event {event!r}")
         if record and self._t_record_cells is not None:
             self._t_record_cells.observe(len(event.cells))
-        if self._columnar:
-            self._raw.add(event)
-            if len(self._raw) >= _RAW_EVENTS:
-                self._admit_raw()
-        elif record:
-            self._process_record_reference(event)
-        else:
-            self._stats.syncs += 1
-            self._compact_keys()
-            self._set_mirror(np.array([event.index]),
-                             self._intern([event.key]))
+        self._raw.add(event)
+        if len(self._raw) >= _RAW_EVENTS:
+            self._admit_raw()
         if start and record:
             self._t_tracer.record("engine.reduce", start, perf_counter_ns())
 
@@ -701,15 +627,10 @@ class FeatureEngine:
 
     def consume_batch(self, events) -> tuple:
         """Consume a slice of events — an :class:`EventBatch`, or an
-        event list normalised into one.  The block path attributes the
-        cells with one gather against the FG mirror (:meth:`_enqueue`)
-        and queues them for :meth:`_drain`; the per-cell loop consumes
-        the events one by one."""
+        event list normalised into one.  The cells are attributed with
+        one gather against the FG mirror (:meth:`_enqueue`) and queued
+        for :meth:`_drain`."""
         batch = EventBatch.of(events)
-        if not self._columnar:
-            for event in batch:
-                self.consume(event)
-            return ()
         if self._t_record_cells is not None:
             self._t_record_cells.observe_many(batch.rec_len)
         if self._raw:
@@ -823,8 +744,7 @@ class FeatureEngine:
                                  kids: np.ndarray, cols: tuple) -> None:
         """A record with orphan cells (key id -1) on the block path: runs
         of attributed cells reduce as blocks and every orphan demotes to
-        its record's CG group (:meth:`_demote_cell`), in cell order —
-        what the per-cell loop does."""
+        its record's CG group (:meth:`_demote_cell`), in cell order."""
         self._drain()
         stats = self._stats
         stats.records += 1
@@ -855,7 +775,7 @@ class FeatureEngine:
         ``floors`` lists ``(first cell, clock)`` advances that arrived
         between the block's cells (see :meth:`_drain`).
 
-        Bit-identical to the per-cell loop by construction: each section
+        Bit-identical to a per-cell loop by construction: each section
         groups cells by its own *projected* key — states shared across
         fine groups (a coarse section under a finer FG) still see their
         updates in exact cell-stream order — cell order is kept within a
@@ -908,12 +828,14 @@ class FeatureEngine:
         arrays = dict(enumerate(cols))
         out = (np.empty((len(kids), self._pkt_dims)) if self._pkt_mode
                else None)
+        ragged: dict = {}       # out column -> each cell's object value
         fg_name = self.compiled.fg.name
         skips = 0
         for i, (section, _table) in enumerate(self._tables):
             if section.granularity.name == fg_name:
                 skips += self._fold_section(i, group_keys, heads, cells,
-                                            arrays, cgs, stamps, out)
+                                            arrays, cgs, stamps, out,
+                                            ragged)
                 continue
             # Coarser groups, still in first-appearance order: the
             # projection is a pure function of the FG key.
@@ -925,19 +847,31 @@ class FeatureEngine:
                 of_fine.append(at[0])
             skips += self._fold_section(
                 i, coarse, [head for _at, head in coarse.values()],
-                np.array(of_fine, np.intp)[cells], arrays, cgs, stamps, out)
+                np.array(of_fine, np.intp)[cells], arrays, cgs, stamps, out,
+                ragged)
         self._stats.skipped_updates += skips
-        if out is not None:
-            keys = list(map(group_keys.__getitem__, cells.tolist()))
-            self._pkt_vectors.extend(
-                FeatureVector(key, self._pkt_names, row,
-                              self._vector_degraded(key))
-                for key, row in zip(keys, out))
-            self._stats.vectors_emitted += len(keys)
+        if out is None:
+            return
+        keys = list(map(group_keys.__getitem__, cells.tolist()))
+        if ragged:
+            # A member column emitted an array: each vector its widths.
+            rows = out.tolist()
+            for col, values in ragged.items():
+                for row, value in zip(rows, values):
+                    row[col] = value
+            parts = map(self._vector_parts, rows)
+        else:
+            parts = zip(out, repeat(None))
+        self._pkt_vectors.extend(
+            FeatureVector(key, self._pkt_names, values,
+                          self._vector_degraded(key), widths)
+            for key, (values, widths) in zip(keys, parts))
+        self._stats.vectors_emitted += len(keys)
 
     def _fold_section(self, i: int, group_keys, heads, cells: np.ndarray,
                       arrays: dict, cgs, stamps: np.ndarray,
-                      vectors: np.ndarray | None = None) -> int:
+                      vectors: np.ndarray | None = None,
+                      ragged: dict | None = None) -> int:
         """Fold one section's share of a block into its slab: cell ``c``
         belongs to the ``cells[c]``-th of ``group_keys`` (in
         first-appearance order; ``heads`` are their first cells, None
@@ -946,8 +880,10 @@ class FeatureEngine:
         the metadata columns by position.  One located table lookup per
         group with the repeats accounted in bulk, one stable sort by
         group, then every map and every accumulator family (under
-        ``collect(pkt)``: stack, writing its columns of ``vectors``,
-        None for a demoted orphan) takes all segments in one call.
+        ``collect(pkt)``: stack, writing its columns of ``vectors`` —
+        or, for an array-valued member column, of ``ragged`` — None for
+        a demoted orphan) takes all segments in one call.  Member
+        columns take each cell's member view, built at the first one.
         Returns the skipped updates."""
         table = self._tables[i][1]
         slab = self._slabs[i]
@@ -994,20 +930,39 @@ class FeatureEngine:
                 col = sorted_cols[pos] = raw[order]
             return col
 
+        mapped: dict = {}       # dst -> (values, valid mask or None)
+        views: list = []        # member views, once a member column asks
+
+        def members() -> list:
+            if not views:
+                fields = self.compiled.metadata_fields
+                views.extend(MemberView(zip(fields, cell)) for cell in (
+                    zip(*(column(pos).tolist()
+                          for pos in range(len(fields))))
+                    if fields else repeat((), seg.n)))
+                for dst, out in mapped.items():
+                    write_members(views, dst, out)
+            return views
+
         ts = None if ts_pos is None else column(ts_pos)
         dirs = None if dir_pos is None else column(dir_pos)
-        mapped: dict = {}       # dst -> (values, valid mask or None)
         for slot, (_m, dst, _k, mode, arg, fallback) in enumerate(cmaps):
-            if mode == _SectionPlan._SRC_NONE:
-                src = None
-            elif mode == _SectionPlan._SRC_POS:
-                src = column(arg)
-            elif fallback is None:
-                src = mapped[arg][0]
+            if mode == _SectionPlan._SRC_MEMBER:
+                out = slab.maps[slot].each(seg, members(), arg)
             else:
-                src = overlay(mapped[arg], (column(fallback), None))[0]
-            out = (slab.maps[slot].apply(seg, src, ts, dirs)
-                   or slab.to_objects(slot=slot).apply(seg, src, ts, dirs))
+                if mode == _SectionPlan._SRC_NONE:
+                    src = None
+                elif mode == _SectionPlan._SRC_POS:
+                    src = column(arg)
+                elif fallback is None:
+                    src = mapped[arg][0]
+                else:
+                    src = overlay(mapped[arg], (column(fallback), None))[0]
+                out = (slab.maps[slot].apply(seg, src, ts, dirs)
+                       or slab.to_objects(slot=slot).apply(seg, src, ts,
+                                                           dirs))
+            if views:
+                write_members(views, dst, out)
             under = mapped.get(dst)
             mapped[dst] = out if under is None else overlay(out, under)
         # Under collect(pkt) every leader sees every cell, a None (no
@@ -1015,7 +970,7 @@ class FeatureEngine:
         skips = 0
         packed: dict = {}       # src -> its emitted cells only
         inputs: dict = {}       # collect(pkt): leader -> (values, valid)
-        for kind, src, pos, red_idx, needs_dir, weight, _outs in creds:
+        for kind, src, pos, red_idx, needs_dir, weight, _o, member in creds:
             valid = None
             if kind == _POS:
                 values = column(pos)
@@ -1029,6 +984,9 @@ class FeatureEngine:
                 skips += (seg.n - int(valid.sum())) * weight
             if slab.pkt:
                 inputs[red_idx] = values, valid
+                continue
+            if member:
+                slab.reds[red_idx].feed(seg, members())
                 continue
             part, rdirs = seg, dirs
             if valid is not None:
@@ -1045,31 +1003,24 @@ class FeatureEngine:
         while todo:
             stack = todo.pop()
             fold, leaders, wanted, cols = stack
-            block = fold.trace(seg, *zip(*map(inputs.__getitem__, leaders)),
-                               ts, dirs, wanted)
+            if isinstance(fold, ObjectFold):
+                block = fold.trace(seg, members(), wanted)
+            else:
+                block = fold.trace(
+                    seg, *zip(*map(inputs.__getitem__, leaders)), ts, dirs,
+                    wanted)
             if block is None:
                 todo.extend(slab.unstack(stack))
-            elif vectors is not None:
+            elif vectors is None:
+                continue
+            elif isinstance(block, list):
+                for k, col in enumerate(cols.tolist()):
+                    at = ragged[col] = [None] * len(vectors)
+                    for c, cell in zip(order.tolist(), block):
+                        at[c] = cell[k]
+            else:
                 vectors[order[:, None], cols] = block
         return skips
-
-    def _process_record_reference(self, record: MGPVRecord) -> None:
-        """The per-cell loop — the ``SUPERFE_REFERENCE_PATH=1`` oracle
-        and the one fallback of a policy :meth:`path` reports as
-        ``per-cell``: a fields dict and fresh member views per cell, one
-        table lookup per cell per section."""
-        self._stats.records += 1
-        fields_order = self.compiled.metadata_fields
-        mirror = self._mirror
-        for fg_idx, meta in record.cells:
-            self._stats.cells += 1
-            fields = dict(zip(fields_order, meta))
-            kid = mirror[fg_idx] if 0 <= fg_idx < len(mirror) else -1
-            if kid < 0:
-                self._stats.orphan_cells += 1
-                self._demote_cell(record.cg_key, meta)
-                continue
-            self._process_cell(self._fg_keys[kid], fields)
 
     def advance_clock(self, now_ns: int) -> None:
         """Advance the engine's notion of time; cells carrying a
@@ -1084,32 +1035,6 @@ class FeatureEngine:
         elif now_ns > self._clock:
             self._clock = now_ns
 
-    def _update_section(self, state: _GroupState, fields: dict) -> None:
-        state.last_update = self._clock
-        view = MemberView(fields)
-        for (dst, src, _p, _f), fn in zip(state.plan.maps, state.map_objs):
-            src_value = view.get(src) if src is not None else None
-            value = fn.apply(view, src_value)
-            if value is not None:
-                view.set(dst, value)
-        for feat, reducer in zip(state.plan.red_feats, state.red_objs):
-            if not view.has(feat.src):
-                self._stats.skipped_updates += 1
-                continue
-            if reducer is not None:
-                reducer.update(view.get(feat.src), view)
-
-    def _process_cell(self, fg_key: tuple, fields: dict) -> None:
-        tstamp = fields.get("tstamp")
-        if tstamp is not None:
-            self._clock = max(self._clock, tstamp)
-        for section, table in self._tables:
-            key = section.granularity.project(fg_key)
-            state, _ = table.lookup_or_insert(key)
-            self._update_section(state, fields)
-        if self.compiled.collect_unit == "pkt":
-            self._emit_packet_vector(fg_key)
-
     def _demote_cell(self, cg_key: tuple, meta: tuple) -> None:
         """Graceful degradation for an orphaned cell: its FG key is
         unknown, but the record's CG key still attributes it to the
@@ -1121,19 +1046,14 @@ class FeatureEngine:
             self._clock = max(self._clock, meta[self._ts_idx])
         cg_name = self.compiled.cg.name
         updated = False
-        for i, (section, table) in enumerate(self._tables):
+        for i, (section, _table) in enumerate(self._tables):
             if section.granularity.name != cg_name:
                 continue
-            if self._slabs is None:
-                state, _ = table.lookup_or_insert(cg_key)
-                self._update_section(
-                    state, dict(zip(self.compiled.metadata_fields, meta)))
-            else:
-                self._stats.skipped_updates += self._fold_section(
-                    i, [cg_key], None, np.zeros(1, np.intp),
-                    {pos: typed_column([value])
-                     for pos, value in enumerate(meta)},
-                    None, np.array([self._clock]))
+            self._stats.skipped_updates += self._fold_section(
+                i, [cg_key], None, np.zeros(1, np.intp),
+                {pos: typed_column([value])
+                 for pos, value in enumerate(meta)},
+                None, np.array([self._clock]))
             updated = True
         if updated:
             self._stats.degraded_cells += 1
@@ -1157,26 +1077,6 @@ class FeatureEngine:
                 return (np.concatenate(arrs),
                         tuple(a.shape[0] for a in arrs))
         return np.array(parts, dtype=np.float64), None
-
-    def _emit_packet_vector(self, fg_key: tuple) -> None:
-        parts: list = []
-        append = parts.append
-        for (section, table), fp in zip(self._tables, self._final_plans):
-            if fp is None:
-                continue
-            red_all = table.get(section.granularity.project(fg_key)).red_all
-            for idx, synths in fp[1]:
-                value = red_all[idx].finalize()
-                for fn in synths:
-                    value = fn(value)
-                append(value)
-        if parts:
-            self._stats.vectors_emitted += 1
-            values, widths = self._vector_parts(parts)
-            self._pkt_vectors.append(FeatureVector(
-                key=fg_key, names=self._pkt_names, values=values,
-                degraded=self._vector_degraded(fg_key),
-                widths=widths))
 
     def _vector_degraded(self, key: tuple) -> bool:
         """True when the key's CG group absorbed demoted orphan cells —
@@ -1241,25 +1141,21 @@ class FeatureEngine:
                         key=lambda e: e[1][0].granularity.name != unit)
         for i, (section, table) in tables:
             items = list(table.items())
-            states = [state for _key, state in items]
-            stamps = (self._slabs[i].stamps.last_update[states]
-                      if self._slabs is not None else
-                      np.array([state.last_update for state in states]))
+            stamps = self._slabs[i].stamps.last_update[
+                [row for _key, row in items]]
             reaped = [items[j] for j in np.flatnonzero(
                 now_ns - stamps > timeout_ns)]
             if section.granularity.name == unit:
                 vectors = self._vectors(reaped)
-            for key, state in reaped:
+            for key, _row in reaped:
                 table.remove(key)
-            if self._slabs is not None:
-                self._slabs[i].free.extend(row for _key, row in reaped)
+            self._slabs[i].free.extend(row for _key, row in reaped)
         self._stats.vectors_emitted += len(vectors)
         return vectors
 
     def _vectors(self, items: list) -> list[FeatureVector]:
         """The vectors of collect-granularity groups ``items`` (``(key,
-        state)`` pairs, a state being a slab row or a
-        :class:`_GroupState`), in that order, each with the features of
+        slab row)`` pairs), in that order, each with the features of
         its enclosing coarser groups; a vector whose coarser group is
         gone omits that section."""
         if not items:
@@ -1299,17 +1195,12 @@ class FeatureEngine:
                 continue
             sec_names, finals = self._final_plans[i]
             names.extend(sec_names)
-            if self._slabs is not None:
-                plan, slab = self._plans[i], self._slabs[i]
-                rows = np.array(states, np.intp)
+            plan, slab = self._plans[i], self._slabs[i]
+            rows = np.array(states, np.intp)
             for idx, synths in finals:
-                if self._slabs is None:
-                    block = [state.red_all[idx].finalize()
-                             for state in states]
-                else:
-                    fold = slab.reds[plan.leader_of.get(idx, idx)]
-                    block = fold.stat(slab.stats.get(idx), rows,
-                                      plan.probes[idx])
+                fold = slab.reds[plan.leader_of.get(idx, idx)]
+                block = fold.stat(slab.stats.get(idx), rows,
+                                  plan.probes[idx])
                 if synths and not isinstance(block, list):
                     block = (block.tolist() if block.ndim == 1
                              else list(block))
@@ -1373,7 +1264,7 @@ class FeatureEngine:
                 vec.degraded = True
         for _, table in self._tables:
             table.clear()
-        for slab in self._slabs or ():
+        for slab in self._slabs:
             slab.__init__(slab.plan, slab.pkt)  # empty; tables keep alloc
         self._mirror[:] = -1
         self._fg_ids.clear()
@@ -1401,31 +1292,23 @@ class FeatureEngine:
         }
 
     def path(self) -> tuple[str, str | None]:
-        """Which record path the policy's cells take, named by where
-        the group state lives: ``("slab", None)`` — the block path with
-        every function's state in numpy columns;
-        ``("slab+objects", fn)`` — the same with ``fn`` the first
-        function that declared no fold and rides an object column; or
-        ``("per-cell", why)`` — the reference loop — naming the first
-        thing that disqualifies the block path (an orphan cell leaves it
-        either way, alone: ``cells_per_cell`` counts those)."""
-        if self._slabs is not None:
-            fn = next((slab.objects for slab in self._slabs
-                       if slab.objects), None)
-            return ("slab+objects", fn) if fn else ("slab", None)
-        if self._reference:
-            return "per-cell", "SUPERFE_REFERENCE_PATH=1"
-        return "per-cell", next(p.blocker for p in self._plans
-                                if p.columnar is None)
+        """Where the policy's group state lives: ``("slab", None)`` —
+        every function's state in numpy columns — or ``("slab+objects",
+        fn)`` with some of it in per-row objects: ``fn`` is the first
+        member column's ``"<fn>: <reason>"`` (a function whose declared
+        twin cannot serve it, driven per cell through member views), else
+        the first function that declared no fold.  Only an orphan cell
+        leaves the block path (``cells_per_cell`` counts those)."""
+        fn = next((p.blocker for p in self._plans if p.blocker), None) or \
+            next((slab.objects for slab in self._slabs if slab.objects),
+                 None)
+        return ("slab+objects", fn) if fn else ("slab", None)
 
     def total_state_bytes(self) -> int:
-        """Bytes of live reducer state across all group tables (Fig 15's
-        memory axis)."""
+        """Bytes of live reducer state across all group tables, as the
+        NIC model counts it: each feature's ``state_bytes`` per group,
+        a shared accumulator once per feature that reads it."""
         self._drain()
-        if self._slabs is None:
-            return sum(state.state_bytes()
-                       for _, table in self._tables
-                       for _, state in table.items())
         total = 0
         for (_, table), plan, slab in zip(self._tables, self._plans,
                                           self._slabs):

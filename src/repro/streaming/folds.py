@@ -33,6 +33,7 @@ native fold is measured against — via :meth:`Fold.export`.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import repeat
 from operator import attrgetter
 
@@ -746,11 +747,15 @@ class ObjectFold:
     """The default fold: one function object per row, each segment fed
     through the object's own ``update_many`` (``factory`` builds a fresh
     one; ``attr`` is the family's shared-accumulator attribute, if it
-    declared one)."""
+    declared one; ``src`` the key it reduces).  As a *member column* it
+    is driven per cell instead: ``update(value, member)`` with each
+    cell's member view, as the functions' own contract has it."""
 
-    def __init__(self, factory, attr: str | None = None) -> None:
+    def __init__(self, factory, attr: str | None = None,
+                 src: str | None = None) -> None:
         self.factory = factory
         self.attr = attr
+        self.src = src
         self.col: list = []
 
     def grow(self, cap: int) -> None:
@@ -768,6 +773,26 @@ class ObjectFold:
             col[row].update_many(values[lo:hi], dirs and dirs[lo:hi])
         return True
 
+    def feed(self, seg: Segments, members: list, wanted=None) -> list:
+        """Member column: each cell's ``update(value, member)`` with its
+        member view (``members``, in segment order) where the member has
+        the source key.  With ``wanted`` ``(probe, synths)`` pairs, the
+        rows of each cell's finalized values after it, through the synth
+        chains."""
+        src, out = self.src, []
+        for row, lo, hi in seg.slices():
+            fn = self.col[row]
+            views = [(self.view(row, probe), synths)
+                     for probe, synths in wanted or ()]
+            for member in members[lo:hi]:
+                if src in member:
+                    fn.update(member[src], member)
+                if wanted is not None:
+                    out.append([reduce(lambda v, synth: synth(v), synths,
+                                       view.finalize())
+                                for view, synths in views])
+        return out
+
     def view(self, row: int, probe):
         """The reducer standing for ``probe``'s feature at ``row``: the
         row's own object, or — in a family sharing one accumulator —
@@ -781,23 +806,13 @@ class ObjectFold:
     def stat(self, name, rows, probe) -> list:
         return [self.view(row, probe).finalize() for row in rows.tolist()]
 
-    def trace(self, seg, values, valid, ts, dirs, wanted):
-        """Per-packet emission: each cell's ``update`` (none where not
-        ``valid``), then every wanted member's ``finalize()`` (``wanted``
-        pairs ``(0, probe)``)."""
-        fields = {name: col.tolist() for name, col
-                  in (("tstamp", ts), ("direction", dirs)) if col is not None}
-        cells = [MemberView(zip(fields, c)) for c in zip(*fields.values())]
-        values, valid = values[0].tolist(), valid[0]
-        valid = [True] * seg.n if valid is None else valid.tolist()
-        out = []
-        for row, lo, hi in seg.slices():
-            fn = self.col[row]
-            views = [self.view(row, probe) for _k, probe in wanted]
-            for c in range(lo, hi):
-                if valid[c]:
-                    fn.update(values[c], cells[c] if cells else MemberView())
-                out.append([view.finalize() for view in views])
+    def trace(self, seg, members: list, wanted):
+        """Per-packet emission: :meth:`feed`'s rows as (cells x wanted)
+        floats, or as lists when some value is an array."""
+        out = self.feed(seg, members, wanted)
+        if any(isinstance(value, (np.ndarray, list, tuple))
+               for cell in out for value in cell):
+            return out
         return np.array(out, _F8).reshape(seg.n, len(wanted))
 
 
@@ -810,6 +825,16 @@ class MemberView(dict):
     get = dict.__getitem__
     set = dict.__setitem__
     has = dict.__contains__
+
+
+def write_members(members: list, key: str, column: tuple) -> None:
+    """Overlay a map's ``(values, valid)`` output on the member views
+    under ``key`` where it emitted a value."""
+    values, valid = column
+    values = values.tolist()
+    for c in (range(len(members)) if valid is None
+              else np.flatnonzero(valid).tolist()):
+        members[c][key] = values[c]
 
 
 # -- mapping folds: apply(seg, src, ts, dirs) -> (values, valid) or None
@@ -891,7 +916,8 @@ class BurstMap(Fold):
 
 class ObjectMap(ObjectFold):
     """The default mapping fold: one function object per row, driven
-    through the declared per-group ``kernel``."""
+    through the declared per-group ``kernel`` — or, as a member column,
+    through ``apply(member, src_value)`` per cell."""
 
     def __init__(self, factory, kernel) -> None:
         super().__init__(factory)
@@ -905,4 +931,15 @@ class ObjectMap(ObjectFold):
             out.extend(self.kernel(
                 self.col[row], src and src[lo:hi], ts and ts[lo:hi],
                 dirs and dirs[lo:hi], hi - lo))
+        return as_column(out)
+
+    def each(self, seg, members: list, src: str | None):
+        """Member column: each cell's ``apply`` with its member view;
+        a source the member lacks raises KeyError."""
+        out: list = []
+        for row, lo, hi in seg.slices():
+            fn = self.col[row]
+            out.extend(fn.apply(member, None if src is None
+                                else member.get(src))
+                       for member in members[lo:hi])
         return as_column(out)

@@ -83,20 +83,3 @@ class NaiveStats:
     def result(self) -> float:
         return self.mean
 
-
-class NaiveCardinality:
-    """Exact distinct count via a hash set (unbounded state)."""
-
-    def __init__(self) -> None:
-        self.seen: set = set()
-
-    @property
-    def state_bytes(self) -> int:
-        # A conservative per-entry cost for a hash-set slot.
-        return 16 * len(self.seen)
-
-    def update(self, element) -> None:
-        self.seen.add(element)
-
-    def result(self) -> int:
-        return len(self.seen)

@@ -2,24 +2,38 @@
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import asdict
 from unittest import mock
 
 import pytest
 
 from repro import api, pktstream
+from repro.core import dataplane as dataplane_mod
 from repro.core import parallel, telemetry
 from repro.core.dataplane import Dataplane
 from repro.core.parallel import ExecutionConfig, ShardedCluster
 from repro.net.trace import generate_trace
+from repro.nicsim import loadbalance
+from tests.reference.engine import ReferenceEngine
 
 
+@contextmanager
 def reference_path():
     """``with reference_path():`` builds what is constructed inside as
-    the ``SUPERFE_REFERENCE_PATH=1`` oracle (the flag is read at stage
-    construction, so the window must span ``run()`` / ``stream()``),
-    then restores the variable to what it found."""
-    return mock.patch.dict(os.environ, {"SUPERFE_REFERENCE_PATH": "1"})
+    the oracle (stages are built at ``run()`` / ``stream()``, so the
+    window must span those): the switch under ``SUPERFE_REFERENCE_PATH=1``
+    and every serial engine as the per-cell
+    :class:`tests.reference.engine.ReferenceEngine`.  Shards run serial
+    (``SUPERFE_EXEC_BACKEND=serial``), so no pooled worker's production
+    engine stands in for it.  The variables are restored to what the
+    window found."""
+    with mock.patch.dict(os.environ, {"SUPERFE_REFERENCE_PATH": "1",
+                                      "SUPERFE_EXEC_BACKEND": "serial"}), \
+            mock.patch.object(dataplane_mod, "FeatureEngine",
+                              ReferenceEngine), \
+            mock.patch.object(loadbalance, "FeatureEngine", ReferenceEngine):
+        yield
 
 
 def reference_drive(dataplane, packets) -> list:

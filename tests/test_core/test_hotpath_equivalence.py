@@ -1,17 +1,18 @@
 """Optimized hot path vs the pre-optimization oracle.
 
-The PR-4 pass (compiled accessors, interned routes, single-hash
+The optimized pass (compiled accessors, interned routes, single-hash
 routing, positional cell plans, batched group lookups) must be
 invisible in the output: ``SUPERFE_REFERENCE_PATH=1`` keeps the
-original per-packet insert and per-cell update paths verbatim, and
+original per-packet switch insert, ``tests/reference/engine.py`` the
+per-cell engine update (both built by ``reference_path()``), and
 every test here demands bit-identical (order-normalized) checksums
 between the two — for randomly composed policies, on the serial
 cluster, the inline sharded cluster and process workers, and under a
 ``nic_kill`` chaos schedule.
 
-The flag is read when the pipeline stages are constructed, which
-``Extractor.run`` does per call — so the oracle's environment window
-covers the whole compile+run.
+The oracle is chosen when the pipeline stages are constructed, which
+``Extractor.run`` does per call — so the window covers the whole
+compile+run.
 """
 
 import os
@@ -26,8 +27,10 @@ from repro.bench.parallel import vectors_checksum
 from repro.core.faults import FaultAction, FaultPlan
 from repro.core.policy import pktstream
 from repro.net.trace import generate_trace
+from repro.nicsim.engine import FeatureEngine
 from repro.switchsim.mgpv import MGPVConfig
 from tests.conftest import inline_cluster, reference_path
+from tests.reference.engine import ReferenceEngine
 
 #: Reducers whose results are bit-exact regardless of update batching
 #: (same set as tests/test_parallel_equivalence.py).
@@ -131,16 +134,22 @@ def test_nic_kill_chaos_matches_reference(packets, backend):
            "pipeline to contrast against")
 def test_reference_flag_actually_switches_paths(packets):
     """Guard against the oracle silently becoming the optimized path:
-    the two pipelines must report their mode through the flag they were
-    built under."""
+    the two switches must report their mode through the flag they were
+    built under, the reference engines must be the per-cell oracle and
+    the optimized ones must keep their state in slabs."""
     policy = build("flow", [("size", "f_sum")], False, False)
-    opt_run = api.compile(policy, n_nics=2).run(packets)
+    # Serial, so the optimized engines live in this process.
+    opt_run = api.compile(policy, n_nics=2, backend="serial").run(packets)
     ref_run = reference_run(policy, packets, n_nics=2)
     assert checksum(opt_run) == checksum(ref_run)
     opt_cache = opt_run.dataplane.stages[1]
     ref_cache = ref_run.dataplane.stages[1]
     assert not getattr(opt_cache, "_reference", False)
     assert getattr(ref_cache, "_reference", False)
+    assert all(type(engine) is ReferenceEngine
+               for engine in ref_run.engine.engines)
+    assert all(type(engine) is FeatureEngine and engine._slabs
+               for engine in opt_run.engine.engines)
 
 
 # -- Table 3 applications: the reference path is the *unshared* mode (one

@@ -26,15 +26,19 @@ from repro.core.functions import (
 )
 from repro.core.policy import pktstream
 from repro.net.trace import generate_trace
-from repro.nicsim.engine import FeatureEngine, _GroupState
+from tests.reference.engine import ReferenceEngine, _GroupState
 
 
 def section_states(policy):
-    """{granularity name: a fresh group state} for a policy's sections."""
-    engine = FeatureEngine(PolicyCompiler().compile(policy))
-    return {section.granularity.name: _GroupState(plan)
-            for (section, _table), plan
-            in zip(engine._tables, engine._plans)}
+    """{granularity name: a fresh group state} for a policy's sections,
+    its followers wired by the engine's share plan."""
+    engine = ReferenceEngine(PolicyCompiler().compile(policy))
+    return {section.granularity.name: _GroupState(
+                recipe, reducer_share_plan(
+                    (feat.src, factory()) for feat, factory
+                    in zip(recipe.red_feats, recipe.red_factories)))
+            for (section, _table), recipe
+            in zip(engine._tables, engine._recipes)}
 
 
 def accumulators(state):

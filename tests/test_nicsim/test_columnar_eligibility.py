@@ -1,16 +1,19 @@
-"""Which policies the engine's columnar path serves — as a manifest.
+"""How the engine's slab serves each function — as a manifest.
 
-Eligibility is a declared property of each function class
+Native folds are a declared property of each function class
 (``declare_columnar_kernel``), decided once per section from probed
-instances.  All ten Table 3 policies must take the columnar path and,
-on a fault-free run, none of their cells the per-cell loop — the three
-``collect(pkt)`` ones through their accumulators' run kernels;
-everything the declaration contract excludes — a subclass overriding
-``apply``/``update``/``finalize``, an undeclared registration, a later
-reader of a map-shadowed metadata field, a synth chain under
-``collect(pkt)`` — runs the engine's one per-cell loop, the reference
-oracle's own, and must match it in everything observable; an orphan
-cell leaves the block path alone, not with its record.
+instances.  All ten Table 3 policies run on the slab with no member
+column and, on a fault-free run, none of their cells off the block
+path — the three ``collect(pkt)`` ones through their stacked damped
+folds.  Everything the declaration contract excludes — a subclass
+overriding ``apply``/``update``/``finalize``, an undeclared
+registration, a later reader of a map-shadowed metadata field, a
+``collect(pkt)`` reducer without a run statistic, a synth chain under
+``collect(pkt)`` — becomes a *member column* on the slab (``path()``
+names the first, with its reason) and must match the per-cell
+reference oracle (``tests/reference/engine.py``) in everything
+observable; an orphan cell leaves the block path alone, not with its
+record.
 """
 
 import os
@@ -61,6 +64,11 @@ def engine_for(policy) -> FeatureEngine:
     return FeatureEngine(PolicyCompiler().compile(policy))
 
 
+def member_columns(engine) -> list:
+    """Each section's first member column, as ``"<fn>: <reason>"``."""
+    return [plan.blocker for plan in engine._plans if plan.blocker]
+
+
 @pytest.fixture(scope="module")
 def campus():
     return generate_trace("CAMPUS", n_flows=120, seed=5)
@@ -95,18 +103,31 @@ def ledger(vectors, sink) -> tuple:
     return emitted(vectors), engine_ledger(sink)
 
 
-def check_fallback_is_oracle(policy, trace, blocker):
-    """A policy ``path()`` reports as per-cell runs the reference loop
-    (with shared accumulators): nothing observable tells them apart."""
-    assert engine_for(policy).path() == ("per-cell", blocker)
+def check_member_column_is_oracle(policy, trace, blocker):
+    """A policy with a member column runs on the slab, every cell on
+    the block path, and nothing observable — vectors, counters but the
+    two path counters, table statistics, state bytes — tells it from
+    the per-cell oracle."""
+    assert engine_for(policy).path() == ("slab+objects", blocker)
     with reference_path():
         ref = api.compile(policy).run(trace)
     result = api.compile(policy).run(PacketBatch.from_packets(trace))
     counters = result.dataplane.counters()["engine"]
-    assert counters["cells_columnar"] == 0
-    assert counters["cells_per_cell"] == counters["cells"] > 0
+    assert counters["cells_columnar"] == counters["cells"] > 0
+    assert counters["cells_per_cell"] == 0
     assert (ledger(result.vectors, result.engine)
-            == ledger(ref.vectors, ref.engine))
+            == path_free(ledger(ref.vectors, ref.engine)))
+    assert (result.engine.total_state_bytes()
+            == ref.engine.total_state_bytes())
+
+
+def path_free(ledger_) -> tuple:
+    """An oracle ledger with its path counters as the slab's read: every
+    cell of a fault-free run on the block path."""
+    vectors, engines = ledger_
+    return vectors, [({**counters, "cells_columnar": counters["cells"],
+                       "cells_per_cell": 0}, tables)
+                     for counters, tables in engines]
 
 
 def test_reference_path_restores_a_preset_variable(monkeypatch):
@@ -123,7 +144,7 @@ class TestManifest:
     @pytest.mark.parametrize("app", PER_GROUP)
     def test_per_group_policy_is_columnar(self, app, campus):
         engine = engine_for(build_policy(app))
-        assert engine._columnar
+        assert member_columns(engine) == []
         assert engine.path() == LAYOUT.get(app, ("slab", None))
         checksum, counters = run_batch(build_policy(app), campus)
         assert counters["cells"] > 0
@@ -137,7 +158,7 @@ class TestManifest:
         assert engine.path() == ("slab", None)
         # Leaders only: one fold entry per shared accumulator.
         assert (sum(len(p.columnar[1]) for p in engine._plans)
-                < sum(len(p.reds) for p in engine._plans))
+                < sum(len(p.red_feats) for p in engine._plans))
         with reference_path():
             ref = api.compile(build_policy(app)).run(pkt_trace)
         for trace in (pkt_trace, PacketBatch.from_packets(pkt_trace)):
@@ -210,34 +231,34 @@ def flow_policy(map_fn="f_ipt", src="tstamp", reduce_fn="f_sum"):
 
 class TestOpaqueStaysPerCell:
     def test_builtin_twin_is_columnar(self, campus):
-        assert engine_for(flow_policy())._columnar
+        assert engine_for(flow_policy()).path() == ("slab", None)
 
     def test_subclass_overriding_apply(self, user_fns, campus):
-        check_fallback_is_oracle(
+        check_member_column_is_oracle(
             flow_policy("f_gate_loud", "size"), campus,
             "f_gate_loud: no declared batch kernel")
 
     def test_subclass_overriding_update(self, user_fns, campus):
-        check_fallback_is_oracle(
+        check_member_column_is_oracle(
             flow_policy(reduce_fn="f_sum_twice"), campus,
             "f_sum_twice: no declared batch kernel")
 
     def test_reducer_update_reading_tstamp(self, campus):
-        check_fallback_is_oracle(
+        check_member_column_is_oracle(
             flow_policy(reduce_fn="f_dmean{lam=0.1}"), campus,
             "f_dmean{lam=0.1}: update_many is only handed values and "
             "directions")
 
     def test_undeclared_registration_then_declared(self, user_fns, campus):
         policy = flow_policy("f_user_ipt")
-        check_fallback_is_oracle(policy, campus,
-                                 "f_user_ipt: no declared batch kernel")
+        check_member_column_is_oracle(
+            policy, campus, "f_user_ipt: no declared batch kernel")
         # Declaring the class — exactly what apps/extensions.py does for
         # its direction gate — is all it takes.
         kernel, reads, maybe_none, *_ = COLUMNAR_KERNELS[_FIpt]
         declare_columnar_kernel(_UserIpt, kernel, reads=tuple(reads),
                                 maybe_none=maybe_none)
-        assert engine_for(policy)._columnar
+        assert engine_for(policy).path() == ("slab+objects", "f_user_ipt")
         checksum, counters = run_batch(policy, campus)
         assert counters["cells_per_cell"] == 0
         assert checksum == reference_checksum(policy, campus)
@@ -250,7 +271,7 @@ class TestOpaqueStaysPerCell:
 class TestShadowRule:
     """A map may overwrite ``direction``/``tstamp`` (AWF does); only a
     *later* function that reads the field through the member sees the
-    difference, and only then must the section stay per-cell."""
+    difference, and only that function becomes a member column."""
 
     def shadowing_policy(self, app):
         # The app's maps, then one that overwrites ``direction`` with a
@@ -267,14 +288,14 @@ class TestShadowRule:
     @pytest.mark.parametrize("app", ["CUMUL", "AWF"])
     def test_later_reader_of_shadowed_direction_stays_per_cell(
             self, app, campus):
-        check_fallback_is_oracle(
+        check_member_column_is_oracle(
             self.shadowing_policy(app), campus,
             "f_mag: reads 'direction' after a map overwrote it")
 
     def test_shadow_without_later_reader_is_columnar(self):
         # AWF itself: f_direction reads the metadata *before* its own
         # write lands, f_array reads the mapped value as a source.
-        assert engine_for(build_policy("AWF"))._columnar
+        assert member_columns(engine_for(build_policy("AWF"))) == []
 
 
 class _DmeanLoud(_FDmean):
@@ -331,8 +352,9 @@ def pkt_policy(*fns, synth=None):
 
 
 class TestPerPacketBlock:
-    """``collect(pkt)`` on the block path: what stays per-cell, orphan
-    cells between the runs of a block, and the emit buffer's bound."""
+    """``collect(pkt)`` on the block path: what runs as a member column,
+    orphan cells between the runs of a block, and the emit buffer's
+    bound."""
 
     def test_declared_damped_policy_is_columnar(self, pkt_trace):
         policy = pkt_policy("f_dw{lam=0.1}")
@@ -347,21 +369,22 @@ class TestPerPacketBlock:
                     "cells_columnar": PKT_PREFIX, "cells_per_cell": 0})
 
     def test_subclass_overriding_finalize(self, user_reducers, pkt_trace):
-        check_fallback_is_oracle(
+        check_member_column_is_oracle(
             pkt_policy("f_dmean_loud{lam=0.1}"), pkt_trace,
             "f_dmean_loud{lam=0.1}: no declared batch kernel")
 
     def test_undeclared_user_reducer(self, user_reducers, pkt_trace):
-        check_fallback_is_oracle(pkt_policy("f_user_last"), pkt_trace,
-                                 "f_user_last: no declared batch kernel")
+        check_member_column_is_oracle(
+            pkt_policy("f_user_last"), pkt_trace,
+            "f_user_last: no declared batch kernel")
 
     def test_builtin_without_a_run_kernel(self, pkt_trace):
-        check_fallback_is_oracle(
+        check_member_column_is_oracle(
             pkt_policy("f_mean"), pkt_trace,
             "f_mean: declares no run_stat to emit a vector per cell")
 
     def test_synth_chain(self, pkt_trace):
-        check_fallback_is_oracle(
+        check_member_column_is_oracle(
             pkt_policy(synth="f_norm"), pkt_trace,
             "f_norm: synthesizes a per-packet feature")
 

@@ -1,5 +1,5 @@
 """``collect(pkt)`` policies on the slab under faults, against the
-``SUPERFE_REFERENCE_PATH=1`` oracle.
+per-cell reference oracle.
 
 Kitsune and HELAD keep their group state in slab rows; an orphan cell
 demotes into its CG group's row between blocks, ``evict_idle`` frees
@@ -33,10 +33,9 @@ def emitted(vectors) -> list:
 
 def state(sink) -> list:
     """Per engine: counters (path counters aside), table statistics and
-    live state bytes (None from a process worker's engine, which only
-    answers counters and table statistics)."""
+    live state bytes."""
     return [({k: v for k, v in counters.items() if k not in PATH_COUNTERS},
-             tables, getattr(engine, "total_state_bytes", lambda: None)())
+             tables, engine.total_state_bytes())
             for (counters, tables), engine
             in zip(engine_ledger(sink), getattr(sink, "engines", [sink]))]
 

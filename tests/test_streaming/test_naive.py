@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.streaming.naive import NaiveCardinality, NaiveStats
+from repro.streaming.naive import NaiveStats
 
 floats = st.floats(min_value=-1e6, max_value=1e6,
                    allow_nan=False, allow_infinity=False)
@@ -57,17 +57,3 @@ def test_histogram_saturates_like_streaming():
         n.update(v)
     counts = n.histogram(10.0, 4)
     assert counts.tolist() == [2, 0, 0, 1]
-
-
-class TestNaiveCardinality:
-    def test_exact_count(self):
-        c = NaiveCardinality()
-        for i in range(100):
-            c.update(i % 25)
-        assert c.result() == 25
-
-    def test_state_grows_with_distinct(self):
-        c = NaiveCardinality()
-        for i in range(50):
-            c.update(i)
-        assert c.state_bytes == 16 * 50
