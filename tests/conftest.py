@@ -15,7 +15,14 @@ from repro.core.dataplane import Dataplane
 from repro.core.parallel import ExecutionConfig, ShardedCluster
 from repro.net.trace import generate_trace
 from repro.nicsim import loadbalance
+from repro.nicsim.engine import FeatureEngine
 from tests.reference.engine import ReferenceEngine
+
+
+def _production_engine_in_window(engine, *args, **kwargs):
+    raise AssertionError(
+        "a production FeatureEngine was built inside reference_path(); "
+        "build tests.reference.engine.ReferenceEngine there instead")
 
 
 @contextmanager
@@ -26,13 +33,17 @@ def reference_path():
     and every serial engine as the per-cell
     :class:`tests.reference.engine.ReferenceEngine`.  Shards run serial
     (``SUPERFE_EXEC_BACKEND=serial``), so no pooled worker's production
-    engine stands in for it.  The variables are restored to what the
-    window found."""
+    engine stands in for it.  A production ``FeatureEngine`` built in the
+    window (a test constructing one by hand, an inline sharded cluster)
+    raises, so no session compares the slab engine with itself.  The
+    variables are restored to what the window found."""
     with mock.patch.dict(os.environ, {"SUPERFE_REFERENCE_PATH": "1",
                                       "SUPERFE_EXEC_BACKEND": "serial"}), \
             mock.patch.object(dataplane_mod, "FeatureEngine",
                               ReferenceEngine), \
-            mock.patch.object(loadbalance, "FeatureEngine", ReferenceEngine):
+            mock.patch.object(loadbalance, "FeatureEngine", ReferenceEngine), \
+            mock.patch.object(FeatureEngine, "__init__",
+                              _production_engine_in_window):
         yield
 
 

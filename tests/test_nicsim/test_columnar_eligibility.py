@@ -46,6 +46,7 @@ from repro.nicsim import engine as engine_mod
 from repro.nicsim.engine import FeatureEngine
 from repro.switchsim.mgpv import FGSync, MGPVRecord
 from tests.conftest import engine_ledger, reference_path
+from tests.reference.engine import ReferenceEngine
 
 PER_GROUP = ["CUMUL", "AWF", "DF", "TF", "PeerShark", "MPTD", "NPOD"]
 #: Where each policy's group state lives (``FeatureEngine.path()``): the
@@ -60,8 +61,8 @@ PER_PACKET = ["Kitsune", "HELAD", "N-BaIoT"]
 PKT_PREFIX = 1000
 
 
-def engine_for(policy) -> FeatureEngine:
-    return FeatureEngine(PolicyCompiler().compile(policy))
+def engine_for(policy, cls=FeatureEngine):
+    return cls(PolicyCompiler().compile(policy))
 
 
 def member_columns(engine) -> list:
@@ -111,6 +112,7 @@ def check_member_column_is_oracle(policy, trace, blocker):
     assert engine_for(policy).path() == ("slab+objects", blocker)
     with reference_path():
         ref = api.compile(policy).run(trace)
+    assert type(ref.engine) is ReferenceEngine
     result = api.compile(policy).run(PacketBatch.from_packets(trace))
     counters = result.dataplane.counters()["engine"]
     assert counters["cells_columnar"] == counters["cells"] > 0
@@ -135,6 +137,17 @@ def test_reference_path_restores_a_preset_variable(monkeypatch):
     with reference_path():
         pass
     assert os.environ["SUPERFE_REFERENCE_PATH"] == "1"
+
+
+def test_reference_path_refuses_a_production_engine():
+    """A session that built the slab engine inside the window would
+    compare it with itself."""
+    compiled = PolicyCompiler().compile(flow_policy())
+    with reference_path():
+        assert type(ReferenceEngine(compiled)) is ReferenceEngine
+        with pytest.raises(AssertionError, match="reference_path"):
+            FeatureEngine(compiled)
+    assert FeatureEngine(compiled).path() == ("slab", None)
 
 
 class TestManifest:
@@ -454,8 +467,8 @@ class TestPerPacketBlock:
         flagged, and only the orphan counts as per-cell."""
         key = (1, 2, 10, 20, 6)
 
-        def session(feed):
-            engine = engine_for(pkt_policy())
+        def session(feed, cls=FeatureEngine):
+            engine = engine_for(pkt_policy(), cls)
             fields = engine.compiled.metadata_fields
             cells = tuple(
                 (fg, tuple({"size": 100 + j, "tstamp": 5_000 + j,
@@ -466,8 +479,9 @@ class TestPerPacketBlock:
             return engine, ledger(engine.finalize(), engine)
 
         with reference_path():
-            _engine, (ref_vectors, [(ref_counters, ref_tables)]) = session(
-                "run")
+            oracle, (ref_vectors, [(ref_counters, ref_tables)]) = session(
+                "run", ReferenceEngine)
+        assert type(oracle) is ReferenceEngine
         assert [flag for *_v, flag, _w in ref_vectors] == [False, False, True]
         for feed in ("run", "consume_batch"):
             engine, (vectors, [(counters, tables)]) = session(feed)

@@ -2,10 +2,11 @@
 
 A per-group policy on the block path keeps its group state in slabs
 (numpy columns indexed by group row) and folds a block's groups all at
-once; ``SUPERFE_REFERENCE_PATH=1`` keeps one object graph per group and
-one update per cell.  Everything observable must be equal: vectors and
-their emission order, names, ``widths``, degraded flags, every engine
-counter and every ``GroupTableStats`` field — for the ten Table 3
+once; the ``tests/`` oracle (:mod:`tests.reference.engine`) keeps one
+object graph per group and one update per cell.  Everything observable
+must be equal: vectors and their emission order, names, ``widths``,
+degraded flags, every engine counter and every ``GroupTableStats``
+field — for the ten Table 3
 policies and the benchmark's ``flow_stats_policy`` on hardware
 (``n_nics=4``) and in software, and for the session shapes the
 benchmark does not take.
@@ -23,6 +24,7 @@ from repro.net.trace import generate_trace
 from repro.nicsim.engine import FeatureEngine
 from repro.switchsim.mgpv import FGSync, MGPVRecord
 from tests.conftest import engine_ledger, reference_path
+from tests.reference.engine import ReferenceEngine
 
 PER_PACKET = ("Kitsune", "HELAD", "N-BaIoT")
 #: Counters that name the path a cell took, not what it computed.
@@ -162,9 +164,10 @@ def test_link_loss_demotes_orphans_into_slab_rows(campus):
 SOCKETS = [(1, 2, 10, 20, 6), (1, 3, 11, 21, 6), (4, 2, 12, 22, 6)]
 
 
-def fed_engine() -> FeatureEngine:
-    """``chain_policy`` with three sockets (two of one host) resident."""
-    engine = FeatureEngine(PolicyCompiler().compile(chain_policy()))
+def fed_engine(cls=FeatureEngine):
+    """A ``cls`` engine on ``chain_policy`` with three sockets (two of
+    one host) resident."""
+    engine = cls(PolicyCompiler().compile(chain_policy()))
     fields = engine.compiled.metadata_fields
     for idx, (key, stamp) in enumerate(zip(SOCKETS, (1_000, 2_000, 9_000))):
         cells = tuple(
@@ -179,7 +182,9 @@ def fed_engine() -> FeatureEngine:
 def both(session):
     """``session(engine)`` on the slab engine and on the reference one."""
     with reference_path():
-        reference = session(fed_engine())
+        oracle = fed_engine(ReferenceEngine)
+        reference = session(oracle)
+    assert type(oracle) is ReferenceEngine
     engine = fed_engine()
     assert engine.path() == ("slab", None)
     assert session(engine) == reference
@@ -249,9 +254,10 @@ def test_out_of_range_block_moves_the_family_to_objects(sizes):
                        "direction": 1}[f] for f in fields))
             for j, size in enumerate(sizes))
         engine.consume_batch([MGPVRecord(key[:1], 0, cells, "t")])
-        return (emitted(engine.finalize()), engine.total_state_bytes(),
-                engine.path()[0])
+        return emitted(engine.finalize()), engine.total_state_bytes()
 
     with reference_path():
-        reference = session(fed_engine())
-    assert session(fed_engine()) == (*reference[:2], "slab+objects")
+        reference = session(fed_engine(ReferenceEngine))
+    engine = fed_engine()
+    assert session(engine) == reference
+    assert engine.path()[0] == "slab+objects"
